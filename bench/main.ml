@@ -358,8 +358,8 @@ let section_trigger_table () =
           ("matches_per_sec", Json.Float match_rate);
           ("resident_triggers", Json.Int resident);
           ("match_probes", Json.Int probes);
-          ("match_p50_ns_1e6", Json.Float (float_of_int p50));
-          ("match_p99_ns_1e6", Json.Float (float_of_int p99));
+          ("match_p50_ns", Json.Float (float_of_int p50));
+          ("match_p99_ns", Json.Float (float_of_int p99));
         ] );
   ]
 

@@ -6,14 +6,30 @@
 let () =
   let engine = Engine.create () in
   let rng = Rng.create 99L in
-  let nw = Chord.Protocol.create engine ~rng ~latency:(fun _ _ -> 20.) () in
+  (* The protocol is sans-IO: give every node an endpoint on a simulated
+     net, send from it, and feed what arrives to [handle]. *)
+  let net = Net.create engine ~rng ~latency:(fun _ _ -> 20.) () in
+  let nw =
+    Chord.Protocol.create_detached engine ~rng
+      ~emit:(fun ~src ~dst msg -> Net.send net ~src ~dst msg)
+      ()
+  in
+  let start_node contacts =
+    let addr = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
+    let node =
+      if contacts = [] then Chord.Protocol.bootstrap nw ~addr ()
+      else Chord.Protocol.join nw ~addr ~contacts ()
+    in
+    Net.set_handler net addr (fun ~src msg -> Chord.Protocol.handle node ~src msg);
+    node
+  in
 
   print_endline "bootstrapping a 24-node ring (joins every 2 s)...";
-  let bootstrap = Chord.Protocol.bootstrap nw ~site:0 () in
-  let nodes = ref [| bootstrap |] in
+  let nodes = ref [| start_node [] |] in
   for _ = 2 to 24 do
     let via = Rng.choose rng !nodes in
-    nodes := Array.append !nodes [| Chord.Protocol.join nw ~site:0 ~via () |];
+    nodes :=
+      Array.append !nodes [| start_node [ Chord.Protocol.node_addr via ] |];
     Engine.run_for engine 2_000.
   done;
   Engine.run_for engine 900_000.;

@@ -72,16 +72,11 @@ type node = {
 
 and network = {
   engine : Engine.t;
-  sim_net : msg Net.t option;
-      (* [Some] when this ring lives on a simulated [Net]; [None] for a
-         detached ring whose datagrams are carried by [emit] effects
-         (the sans-IO path under [I3.Engine]) *)
   emit : src:int -> dst:int -> msg -> unit;
   cfg : config;
   rng : Rng.t;
   mutable nodes : node list;
   mutable tokens : int;
-  label : string;
   spans : Obs.Span.t;
   c_lookups : Obs.Metrics.counter;
   c_failures : Obs.Metrics.counter;
@@ -92,20 +87,20 @@ and network = {
   h_lookup_ms : Obs.Metrics.histogram;
 }
 
-let instances = ref 0
+let ring_label = "ring"
 
-let make_network ~metrics ~spans ~engine ~sim_net ~emit ~rng ~config ~label =
-  let labels = [ ("instance", label) ] in
+let create_detached ?(metrics = Obs.Metrics.default)
+    ?(spans = Obs.Span.disabled) engine ~rng ?(config = default_config) ~emit
+    () =
+  let labels = [ ("instance", ring_label) ] in
   let counter name = Obs.Metrics.counter metrics ~labels name in
   {
     engine;
-    sim_net;
     emit;
     cfg = config;
     rng;
     nodes = [];
     tokens = 0;
-    label;
     spans;
     c_lookups = counter "chord.lookups";
     c_failures = counter "chord.lookup_failures";
@@ -120,36 +115,7 @@ let make_network ~metrics ~spans ~engine ~sim_net ~emit ~rng ~config ~label =
         ~buckets:(Obs.Metrics.exponential_buckets ~start:1. ~factor:2. ~count:14);
   }
 
-let create ?(metrics = Obs.Metrics.default) ?(spans = Obs.Span.disabled) engine
-    ~rng ~latency ?(config = default_config) () =
-  incr instances;
-  let label = "ring" ^ string_of_int !instances in
-  let net = Net.create ~metrics ~label engine ~rng ~latency () in
-  make_network ~metrics ~spans ~engine ~sim_net:(Some net)
-    ~emit:(fun ~src ~dst msg -> Net.send net ~src ~dst msg)
-    ~rng ~config ~label
-
-let create_detached ?(metrics = Obs.Metrics.default)
-    ?(spans = Obs.Span.disabled) engine ~rng ?(config = default_config) ~emit
-    () =
-  incr instances;
-  let label = "ring" ^ string_of_int !instances in
-  make_network ~metrics ~spans ~engine ~sim_net:None ~emit ~rng ~config ~label
-
-let engine nw = nw.engine
-let instance_label nw = nw.label
-let spans nw = nw.spans
 let pending_rpcs n = Hashtbl.length n.pending
-
-let sim_net_exn what nw =
-  match nw.sim_net with
-  | Some net -> net
-  | None -> invalid_arg ("Chord.Protocol." ^ what ^ ": detached network")
-
-let set_loss_rate nw p = Net.set_loss_rate (sim_net_exn "set_loss_rate" nw) p
-let fault_driver nw = Faults.net_driver (sim_net_exn "fault_driver" nw)
-let net_stats nw = Net.stats (sim_net_exn "net_stats" nw)
-let net nw = sim_net_exn "net" nw
 
 let node_id n = n.id
 let node_addr n = n.addr
@@ -165,7 +131,9 @@ let fresh_token nw =
   nw.tokens <- nw.tokens + 1;
   nw.tokens
 
-let send n dst msg = n.network.emit ~src:n.addr ~dst msg
+(* A killed node is silent: timeouts still queued on the scheduler must
+   not make it talk again. *)
+let send n dst msg = if n.alive then n.network.emit ~src:n.addr ~dst msg
 
 let notify n dst = send n dst (Notify { who = self_peer n; chain = n.succs })
 
@@ -656,19 +624,9 @@ let start_timers n =
         (fun () -> fix_fingers n);
     ]
 
-let start_node nw ?id ?addr ~site () =
+let bootstrap nw ?id ~addr () =
   let id =
     match id with Some i -> i | None -> Id.routing_key (Id.random nw.rng)
-  in
-  let addr =
-    match (nw.sim_net, addr) with
-    | Some net, None -> Net.register net ~site (fun ~src:_ _ -> ())
-    | None, Some a -> a
-    | Some _, Some _ ->
-        invalid_arg
-          "Protocol.start_node: the simulated net assigns addresses; omit ~addr"
-    | None, None ->
-        invalid_arg "Protocol.start_node: a detached network needs ~addr"
   in
   let n =
     {
@@ -689,77 +647,28 @@ let start_node nw ?id ?addr ~site () =
       timers = [];
     }
   in
-  Option.iter
-    (fun net -> Net.set_handler net addr (fun ~src msg -> handle n ~src msg))
-    nw.sim_net;
   start_timers n;
   nw.nodes <- n :: nw.nodes;
   n
 
-let bootstrap nw ?id ?addr ~site () = start_node nw ?id ?addr ~site ()
-
-let join nw ?id ~site ~via () =
-  let n = start_node nw ?id ~site () in
-  remember n (self_peer via);
-  lookup via n.id (function
-    | Some p when p.addr <> n.addr ->
-        n.succs <- [ p ];
-        notify n p.addr
-    | _ ->
-        (* Bootstrap node alone: it becomes our successor directly. *)
-        if via.addr <> n.addr then begin
-          n.succs <- [ self_peer via ];
-          notify n via.addr
-        end);
+(* Join by address: probe the bootstrap contacts at once, then keep
+   retrying every other RPC timeout while still alone — contacts may not
+   be up yet (cluster cold start) or may have been lost to a
+   partition. *)
+let join nw ?id ~addr ~contacts () =
+  let n = bootstrap nw ?id ~addr () in
+  let probe_contacts () = List.iter (probe_addr n) contacts in
+  Engine.schedule nw.engine ~delay:0. probe_contacts;
+  n.timers <-
+    Engine.every nw.engine ~period:(2. *. nw.cfg.rpc_timeout) (fun () ->
+        if n.alive && successor n = None then probe_contacts ())
+    :: n.timers;
   n
 
 let kill n =
   n.alive <- false;
-  Option.iter (fun net -> Net.set_down net n.addr) n.network.sim_net;
   List.iter Engine.cancel n.timers;
   n.timers <- []
-
-let restart ?via n =
-  if n.alive then invalid_arg "Protocol.restart: node is alive";
-  let nw = n.network in
-  n.alive <- true;
-  Option.iter (fun net -> Net.set_up net n.addr) nw.sim_net;
-  (* Fail-stop recovery: the process lost all volatile ring state. *)
-  n.pred <- None;
-  n.succs <- [];
-  for i = 0 to Finger_table.slots n.fingers - 1 do
-    Finger_table.set n.fingers i None
-  done;
-  Hashtbl.reset n.pending;
-  Hashtbl.reset n.suspicion;
-  Hashtbl.reset n.graveyard;
-  Hashtbl.reset n.contacts;
-  n.next_fix <- 0;
-  n.pred_heard <- Engine.now nw.engine;
-  start_timers n;
-  let via =
-    match via with
-    | Some _ -> via
-    | None -> (
-        match
-          List.filter (fun m -> m.alive && m.addr <> n.addr) nw.nodes
-        with
-        | [] -> None
-        | live -> Some (Rng.choose nw.rng (Array.of_list live)))
-  in
-  match via with
-  | None -> () (* alone again: it is its own ring *)
-  | Some v ->
-      remember n (self_peer v);
-      lookup v n.id (function
-        | Some p when p.addr <> n.addr ->
-            n.succs <- [ p ];
-            notify n p.addr
-        | _ ->
-            if v.addr <> n.addr then begin
-              n.succs <- [ self_peer v ];
-              notify n v.addr
-            end)
 
 let alive_nodes nw =
   List.filter (fun n -> n.alive) nw.nodes

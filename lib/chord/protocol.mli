@@ -1,4 +1,4 @@
-(** Asynchronous, message-passing Chord over the simulated network.
+(** Asynchronous, message-passing Chord as a sans-IO state machine.
 
     This is the self-organizing substrate the paper relies on for
     robustness and incremental deployment (Secs. IV-C, IV-D, IV-H): nodes
@@ -20,7 +20,7 @@
 type peer = Finger_table.peer = { id : Id.t; addr : int }
 
 (** The RPC vocabulary, exposed so {!Codec} (wire form) and transports
-    can see it; all exchanges are fire-and-forget messages over {!Net}
+    can see it; all exchanges are fire-and-forget datagrams
     ("fully asynchronous and implemented on top of UDP", Sec. V-C). *)
 
 type step_result =
@@ -54,29 +54,6 @@ val default_config : config
 type network
 type node
 
-val create :
-  ?metrics:Obs.Metrics.t ->
-  ?spans:Obs.Span.t ->
-  Engine.t ->
-  rng:Rng.t ->
-  latency:(int -> int -> float) ->
-  ?config:config ->
-  unit ->
-  network
-(** Protocol counters ([chord.lookups], [chord.lookup_failures],
-    [chord.rpc_timeouts], [chord.probes_sent], [chord.ring_changes] —
-    successor-pointer flips sampled each stabilize round, an in-band
-    convergence signal — and the [chord.lookup_hops] /
-    [chord.lookup_ms] histograms) register in [metrics] (default
-    {!Obs.Metrics.default}) under this ring's [instance] label; the
-    underlying control-plane {!Net} shares the same label.
-
-    Control-plane operations emit causal spans into [spans] (default
-    {!Obs.Span.disabled}): a [chord.lookup] root per lookup with one
-    [chord.rpc] child per iterative step (timeouts and retries
-    annotated), [chord.stabilize] per stabilize round-trip and
-    [chord.probe] per liveness probe. *)
-
 val create_detached :
   ?metrics:Obs.Metrics.t ->
   ?spans:Obs.Span.t ->
@@ -86,54 +63,46 @@ val create_detached :
   emit:(src:int -> dst:int -> msg -> unit) ->
   unit ->
   network
-(** A ring with no simulated {!Net} underneath: every outbound RPC is
-    handed to [emit] and inbound traffic must be fed to {!handle} — the
-    sans-IO face [I3.Engine] composes with an i3 server so the same
-    protocol runs over real UDP sockets.  Nodes must be started with an
-    explicit [~addr] (the externally reachable transport address; it is
-    embedded in wire messages).  {!net}, {!set_loss_rate},
-    {!fault_driver} and {!net_stats} raise [Invalid_argument] on a
-    detached network — fault injection there belongs to the transport
-    ({!Transport.Faulty}). *)
+(** A ring whose I/O is injected: every outbound RPC is handed to
+    [emit] and inbound traffic must be fed to {!handle}.  [I3.Engine]
+    composes it with an i3 server so the same protocol runs over real
+    UDP sockets and over the simulator; a test can just as well wire
+    [emit] and {!handle} to a simulated [Net] itself.  Nodes carry an
+    explicit transport address, which is embedded in wire messages.
 
-val engine : network -> Engine.t
+    Protocol counters ([chord.lookups], [chord.lookup_failures],
+    [chord.rpc_timeouts], [chord.probes_sent], [chord.ring_changes] —
+    successor-pointer flips sampled each stabilize round, an in-band
+    convergence signal — and the [chord.lookup_hops] /
+    [chord.lookup_ms] histograms) register in [metrics] (default
+    {!Obs.Metrics.default}) under the [instance] label {!ring_label}.
+    Rings sharing a registry share these series, so the members of one
+    deployment add up to ring-wide counters.
 
-val instance_label : network -> string
-(** The [instance] label this ring's metrics carry (["ringN"]). *)
+    Control-plane operations emit causal spans into [spans] (default
+    {!Obs.Span.disabled}): a [chord.lookup] root per lookup with one
+    [chord.rpc] child per iterative step (timeouts and retries
+    annotated), [chord.stabilize] per stabilize round-trip and
+    [chord.probe] per liveness probe. *)
 
-val spans : network -> Obs.Span.t
-(** The span collector handed to {!create}. *)
+val ring_label : string
+(** The [instance] label of every ring's [chord.*] series (["ring"]). *)
 
 val pending_rpcs : node -> int
 (** RPCs this node has in flight right now (lookup steps, stabilize
     queries, probes awaiting a reply or timeout) — an introspection
     gauge for the telemetry plane. *)
 
-val set_loss_rate : network -> float -> unit
-(** Inject uniform message loss on the underlying network (robustness
-    tests). *)
+val bootstrap : network -> ?id:Id.t -> addr:int -> unit -> node
+(** First node of a fresh ring (its own successor) at transport address
+    [addr].  The id defaults to a fresh random id with the last k bits
+    zeroed. *)
 
-val fault_driver : network -> Faults.driver
-(** Interpret {!Faults} network events against the control plane's net
-    ([Crash]/[Restart] are ignored here — combine with a deployment-level
-    driver that owns node lifecycle). *)
-
-val net_stats : network -> Net.stats
-(** Drop/delivery accounting of the control plane (by fault cause). *)
-
-val net : network -> msg Net.t
-(** The control-plane network itself — the attachment point for
-    [Chord.Codec.harden]'s byte-roundtripping transducer. *)
-
-val bootstrap : network -> ?id:Id.t -> ?addr:int -> site:int -> unit -> node
-(** First node of a fresh ring (its own successor). Server ids default to
-    fresh random ids with the last k bits zeroed.  [addr] is required on
-    a detached network (and rejected on a simulated one, which assigns
-    addresses itself). *)
-
-val join : network -> ?id:Id.t -> site:int -> via:node -> unit -> node
-(** Start a node that joins through [via]. Stabilization makes it part of
-    the ring within a few periods. *)
+val join : network -> ?id:Id.t -> addr:int -> contacts:int list -> unit -> node
+(** Start a node that joins through contacts known only by transport
+    address: it probes them at once ({!probe_addr}) and again every
+    other RPC timeout while it is still alone.  Stabilization makes it
+    part of the ring within a few periods. *)
 
 val node_id : node -> Id.t
 val node_addr : node -> int
@@ -165,8 +134,7 @@ val lookup : ?trace:Obs.Trace.id -> node -> Id.t -> (peer option -> unit) -> uni
 
 val handle : node -> src:int -> msg -> unit
 (** Feed one inbound protocol message, as decoded from the transport —
-    the receive path of a detached node (a simulated node's {!Net}
-    handler calls this itself).  Any received message clears the
+    the node's only receive path.  Any received message clears the
     sender's suspicion count. *)
 
 val probe_addr : node -> int -> unit
@@ -178,15 +146,8 @@ val probe_addr : node -> int -> unit
     and times out quietly; self-probes are no-ops. *)
 
 val kill : node -> unit
-(** Fail-stop the node: it stops responding; others detect it via RPC
-    timeouts. *)
-
-val restart : ?via:node -> node -> unit
-(** Recover a killed node at the same address with {e empty} volatile
-    state (no predecessor, successors or fingers — fail-stop semantics)
-    and rejoin the ring through [via] (default: a random live node; if
-    none, the node bootstraps alone).  @raise Invalid_argument if the
-    node is alive. *)
+(** Fail-stop the node: it stops responding and sending; others detect
+    it via RPC timeouts. *)
 
 val alive_nodes : network -> node list
 (** Alive nodes in ascending id order. *)

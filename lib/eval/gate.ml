@@ -203,7 +203,7 @@ let default_checks =
       ~rel_tol:0.85;
     check "trigger_table.matches_per_sec" ~direction:Higher_better
       ~rel_tol:0.85;
-    check "trigger_table.match_p99_ns_1e6" ~direction:Lower_better
+    check "trigger_table.match_p99_ns" ~direction:Lower_better
       ~rel_tol:9. ~abs_tol:10_000.;
   ]
 

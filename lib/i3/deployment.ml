@@ -50,6 +50,18 @@ let view_for state index =
         if p = !index then None else Some state.addrs.(p));
   }
 
+(* A server on the shared net: its endpoint handler feeds the server and
+   its sends go out from that endpoint. *)
+let attach ~engine ~net ~view ~site ~id ?config ~metrics ~tracer () =
+  let addr = Net.register net ~site (fun ~src:_ _ -> ()) in
+  let server =
+    Server.create_detached ~engine ~addr
+      ~emit:(fun ~dst msg -> Net.send net ~src:addr ~dst msg)
+      ~view ~site ~id ?config ~metrics ~tracer ()
+  in
+  Net.set_handler net addr (fun ~src msg -> Server.handle_message server ~src msg);
+  server
+
 let create ?(seed = 1) ?model ?(uniform_latency_ms = 5.)
     ?(policy = Chord.Routing.Default) ?substrate ?server_config
     ?(metrics = Obs.Metrics.default) ?(tracer = Obs.Trace.disabled)
@@ -82,8 +94,7 @@ let create ?(seed = 1) ?model ?(uniform_latency_ms = 5.)
     Array.init n_servers (fun i ->
         let index = ref i in
         let server =
-          Server.create ~engine ~net ~view:(view_for state index)
-            ~site:sites.(i)
+          attach ~engine ~net ~view:(view_for state index) ~site:sites.(i)
             ~id:(Chord.Oracle.id oracle i)
             ?config:server_config ~metrics ~tracer ()
         in
@@ -124,7 +135,11 @@ let ring_size t = Array.length t.ring
 let responsible_server t id =
   t.ring.(Chord.Oracle.responsible t.state.oracle id).server
 
-let kill_server t i = Server.kill t.ring.(i).server
+let kill t server =
+  Server.kill server;
+  Net.set_down t.net (Server.addr server)
+
+let kill_server t i = kill t t.ring.(i).server
 
 (* Install the converged ring over [members], exactly what Chord
    stabilization would arrive at after a membership change. *)
@@ -150,7 +165,7 @@ let reconverge t members =
 let fail_server t i =
   if Array.length t.ring <= 1 then
     invalid_arg "Deployment.fail_server: cannot fail the last server";
-  Server.kill t.ring.(i).server;
+  kill t t.ring.(i).server;
   reconverge t
     (Array.of_list
        (List.filter
@@ -173,8 +188,8 @@ let add_server t ?site ?id () =
      it — exactly the paper's incremental-deployment story (Sec. IV-H). *)
   let index = ref 0 in
   let server =
-    Server.create ~engine:t.engine ~net:t.net ~view:(view_for t.state index)
-      ~site ~id ?config:t.server_config ~metrics:t.metrics ~tracer:t.tracer ()
+    attach ~engine:t.engine ~net:t.net ~view:(view_for t.state index) ~site
+      ~id ?config:t.server_config ~metrics:t.metrics ~tracer:t.tracer ()
   in
   t.all_servers <- Array.append t.all_servers [| server |];
   reconverge t (Array.append t.ring [| { server; index } |]);

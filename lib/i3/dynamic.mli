@@ -1,10 +1,14 @@
-(** A fully decentralized i3 deployment: servers run the live
-    {!Chord.Protocol} (join, stabilize, fix-fingers, failure detection)
-    and forward data packets from their {e own, possibly stale} local
-    view — no global oracle anywhere.  This is the architecture of the
-    paper's prototype (Sec. V-C: "the control protocol used to maintain
-    the overlay network is fully asynchronous and is implemented on top
-    of UDP") and the self-organization story of Secs. IV-C/D/H:
+(** A fully decentralized i3 deployment in simulation.  Every member is
+    an {!Engine} — the same sans-IO node [bin/i3d] runs over UDP —
+    stepped by a small in-process driver: frames arriving on the
+    simulated nets become engine events, effects go back out onto them,
+    and each engine's next deadline becomes one pending scheduler event.
+    Members join and restart by address, exactly as a daemon does with
+    [--join]; nobody consults a global oracle.  This is the architecture
+    of the paper's prototype (Sec. V-C: "the control protocol used to
+    maintain the overlay network is fully asynchronous and is
+    implemented on top of UDP") and the self-organization story of
+    Secs. IV-C/D/H:
 
     - a new server joins through any existing one and, within a few
       stabilization rounds, owns an arc and starts accumulating triggers
@@ -15,9 +19,12 @@
       the ring heals, and the triggers reappear at the successor on the
       owners' next refresh.
 
-    Control traffic (Chord RPCs) and data traffic (i3 packets) travel on
-    two simulated sockets sharing one virtual clock and one latency
-    model, like the prototype's two UDP ports. *)
+    Data traffic (i3 packets) and control traffic (Chord RPCs) travel on
+    two simulated sockets per member sharing one virtual clock and one
+    latency model, like the prototype's two UDP ports.  A member's
+    address is its data endpoint; Chord messages name peers by that
+    address, and the deployment's directory maps it to the member's
+    control endpoint. *)
 
 type t
 
@@ -68,27 +75,35 @@ val spans : t -> Obs.Span.t
     otherwise). *)
 
 val ring_label : t -> string
-(** The [instance] label of the control ring's metrics (["ringN"]) —
-    what a health monitor filters [chord.*] series by. *)
+(** The [instance] label every member's [chord.*] series carry
+    ({!Chord.Protocol.ring_label}); the members share the deployment's registry,
+    so these are ring-wide counters — what a health monitor filters
+    [chord.*] series by. *)
 
 val run_for : t -> float -> unit
 val now : t -> float
 
 val add_server : t -> ?site:int -> unit -> Server.t
-(** Start a server: the first call bootstraps the ring; later calls join
-    through a random live member. Returns immediately — the server
-    becomes responsible for its arc as stabilization proceeds. *)
+(** Start a member: the first bootstraps the ring; later ones join by
+    address through a random live member, with every other live member
+    as a backup contact, so a contact that dies before answering does
+    not strand the joiner.  Its timers start now.
+    Returns immediately — the server becomes responsible for its arc as
+    stabilization proceeds. *)
 
 val kill_server : t -> Server.t -> unit
-(** Fail-stop a server and its protocol node; peers notice via timeouts. *)
+(** Fail-stop a member (its server's registry series go with it); peers
+    notice via timeouts.  No-op on a dead member. *)
 
 val restart_server : t -> Server.t -> unit
-(** Recover a killed server at the same addresses with empty soft state;
-    its protocol node rejoins the ring through a random live member.
-    Hosts re-insert their triggers on refresh (Sec. IV-C). *)
+(** Recover a killed member: a fresh engine at the same addresses and
+    identifier with empty soft state, rejoining by address through the
+    live members.  Its server is a new {!Server.t} with a new
+    [instance] label.  Hosts re-insert their triggers on refresh
+    (Sec. IV-C).  No-op on a live member. *)
 
 val servers : t -> Server.t list
-(** Live servers. *)
+(** The servers of live members. *)
 
 val all_servers : t -> Server.t list
 (** Every server ever started, alive or dead, in join order — the victim

@@ -38,11 +38,11 @@ type effect =
 
 type t = {
   wheel : Sim.Engine.t;
+  mutable started : bool;  (* has any [step] set the wheel's clock yet? *)
   outbox : effect Queue.t;
   addr : Packet.addr;
   id : Id.t;
   server : Server.t;
-  network : Chord.Protocol.network;
   node : Chord.Protocol.node;
   metrics : Obs.Metrics.t;
   tracer : Obs.Trace.t;
@@ -88,7 +88,10 @@ let create ?(seed = 1) ~addr ?id ?(join = []) ?(site = 0) ?config
   let id =
     match id with Some i -> i | None -> Id.routing_key (Id.random rng)
   in
-  let node = Chord.Protocol.bootstrap network ~id ~addr ~site () in
+  let node =
+    if join = [] then Chord.Protocol.bootstrap network ~id ~addr ()
+    else Chord.Protocol.join network ~id ~addr ~contacts:join ()
+  in
   let server =
     Server.create_detached ~engine:wheel ~addr
       ~emit:(fun ~dst msg ->
@@ -100,27 +103,14 @@ let create ?(seed = 1) ~addr ?id ?(join = []) ?(site = 0) ?config
         | msg -> Queue.add (Send (dst, msg)) outbox)
       ~view:(view_for node) ~site ~id ?config ~metrics ?tracer ()
   in
-  (if join <> [] then begin
-     (* Join by address: probe the bootstrap contacts immediately, then
-        keep retrying while still alone — contacts may not be up yet
-        (cluster cold start) or may have been lost to a partition. *)
-     let probe_contacts () =
-       List.iter (Chord.Protocol.probe_addr node) join
-     in
-     Sim.Engine.schedule wheel ~delay:0. probe_contacts;
-     ignore
-       (Sim.Engine.every wheel ~period:(2. *. chord_config.rpc_timeout)
-          (fun () ->
-            if Chord.Protocol.successor node = None then probe_contacts ()))
-   end);
   let labels = [ ("instance", Server.instance_label server) ] in
   {
     wheel;
+    started = false;
     outbox;
     addr;
     id;
     server;
-    network;
     node;
     metrics;
     tracer = Option.value ~default:Obs.Trace.disabled tracer;
@@ -138,7 +128,6 @@ let addr t = t.addr
 let id t = t.id
 let server t = t.server
 let chord t = t.node
-let chord_network t = t.network
 let now t = Sim.Engine.now t.wheel
 let next_due t = Sim.Engine.next_due t.wheel
 
@@ -230,6 +219,13 @@ let rec leaf_events = function
   | _ -> 1
 
 let step t ~now event =
+  (* The wheel's clock starts at the first step, wherever the caller's
+     clock stands: a node created late in a run starts its periodic
+     timers then, instead of replaying every period since 0. *)
+  if not t.started then begin
+    t.started <- true;
+    Sim.Engine.start_at t.wheel now
+  end;
   Obs.Metrics.incr ~by:(leaf_events event) t.c_events;
   (* Fire everything due first, so a frame arriving late still sees the
      timer-driven state (expiry, suspicion) it would have seen live. *)

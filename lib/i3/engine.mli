@@ -8,9 +8,10 @@
     milliseconds since process start in a daemon) and interprets the
     returned effects against whatever transport it owns.  Two drivers
     ship with the repo — {!Transport.Driver} pumping any
-    {!Transport.S} (the UDP daemon [bin/i3d]), and the in-process test
-    driver in [test/test_engine.ml] — and both observe identical
-    effect traces for identical inputs, which is the point: protocol
+    {!Transport.S} (the UDP daemon [bin/i3d]), and the simulator's
+    member driver in {!Dynamic} — and both observe identical effect
+    traces for identical inputs ([test/test_engine.ml] pins this on a
+    three-engine ring), which is the point: protocol
     behaviour is decided here, delivery is decided by the driver.
 
     Internally the engine owns a private {!Sim.Engine} wheel carrying
@@ -85,7 +86,7 @@ val create :
     daemons pass [Id.routing_key (Id.name_hash "host:port")] so ids are
     stable across restarts.  With [join] contacts the node probes them
     by address immediately and keeps retrying every other RPC timeout
-    while it is still alone ({!Chord.Protocol.probe_addr}); without, it
+    while it is still alone ({!Chord.Protocol.join}); without, it
     bootstraps a fresh ring.
 
     [site] (default 0) stamps every {!Obs.Trace} event this node records
@@ -117,8 +118,6 @@ val server : t -> Server.t
 val chord : t -> Chord.Protocol.node
 (** The embedded Chord node (successor/predecessor, ring state). *)
 
-val chord_network : t -> Chord.Protocol.network
-
 val now : t -> float
 (** The engine's clock: the largest [now] any {!step} has seen. *)
 
@@ -145,5 +144,7 @@ val step : t -> now:float -> event -> effect list
     effect produced — timer-driven sends first (in schedule order),
     then the event's own output, then at most one {!effect.Set_timer}.
     [now] must come from a single monotonic clock per engine; a
-    regressing [now] is clamped (time never rewinds).  Deterministic:
-    same seed, same event sequence, same effect trace. *)
+    regressing [now] is clamped (time never rewinds).  The engine's
+    clock starts at the first step's [now]: timers armed at creation
+    (stabilize, fix-fingers, sweeps, join probes) count from there.
+    Deterministic: same seed, same event sequence, same effect trace. *)

@@ -94,20 +94,17 @@ type ring_view = {
 }
 
 (* All I/O is injected: the server never touches a network directly.
-   [emit] carries every outbound message; [io_down]/[io_up] let the
-   owning substrate mirror kill/restart (the simulated [Net] marks the
-   endpoint down; a detached server has no substrate and both are
-   no-ops).  This is what keeps the Fig. 3 engine sans-IO: the same
-   code runs over [Net], over [I3.Engine] effects, or under a direct
+   [emit] carries every outbound message and inbound traffic arrives
+   through [handle_message].  This is what keeps the Fig. 3 engine
+   sans-IO: the same code runs under [I3.Engine] effects, over a
+   simulated net the owner wires up, or under a direct
    microbenchmark. *)
 type t = {
   engine : Sim.Engine.t;
-  mutable emit : dst:Packet.addr -> Message.t -> unit;
-  mutable io_down : unit -> unit;
-  mutable io_up : unit -> unit;
+  emit : dst:Packet.addr -> Message.t -> unit;
   mutable view : ring_view;
   id : Id.t;
-  mutable addr : Packet.addr;
+  addr : Packet.addr;
   site : int;
   cfg : config;
   table : Trigger_table.t;
@@ -118,10 +115,10 @@ type t = {
   secret : string;
   metrics : Obs.Metrics.t;
   instance : string;  (* this server's [instance] label value *)
-  mutable c : counters;
+  c : counters;
   tracer : Obs.Trace.t;
   mutable alive : bool;
-  mutable sweeper : Sim.Engine.timer option;
+  sweeper : Sim.Engine.timer;  (* periodic expiry of the three tables *)
 }
 
 let addr t = t.addr
@@ -366,16 +363,6 @@ let handle_pushback t ~id ~dead =
   in
   ignore removed
 
-let start_sweeper t =
-  t.sweeper <-
-    Some
-      (Sim.Engine.every t.engine ~period:t.cfg.sweep_period (fun () ->
-           if t.alive then begin
-             ignore (Trigger_table.expire t.table ~now:(now t));
-             ignore (Trigger_table.expire t.cache ~now:(now t));
-             ignore (Trigger_table.expire t.replicas ~now:(now t))
-           end))
-
 let handle_packet t p = if t.alive then process_packet t p
 
 let handle t ~src (msg : Message.t) =
@@ -411,22 +398,32 @@ let handle t ~src (msg : Message.t) =
 
 let handle_message = handle
 
-let make ~engine ~view ~addr ~site ~id ~config ~metrics ~tracer =
+let create_detached ~engine ~addr ~emit ~view ?(site = 0) ~id
+    ?(config = default_config) ?(metrics = Obs.Metrics.default)
+    ?(tracer = Obs.Trace.disabled) () =
   incr instances;
   let instance = "srv" ^ string_of_int !instances in
+  let table = Trigger_table.create ()
+  and cache = Trigger_table.create ()
+  and replicas = Trigger_table.create () in
+  let sweeper =
+    Sim.Engine.every engine ~period:config.sweep_period (fun () ->
+        let now = Sim.Engine.now engine in
+        ignore (Trigger_table.expire table ~now);
+        ignore (Trigger_table.expire cache ~now);
+        ignore (Trigger_table.expire replicas ~now))
+  in
   {
     engine;
-    emit = (fun ~dst:_ _ -> ());
-    io_down = (fun () -> ());
-    io_up = (fun () -> ());
+    emit;
     view;
     id;
     addr;
     site;
     cfg = config;
-    table = Trigger_table.create ();
-    cache = Trigger_table.create ();
-    replicas = Trigger_table.create ();
+    table;
+    cache;
+    replicas;
     heat = Hashtbl.create 64;
     secret = Sha256.digest ("i3-server-secret:" ^ Id.to_raw_string id);
     metrics;
@@ -434,54 +431,19 @@ let make ~engine ~view ~addr ~site ~id ~config ~metrics ~tracer =
     c = make_counters metrics instance;
     tracer;
     alive = true;
-    sweeper = None;
+    sweeper;
   }
 
-let create ~engine ~net ~view ~site ~id ?(config = default_config)
-    ?(metrics = Obs.Metrics.default) ?(tracer = Obs.Trace.disabled) () =
-  let t = make ~engine ~view ~addr:(-1) ~site ~id ~config ~metrics ~tracer in
-  t.addr <- Net.register net ~site (fun ~src msg -> handle t ~src msg);
-  t.emit <- (fun ~dst msg -> Net.send net ~src:t.addr ~dst msg);
-  t.io_down <- (fun () -> Net.set_down net t.addr);
-  t.io_up <- (fun () -> Net.set_up net t.addr);
-  start_sweeper t;
-  t
-
-let create_detached ~engine ~addr ~emit ~view ?(site = 0) ~id
-    ?(config = default_config) ?(metrics = Obs.Metrics.default)
-    ?(tracer = Obs.Trace.disabled) () =
-  let t = make ~engine ~view ~addr ~site ~id ~config ~metrics ~tracer in
-  t.emit <- emit;
-  start_sweeper t;
-  t
-
+let view t = t.view
 let set_view t view = t.view <- view
 
 let kill t =
   t.alive <- false;
-  t.io_down ();
+  (* On a shared scheduler (as in [Deployment]) a dead server must not
+     leave its sweep behind. *)
+  Sim.Engine.cancel t.sweeper;
   (* A dead process exports nothing: deregister this instance's samples
      so snapshots and the health monitor don't read ghost values frozen
-     at their pre-crash counts.  The handles in [t.c] stay harmlessly
-     writable until [restart] replaces them. *)
+     at their pre-crash counts. *)
   Obs.Metrics.remove_where t.metrics (fun ~name:_ ~labels ->
-      List.mem ("instance", t.instance) labels);
-  match t.sweeper with
-  | Some timer ->
-      Sim.Engine.cancel timer;
-      t.sweeper <- None
-  | None -> ()
-
-let restart t =
-  if t.alive then invalid_arg "Server.restart: server is alive";
-  t.alive <- true;
-  t.io_up ();
-  (* Fail-stop recovery: stored soft state died with the process; hosts
-     re-populate it on their next refresh (Sec. IV-C).  Counters restart
-     from zero with the process (kill deregistered the old samples). *)
-  t.c <- make_counters t.metrics t.instance;
-  Trigger_table.clear t.table;
-  Trigger_table.clear t.cache;
-  Trigger_table.clear t.replicas;
-  Hashtbl.reset t.heat;
-  start_sweeper t
+      List.mem ("instance", t.instance) labels)

@@ -69,26 +69,10 @@ type ring_view = {
       (** ring predecessor (hot-spot push target, Sec. IV-F) *)
 }
 (** How a server sees the ring.  {!Deployment} derives it from the static
-    oracle; {!Dynamic} derives it from a live {!Chord.Protocol} node, so
+    oracle; {!Engine} derives it from its live {!Chord.Protocol} node, so
     the very same forwarding engine runs over either substrate. *)
 
 type t
-
-val create :
-  engine:Sim.Engine.t ->
-  net:Message.t Net.t ->
-  view:ring_view ->
-  site:int ->
-  id:Id.t ->
-  ?config:config ->
-  ?metrics:Obs.Metrics.t ->
-  ?tracer:Obs.Trace.t ->
-  unit ->
-  t
-(** Register a server endpoint at [site] with the given ring view.
-    Counters register in [metrics] (default {!Obs.Metrics.default});
-    [tracer] (default {!Obs.Trace.disabled}) receives per-packet relay /
-    cache-hit / trigger-match / drop events for traced packets. *)
 
 val create_detached :
   engine:Sim.Engine.t ->
@@ -102,18 +86,23 @@ val create_detached :
   ?tracer:Obs.Trace.t ->
   unit ->
   t
-(** A server with no network underneath: every outbound message goes
-    through [emit] and inbound traffic arrives via {!handle_message} —
-    the sans-IO face {!Engine} composes with a Chord node and drives
-    over any {!Transport.S}.  [addr] is the server's externally visible
-    address (it is embedded in [Insert_ack]/[Pong] frames, so it must
-    be the address peers can actually reach — for UDP, the packed
-    [ip:port]).  [engine] supplies the virtual clock for soft-state
-    expiry; the owner advances it.  {!kill}/{!restart} only flip
-    liveness (there is no endpoint to mark down). *)
+(** A server whose I/O is injected: every outbound message goes through
+    [emit] and inbound traffic arrives via {!handle_message} — the
+    sans-IO face {!Engine} composes with a Chord node, and
+    {!Deployment} wires straight to its simulated net.  [addr] is the
+    server's externally visible address (it is embedded in
+    [Insert_ack]/[Pong] frames, so it must be the address peers can
+    actually reach — for UDP, the packed [ip:port]).  [engine] supplies
+    the virtual clock for soft-state expiry; the owner advances it.
+    Counters register in [metrics] (default {!Obs.Metrics.default});
+    [tracer] (default {!Obs.Trace.disabled}) receives per-packet relay /
+    cache-hit / trigger-match / drop events for traced packets. *)
+
+val view : t -> ring_view
 
 val set_view : t -> ring_view -> unit
-(** Install a new ring view after membership changed. *)
+(** Install a new ring view — {!Dynamic} swaps in de Bruijn forwarding
+    this way when it runs over the Koorde substrate. *)
 
 val addr : t -> Packet.addr
 val id : t -> Id.t
@@ -136,16 +125,12 @@ val is_responsible : t -> Id.t -> bool
 
 val kill : t -> unit
 (** Fail-stop: stop answering; stored triggers die with the server (hosts
-    re-insert them on refresh — Sec. IV-C).  The server's per-instance
-    metrics are removed from the registry so snapshots don't read ghost
-    values from a dead process. *)
-
-val restart : t -> unit
-(** Recover a killed server at the same address with empty trigger
-    tables (fail-stop semantics: soft state did not survive); hosts
-    re-populate them on their next refresh.  Counters re-register from
-    zero, matching the fail-stop story.  @raise Invalid_argument if
-    the server is alive. *)
+    re-insert them on refresh — Sec. IV-C), and the periodic expiry
+    sweep is cancelled.  Every registry series
+    carrying this server's [instance] label is removed, so snapshots
+    don't read ghost values from a dead process.  Recovery is a fresh
+    server at the same address, exactly as a restarted process would
+    be.  The owner marks any endpoint down itself. *)
 
 val is_alive : t -> bool
 
@@ -155,7 +140,7 @@ val handle_packet : t -> Packet.t -> unit
     handler). *)
 
 val handle_message : t -> src:Packet.addr -> Message.t -> unit
-(** Full message entry point (control + data) — what the endpoint handler
-    invokes; exposed for direct-call microbenchmarks of e.g. trigger
+(** Full message entry point (control + data) — the server's receive
+    path; exposed for direct-call microbenchmarks of e.g. trigger
     insertion (paper Sec. V-D measures "handling an insert trigger request
     locally"). *)

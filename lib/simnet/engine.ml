@@ -52,6 +52,15 @@ let step t =
       ev.action ();
       true
 
+let start_at t time =
+  let delta = time -. t.clock in
+  if delta > 0. then begin
+    List.iter
+      (fun ev -> Heap.add t.heap { ev with time = ev.time +. delta })
+      (Heap.to_sorted_list t.heap);
+    t.clock <- time
+  end
+
 let run t = while step t do () done
 
 let run_until t limit =

@@ -44,6 +44,15 @@ val next_due : t -> float option
     occupies its slot until its tick, so the returned time is a lower
     bound on when real work is due. *)
 
+val start_at : t -> float -> unit
+(** Move the clock forward to an absolute time {e without} running
+    anything: every queued event shifts by the same amount, as if it
+    had been scheduled at that time instead.  This is how a component
+    built on a fresh scheduler at time 0 joins a run that is already at
+    time T: its periodic timers start at T rather than firing every
+    period they "missed" since 0.  No-op for a time not in the
+    future. *)
+
 val run : t -> unit
 (** Process events until the queue drains. Beware: periodic timers never
     drain; use {!run_until} with them. *)

@@ -49,8 +49,11 @@ type t = {
 let max_datagram = Wire.Layout.max_datagram
 
 let create ?(host = "127.0.0.1") ?(port = 0) () =
+  (* No SO_REUSEADDR: on Linux it would let this socket bind a UDP port
+     another socket already holds and silently take its unicast
+     traffic.  UDP has no TIME_WAIT, so a restarted daemon rebinds its
+     port without it; a port collision fails loudly with EADDRINUSE. *)
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
   (* Ask for socket buffers that hold several maximal datagrams: the
      kernel default drops bursts of big frames on loopback before the
      daemon ever sees them, which reads as loss the fault layer never
@@ -76,9 +79,7 @@ let create ?(host = "127.0.0.1") ?(port = 0) () =
 let send t ~dst bytes =
   let len = String.length bytes in
   if len > max_datagram then invalid_arg "Transport.Udp.send: datagram too large";
-  ignore
-    (Unix.sendto t.sock (Bytes.of_string bytes) 0 len []
-       (sockaddr_of_addr dst))
+  ignore (Unix.sendto_substring t.sock bytes 0 len [] (sockaddr_of_addr dst))
 
 let set_handler t h = t.handler <- h
 let local_addr t = t.local

@@ -8,8 +8,10 @@ type t
 
 val create : ?host:string -> ?port:int -> unit -> t
 (** Bind a datagram socket ([host] default ["127.0.0.1"], [port]
-    default 0 = ephemeral).  @raise Unix.Unix_error when binding is
-    not permitted (sandboxes) — callers should degrade gracefully. *)
+    default 0 = ephemeral).  A port some other socket holds is refused
+    ([EADDRINUSE]), never shared.  @raise Unix.Unix_error when binding
+    is not permitted (sandboxes) or the port is taken — callers should
+    degrade gracefully. *)
 
 val send : t -> dst:int -> string -> unit
 (** Fire-and-forget datagram; best-effort, unordered.

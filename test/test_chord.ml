@@ -355,23 +355,48 @@ let test_routing_candidate_counts () =
 
 (* --- Protocol --- *)
 
+(* The protocol is sans-IO: these tests wire its nodes to a simulated
+   net themselves — one endpoint per node, [emit] sends from it and its
+   handler feeds [handle]. *)
+type proto = { nw : Chord.Protocol.network; net : Chord.Protocol.msg Net.t }
+
 let mk_proto ?(latency = fun _ _ -> 10.) ?(seed = 1) () =
   let engine = Engine.create () in
   let rng = Rng.create (Int64.of_int seed) in
   (* private registry: parallel test binaries must not share
      Obs.Metrics.default *)
+  let metrics = Obs.Metrics.create () in
+  let net = Net.create ~metrics engine ~rng ~latency () in
   let nw =
-    Chord.Protocol.create engine ~rng ~latency
-      ~metrics:(Obs.Metrics.create ()) ()
+    Chord.Protocol.create_detached engine ~rng ~metrics
+      ~emit:(fun ~src ~dst msg -> Net.send net ~src ~dst msg)
+      ()
   in
-  (engine, rng, nw)
+  (engine, rng, { nw; net })
 
-let grow_ring engine rng nw n =
-  let b = Chord.Protocol.bootstrap nw ~site:0 () in
+let attach p ~site start =
+  let addr = Net.register p.net ~site (fun ~src:_ _ -> ()) in
+  let node = start addr in
+  Net.set_handler p.net addr (fun ~src msg -> Chord.Protocol.handle node ~src msg);
+  node
+
+let bootstrap p ~site =
+  attach p ~site (fun addr -> Chord.Protocol.bootstrap p.nw ~addr ())
+
+(* Join by address through [via], then [backups] (tried at the same
+   time, in case [via] dies before it answers). *)
+let join ?(backups = []) p ~site ~via =
+  attach p ~site (fun addr ->
+      Chord.Protocol.join p.nw ~addr
+        ~contacts:(List.map Chord.Protocol.node_addr (via :: backups))
+        ())
+
+let grow_ring engine rng p n =
+  let b = bootstrap p ~site:0 in
   let nodes = ref [| b |] in
   for _ = 2 to n do
     let via = Rng.choose rng !nodes in
-    let node = Chord.Protocol.join nw ~site:0 ~via () in
+    let node = join p ~site:0 ~via in
     nodes := Array.append !nodes [| node |];
     Engine.run_for engine 2_000.
   done;
@@ -379,10 +404,10 @@ let grow_ring engine rng nw n =
   !nodes
 
 let test_protocol_singleton () =
-  let engine, _, nw = mk_proto () in
-  let b = Chord.Protocol.bootstrap nw ~site:0 () in
+  let engine, _, p = mk_proto () in
+  let b = bootstrap p ~site:0 in
   Engine.run_for engine 100_000.;
-  Alcotest.(check bool) "alone is consistent" true (Chord.Protocol.ring_consistent nw);
+  Alcotest.(check bool) "alone is consistent" true (Chord.Protocol.ring_consistent p.nw);
   let got = ref None in
   Chord.Protocol.lookup b (Id.of_int 42) (fun r -> got := r);
   Engine.run_for engine 10_000.;
@@ -393,11 +418,11 @@ let test_protocol_singleton () =
   | None -> Alcotest.fail "lookup failed"
 
 let test_protocol_two_nodes () =
-  let engine, _, nw = mk_proto () in
-  let a = Chord.Protocol.bootstrap nw ~site:0 () in
-  let b = Chord.Protocol.join nw ~site:1 ~via:a () in
+  let engine, _, p = mk_proto () in
+  let a = bootstrap p ~site:0 in
+  let b = join p ~site:1 ~via:a in
   Engine.run_for engine 200_000.;
-  Alcotest.(check bool) "two-node ring" true (Chord.Protocol.ring_consistent nw);
+  Alcotest.(check bool) "two-node ring" true (Chord.Protocol.ring_consistent p.nw);
   (match Chord.Protocol.successor a with
   | Some p -> Alcotest.(check bool) "a -> b" true (Id.equal p.Chord.Protocol.id (Chord.Protocol.node_id b))
   | None -> Alcotest.fail "a has no successor");
@@ -406,19 +431,19 @@ let test_protocol_two_nodes () =
   | None -> Alcotest.fail "a has no predecessor"
 
 let test_protocol_convergence () =
-  let engine, rng, nw = mk_proto ~seed:2 () in
-  let _ = grow_ring engine rng nw 24 in
-  Alcotest.(check bool) "ring consistent" true (Chord.Protocol.ring_consistent nw)
+  let engine, rng, p = mk_proto ~seed:2 () in
+  let _ = grow_ring engine rng p 24 in
+  Alcotest.(check bool) "ring consistent" true (Chord.Protocol.ring_consistent p.nw)
 
 let test_protocol_lookup_correct () =
-  let engine, rng, nw = mk_proto ~seed:3 () in
-  let nodes = grow_ring engine rng nw 16 in
+  let engine, rng, p = mk_proto ~seed:3 () in
+  let nodes = grow_ring engine rng p 16 in
   let ok = ref 0 in
   let total = 100 in
   for _ = 1 to total do
     let key = Id.random rng in
     let origin = Rng.choose rng nodes in
-    let expected = Chord.Protocol.expected_successor nw key in
+    let expected = Chord.Protocol.expected_successor p.nw key in
     Chord.Protocol.lookup origin key (fun res ->
         match (res, expected) with
         | Some p, Some e
@@ -430,25 +455,25 @@ let test_protocol_lookup_correct () =
   Alcotest.(check int) "all lookups correct" total !ok
 
 let test_protocol_heals_after_failures () =
-  let engine, rng, nw = mk_proto ~seed:4 () in
-  let nodes = grow_ring engine rng nw 20 in
+  let engine, rng, p = mk_proto ~seed:4 () in
+  let nodes = grow_ring engine rng p 20 in
   Array.iteri (fun idx n -> if idx mod 4 = 0 then Chord.Protocol.kill n) nodes;
   Engine.run_for engine 600_000.;
-  Alcotest.(check bool) "ring healed" true (Chord.Protocol.ring_consistent nw);
-  Alcotest.(check int) "alive count" 15 (List.length (Chord.Protocol.alive_nodes nw))
+  Alcotest.(check bool) "ring healed" true (Chord.Protocol.ring_consistent p.nw);
+  Alcotest.(check int) "alive count" 15 (List.length (Chord.Protocol.alive_nodes p.nw))
 
 let test_protocol_lookup_after_failures () =
-  let engine, rng, nw = mk_proto ~seed:5 () in
-  let nodes = grow_ring engine rng nw 16 in
+  let engine, rng, p = mk_proto ~seed:5 () in
+  let nodes = grow_ring engine rng p 16 in
   Chord.Protocol.kill nodes.(3);
   Chord.Protocol.kill nodes.(9);
   Engine.run_for engine 600_000.;
-  let alive = Chord.Protocol.alive_nodes nw in
+  let alive = Chord.Protocol.alive_nodes p.nw in
   let origin = List.hd alive in
   let ok = ref 0 in
   for s = 1 to 50 do
     let key = Id.random (Rng.create (Int64.of_int s)) in
-    let expected = Chord.Protocol.expected_successor nw key in
+    let expected = Chord.Protocol.expected_successor p.nw key in
     Chord.Protocol.lookup origin key (fun res ->
         match (res, expected) with
         | Some p, Some e
@@ -460,34 +485,38 @@ let test_protocol_lookup_after_failures () =
   Alcotest.(check bool) (Printf.sprintf "%d/50 correct" !ok) true (!ok >= 48)
 
 let test_protocol_survives_loss () =
-  let engine, rng, nw = mk_proto ~seed:6 () in
+  let engine, rng, p = mk_proto ~seed:6 () in
   (* 10% message loss from the very start; the soft-state protocol must
      still converge because every exchange is periodically retried. *)
-  Chord.Protocol.set_loss_rate nw 0.1;
-  let b = Chord.Protocol.bootstrap nw ~site:0 () in
+  Net.set_loss_rate p.net 0.1;
+  let b = bootstrap p ~site:0 in
   let nodes = ref [| b |] in
   for _ = 2 to 12 do
     let via = Rng.choose rng !nodes in
-    let node = Chord.Protocol.join nw ~site:0 ~via () in
+    let node = join p ~site:0 ~via in
     nodes := Array.append !nodes [| node |];
     Engine.run_for engine 20_000.
   done;
   Engine.run_for engine 1_500_000.;
   Alcotest.(check bool) "consistent under loss" true
-    (Chord.Protocol.ring_consistent nw)
+    (Chord.Protocol.ring_consistent p.nw)
 
 let test_protocol_churn () =
   (* Interleaved joins and failures over ~40 virtual minutes. *)
-  let engine, rng, nw = mk_proto ~seed:8 () in
-  let b = Chord.Protocol.bootstrap nw ~site:0 () in
+  let engine, rng, p = mk_proto ~seed:8 () in
+  let b = bootstrap p ~site:0 in
   let nodes = ref [ b ] in
   for round = 1 to 12 do
+    let alive = List.filter Chord.Protocol.is_alive !nodes in
     let via =
-      match List.filter Chord.Protocol.is_alive !nodes with
+      match alive with
       | [] -> b
       | alive -> Rng.choose rng (Array.of_list alive)
     in
-    nodes := Chord.Protocol.join nw ~site:0 ~via () :: !nodes;
+    (* The victim below may be [via] itself, killed before it answers:
+       every other alive node is a backup contact. *)
+    let backups = List.filter (fun n -> n != via) alive in
+    nodes := join p ~site:0 ~via ~backups :: !nodes;
     if round mod 3 = 0 then begin
       match List.filter Chord.Protocol.is_alive !nodes with
       | _ :: _ :: _ :: victim :: _ -> Chord.Protocol.kill victim
@@ -497,14 +526,14 @@ let test_protocol_churn () =
   done;
   Engine.run_for engine 1_800_000.;
   Alcotest.(check bool) "ring consistent after churn" true
-    (Chord.Protocol.ring_consistent nw);
+    (Chord.Protocol.ring_consistent p.nw);
   (* and lookups agree with ground truth *)
-  let alive = Chord.Protocol.alive_nodes nw in
+  let alive = Chord.Protocol.alive_nodes p.nw in
   let origin = List.hd alive in
   let ok = ref 0 in
   for s = 1 to 30 do
     let key = Id.random (Rng.create (Int64.of_int (1000 + s))) in
-    let expected = Chord.Protocol.expected_successor nw key in
+    let expected = Chord.Protocol.expected_successor p.nw key in
     Chord.Protocol.lookup origin key (fun res ->
         match (res, expected) with
         | Some p, Some e
@@ -516,13 +545,13 @@ let test_protocol_churn () =
   Alcotest.(check bool) (Printf.sprintf "%d/30 lookups" !ok) true (!ok >= 29)
 
 let test_protocol_concurrent_joins () =
-  let engine, _, nw = mk_proto ~seed:7 () in
-  let b = Chord.Protocol.bootstrap nw ~site:0 () in
+  let engine, _, p = mk_proto ~seed:7 () in
+  let b = bootstrap p ~site:0 in
   (* all join through the bootstrap at the same instant *)
-  let _nodes = List.init 10 (fun i -> Chord.Protocol.join nw ~site:i ~via:b ()) in
+  let _nodes = List.init 10 (fun i -> join p ~site:i ~via:b) in
   Engine.run_for engine 900_000.;
   Alcotest.(check bool) "concurrent joins converge" true
-    (Chord.Protocol.ring_consistent nw)
+    (Chord.Protocol.ring_consistent p.nw)
 
 let () =
   Alcotest.run "chord"

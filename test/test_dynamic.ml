@@ -150,6 +150,116 @@ let test_concurrent_joins_converge () =
   done;
   Alcotest.(check bool) "responsibility partitioned" true !all_single
 
+(* A joiner whose contacts die before answering must still find the
+   ring: a member left alone would claim the whole id space beside the
+   real ring.  Here every member but one dies at the instant of the
+   join. *)
+let test_join_survives_dead_contacts () =
+  let d = build ~seed:15 ~n:4 () in
+  let newcomer = I3.Dynamic.add_server d () in
+  List.iter
+    (fun i -> I3.Dynamic.kill_server d (I3.Dynamic.nth_server d i))
+    [ 0; 1; 2 ];
+  I3.Dynamic.run_for d 120_000.;
+  Alcotest.(check int) "two live members" 2
+    (List.length (I3.Dynamic.servers d));
+  let rng = Rng.create 5L in
+  let owned_by_newcomer = ref 0 in
+  for _ = 1 to 40 do
+    match I3.Dynamic.owners_of d (Id.random rng) with
+    | [ o ] -> if o == newcomer then incr owned_by_newcomer
+    | l -> Alcotest.failf "%d owners" (List.length l)
+  done;
+  Alcotest.(check bool) "the newcomer owns an arc, not everything" true
+    (!owned_by_newcomer > 0 && !owned_by_newcomer < 40)
+
+(* Server.kill removes every series carrying the member's [instance]
+   label, and the engine's own [engine.*] series carry that label too: a
+   restarted member must come back observable on both, counting live. *)
+let test_restart_keeps_member_observable () =
+  let metrics = Obs.Metrics.create () in
+  let d = I3.Dynamic.create ~metrics ~seed:13 () in
+  for _ = 1 to 4 do
+    ignore (I3.Dynamic.add_server d ());
+    I3.Dynamic.run_for d 2_000.
+  done;
+  I3.Dynamic.run_for d 20_000.;
+  let series server =
+    let inst = ("instance", I3.Server.instance_label server) in
+    List.filter
+      (fun (s : Obs.Metrics.sample) -> List.mem inst s.labels)
+      (Obs.Metrics.snapshot metrics)
+  in
+  let has prefix server =
+    List.exists
+      (fun (s : Obs.Metrics.sample) -> String.starts_with ~prefix s.name)
+      (series server)
+  in
+  let victim = I3.Dynamic.nth_server d 2 in
+  Alcotest.(check bool) "i3.* before kill" true (has "i3." victim);
+  Alcotest.(check bool) "engine.* before kill" true (has "engine." victim);
+  I3.Dynamic.kill_server d victim;
+  I3.Dynamic.run_for d 5_000.;
+  Alcotest.(check int) "a dead member exports nothing" 0
+    (List.length (series victim));
+  I3.Dynamic.restart_server d victim;
+  I3.Dynamic.run_for d 5_000.;
+  let revived = I3.Dynamic.nth_server d 2 in
+  Alcotest.(check int) "same address" (I3.Server.addr victim)
+    (I3.Server.addr revived);
+  Alcotest.(check bool) "i3.* after restart" true (has "i3." revived);
+  Alcotest.(check bool) "engine.* after restart" true (has "engine." revived);
+  let events =
+    List.find_map
+      (fun (s : Obs.Metrics.sample) ->
+        match s.value with
+        | Obs.Metrics.Counter n when s.name = "engine.events" -> Some n
+        | _ -> None)
+      (series revived)
+  in
+  Alcotest.(check bool) "the revived engine counts its steps" true
+    (match events with Some n -> n > 0 | None -> false)
+
+(* A member added at virtual time T starts its stabilize, fix-finger and
+   sweep timers at T.  Replaying every period since 0 would burst
+   thousands of fix-finger lookups into its first step, stamped with
+   times before it existed. *)
+let test_late_join_starts_timers_now () =
+  let metrics = Obs.Metrics.create () in
+  let spans = Obs.Span.create ~capacity:(1 lsl 14) () in
+  let d = I3.Dynamic.create ~metrics ~spans ~seed:14 () in
+  ignore (I3.Dynamic.add_server d ());
+  I3.Dynamic.run_for d 60_000.;
+  let lookups () =
+    List.fold_left
+      (fun acc (s : Obs.Metrics.sample) ->
+        match s.value with
+        | Obs.Metrics.Counter n when s.name = "chord.lookups" -> acc + n
+        | _ -> acc)
+      0
+      (Obs.Metrics.snapshot ~prefix:"chord.lookups" metrics)
+  in
+  let joined_at = I3.Dynamic.now d in
+  let before = lookups () in
+  Obs.Span.reset spans;
+  ignore (I3.Dynamic.add_server d ());
+  Alcotest.(check int) "no fix-finger round replayed at join" before
+    (lookups ());
+  let period = 2_000. (* the default fast stabilize period *) in
+  I3.Dynamic.run_for d period;
+  let fresh = Obs.Span.spans spans in
+  Alcotest.(check bool) "timers ran after the join" true (fresh <> []);
+  List.iter
+    (fun (s : Obs.Span.span) ->
+      if s.start_time < joined_at then
+        Alcotest.failf "%s span started at %.0f, before the join at %.0f"
+          s.op s.start_time joined_at)
+    fresh;
+  Alcotest.(check bool) "fix-finger lookups started within one period" true
+    (Obs.Span.spans ~op:"chord.lookup" spans <> []);
+  Alcotest.(check bool) "stabilize rounds started within one period" true
+    (Obs.Span.spans ~op:"chord.stabilize" spans <> [])
+
 let () =
   Alcotest.run "i3-dynamic"
     [
@@ -162,5 +272,11 @@ let () =
           Alcotest.test_case "incremental join" `Slow test_incremental_join_takes_over_arc;
           Alcotest.test_case "multicast" `Slow test_multicast_over_dynamic_ring;
           Alcotest.test_case "concurrent joins" `Slow test_concurrent_joins_converge;
+          Alcotest.test_case "join survives dead contacts" `Quick
+            test_join_survives_dead_contacts;
+          Alcotest.test_case "restart keeps member observable" `Quick
+            test_restart_keeps_member_observable;
+          Alcotest.test_case "late join starts timers now" `Quick
+            test_late_join_starts_timers_now;
         ] );
     ]

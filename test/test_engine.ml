@@ -11,7 +11,11 @@
      through [Transport.Driver] produces identical wire bytes — the
      driver adds delivery, never behaviour;
    - two engines joined over an in-memory loopback form a real Chord
-     ring (successor pointers converge both ways) on virtual time. *)
+     ring (successor pointers converge both ways) on virtual time;
+   - ring-level parity: a seeded trace on a three-engine ring gives
+     every engine the same effect trace whether the engines are stepped
+     directly over an in-memory loopback or through [Transport.Driver]
+     over [Transport.Sim]. *)
 
 let fast_chord =
   {
@@ -383,6 +387,151 @@ let test_loopback_ring_forms () =
   Alcotest.(check bool) "trigger stored at the owner across the wire" true
     (at_b > 0)
 
+(* --- ring-level parity: in-memory loopback vs Transport.Driver --- *)
+
+let ring_n = 3
+let host_addr = ring_n (* one more endpoint: deliveries leave the ring there *)
+let link_ms = 1.
+
+(* Joins at 0/20/40 ms (each engine through the previous one), then
+   trigger inserts and data sends at seeded engines and identifiers. *)
+let ring_script seed =
+  let rng = Rng.of_int seed in
+  let ids = Array.init 4 (fun _ -> Id.random rng) in
+  let inserts =
+    Array.to_list
+      (Array.mapi
+         (fun k id ->
+           ( 300. +. (10. *. float_of_int k),
+             Rng.int rng ring_n,
+             I3.Engine.Insert_trigger (I3.Trigger.to_host ~id ~owner:host_addr)
+           ))
+         ids)
+  in
+  let sends =
+    List.init 6 (fun k ->
+        let id = Rng.choose rng ids in
+        ( 600. +. (25. *. float_of_int k),
+          Rng.int rng ring_n,
+          I3.Engine.Send_packet
+            (I3.Packet.make ~stack:[ I3.Packet.Sid id ]
+               ~payload:(Printf.sprintf "p%d" k) ()) ))
+  in
+  inserts @ sends
+
+let render = function
+  | I3.Engine.Set_timer due -> Printf.sprintf "timer %.3f" due
+  | eff -> (
+      match I3.Engine.encode_effect eff with
+      | Some (dst, bytes) -> Printf.sprintf "send %d %S" dst bytes
+      | None -> assert false)
+
+(* Run the script on one scheduler with a [link_ms] network and return
+   each engine's effect trace plus the number of Deliver effects.  Both
+   variants arm timers the same way: one pending wake-up per engine. *)
+let run_ring ~through_driver seed =
+  let sched = Engine.create () in
+  let now () = Engine.now sched in
+  let traces = Array.make ring_n [] in
+  let wake = Array.make ring_n None in
+  let delivers = ref 0 in
+  let step = Array.make ring_n (fun (_ : I3.Engine.event) -> ()) in
+  let record i effs =
+    traces.(i) <- List.rev_append (List.map render effs) traces.(i);
+    List.iter
+      (function
+        | I3.Engine.Deliver _ -> incr delivers
+        | I3.Engine.Set_timer due -> (
+            match wake.(i) with
+            | Some pending when pending <= due -> ()
+            | _ ->
+                wake.(i) <- Some due;
+                Engine.schedule_at sched ~time:due (fun () ->
+                    if wake.(i) = Some due then begin
+                      wake.(i) <- None;
+                      step.(i) I3.Engine.Tick
+                    end))
+        | _ -> ())
+      effs
+  in
+  let net =
+    Net.create ~metrics:(Obs.Metrics.create ()) sched ~rng:(Rng.of_int 0)
+      ~latency:(fun _ _ -> link_ms) ()
+  in
+  let endpoints =
+    Array.init (ring_n + 1) (fun _ -> Transport.Sim.attach net ~site:0)
+  in
+  Array.iteri
+    (fun i ep ->
+      Alcotest.(check int) "endpoint address" i (Transport.Sim.local_addr ep))
+    endpoints;
+  let start i =
+    let e =
+      I3.Engine.create ~seed:(seed + i) ~addr:i
+        ~id:(Id.routing_key (Id.name_hash (Printf.sprintf "ring-%d" i)))
+        ~join:(if i = 0 then [] else [ i - 1 ])
+        ~chord_config:fast_chord
+        ~metrics:(Obs.Metrics.create ())
+        ()
+    in
+    (if through_driver then begin
+       let ep = endpoints.(i) in
+       let driver =
+         Transport.Driver.create
+           ~metrics:(Obs.Metrics.create ())
+           ~send:(Transport.Sim.send ep) e
+       in
+       Transport.Driver.on_effects driver (record i);
+       Transport.Sim.set_handler ep (fun ~src bytes ->
+           Transport.Driver.on_datagram driver ~now:(now ()) ~src bytes);
+       step.(i) <- (fun ev -> Transport.Driver.step driver ~now:(now ()) ev)
+     end
+     else
+       step.(i) <-
+         (fun ev ->
+           let effs = I3.Engine.step e ~now:(now ()) ev in
+           List.iter
+             (fun eff ->
+               match I3.Engine.encode_effect eff with
+               | Some (dst, bytes) when dst < ring_n ->
+                   Engine.schedule sched ~delay:link_ms (fun () ->
+                       match I3.Engine.decode bytes with
+                       | Ok frame -> step.(dst) (I3.Engine.Frame { src = i; frame })
+                       | Error err -> Alcotest.fail ("loopback decode: " ^ err))
+               | _ -> ())
+             effs;
+           record i effs));
+    step.(i) I3.Engine.Tick
+  in
+  for i = 0 to ring_n - 1 do
+    Engine.schedule_at sched ~time:(20. *. float_of_int i) (fun () -> start i)
+  done;
+  List.iter
+    (fun (time, i, ev) -> Engine.schedule_at sched ~time (fun () -> step.(i) ev))
+    (ring_script seed);
+  Engine.run_until sched 2_000.;
+  (Array.map List.rev traces, !delivers)
+
+let test_ring_parity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:6
+       ~name:"3-engine ring: loopback and Transport.Driver traces agree"
+       QCheck2.Gen.(int_range 1 100_000)
+       (fun seed ->
+         let direct, delivers = run_ring ~through_driver:false seed in
+         let driven, _ = run_ring ~through_driver:true seed in
+         if delivers = 0 then
+           QCheck2.Test.fail_reportf "seed %d: no packet crossed the ring" seed;
+         Array.iteri
+           (fun i trace ->
+             if trace <> driven.(i) then
+               QCheck2.Test.fail_reportf
+                 "seed %d: engine %d traces differ (%d vs %d effects)" seed i
+                 (List.length trace)
+                 (List.length driven.(i)))
+           direct;
+         true))
+
 let () =
   Alcotest.run "engine"
     [
@@ -402,5 +551,6 @@ let () =
             test_driver_parity;
           Alcotest.test_case "loopback ring forms + routes" `Quick
             test_loopback_ring_forms;
+          test_ring_parity;
         ] );
     ]

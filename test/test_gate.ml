@@ -228,7 +228,7 @@ let test_gate_default_checks_on_real_shape () =
            "koorde8":{"hops_mean":5.2,"state_bytes_per_node":427.5},
            "koorde2":{"hops_mean":12.2,"state_bytes_per_node":199.1}},
          "trigger_table":{"inserts_per_sec":3.3e6,"matches_per_sec":4.5e6,
-                          "match_p99_ns_1e6":4900.0}}|}
+                          "match_p99_ns":4900.0}}|}
   in
   let results =
     Eval.Gate.compare_json ~baseline:full ~current:full Eval.Gate.default_checks

@@ -714,6 +714,19 @@ let test_e2e_failover_refresh_recovers_primary () =
   I3.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "traffic resumes" [ "recovered" ] (got ())
 
+(* Every server of a deployment sweeps on the deployment's one scheduler;
+   a failed server must take its periodic sweep with it. *)
+let test_e2e_failed_server_stops_sweeping () =
+  let d = deployment ~seed:25 ~n_servers:8 () in
+  let engine = I3.Deployment.engine d in
+  let sweep = (I3.Server.config (I3.Deployment.server d 0)).I3.Server.sweep_period in
+  I3.Deployment.run_for d sweep;
+  let before = Sim.Engine.pending engine in
+  I3.Deployment.fail_server d 0;
+  I3.Deployment.kill_server d 0;
+  I3.Deployment.run_for d (2. *. sweep);
+  Alcotest.(check int) "two sweeps fewer" (before - 2) (Sim.Engine.pending engine)
+
 let test_e2e_gateway_rotation () =
   let d = deployment ~seed:24 ~n_servers:8 () in
   let dead = I3.Deployment.server d 0 and live = I3.Deployment.server d 1 in
@@ -1108,6 +1121,8 @@ let () =
           Alcotest.test_case "mobility" `Quick test_e2e_mobility;
           Alcotest.test_case "backup trigger failover" `Quick test_e2e_backup_trigger_failover;
           Alcotest.test_case "failover + refresh recovery" `Quick test_e2e_failover_refresh_recovers_primary;
+          Alcotest.test_case "failed server stops sweeping" `Quick
+            test_e2e_failed_server_stops_sweeping;
           Alcotest.test_case "gateway rotation" `Quick test_e2e_gateway_rotation;
           Alcotest.test_case "ttl stops loops" `Quick test_e2e_ttl_stops_loops;
           Alcotest.test_case "stack depth cap" `Quick test_e2e_stack_depth_cap;

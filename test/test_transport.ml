@@ -219,6 +219,20 @@ let test_udp_oversize_rejected () =
         (fun () -> Transport.Udp.send u ~dst:(Transport.Udp.local_addr u) over);
       Transport.Udp.close u
 
+(* A port already bound must not be silently shared: a second bind fails
+   with EADDRINUSE instead of splitting the first socket's traffic. *)
+let test_udp_port_taken () =
+  match Transport.Udp.create () with
+  | exception Unix.Unix_error _ -> ()
+  | first ->
+      let port = Transport.Udp.port_of (Transport.Udp.local_addr first) in
+      (match Transport.Udp.create ~port () with
+      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+      | second ->
+          Transport.Udp.close second;
+          Alcotest.fail "second bind of a taken port succeeded");
+      Transport.Udp.close first
+
 let () =
   Alcotest.run "transport"
     [
@@ -248,5 +262,7 @@ let () =
             test_udp_max_frame;
           Alcotest.test_case "oversize send rejected" `Quick
             test_udp_oversize_rejected;
+          Alcotest.test_case "taken port refuses a second bind" `Quick
+            test_udp_port_taken;
         ] );
     ]
