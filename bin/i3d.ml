@@ -181,18 +181,20 @@ let () =
            | I3.Engine.Chord_send (dst, _) -> log "send chord -> %d" dst
            | I3.Engine.Deliver { dst; _ } -> log "deliver -> %d" dst
            | I3.Engine.Set_timer _ -> ()));
-  (* The receive handler only enqueues: the loop below drains the whole
-     backlog through one batched engine step ([Driver.on_datagrams]), so
-     a burst of datagrams pays the engine's timer/metrics work once. *)
-  let backlog : (int * string) Queue.t = Queue.create () in
+  (* The receive handler only collects the batch (newest first): the
+     loop below hands the whole burst to one batched engine step
+     ([Driver.on_datagrams]), so a burst of datagrams pays the engine's
+     timer/metrics work once. *)
+  let batch = ref [] in
   Transport.Udp.set_handler udp (fun ~src bytes ->
-      Queue.add (src, bytes) backlog);
-  let drain_backlog () =
-    if not (Queue.is_empty backlog) then begin
-      let datagrams = List.of_seq (Queue.to_seq backlog) in
-      Queue.clear backlog;
-      Transport.Driver.on_datagrams driver ~now:(elapsed_ms ()) datagrams
-    end
+      batch := (src, bytes) :: !batch);
+  let step_batch () =
+    match !batch with
+    | [] -> ()
+    | newest_first ->
+        batch := [];
+        Transport.Driver.on_datagrams driver ~now:(elapsed_ms ())
+          (List.rev newest_first)
   in
 
   (* Graceful shutdown: the signal handler only flips a flag; the loop
@@ -245,15 +247,12 @@ let () =
     let timeout =
       Float.min timeout (Float.max 0. ((!next_flush -. now) /. 1000.))
     in
-    (* select() returns EINTR when a signal lands mid-wait; treat it as
-       an empty wait so the flag check decides. *)
-    (match Transport.Udp.wait udp ~timeout with
-    | (_ : bool) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    (* Drain whatever else already arrived, step the engine once with
-       the whole burst, then fire due timers. *)
-    Transport.Udp.poll udp ~now:(elapsed_ms ());
-    drain_backlog ();
+    (* One select per turn.  After a datagram, drain the rest of the
+       queue (one recvfrom each, until EAGAIN); after a timeout or a
+       signal, go straight to the timers.  Then step the engine once
+       with the whole burst, and once more only if a timer is due. *)
+    if Transport.Udp.wait udp ~timeout then Transport.Udp.poll udp ~now;
+    step_batch ();
     Option.iter (fun f -> Transport.Faulty.poll f ~now:(elapsed_ms ())) faulty;
     Transport.Driver.tick driver ~now:(elapsed_ms ());
     match flush_period with

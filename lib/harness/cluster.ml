@@ -377,9 +377,7 @@ let ring_state t i ~timeout_ms =
     if !result <> None then !result
     else if wall_ms () >= deadline then None
     else begin
-      (match Transport.Udp.wait t.chord_probe ~timeout:0.02 with
-      | (_ : bool) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      ignore (Transport.Udp.wait t.chord_probe ~timeout:0.02);
       go ()
     end
   in

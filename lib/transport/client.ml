@@ -155,13 +155,11 @@ let raw_send t ~dst bytes =
 let send_msg t ~dst m = raw_send t ~dst (I3.Codec.encode m)
 
 (* One blocking receive step: release due delayed datagrams, then wait
-   for at most [timeout] seconds of socket traffic.  EINTR (a signal
-   mid-select) counts as an empty wait. *)
+   for at most [timeout] seconds of socket traffic ([Udp.wait] counts a
+   signal mid-select as an empty wait). *)
 let wait t ~timeout =
   (match t.faulty with Some f -> ignore (Faulty.flush f) | None -> ());
-  match Udp.wait t.udp ~timeout with
-  | handled -> handled
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+  Udp.wait t.udp ~timeout
 
 (* Wait until [until ()] or the ms deadline; tight 20 ms slices keep the
    delay queue draining while we block. *)

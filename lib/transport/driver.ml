@@ -21,7 +21,7 @@ type t = {
   engine : I3.Engine.t;
   send : dst:int -> string -> unit;
   mutable on_effects : I3.Engine.effect list -> unit;
-  mutable next_due : float option;  (* latest Set_timer seen *)
+  mutable next_due : float option;  (* the last step's Set_timer *)
   metrics : Obs.Metrics.t;
   labels : (string * string) list;
   c_frames : Obs.Metrics.counter;
@@ -39,7 +39,9 @@ let create ?(metrics = Obs.Metrics.default) ?(instance = "driver") ~send
     engine;
     send;
     on_effects = (fun _ -> ());
-    next_due = I3.Engine.next_due engine;
+    (* Due at once: the first [tick] steps the engine, which starts its
+       wheel at that step's clock. *)
+    next_due = Some Float.neg_infinity;
     metrics;
     labels;
     c_frames = Obs.Metrics.counter metrics ~labels "driver.frames";
@@ -125,6 +127,9 @@ let step t ~now event =
   Obs.Metrics.observe
     (step_hist t (event_kind event))
     ((Unix.gettimeofday () -. t0) *. 1000.);
+  (* Every step ends with the engine's next deadline, if it has one, so
+     a step without [Set_timer] means no timer is pending. *)
+  t.next_due <- None;
   interpret t effects
 
 let on_datagram t ~now ~src bytes =
@@ -156,7 +161,12 @@ let on_datagrams t ~now datagrams =
   | [ one ] -> step t ~now one
   | many -> step t ~now (I3.Engine.Batch many)
 
-let tick t ~now = step t ~now I3.Engine.Tick
+(* A [Tick] step before the deadline would fire nothing, so the loop's
+   per-turn tick costs an engine step only when a timer is due. *)
+let tick t ~now =
+  match t.next_due with
+  | Some due when due <= now -> step t ~now I3.Engine.Tick
+  | Some _ | None -> ()
 
 (* How long the owning loop may block before the next [tick]: the gap
    to the engine's last announced deadline, clamped to [cap] (seconds,

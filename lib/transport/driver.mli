@@ -11,9 +11,9 @@
     {[
       while running do
         let now = elapsed_ms () in
-        ignore (Udp.wait udp ~timeout:(Driver.timeout d ~now ~cap:0.25));
-        Udp.poll udp ~now;          (* handler calls on_datagram *)
-        Driver.tick d ~now:(elapsed_ms ())
+        if Udp.wait udp ~timeout:(Driver.timeout d ~now ~cap:0.25) then
+          Udp.poll udp ~now;        (* handler calls on_datagram *)
+        Driver.tick d ~now:(elapsed_ms ())  (* steps only when due *)
       done
     ]} *)
 
@@ -60,8 +60,12 @@ val on_datagrams : t -> now:float -> (int * string) list -> unit
     and outbox drain over the burst. *)
 
 val tick : t -> now:float -> unit
-(** Step the engine with [Tick]: fires due timers, spends the
-    effects. *)
+(** Step the engine with [Tick] when {!next_due} has come ([due <=
+    now]): fires the due timers and spends the effects.  Before the
+    deadline, or with no timer pending, it does nothing — no engine
+    step, no [driver.step_ms] sample — so a loop may call it every
+    turn.  A fresh driver is due at once: its first [tick] starts the
+    engine's wheel. *)
 
 val step : t -> now:float -> I3.Engine.event -> unit
 (** Step with an arbitrary event (local commands). *)
@@ -71,7 +75,10 @@ val on_effects : t -> (I3.Engine.effect list -> unit) -> unit
     default: dropped). *)
 
 val next_due : t -> float option
-(** The engine's latest [Set_timer] deadline (engine-clock ms). *)
+(** The deadline the last step announced with [Set_timer]
+    (engine-clock ms); [None] when that step announced none, and
+    [Some neg_infinity] before the first step.  Steps of the engine
+    made around the driver are not seen. *)
 
 val timeout : t -> now:float -> cap:float -> float
 (** Seconds the owning loop may block before the next {!tick}: gap to

@@ -303,6 +303,85 @@ let test_driver_parity () =
   Alcotest.(check bool) "driver armed a deadline" true
     (Transport.Driver.next_due driver <> None)
 
+(* --- the driver ticks only when a timer is due --- *)
+
+let sum_samples metrics name f =
+  List.fold_left
+    (fun acc (s : Obs.Metrics.sample) ->
+      if s.name = name then acc + f s else acc)
+    0
+    (Obs.Metrics.snapshot ~prefix:name metrics)
+
+let engine_events metrics =
+  sum_samples metrics "engine.events" (fun s ->
+      match s.value with Obs.Metrics.Counter n -> n | _ -> 0)
+
+let tick_steps metrics =
+  sum_samples metrics "driver.step_ms" (fun s ->
+      match s.value with
+      | Obs.Metrics.Histogram { count; _ }
+        when List.mem ("event", "tick") s.labels ->
+          count
+      | _ -> 0)
+
+let test_tick_due_only () =
+  let sched = Engine.create () in
+  let net =
+    Net.create ~metrics:(Obs.Metrics.create ()) sched ~rng:(Rng.of_int 0)
+      ~latency:(fun _ _ -> 1.) ()
+  in
+  let ep = Transport.Sim.attach net ~site:0 in
+  let silent = Transport.Sim.attach net ~site:0 in
+  let metrics = Obs.Metrics.create () in
+  let engine =
+    I3.Engine.create ~seed:5 ~addr:(Transport.Sim.local_addr ep)
+      ~id:(Id.routing_key (Id.name_hash "ticker"))
+      ~join:[ Transport.Sim.local_addr silent ] (* never answers: retries *)
+      ~chord_config:fast_chord ~metrics ()
+  in
+  let driver =
+    Transport.Driver.create ~metrics ~send:(Transport.Sim.send ep) engine
+  in
+  let chord_sends = ref 0 in
+  Transport.Driver.on_effects driver
+    (List.iter (function
+      | I3.Engine.Chord_send _ -> incr chord_sends
+      | _ -> ()));
+  (* A fresh driver is due at once: the first tick starts the engine. *)
+  Transport.Driver.tick driver ~now:0.;
+  Alcotest.(check int) "first tick steps" 1 (tick_steps metrics);
+  let due () =
+    match Transport.Driver.next_due driver with
+    | Some due -> due
+    | None -> Alcotest.fail "a joining engine always has a timer armed"
+  in
+  (* Walk deadline to deadline until the timers put a Chord RPC on the
+     wire; every deadline must be met by exactly one step, and nothing
+     before it by any. *)
+  let rec walk rounds =
+    let d = due () in
+    let events = engine_events metrics and ticks = tick_steps metrics in
+    List.iter
+      (fun now ->
+        Transport.Driver.tick driver ~now;
+        Alcotest.(check int) "no engine event before the deadline" events
+          (engine_events metrics);
+        Alcotest.(check int) "no tick step before the deadline" ticks
+          (tick_steps metrics))
+      [ d -. 10.; d -. 1.; d -. 0.001 ];
+    let sends = !chord_sends in
+    (* Alternate ticking exactly at and a little after the deadline. *)
+    Transport.Driver.tick driver ~now:(if rounds mod 2 = 0 then d else d +. 5.);
+    Alcotest.(check int) "a due tick is one engine event" (events + 1)
+      (engine_events metrics);
+    Alcotest.(check int) "a due tick is one tick step" (ticks + 1)
+      (tick_steps metrics);
+    if !chord_sends = sends then
+      if rounds = 0 then Alcotest.fail "no timer ever sent a Chord RPC"
+      else walk (rounds - 1)
+  in
+  walk 20
+
 (* --- two engines, in-memory loopback: the ring forms --- *)
 
 let test_loopback_ring_forms () =
@@ -549,6 +628,8 @@ let () =
         [
           Alcotest.test_case "hand vs Transport.Driver parity" `Quick
             test_driver_parity;
+          Alcotest.test_case "driver ticks only when a timer is due" `Quick
+            test_tick_due_only;
           Alcotest.test_case "loopback ring forms + routes" `Quick
             test_loopback_ring_forms;
           test_ring_parity;

@@ -140,8 +140,7 @@ let () =
       | None ->
           if Unix.gettimeofday () >= deadline then None
           else begin
-            (try ignore (Transport.Udp.wait probe ~timeout:0.02)
-             with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+            ignore (Transport.Udp.wait probe ~timeout:0.02);
             go ()
           end
     in

@@ -37,8 +37,113 @@ let test_udp_poll_drains () =
       Transport.Udp.poll b ~now:0.;
       Alcotest.(check bool) "poll never blocks" true
         (Unix.gettimeofday () -. t0 < 0.05);
+      (* A queued burst: one poll dispatches all of it, in arrival
+         order. *)
+      let n = 40 in
+      let seen = ref [] in
+      Transport.Udp.set_handler b (fun ~src:_ s ->
+          seen := int_of_string s :: !seen);
+      for i = 1 to n do
+        Transport.Udp.send a ~dst:(Transport.Udp.local_addr b)
+          (string_of_int i)
+      done;
+      Unix.sleepf 0.05;
+      Transport.Udp.poll b ~now:0.;
+      Alcotest.(check (list int)) "one poll, arrival order"
+        (List.init n (fun i -> i + 1))
+        (List.rev !seen);
       Transport.Udp.close a;
       Transport.Udp.close b
+
+(* --- address memo: more peers than memo slots --- *)
+
+(* Comfortably more than the 64 memo slots, so slots collide and get
+   overwritten between rounds. *)
+let many_peers = 100
+
+let open_sockets n =
+  match List.init n (fun _ -> Transport.Udp.create ()) with
+  | socks -> Some socks
+  | exception Unix.Unix_error _ -> None
+
+(* Drain [rx] until [want ()] or a 2 s deadline. *)
+let drain_until rx want =
+  let deadline = Unix.gettimeofday () +. 2. in
+  while (not (want ())) && Unix.gettimeofday () < deadline do
+    if Transport.Udp.wait rx ~timeout:0.05 then Transport.Udp.poll rx ~now:0.
+  done
+
+let test_udp_memo_many_sources () =
+  match open_sockets (many_peers + 1) with
+  | None -> ()
+  | Some (rx :: senders) ->
+      (* Each sender names itself in the payload; the receiver checks
+         the [src] its memo resolved against that name. *)
+      let got = ref 0 and wrong = ref 0 in
+      Transport.Udp.set_handler rx (fun ~src bytes ->
+          incr got;
+          if src <> int_of_string bytes then incr wrong);
+      let round senders =
+        List.iter
+          (fun s ->
+            Transport.Udp.send s ~dst:(Transport.Udp.local_addr rx)
+              (string_of_int (Transport.Udp.local_addr s)))
+          senders
+      in
+      round senders;
+      round (List.rev senders);
+      round senders;
+      drain_until rx (fun () -> !got >= 3 * many_peers);
+      Alcotest.(check int) "every datagram arrived" (3 * many_peers) !got;
+      Alcotest.(check int) "every src is the sender's address" 0 !wrong;
+      List.iter Transport.Udp.close (rx :: senders)
+  | Some [] -> assert false
+
+let test_udp_memo_many_destinations () =
+  match open_sockets (many_peers + 1) with
+  | None -> ()
+  | Some (tx :: receivers) ->
+      let rxs = Array.of_list receivers in
+      let got = Array.make many_peers [] in
+      Array.iteri
+        (fun i rx ->
+          Transport.Udp.set_handler rx (fun ~src bytes ->
+              Alcotest.(check int) "src is the sender"
+                (Transport.Udp.local_addr tx) src;
+              got.(i) <- int_of_string bytes :: got.(i)))
+        rxs;
+      let send_round order =
+        List.iter
+          (fun i ->
+            Transport.Udp.send tx
+              ~dst:(Transport.Udp.local_addr rxs.(i))
+              (string_of_int i))
+          order
+      in
+      let indices = List.init many_peers Fun.id in
+      send_round indices;
+      send_round (List.rev indices);
+      Array.iteri
+        (fun i rx -> drain_until rx (fun () -> List.length got.(i) >= 2))
+        rxs;
+      Array.iteri
+        (fun i mine ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "receiver %d got exactly its own datagrams" i)
+            [ i; i ] mine)
+        got;
+      List.iter Transport.Udp.close (tx :: receivers)
+  | Some [] -> assert false
+
+let test_sockaddr_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"addr_of_sockaddr inverts sockaddr_of_addr"
+       QCheck2.Gen.(pair (int_range 0 0xffffffff) (int_range 0 0xffff))
+       (fun (ip, port) ->
+         let a = Transport.Udp.pack ~ip ~port in
+         Transport.Udp.addr_of_sockaddr (Transport.Udp.sockaddr_of_addr a)
+         = Some a))
 
 (* --- Faulty: fake lower + fake clock harness --- *)
 
@@ -240,6 +345,14 @@ let () =
         [
           Alcotest.test_case "udp wait blocks, poll drains" `Quick
             test_udp_poll_drains;
+        ] );
+      ( "udp_memo",
+        [
+          Alcotest.test_case "more sources than memo slots" `Quick
+            test_udp_memo_many_sources;
+          Alcotest.test_case "more destinations than memo slots" `Quick
+            test_udp_memo_many_destinations;
+          test_sockaddr_roundtrip;
         ] );
       ( "faulty",
         [
