@@ -471,7 +471,7 @@ let section_observability () =
   let metrics = Obs.Metrics.create () in
   let tracer = Obs.Trace.create ~capacity:(1 lsl 16) () in
   let d = I3.Deployment.create ~seed:7 ~n_servers ~metrics ~tracer () in
-  Net.set_loss_rate (I3.Deployment.net d) loss;
+  Net.apply (I3.Deployment.net d) (Faults.Loss loss);
   let pairs =
     List.init n_pairs (fun _ ->
         let recv = I3.Deployment.new_host d () in

@@ -359,8 +359,12 @@ let run_chaos () =
       let f =
         Transport.Faulty.of_udp ~metrics ~rng:(Rng.split rng) udp
       in
-      Transport.Faulty.apply f (Faults.Loss !loss);
-      Transport.Faulty.apply f (Faults.Jitter !jitter);
+      (try
+         Transport.Faulty.apply f (Faults.Loss !loss);
+         Transport.Faulty.apply f (Faults.Jitter !jitter)
+       with Invalid_argument msg ->
+         Harness.Cluster.stop cluster;
+         die "%s" msg);
       Some f
     end
   in

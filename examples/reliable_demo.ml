@@ -22,7 +22,7 @@ let () =
   in
   I3.Deployment.run_for d 1_000.;
 
-  Net.set_loss_rate (I3.Deployment.net d) 0.25;
+  Net.apply (I3.Deployment.net d) (Faults.Loss 0.25);
   print_endline "sending 30 messages across a network dropping 25% of datagrams...";
   for i = 1 to 30 do
     I3apps.Reliable.send sender (Printf.sprintf "message-%02d" i)
@@ -35,7 +35,7 @@ let () =
     (I3apps.Reliable.retransmissions sender);
 
   (* the receiver moves mid-flow; the channel keeps going *)
-  Net.set_loss_rate (I3.Deployment.net d) 0.;
+  Net.apply (I3.Deployment.net d) (Faults.Loss 0.);
   I3.Host.move recv_host ~new_site:0;
   I3.Deployment.run_for d 1_000.;
   I3apps.Reliable.send sender "after-the-move";

@@ -273,7 +273,7 @@ let fault_driver t =
   let crash i = kill_server t (nth_server t i)
   and restart i = restart_server t (nth_server t i) in
   Faults.combine
-    [ Faults.net_driver ~crash ~restart t.data; Faults.net_driver t.control ]
+    [ Net.driver ~crash ~restart t.data; Net.driver t.control ]
 
 let inject t schedule = Faults.install t.engine (fault_driver t) schedule
 let data_net_stats t = Net.stats t.data

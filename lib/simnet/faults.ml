@@ -34,29 +34,129 @@ let pp_event ppf = function
   | Latency_spike ms -> Format.fprintf ppf "latency-spike %gms" ms
   | Duplicate p -> Format.fprintf ppf "duplicate %g" p
 
+(* --- the link-fault interpreter --- *)
+
+module Int_set = Set.Make (Int)
+
+(* Gilbert–Elliott two-state loss chain: each message advances the chain
+   (Good -> Bad with [p_enter], Bad -> Good with [p_exit]), then a
+   message in the Bad state is lost with [loss_bad]; the Good state is
+   lossless.  Mean burst length is 1/p_exit messages. *)
+type burst = {
+  p_enter : float;
+  p_exit : float;
+  loss_bad : float;
+  mutable bad : bool;
+}
+
+type t = {
+  rng : Rng.t;
+  mutable partitions : Int_set.t list;  (* each one a cut set *)
+  gray : (int * int, unit) Hashtbl.t;  (* directed (src, dst) site cuts *)
+  mutable burst : burst option;
+  mutable loss : float;
+  mutable duplicate : float;
+  mutable jitter : float;  (* uniform [0, jitter) extra ms *)
+  mutable spike : float;  (* fixed extra ms *)
+}
+
+let create rng =
+  {
+    rng;
+    partitions = [];
+    gray = Hashtbl.create 8;
+    burst = None;
+    loss = 0.;
+    duplicate = 0.;
+    jitter = 0.;
+    spike = 0.;
+  }
+
+(* Written so that NaN fails both checks: a NaN probability would never
+   drop, and a NaN or infinite delay would park a message forever at the
+   head of a time-ordered queue, stalling everything behind it. *)
+let check_prob what p =
+  if not (p >= 0. && p <= 1.) then
+    invalid_arg (Printf.sprintf "Faults.apply: %s needs 0 <= p <= 1" what)
+
+let check_ms what ms =
+  if not (ms >= 0. && ms < Float.infinity) then
+    invalid_arg (Printf.sprintf "Faults.apply: %s needs finite ms >= 0" what)
+
+let apply t = function
+  | Partition sites ->
+      if sites = [] then invalid_arg "Faults.apply: empty partition";
+      t.partitions <- Int_set.of_list sites :: t.partitions
+  | Heal -> t.partitions <- []
+  | Gray { from_site; to_site } -> Hashtbl.replace t.gray (from_site, to_site) ()
+  | Gray_heal { from_site; to_site } -> Hashtbl.remove t.gray (from_site, to_site)
+  | Burst_loss { p_enter; p_exit; loss_bad } ->
+      check_prob "Burst_loss p_enter" p_enter;
+      check_prob "Burst_loss p_exit" p_exit;
+      check_prob "Burst_loss loss_bad" loss_bad;
+      t.burst <- Some { p_enter; p_exit; loss_bad; bad = false }
+  | Burst_end -> t.burst <- None
+  | Loss p ->
+      check_prob "Loss" p;
+      t.loss <- p
+  | Duplicate p ->
+      check_prob "Duplicate" p;
+      t.duplicate <- p
+  | Jitter ms ->
+      check_ms "Jitter" ms;
+      t.jitter <- ms
+  | Latency_spike ms ->
+      check_ms "Latency_spike" ms;
+      t.spike <- ms
+  | Crash _ | Restart _ -> ()
+
+type cause = [ `Partition | `Gray | `Burst | `Loss ]
+
+let cause_name = function
+  | `Partition -> "partition"
+  | `Gray -> "gray"
+  | `Burst -> "burst"
+  | `Loss -> "loss"
+
+type fate = Drop of cause | Once of float | Twice of float * float
+
+let draw t p = p > 0. && Rng.float t.rng 1. < p
+
+let cut t src dst =
+  src <> dst
+  && List.exists
+       (fun set -> Int_set.mem src set <> Int_set.mem dst set)
+       t.partitions
+
+(* Advance the chain, then draw from the state we landed in. *)
+let burst_drops t =
+  match t.burst with
+  | None -> false
+  | Some b ->
+      let p_flip = if b.bad then b.p_exit else b.p_enter in
+      if Rng.float t.rng 1. < p_flip then b.bad <- not b.bad;
+      b.bad && draw t b.loss_bad
+
+let extra t = t.spike +. (if t.jitter > 0. then Rng.float t.rng t.jitter else 0.)
+
+(* The draw order is part of the contract: every seeded scenario on
+   either substrate replays from it. *)
+let fate t ~src_site ~dst_site =
+  if cut t src_site dst_site then Drop `Partition
+  else if Hashtbl.mem t.gray (src_site, dst_site) then Drop `Gray
+  else if burst_drops t then Drop `Burst
+  else if draw t t.loss then Drop `Loss
+  else
+    let first = extra t in
+    if draw t t.duplicate then Twice (first, extra t) else Once first
+
+(* --- schedules --- *)
+
 type driver = event -> unit
 
 let combine drivers event = List.iter (fun d -> d event) drivers
 
 let null_driver (_ : event) = ()
-
-let net_driver ?(crash = fun _ -> ()) ?(restart = fun _ -> ()) net event =
-  match event with
-  | Partition sites -> ignore (Net.partition net sites)
-  | Heal -> Net.heal_all net
-  | Crash i -> crash i
-  | Restart i -> restart i
-  | Gray { from_site; to_site } ->
-      Net.set_link_down net ~src_site:from_site ~dst_site:to_site
-  | Gray_heal { from_site; to_site } ->
-      Net.set_link_up net ~src_site:from_site ~dst_site:to_site
-  | Burst_loss { p_enter; p_exit; loss_bad } ->
-      Net.set_burst_loss net ~loss_bad ~p_enter ~p_exit ()
-  | Burst_end -> Net.clear_burst_loss net
-  | Loss p -> Net.set_loss_rate net p
-  | Jitter ms -> Net.set_jitter net ms
-  | Latency_spike ms -> Net.set_extra_latency net ms
-  | Duplicate p -> Net.set_duplicate_rate net p
 
 let sorted schedule =
   List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) schedule

@@ -22,22 +22,6 @@ type stats = {
 
 type outcome = [ `Enqueue | `Drop of string ]
 
-type partition_id = int
-
-module Int_set = Set.Make (Int)
-
-(* Gilbert–Elliott two-state loss chain: in the Good state messages are
-   lost with probability [loss_good], in the Bad state with [loss_bad];
-   each message advances the chain (Good -> Bad with [p_enter], Bad ->
-   Good with [p_exit]).  Mean burst length is 1/p_exit messages. *)
-type burst = {
-  p_enter : float;
-  p_exit : float;
-  loss_good : float;
-  loss_bad : float;
-  mutable bad : bool;
-}
-
 (* Counters live in an {!Obs.Metrics} registry, keyed [net.<event>] with an
    instance label so several networks (data plane, control plane, tests)
    coexist in one registry without mixing counts. *)
@@ -55,20 +39,12 @@ type counters = {
 
 type 'msg t = {
   engine : Engine.t;
-  rng : Rng.t;
   latency : int -> int -> float;
   label : string;
   c : counters;
   mutable endpoints : 'msg endpoint array;
   mutable count : int;
-  mutable loss_rate : float;
-  mutable burst : burst option;
-  mutable partitions : (partition_id * Int_set.t) list;
-  mutable next_partition : partition_id;
-  gray : (int * int, unit) Hashtbl.t; (* directed (src site, dst site) cuts *)
-  mutable duplicate_rate : float;
-  mutable jitter : float;
-  mutable extra_latency : float;
+  faults : Faults.t;
   mutable tap : (src:addr -> dst:addr -> 'msg -> unit) option;
   mutable observer : (src:addr -> dst:addr -> 'msg -> outcome -> unit) option;
   mutable transducer : ('msg -> ('msg, string) result) option;
@@ -103,20 +79,12 @@ let create ?(metrics = Obs.Metrics.default) ?label engine ~rng ~latency () =
   in
   {
     engine;
-    rng;
     latency;
     label;
     c = make_counters metrics label;
     endpoints = [||];
     count = 0;
-    loss_rate = 0.;
-    burst = None;
-    partitions = [];
-    next_partition = 0;
-    gray = Hashtbl.create 8;
-    duplicate_rate = 0.;
-    jitter = 0.;
-    extra_latency = 0.;
+    faults = Faults.create rng;
     tap = None;
     observer = None;
     transducer = None;
@@ -154,77 +122,18 @@ let set_down t a = (endpoint t a).up <- false
 let set_up t a = (endpoint t a).up <- true
 let is_up t a = (endpoint t a).up
 
-let set_loss_rate t p =
-  if p < 0. || p > 1. then invalid_arg "Net.set_loss_rate: need 0 <= p <= 1";
-  t.loss_rate <- p
-
 let set_tap t f = t.tap <- Some f
 let set_observer t f = t.observer <- Some f
 let set_transducer t f = t.transducer <- Some f
 
 (* --- link-level faults --- *)
 
-let check_prob name p =
-  if p < 0. || p > 1. then
-    invalid_arg (Printf.sprintf "Net.%s: need probability in [0, 1]" name)
+let apply t event = Faults.apply t.faults event
 
-let partition t sites =
-  let set = Int_set.of_list sites in
-  if Int_set.is_empty set then invalid_arg "Net.partition: empty site set";
-  let pid = t.next_partition in
-  t.next_partition <- pid + 1;
-  t.partitions <- (pid, set) :: t.partitions;
-  pid
-
-let heal t pid = t.partitions <- List.remove_assoc pid t.partitions
-
-let heal_all t = t.partitions <- []
-
-let partitioned t sa sb =
-  sa <> sb
-  && List.exists
-       (fun (_, set) -> Int_set.mem sa set <> Int_set.mem sb set)
-       t.partitions
-
-let set_link_down t ~src_site ~dst_site =
-  Hashtbl.replace t.gray (src_site, dst_site) ()
-
-let set_link_up t ~src_site ~dst_site =
-  Hashtbl.remove t.gray (src_site, dst_site)
-
-let set_burst_loss t ?(loss_good = 0.) ?(loss_bad = 1.) ~p_enter ~p_exit () =
-  check_prob "set_burst_loss (p_enter)" p_enter;
-  check_prob "set_burst_loss (p_exit)" p_exit;
-  check_prob "set_burst_loss (loss_good)" loss_good;
-  check_prob "set_burst_loss (loss_bad)" loss_bad;
-  t.burst <- Some { p_enter; p_exit; loss_good; loss_bad; bad = false }
-
-let clear_burst_loss t = t.burst <- None
-
-let set_duplicate_rate t p =
-  check_prob "set_duplicate_rate" p;
-  t.duplicate_rate <- p
-
-let set_jitter t ms =
-  if ms < 0. then invalid_arg "Net.set_jitter: need ms >= 0";
-  t.jitter <- ms
-
-let set_extra_latency t ms =
-  if ms < 0. then invalid_arg "Net.set_extra_latency: need ms >= 0";
-  t.extra_latency <- ms
-
-let burst_says_drop t =
-  match t.burst with
-  | None -> false
-  | Some b ->
-      (* Advance the chain, then draw from the state we landed in. *)
-      let flip =
-        if b.bad then Rng.float t.rng 1. < b.p_exit
-        else Rng.float t.rng 1. < b.p_enter
-      in
-      if flip then b.bad <- not b.bad;
-      let p = if b.bad then b.loss_bad else b.loss_good in
-      p > 0. && Rng.float t.rng 1. < p
+let driver ?(crash = fun _ -> ()) ?(restart = fun _ -> ()) t = function
+  | Faults.Crash i -> crash i
+  | Faults.Restart i -> restart i
+  | event -> apply t event
 
 (* --- sending --- *)
 
@@ -263,23 +172,29 @@ let send t ~src ~dst msg =
   in
   if codec_failed then drop t.c.c_codec "codec"
   else if not s.up then drop t.c.c_down "down"
-  else if partitioned t s.site d.site then drop t.c.c_partition "partition"
-  else if Hashtbl.mem t.gray (s.site, d.site) then drop t.c.c_gray "gray"
-  else if burst_says_drop t then drop t.c.c_burst "burst"
-  else if t.loss_rate > 0. && Rng.float t.rng 1. < t.loss_rate then
-    drop t.c.c_loss "loss"
-  else begin
-    observe t ~src ~dst msg `Enqueue;
-    let base = t.latency s.site d.site +. t.extra_latency in
-    let jitter () = if t.jitter > 0. then Rng.float t.rng t.jitter else 0. in
-    Engine.schedule t.engine ~delay:(base +. jitter ()) (fun () ->
-        deliver t ~src ~dst d msg);
-    if t.duplicate_rate > 0. && Rng.float t.rng 1. < t.duplicate_rate then begin
-      Obs.Metrics.incr t.c.c_duplicated;
-      Engine.schedule t.engine ~delay:(base +. jitter ()) (fun () ->
-          deliver t ~src ~dst d msg)
-    end
-  end
+  else
+    let schedule extra =
+      Engine.schedule t.engine ~delay:(t.latency s.site d.site +. extra)
+        (fun () -> deliver t ~src ~dst d msg)
+    in
+    match Faults.fate t.faults ~src_site:s.site ~dst_site:d.site with
+    | Faults.Drop cause ->
+        let counter =
+          match cause with
+          | `Partition -> t.c.c_partition
+          | `Gray -> t.c.c_gray
+          | `Burst -> t.c.c_burst
+          | `Loss -> t.c.c_loss
+        in
+        drop counter (Faults.cause_name cause)
+    | Faults.Once extra ->
+        observe t ~src ~dst msg `Enqueue;
+        schedule extra
+    | Faults.Twice (extra, copy) ->
+        observe t ~src ~dst msg `Enqueue;
+        schedule extra;
+        Obs.Metrics.incr t.c.c_duplicated;
+        schedule copy
 
 let stats t =
   let v = Obs.Metrics.counter_value in

@@ -7,12 +7,15 @@
     service i3 assumes of IP (paper Sec. II-A).  Endpoints can move between
     sites (host mobility) and crash/recover (server failure).
 
-    Beyond uniform i.i.d. loss, the network carries a composable
-    link-level fault model for chaos testing (see {!Faults} for the
-    schedule DSL driving it): site-set {e partitions} with heal,
-    asymmetric one-way {e gray links}, Gilbert–Elliott {e burst loss},
-    message {e duplication}, and latency {e jitter}/fixed spikes.  Every
-    drop is counted by cause in {!stats}. *)
+    Link-level faults — site-set {e partitions} with heal, asymmetric
+    one-way {e gray links}, Gilbert–Elliott {e burst loss}, uniform loss,
+    message {e duplication}, and latency {e jitter}/fixed spikes — are
+    {!Faults.event}s installed with {!apply} and decided per message by
+    the seeded interpreter in {!Faults}, the same one the wire's
+    [Transport.Faulty] runs.  What stays here is what only a simulated
+    network has: endpoints and their up/down state, topology latency,
+    the codec transducer, the observer and tap, and the [net.*]
+    counters.  Every drop is counted by cause in {!stats}. *)
 
 type addr = int
 (** Endpoint address ("IP address + port" of the paper). *)
@@ -65,10 +68,6 @@ val set_down : 'msg t -> addr -> unit
 val set_up : 'msg t -> addr -> unit
 val is_up : 'msg t -> addr -> bool
 
-val set_loss_rate : 'msg t -> float -> unit
-(** Uniform independent loss probability in [0, 1]. Default 0.
-    [1.] is a total blackhole (every message dropped). *)
-
 val set_tap : 'msg t -> (src:addr -> dst:addr -> 'msg -> unit) -> unit
 (** Observe every successful delivery (tracing in tests). *)
 
@@ -96,63 +95,22 @@ val set_transducer : 'msg t -> ('msg -> ('msg, string) result) -> unit
     [I3.Codec.harden]).  The transducer draws no network randomness, so
     seeded runs replay identically with or without one. *)
 
-(** {1 Link-level faults}
+(** {1 Link-level faults} *)
 
-    All fault knobs compose: a message must survive the partition check,
-    the gray-link check, the burst-loss chain and the uniform loss draw —
-    in that order — to be delivered.  Latency effects apply only to
-    messages that survive. *)
+val apply : 'msg t -> Faults.event -> unit
+(** Install one link-level fault event ({!Faults.apply}); [Crash] and
+    [Restart] are ignored.  Faults start at none: no cuts, no loss, no
+    duplication, no extra delay.  [Loss 1.] is a total blackhole.  A
+    message must survive the partition cuts, the gray links, the burst
+    chain and the uniform loss draw — in that order — to be delivered;
+    each delivered copy arrives [latency] plus its extra delay late.
+    @raise Invalid_argument on an invalid parameter. *)
 
-type partition_id
-
-val partition : 'msg t -> int list -> partition_id
-(** [partition t sites] cuts the given site set off from every other
-    site, in both directions, until healed.  Multiple partitions may be
-    active at once; a message crossing {e any} active cut is dropped.
-    Traffic within the set (and within the complement) is unaffected.
-    @raise Invalid_argument on an empty site list. *)
-
-val heal : 'msg t -> partition_id -> unit
-(** Remove one partition; idempotent. *)
-
-val heal_all : 'msg t -> unit
-(** Remove every active partition. *)
-
-val set_link_down : 'msg t -> src_site:int -> dst_site:int -> unit
-(** Gray failure: silently drop every message from [src_site] to
-    [dst_site].  One-way — the reverse direction still works, which is
-    what makes gray links nastier than clean partitions: timeouts fire on
-    one side only. *)
-
-val set_link_up : 'msg t -> src_site:int -> dst_site:int -> unit
-
-val set_burst_loss :
-  'msg t ->
-  ?loss_good:float ->
-  ?loss_bad:float ->
-  p_enter:float ->
-  p_exit:float ->
-  unit ->
-  unit
-(** Install a Gilbert–Elliott two-state loss chain: each message advances
-    the chain (Good -> Bad with probability [p_enter], Bad -> Good with
-    [p_exit]) and is then dropped with probability [loss_good] (default 0)
-    or [loss_bad] (default 1) depending on the state.  Mean burst length
-    is [1 /. p_exit] messages.  Replaces any previous chain; composes with
-    the uniform {!set_loss_rate}. *)
-
-val clear_burst_loss : 'msg t -> unit
-
-val set_duplicate_rate : 'msg t -> float -> unit
-(** With the given probability a delivered message is delivered twice
-    (the copy draws its own jitter).  Default 0. *)
-
-val set_jitter : 'msg t -> float -> unit
-(** Add Uniform[0, ms) to every delivery latency. Default 0. *)
-
-val set_extra_latency : 'msg t -> float -> unit
-(** Fixed latency spike added to every delivery (congestion episode).
-    Default 0. *)
+val driver :
+  ?crash:(int -> unit) -> ?restart:(int -> unit) -> 'msg t -> Faults.driver
+(** {!apply} as a schedule driver.  [Crash] and [Restart] go to the
+    optional callbacks (default: ignored), since endpoint lifecycle is
+    owned by the layer above. *)
 
 (** {1 Accounting}
 
@@ -166,7 +124,7 @@ val set_extra_latency : 'msg t -> float -> unit
 type stats = {
   sent : int;
   delivered : int;
-  duplicated : int;  (** extra copies delivered by {!set_duplicate_rate} *)
+  duplicated : int;  (** extra copies from a [Faults.Duplicate] rate *)
   dropped_loss : int;  (** uniform i.i.d. loss *)
   dropped_burst : int;  (** Gilbert–Elliott chain in the Bad state *)
   dropped_down : int;  (** sender or receiver endpoint down *)

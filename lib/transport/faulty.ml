@@ -1,11 +1,11 @@
 (* A fault-injecting decorator over any byte transport.
 
    Sits at the send boundary: every datagram a component hands to
-   [send] is subjected to the same fault vocabulary the simulator's
-   chaos layer speaks ([Faults.event]) — seeded loss, Gilbert-Elliott
-   burst loss, duplication, partitions, one-way gray links and extra
-   delay — before (maybe, eventually) reaching the real [send] of the
-   wrapped transport.  Receive is untouched: a dropped reply is just the
+   [send] gets its fate from the simulator's own seeded interpreter
+   ([Faults.fate]) — partitions, one-way gray links, Gilbert-Elliott
+   burst loss, seeded loss, duplication and extra delay — before
+   (maybe, eventually) reaching the real [send] of the wrapped
+   transport.  Receive is untouched: a dropped reply is just the
    peer's own faulty send, so wrapping each endpoint's sender is enough
    to model a lossy path end to end.
 
@@ -30,34 +30,16 @@ let of_udp_lower u =
     local_addr = Udp.local_addr u;
   }
 
-(* Gilbert-Elliott chain, same shape and advance rule as
-   [Net.set_burst_loss]: flip state first, then draw from the state we
-   landed in.  Mean burst length is 1/p_exit messages. *)
-type burst = {
-  p_enter : float;
-  p_exit : float;
-  loss_bad : float;
-  mutable bad : bool;
-}
-
 type delayed = { due : float; dst : int; bytes : string; seq : int }
 
 type t = {
   lower : lower;
-  rng : Rng.t;
+  faults : Faults.t;
   clock : unit -> float;  (* ms *)
-  mutable loss : float;
-  mutable duplicate : float;
-  mutable jitter : float;  (* uniform [0, jitter) extra ms *)
-  mutable spike : float;  (* fixed extra ms *)
-  mutable burst : burst option;
-  mutable partitions : (int, unit) Hashtbl.t list;
-      (* each Partition event contributes one cut set *)
-  gray : (int * int, unit) Hashtbl.t;
   pending : delayed Heap.t;
   mutable seq : int;  (* FIFO tie-break for equal due times *)
   c_sent : Obs.Metrics.counter;
-  c_dropped : Obs.Metrics.counter;
+  c_dropped : Faults.cause -> Obs.Metrics.counter;
   c_duplicated : Obs.Metrics.counter;
   c_delayed : Obs.Metrics.counter;
 }
@@ -65,89 +47,54 @@ type t = {
 let wall_ms () = Unix.gettimeofday () *. 1000.
 
 let create ?(metrics = Obs.Metrics.default) ?(clock = wall_ms) ~rng lower =
-  let labels = [ ("instance", "faulty" ^ string_of_int lower.local_addr) ] in
+  let instance = ("instance", "faulty" ^ string_of_int lower.local_addr) in
+  let counter ?(labels = []) name =
+    Obs.Metrics.counter metrics ~labels:(instance :: labels) name
+  in
+  let dropped cause =
+    counter ~labels:[ ("cause", Faults.cause_name cause) ] "faulty.dropped"
+  in
+  let partition = dropped `Partition and gray = dropped `Gray in
+  let burst = dropped `Burst and loss = dropped `Loss in
   {
     lower;
-    rng;
+    faults = Faults.create rng;
     clock;
-    loss = 0.;
-    duplicate = 0.;
-    jitter = 0.;
-    spike = 0.;
-    burst = None;
-    partitions = [];
-    gray = Hashtbl.create 8;
     pending =
       Heap.create ~cmp:(fun a b ->
           match compare a.due b.due with 0 -> compare a.seq b.seq | c -> c);
     seq = 0;
-    c_sent = Obs.Metrics.counter metrics ~labels "faulty.sent";
-    c_dropped = Obs.Metrics.counter metrics ~labels "faulty.dropped";
-    c_duplicated = Obs.Metrics.counter metrics ~labels "faulty.duplicated";
-    c_delayed = Obs.Metrics.counter metrics ~labels "faulty.delayed";
+    c_sent = counter "faulty.sent";
+    c_dropped =
+      (function
+      | `Partition -> partition | `Gray -> gray | `Burst -> burst | `Loss -> loss);
+    c_duplicated = counter "faulty.duplicated";
+    c_delayed = counter "faulty.delayed";
   }
 
 let of_udp ?metrics ?clock ~rng u = create ?metrics ?clock ~rng (of_udp_lower u)
 
-let check_prob what p =
-  if not (p >= 0. && p <= 1.) then
-    invalid_arg (Printf.sprintf "Faulty.%s: need probability in [0,1]" what)
-
-(* A cut set severs members from non-members (both directions), exactly
-   like [Net]'s partitions; a link whose endpoints are on the same side
-   is untouched. *)
-let partition_blocks t ~dst =
-  let local = t.lower.local_addr in
-  List.exists
-    (fun set -> Hashtbl.mem set local <> Hashtbl.mem set dst)
-    t.partitions
-
-let burst_says_drop t =
-  match t.burst with
-  | None -> false
-  | Some b ->
-      let flip =
-        if b.bad then Rng.float t.rng 1. < b.p_exit
-        else Rng.float t.rng 1. < b.p_enter
-      in
-      if flip then b.bad <- not b.bad;
-      b.bad && b.loss_bad > 0. && Rng.float t.rng 1. < b.loss_bad
-
 let release t ~dst bytes = t.lower.send ~dst bytes
 
-let extra_delay t =
-  t.spike +. (if t.jitter > 0. then Rng.float t.rng t.jitter else 0.)
+let emit t ~dst bytes extra =
+  if extra <= 0. then release t ~dst bytes
+  else begin
+    Obs.Metrics.incr t.c_delayed;
+    t.seq <- t.seq + 1;
+    Heap.add t.pending { due = t.clock () +. extra; dst; bytes; seq = t.seq }
+  end
 
-(* One independent fate per copy (the original and any duplicate):
-   loss, then delay.  Duplication is decided once, before fates, so a
-   duplicate can survive the loss that eats the original — the
-   reordering anomaly the paper's soft state has to absorb. *)
+(* The wire's site is the packed address, so a schedule written against
+   addresses cuts the same links it would in the simulator. *)
 let send t ~dst bytes =
   Obs.Metrics.incr t.c_sent;
-  if partition_blocks t ~dst || Hashtbl.mem t.gray (t.lower.local_addr, dst)
-  then Obs.Metrics.incr t.c_dropped
-  else begin
-    let copies =
-      if t.duplicate > 0. && Rng.float t.rng 1. < t.duplicate then begin
-        Obs.Metrics.incr t.c_duplicated;
-        2
-      end
-      else 1
-    in
-    for _ = 1 to copies do
-      if (t.loss > 0. && Rng.float t.rng 1. < t.loss) || burst_says_drop t
-      then Obs.Metrics.incr t.c_dropped
-      else
-        let d = extra_delay t in
-        if d <= 0. then release t ~dst bytes
-        else begin
-          Obs.Metrics.incr t.c_delayed;
-          t.seq <- t.seq + 1;
-          Heap.add t.pending
-            { due = t.clock () +. d; dst; bytes; seq = t.seq }
-        end
-    done
-  end
+  match Faults.fate t.faults ~src_site:t.lower.local_addr ~dst_site:dst with
+  | Faults.Drop cause -> Obs.Metrics.incr (t.c_dropped cause)
+  | Faults.Once extra -> emit t ~dst bytes extra
+  | Faults.Twice (extra, copy) ->
+      Obs.Metrics.incr t.c_duplicated;
+      emit t ~dst bytes extra;
+      emit t ~dst bytes copy
 
 let flush t =
   let now = t.clock () in
@@ -171,38 +118,6 @@ let pending t = Heap.size t.pending
 let set_handler t h = t.lower.set_handler h
 let local_addr t = t.lower.local_addr
 
-let apply t (e : Faults.event) =
-  match e with
-  | Faults.Loss p ->
-      check_prob "Loss" p;
-      t.loss <- p
-  | Faults.Duplicate p ->
-      check_prob "Duplicate" p;
-      t.duplicate <- p
-  | Faults.Jitter ms ->
-      if ms < 0. then invalid_arg "Faulty.Jitter: need ms >= 0";
-      t.jitter <- ms
-  | Faults.Latency_spike ms ->
-      if ms < 0. then invalid_arg "Faulty.Latency_spike: need ms >= 0";
-      t.spike <- ms
-  | Faults.Burst_loss { p_enter; p_exit; loss_bad } ->
-      check_prob "Burst_loss (p_enter)" p_enter;
-      check_prob "Burst_loss (p_exit)" p_exit;
-      check_prob "Burst_loss (loss_bad)" loss_bad;
-      t.burst <- Some { p_enter; p_exit; loss_bad; bad = false }
-  | Faults.Burst_end -> t.burst <- None
-  | Faults.Partition sites ->
-      let set = Hashtbl.create (List.length sites) in
-      List.iter (fun s -> Hashtbl.replace set s ()) sites;
-      t.partitions <- set :: t.partitions
-  | Faults.Heal -> t.partitions <- []
-  | Faults.Gray { from_site; to_site } ->
-      Hashtbl.replace t.gray (from_site, to_site) ()
-  | Faults.Gray_heal { from_site; to_site } ->
-      Hashtbl.remove t.gray (from_site, to_site)
-  | Faults.Crash _ | Faults.Restart _ ->
-      (* Endpoint lifecycle is owned by the layer above (the cluster
-         supervisor), exactly as in [Faults.net_driver]. *)
-      ()
+let apply t event = Faults.apply t.faults event
 
 let driver t : Faults.driver = apply t

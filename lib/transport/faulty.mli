@@ -1,16 +1,17 @@
 (** Seeded fault injection at the send boundary of any byte transport.
 
-    The decorator interprets the same scenario vocabulary as the
-    simulator's chaos layer ({!Faults.event}) against a real transport:
-    uniform and Gilbert-Elliott loss, duplication, partitions (cut
-    sets), one-way gray links, and extra latency (fixed spike + uniform
-    jitter).  Wrap each endpoint's sender and a loopback cluster sees
-    the same network weather a {!Net.t} would synthesize — which is what
-    lets one [Faults.schedule] drive sim and wire runs alike.
+    The decorator keeps only what the wire needs on top of the shared
+    link-fault interpreter: a due-time queue for delayed datagrams and
+    its [faulty.*] counters.  Every decision — partition cuts, one-way
+    gray links, Gilbert-Elliott burst loss, uniform loss, duplication and
+    extra delay — comes from {!Faults.fate}, the function {!Net.send}
+    calls, with the local address as source site and the destination
+    address as destination site.  So one seed and one event sequence give
+    the same drops, copies and delays as a {!Net.t}, draw for draw, which
+    is what lets one [Faults.schedule] drive sim and wire runs alike.
 
-    Delayed datagrams are parked in a due-time queue and leave on
-    {!flush}; call it from the owning poll loop.  All decisions draw
-    from the explicit {!Rng.t}, so scenarios replay from their seed. *)
+    Delayed datagrams leave on {!flush}; call it from the owning poll
+    loop. *)
 
 type lower = {
   send : dst:int -> string -> unit;
@@ -32,7 +33,8 @@ val create :
   t
 (** [clock] returns milliseconds (default: wall clock); inject a fake
     clock to unit-test delay deterministically.  Registers
-    [faulty.sent/dropped/duplicated/delayed] counters. *)
+    [faulty.sent/duplicated/delayed] counters and [faulty.dropped] with
+    the same [cause] labels as [net.dropped] ({!Faults.cause_name}). *)
 
 val of_udp :
   ?metrics:Obs.Metrics.t ->
@@ -44,9 +46,9 @@ val of_udp :
 (** {1 The transport face} — same shape as {!Transport.S}. *)
 
 val send : t -> dst:int -> string -> unit
-(** Subject one datagram to the configured faults: partition/gray cuts
-    drop outright; otherwise the datagram (and a possible duplicate)
-    independently faces loss, then delay. *)
+(** Subject one datagram to {!Faults.fate}: it is dropped, or it and a
+    possible duplicate each leave now or park until their extra delay
+    has passed. *)
 
 val set_handler : t -> (src:int -> string -> unit) -> unit
 (** Delegates to the wrapped transport — faults apply on send only. *)
@@ -69,12 +71,10 @@ val pending : t -> int
 (** {1 Fault control} *)
 
 val apply : t -> Faults.event -> unit
-(** Interpret one chaos event.  [Partition sites] installs a cut set
-    severing members from non-members (accumulative; [Heal] clears all);
-    [Gray] drops [from_site -> to_site] sends; [Crash]/[Restart] are
-    ignored — process lifecycle belongs to the supervisor above, exactly
-    as in {!Faults.net_driver}.
-    @raise Invalid_argument on out-of-range probabilities. *)
+(** {!Faults.apply}: install one link-fault event, with sites read as
+    packed addresses.  [Crash]/[Restart] are ignored — process lifecycle
+    belongs to the supervisor above.
+    @raise Invalid_argument on an invalid parameter. *)
 
 val driver : t -> Faults.driver
 (** [driver t] is [apply t], ready for {!Faults.combine}. *)

@@ -593,7 +593,7 @@ let test_reliable_survives_heavy_loss () =
   in
   I3.Deployment.run_for d 1_000.;
   (* 20% of every datagram — data, acks, refreshes — vanishes *)
-  Net.set_loss_rate (I3.Deployment.net d) 0.2;
+  Net.apply (I3.Deployment.net d) (Faults.Loss 0.2);
   let messages = List.init 50 (Printf.sprintf "msg-%02d") in
   List.iter (I3apps.Reliable.send s) messages;
   I3.Deployment.run_for d 120_000.;

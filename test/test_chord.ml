@@ -488,7 +488,7 @@ let test_protocol_survives_loss () =
   let engine, rng, p = mk_proto ~seed:6 () in
   (* 10% message loss from the very start; the soft-state protocol must
      still converge because every exchange is periodically retried. *)
-  Net.set_loss_rate p.net 0.1;
+  Net.apply p.net (Faults.Loss 0.1);
   let b = bootstrap p ~site:0 in
   let nodes = ref [| b |] in
   for _ = 2 to 12 do

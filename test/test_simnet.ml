@@ -166,7 +166,7 @@ let test_net_in_flight_survives_sender_death () =
 
 let test_net_loss () =
   let e, net = mk_net () in
-  Net.set_loss_rate net 0.5;
+  Net.apply net (Faults.Loss 0.5);
   let got = ref 0 in
   let a = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
   let b = Net.register net ~site:1 (fun ~src:_ _ -> incr got) in
@@ -181,16 +181,16 @@ let test_net_loss () =
 let test_net_loss_bad_rate () =
   let _, net = mk_net () in
   Alcotest.check_raises "rate > 1"
-    (Invalid_argument "Net.set_loss_rate: need 0 <= p <= 1") (fun () ->
-      Net.set_loss_rate net 1.5);
+    (Invalid_argument "Faults.apply: Loss needs 0 <= p <= 1") (fun () ->
+      Net.apply net (Faults.Loss 1.5));
   Alcotest.check_raises "negative rate"
-    (Invalid_argument "Net.set_loss_rate: need 0 <= p <= 1") (fun () ->
-      Net.set_loss_rate net (-0.1))
+    (Invalid_argument "Faults.apply: Loss needs 0 <= p <= 1") (fun () ->
+      Net.apply net (Faults.Loss (-0.1)))
 
 let test_net_blackhole () =
   (* p = 1 is a total blackhole: every message dropped, all counted. *)
   let e, net = mk_net () in
-  Net.set_loss_rate net 1.;
+  Net.apply net (Faults.Loss 1.);
   let got = ref 0 in
   let a = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
   let b = Net.register net ~site:1 (fun ~src:_ _ -> incr got) in
@@ -200,7 +200,7 @@ let test_net_blackhole () =
   Engine.run e;
   Alcotest.(check int) "nothing delivered" 0 !got;
   Alcotest.(check int) "all counted as loss" 50 (Net.stats net).Net.dropped_loss;
-  Net.set_loss_rate net 0.;
+  Net.apply net (Faults.Loss 0.);
   Net.send net ~src:a ~dst:b "y";
   Engine.run e;
   Alcotest.(check int) "delivery resumes" 1 !got
@@ -271,14 +271,14 @@ let test_net_partition_and_heal () =
   let a = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
   let b = Net.register net ~site:1 (fun ~src:_ _ -> incr got) in
   let c = Net.register net ~site:2 (fun ~src:_ _ -> incr got) in
-  let pid = Net.partition net [ 0; 1 ] in
+  Net.apply net (Faults.Partition [ 0; 1 ]);
   Net.send net ~src:a ~dst:c "cross";
   Net.send net ~src:a ~dst:b "inside";
   Engine.run e;
   Alcotest.(check int) "only the inside message arrives" 1 !got;
   Alcotest.(check int) "drop counted as partition" 1
     (Net.stats net).Net.dropped_partition;
-  Net.heal net pid;
+  Net.apply net Faults.Heal;
   Net.send net ~src:a ~dst:c "after heal";
   Engine.run e;
   Alcotest.(check int) "cross traffic resumes" 2 !got
@@ -288,30 +288,30 @@ let test_net_partition_both_directions () =
   let got = ref 0 in
   let a = Net.register net ~site:0 (fun ~src:_ _ -> incr got) in
   let b = Net.register net ~site:5 (fun ~src:_ _ -> incr got) in
-  ignore (Net.partition net [ 0 ]);
+  Net.apply net (Faults.Partition [ 0 ]);
   Net.send net ~src:a ~dst:b "->";
   Net.send net ~src:b ~dst:a "<-";
   Engine.run e;
   Alcotest.(check int) "cut both ways" 0 !got;
-  Net.heal_all net;
+  Net.apply net Faults.Heal;
   Net.send net ~src:a ~dst:b "->";
   Net.send net ~src:b ~dst:a "<-";
   Engine.run e;
-  Alcotest.(check int) "heal_all restores both ways" 2 !got
+  Alcotest.(check int) "heal restores both ways" 2 !got
 
 let test_net_gray_link_one_way () =
   let e, net = mk_net () in
   let at_a = ref 0 and at_b = ref 0 in
   let a = Net.register net ~site:0 (fun ~src:_ _ -> incr at_a) in
   let b = Net.register net ~site:1 (fun ~src:_ _ -> incr at_b) in
-  Net.set_link_down net ~src_site:0 ~dst_site:1;
+  Net.apply net (Faults.Gray { from_site = 0; to_site = 1 });
   Net.send net ~src:a ~dst:b "a->b";
   Net.send net ~src:b ~dst:a "b->a";
   Engine.run e;
   Alcotest.(check int) "a->b dropped" 0 !at_b;
   Alcotest.(check int) "b->a still works" 1 !at_a;
   Alcotest.(check int) "counted as gray" 1 (Net.stats net).Net.dropped_gray;
-  Net.set_link_up net ~src_site:0 ~dst_site:1;
+  Net.apply net (Faults.Gray_heal { from_site = 0; to_site = 1 });
   Net.send net ~src:a ~dst:b "a->b again";
   Engine.run e;
   Alcotest.(check int) "restored" 1 !at_b
@@ -322,17 +322,17 @@ let test_net_burst_loss_extremes () =
   let a = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
   let b = Net.register net ~site:1 (fun ~src:_ _ -> incr got) in
   (* Chain that enters Bad on the first message and never leaves. *)
-  Net.set_burst_loss net ~p_enter:1. ~p_exit:0. ();
+  Net.apply net (Faults.Burst_loss { p_enter = 1.; p_exit = 0.; loss_bad = 1. });
   for _ = 1 to 20 do
     Net.send net ~src:a ~dst:b "x"
   done;
   Engine.run e;
   Alcotest.(check int) "all dropped in Bad state" 0 !got;
   Alcotest.(check int) "counted as burst" 20 (Net.stats net).Net.dropped_burst;
-  Net.clear_burst_loss net;
+  Net.apply net Faults.Burst_end;
   Net.send net ~src:a ~dst:b "y";
   Engine.run e;
-  Alcotest.(check int) "clear_burst_loss restores" 1 !got
+  Alcotest.(check int) "burst end restores" 1 !got
 
 let test_net_burst_loss_bursty () =
   (* With a real two-state chain, losses must cluster: compare the number
@@ -341,7 +341,7 @@ let test_net_burst_loss_bursty () =
   let log = ref [] in
   let a = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
   let b = Net.register net ~site:1 (fun ~src:_ _ -> ()) in
-  Net.set_burst_loss net ~p_enter:0.05 ~p_exit:0.25 ();
+  Net.apply net (Faults.Burst_loss { p_enter = 0.05; p_exit = 0.25; loss_bad = 1. });
   for _ = 1 to 2000 do
     let before = (Net.stats net).Net.dropped_burst in
     Net.send net ~src:a ~dst:b "x";
@@ -365,7 +365,7 @@ let test_net_duplication () =
   let got = ref 0 in
   let a = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
   let b = Net.register net ~site:1 (fun ~src:_ _ -> incr got) in
-  Net.set_duplicate_rate net 1.;
+  Net.apply net (Faults.Duplicate 1.);
   for _ = 1 to 10 do
     Net.send net ~src:a ~dst:b "x"
   done;
@@ -380,15 +380,15 @@ let test_net_jitter_and_spike () =
   let times = ref [] in
   let a = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
   let b = Net.register net ~site:1 (fun ~src:_ _ -> times := Engine.now e :: !times) in
-  Net.set_extra_latency net 5.;
+  Net.apply net (Faults.Latency_spike 5.);
   Net.send net ~src:a ~dst:b "x";
   Engine.run e;
   (match !times with
   | [ t ] -> Alcotest.check feq "fixed spike adds 5ms" 15. t
   | _ -> Alcotest.fail "expected one delivery");
   times := [];
-  Net.set_extra_latency net 0.;
-  Net.set_jitter net 8.;
+  Net.apply net (Faults.Latency_spike 0.);
+  Net.apply net (Faults.Jitter 8.);
   let t0 = Engine.now e in
   for _ = 1 to 100 do
     Net.send net ~src:a ~dst:b "x"
@@ -402,6 +402,37 @@ let test_net_jitter_and_spike () =
   Alcotest.(check bool) "jitter actually varies" true
     (List.sort_uniq compare !times |> List.length > 1)
 
+let test_net_rejects_non_finite () =
+  (* A NaN delay would put a delivery at time NaN on top of the event
+     heap, where [run_until] never passes it, so nothing behind it would
+     ever run; a NaN loss rate would never drop.  Non-finite parameters
+     are refused, and the network keeps its previous settings. *)
+  let e, net = mk_net ~latency:(fun _ _ -> 10.) () in
+  let times = ref [] in
+  let a = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
+  let b = Net.register net ~site:1 (fun ~src:_ _ -> times := Engine.now e :: !times) in
+  List.iter
+    (fun ev ->
+      match Net.apply net ev with
+      | () -> Alcotest.failf "accepted %a" Faults.pp_event ev
+      | exception Invalid_argument _ -> ())
+    Faults.
+      [
+        Latency_spike Float.nan;
+        Latency_spike Float.infinity;
+        Jitter Float.nan;
+        Jitter Float.infinity;
+        Loss Float.nan;
+        Duplicate Float.nan;
+        Burst_loss { p_enter = 0.5; p_exit = 0.5; loss_bad = Float.nan };
+      ];
+  Net.send net ~src:a ~dst:b "x";
+  Net.apply net (Faults.Latency_spike 5.);
+  Net.send net ~src:a ~dst:b "y";
+  Engine.run_until e 100.;
+  Alcotest.(check (list (float 1e-9))) "both delivered on time" [ 10.; 15. ]
+    (List.rev !times)
+
 (* --- fault schedule DSL --- *)
 
 let test_faults_schedule_drives_net () =
@@ -410,7 +441,7 @@ let test_faults_schedule_drives_net () =
   let a = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
   let b = Net.register net ~site:1 (fun ~src:_ _ -> incr got) in
   Faults.install e
-    (Faults.net_driver net)
+    (Net.driver net)
     [
       (10., Faults.Partition [ 0 ]);
       (30., Faults.Heal);
@@ -438,7 +469,7 @@ let test_faults_crash_restart_callbacks () =
   let e, net = mk_net () in
   let log = ref [] in
   Faults.install e
-    (Faults.net_driver
+    (Net.driver
        ~crash:(fun i -> log := ("crash", i) :: !log)
        ~restart:(fun i -> log := ("restart", i) :: !log)
        net)
@@ -570,6 +601,8 @@ let () =
           Alcotest.test_case "burst loss clusters" `Quick test_net_burst_loss_bursty;
           Alcotest.test_case "duplication" `Quick test_net_duplication;
           Alcotest.test_case "jitter and spike" `Quick test_net_jitter_and_spike;
+          Alcotest.test_case "NaN and infinite parameters rejected" `Quick
+            test_net_rejects_non_finite;
           Alcotest.test_case "schedule drives net" `Quick test_faults_schedule_drives_net;
           Alcotest.test_case "crash/restart callbacks" `Quick
             test_faults_crash_restart_callbacks;

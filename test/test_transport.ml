@@ -147,7 +147,8 @@ let test_sockaddr_roundtrip =
 
 (* --- Faulty: fake lower + fake clock harness --- *)
 
-let fake_faulty ?(seed = 7) ?(local = 1) () =
+let fake_faulty ?(metrics = Obs.Metrics.create ()) ?(seed = 7) ?(local = 1) ()
+    =
   let sent = ref [] in
   let now = ref 0. in
   let lower =
@@ -158,8 +159,7 @@ let fake_faulty ?(seed = 7) ?(local = 1) () =
     }
   in
   let f =
-    Transport.Faulty.create
-      ~metrics:(Obs.Metrics.create ())
+    Transport.Faulty.create ~metrics
       ~clock:(fun () -> !now)
       ~rng:(Rng.of_int seed) lower
   in
@@ -167,11 +167,22 @@ let fake_faulty ?(seed = 7) ?(local = 1) () =
 
 let delivered sent = List.length !sent
 
+(* [faulty.dropped{cause}] of the decorator at [local]. *)
+let dropped ?(local = 1) metrics cause =
+  let labels =
+    [ ("instance", "faulty" ^ string_of_int local); ("cause", cause) ]
+  in
+  match Obs.Metrics.find metrics ~labels "faulty.dropped" with
+  | Some (Obs.Metrics.Counter n) -> n
+  | _ -> 0
+
 let test_faulty_loss_extremes () =
-  let f, sent, _ = fake_faulty () in
+  let metrics = Obs.Metrics.create () in
+  let f, sent, _ = fake_faulty ~metrics () in
   Transport.Faulty.apply f (Faults.Loss 1.);
   for _ = 1 to 50 do Transport.Faulty.send f ~dst:2 "x" done;
   Alcotest.(check int) "blackhole drops all" 0 (delivered sent);
+  Alcotest.(check int) "all counted as loss" 50 (dropped metrics "loss");
   Transport.Faulty.apply f (Faults.Loss 0.);
   for _ = 1 to 50 do Transport.Faulty.send f ~dst:2 "x" done;
   Alcotest.(check int) "lossless delivers all" 50 (delivered sent)
@@ -198,10 +209,12 @@ let test_faulty_delay_flush () =
   Alcotest.(check string) "order kept" "a" (snd (List.nth !sent 1))
 
 let test_faulty_partition_heal () =
-  let f, sent, _ = fake_faulty ~local:1 () in
+  let metrics = Obs.Metrics.create () in
+  let f, sent, _ = fake_faulty ~metrics ~local:1 () in
   Transport.Faulty.apply f (Faults.Partition [ 1 ]);
   Transport.Faulty.send f ~dst:2 "cut";
   Alcotest.(check int) "cut severs local from dst" 0 (delivered sent);
+  Alcotest.(check int) "counted as partition" 1 (dropped metrics "partition");
   (* Same-side endpoints are untouched. *)
   Transport.Faulty.apply f Faults.Heal;
   Transport.Faulty.apply f (Faults.Partition [ 1; 2 ]);
@@ -212,10 +225,12 @@ let test_faulty_partition_heal () =
   Alcotest.(check int) "heal restores" 2 (delivered sent)
 
 let test_faulty_gray () =
-  let f, sent, _ = fake_faulty ~local:1 () in
+  let metrics = Obs.Metrics.create () in
+  let f, sent, _ = fake_faulty ~metrics ~local:1 () in
   Transport.Faulty.apply f (Faults.Gray { from_site = 1; to_site = 2 });
   Transport.Faulty.send f ~dst:2 "gray";
   Alcotest.(check int) "gray drops from->to" 0 (delivered sent);
+  Alcotest.(check int) "counted as gray" 1 (dropped metrics "gray");
   Transport.Faulty.send f ~dst:3 "other";
   Alcotest.(check int) "other links live" 1 (delivered sent);
   Transport.Faulty.apply f (Faults.Gray_heal { from_site = 1; to_site = 2 });
@@ -263,14 +278,214 @@ let test_faulty_poll_releases () =
 let test_faulty_burst () =
   (* Always-bad Gilbert-Elliott channel with loss_bad = 1 drops
      everything; Burst_end restores. *)
-  let f, sent, _ = fake_faulty () in
+  let metrics = Obs.Metrics.create () in
+  let f, sent, _ = fake_faulty ~metrics () in
   Transport.Faulty.apply f
     (Faults.Burst_loss { p_enter = 1.; p_exit = 0.; loss_bad = 1. });
   for _ = 1 to 30 do Transport.Faulty.send f ~dst:2 "x" done;
   Alcotest.(check int) "bad state eats all" 0 (delivered sent);
+  Alcotest.(check int) "counted as burst" 30 (dropped metrics "burst");
+  Alcotest.(check int) "no other cause" 0
+    (dropped metrics "loss" + dropped metrics "partition"
+    + dropped metrics "gray");
   Transport.Faulty.apply f Faults.Burst_end;
   Transport.Faulty.send f ~dst:2 "x";
   Alcotest.(check int) "burst end restores" 1 (delivered sent)
+
+let test_faulty_rejects_non_finite () =
+  (* A NaN delay would park its datagram at the head of the due-time
+     heap forever, so [flush] would release nothing behind it; a NaN
+     probability would never drop.  Non-finite parameters are refused,
+     and the decorator keeps its previous settings. *)
+  let f, sent, now = fake_faulty () in
+  List.iter
+    (fun e ->
+      match Transport.Faulty.apply f e with
+      | () -> Alcotest.failf "accepted %a" Faults.pp_event e
+      | exception Invalid_argument _ -> ())
+    Faults.
+      [
+        Latency_spike Float.nan;
+        Latency_spike Float.infinity;
+        Jitter Float.nan;
+        Jitter Float.infinity;
+        Loss Float.nan;
+        Duplicate Float.nan;
+        Burst_loss { p_enter = Float.nan; p_exit = 0.5; loss_bad = 1. };
+      ];
+  Transport.Faulty.send f ~dst:2 "a";
+  Transport.Faulty.apply f (Faults.Latency_spike 5.);
+  Transport.Faulty.send f ~dst:2 "b";
+  now := 1_000.;
+  Alcotest.(check int) "the delayed datagram leaves" 1
+    (Transport.Faulty.flush f);
+  Alcotest.(check int) "nothing stuck" 0 (Transport.Faulty.pending f);
+  Alcotest.(check int) "both sent" 2 (delivered sent)
+
+(* --- sim/wire parity: one seeded fault interpreter at two boundaries --- *)
+
+(* Sites are packed addresses, as on the wire; the sender is the first. *)
+let parity_sites =
+  Array.init 4 (fun i -> Transport.Udp.pack ~ip:0x7f000001 ~port:(9000 + i))
+
+type parity_step = Event of Faults.event | Send of int  (* dst site index *)
+
+type parity_outcome = Dropped of string | Copies of float list
+
+let gen_parity_steps =
+  let open QCheck2.Gen in
+  let site = map (Array.get parity_sites) (int_bound 3) in
+  let prob = oneof [ return 0.; return 1.; float_bound_inclusive 1. ] in
+  let ms = oneof [ return 0.; float_bound_inclusive 20. ] in
+  let event =
+    oneof
+      [
+        map (fun l -> Faults.Partition l) (list_size (int_range 1 3) site);
+        return Faults.Heal;
+        map2 (fun from_site to_site -> Faults.Gray { from_site; to_site }) site site;
+        map2
+          (fun from_site to_site -> Faults.Gray_heal { from_site; to_site })
+          site site;
+        map3
+          (fun p_enter p_exit loss_bad ->
+            Faults.Burst_loss { p_enter; p_exit; loss_bad })
+          prob prob prob;
+        return Faults.Burst_end;
+        map (fun p -> Faults.Loss p) prob;
+        map (fun p -> Faults.Duplicate p) prob;
+        map (fun ms -> Faults.Jitter ms) ms;
+        map (fun ms -> Faults.Latency_spike ms) ms;
+      ]
+  in
+  list_size (int_range 1 80)
+    (frequency [ (1, map (fun e -> Event e) event); (3, map (fun i -> Send i) (int_bound 3)) ])
+
+let parity_latency = 10.
+
+let add_copy outcomes i extra =
+  let prev =
+    match Hashtbl.find_opt outcomes i with Some (Copies l) -> l | _ -> []
+  in
+  Hashtbl.replace outcomes i (Copies (extra :: prev))
+
+(* Every send happens at virtual time 0, so a copy's extra delay is its
+   arrival time minus the constant latency. *)
+let run_parity_net seed steps =
+  let engine = Engine.create () in
+  let net =
+    Net.create ~metrics:(Obs.Metrics.create ()) engine ~rng:(Rng.of_int seed)
+      ~latency:(fun _ _ -> parity_latency) ()
+  in
+  let sender = Transport.Sim.attach net ~site:parity_sites.(0) in
+  let receivers =
+    Array.map (fun site -> Transport.Sim.attach net ~site) parity_sites
+  in
+  let outcomes = Hashtbl.create 64 in
+  Net.set_observer net (fun ~src:_ ~dst:_ msg -> function
+    | `Drop cause -> Hashtbl.replace outcomes (int_of_string msg) (Dropped cause)
+    | `Enqueue -> ());
+  Array.iter
+    (fun r ->
+      Transport.Sim.set_handler r (fun ~src:_ msg ->
+          add_copy outcomes (int_of_string msg)
+            (Engine.now engine -. parity_latency)))
+    receivers;
+  List.iteri
+    (fun i -> function
+      | Event e -> Net.apply net e
+      | Send d ->
+          Transport.Sim.send sender
+            ~dst:(Transport.Sim.local_addr receivers.(d))
+            (string_of_int i))
+    steps;
+  Engine.run engine;
+  outcomes
+
+(* The fake clock stays at 0 while sending, so a parked copy falls due
+   at exactly its extra delay.  The clock then visits every delay the
+   simulator saw, from just below to just above, and a copy is credited
+   with a delay only if it leaves inside that window. *)
+let run_parity_wire ~tol ~delays seed steps =
+  let metrics = Obs.Metrics.create () in
+  let local = parity_sites.(0) in
+  let f, sent, now = fake_faulty ~metrics ~seed ~local () in
+  let outcomes = Hashtbl.create 64 in
+  let released extra =
+    List.iter (fun (_, msg) -> add_copy outcomes (int_of_string msg) extra) !sent;
+    sent := []
+  in
+  let causes = [ "partition"; "gray"; "burst"; "loss" ] in
+  List.iteri
+    (fun i -> function
+      | Event e -> Transport.Faulty.apply f e
+      | Send d ->
+          let before = List.map (dropped ~local metrics) causes in
+          Transport.Faulty.send f ~dst:parity_sites.(d) (string_of_int i);
+          List.iter2
+            (fun cause n ->
+              if dropped ~local metrics cause > n then
+                Hashtbl.replace outcomes i (Dropped cause))
+            causes before;
+          released 0.)
+    steps;
+  List.iter
+    (fun d ->
+      now := d -. tol;
+      ignore (Transport.Faulty.flush f);
+      released Float.nan;
+      now := d +. tol;
+      ignore (Transport.Faulty.flush f);
+      released d)
+    delays;
+  now := Float.infinity;
+  ignore (Transport.Faulty.flush f);
+  released Float.infinity;
+  outcomes
+
+let test_sim_wire_parity =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"one seed gives Net and Faulty the same per-send fates"
+       ~print:(fun (seed, steps) ->
+         Format.asprintf "seed %d:@ %a" seed
+           (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf ->
+                function
+                | Event e -> Faults.pp_event ppf e
+                | Send d -> Format.fprintf ppf "send->%d" d))
+           steps)
+       QCheck2.Gen.(pair (int_bound 10_000) gen_parity_steps)
+       (fun (seed, steps) ->
+         let tol = 1e-9 in
+         let sim = run_parity_net seed steps in
+         let delays =
+           Hashtbl.fold
+             (fun _ o acc ->
+               match o with
+               | Copies l -> List.filter (fun d -> d > 0.) l @ acc
+               | Dropped _ -> acc)
+             sim []
+           |> List.sort_uniq Float.compare
+         in
+         let wire = run_parity_wire ~tol ~delays seed steps in
+         let same a b =
+           match (a, b) with
+           | Some (Dropped x), Some (Dropped y) -> x = y
+           | Some (Copies x), Some (Copies y) ->
+               let x = List.sort Float.compare x
+               and y = List.sort Float.compare y in
+               List.length x = List.length y
+               && List.for_all2 (fun a b -> Float.abs (a -. b) <= tol) x y
+           | _ -> false
+         in
+         List.for_all Fun.id
+           (List.mapi
+              (fun i step ->
+                match step with
+                | Event _ -> true
+                | Send _ ->
+                    same (Hashtbl.find_opt sim i) (Hashtbl.find_opt wire i)
+                    || QCheck2.Test.fail_reportf "send %d: sim and wire differ" i)
+              steps)))
 
 (* --- Udp bounds: maximal legal frame over a real socket --- *)
 
@@ -368,6 +583,9 @@ let () =
           Alcotest.test_case "burst loss channel" `Quick test_faulty_burst;
           Alcotest.test_case "seeded replay is deterministic" `Quick
             test_faulty_deterministic;
+          Alcotest.test_case "NaN and infinite parameters rejected" `Quick
+            test_faulty_rejects_non_finite;
+          test_sim_wire_parity;
         ] );
       ( "udp_bounds",
         [
