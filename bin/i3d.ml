@@ -164,14 +164,17 @@ let () =
       f |> Option.some
     end
   in
-  let raw_send ~dst bytes =
+  (* Each engine step's datagrams leave together: one [sendmmsg] on the
+     clean path; through the fault decorator, one fate per datagram. *)
+  let send =
     match faulty with
-    | Some f -> Transport.Faulty.send f ~dst bytes
-    | None -> Transport.Udp.send udp ~dst bytes
+    | Some f ->
+        List.iter (fun (dst, bytes) -> Transport.Faulty.send f ~dst bytes)
+    | None -> Transport.Udp.send_many udp
   in
   let driver =
     Transport.Driver.create ~metrics:registry ~instance:self_name
-      ~send:raw_send engine
+      ~send engine
   in
   if !verbose then
     Transport.Driver.on_effects driver

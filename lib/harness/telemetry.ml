@@ -109,8 +109,9 @@ let tick t ~now_ms =
           (I3.Message.Stats_request
              { nonce = r.nonce; prefix = r.prefix; drain = r.drain })
       in
-      try Transport.Udp.send t.udp ~dst:r.dst bytes
-      with Unix.Unix_error _ -> () (* dead member: the nonce will expire *))
+      (* A dead member's request is lost on the wire and its nonce
+         expires; an unsendable address is skipped and counted. *)
+      Transport.Udp.send t.udp ~dst:r.dst bytes)
     (Obs.Scrape.tick t.scrape ~now:now_ms);
   match t.monitor with
   | Some h when now_ms -. t.last_eval >= t.eval_period_ms ->

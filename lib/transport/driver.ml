@@ -2,9 +2,10 @@
 
    The engine decides *what* happens (protocol state, frames to emit,
    when it next needs the clock); this driver decides *how*: it decodes
-   inbound datagrams into engine events, encodes outbound effects into
-   datagrams through one [send] closure, and remembers the engine's
-   latest [Set_timer] so the owning loop knows how long it may sleep.
+   inbound datagrams into engine events, encodes each step's outbound
+   effects into datagrams and hands them to one [send] call, and
+   remembers the engine's latest [Set_timer] so the owning loop knows
+   how long it may sleep.
    One driver works over any transport that can send bytes — [Udp],
    [Sim], or a [Faulty]-wrapped sender — which is what makes the
    dual-driver parity test meaningful: same engine, same events, same
@@ -19,7 +20,7 @@ module L = Wire.Layout
 
 type t = {
   engine : I3.Engine.t;
-  send : dst:int -> string -> unit;
+  send : (int * string) list -> unit;
   mutable on_effects : I3.Engine.effect list -> unit;
   mutable next_due : float option;  (* the last step's Set_timer *)
   metrics : Obs.Metrics.t;
@@ -81,19 +82,26 @@ let count_kind t cache dir bytes =
   in
   Obs.Metrics.incr c
 
+(* One step's datagrams leave in effect order through one [send] call,
+   so a transport can put the whole step on the wire in one syscall (a
+   multicast fan-out is one [sendmmsg], not one [sendto] per copy). *)
 let interpret t effects =
-  List.iter
-    (fun eff ->
-      match I3.Engine.encode_effect eff with
-      | Some (dst, bytes) ->
-          Obs.Metrics.incr t.c_sends;
-          count_kind t t.tx_kind "tx" bytes;
-          t.send ~dst bytes
-      | None -> (
-          match eff with
-          | I3.Engine.Set_timer due -> t.next_due <- Some due
-          | _ -> ()))
-    effects;
+  let datagrams =
+    List.filter_map
+      (fun eff ->
+        match I3.Engine.encode_effect eff with
+        | Some (_, bytes) as datagram ->
+            Obs.Metrics.incr t.c_sends;
+            count_kind t t.tx_kind "tx" bytes;
+            datagram
+        | None ->
+            (match eff with
+            | I3.Engine.Set_timer due -> t.next_due <- Some due
+            | _ -> ());
+            None)
+      effects
+  in
+  (match datagrams with [] -> () | _ -> t.send datagrams);
   t.on_effects effects
 
 let step_buckets =

@@ -1,9 +1,11 @@
 (** Effect interpreter between an [I3.Engine] and a byte transport.
 
-    The sans-IO engine returns effects; this driver spends them: send
-    shapes are encoded and handed to one [send] closure (a [Udp]
-    socket, a [Sim] endpoint, a [Faulty]-wrapped sender — anything),
-    [Set_timer] re-arms the loop deadline exposed by {!timeout}.
+    The sans-IO engine returns effects; this driver spends them: a
+    step's send shapes are encoded, in effect order, and handed to one
+    [send] call as one list ([Udp.send_many], which puts it on the wire
+    in one [sendmmsg]; a [Sim] endpoint or a [Faulty]-wrapped sender
+    iterates it), and [Set_timer] re-arms the loop deadline exposed by
+    {!timeout}.
     Inbound bytes enter through {!on_datagram}, which classifies and
     decodes them ([I3.Engine.decode]) and steps the engine.
 
@@ -22,10 +24,14 @@ type t
 val create :
   ?metrics:Obs.Metrics.t ->
   ?instance:string ->
-  send:(dst:int -> string -> unit) ->
+  send:((int * string) list -> unit) ->
   I3.Engine.t ->
   t
-(** Registers [driver.frames] / [driver.sends] counters and a
+(** [send] receives each step's [(dst, bytes)] datagrams in effect
+    order, once per step that has any; a step that sends nothing does
+    not call it.
+
+    Registers [driver.frames] / [driver.sends] counters and a
     [wire.decode_errors] counter (labels [instance], [proto="frame"])
     in [metrics]; undecodable inbound datagrams count there and are
     otherwise dropped, as a daemon must.

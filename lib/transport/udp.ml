@@ -35,20 +35,16 @@ let addr_of_sockaddr = function
 let sockaddr_of_addr a =
   Unix.ADDR_INET (Unix.inet_addr_of_string (string_of_ip (ip_of a)), port_of a)
 
-(* Both conversions above go through strings ([inet_ntop], [sprintf],
-   [int_of_string]) and cost more than the syscall they wrap, so each
-   socket memoizes them in a direct-mapped table per direction.  Both
-   are pure functions, so a slot never goes stale: a collision just
-   recomputes and overwrites, and memory is fixed whatever the peers
-   send.  [memo_slots] is a power of two. *)
+(* [addr_of_sockaddr] goes through strings ([inet_ntop],
+   [int_of_string]) and costs more than the syscall it wraps, so each
+   socket memoizes it in a direct-mapped table.  It is a pure function,
+   so a slot never goes stale: a collision just recomputes and
+   overwrites, and memory is fixed whatever the peers send.
+   [memo_slots] is a power of two.  Sends need no memo: the C stub
+   builds each [sockaddr_in] straight from the packed address. *)
 let memo_slots = 64
 let no_addr = -1 (* packed addresses are non-negative *)
 let no_sockaddr = Unix.ADDR_UNIX ""
-
-(* Fibonacci hashing over the whole packed address, so peers that
-   differ only in the IP (the same port on many hosts) or only in the
-   port (many sockets on one host) both spread over the slots. *)
-let tx_slot a = (a * 0x9E3779B97F4A7C1) lsr 40 land (memo_slots - 1)
 let rx_slot sa = Hashtbl.hash sa land (memo_slots - 1)
 
 type t = {
@@ -56,21 +52,10 @@ type t = {
   local : int;
   buf : Bytes.t;
   mutable handler : src:int -> string -> unit;
-  tx_key : int array;  (* packed address, [no_addr] when empty *)
-  tx_val : Unix.sockaddr array;
   rx_key : Unix.sockaddr array;  (* [no_sockaddr] when empty *)
   rx_val : int array;
+  refused : Obs.Metrics.counter;
 }
-
-let sockaddr_to t dst =
-  let i = tx_slot dst in
-  if t.tx_key.(i) = dst then t.tx_val.(i)
-  else begin
-    let sa = sockaddr_of_addr dst in
-    t.tx_key.(i) <- dst;
-    t.tx_val.(i) <- sa;
-    sa
-  end
 
 (* The packed source of [peer], or [no_addr] when it has none (IPv6);
    unrepresentable peers are not memoized, so they cannot evict. *)
@@ -115,34 +100,68 @@ let create ?(host = "127.0.0.1") ?(port = 0) () =
     | Some a -> a
     | None -> failwith "Transport.Udp.create: non-IPv4 local address"
   in
+  let instance =
+    Printf.sprintf "%s:%d" (string_of_ip (ip_of local)) (port_of local)
+  in
   {
     sock;
     local;
     buf = Bytes.create max_datagram;
     handler = (fun ~src:_ _ -> ());
-    tx_key = Array.make memo_slots no_addr;
-    tx_val = Array.make memo_slots no_sockaddr;
     rx_key = Array.make memo_slots no_sockaddr;
     rx_val = Array.make memo_slots no_addr;
+    refused =
+      Obs.Metrics.counter Obs.Metrics.default
+        ~labels:[ ("instance", instance) ]
+        "udp.send_refused";
   }
 
-(* A full send buffer (EAGAIN on the non-blocking socket) blocks until
-   the socket is writable and retries, as a blocking socket would;
-   EINTR retries at once. *)
-let rec send_all t bytes len sa =
-  match Unix.sendto_substring t.sock bytes 0 len [] sa with
-  | (_ : int) -> ()
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      (match Unix.select [] [ t.sock ] [] (-1.) with
-      | (_ : _ * _ * _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      send_all t bytes len sa
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> send_all t bytes len sa
+(* [sendmmsg t.sock bufs dsts off len] sends [bufs.(off)] onwards, each
+   to the packed address at the same index in [dsts], up to the stub's
+   batch cap in one syscall.  It returns how many left, or 0 when the
+   first would block or a signal came; the kernel refusing the first
+   datagram raises [Unix.Unix_error]. *)
+external sendmmsg :
+  Unix.file_descr -> string array -> int array -> int -> int -> int
+  = "i3_udp_sendmmsg"
 
-let send t ~dst bytes =
-  let len = String.length bytes in
-  if len > max_datagram then invalid_arg "Transport.Udp.send: datagram too large";
-  send_all t bytes len (sockaddr_to t dst)
+let wait_writable t =
+  match Unix.select [] [ t.sock ] [] (-1.) with
+  | (_ : _ * _ * _) -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* Sizes are checked before anything leaves, so an oversized datagram
+   sends nothing.  A full send buffer (0 sent) waits until the socket is
+   writable and resumes at the first unsent datagram, as a blocking
+   socket would.  A datagram the kernel refuses for its destination (a
+   peer-supplied port 0 or broadcast address) is counted and skipped, so
+   no peer can stop the rest of the batch; a closed socket still
+   raises. *)
+let send_many t datagrams =
+  let n = List.length datagrams in
+  let bufs = Array.make n "" and dsts = Array.make n 0 in
+  List.iteri
+    (fun i (dst, bytes) ->
+      if String.length bytes > max_datagram then
+        invalid_arg "Transport.Udp.send: datagram too large";
+      bufs.(i) <- bytes;
+      dsts.(i) <- dst)
+    datagrams;
+  let rec from i =
+    if i < n then
+      match sendmmsg t.sock bufs dsts i (n - i) with
+      | 0 ->
+          wait_writable t;
+          from i
+      | sent -> from (i + sent)
+      | exception (Unix.Unix_error (Unix.EBADF, _, _) as closed) -> raise closed
+      | exception Unix.Unix_error _ ->
+          Obs.Metrics.incr t.refused;
+          from (i + 1)
+  in
+  from 0
+
+let send t ~dst bytes = send_many t [ (dst, bytes) ]
 
 let set_handler t h = t.handler <- h
 let local_addr t = t.local

@@ -4,26 +4,49 @@
     Socket buffers are sized from {!Wire.Layout.max_datagram} so a
     maximal legal frame is never truncated on receive.
 
-    Each socket memoizes {!sockaddr_of_addr} for sends and
-    {!addr_of_sockaddr} for receives in a fixed 64-slot direct-mapped
-    table per direction, so the hot path does no string work and
+    Sends go out through a small C stub over [sendmmsg(2)]: one syscall
+    carries a whole batch, and the stub builds each [sockaddr_in]
+    straight from the packed address.  The socket is non-blocking, so
+    the stub never releases the runtime lock and hands the OCaml strings
+    to the kernel in place, with no copy.  (This relies on no other
+    thread touching them; nothing in this repository uses threads.)
+    Where the kernel lacks [sendmmsg] ([ENOSYS]) the stub itself falls
+    back to one [sendto] per datagram.
+
+    Receives memoize {!addr_of_sockaddr} in a fixed 64-slot
+    direct-mapped table, so the hot path does no string work and
     per-socket memory does not depend on how many peers there are. *)
 
 type t
 
 val create : ?host:string -> ?port:int -> unit -> t
 (** Bind a datagram socket ([host] default ["127.0.0.1"], [port]
-    default 0 = ephemeral).  A port some other socket holds is refused
+    default 0 = ephemeral).  Registers the [udp.send_refused] counter,
+    labeled with the bound ["ip:port"] as [instance], in
+    {!Obs.Metrics.default}.  A port some other socket holds is refused
     ([EADDRINUSE]), never shared.  @raise Unix.Unix_error when binding
     is not permitted (sandboxes) or the port is taken — callers should
     degrade gracefully. *)
 
+val send_many : t -> (int * string) list -> unit
+(** Send [(dst, bytes)] datagrams in list order, best-effort, in as few
+    syscalls as the stub's batch cap (64) allows.  Every size is checked
+    first, so an oversized datagram sends nothing.
+
+    The socket is non-blocking, but [send_many] keeps blocking
+    semantics: when the send buffer is full (EAGAIN) or a signal
+    interrupts (EINTR), it waits until the socket is writable and
+    resumes at the first unsent datagram, so nothing is dropped
+    silently.  A datagram the kernel refuses for its destination (any
+    other errno, e.g. [EINVAL] for port 0 or [EACCES] for a broadcast
+    address, both of which a peer can put in a frame) is skipped and
+    counted in [udp.send_refused], and the rest of the batch goes on.
+    @raise Invalid_argument if a datagram is beyond {!max_datagram}
+    bytes.
+    @raise Unix.Unix_error [EBADF] on a closed socket. *)
+
 val send : t -> dst:int -> string -> unit
-(** Fire-and-forget datagram; best-effort, unordered.  The socket is
-    non-blocking, but [send] keeps blocking semantics: when the send
-    buffer is full (EAGAIN) it waits until the socket is writable and
-    retries, and EINTR retries too, so [send] never drops silently.
-    @raise Invalid_argument beyond {!max_datagram} bytes. *)
+(** [send_many] of one datagram. *)
 
 val set_handler : t -> (src:int -> string -> unit) -> unit
 (** Replace the receive callback. *)

@@ -271,7 +271,7 @@ let test_driver_parity () =
   let driver =
     Transport.Driver.create
       ~metrics:(Obs.Metrics.create ())
-      ~send:(fun ~dst bytes -> drv_sent := (dst, bytes) :: !drv_sent)
+      ~send:(fun datagrams -> drv_sent := List.rev_append datagrams !drv_sent)
       driven
   in
   let id = Id.name_hash "parity" in
@@ -302,6 +302,52 @@ let test_driver_parity () =
   (* The driver tracked the engine's next deadline. *)
   Alcotest.(check bool) "driver armed a deadline" true
     (Transport.Driver.next_due driver <> None)
+
+(* --- one send call per step --- *)
+
+let test_step_sends_once () =
+  let e =
+    I3.Engine.create ~seed:9 ~addr:1 ~chord_config:fast_chord
+      ~metrics:(Obs.Metrics.create ())
+      ()
+  in
+  let calls = ref [] in
+  let driver =
+    Transport.Driver.create
+      ~metrics:(Obs.Metrics.create ())
+      ~send:(fun datagrams -> calls := datagrams :: !calls)
+      e
+  in
+  (* Sixteen triggers on one identifier (the paper's multicast): one
+     Data frame fans out into sixteen Delivers. *)
+  let id = Id.name_hash "fan-out" in
+  let owners = List.init 16 (fun i -> 0x1000 + i) in
+  List.iter
+    (fun owner ->
+      Transport.Driver.step driver ~now:0.
+        (I3.Engine.Insert_trigger (I3.Trigger.to_host ~id ~owner)))
+    owners;
+  let effects = ref [] in
+  Transport.Driver.on_effects driver (fun effs -> effects := effs);
+  calls := [];
+  Transport.Driver.on_datagram driver ~now:1. ~src:0x2000
+    (I3.Codec.encode
+       (I3.Message.Data
+          (I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload:"fan" ())));
+  match !calls with
+  | [ sent ] ->
+      Alcotest.(check (list (pair int string)))
+        "the step's datagrams, in effect order" (effect_bytes !effects) sent;
+      let delivered =
+        List.filter_map
+          (function I3.Engine.Deliver { dst; _ } -> Some dst | _ -> None)
+          !effects
+      in
+      Alcotest.(check (list int)) "sixteen Delivers, one per owner" owners
+        (List.sort compare delivered);
+      Alcotest.(check int) "nothing but the Delivers" 16 (List.length sent)
+  | calls ->
+      Alcotest.failf "%d send calls for one step, want 1" (List.length calls)
 
 (* --- the driver ticks only when a timer is due --- *)
 
@@ -340,7 +386,9 @@ let test_tick_due_only () =
       ~chord_config:fast_chord ~metrics ()
   in
   let driver =
-    Transport.Driver.create ~metrics ~send:(Transport.Sim.send ep) engine
+    Transport.Driver.create ~metrics
+      ~send:(List.iter (fun (dst, bytes) -> Transport.Sim.send ep ~dst bytes))
+      engine
   in
   let chord_sends = ref 0 in
   Transport.Driver.on_effects driver
@@ -558,7 +606,9 @@ let run_ring ~through_driver seed =
        let driver =
          Transport.Driver.create
            ~metrics:(Obs.Metrics.create ())
-           ~send:(Transport.Sim.send ep) e
+           ~send:
+             (List.iter (fun (dst, bytes) -> Transport.Sim.send ep ~dst bytes))
+           e
        in
        Transport.Driver.on_effects driver (record i);
        Transport.Sim.set_handler ep (fun ~src bytes ->
@@ -628,6 +678,8 @@ let () =
         [
           Alcotest.test_case "hand vs Transport.Driver parity" `Quick
             test_driver_parity;
+          Alcotest.test_case "one send call per step" `Quick
+            test_step_sends_once;
           Alcotest.test_case "driver ticks only when a timer is due" `Quick
             test_tick_due_only;
           Alcotest.test_case "loopback ring forms + routes" `Quick

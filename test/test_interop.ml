@@ -229,6 +229,81 @@ let () =
       assert (stack = []);
       assert (trace = 7)
   | _ -> assert false);
+
+  (* 3. Unsendable destinations.  A peer names the addresses a daemon
+     sends to — a trigger's owner, a Chord reply_to — and the kernel
+     refuses some outright: port 0 (EINVAL) and the broadcast address
+     (EACCES).  Daemon B owns the hostile triggers, so it is B that
+     tries to deliver to them; both daemons get a hostile Get_state. *)
+  let ip_loop = Option.get (Transport.Udp.ip_of_string "127.0.0.1") in
+  let ip_bcast = Option.get (Transport.Udp.ip_of_string "255.255.255.255") in
+  let hostile =
+    [
+      Transport.Udp.pack ~ip:ip_loop ~port:0;
+      Transport.Udp.pack ~ip:ip_bcast ~port:9;
+    ]
+  in
+  List.iter
+    (fun owner ->
+      let bad = id_owned_by_b () in
+      send
+        (I3.Message.Insert
+           { trigger = I3.Trigger.to_host ~id:bad ~owner; token = None });
+      Unix.sleepf 0.1;
+      send
+        (I3.Message.Data
+           (I3.Packet.make ~stack:[ I3.Packet.Sid bad ] ~payload:"to nowhere"
+              ()));
+      List.iter
+        (fun dst ->
+          Transport.Udp.send udp ~dst
+            (Chord.Codec.encode
+               (Chord.Protocol.Get_state { token = 0; reply_to = owner })))
+        [ daemon_a; daemon_b ])
+    hostile;
+  Unix.sleepf 0.2;
+  List.iter
+    (fun (name, pid) ->
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ -> ()
+      | _ -> failwith (name ^ " died on a frame naming an unsendable address"))
+    [ ("daemon A", pid_a); ("daemon B", pid_b) ];
+
+  (* 4. Each daemon skipped and counted its refused sends (scraped over
+     the wire), and the normal path still forwards. *)
+  List.iteri
+    (fun i (name, dst) ->
+      let nonce = 100 + i in
+      Transport.Udp.send udp ~dst
+        (I3.Codec.encode
+           (I3.Message.Stats_request
+              { nonce; prefix = "udp.send_refused"; drain = false }));
+      match
+        recv ~what:(name ^ " Stats_response") ~timeout:5.0 (function
+          | I3.Message.Stats_response { nonce = n; _ } -> n = nonce
+          | _ -> false)
+      with
+      | I3.Message.Stats_response { samples; _ } ->
+          let refused =
+            List.fold_left
+              (fun acc (s : Obs.Metrics.sample) ->
+                match s.value with
+                | Obs.Metrics.Counter n when s.name = "udp.send_refused" ->
+                    acc + n
+                | _ -> acc)
+              0 samples
+          in
+          if refused = 0 then failwith (name ^ ": no udp.send_refused counted")
+      | _ -> assert false)
+    [ ("daemon A", daemon_a); ("daemon B", daemon_b) ];
+  send
+    (I3.Message.Data
+       (I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload:"still here" ()));
+  ignore
+    (recv ~what:"Deliver after hostile frames" ~timeout:5.0 (function
+      | I3.Message.Deliver { payload = p; _ } -> p = "still here"
+      | _ -> false));
   Transport.Udp.close udp;
   print_endline
-    "interop OK: dynamic join -> insert -> data -> delivery over loopback UDP"
+    "interop OK: dynamic join -> insert -> data -> delivery over loopback \
+     UDP; unsendable destinations skipped"

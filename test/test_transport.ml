@@ -487,6 +487,119 @@ let test_sim_wire_parity =
                     || QCheck2.Test.fail_reportf "send %d: sim and wire differ" i)
               steps)))
 
+(* --- send_many: one syscall per batch --- *)
+
+(* Datagrams [rx] has received, oldest first, as (src, bytes). *)
+let collect rx =
+  let got = ref [] in
+  Transport.Udp.set_handler rx (fun ~src bytes -> got := (src, bytes) :: !got);
+  fun () -> List.rev !got
+
+let test_send_many_mixed () =
+  match open_sockets 4 with
+  | None -> ()
+  | Some (tx :: receivers) ->
+      let inboxes = List.map (fun rx -> (rx, collect rx)) receivers in
+      (* Interleaved destinations: each receiver must see its own
+         datagrams, in the order they stood in the list. *)
+      let datagrams =
+        List.init 30 (fun i ->
+            let rx = List.nth receivers (i mod 3) in
+            (Transport.Udp.local_addr rx, string_of_int i))
+      in
+      Transport.Udp.send_many tx datagrams;
+      List.iteri
+        (fun k (rx, got) ->
+          drain_until rx (fun () -> List.length (got ()) >= 10);
+          Alcotest.(check (list (pair int string)))
+            (Printf.sprintf "receiver %d: its datagrams, in list order" k)
+            (List.filter_map
+               (fun (dst, bytes) ->
+                 if dst = Transport.Udp.local_addr rx then
+                   Some (Transport.Udp.local_addr tx, bytes)
+                 else None)
+               datagrams)
+            (got ()))
+        inboxes;
+      List.iter Transport.Udp.close (tx :: receivers)
+  | Some [] -> assert false
+
+let test_send_many_beyond_cap () =
+  match open_sockets 2 with
+  | Some [ tx; rx ] ->
+      let got = collect rx in
+      (* Three times the stub's 64-datagram cap, plus a remainder. *)
+      let n = 200 in
+      let payloads = List.init n string_of_int in
+      Transport.Udp.send_many tx
+        (List.map (fun p -> (Transport.Udp.local_addr rx, p)) payloads);
+      drain_until rx (fun () -> List.length (got ()) >= n);
+      Alcotest.(check (list string)) "all of them, in order" payloads
+        (List.map snd (got ()));
+      List.iter Transport.Udp.close [ tx; rx ]
+  | Some _ | None -> ()
+
+let test_send_many_oversize () =
+  match open_sockets 2 with
+  | Some [ tx; rx ] ->
+      let got = collect rx in
+      let dst = Transport.Udp.local_addr rx in
+      let over = String.make (Transport.Udp.max_datagram + 1) 'x' in
+      Alcotest.check_raises "an oversized datagram refuses the batch"
+        (Invalid_argument "Transport.Udp.send: datagram too large")
+        (fun () ->
+          Transport.Udp.send_many tx
+            [ (dst, "before"); (dst, over); (dst, "after") ]);
+      Unix.sleepf 0.05;
+      Transport.Udp.poll rx ~now:0.;
+      Alcotest.(check (list (pair int string))) "nothing was sent" [] (got ());
+      List.iter Transport.Udp.close [ tx; rx ]
+  | Some _ | None -> ()
+
+let test_send_many_refused () =
+  match (Transport.Udp.create (), Transport.Udp.create ()) with
+  | exception Unix.Unix_error _ -> ()
+  | tx, rx ->
+      let got = collect rx in
+      let dst = Transport.Udp.local_addr rx in
+      let ip s = Option.get (Transport.Udp.ip_of_string s) in
+      (* Port 0 (EINVAL) and broadcast without SO_BROADCAST (EACCES):
+         addresses a peer can name in a frame, which the kernel will
+         not send to. *)
+      let port0 = Transport.Udp.pack ~ip:(ip "127.0.0.1") ~port:0 in
+      let bcast = Transport.Udp.pack ~ip:(ip "255.255.255.255") ~port:9 in
+      Transport.Udp.send_many tx
+        [ (dst, "a"); (port0, "x"); (dst, "b"); (bcast, "y"); (dst, "c") ];
+      drain_until rx (fun () -> List.length (got ()) >= 3);
+      Alcotest.(check (list string)) "the good datagrams around them arrive"
+        [ "a"; "b"; "c" ]
+        (List.map snd (got ()));
+      (* Every socket registers in the shared registry; this one's
+         series carries its own ip:port. *)
+      let mine =
+        [
+          ( "instance",
+            Printf.sprintf "127.0.0.1:%d"
+              (Transport.Udp.port_of (Transport.Udp.local_addr tx)) );
+        ]
+      in
+      let refused =
+        match
+          List.filter
+            (fun (s : Obs.Metrics.sample) -> s.labels = mine)
+            (Obs.Metrics.snapshot ~prefix:"udp.send_refused"
+               Obs.Metrics.default)
+        with
+        | [ { value = Obs.Metrics.Counter n; _ } ] -> n
+        | _ -> Alcotest.fail "one udp.send_refused counter for the socket"
+      in
+      Alcotest.(check int) "both refusals counted" 2 refused;
+      List.iter Transport.Udp.close [ tx; rx ];
+      (* A closed socket is the caller's bug, not a refused destination. *)
+      Alcotest.check_raises "a closed socket still raises"
+        (Unix.Unix_error (Unix.EBADF, "sendmmsg", ""))
+        (fun () -> Transport.Udp.send tx ~dst "late")
+
 (* --- Udp bounds: maximal legal frame over a real socket --- *)
 
 let max_frame_message () =
@@ -568,6 +681,17 @@ let () =
           Alcotest.test_case "more destinations than memo slots" `Quick
             test_udp_memo_many_destinations;
           test_sockaddr_roundtrip;
+        ] );
+      ( "send_many",
+        [
+          Alcotest.test_case "mixed list to several receivers, in order"
+            `Quick test_send_many_mixed;
+          Alcotest.test_case "beyond the batch cap, in order, none lost"
+            `Quick test_send_many_beyond_cap;
+          Alcotest.test_case "oversized datagram sends nothing" `Quick
+            test_send_many_oversize;
+          Alcotest.test_case "refused destinations skipped and counted"
+            `Quick test_send_many_refused;
         ] );
       ( "faulty",
         [
