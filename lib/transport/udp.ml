@@ -32,9 +32,6 @@ let addr_of_sockaddr = function
       | None -> None (* IPv6 peer: unrepresentable, drop *))
   | Unix.ADDR_UNIX _ -> None
 
-let sockaddr_of_addr a =
-  Unix.ADDR_INET (Unix.inet_addr_of_string (string_of_ip (ip_of a)), port_of a)
-
 (* [addr_of_sockaddr] goes through strings ([inet_ntop],
    [int_of_string]) and costs more than the syscall it wraps, so each
    socket memoizes it in a direct-mapped table.  It is a pure function,
@@ -135,8 +132,9 @@ let wait_writable t =
    writable and resumes at the first unsent datagram, as a blocking
    socket would.  A datagram the kernel refuses for its destination (a
    peer-supplied port 0 or broadcast address) is counted and skipped, so
-   no peer can stop the rest of the batch; a closed socket still
-   raises. *)
+   no peer can stop the rest of the batch.  A closed socket (EBADF) or a
+   kernel without sendmmsg (ENOSYS) still raises: neither is about one
+   destination, and skipping would drop every datagram silently. *)
 let send_many t datagrams =
   let n = List.length datagrams in
   let bufs = Array.make n "" and dsts = Array.make n 0 in
@@ -154,7 +152,8 @@ let send_many t datagrams =
           wait_writable t;
           from i
       | sent -> from (i + sent)
-      | exception (Unix.Unix_error (Unix.EBADF, _, _) as closed) -> raise closed
+      | exception (Unix.Unix_error ((Unix.EBADF | Unix.ENOSYS), _, _) as e) ->
+          raise e
       | exception Unix.Unix_error _ ->
           Obs.Metrics.incr t.refused;
           from (i + 1)

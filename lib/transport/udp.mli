@@ -7,11 +7,9 @@
     Sends go out through a small C stub over [sendmmsg(2)]: one syscall
     carries a whole batch, and the stub builds each [sockaddr_in]
     straight from the packed address.  The socket is non-blocking, so
-    the stub never releases the runtime lock and hands the OCaml strings
-    to the kernel in place, with no copy.  (This relies on no other
-    thread touching them; nothing in this repository uses threads.)
-    Where the kernel lacks [sendmmsg] ([ENOSYS]) the stub itself falls
-    back to one [sendto] per datagram.
+    the call never waits; the stub keeps the runtime lock and neither
+    allocates nor releases it, so the GC cannot move the OCaml strings
+    and the kernel reads them in place, with no copy.
 
     Receives memoize {!addr_of_sockaddr} in a fixed 64-slot
     direct-mapped table, so the hot path does no string work and
@@ -43,7 +41,8 @@ val send_many : t -> (int * string) list -> unit
     counted in [udp.send_refused], and the rest of the batch goes on.
     @raise Invalid_argument if a datagram is beyond {!max_datagram}
     bytes.
-    @raise Unix.Unix_error [EBADF] on a closed socket. *)
+    @raise Unix.Unix_error [EBADF] on a closed socket, and [ENOSYS] on
+    the first send where the kernel lacks [sendmmsg]. *)
 
 val send : t -> dst:int -> string -> unit
 (** [send_many] of one datagram. *)
@@ -79,7 +78,6 @@ val port_of : int -> int
 val ip_of_string : string -> int option
 val string_of_ip : int -> string
 val addr_of_sockaddr : Unix.sockaddr -> int option
-val sockaddr_of_addr : int -> Unix.sockaddr
 
 val max_datagram : int
 (** [Wire.Layout.max_datagram]. *)

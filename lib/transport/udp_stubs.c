@@ -1,10 +1,11 @@
 /* sendmmsg(2) for Transport.Udp: send a run of datagrams, each to its own
    packed IPv4 address, in one syscall.
 
-   The socket is non-blocking, so the call never waits and the stub keeps
-   the OCaml runtime lock.  No allocation happens while it runs, so the
-   GC cannot move the strings, and the kernel reads each datagram from
-   the OCaml string in place: no copy, no staging buffer. */
+   The socket is non-blocking, so the call never waits, and the stub
+   keeps the OCaml runtime lock.  It neither allocates nor releases the
+   lock, so no GC can run and move the strings while the kernel reads
+   them: each datagram goes out from the OCaml string in place, with no
+   copy and no staging buffer. */
 
 #define _GNU_SOURCE
 #include <errno.h>
@@ -21,30 +22,12 @@
 /* Datagrams per call.  The arrays below live on the C stack. */
 #define I3_UDP_BATCH 64
 
-/* Set once sendmmsg reports ENOSYS; later calls go straight to the
-   one-datagram-per-syscall loop. */
-static int no_sendmmsg = 0;
-
-/* Fallback: one sendto per datagram, with sendmmsg's result convention —
-   the count sent, or -1 with errno when the first one fails. */
-static int sendto_loop(int fd, struct iovec *iov, struct sockaddr_in *sin,
-                       int n)
-{
-  int i;
-  for (i = 0; i < n; i++) {
-    if (sendto(fd, iov[i].iov_base, iov[i].iov_len, 0,
-               (struct sockaddr *) &sin[i], sizeof sin[i]) < 0)
-      return i > 0 ? i : -1;
-  }
-  return n;
-}
-
 /* i3_udp_sendmmsg fd bufs dsts off len sends bufs.(off) .. to dsts.(off)
    .., at most I3_UDP_BATCH of them.  A packed address is
    (ip lsl 16) lor port.  Returns how many left, in order; 0 when the
    first would block (EAGAIN) or a signal came (EINTR).  Any other
-   failure of the first datagram raises Unix.Unix_error: the kernel
-   refused that datagram, and the caller decides what to do with it. */
+   failure of the first datagram raises Unix.Unix_error with its errno,
+   and the caller tells a refused destination from a broken socket. */
 CAMLprim value i3_udp_sendmmsg(value fd, value bufs, value dsts, value voff,
                                value vlen)
 {
@@ -74,15 +57,7 @@ CAMLprim value i3_udp_sendmmsg(value fd, value bufs, value dsts, value voff,
     msgs[i].msg_hdr.msg_iov = &iov[i];
     msgs[i].msg_hdr.msg_iovlen = 1;
   }
-  if (no_sendmmsg)
-    sent = sendto_loop(Int_val(fd), iov, sin, (int) n);
-  else {
-    sent = sendmmsg(Int_val(fd), msgs, (unsigned int) n, 0);
-    if (sent < 0 && errno == ENOSYS) {
-      no_sendmmsg = 1;
-      sent = sendto_loop(Int_val(fd), iov, sin, (int) n);
-    }
-  }
+  sent = sendmmsg(Int_val(fd), msgs, (unsigned int) n, 0);
   if (sent >= 0) return Val_int(sent);
   if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
     return Val_int(0);
