@@ -384,7 +384,7 @@ let section_control_plane () =
   (* Hosts on a 2 s refresh give the span ring plenty of
      trigger-refresh round-trips inside the horizon. *)
   let host_config =
-    { I3.Host.default_config with I3.Host.refresh_period = 2_000. }
+    { I3.Host.default_config with I3.Host.refresh_period_ms = 2_000. }
   in
   let recv = I3.Dynamic.new_host d ~config:host_config () in
   let send = I3.Dynamic.new_host d ~config:host_config () in

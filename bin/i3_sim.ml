@@ -438,9 +438,9 @@ let run_health seed servers period horizon fault fault_at heal_at dump_path =
   (* Sped-up soft state so recovery fits in a short demo horizon. *)
   let host_config =
     {
-      I3.Host.refresh_period = 2_000.;
-      cache_ttl = 4_000.;
-      ack_grace = 5_000.;
+      I3.Host.refresh_period_ms = 2_000.;
+      cache_ttl_ms = 4_000.;
+      ack_grace_ms = 5_000.;
     }
   in
   let recv = I3.Dynamic.new_host d ~site:0 ~config:host_config () in

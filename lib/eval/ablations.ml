@@ -30,7 +30,7 @@ let measure_hops ~seed ~n_servers ~flows ~packets_per_flow ~host_config () =
 let sender_cache ?(seed = 1) ?(n_servers = 64) ?(flows = 20)
     ?(packets_per_flow = 10) () =
   let no_cache =
-    { I3.Host.default_config with I3.Host.cache_ttl = 0. }
+    { I3.Host.default_config with I3.Host.cache_ttl_ms = 0. }
   in
   {
     hops_with_cache =

@@ -9,7 +9,7 @@
       {!converges_within});
     - {b trigger conservation}: every trigger a host keeps refreshed is
       stored again at its (unique) responsible server — the paper's bound
-      is within [refresh_period + ack_grace] of the fault
+      is within [refresh_period_ms + ack_grace_ms] of the fault
       ({!triggers_conserved});
     - {b end-to-end liveness}: a periodic probe {!flow} measures delivery
       ratio and time-to-recovery around a fault window.
@@ -38,7 +38,7 @@ val triggers_conserved : I3.Dynamic.t -> I3.Host.t list -> bool
 (** Every active trigger of every given host is stored (and matchable)
     at every live server claiming responsibility for it, and at least
     one server claims it.  Call after the repair bound
-    [refresh_period + ack_grace] has elapsed since the fault. *)
+    [refresh_period_ms + ack_grace_ms] has elapsed since the fault. *)
 
 (** {1 Probe flows} *)
 

@@ -1,24 +1,20 @@
-(** End-host library: the public i3 API of Fig. 1(a) plus the client-side
-    machinery the paper describes — soft-state refresh, the sender's
-    server cache, challenge handling, backup triggers, and mobility.
+(** End-host library: the public i3 API of Fig. 1(a) on the simulator.
+    Refresh, the sender cache, challenges and gateway failover are
+    {!Endhost}'s rules (the wire's [Transport.Client] runs the same
+    machine); this module carries its effects over [Net] and arms its
+    timer on the simulated clock.  A host knows its gateways
+    (Sec. II-C); {!I3apps} builds multicast, anycast, mobility and
+    service composition from [insert_trigger], [remove_trigger] and
+    [send]. *)
 
-    A host knows one or more i3 servers (its gateways, Sec. II-C); that is
-    all it needs.  Its three core operations are
-    [insert_trigger], [remove_trigger] and [send] — everything else
-    (multicast, anycast, mobility, service composition) is built from
-    these by the {!I3apps} layer. *)
-
-type config = {
-  refresh_period : float;
-      (** ms between trigger refreshes; paper/prototype: 30 000 *)
-  cache_ttl : float;
-      (** how long a learned prefix->server mapping is trusted *)
-  ack_grace : float;
-      (** re-home to the next gateway if a trigger goes unacknowledged this
-          long (server failure recovery, Sec. IV-C) *)
+type config = Endhost.config = {
+  refresh_period_ms : float;
+  cache_ttl_ms : float;
+  ack_grace_ms : float;
 }
 
 val default_config : config
+(** 30 s refresh (the paper's prototype), 60 s cache, 90 s grace. *)
 
 type t
 
@@ -34,18 +30,9 @@ val create :
   unit ->
   t
 (** Attach a host at a topology site. @raise Invalid_argument with no
-    gateways.  With a [tracer] (default {!Obs.Trace.disabled}) every sent
-    packet gets a trace id (subject to the tracer's sampling) and every
-    delivery records the terminal [Deliver] event.
-
-    With a [spans] collector (default {!Obs.Span.disabled}) the host
-    emits control-plane spans: one [i3.trigger_insert] /
-    [i3.trigger_refresh] per insert round-trip (closed by the server's
-    ack, or [Timeout] at the next refresh round; challenges and gateway
-    rotations annotated), and one [i3.first_packet] per gateway detour
-    toward an uncached prefix, linked to the provoking packet's
-    data-plane trace id and closed when the responsible server's address
-    lands in the sender cache. *)
+    gateways.  With a [tracer] every sent packet gets a trace id (subject
+    to sampling) and every delivery records the terminal [Deliver] event;
+    [spans] gets the control-plane spans {!Endhost.create} describes. *)
 
 val addr : t -> Packet.addr
 val site : t -> int
@@ -72,9 +59,6 @@ val remove_trigger : t -> Id.t -> unit
 (** Remove (and stop refreshing) every binding this host owns for [id]. *)
 
 val active_triggers : t -> Trigger.t list
-
-val refresh_now : t -> unit
-(** Force an immediate refresh round (tests / explicit recovery). *)
 
 (** {1 Sending} *)
 
@@ -105,9 +89,8 @@ val move : t -> new_site:int -> unit
 val cached_server_for : t -> Id.t -> Packet.addr option
 (** Current cache entry for an identifier's prefix, if fresh. *)
 
-val cache_size : t -> int
 val gateway : t -> Packet.addr
-(** Current gateway (rotates on persistent ack loss). *)
+(** Current gateway (rotates on persistent ack or [Cache_info] loss). *)
 
 val new_private_id : t -> Id.t
 (** A fresh random identifier for a private trigger (Sec. IV-B). *)

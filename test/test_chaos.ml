@@ -14,14 +14,14 @@
    2 s refresh, 4 s cache TTL, re-home after 5 s of unacked refreshes. *)
 let chaos_host_config =
   {
-    I3.Host.refresh_period = 2_000.;
-    cache_ttl = 4_000.;
-    ack_grace = 5_000.;
+    I3.Host.refresh_period_ms = 2_000.;
+    cache_ttl_ms = 4_000.;
+    ack_grace_ms = 5_000.;
   }
 
 let repair_bound =
-  chaos_host_config.I3.Host.refresh_period
-  +. chaos_host_config.I3.Host.ack_grace
+  chaos_host_config.I3.Host.refresh_period_ms
+  +. chaos_host_config.I3.Host.ack_grace_ms
 
 (* Ten servers at ten distinct sites, so site-set partitions and gray
    links cut between servers (join order = site index).  Each deployment
@@ -354,6 +354,49 @@ let test_gateway_rotation_after_ack_grace () =
   Alcotest.(check bool) "rotated through other gateways" true
     (List.length !seen >= 2)
 
+(* --- a host that only sends must still leave a dead gateway --- *)
+
+let test_pure_sender_leaves_dead_gateway () =
+  (* The sender holds no trigger, so no refresh ack can tell it that its
+     gateway died; the only signal is a gateway detour that never draws
+     Cache_info.  Once the sender cache entry lapses (cache_ttl) every
+     packet detours through the dead gateway, so without that signal the
+     flow stays dark for good. *)
+  let d = build ~seed:34 () in
+  let recv = I3.Dynamic.new_host d ~config:chaos_host_config () in
+  let send = I3.Dynamic.new_host d ~config:chaos_host_config () in
+  let dead = I3.Host.gateway send in
+  (* A flow identifier owned by some other server, so the kill leaves
+     the rendezvous itself intact. *)
+  let rec pick () =
+    let id = I3.Host.new_private_id recv in
+    match I3.Dynamic.owners_of d id with
+    | [ o ] when I3.Server.addr o <> dead -> id
+    | _ -> pick ()
+  in
+  let id = pick () in
+  I3.Host.insert_trigger recv id;
+  I3.Dynamic.run_for d 3_000.;
+  let flow =
+    Eval.Recovery.start_flow d ~sender:send ~receiver:recv ~period:100. id
+  in
+  I3.Dynamic.run_for d 5_000.;
+  Alcotest.(check bool) "flow delivers before the kill" true
+    (Eval.Recovery.received flow > 0);
+  List.iter
+    (fun s -> if I3.Server.addr s = dead then I3.Dynamic.kill_server d s)
+    (I3.Dynamic.servers d);
+  (* By now the cache entry has lapsed and packets detour through the
+     dead gateway. *)
+  I3.Dynamic.run_for d (chaos_host_config.I3.Host.cache_ttl_ms +. 1_000.);
+  let dark_at = I3.Dynamic.now d in
+  I3.Dynamic.run_for d (2. *. repair_bound);
+  Eval.Recovery.stop_flow flow;
+  Alcotest.(check bool) "sender rotated off the dead gateway" true
+    (I3.Host.gateway send <> dead);
+  Alcotest.(check bool) "flow delivers again" true
+    (Eval.Recovery.time_to_recovery flow ~after:dark_at <> None)
+
 (* --- satellite: backup trigger fall-through after a server death --- *)
 
 let test_send_with_backup_fallthrough () =
@@ -363,9 +406,9 @@ let test_send_with_backup_fallthrough () =
      falling through to the backup at Id.antipode (Sec. IV-C). *)
   let slow_host =
     {
-      I3.Host.refresh_period = 600_000.;
-      cache_ttl = 4_000.;
-      ack_grace = 1_200_000.;
+      I3.Host.refresh_period_ms = 600_000.;
+      cache_ttl_ms = 4_000.;
+      ack_grace_ms = 1_200_000.;
     }
   in
   let server_config =
@@ -455,6 +498,8 @@ let () =
             test_gateway_rotation_after_ack_grace;
           Alcotest.test_case "backup trigger fall-through" `Slow
             test_send_with_backup_fallthrough;
+          Alcotest.test_case "pure sender leaves a dead gateway" `Slow
+            test_pure_sender_leaves_dead_gateway;
         ] );
       ( "determinism",
         [ Alcotest.test_case "same seed, same metrics" `Slow test_reproducible ] );

@@ -549,7 +549,7 @@ let test_e2e_sender_cache () =
     (sum_stats d (fun s -> s.I3.Server.data_forwarded))
 
 let test_e2e_cache_expires () =
-  let cfg = { I3.Host.default_config with I3.Host.cache_ttl = 1_000. } in
+  let cfg = { I3.Host.default_config with I3.Host.cache_ttl_ms = 1_000. } in
   let d = deployment ~seed:14 ~n_servers:8 () in
   let recv = I3.Deployment.new_host d () in
   let send = I3.Deployment.new_host d ~config:cfg () in
@@ -613,7 +613,7 @@ let test_e2e_match_required_drops () =
   Alcotest.(check (list string)) "dropped, no fallthrough" [] (got ())
 
 let test_e2e_soft_state_expiry () =
-  let cfg = { I3.Host.default_config with I3.Host.refresh_period = 1e12 } in
+  let cfg = { I3.Host.default_config with I3.Host.refresh_period_ms = 1e12 } in
   let d = deployment ~seed:18 ~n_servers:8 () in
   let recv = I3.Deployment.new_host d ~config:cfg () in
   let send = I3.Deployment.new_host d () in
@@ -691,7 +691,7 @@ let test_e2e_backup_trigger_failover () =
 
 let test_e2e_failover_refresh_recovers_primary () =
   let d = deployment ~seed:23 ~n_servers:32 () in
-  let host_cfg = { I3.Host.default_config with I3.Host.ack_grace = 40_000. } in
+  let host_cfg = { I3.Host.default_config with I3.Host.ack_grace_ms = 40_000. } in
   let recv = I3.Deployment.new_host d ~config:host_cfg () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
@@ -964,7 +964,7 @@ let test_e2e_replication_gap_without () =
 let test_e2e_replica_expires () =
   let cfg = { I3.Server.default_config with I3.Server.replicate = true } in
   let d = deployment ~seed:33 ~n_servers:16 ~server_config:cfg () in
-  let host_cfg = { I3.Host.default_config with I3.Host.refresh_period = 1e12 } in
+  let host_cfg = { I3.Host.default_config with I3.Host.refresh_period_ms = 1e12 } in
   let recv = I3.Deployment.new_host d ~config:host_cfg () in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;

@@ -278,14 +278,14 @@ let test_deployment_over_koorde () =
 
 let chaos_host_config =
   {
-    I3.Host.refresh_period = 2_000.;
-    cache_ttl = 4_000.;
-    ack_grace = 5_000.;
+    I3.Host.refresh_period_ms = 2_000.;
+    cache_ttl_ms = 4_000.;
+    ack_grace_ms = 5_000.;
   }
 
 let repair_bound =
-  chaos_host_config.I3.Host.refresh_period
-  +. chaos_host_config.I3.Host.ack_grace
+  chaos_host_config.I3.Host.refresh_period_ms
+  +. chaos_host_config.I3.Host.ack_grace_ms
 
 let scenario_koorde_churn ~seed () =
   let metrics = Obs.Metrics.create () in

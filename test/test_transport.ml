@@ -605,6 +605,72 @@ let test_send_many_refused () =
         (Unix.Unix_error (Unix.EBADF, "sendmmsg", ""))
         (fun () -> Transport.Udp.send tx ~dst "late")
 
+(* --- client: stray Pongs are dropped and counted --- *)
+
+let pong_frame ~server nonce =
+  I3.Codec.encode
+    (I3.Message.Pong { nonce; server; triggers = 0; uptime_ms = 0. })
+
+let test_client_ignores_stray_pongs () =
+  match (Transport.Udp.create (), Transport.Udp.create ()) with
+  | exception Unix.Unix_error _ -> ()
+  | a, b ->
+      let metrics = Obs.Metrics.create () in
+      let peer = Transport.Udp.local_addr b in
+      let client =
+        Transport.Client.create ~metrics ~rng:(Rng.split rng0)
+          ~gateways:[ peer ] a
+      in
+      let ignored () =
+        match Obs.Metrics.find metrics ~labels:[ ("instance", "client") ]
+                "client.pongs_ignored"
+        with
+        | Some (Obs.Metrics.Counter n) -> n
+        | _ -> 0
+      in
+      (* 1,000 Pongs nobody pinged for, in rounds small enough for the
+         socket's receive buffer; each round is drained before the next. *)
+      for round = 1 to 10 do
+        for i = 1 to 100 do
+          Transport.Udp.send b ~dst:(Transport.Client.local_addr client)
+            (pong_frame ~server:0 ((round * 1000) + i))
+        done;
+        let deadline = Unix.gettimeofday () +. 2. in
+        while ignored () < round * 100 && Unix.gettimeofday () < deadline do
+          if Transport.Client.wait client ~timeout:0.05 then
+            Transport.Client.poll client ~now:0.
+        done
+      done;
+      Alcotest.(check int) "every stray Pong counted" 1_000 (ignored ());
+      (* A real ping still gets its own reply: a child process answers
+         each Ping on [b] with the matching nonce. *)
+      (match Unix.fork () with
+      | 0 ->
+          Transport.Udp.set_handler b (fun ~src bytes ->
+              match I3.Codec.decode bytes with
+              | Ok (I3.Message.Ping { nonce }) ->
+                  Transport.Udp.send b ~dst:src (pong_frame ~server:42 nonce)
+              | _ -> ());
+          let stop = Unix.gettimeofday () +. 5. in
+          while Unix.gettimeofday () < stop do
+            if Transport.Udp.wait b ~timeout:0.05 then
+              Transport.Udp.poll b ~now:0.
+          done;
+          Unix._exit 0
+      | child ->
+          let reply =
+            Transport.Client.ping client ~dst:peer ~timeout_ms:2_000.
+          in
+          Unix.kill child Sys.sigkill;
+          ignore (Unix.waitpid [] child);
+          Alcotest.(check (option int)) "ping answered by its own Pong"
+            (Some 42)
+            (Option.map (fun (p : Transport.Client.pong) -> p.server) reply);
+          Alcotest.(check int) "the answer is not counted as stray" 1_000
+            (ignored ()));
+      Transport.Udp.close a;
+      Transport.Udp.close b
+
 (* --- Udp bounds: maximal legal frame over a real socket --- *)
 
 let max_frame_message () =
@@ -715,6 +781,11 @@ let () =
           Alcotest.test_case "NaN and infinite parameters rejected" `Quick
             test_faulty_rejects_non_finite;
           test_sim_wire_parity;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "stray Pongs dropped and counted" `Quick
+            test_client_ignores_stray_pongs;
         ] );
       ( "udp_bounds",
         [
