@@ -15,8 +15,8 @@ module Faulty = Faulty
     the simulator's {!Faults.event} vocabulary. *)
 
 module Client = Client
-(** Reliable host-side client: ack-awaited inserts with retry/backoff,
-    soft-state trigger refresh, liveness pings. *)
+(** Host-side client: the UDP driver of the [I3.Endhost] machine, plus
+    liveness pings. *)
 
 module Driver = Driver
 (** Effect interpreter: pumps an [I3.Engine] over any byte sender. *)
