@@ -392,9 +392,7 @@ let section_control_plane () =
   I3.Host.insert_trigger recv id;
   let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
   let rules =
-    Eval.Monitor.default_rules
-      ~flow_labels:(Eval.Recovery.flow_labels flow)
-      ~ring_label:(I3.Dynamic.ring_label d) ()
+    Eval.Monitor.default_rules ~ring_label:(I3.Dynamic.ring_label d) flow
     @ [
         Eval.Monitor.lookup_p99_rule ~ok:5_000. ~degraded:20_000.
           ~ring_label:(I3.Dynamic.ring_label d) ();
@@ -429,7 +427,7 @@ let section_control_plane () =
     Obs.Series.all (Obs.Health.store health)
     |> List.filter (fun s ->
            match Obs.Series.name s with
-           | "eval.flow.sent" | "eval.flow.received" | "chord.lookup_ms.p99" ->
+           | "probe.sent" | "probe.received" | "chord.lookup_ms.p99" ->
                true
            | _ -> false)
     |> List.map (Obs.Sink.series_to_json ~tail:16)

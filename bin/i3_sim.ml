@@ -450,9 +450,7 @@ let run_health seed servers period horizon fault fault_at heal_at dump_path =
   I3.Dynamic.run_for d 1_000.;
   let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
   let rules =
-    Eval.Monitor.default_rules
-      ~flow_labels:(Eval.Recovery.flow_labels flow)
-      ~ring_label:(I3.Dynamic.ring_label d) ()
+    Eval.Monitor.default_rules ~ring_label:(I3.Dynamic.ring_label d) flow
   in
   let monitor = Eval.Monitor.create ~period ~rules d in
   let fault_abs = I3.Dynamic.now d +. fault_at in

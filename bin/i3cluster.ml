@@ -405,9 +405,7 @@ let run_chaos () =
 
   let flow = Harness.Live.start_flow live ~name:"probe" probe_id in
   let mon =
-    Harness.Live.monitor
-      ~rules:(Harness.Live.default_rules ~flow_name:"probe" ())
-      live
+    Harness.Live.monitor ~rules:(Harness.Live.default_rules flow) live
   in
 
   (* The schedule: explicit DSL, or the default seeded kill/restart of

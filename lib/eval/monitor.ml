@@ -7,38 +7,13 @@
 type t = {
   engine : Engine.t;
   health : Obs.Health.t;
-  period : float;
   spans : Obs.Span.t;
   tracer : Obs.Trace.t;
-  max_dumps : int;
-  dump_spans_tail : int;
-  dump_events_tail : int;
   mutable dumps : (float * Json.t) list; (* newest first *)
-  mutable user_hook : Obs.Health.evaluation list -> unit;
-  mutable timer : Engine.timer option;
+  timer : Engine.timer;
 }
 
-let default_window_ms = 2_000.
-
-let delivery_rule ?(window_ms = default_window_ms) ~flow_labels () =
-  (* In-flight probes drag the windowed ratio below 1 even on a healthy
-     deployment (a packet sent at the window's edge lands after it), so
-     the Ok threshold leaves generous headroom. *)
-  {
-    Obs.Health.rule = "delivery";
-    signal =
-      Obs.Health.Ratio
-        {
-          num = "eval.flow.received";
-          num_labels = flow_labels;
-          den = "eval.flow.sent";
-          den_labels = flow_labels;
-          window_ms;
-        };
-    bound = Obs.Health.At_least { ok = 0.8; degraded = 0.45 };
-  }
-
-let rpc_timeout_rule ?(window_ms = default_window_ms) ~ring_label () =
+let rpc_timeout_rule ?(window_ms = 2_000.) ~ring_label () =
   (* A healthy converged ring times out essentially never, so even a low
      rate is suspicious; sustained timeouts mean a dead or unreachable
      member. *)
@@ -52,15 +27,6 @@ let rpc_timeout_rule ?(window_ms = default_window_ms) ~ring_label () =
           window_ms;
         };
     bound = Obs.Health.At_most { ok = 0.5; degraded = 4. };
-  }
-
-let ring_stable_rule ?(window_ms = 8_000.) ~ring_label () =
-  {
-    Obs.Health.rule = "ring-stable";
-    signal =
-      Obs.Health.Latest
-        { metric = "chord.ring_changes"; labels = [ ("instance", ring_label) ] };
-    bound = Obs.Health.Stable_within { eps = 0.; window_ms };
   }
 
 let lookup_p99_rule ?(ok = 200.) ?(degraded = 2_000.) ~ring_label () =
@@ -78,10 +44,10 @@ let lookup_p99_rule ?(ok = 200.) ?(degraded = 2_000.) ~ring_label () =
     bound = Obs.Health.At_most { ok; degraded };
   }
 
-let default_rules ?window_ms ~flow_labels ~ring_label () =
+let default_rules ~ring_label flow =
   [
-    delivery_rule ?window_ms ~flow_labels ();
-    rpc_timeout_rule ?window_ms ~ring_label ();
+    Obs.Probe.delivery_rule ~ok:0.8 ~degraded:0.45 (Recovery.probe flow);
+    rpc_timeout_rule ~ring_label ();
   ]
 
 let flight_dump t ~at evals =
@@ -91,12 +57,10 @@ let flight_dump t ~at evals =
     if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
   in
   let spans =
-    if Obs.Span.enabled t.spans then tail t.dump_spans_tail (Obs.Span.spans t.spans)
-    else []
+    if Obs.Span.enabled t.spans then tail 64 (Obs.Span.spans t.spans) else []
   in
   let events =
-    if Obs.Trace.enabled t.tracer then
-      tail t.dump_events_tail (Obs.Trace.events t.tracer)
+    if Obs.Trace.enabled t.tracer then tail 256 (Obs.Trace.events t.tracer)
     else []
   in
   Obs.Sink.flight_record ~at ~reason:"health verdict entered Violated"
@@ -104,62 +68,42 @@ let flight_dump t ~at evals =
     ~series:(Obs.Series.all store) ~series_tail:32 ~spans ~events
     ~evaluations:evals ()
 
-let create ?(period = 500.) ?phase ?(series_capacity = 1024)
-    ?(history_capacity = 4096) ?(max_dumps = 4) ?(dump_spans_tail = 64)
-    ?(dump_events_tail = 256) ~rules d =
+let max_dumps = 4
+
+let create ?(period = 500.) ~rules d =
   let engine = I3.Dynamic.engine d in
   let health =
-    Obs.Health.create ~series_capacity ~history_capacity ~rules
+    Obs.Health.create ~series_capacity:1024 ~history_capacity:4096 ~rules
       (I3.Dynamic.metrics d)
+  in
+  let timer =
+    Engine.scraper engine ~period (fun ~time ->
+        ignore (Obs.Health.scrape health ~time))
   in
   let t =
     {
       engine;
       health;
-      period;
       spans = I3.Dynamic.spans d;
       tracer = I3.Dynamic.tracer d;
-      max_dumps;
-      dump_spans_tail;
-      dump_events_tail;
       dumps = [];
-      user_hook = ignore;
-      timer = None;
+      timer;
     }
   in
   Obs.Health.on_violation health (fun evals ->
       let at = Engine.now engine in
-      if List.length t.dumps < t.max_dumps then
-        t.dumps <- (at, flight_dump t ~at evals) :: t.dumps;
-      t.user_hook evals);
-  t.timer <-
-    Some
-      (Engine.scraper engine ?phase ~period (fun ~time ->
-           ignore (Obs.Health.scrape health ~time)));
+      if List.length t.dumps < max_dumps then
+        t.dumps <- (at, flight_dump t ~at evals) :: t.dumps);
   t
 
 let health t = t.health
-let period t = t.period
-let scrape_now t = Obs.Health.scrape t.health ~time:(Engine.now t.engine)
 
-let stop t =
-  match t.timer with
-  | Some timer ->
-      Engine.cancel timer;
-      t.timer <- None
-  | None -> ()
+let stop t = Engine.cancel t.timer
 
-let on_violation t hook = t.user_hook <- hook
 let dumps t = List.rev t.dumps
 
-let time_to_detect t ~fault_at =
-  Obs.Health.first_breach_after t.health fault_at
-  |> Option.map (fun at -> at -. fault_at)
-
-let time_to_recover t ~fault_at =
-  Option.bind (Obs.Health.first_breach_after t.health fault_at) (fun breach ->
-      Obs.Health.first_ok_after t.health breach
-      |> Option.map (fun at -> at -. fault_at))
+let time_to_detect t ~fault_at = Obs.Health.time_to_detect t.health ~fault_at
+let time_to_recover t ~fault_at = Obs.Health.time_to_recover t.health ~fault_at
 
 (* --- live rendering --- *)
 

@@ -22,22 +22,10 @@ type t
 
     Building blocks for rule lists; all windows are virtual ms. *)
 
-val delivery_rule :
-  ?window_ms:float -> flow_labels:(string * string) list -> unit ->
-  Obs.Health.rule
-(** Windowed delivered/sent ratio of one {!Recovery.flow} (labels from
-    {!Recovery.flow_labels}): [At_least {ok = 0.8; degraded = 0.45}] —
-    the headroom absorbs probes still in flight at the window edge. *)
-
 val rpc_timeout_rule :
   ?window_ms:float -> ring_label:string -> unit -> Obs.Health.rule
 (** Chord RPC timeouts per second on the control ring
     ({!I3.Dynamic.ring_label}): a healthy ring has none. *)
-
-val ring_stable_rule :
-  ?window_ms:float -> ring_label:string -> unit -> Obs.Health.rule
-(** Successor-pointer churn ([chord.ring_changes]) flat over the window
-    (default 8 s). *)
 
 val lookup_p99_rule :
   ?ok:float -> ?degraded:float -> ring_label:string -> unit ->
@@ -46,44 +34,23 @@ val lookup_p99_rule :
     quantile never recovers — so use it as a whole-run SLO, not for
     recovery tracking. *)
 
-val default_rules :
-  ?window_ms:float ->
-  flow_labels:(string * string) list ->
-  ring_label:string ->
-  unit ->
-  Obs.Health.rule list
-(** [delivery_rule] + [rpc_timeout_rule]: both windowed, so verdicts
-    recover when the deployment does. *)
+val default_rules : ring_label:string -> Recovery.flow -> Obs.Health.rule list
+(** The flow's {!Obs.Probe.delivery_rule} at [ok = 0.8],
+    [degraded = 0.45], plus [rpc_timeout_rule]: both windowed, so
+    verdicts recover when the deployment does. *)
 
 (** {1 Lifecycle} *)
 
-val create :
-  ?period:float ->
-  ?phase:float ->
-  ?series_capacity:int ->
-  ?history_capacity:int ->
-  ?max_dumps:int ->
-  ?dump_spans_tail:int ->
-  ?dump_events_tail:int ->
-  rules:Obs.Health.rule list ->
-  I3.Dynamic.t ->
-  t
-(** Attach a monitor and start scraping every [period] ms (default 500,
-    first scrape after [phase]).  At most [max_dumps] (default 4) flight
-    records are kept — one per breach episode, oldest first. *)
+val create : ?period:float -> rules:Obs.Health.rule list -> I3.Dynamic.t -> t
+(** Attach a monitor and start scraping every [period] ms (default 500).
+    At most 4 flight records are kept — one per breach episode, oldest
+    first. *)
 
 val stop : t -> unit
 (** Cancel the scrape timer; idempotent.  History and dumps remain
     readable. *)
 
 val health : t -> Obs.Health.t
-val period : t -> float
-
-val scrape_now : t -> Obs.Health.evaluation list
-(** Force an immediate scrape outside the timer cadence. *)
-
-val on_violation : t -> (Obs.Health.evaluation list -> unit) -> unit
-(** User hook run after the flight dump on each entry into [Violated]. *)
 
 (** {1 Results} *)
 
@@ -91,12 +58,10 @@ val dumps : t -> (float * Json.t) list
 (** Flight records captured so far, oldest first. *)
 
 val time_to_detect : t -> fault_at:float -> float option
-(** Virtual ms from the fault to the monitor's first non-[Ok] scrape at
-    or after it; [None] if it never noticed. *)
+(** {!Obs.Health.time_to_detect}, in virtual ms. *)
 
 val time_to_recover : t -> fault_at:float -> float option
-(** Virtual ms from the fault to the first [Ok] scrape after the first
-    breach; [None] without a breach or without recovery. *)
+(** {!Obs.Health.time_to_recover}, in virtual ms. *)
 
 (** {1 Live rendering} *)
 

@@ -41,107 +41,37 @@ let triggers_conserved d hosts =
 
 (* --- probe flows --- *)
 
-type flow = {
-  engine : Engine.t;
-  name : string;
-  labels : (string * string) list;
-  started_at : float;
-  mutable stopped_at : float option;
-  c_sent : Obs.Metrics.counter;
-  c_received : Obs.Metrics.counter;
-  mutable seen : int; (* highest seq delivered, for duplicate suppression *)
-  mutable recv_times : float list; (* reverse order *)
-  mutable timer : Engine.timer option;
-}
+(* The virtual-time driver of an [Obs.Probe]: an [Engine.every] timer
+   sends, the receiver's callback records, both on [Engine.now]. *)
+type flow = { probe : Obs.Probe.t; engine : Engine.t; timer : Engine.timer }
 
 let flow_counter = ref 0
 
 let start_flow d ~sender ~receiver ?(period = 250.) ?name id =
-  (* The instance label stays unique even when two flows share a name, so
-     registry counters never alias across scenarios. *)
   incr flow_counter;
   let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "flow%d" !flow_counter
-  in
-  let metrics = I3.Dynamic.metrics d in
-  let labels =
-    [ ("flow", name); ("instance", string_of_int !flow_counter) ]
+    Option.value name ~default:(Printf.sprintf "flow%d" !flow_counter)
   in
   let engine = I3.Dynamic.engine d in
-  let f =
-    {
-      engine;
-      name;
-      labels;
-      started_at = Engine.now engine;
-      stopped_at = None;
-      c_sent = Obs.Metrics.counter metrics ~labels "eval.flow.sent";
-      c_received = Obs.Metrics.counter metrics ~labels "eval.flow.received";
-      seen = -1;
-      recv_times = [];
-      timer = None;
-    }
+  let probe =
+    Obs.Probe.create ~metrics:(I3.Dynamic.metrics d) ~name
+      ~now:(Engine.now engine)
   in
-  let tag = name ^ ":" in
   I3.Host.on_receive receiver (fun ~stack:_ ~payload ->
-      let tl = String.length tag in
-      if String.length payload > tl && String.sub payload 0 tl = tag then begin
-        let seq = int_of_string (String.sub payload tl (String.length payload - tl)) in
-        (* The fault layer can duplicate packets and a healing partition
-           can flush stale copies; count each probe once. *)
-        if seq > f.seen then begin
-          f.seen <- seq;
-          Obs.Metrics.incr f.c_received;
-          f.recv_times <- Engine.now engine :: f.recv_times
-        end
-      end);
-  f.timer <-
-    Some
-      (Engine.every engine ~phase:0.001 ~period (fun () ->
-           I3.Host.send sender id
-             (Printf.sprintf "%s%d" tag (Obs.Metrics.counter_value f.c_sent));
-           Obs.Metrics.incr f.c_sent));
-  f
+      Obs.Probe.on_receive probe ~now:(Engine.now engine) payload);
+  let timer =
+    Engine.every engine ~phase:0.001 ~period (fun () ->
+        I3.Host.send sender id (Obs.Probe.next probe))
+  in
+  { probe; engine; timer }
 
 let stop_flow f =
-  (match f.timer with
-  | Some timer ->
-      Engine.cancel timer;
-      f.timer <- None
-  | None -> ());
-  if f.stopped_at = None then f.stopped_at <- Some (Engine.now f.engine)
+  Engine.cancel f.timer;
+  Obs.Probe.stop f.probe ~now:(Engine.now f.engine)
 
-let flow_name f = f.name
-let flow_labels f = f.labels
-let sent f = Obs.Metrics.counter_value f.c_sent
-let received f = Obs.Metrics.counter_value f.c_received
-
-let delivery_ratio f =
-  if sent f = 0 then 1. else float_of_int (received f) /. float_of_int (sent f)
-
-let time_to_recovery f ~after =
-  List.fold_left
-    (fun best t ->
-      if t >= after then
-        match best with Some b when b <= t -> best | _ -> Some t
-      else best)
-    None f.recv_times
-  |> Option.map (fun t -> t -. after)
-
-let longest_outage f =
-  let finish =
-    match f.stopped_at with Some t -> t | None -> Engine.now f.engine
-  in
-  let marks = finish :: (f.recv_times @ [ f.started_at ]) in
-  (* marks are in decreasing time order *)
-  let rec widest acc = function
-    | later :: (earlier :: _ as rest) ->
-        widest (Float.max acc (later -. earlier)) rest
-    | [ _ ] | [] -> acc
-  in
-  widest 0. marks
+let probe f = f.probe
+let received f = Obs.Probe.received f.probe
+let time_to_recovery f ~after = Obs.Probe.time_to_recovery f.probe ~after
 
 (* --- reporting --- *)
 
@@ -157,16 +87,16 @@ type metrics = {
   monitor_ttr_ms : float option;
 }
 
-let metrics ~scenario ?fault_at ?detect_ms ?monitor_ttr_ms ~converged (f : flow)
-    =
+let metrics ~scenario ?fault_at ?detect_ms ?monitor_ttr_ms ~converged f =
+  let p = f.probe in
   {
     scenario;
-    sent = sent f;
-    delivered = received f;
-    delivery_ratio = delivery_ratio f;
+    sent = Obs.Probe.sent p;
+    delivered = Obs.Probe.received p;
+    delivery_ratio = Obs.Probe.delivery_ratio p;
     time_to_recovery_ms =
-      Option.bind fault_at (fun at -> time_to_recovery f ~after:at);
-    longest_outage_ms = longest_outage f;
+      Option.bind fault_at (fun after -> Obs.Probe.time_to_recovery p ~after);
+    longest_outage_ms = Obs.Probe.longest_outage p ~now:(Engine.now f.engine);
     converged;
     detect_ms;
     monitor_ttr_ms;
@@ -193,11 +123,6 @@ let row m =
     opt_ms m.monitor_ttr_ms;
   ]
 
-let rows ms = List.map row ms
-
 let report ms =
   Report.table ~title:"chaos scenarios: delivery ratio and time-to-recovery"
-    ~header (rows ms)
-
-let csv ~path ms = Report.csv ~path ~header (rows ms)
-let json ~path ms = Report.json ~path ~header (rows ms)
+    ~header (List.map row ms)

@@ -12,10 +12,10 @@
       is within [refresh_period_ms + ack_grace_ms] of the fault
       ({!triggers_conserved});
     - {b end-to-end liveness}: a periodic probe {!flow} measures delivery
-      ratio and time-to-recovery around a fault window.
+      ratio and time-to-recovery around a fault window, through the same
+      {!Obs.Probe} core [Harness.Live] drives on wall clocks.
 
-    Results aggregate into {!metrics} rows rendered through
-    {!Report.table} / CSV. *)
+    Results aggregate into {!metrics} rows printed by {!report}. *)
 
 (** {1 Invariant checkers} *)
 
@@ -43,9 +43,10 @@ val triggers_conserved : I3.Dynamic.t -> I3.Host.t list -> bool
 (** {1 Probe flows} *)
 
 type flow
-(** A periodic probe stream [sender -> id -> receiver].  Starting a flow
-    takes over the receiver's [on_receive] callback; give each flow its
-    own receiver host. *)
+(** An {!Obs.Probe} driven in virtual time: a probe stream
+    [sender -> id -> receiver].  Starting a flow takes over the
+    receiver's [on_receive] callback; give each flow its own receiver
+    host. *)
 
 val start_flow :
   I3.Dynamic.t ->
@@ -55,35 +56,20 @@ val start_flow :
   ?name:string ->
   Id.t ->
   flow
-(** Insert the receiver's trigger is {e not} done here — arrange triggers
-    first, then probe.  Sends one marked packet every [period] ms
-    (default 250). *)
+(** Send one probe every [period] ms (default 250).  Insert the
+    receiver's trigger first: the flow only measures. *)
 
 val stop_flow : flow -> unit
 
-val flow_name : flow -> string
+val probe : flow -> Obs.Probe.t
+(** The flow's bookkeeping; {!Monitor.default_rules} builds its
+    delivery rule from it. *)
 
-val flow_labels : flow -> (string * string) list
-(** The labels the flow's [eval.flow.sent] / [eval.flow.received]
-    counters carry in the registry — what a {!Monitor} delivery rule
-    filters by. *)
-
-val sent : flow -> int
 val received : flow -> int
-(** Distinct probe packets received (duplicates from the fault layer and
-    multi-path anomalies count once). *)
-
-val delivery_ratio : flow -> float
-(** [received / sent]; 1.0 for an empty flow. *)
+(** {!Obs.Probe.received}. *)
 
 val time_to_recovery : flow -> after:float -> float option
-(** Virtual ms from absolute time [after] (typically the fault instant)
-    to the first probe delivered at or after it; [None] if the flow never
-    recovered. *)
-
-val longest_outage : flow -> float
-(** Longest gap between consecutive deliveries (flow start and stop act
-    as virtual deliveries), i.e. the worst service interruption. *)
+(** {!Obs.Probe.time_to_recovery}, in virtual ms. *)
 
 (** {1 Reporting} *)
 
@@ -116,15 +102,5 @@ val metrics :
     [detect_ms] / [monitor_ttr_ms] come from a {!Monitor} when one
     watched the scenario. *)
 
-val header : string list
-(** Column names shared by {!rows}, {!report}, {!csv} and {!json}. *)
-
-val rows : metrics list -> string list list
-(** Structured rows — callers pick the sink ({!Report.table},
-    {!Report.csv}, {!Report.json} or their own). *)
-
 val report : metrics list -> unit
 (** Print a {!Report.table} of the scenario matrix. *)
-
-val csv : path:string -> metrics list -> unit
-val json : path:string -> metrics list -> unit

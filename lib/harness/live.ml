@@ -1,144 +1,81 @@
-(* Live-cluster recovery invariants: the [Eval.Recovery] /
-   [Eval.Monitor] story, ported from virtual time and simulated servers
-   to wall clocks and real processes.
+(* Live-cluster recovery invariants: the wall-clock driver of the same
+   checks [Eval.Recovery] / [Eval.Monitor] run in virtual time.
 
-   The checkers mirror the simulator's definitions so a chaos scenario
-   asserts the *same* properties on both substrates:
-
-   - {b delivery}: a periodic probe flow (client -> id -> back to the
-     client) measures delivery ratio, time-to-recovery after a fault
-     and the longest outage — [Eval.Recovery.flow] over sockets;
+   - {b delivery}: [Obs.Probe] flows (client -> id -> back to the
+     client), sent from [flow_tick] and recorded from [on_deliver], both
+     on [wall_ms ()];
    - {b trigger conservation}: every trigger the client keeps refreshed
      is matchable at its responsible daemon, checked behaviorally by
      probing each trigger and awaiting the Deliver frame (a live
      process's table cannot be inspected, only exercised);
    - {b monitor verdicts}: an [Obs.Health] monitor scraped on the wall
-     clock judges the same delivery-ratio and give-up rules the
-     simulated chaos matrix pins, yielding monitor-measured TTD/TTR.
+     clock judges the flow's delivery rule and the client's give-up
+     counter, yielding monitor-measured TTD/TTR.
 
    Flows and conservation probes share one [Transport.Client]; this
-   module owns its [on_deliver] callback and dispatches by payload
-   prefix. *)
+   module owns its [on_deliver] callback. *)
 
 let wall_ms () = Unix.gettimeofday () *. 1000.
 
 type flow = {
-  name : string;
+  probe : Obs.Probe.t;
   id : Id.t;
   period_ms : float;
-  mutable seq : int;
-  mutable last_send : float;
-  received : (int, unit) Hashtbl.t;
-  mutable recv_times : float list;  (* newest first, wall ms *)
-  mutable started : float;
-  mutable stopped : float option;
-  c_sent : Obs.Metrics.counter;
-  c_received : Obs.Metrics.counter;
+  mutable next_send : float;  (* wall ms; infinity once stopped *)
 }
 
 type t = {
   client : Transport.Client.t;
-  flows : (string, flow) Hashtbl.t;
+  metrics : Obs.Metrics.t;
+  mutable flows : flow list;
   cons : (int, unit) Hashtbl.t;  (* conservation-probe nonces seen *)
   mutable nonce : int;
   mutable next_trace : int;
-  metrics : Obs.Metrics.t;
 }
-
-(* Payloads: "i3flow <name> <seq>" / "i3cons <nonce>". *)
-let flow_payload name seq = Printf.sprintf "i3flow %s %d" name seq
-let cons_payload nonce = Printf.sprintf "i3cons %d" nonce
 
 let attach ?(metrics = Obs.Metrics.default) client =
   let t =
-    { client; flows = Hashtbl.create 4; cons = Hashtbl.create 16; nonce = 0;
+    { client; metrics; flows = []; cons = Hashtbl.create 16; nonce = 0;
       (* Probe packets carry fresh trace ids so daemons record their
          hops (trace 0 = untraced); pid-salted so two clients' ids
          cannot collide when their drained events are assembled. *)
-      next_trace = (Unix.getpid () land 0xffff) lsl 32;
-      metrics }
+      next_trace = (Unix.getpid () land 0xffff) lsl 32 }
   in
   Transport.Client.on_deliver client (fun ~stack:_ ~payload ->
       match String.split_on_char ' ' payload with
-      | [ "i3flow"; name; seq ] -> (
-          match (Hashtbl.find_opt t.flows name, int_of_string_opt seq) with
-          | Some f, Some seq ->
-              (* Duplicates (fault layer, multi-trigger anomalies) count
-                 once, as in [Eval.Recovery.received]. *)
-              if not (Hashtbl.mem f.received seq) then begin
-                Hashtbl.replace f.received seq ();
-                f.recv_times <- wall_ms () :: f.recv_times;
-                Obs.Metrics.incr f.c_received
-              end
-          | _ -> ())
-      | [ "i3cons"; nonce ] -> (
-          match int_of_string_opt nonce with
-          | Some n -> Hashtbl.replace t.cons n ()
-          | None -> ())
-      | _ -> ());
+      | [ "i3cons"; nonce ] ->
+          Option.iter (fun n -> Hashtbl.replace t.cons n ())
+            (int_of_string_opt nonce)
+      | _ ->
+          let now = wall_ms () in
+          List.iter (fun f -> Obs.Probe.on_receive f.probe ~now payload) t.flows);
   t
-
-let client t = t.client
 
 (* --- probe flows --- *)
 
-let flow_labels f = [ ("flow", f.name) ]
-
 let start_flow ?(period_ms = 100.) t ~name id =
-  if Hashtbl.mem t.flows name then
-    invalid_arg ("Live.start_flow: duplicate flow " ^ name);
-  let labels = [ ("flow", name) ] in
-  let f =
-    {
-      name;
-      id;
-      period_ms;
-      seq = 0;
-      last_send = Float.neg_infinity;
-      received = Hashtbl.create 64;
-      recv_times = [];
-      started = wall_ms ();
-      stopped = None;
-      c_sent = Obs.Metrics.counter t.metrics ~labels "live.flow.sent";
-      c_received = Obs.Metrics.counter t.metrics ~labels "live.flow.received";
-    }
-  in
-  Hashtbl.replace t.flows name f;
+  let probe = Obs.Probe.create ~metrics:t.metrics ~name ~now:(wall_ms ()) in
+  let f = { probe; id; period_ms; next_send = Float.neg_infinity } in
+  t.flows <- f :: t.flows;
   f
 
-let stop_flow f = if f.stopped = None then f.stopped <- Some (wall_ms ())
+let stop_flow f =
+  f.next_send <- Float.infinity;
+  Obs.Probe.stop f.probe ~now:(wall_ms ())
 
-(* Send the next probe when due; call every tick. *)
 let flow_tick t f ~now_ms =
-  if f.stopped = None && now_ms -. f.last_send >= f.period_ms then begin
-    f.last_send <- now_ms;
-    f.seq <- f.seq + 1;
-    Obs.Metrics.incr f.c_sent;
+  if now_ms >= f.next_send then begin
+    f.next_send <- now_ms +. f.period_ms;
     t.next_trace <- t.next_trace + 1;
     Transport.Client.send_data t.client ~trace:t.next_trace
-      ~stack:[ I3.Packet.Sid f.id ]
-      ~payload:(flow_payload f.name f.seq)
-      ()
+      ~stack:[ I3.Packet.Sid f.id ] ~payload:(Obs.Probe.next f.probe) ()
   end
 
-let sent f = f.seq
-let received f = Hashtbl.length f.received
-let delivery_ratio f =
-  if f.seq = 0 then 1. else float_of_int (received f) /. float_of_int f.seq
-
-let time_to_recovery f ~after =
-  match List.filter (fun ti -> ti >= after) f.recv_times with
-  | [] -> None
-  | l -> Some (List.fold_left Float.min Float.infinity l -. after)
-
-let longest_outage f =
-  let stop = match f.stopped with Some s -> s | None -> wall_ms () in
-  let times = List.sort compare (f.started :: stop :: f.recv_times) in
-  let rec go = function
-    | a :: (b :: _ as rest) -> Float.max (b -. a) (go rest)
-    | _ -> 0.
-  in
-  go times
+let sent f = Obs.Probe.sent f.probe
+let received f = Obs.Probe.received f.probe
+let delivery_ratio f = Obs.Probe.delivery_ratio f.probe
+let time_to_recovery f ~after = Obs.Probe.time_to_recovery f.probe ~after
+let longest_outage f = Obs.Probe.longest_outage f.probe ~now:(wall_ms ())
 
 (* --- trigger conservation --- *)
 
@@ -147,67 +84,49 @@ let longest_outage f =
    daemon, rewrite and the final IP hop all demonstrably work.  Retries
    absorb the fault layer's loss — conservation is about state, not
    about any single datagram's fate. *)
-let trigger_conserved ?(attempts = 5) ?(attempt_timeout_ms = 400.) t
-    (trigger : I3.Trigger.t) =
-  let rec go n =
+let triggers_conserved ?(attempts = 5) ?(attempt_timeout_ms = 400.) t =
+  let answered nonce =
+    let deadline = wall_ms () +. attempt_timeout_ms in
+    let rec wait () =
+      if Hashtbl.mem t.cons nonce then true
+      else if wall_ms () >= deadline then false
+      else begin
+        ignore (Transport.Client.wait t.client ~timeout:0.02);
+        wait ()
+      end
+    in
+    wait ()
+  in
+  let rec conserved n (trigger : I3.Trigger.t) =
     if n = 0 then false
     else begin
       t.nonce <- t.nonce + 1;
-      let nonce = t.nonce in
       Transport.Client.send_data t.client
         ~stack:[ I3.Packet.Sid trigger.id ]
-        ~payload:(cons_payload nonce) ();
-      let deadline = wall_ms () +. attempt_timeout_ms in
-      let rec wait () =
-        if Hashtbl.mem t.cons nonce then true
-        else if wall_ms () >= deadline then false
-        else begin
-          ignore (Transport.Client.wait t.client ~timeout:0.02);
-          wait ()
-        end
-      in
-      if wait () then true else go (n - 1)
+        ~payload:(Printf.sprintf "i3cons %d" t.nonce) ();
+      answered t.nonce || conserved (n - 1) trigger
     end
   in
-  go attempts
-
-let triggers_conserved ?attempts ?attempt_timeout_ms t =
-  match Transport.Client.triggers t.client with
-  | [] -> true
-  | l -> List.for_all (trigger_conserved ?attempts ?attempt_timeout_ms t) l
+  List.for_all (conserved attempts) (Transport.Client.triggers t.client)
 
 (* --- the live monitor --- *)
 
-(* Same rule shapes as [Eval.Monitor.default_rules], re-based on the
-   live flow counters and the client's give-up counter; times are wall
-   ms, so TTD/TTR compare directly against fault instants taken from
-   the same clock. *)
-let delivery_rule ?(window_ms = 2_000.) ~flow_name () =
-  {
-    Obs.Health.rule = "delivery";
-    signal =
-      Obs.Health.Ratio
-        {
-          num = "live.flow.received";
-          num_labels = [ ("flow", flow_name) ];
-          den = "live.flow.sent";
-          den_labels = [ ("flow", flow_name) ];
-          window_ms;
-        };
-    bound = Obs.Health.At_least { ok = 0.6; degraded = 0.25 };
-  }
-
-let gave_up_rule ?(instance = "client") () =
-  {
-    Obs.Health.rule = "client-gave-up";
-    signal =
-      Obs.Health.Latest
-        { metric = "client.gave_up"; labels = [ ("instance", instance) ] };
-    bound = Obs.Health.At_most { ok = 0.; degraded = 0. };
-  }
-
-let default_rules ?window_ms ?instance ~flow_name () =
-  [ delivery_rule ?window_ms ~flow_name (); gave_up_rule ?instance () ]
+(* The same rule shapes as [Eval.Monitor.default_rules], re-based on the
+   client's give-up counter; times are wall ms, so TTD/TTR compare
+   directly against fault instants taken from the same clock. *)
+let default_rules ?(instance = "client") f =
+  [
+    (* Looser than the simulator's 0.8/0.45: the live run injects
+       baseline loss on top of probes in flight. *)
+    Obs.Probe.delivery_rule ~ok:0.6 ~degraded:0.25 f.probe;
+    {
+      Obs.Health.rule = "client-gave-up";
+      signal =
+        Obs.Health.Latest
+          { metric = "client.gave_up"; labels = [ ("instance", instance) ] };
+      bound = Obs.Health.At_most { ok = 0.; degraded = 0. };
+    };
+  ]
 
 type monitor = {
   health : Obs.Health.t;
@@ -228,17 +147,5 @@ let monitor_tick m ~now_ms =
     ignore (Obs.Health.scrape m.health ~time:now_ms)
   end
 
-let health m = m.health
-
-let time_to_detect m ~fault_at =
-  Option.map
-    (fun at -> at -. fault_at)
-    (Obs.Health.first_breach_after m.health fault_at)
-
-let time_to_recover m ~fault_at =
-  match Obs.Health.first_breach_after m.health fault_at with
-  | None -> None
-  | Some breach ->
-      Option.map
-        (fun at -> at -. fault_at)
-        (Obs.Health.first_ok_after m.health breach)
+let time_to_detect m ~fault_at = Obs.Health.time_to_detect m.health ~fault_at
+let time_to_recover m ~fault_at = Obs.Health.time_to_recover m.health ~fault_at

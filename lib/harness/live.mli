@@ -1,22 +1,20 @@
-(** Live-cluster recovery invariants and SLO verdicts: the
-    [Eval.Recovery] / [Eval.Monitor] checks, re-based from virtual time
-    and simulated servers onto wall clocks and real [bin/i3d] processes.
+(** Live-cluster recovery invariants and SLO verdicts: the wall-clock
+    driver of the checks [Eval.Recovery] / [Eval.Monitor] run in
+    virtual time, against real [bin/i3d] processes.
 
+    Delivery is measured by the same {!Obs.Probe} core both substrates
+    share, so "delivered" and "recovered" mean one thing on either.
     One {!t} owns a {!Transport.Client}'s [on_deliver] callback and
-    dispatches probe payloads to {e flows} (periodic delivery
-    measurement) and {e conservation probes} (behavioral proof that a
-    trigger is stored and matchable at its responsible daemon).  A
-    {!monitor} judges {!Obs.Health} rules over the same registry the
-    client and flows write, yielding monitor-measured TTD/TTR to compare
-    against ground truth — precisely what the simulated chaos matrix
-    asserts, now against real sockets and real process death. *)
+    dispatches payloads to its flows and to {e conservation probes}
+    (behavioral proof that a trigger is stored and matchable at its
+    responsible daemon).  A {!monitor} judges {!Obs.Health} rules over
+    the registry the client and flows write, yielding monitor-measured
+    TTD/TTR to compare against ground truth. *)
 
 type t
 
 val attach : ?metrics:Obs.Metrics.t -> Transport.Client.t -> t
 (** Takes over the client's [on_deliver]. *)
-
-val client : t -> Transport.Client.t
 
 (** {1 Probe flows} *)
 
@@ -25,61 +23,39 @@ type flow
 val start_flow : ?period_ms:float -> t -> name:string -> Id.t -> flow
 (** A periodic probe stream through identifier [id] (default period
     100 ms).  Arrange the trigger first — the flow only measures.
-    Counters: [live.flow.sent] / [live.flow.received] labeled
-    [("flow", name)].  @raise Invalid_argument on a duplicate name. *)
+    @raise Invalid_argument on a name already used in the registry. *)
 
 val stop_flow : flow -> unit
 
 val flow_tick : t -> flow -> now_ms:float -> unit
 (** Send the next probe when due; call every scheduler tick. *)
 
-val flow_labels : flow -> (string * string) list
-
 val sent : flow -> int
-
 val received : flow -> int
-(** Distinct probes delivered (duplicates count once). *)
-
 val delivery_ratio : flow -> float
 
 val time_to_recovery : flow -> after:float -> float option
-(** Wall ms from [after] (a fault instant) to the first delivery at or
-    after it. *)
+(** {!Obs.Probe.time_to_recovery}, in wall ms. *)
 
 val longest_outage : flow -> float
-(** Longest gap between consecutive deliveries (flow start/stop act as
-    virtual deliveries). *)
+(** {!Obs.Probe.longest_outage}, in wall ms. *)
 
 (** {1 Trigger conservation} *)
 
-val trigger_conserved :
-  ?attempts:int -> ?attempt_timeout_ms:float -> t -> I3.Trigger.t -> bool
-(** Probe the trigger's identifier until its Deliver frame comes back
-    (default 5 attempts x 400 ms): storage, rewrite and the final IP
-    hop all demonstrably work.  Retries absorb injected loss —
-    conservation is about state, not one datagram's fate. *)
-
 val triggers_conserved :
   ?attempts:int -> ?attempt_timeout_ms:float -> t -> bool
-(** Every trigger the client keeps refreshed is conserved. *)
+(** Every trigger the client keeps refreshed is conserved: a probe to
+    its identifier comes back as a Deliver frame within [attempts]
+    tries (default 5) of [attempt_timeout_ms] each (default 400), so
+    storage, rewrite and the final IP hop all demonstrably work. *)
 
 (** {1 Live monitor} *)
 
-val delivery_rule :
-  ?window_ms:float -> flow_name:string -> unit -> Obs.Health.rule
-(** Windowed delivered/sent ratio of one flow:
-    [At_least {ok = 0.6; degraded = 0.25}] — headroom for probes in
-    flight and the injected baseline loss. *)
-
-val gave_up_rule : ?instance:string -> unit -> Obs.Health.rule
-(** [client.gave_up] must stay 0 — any give-up is a Violated verdict. *)
-
-val default_rules :
-  ?window_ms:float ->
-  ?instance:string ->
-  flow_name:string ->
-  unit ->
-  Obs.Health.rule list
+val default_rules : ?instance:string -> flow -> Obs.Health.rule list
+(** The flow's {!Obs.Probe.delivery_rule} at [ok = 0.6],
+    [degraded = 0.25] (headroom for probes in flight and the injected
+    baseline loss), plus [client.gave_up] of [instance] (default
+    ["client"]) staying 0: any give-up is a Violated verdict. *)
 
 type monitor
 
@@ -88,11 +64,9 @@ val monitor : ?period_ms:float -> ?rules:Obs.Health.rule list -> t -> monitor
     from the scheduler tick via {!monitor_tick}. *)
 
 val monitor_tick : monitor -> now_ms:float -> unit
-val health : monitor -> Obs.Health.t
 
 val time_to_detect : monitor -> fault_at:float -> float option
-(** Wall ms from the fault to the monitor's first non-Ok scrape. *)
+(** {!Obs.Health.time_to_detect}, in wall ms. *)
 
 val time_to_recover : monitor -> fault_at:float -> float option
-(** Wall ms from the fault to the first Ok scrape after the first
-    breach. *)
+(** {!Obs.Health.time_to_recover}, in wall ms. *)

@@ -206,3 +206,10 @@ let first_ok_after t after =
   List.find_map
     (fun (at, v) -> if at >= after && v = Ok then Some at else None)
     (history t)
+
+let time_to_detect t ~fault_at =
+  Option.map (fun at -> at -. fault_at) (first_breach_after t fault_at)
+
+let time_to_recover t ~fault_at =
+  Option.bind (first_breach_after t fault_at) (fun breach ->
+      Option.map (fun at -> at -. fault_at) (first_ok_after t breach))

@@ -118,3 +118,11 @@ val first_breach_after : t -> float -> float option
 val first_ok_after : t -> float -> float option
 (** Time of the first [Ok] scrape at or after the given time — combined
     with {!first_breach_after}, the monitor's view of recovery. *)
+
+val time_to_detect : t -> fault_at:float -> float option
+(** Time from the fault to the first non-[Ok] scrape at or after it;
+    [None] if the monitor never noticed. *)
+
+val time_to_recover : t -> fault_at:float -> float option
+(** Time from the fault to the first [Ok] scrape after the first
+    breach; [None] without a breach or without recovery. *)

@@ -62,9 +62,8 @@ let start_probes d =
   let monitor =
     Eval.Monitor.create
       ~rules:
-        (Eval.Monitor.default_rules
-           ~flow_labels:(Eval.Recovery.flow_labels flow)
-           ~ring_label:(I3.Dynamic.ring_label d) ())
+        (Eval.Monitor.default_rules ~ring_label:(I3.Dynamic.ring_label d)
+           flow)
       d
   in
   I3.Dynamic.run_for d 5_000.;

@@ -106,9 +106,7 @@ let () =
 
   let flow = Harness.Live.start_flow live ~name:"probe" probe_id in
   let mon =
-    Harness.Live.monitor
-      ~rules:(Harness.Live.default_rules ~flow_name:"probe" ())
-      live
+    Harness.Live.monitor ~rules:(Harness.Live.default_rules flow) live
   in
 
   (* Seeded kill/restart of the probe's owner: 1.7 s of real downtime,

@@ -435,6 +435,124 @@ let test_health_verdict_transitions () =
   | Some t -> feq "first ok after breach" 3000. t
   | None -> Alcotest.fail "expected recovery"
 
+(* --- Obs.Probe --- *)
+
+let qtest ?(count = 200) ~print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name ~print gen prop)
+
+let probe_payload seq = Printf.sprintf "i3flow f %d" seq
+
+(* What a flow's receiver may see: its own probes, duplicated, reordered
+   or never sent ([Deliver]), and payloads that are not its probes at
+   all, including ones with its prefix and a seq that is not plain
+   decimal ([Other]). *)
+type probe_op = Send | Deliver of int | Other of string
+
+let gen_probe_run =
+  QCheck2.Gen.(
+    pair (int_range 0 400)
+      (list_size (int_range 0 80)
+         (pair (int_range 0 50)
+            (frequency
+               [
+                 (3, pure Send);
+                 (4, map (fun seq -> Deliver seq) (int_range (-2) 25));
+                 ( 1,
+                   map
+                     (fun p -> Other p)
+                     (oneofl
+                        [
+                          "i3flow g 0"; "i3flow f"; "i3flow f "; "i3flow f x";
+                          "i3flow f 1x"; "i3flow f 01"; "i3flow f +1";
+                          "i3flow f 0x1"; "i3flow f 1 "; "i3cons 1"; "";
+                        ]) );
+               ]))))
+
+let print_probe_run (after, ops) =
+  Printf.sprintf "after %d: %s" after
+    (String.concat "; "
+       (List.map
+          (fun (dt, op) ->
+            Printf.sprintf "+%d %s" dt
+              (match op with
+              | Send -> "send"
+              | Deliver seq -> Printf.sprintf "deliver %d" seq
+              | Other p -> Printf.sprintf "other %S" p))
+          ops))
+
+(* Drive a flow through [ops] next to a model of its delivered set: a
+   seq counts once, on its first arrival after it was sent. *)
+let run_probe ops =
+  let p = Obs.Probe.create ~metrics:(Obs.Metrics.create ()) ~name:"f" ~now:0. in
+  let now = ref 0. and sent = ref 0 and counted = ref [] in
+  List.iter
+    (fun (dt, op) ->
+      now := !now +. float_of_int dt;
+      match op with
+      | Send ->
+          if Obs.Probe.next p <> probe_payload !sent then
+            failwith "payload format";
+          incr sent
+      | Deliver seq ->
+          Obs.Probe.on_receive p ~now:!now (probe_payload seq);
+          if seq >= 0 && seq < !sent && not (List.mem_assoc seq !counted) then
+            counted := (seq, !now) :: !counted
+      | Other payload -> Obs.Probe.on_receive p ~now:!now payload)
+    ops;
+  (p, !now, !sent, List.map snd !counted)
+
+let prop_probe_bookkeeping (after, ops) =
+  let p, now, sent, times = run_probe ops in
+  let after = float_of_int after in
+  let ratio = Obs.Probe.delivery_ratio p in
+  let first_after =
+    match List.filter (fun t -> t >= after) times with
+    | [] -> None
+    | l -> Some (List.fold_left Float.min Float.infinity l -. after)
+  in
+  let marks = List.sort Float.compare (0. :: now :: times) in
+  let rec gaps_within = function
+    | a :: (b :: _ as rest) ->
+        b -. a <= Obs.Probe.longest_outage p ~now && gaps_within rest
+    | _ -> true
+  in
+  Obs.Probe.sent p = sent
+  && Obs.Probe.received p = List.length times
+  && Obs.Probe.received p <= sent
+  && ratio >= 0. && ratio <= 1.
+  && Obs.Probe.time_to_recovery p ~after = first_after
+  && gaps_within marks
+
+let test_probe_counts_reordered_seqs () =
+  (* Seq 2 overtakes seq 1: both count.  A "highest seq seen" rule would
+     drop seq 1 as a duplicate. *)
+  let p = Obs.Probe.create ~metrics:(Obs.Metrics.create ()) ~name:"f" ~now:0. in
+  for _ = 0 to 2 do
+    ignore (Obs.Probe.next p)
+  done;
+  Obs.Probe.on_receive p ~now:10. (probe_payload 2);
+  Obs.Probe.on_receive p ~now:11. (probe_payload 1);
+  Obs.Probe.on_receive p ~now:12. (probe_payload 1);
+  Alcotest.(check int) "received" 2 (Obs.Probe.received p);
+  feq "ratio" (2. /. 3.) (Obs.Probe.delivery_ratio p);
+  Alcotest.(check (option (float 0.))) "recovery from the first arrival"
+    (Some 5.) (Obs.Probe.time_to_recovery p ~after:5.)
+
+let test_probe_ignores_non_numeric_seq () =
+  let reg = Obs.Metrics.create () in
+  let p = Obs.Probe.create ~metrics:reg ~name:"f" ~now:0. in
+  ignore (Obs.Probe.next p);
+  List.iter
+    (Obs.Probe.on_receive p ~now:1.)
+    [ "i3flow f abc"; "i3flow f 0abc"; "i3flow f "; "i3flow f 99999999999999999999" ];
+  Alcotest.(check int) "nothing counted" 0 (Obs.Probe.received p);
+  Alcotest.(check bool) "counter untouched" true
+    (Obs.Metrics.find reg ~labels:(Obs.Probe.labels p) "probe.received"
+    = Some (Obs.Metrics.Counter 0));
+  Alcotest.check_raises "one flow per name and registry"
+    (Invalid_argument "Obs.Probe.create: duplicate flow f") (fun () ->
+      ignore (Obs.Probe.create ~metrics:reg ~name:"f" ~now:0.))
+
 let test_health_stable_rule_and_validation () =
   let reg = Obs.Metrics.create () in
   let stable =
@@ -867,6 +985,15 @@ let () =
             test_health_stable_rule_and_validation;
           Alcotest.test_case "missing data is ok" `Quick
             test_health_missing_data_is_ok;
+        ] );
+      ( "probe",
+        [
+          qtest ~print:print_probe_run "bookkeeping matches a distinct-seq model"
+            gen_probe_run prop_probe_bookkeeping;
+          Alcotest.test_case "reordered seqs count" `Quick
+            test_probe_counts_reordered_seqs;
+          Alcotest.test_case "non-numeric seq ignored" `Quick
+            test_probe_ignores_non_numeric_seq;
         ] );
       ( "telemetry",
         [
