@@ -375,7 +375,11 @@ let section_control_plane () =
   let n_servers = if smoke then 6 else 16 in
   let horizon = if smoke then 30_000. else 120_000. in
   let metrics = Obs.Metrics.create () in
-  let spans = Obs.Span.create ~capacity:(1 lsl 14) () in
+  (* Room for every operation event of the run: [durations_ms] skips an
+     operation whose opening event was evicted, and the gated
+     percentiles are over all of them. *)
+  let capacity = 1 lsl 16 in
+  let spans = Obs.Trace.create ~capacity () in
   let d = I3.Dynamic.create ~seed:9 ~metrics ~spans () in
   for i = 0 to n_servers - 1 do
     ignore (I3.Dynamic.add_server d ~site:i ())
@@ -402,8 +406,17 @@ let section_control_plane () =
   I3.Dynamic.run_for d horizon;
   Eval.Recovery.stop_flow flow;
   Eval.Monitor.stop monitor;
+  if Obs.Trace.recorded spans > capacity then
+    failwith "control plane: operation ring overflowed";
+  let finished =
+    List.length
+      (List.filter
+         (fun (e : Obs.Trace.event) ->
+           match e.kind with Obs.Trace.Done _ -> true | _ -> false)
+         (Obs.Trace.events spans))
+  in
   let pct op =
-    let ds = Obs.Span.durations_ms ~op spans in
+    let ds = Obs.Trace.durations_ms ~op spans in
     let q p = if Array.length ds = 0 then 0. else Stats.percentile p ds in
     ( Array.length ds,
       Json.Obj
@@ -420,7 +433,7 @@ let section_control_plane () =
   let health = Eval.Monitor.health monitor in
   let ok, degraded, violated = Obs.Health.counts health in
   Printf.printf "  spans: %d finished (%d lookups, %d rpcs, %d refreshes)\n"
-    (Obs.Span.finished spans) n_lookup n_rpc n_refresh;
+    finished n_lookup n_rpc n_refresh;
   Printf.printf "  health: %d scrapes -> %d ok / %d degraded / %d violated\n"
     (ok + degraded + violated) ok degraded violated;
   let series_rows =
@@ -436,7 +449,7 @@ let section_control_plane () =
     ( "spans",
       Json.Obj
         [
-          ("finished", Json.Int (Obs.Span.finished spans));
+          ("finished", Json.Int finished);
           ("chord_lookup", lookup_json);
           ("chord_rpc", rpc_json);
           ("trigger_refresh", refresh_json);

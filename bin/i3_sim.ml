@@ -423,7 +423,7 @@ let print_row widths cells =
 
 let run_health seed servers period horizon fault fault_at heal_at dump_path =
   let metrics = Obs.Metrics.create () in
-  let spans = Obs.Span.create () in
+  let spans = Obs.Trace.create () in
   let tracer = Obs.Trace.create () in
   let d = I3.Dynamic.create ~seed ~metrics ~tracer ~spans () in
   for i = 0 to servers - 1 do

@@ -10,7 +10,7 @@ let () =
      net, send from it, and feed what arrives to [handle]. *)
   let net = Net.create engine ~rng ~latency:(fun _ _ -> 20.) () in
   let nw =
-    Chord.Protocol.create_detached engine ~rng
+    Chord.Protocol.create engine ~rng
       ~emit:(fun ~src ~dst msg -> Net.send net ~src ~dst msg)
       ()
   in

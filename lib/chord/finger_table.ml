@@ -1,7 +1,5 @@
 type peer = { id : Id.t; addr : int }
 
-let pp_peer ppf p = Format.fprintf ppf "%a@%d" Id.pp p.id p.addr
-
 type t = {
   self : Id.t;
   entries : peer option array;

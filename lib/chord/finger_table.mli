@@ -10,8 +10,6 @@
 
 type peer = { id : Id.t; addr : int }
 
-val pp_peer : Format.formatter -> peer -> unit
-
 type t
 
 val create : self:Id.t -> t

@@ -38,11 +38,11 @@ type pending =
       mutable asking : peer;
       callback : peer option -> unit;
       started : float;
-      span : Obs.Span.open_span;  (* root: the whole iterative lookup *)
-      mutable rpc : Obs.Span.open_span;  (* child: the in-flight step *)
+      span : Obs.Trace.op;  (* root: the whole iterative lookup *)
+      mutable rpc : Obs.Trace.op;  (* child: the in-flight step *)
     }
-  | Pstabilize of { asking : peer; span : Obs.Span.open_span }
-  | Pprobe of { buried : peer; span : Obs.Span.open_span }
+  | Pstabilize of { asking : peer; span : Obs.Trace.op }
+  | Pprobe of { buried : peer; span : Obs.Trace.op }
 
 type node = {
   network : network;
@@ -77,7 +77,7 @@ and network = {
   rng : Rng.t;
   mutable nodes : node list;
   mutable tokens : int;
-  spans : Obs.Span.t;
+  spans : Obs.Trace.t;
   c_lookups : Obs.Metrics.counter;
   c_failures : Obs.Metrics.counter;
   c_timeouts : Obs.Metrics.counter;
@@ -89,9 +89,8 @@ and network = {
 
 let ring_label = "ring"
 
-let create_detached ?(metrics = Obs.Metrics.default)
-    ?(spans = Obs.Span.disabled) engine ~rng ?(config = default_config) ~emit
-    () =
+let create ?(metrics = Obs.Metrics.default) ?(spans = Obs.Trace.disabled)
+    engine ~rng ?(config = default_config) ~emit () =
   let labels = [ ("instance", ring_label) ] in
   let counter name = Obs.Metrics.counter metrics ~labels name in
   {
@@ -125,7 +124,6 @@ let self_peer n = { id = n.id; addr = n.addr }
 
 let successor n = match n.succs with [] -> None | p :: _ -> Some p
 let predecessor n = n.pred
-let successor_list n = n.succs
 
 let fresh_token nw =
   nw.tokens <- nw.tokens + 1;
@@ -203,11 +201,11 @@ let finish_lookup n token result =
       | Some _ ->
           Obs.Metrics.observe nw.h_hops (float_of_int l.hops);
           Obs.Metrics.observe nw.h_lookup_ms (now -. l.started);
-          Obs.Span.finish nw.spans ~time:now l.span
+          Obs.Trace.close_op nw.spans ~time:now l.span
       | None ->
           Obs.Metrics.incr nw.c_failures;
-          Obs.Span.finish nw.spans ~status:(Obs.Span.Error "exhausted")
-            ~time:now l.span);
+          Obs.Trace.close_op nw.spans ~status:"error:exhausted" ~time:now
+            l.span);
       l.callback result
   | _ -> ()
 
@@ -219,10 +217,12 @@ let rec lookup_ask n token =
       else begin
         let asked = l.asking in
         let now = Engine.now n.network.engine in
+        let spans = n.network.spans in
         let rpc =
-          Obs.Span.start n.network.spans ~parent:l.span ~time:now "chord.rpc"
+          Obs.Trace.open_op spans ~parent:(Obs.Trace.op_id l.span) ~time:now
+            "chord.rpc"
         in
-        Obs.Span.annotate rpc ~time:now
+        Obs.Trace.note spans rpc ~time:now
           (Printf.sprintf "ask addr=%d hop=%d" asked.addr l.hops);
         l.rpc <- rpc;
         send n asked.addr (Lookup_step { key = l.key; token; reply_to = n.addr });
@@ -238,8 +238,8 @@ and lookup_timeout n token asked =
          peer, since the silence may just be loss. *)
       Obs.Metrics.incr n.network.c_timeouts;
       let now = Engine.now n.network.engine in
-      Obs.Span.annotate l.rpc ~time:now "timeout; retrying";
-      Obs.Span.finish n.network.spans ~status:Obs.Span.Timeout ~time:now l.rpc;
+      Obs.Trace.note n.network.spans l.rpc ~time:now "timeout; retrying";
+      Obs.Trace.close_op n.network.spans ~status:"timeout" ~time:now l.rpc;
       suspect n asked.addr;
       l.hops <- l.hops + 1;
       (match local_candidate n l.key with
@@ -249,7 +249,7 @@ and lookup_timeout n token asked =
       | None -> finish_lookup n token None)
   | _ -> ()
 
-let lookup ?trace n key callback =
+let lookup n key callback =
   let nw = n.network in
   if not n.alive then
     Engine.schedule nw.engine ~delay:0. (fun () -> callback None)
@@ -259,18 +259,18 @@ let lookup ?trace n key callback =
     let finish_immediate span =
       Obs.Metrics.observe nw.h_hops 0.;
       Obs.Metrics.observe nw.h_lookup_ms 0.;
-      Obs.Span.finish nw.spans ~time:now span
+      Obs.Trace.close_op nw.spans ~time:now span
     in
     match successor n with
     | None ->
         (* Alone on the ring: every key is ours. *)
-        let span = Obs.Span.start nw.spans ?trace ~time:now "chord.lookup" in
+        let span = Obs.Trace.open_op nw.spans ~time:now "chord.lookup" in
         finish_immediate span;
         Engine.schedule nw.engine ~delay:0. (fun () ->
             callback (Some (self_peer n)))
     | Some succ ->
         if Ring.between_oc ~low:n.id ~high:succ.id key then begin
-          let span = Obs.Span.start nw.spans ?trace ~time:now "chord.lookup" in
+          let span = Obs.Trace.open_op nw.spans ~time:now "chord.lookup" in
           finish_immediate span;
           Engine.schedule nw.engine ~delay:0. (fun () -> callback (Some succ))
         end
@@ -281,7 +281,7 @@ let lookup ?trace n key callback =
             | Some p -> p
             | None -> succ
           in
-          let span = Obs.Span.start nw.spans ?trace ~time:now "chord.lookup" in
+          let span = Obs.Trace.open_op nw.spans ~time:now "chord.lookup" in
           Hashtbl.replace n.pending token
             (Plookup
                {
@@ -291,7 +291,7 @@ let lookup ?trace n key callback =
                  callback;
                  started = now;
                  span;
-                 rpc = Obs.Span.null;
+                 rpc = Obs.Trace.null_op;
                });
           lookup_ask n token
         end
@@ -317,7 +317,7 @@ let handle_lookup_reply n ~token ~result =
   (match result with Done p | Next p -> remember n p);
   match Hashtbl.find_opt n.pending token with
   | Some (Plookup l) -> (
-      Obs.Span.finish n.network.spans
+      Obs.Trace.close_op n.network.spans
         ~time:(Engine.now n.network.engine)
         l.rpc;
       match result with
@@ -348,7 +348,7 @@ let handle_state n ~token ~(self : peer) ~(pred : peer option)
   List.iter (remember n) succs;
   match Hashtbl.find_opt n.pending token with
   | Some (Pprobe { buried; span }) ->
-      Obs.Span.finish n.network.spans
+      Obs.Trace.close_op n.network.spans
         ~time:(Engine.now n.network.engine)
         span;
       (* A probed peer answered: it recovered, a partition healed, or it
@@ -389,9 +389,9 @@ let handle_state n ~token ~(self : peer) ~(pred : peer option)
       let chain = List.filter (fun (p : peer) -> p.addr <> n.addr) succs in
       n.succs <- truncate_succs n.network.cfg (new_succ :: chain);
       let now = Engine.now n.network.engine in
-      Obs.Span.annotate span ~time:now
+      Obs.Trace.note n.network.spans span ~time:now
         (Printf.sprintf "notify addr=%d" new_succ.addr);
-      Obs.Span.finish n.network.spans ~time:now span;
+      Obs.Trace.close_op n.network.spans ~time:now span;
       notify n new_succ.addr
   | _ -> ()
 
@@ -403,7 +403,7 @@ let probe_peer n (p : peer) =
   Obs.Metrics.incr n.network.c_probes;
   let token = fresh_token n.network in
   let span =
-    Obs.Span.start n.network.spans
+    Obs.Trace.open_op n.network.spans
       ~time:(Engine.now n.network.engine)
       "chord.probe"
   in
@@ -413,7 +413,7 @@ let probe_peer n (p : peer) =
       match Hashtbl.find_opt n.pending token with
       | Some (Pprobe { span; _ }) ->
           Hashtbl.remove n.pending token;
-          Obs.Span.finish n.network.spans ~status:Obs.Span.Timeout
+          Obs.Trace.close_op n.network.spans ~status:"timeout"
             ~time:(Engine.now n.network.engine)
             span
       | _ -> ())
@@ -526,8 +526,8 @@ let rejoin_probe n =
       | _ -> ()
     in
     let now = Engine.now n.network.engine in
-    let span = Obs.Span.start n.network.spans ~time:now "chord.lookup" in
-    Obs.Span.annotate span ~time:now "rejoin probe";
+    let span = Obs.Trace.open_op n.network.spans ~time:now "chord.lookup" in
+    Obs.Trace.note n.network.spans span ~time:now "rejoin probe";
     let token = fresh_token n.network in
     Hashtbl.replace n.pending token
       (Plookup
@@ -538,7 +538,7 @@ let rejoin_probe n =
            callback;
            started = now;
            span;
-           rpc = Obs.Span.null;
+           rpc = Obs.Trace.null_op;
          });
     lookup_ask n token
   end
@@ -580,9 +580,9 @@ let stabilize n =
     | Some succ ->
         let token = fresh_token n.network in
         let span =
-          Obs.Span.start n.network.spans ~time:now "chord.stabilize"
+          Obs.Trace.open_op n.network.spans ~time:now "chord.stabilize"
         in
-        Obs.Span.annotate span ~time:now
+        Obs.Trace.note n.network.spans span ~time:now
           (Printf.sprintf "get_state addr=%d" succ.addr);
         Hashtbl.replace n.pending token (Pstabilize { asking = succ; span });
         send n succ.addr (Get_state { token; reply_to = n.addr });
@@ -592,7 +592,7 @@ let stabilize n =
             | Some (Pstabilize { asking; span }) ->
                 Hashtbl.remove n.pending token;
                 Obs.Metrics.incr n.network.c_timeouts;
-                Obs.Span.finish n.network.spans ~status:Obs.Span.Timeout
+                Obs.Trace.close_op n.network.spans ~status:"timeout"
                   ~time:(Engine.now n.network.engine)
                   span;
                 suspect n asking.addr

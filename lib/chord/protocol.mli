@@ -35,7 +35,7 @@ type msg =
       (** [self] is the responder's authoritative identity: a prober
           that only knew an address (a bootstrap contact) learns the
           peer's id from it, which is what makes joining by address
-          possible ({!probe_addr}). *)
+          possible. *)
   | Notify of { who : peer; chain : peer list }
 
 type config = {
@@ -54,9 +54,9 @@ val default_config : config
 type network
 type node
 
-val create_detached :
+val create :
   ?metrics:Obs.Metrics.t ->
-  ?spans:Obs.Span.t ->
+  ?spans:Obs.Trace.t ->
   Engine.t ->
   rng:Rng.t ->
   ?config:config ->
@@ -79,11 +79,11 @@ val create_detached :
     Rings sharing a registry share these series, so the members of one
     deployment add up to ring-wide counters.
 
-    Control-plane operations emit causal spans into [spans] (default
-    {!Obs.Span.disabled}): a [chord.lookup] root per lookup with one
-    [chord.rpc] child per iterative step (timeouts and retries
-    annotated), [chord.stabilize] per stabilize round-trip and
-    [chord.probe] per liveness probe. *)
+    Control-plane operations are recorded in [spans] (default
+    {!Obs.Trace.disabled}) as {!Obs.Trace.open_op} events: a
+    [chord.lookup] root per lookup with one [chord.rpc] child per
+    iterative step (timeouts and retries noted), [chord.stabilize] per
+    stabilize round-trip and [chord.probe] per liveness probe. *)
 
 val ring_label : string
 (** The [instance] label of every ring's [chord.*] series (["ring"]). *)
@@ -100,9 +100,12 @@ val bootstrap : network -> ?id:Id.t -> addr:int -> unit -> node
 
 val join : network -> ?id:Id.t -> addr:int -> contacts:int list -> unit -> node
 (** Start a node that joins through contacts known only by transport
-    address: it probes them at once ({!probe_addr}) and again every
-    other RPC timeout while it is still alone.  Stabilization makes it
-    part of the ring within a few periods. *)
+    address ([i3d --join host:port]): it sends each a [Get_state] at
+    once and again every other RPC timeout while it is still alone.  A
+    reply's [self] identity is adopted and the contact integrated as a
+    recovered peer would be; a dead address costs one datagram and
+    times out quietly.  Stabilization makes the node part of the ring
+    within a few periods. *)
 
 val node_id : node -> Id.t
 val node_addr : node -> int
@@ -113,7 +116,6 @@ val successor : node -> peer option
     its entire successor list). *)
 
 val predecessor : node -> peer option
-val successor_list : node -> peer list
 
 val owns : node -> Id.t -> bool
 (** Whether the node is responsible for the key {e according to its own
@@ -126,24 +128,14 @@ val local_next_hop : node -> Id.t -> peer option
     [None] when the node believes it owns the key.  This is the primitive
     a decentralized i3 server forwards packets with ({!I3.Dynamic}). *)
 
-val lookup : ?trace:Obs.Trace.id -> node -> Id.t -> (peer option -> unit) -> unit
+val lookup : node -> Id.t -> (peer option -> unit) -> unit
 (** Iterative lookup originated at a node; the callback fires with the key's
-    successor, or [None] if the hop budget or retries are exhausted.
-    [trace] links the lookup's span to the data-plane packet trace that
-    provoked it. *)
+    successor, or [None] if the hop budget or retries are exhausted. *)
 
 val handle : node -> src:int -> msg -> unit
 (** Feed one inbound protocol message, as decoded from the transport —
     the node's only receive path.  Any received message clears the
     sender's suspicion count. *)
-
-val probe_addr : node -> int -> unit
-(** Probe a peer known only by transport address (no id yet): send it a
-    [Get_state]; if it answers, the reply's [self] identity is adopted
-    and the peer is integrated exactly as a recovered graveyard peer
-    would be — the join-by-address primitive a real daemon bootstraps
-    with ([i3d --join host:port]).  A dead address costs one datagram
-    and times out quietly; self-probes are no-ops. *)
 
 val kill : node -> unit
 (** Fail-stop the node: it stops responding and sending; others detect

@@ -7,7 +7,7 @@
 type t = {
   engine : Engine.t;
   health : Obs.Health.t;
-  spans : Obs.Span.t;
+  spans : Obs.Trace.t;
   tracer : Obs.Trace.t;
   mutable dumps : (float * Json.t) list; (* newest first *)
   timer : Engine.timer;
@@ -57,7 +57,8 @@ let flight_dump t ~at evals =
     if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
   in
   let spans =
-    if Obs.Span.enabled t.spans then tail 64 (Obs.Span.spans t.spans) else []
+    if Obs.Trace.enabled t.spans then tail 256 (Obs.Trace.events t.spans)
+    else []
   in
   let events =
     if Obs.Trace.enabled t.tracer then tail 256 (Obs.Trace.events t.tracer)

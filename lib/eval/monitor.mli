@@ -4,11 +4,12 @@
     [period] virtual ms the registry is sampled into time series and the
     SLO rules are judged.  When the overall verdict {e enters}
     [Violated], a flight-recorder dump (registry snapshot, series tails,
-    recent spans and trace events, the triggering evaluations) is
+    recent control-plane operation and packet trace events, the
+    triggering evaluations) is
     captured via {!Obs.Sink.flight_record}.
 
     The monitor reads only what the deployment publishes — metrics,
-    spans, traces — never the simulator's ground truth, so
+    operations, traces — never the simulator's ground truth, so
     {!time_to_detect} / {!time_to_recover} measure what an operator
     would actually have seen.  Compare them against
     {!Recovery.time_to_recovery} to quantify the observability gap:
@@ -22,11 +23,6 @@ type t
 
     Building blocks for rule lists; all windows are virtual ms. *)
 
-val rpc_timeout_rule :
-  ?window_ms:float -> ring_label:string -> unit -> Obs.Health.rule
-(** Chord RPC timeouts per second on the control ring
-    ({!I3.Dynamic.ring_label}): a healthy ring has none. *)
-
 val lookup_p99_rule :
   ?ok:float -> ?degraded:float -> ring_label:string -> unit ->
   Obs.Health.rule
@@ -36,8 +32,10 @@ val lookup_p99_rule :
 
 val default_rules : ring_label:string -> Recovery.flow -> Obs.Health.rule list
 (** The flow's {!Obs.Probe.delivery_rule} at [ok = 0.8],
-    [degraded = 0.45], plus [rpc_timeout_rule]: both windowed, so
-    verdicts recover when the deployment does. *)
+    [degraded = 0.45], plus a rule on Chord RPC timeouts per second on
+    the control ring ({!I3.Dynamic.ring_label}; a healthy ring has none,
+    2 s window): both windowed, so verdicts recover when the deployment
+    does. *)
 
 (** {1 Lifecycle} *)
 

@@ -12,8 +12,6 @@ val json : path:string -> header:string list -> string list list -> unit
     {!csv} this completes the three sinks every experiment row list can
     choose from. *)
 
-val row_to_json : header:string list -> string list -> Json.t
-
 val scalability_rows :
   hosts:float -> triggers_per_host:float -> servers:float -> refresh_s:float ->
   (string * string) list

@@ -15,8 +15,7 @@
     {!pause}/{!resume} (SIGSTOP/SIGCONT) model a partition at process
     granularity — unreachable, state intact.  Each daemon flushes its
     metrics registry to a JSON dump on graceful stop;
-    {!metrics_dumps} / {!decode_errors} read those back for
-    post-mortem assertions. *)
+    {!decode_errors} reads those back for post-mortem assertions. *)
 
 type member = {
   index : int;
@@ -98,10 +97,6 @@ val node_id : member -> Id.t
 (** A member's Chord identity, exactly as the daemon derives it:
     [Id.routing_key (Id.name_hash name)]. *)
 
-val join_arg : t -> int -> string
-(** The [--join] contact list member [i] is spawned with (every other
-    member's [host:port]). *)
-
 val owner_index : t -> Id.t -> int
 (** Which member is responsible for an identifier once the ring has
     converged (Chord successor rule over the members' name-hashed node
@@ -168,17 +163,10 @@ val stop : ?grace_ms:float -> t -> unit
 
 (** {1 Post-mortem} *)
 
-val metrics_dumps : t -> (string * Json.t list) list
-(** Per-member metrics dumps (JSON lines written by the daemons'
-    graceful shutdown), parsed; missing or unparseable files yield
-    [[]]. *)
-
-val sum_counter : t -> string -> int
-(** Sum a counter across every member's dump, matched by metric name. *)
-
 val decode_errors : t -> int
-(** [sum_counter t "wire.decode_errors"] — the invariant chaos pins at
-    zero. *)
+(** [wire.decode_errors] summed across every member's metrics dump (JSON
+    lines written by the daemons' graceful shutdown; a missing or
+    unparseable file counts 0) — the invariant chaos pins at zero. *)
 
 (** {1 Chaos schedules} *)
 

@@ -24,7 +24,6 @@ type t = {
   mutable monitor : Obs.Health.t option;
   mutable eval_period_ms : float;
   mutable last_eval : float;
-  mutable on_scrape_error : string -> unit;
 }
 
 let handle_datagram t bytes =
@@ -32,8 +31,7 @@ let handle_datagram t bytes =
   | Ok (I3.Message.Stats_response { nonce; server = _; samples; events }) ->
       ignore
         (Obs.Scrape.on_response t.scrape ~now:t.now_ms ~nonce ~samples ~events)
-  | Ok _ -> () (* stray frame; not ours *)
-  | Error e -> t.on_scrape_error e
+  | Ok _ | Error _ -> () (* stray or undecodable: that scrape times out *)
 
 let create ?(interval_ms = 500.) ?(timeout_ms = 1000.) ?prefix ?drain
     ?series_capacity ?max_events ?(host = "127.0.0.1") targets =
@@ -50,7 +48,6 @@ let create ?(interval_ms = 500.) ?(timeout_ms = 1000.) ?prefix ?drain
       monitor = None;
       eval_period_ms = interval_ms;
       last_eval = neg_infinity;
-      on_scrape_error = (fun _ -> ());
     }
   in
   Transport.Udp.set_handler udp (fun ~src:_ bytes -> handle_datagram t bytes);
@@ -66,7 +63,6 @@ let of_cluster ?interval_ms ?timeout_ms ?prefix ?drain ?series_capacity
 
 let scrape t = t.scrape
 let store t = Obs.Scrape.store t.scrape
-let on_scrape_error t f = t.on_scrape_error <- f
 
 let monitor ?eval_period_ms ?history_capacity ~rules t =
   let h =
@@ -120,7 +116,5 @@ let tick t ~now_ms =
   | _ -> ()
 
 let assemble t = Obs.Trace.assemble (Obs.Scrape.events t.scrape)
-
-let take_trees t = Obs.Trace.assemble (Obs.Scrape.take_events t.scrape)
 
 let close t = Transport.Udp.close t.udp

@@ -81,11 +81,4 @@ val assemble : t -> Obs.Trace.tree list
 (** Cross-process trace trees from every hop event drained so far
     (events are kept — calling again sees them plus newer ones). *)
 
-val take_trees : t -> Obs.Trace.tree list
-(** As {!assemble}, but consumes the accumulated events. *)
-
-val on_scrape_error : t -> (string -> unit) -> unit
-(** Observe undecodable datagrams arriving on the telemetry socket
-    (default: ignored — the scrape just times out). *)
-
 val close : t -> unit

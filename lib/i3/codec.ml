@@ -100,6 +100,9 @@ let trace_kind_tag : Obs.Trace.kind -> int = function
   | Trigger_match -> 4
   | Deliver -> 5
   | Drop _ -> 6
+  | Op _ -> 7
+  | Note _ -> 8
+  | Done _ -> 9
 
 let put_trace_event buf (e : Obs.Trace.event) =
   Io.put_u64 buf (Int64.of_int e.trace);
@@ -107,8 +110,11 @@ let put_trace_event buf (e : Obs.Trace.event) =
   Io.put_u32 buf e.site;
   Io.put_u8 buf (trace_kind_tag e.kind);
   match e.kind with
-  | Drop cause -> Io.put_str16 buf cause
-  | _ -> ()
+  | Drop text | Note text | Done text -> Io.put_str16 buf text
+  | Op { op; parent } ->
+      Io.put_u64 buf (Int64.of_int parent);
+      Io.put_str16 buf op
+  | Send | Enqueue | Relay | Cache_hit | Trigger_match | Deliver -> ()
 
 let read_trace_event r : (Obs.Trace.event, string) result =
   let* trace = Io.u64 r "trace id" in
@@ -126,6 +132,16 @@ let read_trace_event r : (Obs.Trace.event, string) result =
     | 6 ->
         let* cause = Io.str16 r "drop cause" in
         Ok (Obs.Trace.Drop cause)
+    | 7 ->
+        let* parent = Io.u64 r "op parent" in
+        let* op = Io.str16 r "op name" in
+        Ok (Obs.Trace.Op { op; parent = Int64.to_int parent })
+    | 8 ->
+        let* text = Io.str16 r "op note" in
+        Ok (Obs.Trace.Note text)
+    | 9 ->
+        let* status = Io.str16 r "op status" in
+        Ok (Obs.Trace.Done status)
     | _ -> Error "bad trace event kind tag"
   in
   Ok { Obs.Trace.trace = Int64.to_int trace; time; site; kind }

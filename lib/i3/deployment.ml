@@ -18,7 +18,7 @@ type t = {
   server_config : Server.config option;
   metrics : Obs.Metrics.t;
   tracer : Obs.Trace.t;
-  spans : Obs.Span.t;
+  spans : Obs.Trace.t;
   state : ring_state;
   mutable ring : member array; (* current ring order *)
   mutable all_servers : Server.t array; (* creation order, incl. dead ones *)
@@ -55,7 +55,7 @@ let view_for state index =
 let attach ~engine ~net ~view ~site ~id ?config ~metrics ~tracer () =
   let addr = Net.register net ~site (fun ~src:_ _ -> ()) in
   let server =
-    Server.create_detached ~engine ~addr
+    Server.create ~engine ~addr
       ~emit:(fun ~dst msg -> Net.send net ~src:addr ~dst msg)
       ~view ~site ~id ?config ~metrics ~tracer ()
   in
@@ -65,7 +65,7 @@ let attach ~engine ~net ~view ~site ~id ?config ~metrics ~tracer () =
 let create ?(seed = 1) ?model ?(uniform_latency_ms = 5.)
     ?(policy = Chord.Routing.Default) ?substrate ?server_config
     ?(metrics = Obs.Metrics.default) ?(tracer = Obs.Trace.disabled)
-    ?(spans = Obs.Span.disabled) ?(wire_roundtrip = true) ~n_servers () =
+    ?(spans = Obs.Trace.disabled) ?(wire_roundtrip = true) ~n_servers () =
   if n_servers <= 0 then invalid_arg "Deployment.create: need servers";
   let substrate =
     match substrate with

@@ -18,7 +18,7 @@ val create :
   ?server_config:Server.config ->
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
-  ?spans:Obs.Span.t ->
+  ?spans:Obs.Trace.t ->
   ?wire_roundtrip:bool ->
   n_servers:int ->
   unit ->
@@ -31,7 +31,7 @@ val create :
     passing a live [tracer] turns on per-packet hop tracing across the
     network, every server and every host created by {!new_host}; a live
     [spans] collector records each host's trigger insert/refresh
-    round-trip spans.
+    round-trips as {!Obs.Trace.open_op} operations.
 
     [wire_roundtrip] (default [true]) passes every simulated hop through
     {!Codec} encode→decode ({!Codec.harden}), so the whole suite

@@ -27,7 +27,7 @@ type t = {
   protocol_config : Chord.Protocol.config;
   metrics : Obs.Metrics.t;
   tracer : Obs.Trace.t;
-  spans : Obs.Span.t;
+  spans : Obs.Trace.t;
   substrate : Koorde.Substrate.spec option;
   (* Membership epoch: bumped on join/kill/restart so the Koorde router
      below rebuilds its oracle lazily instead of on every packet. *)
@@ -47,7 +47,7 @@ let fast_protocol_config =
 let create ?(seed = 1) ?(uniform_latency_ms = 5.) ?server_config
     ?(protocol_config = fast_protocol_config)
     ?(metrics = Obs.Metrics.default) ?(tracer = Obs.Trace.disabled)
-    ?(spans = Obs.Span.disabled) ?(wire_roundtrip = true) ?substrate () =
+    ?(spans = Obs.Trace.disabled) ?(wire_roundtrip = true) ?substrate () =
   let rng = Rng.of_int seed in
   let engine = Sim.Engine.create () in
   let latency a b = if a = b then 0. else uniform_latency_ms in

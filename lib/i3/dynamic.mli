@@ -35,7 +35,7 @@ val create :
   ?protocol_config:Chord.Protocol.config ->
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
-  ?spans:Obs.Span.t ->
+  ?spans:Obs.Trace.t ->
   ?wire_roundtrip:bool ->
   ?substrate:Koorde.Substrate.spec ->
   unit ->
@@ -46,8 +46,10 @@ val create :
     Counters — including the control ring's — register in [metrics]
     (default {!Obs.Metrics.default}); a live [tracer] turns on
     per-packet tracing on the data plane, every server and every host; a
-    live [spans] collector records control-plane span trees (Chord
-    lookups/RPCs/stabilization and host trigger round-trips).
+    live [spans] collector records control-plane operation trees
+    (Chord lookups/RPCs/stabilization and host trigger round-trips) as
+    {!Obs.Trace.open_op} events, apart from [tracer] so operations
+    never evict packet hops.
 
     [wire_roundtrip] (default [true]) byte-roundtrips {e both} planes —
     data hops through {!Codec}, Chord RPCs through [Chord.Codec] — so
@@ -70,8 +72,8 @@ val tracer : t -> Obs.Trace.t
 
 val metrics : t -> Obs.Metrics.t
 
-val spans : t -> Obs.Span.t
-(** The span collector passed at creation ({!Obs.Span.disabled}
+val spans : t -> Obs.Trace.t
+(** The operations collector passed at creation ({!Obs.Trace.disabled}
     otherwise). *)
 
 val ring_label : t -> string
@@ -107,7 +109,7 @@ val servers : t -> Server.t list
 
 val all_servers : t -> Server.t list
 (** Every server ever started, alive or dead, in join order — the victim
-    index space of {!fault_driver}. *)
+    index space of {!inject}'s [Crash]/[Restart] events. *)
 
 val nth_server : t -> int -> Server.t
 (** The i-th server in join order. @raise Invalid_argument out of range. *)
@@ -129,10 +131,9 @@ val total_triggers : t -> int
     [Faults.Crash]/[Faults.Restart] victim indices onto
     {!kill_server}/{!restart_server} in join order. *)
 
-val fault_driver : t -> Faults.driver
-
 val inject : t -> Faults.schedule -> unit
-(** [inject t s] is [Faults.install (engine t) (fault_driver t) s]. *)
+(** [inject t s] is [Faults.install (engine t) driver s], with the
+    deployment's fault driver described above. *)
 
 val data_net_stats : t -> Net.stats
 (** Drop/delivery accounting of the data plane, by fault cause. *)

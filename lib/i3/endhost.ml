@@ -43,7 +43,7 @@ type binding = {
   mutable due : float;  (* next Insert send: refresh or retry *)
   mutable misses : int;  (* unacked sends in the open round; 0 = closed *)
   mutable sync : bool;  (* a blocking caller awaits this round *)
-  mutable span : Obs.Span.open_span;
+  mutable span : Obs.Trace.op;
 }
 
 type cache_entry = { server : Packet.addr; expires : float }
@@ -51,20 +51,20 @@ type cache_entry = { server : Packet.addr; expires : float }
 type t = {
   cfg : config;
   rng : Rng.t;
-  spans : Obs.Span.t;
+  spans : Obs.Trace.t;
   mutable addr : Packet.addr;
   gateways : Packet.addr array;
   mutable gw : int;
   mutable rotated_at : float;
   mutable bindings : binding list;  (* newest first *)
   cache : (string, cache_entry) Hashtbl.t;  (* k-bit prefix -> server *)
-  detours : (string, float * Obs.Span.open_span) Hashtbl.t;
-      (* gateway detours awaiting Cache_info: since, first-packet span *)
+  detours : (string, float * Obs.Trace.op) Hashtbl.t;
+      (* gateway detours awaiting Cache_info: since, first-packet operation *)
   mutable now : float;
   mutable out : effect list;  (* this step's effects, newest first *)
 }
 
-let create ?(spans = Obs.Span.disabled) ~config ~rng ~addr ~gateways () =
+let create ?(spans = Obs.Trace.disabled) ~config ~rng ~addr ~gateways () =
   if gateways = [] then invalid_arg "Endhost.create: need at least one gateway";
   { cfg = config; rng; spans; addr; gateways = Array.of_list gateways; gw = 0;
     rotated_at = Float.neg_infinity; bindings = []; cache = Hashtbl.create 16;
@@ -75,10 +75,10 @@ let gateway t = t.gateways.(t.gw)
 let triggers t = List.map (fun b -> b.trigger) t.bindings
 let emit t e = t.out <- e :: t.out
 let note t n = emit t (Note n)
-let finish t ?status sp = Obs.Span.finish t.spans ?status ~time:t.now sp
+let finish t ?status sp = Obs.Trace.close_op t.spans ?status ~time:t.now sp
 let annotate t sp fmt =
-  if Obs.Span.enabled t.spans then
-    Printf.ksprintf (Obs.Span.annotate sp ~time:t.now) fmt
+  if Obs.Trace.enabled t.spans then
+    Printf.ksprintf (Obs.Trace.note t.spans sp ~time:t.now) fmt
   else Printf.ikfprintf ignore () fmt
 let prefix_key id = String.sub (Id.to_raw_string id) 0 (Id.prefix_bits / 8)
 
@@ -108,7 +108,7 @@ let backoff t ~misses =
 let rotate t =
   t.gw <- (t.gw + 1) mod Array.length t.gateways;
   t.rotated_at <- t.now;
-  Hashtbl.iter (fun _ (_, sp) -> finish t ~status:Obs.Span.Timeout sp) t.detours;
+  Hashtbl.iter (fun _ (_, sp) -> finish t ~status:"timeout" sp) t.detours;
   Hashtbl.reset t.detours
 
 (* Silent since [since] for longer than the grace period.  Rotations are
@@ -130,9 +130,9 @@ let learn t id server =
 (* --- refresh rounds --- *)
 
 let open_round t b op =
-  finish t ~status:Obs.Span.Timeout b.span;
+  finish t ~status:"timeout" b.span;
   b.misses <- 0;
-  b.span <- Obs.Span.start t.spans ~time:t.now op
+  b.span <- Obs.Trace.open_op t.spans ~time:t.now op
 
 let send_insert t b =
   let dst = route t b.trigger.Trigger.id in
@@ -211,7 +211,7 @@ let insert t trigger ~sync =
         let now = t.now in
         let b =
           { trigger; token = None; last_ack = now; sent_at = now; due = now;
-            misses = 0; sync; span = Obs.Span.null }
+            misses = 0; sync; span = Obs.Trace.null_op }
         in
         t.bindings <- b :: t.bindings;
         b
@@ -223,7 +223,7 @@ let remove t trigger =
   Option.iter
     (fun b ->
       t.bindings <- List.filter (fun b' -> b' != b) t.bindings;
-      finish t ~status:(Obs.Span.Error "removed") b.span)
+      finish t ~status:"error:removed" b.span)
     (find_binding t trigger);
   emit t (Send (route t trigger.Trigger.id, Message.Remove { trigger }))
 
@@ -236,7 +236,7 @@ let move t addr =
       let stack = List.map rewrite b.trigger.Trigger.stack in
       b.trigger <- Trigger.make ~id:b.trigger.Trigger.id ~stack ~owner:addr;
       b.token <- None;
-      finish t ~status:(Obs.Span.Error "moved") b.span;
+      finish t ~status:"error:moved" b.span;
       reinsert t b;
       annotate t b.span "re-insert after move")
     t.bindings
@@ -252,7 +252,9 @@ let detour t (p : Packet.t) head =
   | Some (since, _) when overdue t since -> rotate t
   | _ -> ());
   if not (Hashtbl.mem t.detours k) then begin
-    let sp = Obs.Span.start t.spans ~trace:p.trace ~time:t.now "i3.first_packet" in
+    let sp =
+      Obs.Trace.open_op t.spans ~parent:p.trace ~time:t.now "i3.first_packet"
+    in
     annotate t sp "uncached prefix; via gateway addr=%d" (gateway t);
     Hashtbl.add t.detours k (t.now, sp)
   end;

@@ -70,7 +70,7 @@ type effect =
 type t
 
 val create :
-  ?spans:Obs.Span.t ->
+  ?spans:Obs.Trace.t ->
   config:config ->
   rng:Rng.t ->
   addr:Packet.addr ->
@@ -78,10 +78,10 @@ val create :
   unit ->
   t
 (** [rng] draws the jitter.  [spans] gets an [i3.trigger_insert] or
-    [i3.trigger_refresh] span per round (closed by the ack, decisions
-    annotated) and an [i3.first_packet] span per detour (linked to the
-    packet's trace, closed by [Cache_info]).  @raise Invalid_argument on
-    no gateways. *)
+    [i3.trigger_refresh] operation per round (closed by the ack,
+    decisions noted) and an [i3.first_packet] operation per detour (its
+    parent is the packet's trace, closed by [Cache_info]).
+    @raise Invalid_argument on no gateways. *)
 
 val step : t -> now:float -> event -> effect list
 (** Dispatch the event, then send what is due at [now].  A regressing

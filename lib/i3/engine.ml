@@ -80,7 +80,7 @@ let create ?(seed = 1) ~addr ?id ?(join = []) ?(site = 0) ?config
   let rng = Rng.of_int seed in
   let outbox = Queue.create () in
   let network =
-    Chord.Protocol.create_detached ~metrics ?spans wheel ~rng:(Rng.split rng)
+    Chord.Protocol.create ~metrics ?spans wheel ~rng:(Rng.split rng)
       ~config:chord_config
       ~emit:(fun ~src:_ ~dst msg -> Queue.add (Chord_send (dst, msg)) outbox)
       ()
@@ -93,7 +93,7 @@ let create ?(seed = 1) ~addr ?id ?(join = []) ?(site = 0) ?config
     else Chord.Protocol.join network ~id ~addr ~contacts:join ()
   in
   let server =
-    Server.create_detached ~engine:wheel ~addr
+    Server.create ~engine:wheel ~addr
       ~emit:(fun ~dst msg ->
         match msg with
         | Message.Deliver { stack; payload; trace } ->
@@ -144,10 +144,6 @@ let decode bytes =
       (* Data packets (flags < [first_kind]) and i3 control kinds both
          belong to the i3 codec, which discriminates them itself. *)
       Result.map (fun m -> I3 m) (Codec.decode bytes)
-
-let encode_frame = function
-  | I3 m -> Codec.encode m
-  | Chord m -> Chord.Codec.encode m
 
 let encode_effect = function
   | Send (dst, m) -> Some (dst, Codec.encode m)

@@ -78,7 +78,7 @@ val create :
   ?chord_config:Chord.Protocol.config ->
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
-  ?spans:Obs.Span.t ->
+  ?spans:Obs.Trace.t ->
   unit ->
   t
 (** A node at transport address [addr] (for UDP, the packed [ip:port]
@@ -92,7 +92,9 @@ val create :
     [site] (default 0) stamps every {!Obs.Trace} event this node records
     — daemons pass their port so hop events drained from different
     processes stay distinguishable when {!Obs.Trace.assemble} joins them
-    into cross-process trees.
+    into cross-process trees.  [spans] records the Chord node's
+    control-plane operations ({!Chord.Protocol.create}), apart from
+    [tracer] so they never evict packet hops.
 
     Registers [engine.events] / [engine.effects] counters, the
     [engine.effect_batch] histogram, and the introspection gauges
@@ -130,9 +132,6 @@ val decode : string -> (frame, string) result
     [Wire.Layout.off_kind]): Chord RPC kinds go to [Chord.Codec],
     everything else — data packets and i3 control kinds — to
     {!Codec}.  Never raises. *)
-
-val encode_frame : frame -> string
-(** Inverse of {!decode} (for tests and loopback drivers). *)
 
 val encode_effect : effect -> (Packet.addr * string) option
 (** Wire form of an effect: [Some (dst, bytes)] for the three send

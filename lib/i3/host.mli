@@ -26,13 +26,14 @@ val create :
   gateways:Packet.addr list ->
   ?config:config ->
   ?tracer:Obs.Trace.t ->
-  ?spans:Obs.Span.t ->
+  ?spans:Obs.Trace.t ->
   unit ->
   t
 (** Attach a host at a topology site. @raise Invalid_argument with no
     gateways.  With a [tracer] every sent packet gets a trace id (subject
     to sampling) and every delivery records the terminal [Deliver] event;
-    [spans] gets the control-plane spans {!Endhost.create} describes. *)
+    [spans] gets the control-plane operations {!Endhost.create}
+    describes. *)
 
 val addr : t -> Packet.addr
 val site : t -> int

@@ -17,9 +17,6 @@ type stack_entry =
   | Sid of Id.t  (** route further through i3 *)
   | Saddr of addr  (** deliver via IP to an end-host *)
 
-val pp_entry : Format.formatter -> stack_entry -> unit
-val entry_equal : stack_entry -> stack_entry -> bool
-
 type stack = stack_entry list
 
 val pp_stack : Format.formatter -> stack -> unit
@@ -31,10 +28,8 @@ val max_stack_depth : int
 type payload
 (** Opaque payload bytes.  After {!decode} this is a zero-copy slice of
     the received frame; it is materialized (once, memoized) only when
-    {!payload_string} is called — the delivery boundary.  Build one from
-    a string with {!payload_of_string}. *)
-
-val payload_of_string : string -> payload
+    {!payload_string} is called — the delivery boundary.  {!make} builds
+    one from a string. *)
 
 type t = {
   stack : stack;
@@ -69,10 +64,8 @@ val make :
   payload:string ->
   unit ->
   t
-(** Build a packet. @raise Invalid_argument on an empty or over-deep
-    stack. *)
-
-val default_ttl : int
+(** Build a packet; [ttl] defaults to 32.  @raise Invalid_argument on
+    an empty or over-deep stack. *)
 
 val payload_string : t -> string
 (** The payload bytes as a string, copying out of the receive buffer on
@@ -109,11 +102,6 @@ val wire_length : t -> int
 
     Shared with {!Codec} so control messages carrying ids, addresses and
     identifier stacks use byte-identical encodings. *)
-
-val entry_wire_length : stack_entry -> int
-val stack_wire_length : stack -> int
-val put_entry : Buffer.t -> stack_entry -> unit
-val read_entry : Wire.Io.reader -> (stack_entry, string) result
 
 val put_stack : Buffer.t -> stack -> unit
 (** u8 count + entries. *)

@@ -1,10 +1,5 @@
 type verdict = Accept | Reject_constraint | Needs_challenge
 
-let pp_verdict ppf = function
-  | Accept -> Format.pp_print_string ppf "accept"
-  | Reject_constraint -> Format.pp_print_string ppf "reject-constraint"
-  | Needs_challenge -> Format.pp_print_string ppf "needs-challenge"
-
 let challenge_token ~secret ~id ~target =
   Sha256.hmac ~key:secret
     (Id.to_raw_string id ^ ":" ^ string_of_int target)

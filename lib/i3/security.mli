@@ -17,8 +17,6 @@ type verdict =
   | Reject_constraint  (** id-to-id trigger violating both constraints *)
   | Needs_challenge  (** host-target trigger without a valid token *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val challenge_token : secret:string -> id:Id.t -> target:Packet.addr -> string
 (** The stateless token a server issues (and later expects) for a
     host-target trigger insertion. *)

@@ -398,7 +398,7 @@ let handle t ~src (msg : Message.t) =
 
 let handle_message = handle
 
-let create_detached ~engine ~addr ~emit ~view ?(site = 0) ~id
+let create ~engine ~addr ~emit ~view ?(site = 0) ~id
     ?(config = default_config) ?(metrics = Obs.Metrics.default)
     ?(tracer = Obs.Trace.disabled) () =
   incr instances;

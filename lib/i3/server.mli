@@ -74,7 +74,7 @@ type ring_view = {
 
 type t
 
-val create_detached :
+val create :
   engine:Sim.Engine.t ->
   addr:Packet.addr ->
   emit:(dst:Packet.addr -> Message.t -> unit) ->
@@ -119,9 +119,6 @@ val replica_triggers : t -> Trigger_table.t
 (** Triggers mirrored here by the predecessor (empty unless
     [config.replicate]); promoted into the live table the moment this
     server becomes responsible for them. *)
-
-val is_responsible : t -> Id.t -> bool
-(** Whether this server owns the routing key of the identifier. *)
 
 val kill : t -> unit
 (** Fail-stop: stop answering; stored triggers die with the server (hosts

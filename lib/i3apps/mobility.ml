@@ -14,7 +14,6 @@ let establish ~rng ~listener ~sender ~on_data =
   I3.Host.insert_trigger listener id;
   f
 
-let flow_id f = f.id
 let send f payload = I3.Host.send f.sender f.id payload
 let received f = f.count
 

@@ -20,7 +20,6 @@ val establish :
 (** A one-way flow: the listener owns a private trigger, the sender
     addresses only its identifier. *)
 
-val flow_id : flow -> Id.t
 val send : flow -> string -> unit
 val received : flow -> int
 

@@ -29,10 +29,6 @@ val request_any : I3.Host.t -> Rng.t -> group:Anycast.group -> string -> unit
 
 (** {1 Locality} *)
 
-val location_code : zip:string -> string
-(** Stable fixed-width encoding of a location tag, aligned so longer
-    shared zip prefixes mean longer id prefix matches. *)
-
 val join_near : I3.Host.t -> Rng.t -> group:Anycast.group -> zip:string -> member
 
 val request_near :

@@ -19,7 +19,6 @@ and t = {
   mutable closed : bool;
 }
 
-let local_id s = s.local
 let is_established s = s.peer <> None && not s.closed
 let on_data s f = s.data_cb <- f
 

@@ -37,7 +37,4 @@ val close : t -> unit
 (** Tear down this endpoint's private trigger (the peer's side times out
     via soft state). *)
 
-val local_id : t -> Id.t
-(** This endpoint's private trigger id. *)
-
 val is_established : t -> bool

@@ -75,8 +75,6 @@ let pp ppf t =
   let h = to_hex t in
   Format.fprintf ppf "%s..%s" (String.sub h 0 8) (String.sub h 60 4)
 
-let pp_full ppf t = Format.pp_print_string ppf (to_hex t)
-
 let name_hash s = Sha256.digest s
 
 (* --- ring arithmetic --- *)

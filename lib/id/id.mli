@@ -66,8 +66,6 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints an abbreviated hex form (first 8 + last 4 digits). *)
 
-val pp_full : Format.formatter -> t -> unit
-
 (** {1 Ring arithmetic (mod 2{^256})} *)
 
 val add : t -> t -> t

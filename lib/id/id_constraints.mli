@@ -15,9 +15,6 @@
     expressible. Triggers whose target is an end-host address are vetted by
     challenges instead ({!I3} server logic). *)
 
-val key_bytes : int
-(** 16: size of the key field. *)
-
 val h_l : string -> string
 (** One-way function for left-constrained triggers: 16-byte key to 16-byte
     key. @raise Invalid_argument on wrong input size. *)

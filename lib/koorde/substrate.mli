@@ -35,8 +35,6 @@ module Koorde_routing : S with type t = Routing.t
 
 type spec = Chord of Chord.Routing.policy | Koorde of { degree : int }
 
-val pp_spec : Format.formatter -> spec -> unit
-
 val label : spec -> string
 (** Human-readable name, e.g. ["chord:default"], ["koorde(k=8)"]. *)
 

@@ -238,17 +238,3 @@ let reset reg =
           h.h_min <- infinity;
           h.h_max <- neg_infinity)
     reg.tbl
-
-let float_short f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.4g" f
-
-let value_to_string = function
-  | Counter c -> string_of_int c
-  | Gauge g -> float_short g
-  | Histogram { count; p50; p90; p99; _ } ->
-      if count = 0 then "n=0"
-      else
-        Printf.sprintf "n=%d p50=%s p90=%s p99=%s" count (float_short p50)
-          (float_short p90) (float_short p99)

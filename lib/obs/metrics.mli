@@ -116,6 +116,3 @@ val remove_where : t -> (name:string -> labels:(string * string) list -> bool) -
 (** Drop every metric matching the predicate, e.g. all samples carrying a
     given ["instance"] label when that instance is killed. *)
 
-val value_to_string : value -> string
-(** Short human rendering: ["42"], ["3.14"],
-    ["n=100 p50=4 p90=7 p99=9"]. *)

@@ -3,7 +3,7 @@ let labels_to_string labels =
 
 let pad width s = s ^ String.make (max 0 (width - String.length s)) ' '
 
-let print_aligned out rows =
+let aligned_table ?(out = stdout) rows =
   let widths =
     List.fold_left
       (fun acc row ->
@@ -21,22 +21,6 @@ let print_aligned out rows =
       output_char out '\n')
     rows
 
-let aligned_table ?(out = stdout) rows = print_aligned out rows
-
-let metrics_table ?(out = stdout) samples =
-  let rows =
-    [ "name"; "labels"; "value" ]
-    :: List.map
-         (fun (s : Metrics.sample) ->
-           [
-             s.Metrics.name;
-             labels_to_string s.Metrics.labels;
-             Metrics.value_to_string s.Metrics.value;
-           ])
-         samples
-  in
-  print_aligned out rows
-
 (* RFC 4180: quote any cell containing a comma, quote, CR or LF; double
    embedded quotes. *)
 let csv_cell s =
@@ -45,29 +29,6 @@ let csv_cell s =
   else s
 
 let csv_row cells = String.concat "," (List.map csv_cell cells)
-
-let metrics_csv ?(out = stdout) samples =
-  output_string out "name,labels,kind,value,count,sum,p50,p90,p99,max\n";
-  List.iter
-    (fun (s : Metrics.sample) ->
-      let f x = Printf.sprintf "%.6g" x in
-      let cells =
-        match s.Metrics.value with
-        | Metrics.Counter c ->
-            [ "counter"; string_of_int c; ""; ""; ""; ""; ""; "" ]
-        | Metrics.Gauge g -> [ "gauge"; f g; ""; ""; ""; ""; ""; "" ]
-        | Metrics.Histogram { count; sum; p50; p90; p99; max } ->
-            [
-              "histogram"; ""; string_of_int count; f sum; f p50; f p90; f p99;
-              f max;
-            ]
-      in
-      output_string out
-        (String.concat ","
-           (List.map csv_cell
-              (s.Metrics.name :: labels_to_string s.Metrics.labels :: cells)));
-      output_char out '\n')
-    samples
 
 let json_labels labels =
   Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
@@ -96,34 +57,21 @@ let sample_to_json (s : Metrics.sample) =
     :: ("labels", json_labels s.Metrics.labels)
     :: value_fields)
 
-let metrics_json_lines ?append ~path samples =
-  Json.lines_to_file ?append ~path (List.map sample_to_json samples)
-
 let event_to_json (e : Trace.event) =
   let open Json in
+  let parent =
+    match e.Trace.kind with
+    | Trace.Op { parent; _ } -> [ ("parent", Int parent) ]
+    | _ -> []
+  in
   Obj
-    [
-      ("trace", Int e.Trace.trace);
-      ("time_ms", Float e.Trace.time);
-      ("site", Int e.Trace.site);
-      ("event", String (Trace.kind_to_string e.Trace.kind));
-    ]
-
-let summary_to_json (s : Trace.summary) =
-  let open Json in
-  Obj
-    [
-      ("trace", Int s.Trace.s_trace);
-      ("sends", Int s.Trace.sends);
-      ("hops", Int s.Trace.hops);
-      ("relays", Int s.Trace.relays);
-      ("delivers", Int s.Trace.delivers);
-      ("drops", Int s.Trace.drops);
-      ( "drop_causes",
-        List (List.map (fun c -> String c) s.Trace.drop_causes) );
-      ("first_time_ms", Float s.Trace.first_time);
-      ("last_time_ms", Float s.Trace.last_time);
-    ]
+    ([
+       ("trace", Int e.Trace.trace);
+       ("time_ms", Float e.Trace.time);
+       ("site", Int e.Trace.site);
+       ("event", String (Trace.kind_to_string e.Trace.kind));
+     ]
+    @ parent)
 
 let tree_to_json (t : Trace.tree) =
   let open Json in
@@ -134,24 +82,6 @@ let tree_to_json (t : Trace.tree) =
       ("terminal", Bool t.Trace.a_terminal);
       ("events", List (List.map event_to_json t.Trace.a_events));
     ]
-
-let trace_table ?(out = stdout) events =
-  let rows =
-    [ "trace"; "time_ms"; "site"; "event" ]
-    :: List.map
-         (fun (e : Trace.event) ->
-           [
-             string_of_int e.Trace.trace;
-             Printf.sprintf "%.3f" e.Trace.time;
-             string_of_int e.Trace.site;
-             Trace.kind_to_string e.Trace.kind;
-           ])
-         events
-  in
-  print_aligned out rows
-
-let trace_json_lines ~path events =
-  Json.lines_to_file ~path (List.map event_to_json events)
 
 let trace_summaries_csv ?(out = stdout) summaries =
   output_string out
@@ -173,47 +103,6 @@ let trace_summaries_csv ?(out = stdout) summaries =
            ]);
       output_char out '\n')
     summaries
-
-(* Spans *)
-
-let span_to_json (s : Span.span) =
-  let open Json in
-  Obj
-    [
-      ("span", Int s.Span.span);
-      ("parent", Int s.Span.parent);
-      ("trace", Int s.Span.trace);
-      ("op", String s.Span.op);
-      ("start_ms", Float s.Span.start_time);
-      ("end_ms", Float s.Span.end_time);
-      ("duration_ms", Float (s.Span.end_time -. s.Span.start_time));
-      ("status", String (Span.status_to_string s.Span.status));
-      ( "annotations",
-        List
-          (List.map
-             (fun (at, note) ->
-               Obj [ ("at_ms", Float at); ("note", String note) ])
-             s.Span.annotations) );
-    ]
-
-let span_table ?(out = stdout) spans =
-  let rows =
-    [ "span"; "parent"; "trace"; "op"; "start_ms"; "dur_ms"; "status"; "notes" ]
-    :: List.map
-         (fun (s : Span.span) ->
-           [
-             string_of_int s.Span.span;
-             string_of_int s.Span.parent;
-             string_of_int s.Span.trace;
-             s.Span.op;
-             Printf.sprintf "%.3f" s.Span.start_time;
-             Printf.sprintf "%.3f" (s.Span.end_time -. s.Span.start_time);
-             Span.status_to_string s.Span.status;
-             String.concat "; " (List.map snd s.Span.annotations);
-           ])
-         spans
-  in
-  print_aligned out rows
 
 (* Series and health *)
 
@@ -259,6 +148,6 @@ let flight_record ~at ~reason ?(metrics = []) ?(series = []) ?(series_tail = 32)
       ("evaluations", List (List.map evaluation_to_json evaluations));
       ("metrics", List (List.map sample_to_json metrics));
       ("series", List (List.map (series_to_json ~tail:series_tail) series));
-      ("spans", List (List.map span_to_json spans));
+      ("spans", List (List.map event_to_json spans));
       ("traces", List (List.map event_to_json events));
     ]

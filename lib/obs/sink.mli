@@ -8,50 +8,20 @@
 
 val aligned_table : ?out:out_channel -> string list list -> unit
 (** Column-aligned rendering of arbitrary rows (first row is usually a
-    header) — the primitive behind {!metrics_table} and friends, exposed
-    for dashboards like [i3cluster top]. *)
-
-val metrics_table : ?out:out_channel -> Metrics.sample list -> unit
-(** Aligned [name labels value] table (labels rendered [k=v,k=v]). *)
-
-val metrics_csv : ?out:out_channel -> Metrics.sample list -> unit
-(** Header [name,labels,kind,value,count,sum,p50,p90,p99,max]; scalar
-    metrics leave histogram columns empty and vice versa. *)
+    header), for dashboards like [i3cluster top]. *)
 
 val sample_to_json : Metrics.sample -> Json.t
 
-val metrics_json_lines :
-  ?append:bool -> path:string -> Metrics.sample list -> unit
-(** One JSON object per line per sample.  [append] (default false) adds
-    a new snapshot generation to an existing file; writers should
-    precede each generation with a marker line (see [bin/i3d]'s periodic
-    flush) so readers can pick the freshest one. *)
-
 (** {1 Traces} *)
-
-val event_to_json : Trace.event -> Json.t
-val summary_to_json : Trace.summary -> Json.t
 
 val tree_to_json : Trace.tree -> Json.t
 (** An assembled cross-process hop tree ({!Trace.assemble}):
     [{trace; sites; terminal; events}]. *)
 
-val trace_table : ?out:out_channel -> Trace.event list -> unit
-(** Aligned [trace time site event] listing. *)
-
-val trace_json_lines : path:string -> Trace.event list -> unit
-
 val trace_summaries_csv : ?out:out_channel -> Trace.summary list -> unit
 (** Header
     [trace,sends,hops,relays,delivers,drops,drop_causes,first_ms,last_ms];
     drop causes are comma-joined inside one RFC-4180-quoted cell. *)
-
-(** {1 Spans} *)
-
-val span_to_json : Span.span -> Json.t
-
-val span_table : ?out:out_channel -> Span.span list -> unit
-(** Aligned [span parent trace op start dur status notes] listing. *)
 
 (** {1 Series and health} *)
 
@@ -67,14 +37,16 @@ val flight_record :
   ?metrics:Metrics.sample list ->
   ?series:Series.t list ->
   ?series_tail:int ->
-  ?spans:Span.span list ->
+  ?spans:Trace.event list ->
   ?events:Trace.event list ->
   ?evaluations:Health.evaluation list ->
   unit ->
   Json.t
 (** Assemble a flight-recorder dump: what the monitor saw ([evaluations]),
     the registry at the moment of violation ([metrics]), the recent past
-    ([series] tails, finished [spans], trace [events]). *)
+    ([series] tails, control-plane operation events as [spans], packet
+    trace [events]), all events in the {!tree_to_json} event shape
+    (an [Op] event adds its [parent]). *)
 
 (** {1 CSV primitives} *)
 

@@ -10,6 +10,9 @@ type kind =
   | Trigger_match
   | Deliver
   | Drop of string
+  | Op of { op : string; parent : id }
+  | Note of string
+  | Done of string
 
 type event = { trace : id; time : float; site : int; kind : kind }
 
@@ -122,7 +125,7 @@ let summaries t =
         | Send -> { s with sends = s.sends + 1 }
         | Enqueue -> { s with hops = s.hops + 1 }
         | Relay -> { s with relays = s.relays + 1 }
-        | Cache_hit | Trigger_match -> s
+        | Cache_hit | Trigger_match | Op _ | Note _ | Done _ -> s
         | Deliver -> { s with delivers = s.delivers + 1 }
         | Drop cause ->
             { s with drops = s.drops + 1; drop_causes = s.drop_causes @ [ cause ] }
@@ -141,6 +144,46 @@ let orphans ?started_before t =
          match started_before with
          | Some hi -> s.s_trace < hi
          | None -> true)
+
+(* --- control-plane operations --- *)
+
+type op = { o_id : id; mutable o_open : bool }
+
+let null_op = { o_id = none; o_open = false }
+
+let open_op t ?(parent = none) ~time name =
+  let id = start t in
+  if id = none then null_op
+  else begin
+    record t id ~time ~site:0 (Op { op = name; parent });
+    { o_id = id; o_open = true }
+  end
+
+let op_id o = o.o_id
+let note t o ~time text =
+  if o.o_open then record t o.o_id ~time ~site:0 (Note text)
+
+let close_op t ?(status = "ok") ~time o =
+  if o.o_open then begin
+    o.o_open <- false;
+    record t o.o_id ~time ~site:0 (Done status)
+  end
+
+let durations_ms ?op t =
+  let opened = Hashtbl.create 256 in
+  List.fold_left
+    (fun acc e ->
+      match e.kind with
+      | Op o when Option.fold ~none:true ~some:(String.equal o.op) op ->
+          Hashtbl.replace opened e.trace e.time;
+          acc
+      | Done _ -> (
+          match Hashtbl.find_opt opened e.trace with
+          | Some t0 -> (e.time -. t0) :: acc
+          | None -> acc)
+      | _ -> acc)
+    [] (events t)
+  |> List.rev |> Array.of_list
 
 let drain t =
   let evs = events t in
@@ -178,6 +221,9 @@ let kind_rank = function
   | Trigger_match -> 4
   | Deliver -> 5
   | Drop _ -> 6
+  | Op _ -> 7
+  | Note _ -> 8
+  | Done _ -> 9
 
 let assemble evs =
   let tbl = Hashtbl.create 64 in
@@ -225,6 +271,9 @@ let kind_to_string = function
   | Trigger_match -> "trigger_match"
   | Deliver -> "deliver"
   | Drop cause -> "drop:" ^ cause
+  | Op { op; _ } -> "op:" ^ op
+  | Note text -> "note:" ^ text
+  | Done status -> "done:" ^ status
 
 let reset t =
   if enabled t then begin

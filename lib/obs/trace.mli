@@ -1,4 +1,5 @@
-(** Per-packet hop tracing.
+(** Per-packet hop tracing and control-plane operations, as one event
+    model.
 
     A trace id is allocated at send time ({!start}) and travels in the
     packet header (wire bytes 28–35; [Wire.Layout.off_trace] is the
@@ -7,6 +8,11 @@
     ({!record}).  Storage is a fixed ring buffer, so a collector is cheap
     enough to leave on; the {!sampling} knob thins allocation further when
     even that is too much.
+
+    Control-plane work — a Chord lookup and its per-hop RPCs, a
+    stabilize round, an end host's trigger refresh — is recorded in the
+    same ring as {!Op} / {!Note} / {!Done} events keyed by an id from the
+    same allocator ({!open_op}).
 
     Id [0] ({!none}) means "untraced" — {!record} on it is a no-op, so the
     hot path needs no branching at call sites. *)
@@ -24,11 +30,21 @@ type kind =
   | Trigger_match  (** matched one or more triggers at the owner *)
   | Deliver  (** handed to the receiving end host — terminal *)
   | Drop of string  (** dropped, with cause — terminal *)
+  | Op of { op : string; parent : id }
+      (** opens control-plane operation [op] (e.g. ["chord.lookup"]);
+          the event's [trace] is the operation's id.  [parent] is the
+          enclosing operation, the packet trace that provoked it, or
+          {!none} *)
+  | Note of string  (** annotates an open operation *)
+  | Done of string
+      (** closes an operation: ["ok"], ["timeout"] or ["error:<why>"] *)
 
 type event = {
   trace : id;
   time : float;  (** virtual ms *)
-  site : int;  (** topology site of the component recording the event *)
+  site : int;
+      (** topology site of the component recording the event; [0] for
+          operation events *)
   kind : kind;
 }
 
@@ -55,7 +71,8 @@ val record : t -> id -> time:float -> site:int -> kind -> unit
     disabled. *)
 
 val started : t -> int
-(** Traces allocated so far (sampling skips excluded). *)
+(** Ids allocated so far, packet traces and operations alike (sampling
+    skips excluded). *)
 
 val recorded : t -> int
 (** Events recorded so far (including any since overwritten). *)
@@ -90,6 +107,39 @@ val drain : t -> event list
     effect.  Unlike {!reset} this preserves the id allocator and the
     sampling countdown, so a collector polling {!drain} periodically sees
     each event exactly once and never sees two packets share an id. *)
+
+(** {1 Control-plane operations}
+
+    An operation is an {!Op} event, any number of {!Note}s and one
+    {!Done}, all carrying the operation's id.  The handle keeps racing
+    timers from corrupting history: closing twice records one {!Done},
+    and a note after the close records nothing. *)
+
+type op
+(** Handle on an operation: its id and whether it is still open. *)
+
+val null_op : op
+(** An already-closed handle: {!note} and {!close_op} on it are no-ops.
+    Useful as the initial value of a mutable handle field. *)
+
+val open_op : t -> ?parent:id -> time:float -> string -> op
+(** Allocate an id (sampled like {!start}) and record its {!Op} event.
+    A disabled collector, or a sampling skip, returns an inert handle. *)
+
+val op_id : op -> id
+(** The handle's id ({!none} iff inert). *)
+
+val note : t -> op -> time:float -> string -> unit
+(** Record a {!Note} while the operation is open. *)
+
+val close_op : t -> ?status:string -> time:float -> op -> unit
+(** Record the {!Done} event (status default ["ok"]) and close the
+    handle; a no-op on a closed or inert handle. *)
+
+val durations_ms : ?op:string -> t -> float array
+(** [Done] time minus [Op] time of each closed operation whose {!Op}
+    event is still in the ring, in close order (filtered to one
+    operation name if given) — feed to [Stats.percentile]. *)
 
 (** {1 Cross-process assembly}
 

@@ -156,8 +156,6 @@ type driver = event -> unit
 
 let combine drivers event = List.iter (fun d -> d event) drivers
 
-let null_driver (_ : event) = ()
-
 let sorted schedule =
   List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) schedule
 

@@ -5,7 +5,7 @@
     {!driver} interprets each event against some substrate — a raw
     {!Net.t} (via [Net.driver]), a real socket's send boundary (via
     [Transport.Faulty.driver]), or a full deployment (e.g.
-    [I3.Dynamic.fault_driver], which applies network faults to both the
+    [I3.Dynamic.inject]'s, which applies network faults to both the
     control and the data plane and maps [Crash]/[Restart] onto server
     kill/recover).  Drivers are plain functions so they {!combine}:
     applying one schedule to several network planes at once is the normal
@@ -88,8 +88,6 @@ val fate : t -> src_site:int -> dst_site:int -> fate
 (** {1 Schedules} *)
 
 type driver = event -> unit
-
-val null_driver : driver
 
 val combine : driver list -> driver
 (** Apply every driver to every event, in order. *)

@@ -16,11 +16,6 @@ type t = {
   oracle : Dijkstra.oracle;
 }
 
-let of_graph graph ~eligible =
-  if Array.length eligible = 0 then
-    invalid_arg "Model.of_graph: no eligible sites";
-  { kind = None; graph; eligible; oracle = Dijkstra.oracle graph }
-
 let build rng kind ~n =
   match kind with
   | Plrg ->

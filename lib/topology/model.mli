@@ -17,10 +17,6 @@ val build : Rng.t -> kind -> n:int -> t
 (** Generate an [n]-node topology of the given kind with the paper's
     parameters. *)
 
-val of_graph : Graph.t -> eligible:int array -> t
-(** Wrap an arbitrary graph (tests); [eligible] lists the nodes that may
-    host i3 servers. *)
-
 val kind : t -> kind option
 val graph : t -> Graph.t
 val oracle : t -> Dijkstra.oracle

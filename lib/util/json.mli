@@ -21,8 +21,6 @@ val escape : string -> string
     quote and control characters; everything else is passed through, so
     UTF-8 survives byte-for-byte. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace). *)
 

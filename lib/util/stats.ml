@@ -62,11 +62,6 @@ let summarize xs =
     max = maximum xs;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.4g stdev=%.4g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g"
-    s.n s.mean s.stdev s.min s.p50 s.p90 s.p99 s.max
-
 let histogram ~bins xs =
   check_nonempty "Stats.histogram" xs;
   if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";

@@ -6,9 +6,6 @@
 val mean : float array -> float
 (** Arithmetic mean. @raise Invalid_argument on empty input. *)
 
-val variance : float array -> float
-(** Population variance. Zero for singletons. *)
-
 val stdev : float array -> float
 (** Population standard deviation. *)
 
@@ -34,8 +31,6 @@ type summary = {
 
 val summarize : float array -> summary
 (** One-pass summary of a non-empty sample. *)
-
-val pp_summary : Format.formatter -> summary -> unit
 
 val histogram : bins:int -> float array -> (float * float * int) array
 (** [histogram ~bins xs] buckets the data into [bins] equal-width bins over

@@ -61,7 +61,6 @@ let remaining r = r.limit - r.pos
    write straight out of it with [add_view]. *)
 type view = { base : string; off : int; len : int }
 
-let view_of_string s = { base = s; off = 0; len = String.length s }
 let view_length v = v.len
 let view_to_string v =
   if v.off = 0 && v.len = String.length v.base then v.base

@@ -36,7 +36,6 @@ type view
     is immutable) is alive; materialize with {!view_to_string} or write
     it out with {!add_view}. *)
 
-val view_of_string : string -> view
 val view_length : view -> int
 
 val view_to_string : view -> string

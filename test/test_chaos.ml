@@ -26,12 +26,12 @@ let repair_bound =
 (* Ten servers at ten distinct sites, so site-set partitions and gray
    links cut between servers (join order = site index).  Each deployment
    gets a private registry (dune runtest isolation: parallel scenarios
-   must never share Obs.Metrics.default) and a span collector, so the
-   monitor's flight dumps have control-plane history to capture. *)
+   must never share Obs.Metrics.default) and an operations collector, so
+   the monitor's flight dumps have control-plane history to capture. *)
 let build ?server_config ~seed () =
   let tracer = Obs.Trace.create ~capacity:(1 lsl 17) () in
   let metrics = Obs.Metrics.create () in
-  let spans = Obs.Span.create ~capacity:(1 lsl 13) () in
+  let spans = Obs.Trace.create ~capacity:(1 lsl 15) () in
   let d = I3.Dynamic.create ~seed ?server_config ~metrics ~tracer ~spans () in
   for site = 0 to 9 do
     ignore (I3.Dynamic.add_server d ~site ());

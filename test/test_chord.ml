@@ -368,7 +368,7 @@ let mk_proto ?(latency = fun _ _ -> 10.) ?(seed = 1) () =
   let metrics = Obs.Metrics.create () in
   let net = Net.create ~metrics engine ~rng ~latency () in
   let nw =
-    Chord.Protocol.create_detached engine ~rng ~metrics
+    Chord.Protocol.create engine ~rng ~metrics
       ~emit:(fun ~src ~dst msg -> Net.send net ~src ~dst msg)
       ()
   in

@@ -226,7 +226,7 @@ let test_restart_keeps_member_observable () =
    times before it existed. *)
 let test_late_join_starts_timers_now () =
   let metrics = Obs.Metrics.create () in
-  let spans = Obs.Span.create ~capacity:(1 lsl 14) () in
+  let spans = Obs.Trace.create ~capacity:(1 lsl 16) () in
   let d = I3.Dynamic.create ~metrics ~spans ~seed:14 () in
   ignore (I3.Dynamic.add_server d ());
   I3.Dynamic.run_for d 60_000.;
@@ -241,24 +241,42 @@ let test_late_join_starts_timers_now () =
   in
   let joined_at = I3.Dynamic.now d in
   let before = lookups () in
-  Obs.Span.reset spans;
+  Obs.Trace.reset spans;
   ignore (I3.Dynamic.add_server d ());
   Alcotest.(check int) "no fix-finger round replayed at join" before
     (lookups ());
   let period = 2_000. (* the default fast stabilize period *) in
   I3.Dynamic.run_for d period;
-  let fresh = Obs.Span.spans spans in
+  let events = Obs.Trace.events spans in
+  let opened = Hashtbl.create 64 in
+  let fresh =
+    List.filter
+      (fun (e : Obs.Trace.event) ->
+        match e.kind with
+        | Obs.Trace.Op { op; _ } ->
+            Hashtbl.replace opened e.trace (op, e.time);
+            false
+        | Obs.Trace.Done _ -> true
+        | _ -> false)
+      events
+  in
   Alcotest.(check bool) "timers ran after the join" true (fresh <> []);
+  (* A finished operation whose opening was cleared by the reset started
+     before the join. *)
   List.iter
-    (fun (s : Obs.Span.span) ->
-      if s.start_time < joined_at then
+    (fun (e : Obs.Trace.event) ->
+      let op, start_time =
+        Option.value ~default:("?", neg_infinity)
+          (Hashtbl.find_opt opened e.trace)
+      in
+      if start_time < joined_at then
         Alcotest.failf "%s span started at %.0f, before the join at %.0f"
-          s.op s.start_time joined_at)
+          op start_time joined_at)
     fresh;
   Alcotest.(check bool) "fix-finger lookups started within one period" true
-    (Obs.Span.spans ~op:"chord.lookup" spans <> []);
+    (Obs.Trace.durations_ms ~op:"chord.lookup" spans <> [||]);
   Alcotest.(check bool) "stabilize rounds started within one period" true
-    (Obs.Span.spans ~op:"chord.stabilize" spans <> [])
+    (Obs.Trace.durations_ms ~op:"chord.stabilize" spans <> [||])
 
 let () =
   Alcotest.run "i3-dynamic"

@@ -1,6 +1,7 @@
 (* Tests for the observability layer: the metrics registry (handles,
-   canonical labels, histogram quantiles, snapshots), the per-packet trace
-   collector (ring, sampling, orphan detection) and the JSON emitter. *)
+   canonical labels, histogram quantiles, snapshots), the trace collector
+   (ring, sampling, orphan detection, control-plane operations) and the
+   JSON emitter. *)
 
 let feq = Alcotest.(check (float 1e-9))
 
@@ -226,83 +227,119 @@ let test_metrics_remove_where () =
     (Obs.Metrics.find reg ~labels:[ ("instance", "srv2") ] "t.x"
     = Some (Obs.Metrics.Counter 1))
 
-(* --- Obs.Span --- *)
+(* --- Obs.Trace control-plane operations --- *)
+
+let dones t =
+  List.filter_map
+    (fun (e : Obs.Trace.event) ->
+      match e.kind with Obs.Trace.Done s -> Some (e.trace, e.time, s) | _ -> None)
+    (Obs.Trace.events t)
+
+let notes t id =
+  List.filter
+    (fun (e : Obs.Trace.event) ->
+      e.trace = id && match e.kind with Obs.Trace.Note _ -> true | _ -> false)
+    (Obs.Trace.events t)
 
 let test_span_tree () =
-  let t = Obs.Span.create ~capacity:16 () in
-  let root = Obs.Span.start t ~time:10. "chord.lookup" in
-  let child = Obs.Span.start t ~parent:root ~trace:42 ~time:11. "chord.rpc" in
-  Obs.Span.annotate child ~time:12. "ask addr=3";
-  Obs.Span.finish t ~time:15. child;
-  Obs.Span.finish t ~status:(Obs.Span.Error "exhausted") ~time:20. root;
-  Alcotest.(check int) "started" 2 (Obs.Span.started t);
-  Alcotest.(check int) "finished" 2 (Obs.Span.finished t);
-  (match Obs.Span.spans t with
-  | [ c; r ] ->
-      Alcotest.(check string) "child op" "chord.rpc" c.Obs.Span.op;
-      Alcotest.(check int) "child parent = root"
-        (Obs.Span.span_id root) c.Obs.Span.parent;
-      Alcotest.(check int) "trace link" 42 c.Obs.Span.trace;
-      feq "child duration" 4. (c.Obs.Span.end_time -. c.Obs.Span.start_time);
-      Alcotest.(check int) "one annotation" 1
-        (List.length c.Obs.Span.annotations);
-      Alcotest.(check int) "root is a root" Obs.Span.none r.Obs.Span.parent;
-      Alcotest.(check bool) "root errored" true
-        (r.Obs.Span.status = Obs.Span.Error "exhausted")
-  | l -> Alcotest.failf "expected 2 finished spans, got %d" (List.length l));
-  Alcotest.(check int) "op filter" 1
-    (List.length (Obs.Span.spans ~op:"chord.rpc" t));
-  Alcotest.(check (array (float 1e-9))) "durations" [| 4. |]
-    (Obs.Span.durations_ms ~op:"chord.rpc" t)
+  let t = Obs.Trace.create ~capacity:16 () in
+  let root = Obs.Trace.open_op t ~time:10. "chord.lookup" in
+  let packet = Obs.Trace.open_op t ~parent:42 ~time:10.5 "i3.first_packet" in
+  let child =
+    Obs.Trace.open_op t ~parent:(Obs.Trace.op_id root) ~time:11. "chord.rpc"
+  in
+  Obs.Trace.note t child ~time:12. "ask addr=3";
+  Obs.Trace.close_op t ~time:15. child;
+  Obs.Trace.close_op t ~status:"error:exhausted" ~time:20. root;
+  Alcotest.(check int) "started" 3 (Obs.Trace.started t);
+  Alcotest.(check int) "open, note and close events" 6 (Obs.Trace.recorded t);
+  let parent_of o =
+    List.find_map
+      (fun (e : Obs.Trace.event) ->
+        match e.kind with
+        | Obs.Trace.Op { parent; _ } when e.trace = Obs.Trace.op_id o ->
+            Some parent
+        | _ -> None)
+      (Obs.Trace.events t)
+  in
+  Alcotest.(check (option int)) "child parent = root"
+    (Some (Obs.Trace.op_id root)) (parent_of child);
+  Alcotest.(check (option int)) "packet link" (Some 42) (parent_of packet);
+  Alcotest.(check (option int)) "root is a root" (Some Obs.Trace.none)
+    (parent_of root);
+  Alcotest.(check int) "one annotation" 1
+    (List.length (notes t (Obs.Trace.op_id child)));
+  Alcotest.(check (list (triple int (float 1e-9) string)))
+    "closed child then errored root"
+    [
+      (Obs.Trace.op_id child, 15., "ok");
+      (Obs.Trace.op_id root, 20., "error:exhausted");
+    ]
+    (dones t);
+  Alcotest.(check (array (float 1e-9))) "child duration" [| 4. |]
+    (Obs.Trace.durations_ms ~op:"chord.rpc" t);
+  Alcotest.(check (array (float 1e-9))) "open operations are skipped"
+    [| 4.; 10. |] (Obs.Trace.durations_ms t)
 
 let test_span_finish_idempotent () =
-  let t = Obs.Span.create ~capacity:8 () in
-  let sp = Obs.Span.start t ~time:1. "op" in
-  Alcotest.(check bool) "open" false (Obs.Span.is_finished sp);
-  Obs.Span.finish t ~status:Obs.Span.Timeout ~time:2. sp;
-  Alcotest.(check bool) "finished" true (Obs.Span.is_finished sp);
-  (* second finish must not record again or change the status *)
-  Obs.Span.finish t ~time:99. sp;
-  Obs.Span.annotate sp ~time:99. "late note";
-  Alcotest.(check int) "one finished span" 1 (Obs.Span.finished t);
-  match Obs.Span.spans t with
-  | [ s ] ->
-      Alcotest.(check bool) "status kept" true
-        (s.Obs.Span.status = Obs.Span.Timeout);
-      feq "end time kept" 2. s.Obs.Span.end_time;
-      Alcotest.(check int) "late annotation dropped" 0
-        (List.length s.Obs.Span.annotations)
-  | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
+  let t = Obs.Trace.create ~capacity:8 () in
+  let o = Obs.Trace.open_op t ~time:1. "op" in
+  Obs.Trace.close_op t ~status:"timeout" ~time:2. o;
+  (* second close must not record again or change the status *)
+  Obs.Trace.close_op t ~time:99. o;
+  Obs.Trace.note t o ~time:99. "late note";
+  Alcotest.(check (list (triple int (float 1e-9) string)))
+    "one Done, status and end time kept"
+    [ (Obs.Trace.op_id o, 2., "timeout") ]
+    (dones t);
+  Alcotest.(check int) "late annotation dropped" 0
+    (List.length (notes t (Obs.Trace.op_id o)))
 
 let test_span_disabled_and_null () =
-  let sp = Obs.Span.start Obs.Span.disabled ~time:0. "op" in
-  Alcotest.(check int) "disabled handle has id none" Obs.Span.none
-    (Obs.Span.span_id sp);
-  Obs.Span.annotate sp ~time:1. "ignored";
-  Obs.Span.finish Obs.Span.disabled ~time:2. sp;
+  let o = Obs.Trace.open_op Obs.Trace.disabled ~time:0. "op" in
+  Alcotest.(check int) "disabled handle has id none" Obs.Trace.none
+    (Obs.Trace.op_id o);
+  Obs.Trace.note Obs.Trace.disabled o ~time:1. "ignored";
+  Obs.Trace.close_op Obs.Trace.disabled ~time:2. o;
   Alcotest.(check int) "disabled records nothing" 0
-    (Obs.Span.finished Obs.Span.disabled);
+    (Obs.Trace.recorded Obs.Trace.disabled);
   Alcotest.(check bool) "disabled reports disabled" false
-    (Obs.Span.enabled Obs.Span.disabled);
-  let t = Obs.Span.create () in
-  Obs.Span.annotate Obs.Span.null ~time:1. "ignored";
-  Obs.Span.finish t ~time:2. Obs.Span.null;
-  Alcotest.(check int) "null handle is inert" 0 (Obs.Span.finished t)
+    (Obs.Trace.enabled Obs.Trace.disabled);
+  let t = Obs.Trace.create () in
+  Obs.Trace.note t Obs.Trace.null_op ~time:1. "ignored";
+  Obs.Trace.close_op t ~time:2. Obs.Trace.null_op;
+  Alcotest.(check int) "null handle is inert" 0 (Obs.Trace.recorded t)
 
 let test_span_ring_capacity () =
-  let t = Obs.Span.create ~capacity:3 () in
+  let t = Obs.Trace.create ~capacity:6 () in
   for i = 1 to 5 do
-    let sp = Obs.Span.start t ~time:(float_of_int i) "op" in
-    Obs.Span.finish t ~time:(float_of_int i +. 0.5) sp
+    let o = Obs.Trace.open_op t ~time:(float_of_int i) "op" in
+    Obs.Trace.close_op t ~time:(float_of_int i +. 0.5) o
   done;
-  Alcotest.(check int) "finished counts evictions" 5 (Obs.Span.finished t);
-  let resident = Obs.Span.spans t in
-  Alcotest.(check int) "ring holds capacity" 3 (List.length resident);
+  Alcotest.(check int) "recorded counts evictions" 10 (Obs.Trace.recorded t);
+  Alcotest.(check int) "ring holds capacity" 6
+    (List.length (Obs.Trace.events t));
   Alcotest.(check (list (float 1e-9))) "oldest first, newest kept"
     [ 3.; 4.; 5. ]
-    (List.map (fun s -> s.Obs.Span.start_time) resident);
-  Obs.Span.reset t;
-  Alcotest.(check int) "reset empties" 0 (List.length (Obs.Span.spans t))
+    (List.filter_map
+       (fun (e : Obs.Trace.event) ->
+         match e.kind with Obs.Trace.Op _ -> Some e.time | _ -> None)
+       (Obs.Trace.events t));
+  Obs.Trace.reset t;
+  Alcotest.(check int) "reset empties" 0 (List.length (Obs.Trace.events t))
+
+(* An operation whose opening event was evicted has no start time: its
+   close must not count as a duration measured from some other event. *)
+let test_span_durations_skip_evicted () =
+  let t = Obs.Trace.create ~capacity:3 () in
+  let old = Obs.Trace.open_op t ~time:0. "op" in
+  let young = Obs.Trace.open_op t ~time:5. "op" in
+  Obs.Trace.close_op t ~time:6. young;
+  Obs.Trace.close_op t ~time:7. old;
+  Alcotest.(check int) "the opening of [old] was evicted" 3
+    (List.length (Obs.Trace.events t));
+  Alcotest.(check (array (float 1e-9))) "only [young] measured" [| 1. |]
+    (Obs.Trace.durations_ms ~op:"op" t)
 
 (* --- Obs.Series --- *)
 
@@ -970,6 +1007,8 @@ let () =
           Alcotest.test_case "disabled and null handles" `Quick
             test_span_disabled_and_null;
           Alcotest.test_case "ring capacity" `Quick test_span_ring_capacity;
+          Alcotest.test_case "durations skip evicted openings" `Quick
+            test_span_durations_skip_evicted;
         ] );
       ( "series",
         [

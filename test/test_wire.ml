@@ -96,6 +96,11 @@ let gen_trace_event =
           Obs.Trace.
             [ Send; Enqueue; Relay; Cache_hit; Trigger_match; Deliver ];
         map (fun c -> Obs.Trace.Drop c) (string_size (int_range 0 16));
+        (string_size (int_range 0 16) >>= fun op ->
+         int_range 0 0xfff_ffff >>= fun parent ->
+         return (Obs.Trace.Op { op; parent }));
+        map (fun n -> Obs.Trace.Note n) (string_size (int_range 0 16));
+        map (fun d -> Obs.Trace.Done d) (string_size (int_range 0 16));
       ]
     >>= fun kind -> return { Obs.Trace.trace; time; site; kind })
 
@@ -504,6 +509,44 @@ let test_stats_negatives () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad drain flag accepted"
 
+(* Control-plane operation events ride the same snapshot as packet hops:
+   each kind round-trips, and a bad tag or a truncated field is refused. *)
+let test_stats_operation_events () =
+  let events =
+    List.mapi
+      (fun i kind -> { Obs.Trace.trace = 3 + i; time = 0.5; site = 0; kind })
+      Obs.Trace.
+        [
+          Op { op = "chord.lookup"; parent = none };
+          Op { op = "i3.first_packet"; parent = 77 };
+          Note "ask addr=3 hop=0";
+          Done "ok";
+          Done "error:exhausted";
+        ]
+  in
+  let m =
+    I3.Message.Stats_response { nonce = 1; server = 2; samples = []; events }
+  in
+  let wire = I3.Codec.encode m in
+  (match I3.Codec.decode wire with
+  | Ok m' -> Alcotest.(check bool) "operation events round-trip" true (m = m')
+  | Error e -> Alcotest.failf "operation events rejected: %s" e);
+  for cut = 0 to String.length wire - 1 do
+    match I3.Codec.decode (String.sub wire 0 cut) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "operation events accepted a %d-byte prefix" cut
+  done;
+  (* The first event's kind tag follows its u64 id, f64 time and u32
+     site, which sit after the preamble (4), nonce (8), server (8),
+     version (1), blob length (4) and the two counts (2 + 2). *)
+  let tag_at = 4 + 8 + 8 + 1 + 4 + 2 + 2 + 8 + 8 + 4 in
+  Alcotest.(check int) "first event is an Op" 7 (Char.code wire.[tag_at]);
+  let b = Bytes.of_string wire in
+  Bytes.set b tag_at '\x0a';
+  match I3.Codec.decode (Bytes.to_string b) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "unknown event kind tag accepted"
+
 let test_stats_encode_caps () =
   let sample =
     {
@@ -575,6 +618,8 @@ let () =
         [
           test_stats_roundtrip;
           Alcotest.test_case "negatives" `Quick test_stats_negatives;
+          Alcotest.test_case "operation events" `Quick
+            test_stats_operation_events;
           Alcotest.test_case "encode caps" `Quick test_stats_encode_caps;
         ] );
       ( "fuzz",
