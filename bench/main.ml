@@ -380,30 +380,30 @@ let section_control_plane () =
      percentiles are over all of them. *)
   let capacity = 1 lsl 16 in
   let spans = Obs.Trace.create ~capacity () in
-  let d = I3.Dynamic.create ~seed:9 ~metrics ~spans () in
+  let d = Transport.Dynamic.create ~seed:9 ~metrics ~spans () in
   for i = 0 to n_servers - 1 do
-    ignore (I3.Dynamic.add_server d ~site:i ())
+    ignore (Transport.Dynamic.add_server d ~site:i ())
   done;
-  I3.Dynamic.run_for d 6_000.;
+  Transport.Dynamic.run_for d 6_000.;
   (* Hosts on a 2 s refresh give the span ring plenty of
      trigger-refresh round-trips inside the horizon. *)
   let host_config =
     { I3.Host.default_config with I3.Host.refresh_period_ms = 2_000. }
   in
-  let recv = I3.Dynamic.new_host d ~config:host_config () in
-  let send = I3.Dynamic.new_host d ~config:host_config () in
+  let recv = Transport.Dynamic.new_host d ~config:host_config () in
+  let send = Transport.Dynamic.new_host d ~config:host_config () in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
   let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
   let rules =
-    Eval.Monitor.default_rules ~ring_label:(I3.Dynamic.ring_label d) flow
+    Eval.Monitor.default_rules ~ring_label:(Transport.Dynamic.ring_label d) flow
     @ [
         Eval.Monitor.lookup_p99_rule ~ok:5_000. ~degraded:20_000.
-          ~ring_label:(I3.Dynamic.ring_label d) ();
+          ~ring_label:(Transport.Dynamic.ring_label d) ();
       ]
   in
   let monitor = Eval.Monitor.create ~rules d in
-  I3.Dynamic.run_for d horizon;
+  Transport.Dynamic.run_for d horizon;
   Eval.Recovery.stop_flow flow;
   Eval.Monitor.stop monitor;
   if Obs.Trace.recorded spans > capacity then

@@ -425,9 +425,9 @@ let run_health seed servers period horizon fault fault_at heal_at dump_path =
   let metrics = Obs.Metrics.create () in
   let spans = Obs.Trace.create () in
   let tracer = Obs.Trace.create () in
-  let d = I3.Dynamic.create ~seed ~metrics ~tracer ~spans () in
+  let d = Transport.Dynamic.create ~seed ~metrics ~tracer ~spans () in
   for i = 0 to servers - 1 do
-    ignore (I3.Dynamic.add_server d ~site:i ())
+    ignore (Transport.Dynamic.add_server d ~site:i ())
   done;
   (match
      Eval.Recovery.converges_within ~budget:120_000. (Rng.of_int (seed + 1)) d
@@ -443,39 +443,39 @@ let run_health seed servers period horizon fault fault_at heal_at dump_path =
       ack_grace_ms = 5_000.;
     }
   in
-  let recv = I3.Dynamic.new_host d ~site:0 ~config:host_config () in
-  let send = I3.Dynamic.new_host d ~site:1 ~config:host_config () in
+  let recv = Transport.Dynamic.new_host d ~site:0 ~config:host_config () in
+  let send = Transport.Dynamic.new_host d ~site:1 ~config:host_config () in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Dynamic.run_for d 1_000.;
+  Transport.Dynamic.run_for d 1_000.;
   let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
   let rules =
-    Eval.Monitor.default_rules ~ring_label:(I3.Dynamic.ring_label d) flow
+    Eval.Monitor.default_rules ~ring_label:(Transport.Dynamic.ring_label d) flow
   in
   let monitor = Eval.Monitor.create ~period ~rules d in
-  let fault_abs = I3.Dynamic.now d +. fault_at in
+  let fault_abs = Transport.Dynamic.now d +. fault_at in
   (match fault with
   | `None -> ()
   | `Blackhole ->
       progress "fault: total blackhole (loss=1.0) on both planes";
-      I3.Dynamic.inject d
+      Transport.Dynamic.inject d
         [ (fault_at, Faults.Loss 1.0); (heal_at, Faults.Loss 0.0) ]
   | `Partition ->
       progress "fault: partition site 0 away; heal later";
-      I3.Dynamic.inject d
+      Transport.Dynamic.inject d
         [ (fault_at, Faults.Partition [ 0 ]); (heal_at, Faults.Heal) ]
   | `Kill ->
       progress "fault: crash server 0, restart later";
-      I3.Dynamic.inject d
+      Transport.Dynamic.inject d
         [ (fault_at, Faults.Crash 0); (heal_at, Faults.Restart 0) ]);
   let header = Eval.Monitor.live_header monitor in
   let widths = List.map (fun h -> max 14 (String.length h)) header in
   print_row widths header;
   print_row widths (List.map (fun w -> String.make w '-') widths);
-  let stop_at = I3.Dynamic.now d +. horizon in
+  let stop_at = Transport.Dynamic.now d +. horizon in
   let rec live () =
-    if I3.Dynamic.now d < stop_at then begin
-      I3.Dynamic.run_for d period;
+    if Transport.Dynamic.now d < stop_at then begin
+      Transport.Dynamic.run_for d period;
       print_row widths (Eval.Monitor.live_row monitor);
       live ()
     end

@@ -11,11 +11,3 @@ val encode : Protocol.msg -> string
 val decode : string -> (Protocol.msg, string) result
 (** Never raises; rejects truncation, bad tags, oversized peer counts
     and trailing bytes. *)
-
-val harden : ?metrics:Obs.Metrics.t -> Protocol.msg Net.t -> unit
-(** Install an encode-then-decode transducer on the control-plane
-    network ({!Net.set_transducer}): every simulated RPC hop crosses the
-    real wire format, so codec drift shows up as ["codec"] drops in any
-    seeded test.  Counts [wire.roundtrips] / [wire.decode_errors] in
-    [metrics] (default {!Obs.Metrics.default}) under this net's
-    [instance] label with [proto="chord"]. *)

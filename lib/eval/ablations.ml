@@ -137,9 +137,9 @@ let ack_latency ~seed ~challenge =
      are visible in virtual time *)
   let host = I3.Deployment.new_host d ~site:1 () in
   let acked_at = ref nan in
-  Net.set_tap (I3.Deployment.net d) (fun ~src:_ ~dst msg ->
-      match msg with
-      | I3.Message.Insert_ack _ when dst = I3.Host.addr host ->
+  Net.set_tap (I3.Deployment.net d) (fun ~src:_ ~dst bytes ->
+      match I3.Codec.decode bytes with
+      | Ok (I3.Message.Insert_ack _) when dst = I3.Host.addr host ->
           if Float.is_nan !acked_at then acked_at := I3.Deployment.now d
       | _ -> ());
   let t0 = I3.Deployment.now d in

@@ -72,10 +72,10 @@ let flight_dump t ~at evals =
 let max_dumps = 4
 
 let create ?(period = 500.) ~rules d =
-  let engine = I3.Dynamic.engine d in
+  let engine = Transport.Dynamic.engine d in
   let health =
     Obs.Health.create ~series_capacity:1024 ~history_capacity:4096 ~rules
-      (I3.Dynamic.metrics d)
+      (Transport.Dynamic.metrics d)
   in
   let timer =
     Engine.scraper engine ~period (fun ~time ->
@@ -85,8 +85,8 @@ let create ?(period = 500.) ~rules d =
     {
       engine;
       health;
-      spans = I3.Dynamic.spans d;
-      tracer = I3.Dynamic.tracer d;
+      spans = Transport.Dynamic.spans d;
+      tracer = Transport.Dynamic.tracer d;
       dumps = [];
       timer;
     }

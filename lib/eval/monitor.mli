@@ -1,4 +1,4 @@
-(** A health monitor over a live {!I3.Dynamic} deployment.
+(** A health monitor over a live {!Transport.Dynamic} deployment.
 
     Wires an {!Engine.scraper} timer to an {!Obs.Health} monitor: every
     [period] virtual ms the registry is sampled into time series and the
@@ -33,13 +33,14 @@ val lookup_p99_rule :
 val default_rules : ring_label:string -> Recovery.flow -> Obs.Health.rule list
 (** The flow's {!Obs.Probe.delivery_rule} at [ok = 0.8],
     [degraded = 0.45], plus a rule on Chord RPC timeouts per second on
-    the control ring ({!I3.Dynamic.ring_label}; a healthy ring has none,
-    2 s window): both windowed, so verdicts recover when the deployment
-    does. *)
+    the control ring ({!Transport.Dynamic.ring_label}; a healthy ring
+    has none, 2 s window): both windowed, so verdicts recover when the
+    deployment does. *)
 
 (** {1 Lifecycle} *)
 
-val create : ?period:float -> rules:Obs.Health.rule list -> I3.Dynamic.t -> t
+val create :
+  ?period:float -> rules:Obs.Health.rule list -> Transport.Dynamic.t -> t
 (** Attach a monitor and start scraping every [period] ms (default 500).
     At most 4 flight records are kept — one per breach episode, oldest
     first. *)

@@ -3,31 +3,33 @@
 let ring_converged ?(probes = 32) rng d =
   let ok = ref true in
   for _ = 1 to probes do
-    if List.length (I3.Dynamic.owners_of d (Id.random rng)) <> 1 then
+    if List.length (Transport.Dynamic.owners_of d (Id.random rng)) <> 1 then
       ok := false
   done;
   !ok
 
 let converges_within ?probes ?(check_every = 1_000.) ~budget rng d =
-  let start = I3.Dynamic.now d in
+  let start = Transport.Dynamic.now d in
   let deadline = start +. budget in
   let rec wait () =
-    if ring_converged ?probes rng d then Some (I3.Dynamic.now d -. start)
-    else if I3.Dynamic.now d >= deadline then None
+    if ring_converged ?probes rng d then
+      Some (Transport.Dynamic.now d -. start)
+    else if Transport.Dynamic.now d >= deadline then None
     else begin
-      I3.Dynamic.run_for d (Float.min check_every (deadline -. I3.Dynamic.now d));
+      Transport.Dynamic.run_for d
+        (Float.min check_every (deadline -. Transport.Dynamic.now d));
       wait ()
     end
   in
   wait ()
 
 let triggers_conserved d hosts =
-  let now = I3.Dynamic.now d in
+  let now = Transport.Dynamic.now d in
   List.for_all
     (fun host ->
       List.for_all
         (fun (tr : I3.Trigger.t) ->
-          match I3.Dynamic.owners_of d tr.I3.Trigger.id with
+          match Transport.Dynamic.owners_of d tr.I3.Trigger.id with
           | [] -> false
           | owners ->
               List.for_all
@@ -52,9 +54,9 @@ let start_flow d ~sender ~receiver ?(period = 250.) ?name id =
   let name =
     Option.value name ~default:(Printf.sprintf "flow%d" !flow_counter)
   in
-  let engine = I3.Dynamic.engine d in
+  let engine = Transport.Dynamic.engine d in
   let probe =
-    Obs.Probe.create ~metrics:(I3.Dynamic.metrics d) ~name
+    Obs.Probe.create ~metrics:(Transport.Dynamic.metrics d) ~name
       ~now:(Engine.now engine)
   in
   I3.Host.on_receive receiver (fun ~stack:_ ~payload ->

@@ -1,6 +1,6 @@
 (** Machine-checked robustness invariants and recovery metrics for chaos
-    scenarios over a running {!I3.Dynamic} deployment (paper Secs. IV-C,
-    V-C: soft state repairs every transient inconsistency).
+    scenarios over a running {!Transport.Dynamic} deployment (paper
+    Secs. IV-C, V-C: soft state repairs every transient inconsistency).
 
     The checkers formalize what "the deployment recovered" means:
 
@@ -19,7 +19,7 @@
 
 (** {1 Invariant checkers} *)
 
-val ring_converged : ?probes:int -> Rng.t -> I3.Dynamic.t -> bool
+val ring_converged : ?probes:int -> Rng.t -> Transport.Dynamic.t -> bool
 (** [ring_converged rng d] probes [probes] (default 32) random
     identifiers and checks each has exactly one owner. *)
 
@@ -28,13 +28,13 @@ val converges_within :
   ?check_every:float ->
   budget:float ->
   Rng.t ->
-  I3.Dynamic.t ->
+  Transport.Dynamic.t ->
   float option
 (** Run the deployment until {!ring_converged} holds, checking every
     [check_every] ms (default 1000), giving up after [budget] ms of
     virtual time; returns the elapsed virtual time to convergence. *)
 
-val triggers_conserved : I3.Dynamic.t -> I3.Host.t list -> bool
+val triggers_conserved : Transport.Dynamic.t -> I3.Host.t list -> bool
 (** Every active trigger of every given host is stored (and matchable)
     at every live server claiming responsibility for it, and at least
     one server claims it.  Call after the repair bound
@@ -49,7 +49,7 @@ type flow
     host. *)
 
 val start_flow :
-  I3.Dynamic.t ->
+  Transport.Dynamic.t ->
   sender:I3.Host.t ->
   receiver:I3.Host.t ->
   ?period:float ->

@@ -1,9 +1,10 @@
 (* A supervised cluster of real [bin/i3d] daemons on loopback UDP.
 
    The harness is the live-process analogue of the simulator's
-   [I3.Dynamic]: it forks N daemons that form one ring *dynamically* —
-   every member is spawned with the other members as [--join] contacts
-   and Chord stabilization does the rest — supervises them
+   [Transport.Dynamic]: it forks N daemons that form one ring
+   *dynamically* — every member is spawned with the other members as
+   [--join] contacts and Chord stabilization does the rest — supervises
+   them
    (reap-on-exit, restart with exponential backoff, liveness probes
    over the Ping/Pong status frames) and interprets the same
    declarative [Faults.schedule] the chaos matrix runs in simulation —

@@ -363,18 +363,3 @@ let decode s =
     let* m = read_body kind r in
     let* () = Io.expect_end r in
     Ok m
-
-(* --- simnet interposition --- *)
-
-let harden ?(metrics = Obs.Metrics.default) net =
-  let labels = [ ("instance", Net.label net); ("proto", "i3") ] in
-  let roundtrips = Obs.Metrics.counter metrics ~labels "wire.roundtrips" in
-  let errors = Obs.Metrics.counter metrics ~labels "wire.decode_errors" in
-  Net.set_transducer net (fun m ->
-      match decode (encode m) with
-      | Ok m' ->
-          Obs.Metrics.incr roundtrips;
-          Ok m'
-      | Error e ->
-          Obs.Metrics.incr errors;
-          Error e)

@@ -15,11 +15,3 @@ val decode : string -> (Message.t, string) result
 (** Never raises; rejects truncation, bad magic/version, unknown kinds
     or tags, out-of-range stack depths and batch counts, and trailing
     bytes. *)
-
-val harden : ?metrics:Obs.Metrics.t -> Message.t Net.t -> unit
-(** Install an encode-then-decode transducer ({!Net.set_transducer}) so
-    every simulated hop round-trips through the wire format and codec
-    drift surfaces as ["codec"] drops anywhere in the existing suite.
-    Counts [wire.roundtrips] / [wire.decode_errors] in [metrics]
-    (default {!Obs.Metrics.default}) under this net's [instance] label
-    with [proto="i3"]. *)

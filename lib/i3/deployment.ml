@@ -10,7 +10,7 @@ type member = { server : Server.t; index : int ref }
 
 type t = {
   engine : Sim.Engine.t;
-  net : Message.t Net.t;
+  net : string Net.t;
   rng : Rng.t;
   model : Topology.Model.t option;
   latency : int -> int -> float;
@@ -50,22 +50,23 @@ let view_for state index =
         if p = !index then None else Some state.addrs.(p));
   }
 
-(* A server on the shared net: its endpoint handler feeds the server and
-   its sends go out from that endpoint. *)
+(* A server on the shared byte net: its endpoint decodes what arrives
+   into the server, and its sends go out encoded from that endpoint. *)
 let attach ~engine ~net ~view ~site ~id ?config ~metrics ~tracer () =
   let addr = Net.register net ~site (fun ~src:_ _ -> ()) in
   let server =
     Server.create ~engine ~addr
-      ~emit:(fun ~dst msg -> Net.send net ~src:addr ~dst msg)
+      ~emit:(fun ~dst msg -> Net.send net ~src:addr ~dst (Codec.encode msg))
       ~view ~site ~id ?config ~metrics ~tracer ()
   in
-  Net.set_handler net addr (fun ~src msg -> Server.handle_message server ~src msg);
+  Net.set_handler net addr
+    (Telemetry.receiver net (Server.handle_message server));
   server
 
 let create ?(seed = 1) ?model ?(uniform_latency_ms = 5.)
     ?(policy = Chord.Routing.Default) ?substrate ?server_config
     ?(metrics = Obs.Metrics.default) ?(tracer = Obs.Trace.disabled)
-    ?(spans = Obs.Trace.disabled) ?(wire_roundtrip = true) ~n_servers () =
+    ?(spans = Obs.Trace.disabled) ~n_servers () =
   if n_servers <= 0 then invalid_arg "Deployment.create: need servers";
   let substrate =
     match substrate with
@@ -80,7 +81,6 @@ let create ?(seed = 1) ?model ?(uniform_latency_ms = 5.)
     | None -> fun a b -> if a = b then 0. else uniform_latency_ms
   in
   let net = Net.create ~metrics engine ~rng:(Rng.split rng) ~latency () in
-  if wire_roundtrip then Codec.harden ~metrics net;
   Telemetry.install_net_tracer ~tracer net;
   let oracle = Chord.Oracle.random (Rng.split rng) ~n:n_servers in
   let sites =
@@ -119,15 +119,11 @@ let create ?(seed = 1) ?model ?(uniform_latency_ms = 5.)
 
 let engine t = t.engine
 let net t = t.net
-let tracer t = t.tracer
-let metrics t = t.metrics
 let rng t = t.rng
 let now t = Sim.Engine.now t.engine
 let run_for t d = Sim.Engine.run_for t.engine d
 
 let oracle t = t.state.oracle
-let routing t = t.state.routing
-let substrate t = t.substrate
 let servers t = t.all_servers
 let server t i = t.ring.(i).server
 let ring_size t = Array.length t.ring

@@ -1,6 +1,7 @@
 (** Wires a complete i3 system: a topology (or a uniform-latency fabric),
-    a simulated IP network, a Chord ring of {!Server}s and a factory for
-    {!Host}s.
+    a simulated IP network of wire bytes (every hop is encoded and
+    decoded, {!Telemetry.receiver}), a Chord ring of {!Server}s and a
+    factory for {!Host}s.
 
     This is the integration surface the examples, application layer and
     experiments build on.  The ring membership is static per deployment
@@ -19,7 +20,6 @@ val create :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
   ?spans:Obs.Trace.t ->
-  ?wire_roundtrip:bool ->
   n_servers:int ->
   unit ->
   t
@@ -33,23 +33,15 @@ val create :
     [spans] collector records each host's trigger insert/refresh
     round-trips as {!Obs.Trace.open_op} operations.
 
-    [wire_roundtrip] (default [true]) passes every simulated hop through
-    {!Codec} encode→decode ({!Codec.harden}), so the whole suite
-    exercises the real wire format; codec failures surface as ["codec"]
-    drops and in [wire.decode_errors].
-
     [substrate] selects the lookup substrate the ring routes over
     ({!Koorde.Substrate.spec}); when omitted it defaults to
     [Chord policy], so the historical [?policy] parameter keeps
     working.  When both are given, [substrate] wins. *)
 
 val engine : t -> Sim.Engine.t
-val net : t -> Message.t Net.t
+val net : t -> string Net.t
+(** The byte network: taps and sends see {!Codec}-encoded frames. *)
 
-val tracer : t -> Obs.Trace.t
-(** The collector passed at creation ({!Obs.Trace.disabled} otherwise). *)
-
-val metrics : t -> Obs.Metrics.t
 val rng : t -> Rng.t
 val now : t -> float
 val run_for : t -> float -> unit
@@ -57,12 +49,6 @@ val run_for : t -> float -> unit
 
 val oracle : t -> Chord.Oracle.t
 (** Current ring membership (replaced by {!fail_server}). *)
-
-val routing : t -> Koorde.Substrate.t
-(** The live substrate router (rebuilt by {!fail_server} /
-    {!add_server}). *)
-
-val substrate : t -> Koorde.Substrate.spec
 
 val servers : t -> Server.t array
 (** All servers ever created, in creation order (dead ones included). *)

@@ -8,6 +8,7 @@ type config = {
   ack_grace_ms : float;
 }
 
+let default_refresh_period_ms = Trigger.default_lifetime_ms /. 3.
 let attempt_timeout_ms = 250.
 let max_attempts = 5
 let backoff_base_ms = 50.

@@ -23,6 +23,11 @@ type config = {
   ack_grace_ms : float;  (** silence before rotating the gateway *)
 }
 
+val default_refresh_period_ms : float
+(** [Trigger.default_lifetime_ms / 3]: two refreshes may be lost, or
+    one may take a slower path than the last, before a live trigger
+    expires.  The default of both {!Host} and [Transport.Client]. *)
+
 val attempt_timeout_ms : float
 (** Ack wait per attempt: 250. *)
 

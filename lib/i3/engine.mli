@@ -6,13 +6,14 @@
     is [step t ~now event -> effect list]: the caller stamps each input
     with its own notion of time (virtual milliseconds in tests,
     milliseconds since process start in a daemon) and interprets the
-    returned effects against whatever transport it owns.  Two drivers
-    ship with the repo — {!Transport.Driver} pumping any
-    {!Transport.S} (the UDP daemon [bin/i3d]), and the simulator's
-    member driver in {!Dynamic} — and both observe identical effect
-    traces for identical inputs ([test/test_engine.ml] pins this on a
-    three-engine ring), which is the point: protocol
-    behaviour is decided here, delivery is decided by the driver.
+    returned effects against whatever transport it owns.  One driver
+    ships with the repo, [Transport.Driver], and it pumps any
+    [Transport.S]: the UDP daemon [bin/i3d] and every simulated member
+    of [Transport.Dynamic] run it alike.  Stepping an engine directly
+    and through the driver gives identical effect traces for identical
+    inputs ([test/test_engine.ml] pins this on a three-engine ring),
+    which is the point: protocol behaviour is decided here, delivery is
+    decided by the driver.
 
     Internally the engine owns a private {!Sim.Engine} wheel carrying
     every timer the composed protocols need (soft-state sweeps,

@@ -1,6 +1,7 @@
 (* The simulator's end-host driver: every host-side decision is
-   [Endhost]'s; this module carries the machine's effects over [Net],
-   stamps trace events, and arms one wake-up on the simulated clock. *)
+   [Endhost]'s; this module carries the machine's effects over [Net] as
+   wire bytes, stamps trace events, and arms one wake-up on the
+   simulated clock. *)
 
 type config = Endhost.config = {
   refresh_period_ms : float;
@@ -9,11 +10,15 @@ type config = Endhost.config = {
 }
 
 let default_config =
-  { refresh_period_ms = 30_000.; cache_ttl_ms = 60_000.; ack_grace_ms = 90_000. }
+  {
+    refresh_period_ms = Endhost.default_refresh_period_ms;
+    cache_ttl_ms = 60_000.;
+    ack_grace_ms = 90_000.;
+  }
 
 type t = {
   engine : Sim.Engine.t;
-  net : Message.t Net.t;
+  net : string Net.t;
   rng : Rng.t;
   machine : Endhost.t;
   mutable site : int;
@@ -36,7 +41,8 @@ let rec step t event =
   List.iter (apply t) (Endhost.step t.machine ~now:(now t) event)
 
 and apply t = function
-  | Endhost.Send (dst, msg) -> Net.send t.net ~src:(addr t) ~dst msg
+  | Endhost.Send (dst, msg) ->
+      Net.send t.net ~src:(addr t) ~dst (Codec.encode msg)
   | Endhost.Deliver { stack; payload; trace } ->
       (* The terminal event is recorded at the receiving host: a Deliver
          message lost in flight is then a net-level drop, not a
@@ -61,8 +67,9 @@ let create ~engine ~net ~rng ~site ~gateways ?(config = default_config)
     ?(tracer = Obs.Trace.disabled) ?spans () =
   let self = ref None in
   let addr =
-    Net.register net ~site (fun ~src:_ msg ->
-        Option.iter (fun t -> step t (Endhost.Frame msg)) !self)
+    Net.register net ~site
+      (Telemetry.receiver net (fun ~src:_ msg ->
+           Option.iter (fun t -> step t (Endhost.Frame msg)) !self))
   in
   let machine =
     Endhost.create ?spans ~config ~rng:(Rng.split rng) ~addr ~gateways ()
@@ -124,8 +131,8 @@ let send_with_backup t ~primary ~backup payload =
 let move t ~new_site =
   let old_addr = addr t in
   let new_addr =
-    Net.register t.net ~site:new_site (fun ~src:_ msg ->
-        step t (Endhost.Frame msg))
+    Net.register t.net ~site:new_site
+      (Telemetry.receiver t.net (fun ~src:_ msg -> step t (Endhost.Frame msg)))
   in
   Net.set_down t.net old_addr;
   t.site <- new_site;

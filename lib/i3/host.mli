@@ -1,8 +1,9 @@
 (** End-host library: the public i3 API of Fig. 1(a) on the simulator.
     Refresh, the sender cache, challenges and gateway failover are
     {!Endhost}'s rules (the wire's [Transport.Client] runs the same
-    machine); this module carries its effects over [Net] and arms its
-    timer on the simulated clock.  A host knows its gateways
+    machine); this module carries its effects over a byte [Net] —
+    {!Codec}-encoded frames out, decoded frames in, as over UDP — and
+    arms its timer on the simulated clock.  A host knows its gateways
     (Sec. II-C); {!I3apps} builds multicast, anycast, mobility and
     service composition from [insert_trigger], [remove_trigger] and
     [send]. *)
@@ -14,13 +15,14 @@ type config = Endhost.config = {
 }
 
 val default_config : config
-(** 30 s refresh (the paper's prototype), 60 s cache, 90 s grace. *)
+(** Refresh every {!Endhost.default_refresh_period_ms}, 60 s cache,
+    90 s grace. *)
 
 type t
 
 val create :
   engine:Sim.Engine.t ->
-  net:Message.t Net.t ->
+  net:string Net.t ->
   rng:Rng.t ->
   site:int ->
   gateways:Packet.addr list ->
@@ -30,10 +32,11 @@ val create :
   unit ->
   t
 (** Attach a host at a topology site. @raise Invalid_argument with no
-    gateways.  With a [tracer] every sent packet gets a trace id (subject
-    to sampling) and every delivery records the terminal [Deliver] event;
-    [spans] gets the control-plane operations {!Endhost.create}
-    describes. *)
+    gateways.  A datagram that does not decode is dropped and counted
+    in the net's [wire.decode_errors] ({!Telemetry.receiver}).  With a
+    [tracer] every sent packet gets a trace id (subject to sampling)
+    and every delivery records the terminal [Deliver] event; [spans]
+    gets the control-plane operations {!Endhost.create} describes. *)
 
 val addr : t -> Packet.addr
 val site : t -> int

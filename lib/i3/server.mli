@@ -101,8 +101,8 @@ val create :
 val view : t -> ring_view
 
 val set_view : t -> ring_view -> unit
-(** Install a new ring view — {!Dynamic} swaps in de Bruijn forwarding
-    this way when it runs over the Koorde substrate. *)
+(** Install a new ring view — [Transport.Dynamic] swaps in de Bruijn
+    forwarding this way when it runs over the Koorde substrate. *)
 
 val addr : t -> Packet.addr
 val id : t -> Id.t

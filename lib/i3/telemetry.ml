@@ -1,14 +1,17 @@
-(* Glue between the payload-agnostic network and per-packet tracing: the
-   network reports each message's fate to an observer; this observer pulls
-   the trace id out of i3 messages and records Enqueue / net-drop
-   events.  Shared by {!Deployment} and {!Dynamic}. *)
+(* Glue between the payload-agnostic byte network and i3's accounting:
+   the network reports each frame's fate to an observer, which pulls the
+   trace id out of traced frames and records Enqueue / net-drop events;
+   endpoints decode what arrives and count what does not decode.  Shared
+   by {!Deployment}, {!Host} and [Transport.Dynamic]. *)
 
-let install_net_tracer ~tracer (net : Message.t Net.t) =
+(* The observer decodes only when tracing is on; Chord frames do not
+   decode as i3 messages and carry no trace. *)
+let install_net_tracer ~tracer (net : string Net.t) =
   if Obs.Trace.enabled tracer then
-    Net.set_observer net (fun ~src ~dst:_ msg outcome ->
-        match Message.trace_of msg with
-        | None -> ()
-        | Some trace -> (
+    Net.set_observer net (fun ~src ~dst:_ bytes outcome ->
+        match Result.map Message.trace_of (Codec.decode bytes) with
+        | Ok None | Error _ -> ()
+        | Ok (Some trace) -> (
             let time = Sim.Engine.now (Net.engine net) in
             let site = Net.site net src in
             match outcome with
@@ -17,3 +20,14 @@ let install_net_tracer ~tracer (net : Message.t Net.t) =
             | `Drop cause ->
                 Obs.Trace.record tracer trace ~time ~site
                   (Obs.Trace.Drop ("net:" ^ cause))))
+
+let receiver net handle =
+  let errors =
+    Obs.Metrics.counter (Net.metrics net)
+      ~labels:[ ("instance", Net.label net); ("proto", "i3") ]
+      "wire.decode_errors"
+  in
+  fun ~src bytes ->
+    match Codec.decode bytes with
+    | Ok msg -> handle ~src msg
+    | Error _ -> Obs.Metrics.incr errors

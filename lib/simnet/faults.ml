@@ -154,8 +154,6 @@ let fate t ~src_site ~dst_site =
 
 type driver = event -> unit
 
-let combine drivers event = List.iter (fun d -> d event) drivers
-
 let sorted schedule =
   List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) schedule
 

@@ -5,12 +5,10 @@
     {!driver} interprets each event against some substrate — a raw
     {!Net.t} (via [Net.driver]), a real socket's send boundary (via
     [Transport.Faulty.driver]), or a full deployment (e.g.
-    [I3.Dynamic.inject]'s, which applies network faults to both the
-    control and the data plane and maps [Crash]/[Restart] onto server
-    kill/recover).  Drivers are plain functions so they {!combine}:
-    applying one schedule to several network planes at once is the normal
-    case, mirroring how a real partition severs every protocol sharing
-    the cut.
+    [Transport.Dynamic.inject]'s, which applies network faults to its
+    one net — i3 and Chord frames share it, as they share a daemon's
+    socket, so a partition severs both — and maps [Crash]/[Restart]
+    onto server kill/recover).
 
     Both network boundaries delegate link faults to the same seeded
     interpreter ({!t}: {!apply} installs an event, {!fate} decides one
@@ -88,9 +86,6 @@ val fate : t -> src_site:int -> dst_site:int -> fate
 (** {1 Schedules} *)
 
 type driver = event -> unit
-
-val combine : driver list -> driver
-(** Apply every driver to every event, in order. *)
 
 val install : Engine.t -> driver -> schedule -> unit
 (** Schedule every event against the engine, relative to the current

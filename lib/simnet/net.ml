@@ -17,7 +17,6 @@ type stats = {
   dropped_down : int;
   dropped_partition : int;
   dropped_gray : int;
-  dropped_codec : int;
 }
 
 type outcome = [ `Enqueue | `Drop of string ]
@@ -34,20 +33,19 @@ type counters = {
   c_down : Obs.Metrics.counter;
   c_partition : Obs.Metrics.counter;
   c_gray : Obs.Metrics.counter;
-  c_codec : Obs.Metrics.counter;
 }
 
 type 'msg t = {
   engine : Engine.t;
   latency : int -> int -> float;
   label : string;
+  metrics : Obs.Metrics.t;
   c : counters;
   mutable endpoints : 'msg endpoint array;
   mutable count : int;
   faults : Faults.t;
   mutable tap : (src:addr -> dst:addr -> 'msg -> unit) option;
   mutable observer : (src:addr -> dst:addr -> 'msg -> outcome -> unit) option;
-  mutable transducer : ('msg -> ('msg, string) result) option;
 }
 
 let instances = ref 0
@@ -66,7 +64,6 @@ let make_counters metrics label =
     c_down = drop "down";
     c_partition = drop "partition";
     c_gray = drop "gray";
-    c_codec = drop "codec";
   }
 
 let create ?(metrics = Obs.Metrics.default) ?label engine ~rng ~latency () =
@@ -81,17 +78,18 @@ let create ?(metrics = Obs.Metrics.default) ?label engine ~rng ~latency () =
     engine;
     latency;
     label;
+    metrics;
     c = make_counters metrics label;
     endpoints = [||];
     count = 0;
     faults = Faults.create rng;
     tap = None;
     observer = None;
-    transducer = None;
   }
 
 let engine t = t.engine
 let label t = t.label
+let metrics t = t.metrics
 
 let endpoint t a =
   if a < 0 || a >= t.count then invalid_arg "Net: unknown address";
@@ -124,7 +122,6 @@ let is_up t a = (endpoint t a).up
 
 let set_tap t f = t.tap <- Some f
 let set_observer t f = t.observer <- Some f
-let set_transducer t f = t.transducer <- Some f
 
 (* --- link-level faults --- *)
 
@@ -158,20 +155,7 @@ let send t ~src ~dst msg =
     Obs.Metrics.incr counter;
     observe t ~src ~dst msg (`Drop cause)
   in
-  (* The transducer runs before any fault draw so a codec failure is
-     deterministic: the same message fails the same way whatever the loss
-     chain is doing.  It draws no randomness, so installing one leaves
-     the RNG stream — and thus every seeded scenario — untouched. *)
-  let codec_failed, msg =
-    match t.transducer with
-    | None -> (false, msg)
-    | Some f -> (
-        match f msg with
-        | Ok msg' -> (false, msg')
-        | Error _ -> (true, msg))
-  in
-  if codec_failed then drop t.c.c_codec "codec"
-  else if not s.up then drop t.c.c_down "down"
+  if not s.up then drop t.c.c_down "down"
   else
     let schedule extra =
       Engine.schedule t.engine ~delay:(t.latency s.site d.site +. extra)
@@ -207,7 +191,6 @@ let stats t =
     dropped_down = v t.c.c_down;
     dropped_partition = v t.c.c_partition;
     dropped_gray = v t.c.c_gray;
-    dropped_codec = v t.c.c_codec;
   }
 
 let endpoint_count t = t.count

@@ -14,8 +14,9 @@
     the seeded interpreter in {!Faults}, the same one the wire's
     [Transport.Faulty] runs.  What stays here is what only a simulated
     network has: endpoints and their up/down state, topology latency,
-    the codec transducer, the observer and tap, and the [net.*]
-    counters.  Every drop is counted by cause in {!stats}. *)
+    the observer and tap, and the [net.*] counters.  Every drop is
+    counted by cause in {!stats}.  The i3 simulators carry the wire's
+    own bytes ([string Net.t]): senders encode, receivers decode. *)
 
 type addr = int
 (** Endpoint address ("IP address + port" of the paper). *)
@@ -42,6 +43,10 @@ val engine : 'msg t -> Engine.t
 
 val label : 'msg t -> string
 (** The [instance] label this network's metrics carry. *)
+
+val metrics : 'msg t -> Obs.Metrics.t
+(** The registry this network counts in; endpoints count their own
+    per-network series (e.g. [wire.decode_errors]) there too. *)
 
 val register : 'msg t -> site:int -> (src:addr -> 'msg -> unit) -> addr
 (** Attach a new endpoint at a site with a receive handler; returns its
@@ -85,16 +90,6 @@ val set_observer : 'msg t -> (src:addr -> dst:addr -> 'msg -> outcome -> unit) -
     payload-agnostic, so the observer (which can inspect ['msg]) turns
     outcomes into trace events. *)
 
-val set_transducer : 'msg t -> ('msg -> ('msg, string) result) -> unit
-(** Pass every sent message through a transform before any fault or
-    latency processing; the {e transformed} value is what gets delivered.
-    [Error] drops the message with cause ["codec"].  This is how the wire
-    codecs interpose on simulated traffic: the transducer encodes to
-    bytes and decodes back, so every hop of every existing test exercises
-    the real wire format and any drift surfaces as a ["codec"] drop (see
-    [I3.Codec.harden]).  The transducer draws no network randomness, so
-    seeded runs replay identically with or without one. *)
-
 (** {1 Link-level faults} *)
 
 val apply : 'msg t -> Faults.event -> unit
@@ -130,7 +125,6 @@ type stats = {
   dropped_down : int;  (** sender or receiver endpoint down *)
   dropped_partition : int;  (** crossing an active partition cut *)
   dropped_gray : int;  (** one-way gray link *)
-  dropped_codec : int;  (** {!set_transducer} returned [Error] *)
 }
 
 val stats : 'msg t -> stats

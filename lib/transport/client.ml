@@ -13,9 +13,7 @@ type config = I3.Endhost.config = {
 
 let default_config =
   {
-    (* Refresh at a third of the lifetime: two refreshes may be lost
-       outright before a live trigger can expire. *)
-    refresh_period_ms = I3.Trigger.default_lifetime_ms /. 3.;
+    refresh_period_ms = I3.Endhost.default_refresh_period_ms;
     cache_ttl_ms = 0.;
     ack_grace_ms = 30_000.;
   }

@@ -14,10 +14,10 @@ type config = I3.Endhost.config = {
 }
 
 val default_config : config
-(** Refresh every [Trigger.default_lifetime_ms / 3] (two refreshes may
-    be lost before a live trigger expires); 30 s grace; cache TTL 0, the
-    cache off, so every packet and insert goes through the gateway and
-    one datagram crosses the whole chain of daemons it names. *)
+(** Refresh every [I3.Endhost.default_refresh_period_ms]; 30 s grace;
+    cache TTL 0, the cache off, so every packet and insert goes through
+    the gateway and one datagram crosses the whole chain of daemons it
+    names. *)
 
 type pong = { server : int; triggers : int; uptime_ms : float }
 (** A daemon's status reply to {!ping}. *)

@@ -1,29 +1,22 @@
-(* Every member is one [Engine] — the very node [bin/i3d] runs — stepped
-   by the small driver below: frames arriving on the simulated nets
-   become engine events, effects go back out onto those nets, and each
-   [Set_timer] becomes one pending scheduler event. *)
+(* Every member runs as [bin/i3d] does: one [I3.Engine] behind one
+   [Driver] on one [Transport.Sim] endpoint ([Sim_endpoint]).  [Engine]
+   is simnet's scheduler; the node is [I3.Engine]. *)
 
 type member = {
-  addr : Packet.addr;  (* data-plane endpoint: the engine's address *)
-  ctrl : Net.addr;  (* control-plane endpoint carrying its Chord RPCs *)
+  endpoint : Sim_endpoint.t;
   site : int;
   id : Id.t;
-  mutable node : Engine.t;  (* a fresh one on every restart *)
+  mutable driver : Driver.t;  (* a fresh engine and driver on every restart *)
   mutable alive : bool;
-  mutable wake : float option;  (* the one pending [Set_timer] wake-up *)
+  mutable wake : float option;  (* the one pending scheduler wake-up *)
 }
 
 type t = {
-  engine : Sim.Engine.t;
+  engine : Engine.t;
   rng : Rng.t;
-  data : Message.t Net.t;
-  control : Chord.Protocol.msg Net.t;
-  (* The address directory: Chord messages name peers by data address,
-     the control plane is a second socket per member. *)
-  by_addr : (Packet.addr, member) Hashtbl.t;
-  by_ctrl : (Net.addr, member) Hashtbl.t;
+  net : string Net.t;
   mutable members : member list;  (* newest first *)
-  server_config : Server.config option;
+  server_config : I3.Server.config option;
   protocol_config : Chord.Protocol.config;
   metrics : Obs.Metrics.t;
   tracer : Obs.Trace.t;
@@ -32,7 +25,7 @@ type t = {
   (* Membership epoch: bumped on join/kill/restart so the Koorde router
      below rebuilds its oracle lazily instead of on every packet. *)
   mutable generation : int;
-  mutable koorde_cache : (int * Koorde.Routing.t * Packet.addr array) option;
+  mutable koorde_cache : (int * Koorde.Routing.t * I3.Packet.addr array) option;
 }
 
 let fast_protocol_config =
@@ -47,22 +40,19 @@ let fast_protocol_config =
 let create ?(seed = 1) ?(uniform_latency_ms = 5.) ?server_config
     ?(protocol_config = fast_protocol_config)
     ?(metrics = Obs.Metrics.default) ?(tracer = Obs.Trace.disabled)
-    ?(spans = Obs.Trace.disabled) ?(wire_roundtrip = true) ?substrate () =
+    ?(spans = Obs.Trace.disabled) ?substrate () =
   let rng = Rng.of_int seed in
-  let engine = Sim.Engine.create () in
+  let engine = Engine.create () in
   let latency a b = if a = b then 0. else uniform_latency_ms in
-  let control = Net.create ~metrics engine ~rng:(Rng.split rng) ~latency () in
-  if wire_roundtrip then Chord.Codec.harden ~metrics control;
-  let data = Net.create ~metrics engine ~rng:(Rng.split rng) ~latency () in
-  if wire_roundtrip then Codec.harden ~metrics data;
-  Telemetry.install_net_tracer ~tracer data;
+  let net = Net.create ~metrics engine ~rng:(Rng.split rng) ~latency () in
+  (* Draw a second split too, so member ids and host draws stay on the
+     stream the seeded scenarios and the bench baseline were set on. *)
+  ignore (Rng.split rng);
+  I3.Telemetry.install_net_tracer ~tracer net;
   {
     engine;
     rng;
-    data;
-    control;
-    by_addr = Hashtbl.create 32;
-    by_ctrl = Hashtbl.create 32;
+    net;
     members = [];
     server_config;
     protocol_config;
@@ -79,39 +69,31 @@ let tracer t = t.tracer
 let metrics t = t.metrics
 let spans t = t.spans
 let ring_label _ = Chord.Protocol.ring_label
-let run_for t d = Sim.Engine.run_for t.engine d
-let now t = Sim.Engine.now t.engine
+let run_for t d = Engine.run_for t.engine d
+let now t = Engine.now t.engine
 let bump_generation t = t.generation <- t.generation + 1
-let server_of m = Engine.server m.node
+let addr m = Sim_endpoint.local_addr m.endpoint
+let node m = Driver.engine m.driver
+let server_of m = I3.Engine.server (node m)
 let live_members t = List.filter (fun m -> m.alive) t.members
 
-(* --- the driver --- *)
+(* --- the wake-up --- *)
 
-let rec step t m event =
-  if m.alive then
-    List.iter (apply t m) (Engine.step m.node ~now:(now t) event)
-
-and apply t m = function
-  | Engine.Send (dst, msg) -> Net.send t.data ~src:m.addr ~dst msg
-  | Engine.Deliver { dst; stack; payload; trace } ->
-      Net.send t.data ~src:m.addr ~dst
-        (Message.Deliver { stack; payload; trace })
-  | Engine.Chord_send (dst, msg) -> (
-      match Hashtbl.find_opt t.by_addr dst with
-      | Some peer -> Net.send t.control ~src:m.ctrl ~dst:peer.ctrl msg
-      | None -> () (* nobody listens there: the datagram is lost *))
-  | Engine.Set_timer due -> (
-      (* An earlier pending wake-up already covers [due]: when it fires,
-         the Tick re-announces the next deadline. *)
-      match m.wake with
-      | Some pending when pending <= due -> ()
-      | _ ->
-          m.wake <- Some due;
-          Sim.Engine.schedule_at t.engine ~time:due (fun () ->
-              if m.wake = Some due then begin
-                m.wake <- None;
-                step t m Engine.Tick
-              end))
+(* After each driver step, keep one scheduler event at the deadline the
+   step announced.  An earlier pending wake-up already covers it: its
+   [tick] steps when a timer is due and re-arms from there. *)
+let rec arm t m =
+  match (Driver.next_due m.driver, m.wake) with
+  | None, _ -> ()
+  | Some due, Some pending when pending <= due -> ()
+  | Some due, _ ->
+      m.wake <- Some due;
+      Engine.schedule_at t.engine ~time:due (fun () ->
+          if m.alive && m.wake = Some due then begin
+            m.wake <- None;
+            Driver.tick m.driver ~now:(now t);
+            arm t m
+          end)
 
 (* --- Koorde forwarding --- *)
 
@@ -131,7 +113,7 @@ let koorde_router t ~degree =
              indices. *)
           Array.sort (fun a b -> Id.compare a.id b.id) live;
           let oracle = Chord.Oracle.create (Array.map (fun m -> m.id) live) in
-          let addrs = Array.map (fun m -> m.addr) live in
+          let addrs = Array.map addr live in
           let r = Koorde.Routing.create ~degree oracle in
           t.koorde_cache <- Some (t.generation, r, addrs);
           Some (r, addrs))
@@ -144,7 +126,7 @@ let install_substrate t m =
   match t.substrate with
   | Some (Koorde.Substrate.Koorde { degree }) ->
       let server = server_of m in
-      let chord = Server.view server in
+      let chord = I3.Server.view server in
       let next_hop id =
         match koorde_router t ~degree with
         | Some (r, addrs) -> (
@@ -158,7 +140,7 @@ let install_substrate t m =
             | None -> chord.next_hop id)
         | None -> chord.next_hop id
       in
-      Server.set_view server { chord with next_hop }
+      I3.Server.set_view server { chord with next_hop }
   | Some (Koorde.Substrate.Chord _) | None -> ()
 
 (* --- membership --- *)
@@ -167,51 +149,54 @@ let install_substrate t m =
    random live member, or founding the ring when there is none.  Every
    other live member is a backup contact: one that dies before it
    answers must not strand the joiner alone, owning the whole id
-   space. *)
-let spawn t ~addr ~id ~site =
+   space.  Its driver carries the server's [instance] label, so a kill
+   removes the driver's series with the server's. *)
+let spawn t ~endpoint ~id ~site =
   let join =
     match live_members t with
     | [] -> []
     | live ->
         let via = Rng.choose t.rng (Array.of_list live) in
-        via.addr
+        addr via
         :: List.filter_map
-             (fun m -> if m == via then None else Some m.addr)
+             (fun m -> if m == via then None else Some (addr m))
              live
   in
-  Engine.create ~seed:(Rng.bits62 t.rng) ~addr ~id ~join ~site
-    ?config:t.server_config ~chord_config:t.protocol_config ~metrics:t.metrics
-    ~tracer:t.tracer ~spans:t.spans ()
+  let node =
+    I3.Engine.create ~seed:(Rng.bits62 t.rng)
+      ~addr:(Sim_endpoint.local_addr endpoint)
+      ~id ~join ~site ?config:t.server_config ~chord_config:t.protocol_config
+      ~metrics:t.metrics ~tracer:t.tracer ~spans:t.spans ()
+  in
+  Driver.create ~metrics:t.metrics
+    ~instance:(I3.Server.instance_label (I3.Engine.server node))
+    ~send:
+      (List.iter (fun (dst, bytes) -> Sim_endpoint.send endpoint ~dst bytes))
+    node
 
-(* Step the new process once, so its clock and timers start now. *)
+(* The new process's first tick starts its clock and timers now. *)
 let start t m =
   m.alive <- true;
   m.wake <- None;
   install_substrate t m;
   bump_generation t;
-  step t m Engine.Tick
+  Driver.tick m.driver ~now:(now t);
+  arm t m
 
 let add_server t ?(site = 0) () =
-  let addr = Net.register t.data ~site (fun ~src:_ _ -> ()) in
-  let ctrl = Net.register t.control ~site (fun ~src:_ _ -> ()) in
+  let endpoint = Sim_endpoint.attach t.net ~site in
   let id = Id.routing_key (Id.random t.rng) in
-  let node = spawn t ~addr ~id ~site in
-  let m = { addr; ctrl; site; id; node; alive = true; wake = None } in
-  Net.set_handler t.data addr (fun ~src msg ->
-      step t m (Engine.Frame { src; frame = Engine.I3 msg }));
-  Net.set_handler t.control ctrl (fun ~src msg ->
-      match Hashtbl.find_opt t.by_ctrl src with
-      | Some peer ->
-          step t m (Engine.Frame { src = peer.addr; frame = Engine.Chord msg })
-      | None -> ());
-  Hashtbl.replace t.by_addr addr m;
-  Hashtbl.replace t.by_ctrl ctrl m;
+  let driver = spawn t ~endpoint ~id ~site in
+  let m = { endpoint; site; id; driver; alive = true; wake = None } in
+  Sim_endpoint.set_handler endpoint (fun ~src bytes ->
+      Driver.on_datagram m.driver ~now:(now t) ~src bytes;
+      arm t m);
   t.members <- m :: t.members;
   start t m;
   server_of m
 
 let member_of t server =
-  match Hashtbl.find_opt t.by_addr (Server.addr server) with
+  match List.find_opt (fun m -> addr m = I3.Server.addr server) t.members with
   | Some m -> m
   | None -> invalid_arg "Dynamic: unknown server"
 
@@ -219,21 +204,19 @@ let kill_server t server =
   let m = member_of t server in
   if m.alive then begin
     m.alive <- false;
-    Server.kill (server_of m);
-    Net.set_down t.data m.addr;
-    Net.set_down t.control m.ctrl;
+    I3.Server.kill (server_of m);
+    Net.set_down t.net (addr m);
     bump_generation t
   end
 
-(* Fail-stop recovery: a new process at the same addresses with empty
+(* Fail-stop recovery: a new process at the same address with empty
    soft state, rejoining the ring by address; hosts re-insert their
    triggers on refresh (Sec. IV-C). *)
 let restart_server t server =
   let m = member_of t server in
   if not m.alive then begin
-    Net.set_up t.data m.addr;
-    Net.set_up t.control m.ctrl;
-    m.node <- spawn t ~addr:m.addr ~id:m.id ~site:m.site;
+    Net.set_up t.net (addr m);
+    m.driver <- spawn t ~endpoint:m.endpoint ~id:m.id ~site:m.site;
     start t m
   end
 
@@ -242,23 +225,18 @@ let servers t = List.map server_of (live_members t)
 let owners_of t id =
   live_members t
   |> List.filter (fun m ->
-         Chord.Protocol.owns (Engine.chord m.node) (Id.routing_key id))
+         Chord.Protocol.owns (I3.Engine.chord (node m)) (Id.routing_key id))
   |> List.map server_of
 
 let new_host t ?(site = 0) ?config ?(n_gateways = 3) () =
-  let live = Array.of_list (List.map (fun m -> m.addr) (live_members t)) in
+  let live = Array.of_list (List.map addr (live_members t)) in
   if Array.length live = 0 then invalid_arg "Dynamic.new_host: no live servers";
   Rng.shuffle t.rng live;
   let gateways =
     Array.to_list (Array.sub live 0 (min n_gateways (Array.length live)))
   in
-  Host.create ~engine:t.engine ~net:t.data ~rng:(Rng.split t.rng) ~site
+  I3.Host.create ~engine:t.engine ~net:t.net ~rng:(Rng.split t.rng) ~site
     ~gateways ?config ~tracer:t.tracer ~spans:t.spans ()
-
-let total_triggers t =
-  List.fold_left
-    (fun acc s -> acc + Trigger_table.size (Server.triggers s))
-    0 (servers t)
 
 (* --- fault injection --- *)
 
@@ -269,12 +247,9 @@ let nth_server t i =
   | Some s -> s
   | None -> invalid_arg "Dynamic.nth_server: no such server index"
 
-let fault_driver t =
+let inject t schedule =
   let crash i = kill_server t (nth_server t i)
   and restart i = restart_server t (nth_server t i) in
-  Faults.combine
-    [ Net.driver ~crash ~restart t.data; Net.driver t.control ]
+  Faults.install t.engine (Net.driver ~crash ~restart t.net) schedule
 
-let inject t schedule = Faults.install t.engine (fault_driver t) schedule
-let data_net_stats t = Net.stats t.data
-let control_net_stats t = Net.stats t.control
+let net_stats t = Net.stats t.net

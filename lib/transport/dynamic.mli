@@ -1,14 +1,15 @@
-(** A fully decentralized i3 deployment in simulation.  Every member is
-    an {!Engine} — the same sans-IO node [bin/i3d] runs over UDP —
-    stepped by a small in-process driver: frames arriving on the
-    simulated nets become engine events, effects go back out onto them,
-    and each engine's next deadline becomes one pending scheduler event.
-    Members join and restart by address, exactly as a daemon does with
-    [--join]; nobody consults a global oracle.  This is the architecture
-    of the paper's prototype (Sec. V-C: "the control protocol used to
-    maintain the overlay network is fully asynchronous and is
-    implemented on top of UDP") and the self-organization story of
-    Secs. IV-C/D/H:
+(** A fully decentralized i3 deployment in simulation.  Every member
+    runs as [bin/i3d] does: one {!I3.Engine} behind one {!Driver}, on
+    one [Sim] endpoint of a byte net that carries its i3 and Chord
+    frames alike; each driver's next deadline is one pending scheduler
+    event.  Hosts ({!I3.Host}) speak the same bytes, so every hop
+    crosses the real wire format, and an undecodable frame counts in
+    [wire.decode_errors].  Members join and restart by address,
+    exactly as a daemon does with [--join]; nobody consults a global
+    oracle.  This is the architecture of the paper's prototype
+    (Sec. V-C: "the control protocol used to maintain the overlay
+    network is fully asynchronous and is implemented on top of UDP")
+    and the self-organization story of Secs. IV-C/D/H:
 
     - a new server joins through any existing one and, within a few
       stabilization rounds, owns an arc and starts accumulating triggers
@@ -17,26 +18,18 @@
       gap; packets are best-effort and soft state repairs everything;
     - when a server dies, its neighbors detect it via RPC suspicion,
       the ring heals, and the triggers reappear at the successor on the
-      owners' next refresh.
-
-    Data traffic (i3 packets) and control traffic (Chord RPCs) travel on
-    two simulated sockets per member sharing one virtual clock and one
-    latency model, like the prototype's two UDP ports.  A member's
-    address is its data endpoint; Chord messages name peers by that
-    address, and the deployment's directory maps it to the member's
-    control endpoint. *)
+      owners' next refresh. *)
 
 type t
 
 val create :
   ?seed:int ->
   ?uniform_latency_ms:float ->
-  ?server_config:Server.config ->
+  ?server_config:I3.Server.config ->
   ?protocol_config:Chord.Protocol.config ->
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
   ?spans:Obs.Trace.t ->
-  ?wire_roundtrip:bool ->
   ?substrate:Koorde.Substrate.spec ->
   unit ->
   t
@@ -49,12 +42,9 @@ val create :
     live [spans] collector records control-plane operation trees
     (Chord lookups/RPCs/stabilization and host trigger round-trips) as
     {!Obs.Trace.open_op} events, apart from [tracer] so operations
-    never evict packet hops.
-
-    [wire_roundtrip] (default [true]) byte-roundtrips {e both} planes —
-    data hops through {!Codec}, Chord RPCs through [Chord.Codec] — so
-    every chaos scenario doubles as a codec test; failures surface as
-    ["codec"] drops and in [wire.decode_errors].
+    never evict packet hops.  Each member's {!Driver} series
+    ([driver.*], [wire.decode_errors]) carry its server's [instance]
+    label.
 
     [substrate] selects the data-plane forwarding substrate.  With
     [Koorde {degree}], servers forward along de Bruijn hops computed over
@@ -65,7 +55,8 @@ val create :
     membership view is converged.  [Chord _] or omitting the parameter
     keeps the protocol's own finger-based forwarding. *)
 
-val engine : t -> Sim.Engine.t
+val engine : t -> Engine.t
+(** The simulator's scheduler (simnet's [Engine]). *)
 
 val tracer : t -> Obs.Trace.t
 (** The collector passed at creation ({!Obs.Trace.disabled} otherwise). *)
@@ -85,7 +76,7 @@ val ring_label : t -> string
 val run_for : t -> float -> unit
 val now : t -> float
 
-val add_server : t -> ?site:int -> unit -> Server.t
+val add_server : t -> ?site:int -> unit -> I3.Server.t
 (** Start a member: the first bootstraps the ring; later ones join by
     address through a random live member, with every other live member
     as a backup contact, so a contact that dies before answering does
@@ -93,49 +84,51 @@ val add_server : t -> ?site:int -> unit -> Server.t
     Returns immediately — the server becomes responsible for its arc as
     stabilization proceeds. *)
 
-val kill_server : t -> Server.t -> unit
-(** Fail-stop a member (its server's registry series go with it); peers
-    notice via timeouts.  No-op on a dead member. *)
+val kill_server : t -> I3.Server.t -> unit
+(** Fail-stop a member (its server's and its driver's registry series
+    go with it); peers notice via timeouts.  No-op on a dead member. *)
 
-val restart_server : t -> Server.t -> unit
-(** Recover a killed member: a fresh engine at the same addresses and
+val restart_server : t -> I3.Server.t -> unit
+(** Recover a killed member: a fresh engine and driver at the same address and
     identifier with empty soft state, rejoining by address through the
-    live members.  Its server is a new {!Server.t} with a new
-    [instance] label.  Hosts re-insert their triggers on refresh
+    live members.  Its server is a new {!I3.Server.t} with a new
+    [instance] label, and its driver series carry that label.  Hosts
+    re-insert their triggers on refresh
     (Sec. IV-C).  No-op on a live member. *)
 
-val servers : t -> Server.t list
+val servers : t -> I3.Server.t list
 (** The servers of live members. *)
 
-val all_servers : t -> Server.t list
+val all_servers : t -> I3.Server.t list
 (** Every server ever started, alive or dead, in join order — the victim
     index space of {!inject}'s [Crash]/[Restart] events. *)
 
-val nth_server : t -> int -> Server.t
+val nth_server : t -> int -> I3.Server.t
 (** The i-th server in join order. @raise Invalid_argument out of range. *)
 
-val owners_of : t -> Id.t -> Server.t list
+val owners_of : t -> Id.t -> I3.Server.t list
 (** Servers currently claiming responsibility for an identifier (by their
     local state). Exactly one once the ring has converged. *)
 
-val new_host : t -> ?site:int -> ?config:Host.config -> ?n_gateways:int -> unit -> Host.t
-
-val total_triggers : t -> int
+val new_host :
+  t ->
+  ?site:int ->
+  ?config:I3.Host.config ->
+  ?n_gateways:int ->
+  unit ->
+  I3.Host.t
 
 (** {1 Fault injection}
 
-    A real-world fault hits every protocol sharing the failed resource at
-    once, so the deployment's fault driver applies each network-level
-    event (partition, gray link, burst loss, jitter, …) to {e both} the
-    control plane (Chord RPCs) and the data plane (i3 packets), and maps
-    [Faults.Crash]/[Faults.Restart] victim indices onto
-    {!kill_server}/{!restart_server} in join order. *)
+    A real-world fault hits every protocol sharing the failed resource
+    at once.  Here i3 and Chord frames share each member's one endpoint,
+    so each network-level event (partition, gray link, burst loss,
+    jitter, …) hits both; [Faults.Crash]/[Faults.Restart] victim
+    indices map onto {!kill_server}/{!restart_server} in join order. *)
 
 val inject : t -> Faults.schedule -> unit
-(** [inject t s] is [Faults.install (engine t) driver s], with the
-    deployment's fault driver described above. *)
+(** [inject t s] is [Faults.install (engine t) driver s], with
+    [Net.driver ~crash ~restart] on the one net as [driver]. *)
 
-val data_net_stats : t -> Net.stats
-(** Drop/delivery accounting of the data plane, by fault cause. *)
-
-val control_net_stats : t -> Net.stats
+val net_stats : t -> Net.stats
+(** Drop/delivery accounting of the net, by fault cause. *)

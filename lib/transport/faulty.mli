@@ -77,4 +77,4 @@ val apply : t -> Faults.event -> unit
     @raise Invalid_argument on an invalid parameter. *)
 
 val driver : t -> Faults.driver
-(** [driver t] is [apply t], ready for {!Faults.combine}. *)
+(** [driver t] is [apply t], ready for {!Faults.install}. *)

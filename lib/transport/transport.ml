@@ -2,6 +2,7 @@ module Udp = Udp
 module Faulty = Faulty
 module Client = Client
 module Driver = Driver
+module Dynamic = Dynamic
 
 module type S = sig
   type t
@@ -12,26 +13,7 @@ module type S = sig
   val poll : t -> now:float -> unit
 end
 
-module Sim = struct
-  type t = {
-    net : string Net.t;
-    mutable addr : Net.addr;
-    mutable handler : src:int -> string -> unit;
-  }
-
-  let attach net ~site =
-    let t = { net; addr = -1; handler = (fun ~src:_ _ -> ()) } in
-    t.addr <-
-      Net.register net ~site (fun ~src bytes -> t.handler ~src bytes);
-    t
-
-  let send t ~dst bytes = Net.send t.net ~src:t.addr ~dst bytes
-  let set_handler t h = t.handler <- h
-  let local_addr t = t.addr
-
-  (* Delivery is the scheduler's job; the endpoint holds no queues. *)
-  let poll _ ~now:_ = ()
-end
+module Sim = Sim_endpoint
 
 (* Seal the implementations against the signature so drift in any is a
    compile error. *)

@@ -3,9 +3,9 @@
     A transport moves opaque datagrams between integer-addressed
     endpoints — the service i3 assumes of IP.  The codecs ([I3.Codec],
     [Chord.Codec], [I3.Packet]) turn protocol values into the bytes that
-    cross it, and {!Driver} interprets an [I3.Engine]'s effects over
-    any of them, so the same sans-IO protocol core runs unchanged over
-    the simulated network or real UDP sockets ([bin/i3d]). *)
+    cross it, and {!Driver} is the one interpreter of an [I3.Engine]'s
+    effects over any of them: [bin/i3d] runs it over real UDP sockets,
+    and every {!Dynamic} member runs it over a {!Sim} endpoint. *)
 
 module Udp = Udp
 (** IPv4 UDP datagrams over [Unix] sockets. *)
@@ -20,6 +20,11 @@ module Client = Client
 
 module Driver = Driver
 (** Effect interpreter: pumps an [I3.Engine] over any byte sender. *)
+
+module Dynamic = Dynamic
+(** A decentralized i3 deployment in simulation: members join by
+    address, each one engine behind one {!Driver} on a {!Sim}
+    endpoint. *)
 
 module type S = sig
   type t

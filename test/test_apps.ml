@@ -537,9 +537,9 @@ let test_anonymity_receiver_never_sees_sender_addr () =
   I3.Deployment.run_for d 1_000.;
   (* watch every message addressed to the receiver *)
   let sources = ref [] in
-  Net.set_tap (I3.Deployment.net d) (fun ~src ~dst msg ->
-      match msg with
-      | I3.Message.Deliver _ when dst = I3.Host.addr recv ->
+  Net.set_tap (I3.Deployment.net d) (fun ~src ~dst bytes ->
+      match I3.Codec.decode bytes with
+      | Ok (I3.Message.Deliver _) when dst = I3.Host.addr recv ->
           sources := src :: !sources
       | _ -> ());
   I3.Host.send send (I3apps.Anonymity.entry_id shield) "x";

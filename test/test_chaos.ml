@@ -1,5 +1,5 @@
 (* Chaos scenario matrix: declarative fault schedules (Faults) injected
-   into full decentralized deployments (I3.Dynamic), with recovery
+   into full decentralized deployments (Transport.Dynamic), with recovery
    checked through machine-checked invariants (Eval.Recovery) — the
    paper's robustness story (Secs. IV-C, V-C) exercised end to end:
    partitions heal, killed gateways rotate away, burst loss only delays
@@ -32,12 +32,14 @@ let build ?server_config ~seed () =
   let tracer = Obs.Trace.create ~capacity:(1 lsl 17) () in
   let metrics = Obs.Metrics.create () in
   let spans = Obs.Trace.create ~capacity:(1 lsl 15) () in
-  let d = I3.Dynamic.create ~seed ?server_config ~metrics ~tracer ~spans () in
+  let d =
+    Transport.Dynamic.create ~seed ?server_config ~metrics ~tracer ~spans ()
+  in
   for site = 0 to 9 do
-    ignore (I3.Dynamic.add_server d ~site ());
-    I3.Dynamic.run_for d 2_000.
+    ignore (Transport.Dynamic.add_server d ~site ());
+    Transport.Dynamic.run_for d 2_000.
   done;
-  I3.Dynamic.run_for d 60_000.;
+  Transport.Dynamic.run_for d 60_000.;
   d
 
 let probe_rng seed = Rng.create (Int64.of_int ((seed * 7919) + 13))
@@ -53,20 +55,20 @@ let collect host =
    registry, never the simulator's ground truth, so its detect/recover
    times can be compared against Eval.Recovery's oracle. *)
 let start_probes d =
-  let recv = I3.Dynamic.new_host d ~config:chaos_host_config () in
-  let send = I3.Dynamic.new_host d ~config:chaos_host_config () in
+  let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
+  let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Dynamic.run_for d 3_000.;
+  Transport.Dynamic.run_for d 3_000.;
   let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
   let monitor =
     Eval.Monitor.create
       ~rules:
-        (Eval.Monitor.default_rules ~ring_label:(I3.Dynamic.ring_label d)
+        (Eval.Monitor.default_rules ~ring_label:(Transport.Dynamic.ring_label d)
            flow)
       d
   in
-  I3.Dynamic.run_for d 5_000.;
+  Transport.Dynamic.run_for d 5_000.;
   (recv, send, id, flow, monitor)
 
 (* Trace conservation: every traced packet's life must end in exactly one
@@ -74,8 +76,8 @@ let start_probes d =
    but nothing may vanish from the books.  Checked after a drain so no
    trace is legitimately still in flight. *)
 let assert_traces_conserved ~what d =
-  I3.Dynamic.run_for d 5_000.;
-  let tracer = I3.Dynamic.tracer d in
+  Transport.Dynamic.run_for d 5_000.;
+  let tracer = Transport.Dynamic.tracer d in
   Alcotest.(check bool) (what ^ ": packets were traced") true
     (Obs.Trace.started tracer > 0);
   Alcotest.(check (list int)) (what ^ ": no orphaned traces") []
@@ -90,11 +92,10 @@ let assert_traces_conserved ~what d =
           (s.Obs.Trace.delivers + s.Obs.Trace.drops))
     (Obs.Trace.summaries tracer)
 
-(* Chaos-matrix-under-codec (the deployment byte-roundtrips every hop on
-   both planes by default): by scenario end a healthy wire layer shows
-   plenty of roundtrips and not a single decode failure or codec drop —
-   any Error would also have surfaced as a ["codec"]-cause drop in the
-   fault accounting. *)
+(* Chaos-matrix-under-codec: every hop of a scenario is wire bytes, encoded
+   by a member's driver or a host and decoded by the receiver.  By
+   scenario end the members' drivers have taken plenty of frames, and
+   not one datagram failed to decode at any driver or host. *)
 let assert_wire_clean ~what d =
   let sum name =
     List.fold_left
@@ -103,11 +104,11 @@ let assert_wire_clean ~what d =
         | Obs.Metrics.Counter n when s.name = name -> acc + n
         | _ -> acc)
       0
-      (Obs.Metrics.snapshot ~prefix:name (I3.Dynamic.metrics d))
+      (Obs.Metrics.snapshot ~prefix:name (Transport.Dynamic.metrics d))
   in
   Alcotest.(check bool)
-    (what ^ ": wire roundtrips happened") true
-    (sum "wire.roundtrips" > 0);
+    (what ^ ": driver frames decoded") true
+    (sum "driver.frames" > 0);
   Alcotest.(check int) (what ^ ": wire.decode_errors = 0") 0
     (sum "wire.decode_errors")
 
@@ -118,11 +119,11 @@ let check_recovered ~what ~seed d recv flow monitor ~fault_at =
   (* The paper's repair bound: after one refresh round plus the ack grace
      period, every trigger the host keeps alive is stored again at the
      (now unique) responsible server. *)
-  I3.Dynamic.run_for d repair_bound;
+  Transport.Dynamic.run_for d repair_bound;
   Alcotest.(check bool)
     (what ^ ": triggers conserved") true
     (Eval.Recovery.triggers_conserved d [ recv ]);
-  I3.Dynamic.run_for d 3_000.;
+  Transport.Dynamic.run_for d 3_000.;
   (* Monitor vs oracle — the bounded observability gap.  Detection may
      lag the fault only by propagation plus a rule window plus a scrape
      period; and by the moment the oracle has just proven recovery (ring
@@ -166,24 +167,21 @@ let scenario_partition ~seed () =
   Alcotest.(check bool) "initial convergence" true
     (Eval.Recovery.ring_converged (probe_rng seed) d);
   let recv, _send, _id, flow, monitor = start_probes d in
-  let fault_at = I3.Dynamic.now d in
-  I3.Dynamic.inject d
+  let fault_at = Transport.Dynamic.now d in
+  Transport.Dynamic.inject d
     [ (0., Faults.Partition [ 0; 1; 2; 3; 4 ]); (20_000., Faults.Heal) ];
-  I3.Dynamic.run_for d 15_000.;
+  Transport.Dynamic.run_for d 15_000.;
   (* Mid-partition each half has converged to its own sub-ring, so probed
      identifiers have a claimant on both sides: the single-owner
      invariant is violated until the heal. *)
   Alcotest.(check bool) "split into two sub-rings" false
     (Eval.Recovery.ring_converged (probe_rng seed) d);
-  I3.Dynamic.run_for d 10_000.;
+  Transport.Dynamic.run_for d 10_000.;
   let m =
     check_recovered ~what:"partition+heal" ~seed d recv flow monitor ~fault_at
   in
-  let dropped =
-    (I3.Dynamic.data_net_stats d).Net.dropped_partition
-    + (I3.Dynamic.control_net_stats d).Net.dropped_partition
-  in
-  Alcotest.(check bool) "partition drops counted as such" true (dropped > 0);
+  Alcotest.(check bool) "partition drops counted as such" true
+    ((Transport.Dynamic.net_stats d).Net.dropped_partition > 0);
   m
 
 (* --- scenario: kill the trigger's responsible server mid-refresh --- *)
@@ -192,17 +190,17 @@ let scenario_kill_owner ~seed () =
   let d = build ~seed () in
   let recv, _send, id, flow, monitor = start_probes d in
   let victim =
-    match I3.Dynamic.owners_of d id with
+    match Transport.Dynamic.owners_of d id with
     | [ o ] -> o
     | l -> Alcotest.fail (Printf.sprintf "%d owners before kill" (List.length l))
   in
-  let fault_at = I3.Dynamic.now d in
-  I3.Dynamic.kill_server d victim;
+  let fault_at = Transport.Dynamic.now d in
+  Transport.Dynamic.kill_server d victim;
   (* The receiver's refreshes go unacked until the ring heals around the
      dead server and a refresh lands at the new owner — the killed
      server's triggers must be deliverable again within the paper's
      [refresh_period + ack_grace] repair bound of the heal. *)
-  I3.Dynamic.run_for d 20_000.;
+  Transport.Dynamic.run_for d 20_000.;
   check_recovered ~what:"kill owner" ~seed d recv flow monitor ~fault_at
 
 (* --- scenario: rolling crash/restart storm over the schedule DSL --- *)
@@ -210,15 +208,15 @@ let scenario_kill_owner ~seed () =
 let scenario_churn ~seed () =
   let d = build ~seed () in
   let recv, _send, _id, flow, monitor = start_probes d in
-  let fault_at = I3.Dynamic.now d in
+  let fault_at = Transport.Dynamic.now d in
   let storm =
     Faults.churn
       (Rng.create (Int64.of_int (seed + 100)))
       ~victims:[ 2; 5; 7 ] ~start:2_000. ~spacing:6_000. ~downtime:8_000.
   in
-  I3.Dynamic.inject d storm;
+  Transport.Dynamic.inject d storm;
   (* last crash at 2s + 2*6s = 14s, last restart 8s later; let it land *)
-  I3.Dynamic.run_for d 30_000.;
+  Transport.Dynamic.run_for d 30_000.;
   check_recovered ~what:"rolling churn" ~seed d recv flow monitor ~fault_at
 
 (* --- scenario: total blackhole, the flight recorder must fire --- *)
@@ -226,9 +224,10 @@ let scenario_churn ~seed () =
 let scenario_blackhole ~seed () =
   let d = build ~seed () in
   let recv, _send, _id, flow, monitor = start_probes d in
-  let fault_at = I3.Dynamic.now d in
-  I3.Dynamic.inject d [ (0., Faults.Loss 1.0); (12_000., Faults.Loss 0.0) ];
-  I3.Dynamic.run_for d 20_000.;
+  let fault_at = Transport.Dynamic.now d in
+  Transport.Dynamic.inject d
+    [ (0., Faults.Loss 1.0); (12_000., Faults.Loss 0.0) ];
+  Transport.Dynamic.run_for d 20_000.;
   (* Nothing gets through, so the windowed delivery ratio falls straight
      to zero: the rule must reach Violated (not merely Degraded), and the
      Ok->Violated edge must capture a flight record carrying real
@@ -252,30 +251,34 @@ let scenario_blackhole ~seed () =
 
 let test_burst_during_stabilization () =
   let seed = 41 in
-  let d = I3.Dynamic.create ~metrics:(Obs.Metrics.create ()) ~seed () in
+  let d = Transport.Dynamic.create ~metrics:(Obs.Metrics.create ()) ~seed () in
   (* Gilbert–Elliott bursts from the very first join, lifted at 30 s. *)
-  I3.Dynamic.inject d
+  let lift_at = 30_000. in
+  Transport.Dynamic.inject d
     [
       (0., Faults.Burst_loss { p_enter = 0.05; p_exit = 0.25; loss_bad = 0.9 });
-      (30_000., Faults.Burst_end);
+      (lift_at, Faults.Burst_end);
     ];
   for site = 0 to 9 do
-    ignore (I3.Dynamic.add_server d ~site ());
-    I3.Dynamic.run_for d 2_000.
+    ignore (Transport.Dynamic.add_server d ~site ());
+    Transport.Dynamic.run_for d 2_000.
   done;
   let conv = Eval.Recovery.converges_within ~budget:180_000. (probe_rng seed) d in
   Alcotest.(check bool) "converges once the burst lifts" true (conv <> None);
   Alcotest.(check bool) "burst drops counted as such" true
-    ((I3.Dynamic.control_net_stats d).Net.dropped_burst > 0);
-  (* the deployment is healthy enough for rendezvous afterwards *)
-  let recv = I3.Dynamic.new_host d ~config:chaos_host_config () in
-  let send = I3.Dynamic.new_host d ~config:chaos_host_config () in
+    ((Transport.Dynamic.net_stats d).Net.dropped_burst > 0);
+  (* The ring may converge while the burst still rages; the rendezvous
+     is checked after the storm, where no packet may be lost. *)
+  Transport.Dynamic.run_for d
+    (Float.max 0. (lift_at -. Transport.Dynamic.now d));
+  let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
+  let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Dynamic.run_for d 3_000.;
+  Transport.Dynamic.run_for d 3_000.;
   I3.Host.send send id "after-the-storm";
-  I3.Dynamic.run_for d 3_000.;
+  Transport.Dynamic.run_for d 3_000.;
   Alcotest.(check (list string)) "rendezvous works" [ "after-the-storm" ]
     (got ())
 
@@ -290,7 +293,7 @@ let test_gray_link_between_successors () =
   let by_id =
     List.sort
       (fun a b -> Id.compare (I3.Server.id a) (I3.Server.id b))
-      (I3.Dynamic.servers d)
+      (Transport.Dynamic.servers d)
   in
   let a, b =
     match by_id with x :: y :: _ -> (x, y) | _ -> assert false
@@ -302,21 +305,19 @@ let test_gray_link_between_successors () =
           if I3.Server.addr s' = I3.Server.addr s then i
           else index (i + 1) rest
     in
-    index 0 (I3.Dynamic.all_servers d)
+    index 0 (Transport.Dynamic.all_servers d)
   in
   let fa = site_of a and fb = site_of b in
-  let fault_at = I3.Dynamic.now d in
-  I3.Dynamic.inject d
+  let fault_at = Transport.Dynamic.now d in
+  Transport.Dynamic.inject d
     [
       (0., Faults.Gray { from_site = fa; to_site = fb });
       (25_000., Faults.Gray_heal { from_site = fa; to_site = fb });
     ];
-  I3.Dynamic.run_for d 25_000.;
+  Transport.Dynamic.run_for d 25_000.;
   Alcotest.(check bool) "gray drops counted as such" true
-    ((I3.Dynamic.data_net_stats d).Net.dropped_gray
-     + (I3.Dynamic.control_net_stats d).Net.dropped_gray
-    > 0);
-  I3.Dynamic.run_for d 5_000.;
+    ((Transport.Dynamic.net_stats d).Net.dropped_gray > 0);
+  Transport.Dynamic.run_for d 5_000.;
   ignore (check_recovered ~what:"gray link" ~seed d recv flow monitor ~fault_at)
 
 (* --- satellite: gateway rotation after ack_grace expiry --- *)
@@ -362,34 +363,35 @@ let test_pure_sender_leaves_dead_gateway () =
      packet detours through the dead gateway, so without that signal the
      flow stays dark for good. *)
   let d = build ~seed:34 () in
-  let recv = I3.Dynamic.new_host d ~config:chaos_host_config () in
-  let send = I3.Dynamic.new_host d ~config:chaos_host_config () in
+  let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
+  let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let dead = I3.Host.gateway send in
   (* A flow identifier owned by some other server, so the kill leaves
      the rendezvous itself intact. *)
   let rec pick () =
     let id = I3.Host.new_private_id recv in
-    match I3.Dynamic.owners_of d id with
+    match Transport.Dynamic.owners_of d id with
     | [ o ] when I3.Server.addr o <> dead -> id
     | _ -> pick ()
   in
   let id = pick () in
   I3.Host.insert_trigger recv id;
-  I3.Dynamic.run_for d 3_000.;
+  Transport.Dynamic.run_for d 3_000.;
   let flow =
     Eval.Recovery.start_flow d ~sender:send ~receiver:recv ~period:100. id
   in
-  I3.Dynamic.run_for d 5_000.;
+  Transport.Dynamic.run_for d 5_000.;
   Alcotest.(check bool) "flow delivers before the kill" true
     (Eval.Recovery.received flow > 0);
   List.iter
-    (fun s -> if I3.Server.addr s = dead then I3.Dynamic.kill_server d s)
-    (I3.Dynamic.servers d);
+    (fun s -> if I3.Server.addr s = dead then Transport.Dynamic.kill_server d s)
+    (Transport.Dynamic.servers d);
   (* By now the cache entry has lapsed and packets detour through the
      dead gateway. *)
-  I3.Dynamic.run_for d (chaos_host_config.I3.Host.cache_ttl_ms +. 1_000.);
-  let dark_at = I3.Dynamic.now d in
-  I3.Dynamic.run_for d (2. *. repair_bound);
+  Transport.Dynamic.run_for d
+    (chaos_host_config.I3.Host.cache_ttl_ms +. 1_000.);
+  let dark_at = Transport.Dynamic.now d in
+  Transport.Dynamic.run_for d (2. *. repair_bound);
   Eval.Recovery.stop_flow flow;
   Alcotest.(check bool) "sender rotated off the dead gateway" true
     (I3.Host.gateway send <> dead);
@@ -414,30 +416,30 @@ let test_send_with_backup_fallthrough () =
     { I3.Server.default_config with trigger_lifetime = 3_600_000. }
   in
   let d = build ~server_config ~seed:33 () in
-  let recv = I3.Dynamic.new_host d ~config:slow_host () in
+  let recv = Transport.Dynamic.new_host d ~config:slow_host () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   let backup = I3.Host.insert_trigger_with_backup recv id in
-  I3.Dynamic.run_for d 5_000.;
+  Transport.Dynamic.run_for d 5_000.;
   let primary_owner =
-    match I3.Dynamic.owners_of d id with
+    match Transport.Dynamic.owners_of d id with
     | [ o ] -> o
     | l -> Alcotest.fail (Printf.sprintf "%d primary owners" (List.length l))
   in
-  (match I3.Dynamic.owners_of d backup with
+  (match Transport.Dynamic.owners_of d backup with
   | [ o ] ->
       Alcotest.(check bool) "backup stored on a different server" true
         (I3.Server.addr o <> I3.Server.addr primary_owner)
   | l -> Alcotest.fail (Printf.sprintf "%d backup owners" (List.length l)));
-  I3.Dynamic.kill_server d primary_owner;
+  Transport.Dynamic.kill_server d primary_owner;
   (* ring heals around the dead server; nobody re-inserts the primary *)
-  I3.Dynamic.run_for d 40_000.;
-  let sender = I3.Dynamic.new_host d ~config:slow_host () in
+  Transport.Dynamic.run_for d 40_000.;
+  let sender = Transport.Dynamic.new_host d ~config:slow_host () in
   I3.Host.send sender id "plain";
-  I3.Dynamic.run_for d 5_000.;
+  Transport.Dynamic.run_for d 5_000.;
   Alcotest.(check (list string)) "plain send is lost" [] (got ());
   I3.Host.send_with_backup sender ~primary:id ~backup "fell-through";
-  I3.Dynamic.run_for d 5_000.;
+  Transport.Dynamic.run_for d 5_000.;
   Alcotest.(check (list string)) "backup delivers" [ "fell-through" ] (got ())
 
 (* --- determinism: one seed, one trajectory --- *)

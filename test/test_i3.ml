@@ -640,6 +640,29 @@ let test_e2e_refresh_keeps_alive () =
   I3.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "alive after 200s" [ "later" ] (got ())
 
+(* The default refresh lands well inside the trigger lifetime.  With a
+   refresh period equal to the lifetime, any refresh whose path is
+   slower than the last one's arrives after the entry expired, and the
+   probes in that gap die at the owner.  Jitter alone, no loss, over
+   100 s of back-to-back probes: several refresh boundaries. *)
+let test_e2e_default_refresh_outlives_jitter () =
+  let d = deployment ~seed:1 ~n_servers:32 () in
+  Net.apply (I3.Deployment.net d) (Faults.Jitter 20.);
+  let recv = I3.Deployment.new_host d () in
+  let send = I3.Deployment.new_host d () in
+  let received = ref 0 in
+  I3.Host.on_receive recv (fun ~stack:_ ~payload:_ -> incr received);
+  let id = I3.Host.new_private_id recv in
+  I3.Host.insert_trigger recv id;
+  I3.Deployment.run_for d 1_000.;
+  let probes = 20_000 in
+  for i = 1 to probes do
+    I3.Host.send send id (string_of_int i);
+    I3.Deployment.run_for d 5.
+  done;
+  I3.Deployment.run_for d 1_000.;
+  Alcotest.(check int) "every probe delivered" probes !received
+
 let test_e2e_remove_trigger () =
   let d = deployment ~seed:20 ~n_servers:8 () in
   let recv = I3.Deployment.new_host d () in
@@ -833,7 +856,7 @@ let test_e2e_reflection_defense () =
   Net.send (I3.Deployment.net d)
     ~src:(I3.Host.addr attacker)
     ~dst:(I3.Server.addr (I3.Deployment.server d 0))
-    (I3.Message.Insert { trigger = forged; token = None });
+    (I3.Codec.encode (I3.Message.Insert { trigger = forged; token = None }));
   I3.Deployment.run_for d 5_000.;
   Alcotest.(check int) "no trigger installed" 0 (I3.Deployment.total_triggers d)
 
@@ -1117,6 +1140,8 @@ let () =
           Alcotest.test_case "match-required drops" `Quick test_e2e_match_required_drops;
           Alcotest.test_case "soft-state expiry" `Quick test_e2e_soft_state_expiry;
           Alcotest.test_case "refresh keeps alive" `Quick test_e2e_refresh_keeps_alive;
+          Alcotest.test_case "default refresh outlives jitter" `Quick
+            test_e2e_default_refresh_outlives_jitter;
           Alcotest.test_case "remove trigger" `Quick test_e2e_remove_trigger;
           Alcotest.test_case "mobility" `Quick test_e2e_mobility;
           Alcotest.test_case "backup trigger failover" `Quick test_e2e_backup_trigger_failover;

@@ -290,34 +290,34 @@ let repair_bound =
 let scenario_koorde_churn ~seed () =
   let metrics = Obs.Metrics.create () in
   let d =
-    I3.Dynamic.create ~seed ~metrics
+    Transport.Dynamic.create ~seed ~metrics
       ~substrate:(Koorde.Substrate.Koorde { degree = 8 })
       ()
   in
   for site = 0 to 9 do
-    ignore (I3.Dynamic.add_server d ~site ());
-    I3.Dynamic.run_for d 2_000.
+    ignore (Transport.Dynamic.add_server d ~site ());
+    Transport.Dynamic.run_for d 2_000.
   done;
-  I3.Dynamic.run_for d 60_000.;
-  let recv = I3.Dynamic.new_host d ~config:chaos_host_config () in
-  let send = I3.Dynamic.new_host d ~config:chaos_host_config () in
+  Transport.Dynamic.run_for d 60_000.;
+  let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
+  let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Dynamic.run_for d 3_000.;
+  Transport.Dynamic.run_for d 3_000.;
   let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
-  I3.Dynamic.run_for d 5_000.;
-  let fault_at = I3.Dynamic.now d in
+  Transport.Dynamic.run_for d 5_000.;
+  let fault_at = Transport.Dynamic.now d in
   let storm =
     Faults.churn
       (Rng.create (Int64.of_int (seed + 100)))
       ~victims:[ 2; 5; 7 ] ~start:2_000. ~spacing:6_000. ~downtime:8_000.
   in
-  I3.Dynamic.inject d storm;
-  I3.Dynamic.run_for d 30_000.;
+  Transport.Dynamic.inject d storm;
+  Transport.Dynamic.run_for d 30_000.;
   let rng = Rng.create (Int64.of_int ((seed * 7919) + 13)) in
   let conv = Eval.Recovery.converges_within ~budget:120_000. rng d in
   Alcotest.(check bool) "koorde ring re-converged" true (conv <> None);
-  I3.Dynamic.run_for d repair_bound;
+  Transport.Dynamic.run_for d repair_bound;
   Alcotest.(check bool) "koorde triggers conserved" true
     (Eval.Recovery.triggers_conserved d [ recv ]);
   Eval.Recovery.stop_flow flow;
