@@ -8,8 +8,11 @@
 let () =
   let d = Transport.Dynamic.create ~seed:2026 () in
   print_endline "growing a 12-server i3 ring through protocol joins...";
-  for _ = 1 to 12 do
-    ignore (Transport.Dynamic.add_server d ());
+  (* One site per server.  Trigger inserts carry no hop bound yet, and
+     one caught between two servers' disagreeing views would cycle
+     among servers on one site without virtual time passing. *)
+  for site = 0 to 11 do
+    ignore (Transport.Dynamic.add_server d ~site ());
     Transport.Dynamic.run_for d 3_000.
   done;
   Transport.Dynamic.run_for d 120_000.;

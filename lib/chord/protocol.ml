@@ -179,17 +179,10 @@ let local_candidate n key =
   | Some p -> Some p
   | None -> successor n
 
-(* Without a predecessor, claim back to the nearest known peer before
-   self: the ring already forwards a dead predecessor's keys here, and
-   disclaiming them would bounce them around it until the next notify. *)
 let owns n key =
   match n.pred with
   | Some p -> Ring.between_oc ~low:p.id ~high:n.id key
-  | None when n.succs = [] -> true
-  | None -> (
-      match Finger_table.closest_preceding n.fingers ~extra:n.succs n.id with
-      | Some q -> Ring.between_oc ~low:q.id ~high:n.id key
-      | None -> true)
+  | None -> n.succs = []
 
 let local_next_hop n key =
   if owns n key then None

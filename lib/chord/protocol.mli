@@ -119,10 +119,9 @@ val predecessor : node -> peer option
 
 val owns : node -> Id.t -> bool
 (** Whether the node is responsible for the key {e according to its own
-    current state}: key in (predecessor, self], or, with no predecessor,
-    key in (nearest known peer before self, self].  During convergence
-    two nodes may transiently both claim (or both disclaim) a key; i3's
-    soft state absorbs this. *)
+    current state}: key in (predecessor, self].  During convergence two
+    nodes may transiently both claim (or both disclaim) a key; i3's soft
+    state absorbs this. *)
 
 val local_next_hop : node -> Id.t -> peer option
 (** One greedy routing step from local state (fingers + successor list);

@@ -1,11 +1,8 @@
 (* Glue between the payload-agnostic byte network and i3's accounting:
-   the network reports each frame's fate to an observer, which pulls the
-   trace id out of traced frames and records Enqueue / net-drop events;
-   endpoints decode what arrives and count what does not decode.  Shared
-   by {!Deployment}, {!Host} and [Transport.Dynamic]. *)
-
-(* The observer decodes only when tracing is on; Chord frames do not
-   decode as i3 messages and carry no trace. *)
+   with tracing on, the network reports each frame's fate to an observer,
+   which decodes it and records Enqueue / net-drop events for traced i3
+   frames; endpoints count what does not decode.  Shared by
+   {!Deployment}, {!Host} and [Transport.Dynamic]. *)
 let install_net_tracer ~tracer (net : string Net.t) =
   if Obs.Trace.enabled tracer then
     Net.set_observer net (fun ~src ~dst:_ bytes outcome ->

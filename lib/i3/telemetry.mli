@@ -9,8 +9,7 @@
     traced.
 
     The trace id rides in the frame header at [Wire.Layout.off_trace]
-    (bytes 28–35), so it crosses the simulated net and real UDP
-    unchanged. *)
+    (bytes 28–35), so it crosses the simulated net and UDP unchanged. *)
 
 val install_net_tracer : tracer:Obs.Trace.t -> string Net.t -> unit
 

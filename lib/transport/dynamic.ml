@@ -200,11 +200,22 @@ let member_of t server =
   | Some m -> m
   | None -> invalid_arg "Dynamic: unknown server"
 
+(* [Server.kill] drops the member's series, its driver's among them, so
+   its decode errors first join the net's own: a codec fault that only
+   a dead member saw stays counted. *)
 let kill_server t server =
   let m = member_of t server in
   if m.alive then begin
+    let errors instance =
+      Obs.Metrics.counter t.metrics
+        ~labels:[ ("instance", instance); ("proto", "frame") ]
+        "wire.decode_errors"
+    in
+    let server = server_of m in
+    let dying = errors (I3.Server.instance_label server) in
+    Obs.Metrics.(incr ~by:(counter_value dying) (errors (Net.label t.net)));
     m.alive <- false;
-    I3.Server.kill (server_of m);
+    I3.Server.kill server;
     Net.set_down t.net (addr m);
     bump_generation t
   end
@@ -252,4 +263,5 @@ let inject t schedule =
   and restart i = restart_server t (nth_server t i) in
   Faults.install t.engine (Net.driver ~crash ~restart t.net) schedule
 
+let net t = t.net
 let net_stats t = Net.stats t.net

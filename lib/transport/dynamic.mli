@@ -42,9 +42,8 @@ val create :
     live [spans] collector records control-plane operation trees
     (Chord lookups/RPCs/stabilization and host trigger round-trips) as
     {!Obs.Trace.open_op} events, apart from [tracer] so operations
-    never evict packet hops.  Each member's {!Driver} series
-    ([driver.*], [wire.decode_errors]) carry its server's [instance]
-    label.
+    never evict packet hops.  Each member's {!Driver} series ([driver.*],
+    [wire.decode_errors]) carry its server's [instance] label.
 
     [substrate] selects the data-plane forwarding substrate.  With
     [Koorde {degree}], servers forward along de Bruijn hops computed over
@@ -85,16 +84,18 @@ val add_server : t -> ?site:int -> unit -> I3.Server.t
     stabilization proceeds. *)
 
 val kill_server : t -> I3.Server.t -> unit
-(** Fail-stop a member (its server's and its driver's registry series
-    go with it); peers notice via timeouts.  No-op on a dead member. *)
+(** Fail-stop a member; peers notice via timeouts.  Its server's and
+    driver's series go with it, but its decode errors are first added
+    to [wire.decode_errors{instance=<net>,proto="frame"}].  No-op on a
+    dead member. *)
 
 val restart_server : t -> I3.Server.t -> unit
-(** Recover a killed member: a fresh engine and driver at the same address and
-    identifier with empty soft state, rejoining by address through the
-    live members.  Its server is a new {!I3.Server.t} with a new
-    [instance] label, and its driver series carry that label.  Hosts
-    re-insert their triggers on refresh
-    (Sec. IV-C).  No-op on a live member. *)
+(** Recover a killed member: a fresh engine and driver at the same
+    address and identifier with empty soft state, rejoining by address
+    through the live members.  Its server is a new {!I3.Server.t} with a
+    new [instance] label, and its driver series carry that label.  Hosts
+    re-insert their triggers on refresh (Sec. IV-C).  No-op on a live
+    member. *)
 
 val servers : t -> I3.Server.t list
 (** The servers of live members. *)
@@ -129,6 +130,8 @@ val new_host :
 val inject : t -> Faults.schedule -> unit
 (** [inject t s] is [Faults.install (engine t) driver s], with
     [Net.driver ~crash ~restart] on the one net as [driver]. *)
+
+val net : t -> string Net.t
 
 val net_stats : t -> Net.stats
 (** Drop/delivery accounting of the net, by fault cause. *)

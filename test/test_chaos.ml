@@ -267,20 +267,35 @@ let test_burst_during_stabilization () =
   Alcotest.(check bool) "converges once the burst lifts" true (conv <> None);
   Alcotest.(check bool) "burst drops counted as such" true
     ((Transport.Dynamic.net_stats d).Net.dropped_burst > 0);
-  (* The ring may converge while the burst still rages; the rendezvous
-     is checked after the storm, where no packet may be lost. *)
-  Transport.Dynamic.run_for d
-    (Float.max 0. (lift_at -. Transport.Dynamic.now d));
   let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 3_000.;
+  (* The ring converges while the burst still rages, and rendezvous
+     works through it.  i3 data is best effort and a burst drops a lone
+     packet about one time in three, so the sender retries, as an
+     application on a lossy path must. *)
+  Alcotest.(check bool) "the rendezvous starts under the burst" true
+    (Transport.Dynamic.now d < lift_at);
+  let rec retry n =
+    if n > 0 && not (List.mem "through-the-storm" (got ())) then begin
+      I3.Host.send send id "through-the-storm";
+      Transport.Dynamic.run_for d 250.;
+      retry (n - 1)
+    end
+  in
+  retry 20;
+  Alcotest.(check bool) "rendezvous works under the burst" true
+    (List.mem "through-the-storm" (got ()));
+  (* Once the burst lifts, not one packet may be lost. *)
+  Transport.Dynamic.run_for d
+    (Float.max 0. (lift_at -. Transport.Dynamic.now d));
   I3.Host.send send id "after-the-storm";
   Transport.Dynamic.run_for d 3_000.;
   Alcotest.(check (list string)) "rendezvous works" [ "after-the-storm" ]
-    (got ())
+    (List.filter (fun p -> p <> "through-the-storm") (got ()))
 
 (* --- scenario: gray (one-way) link between two ring successors --- *)
 

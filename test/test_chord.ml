@@ -462,46 +462,44 @@ let test_protocol_heals_after_failures () =
   Alcotest.(check bool) "ring healed" true (Chord.Protocol.ring_consistent p.nw);
   Alcotest.(check int) "alive count" 15 (List.length (Chord.Protocol.alive_nodes p.nw))
 
-(* Between a predecessor's death and the next notify, the successor
-   has no predecessor.  It must still keep the dead node's keys, which
-   the ring already routes to it: handing one to a live peer bounces it
-   around the ring until the notify, and forever at zero latency.  Only
-   a hop to the dead node itself, not yet forgotten, is harmless.  The
-   ring is larger than a successor list, so the dead node cannot come
-   back into the heir's list from the far side of the ring. *)
-let test_protocol_orphan_keeps_dead_arc () =
+(* A node without a predecessor -- an heir whose predecessor died, or a
+   joiner not yet notified -- claims no key: it cannot tell where its
+   arc begins, and any guess overlaps a live peer's arc.  So while such
+   nodes exist, no key may have two owners. *)
+let test_protocol_no_claim_without_predecessor () =
   let engine, rng, p = mk_proto ~seed:6 () in
   let nodes = grow_ring engine rng p 12 in
-  let dead = nodes.(2) in
-  let key = Chord.Protocol.node_id dead in
-  let heir =
-    match Chord.Protocol.successor dead with
-    | Some s ->
-        List.find
-          (fun n -> Chord.Protocol.node_addr n = s.Chord.Protocol.addr)
-          (Chord.Protocol.alive_nodes p.nw)
-    | None -> Alcotest.fail "no successor before the kill"
-  in
-  Chord.Protocol.kill dead;
-  let orphaned = ref 0 and bounced = ref 0 in
-  for _ = 1 to 3_000 do
-    Engine.run_for engine 100.;
-    if Chord.Protocol.predecessor heir = None then begin
-      incr orphaned;
-      match Chord.Protocol.local_next_hop heir key with
-      | Some hop when hop.Chord.Protocol.addr <> Chord.Protocol.node_addr dead
-        ->
-          incr bounced
-      | Some _ | None -> ()
+  let keys = List.init 64 (fun _ -> Id.random rng) in
+  let orphans = ref 0 and shared = ref 0 in
+  let check () =
+    let alive = Chord.Protocol.alive_nodes p.nw in
+    let orphaned =
+      List.filter (fun n -> Chord.Protocol.predecessor n = None) alive
+    in
+    if orphaned <> [] then begin
+      orphans := !orphans + List.length orphaned;
+      List.iter
+        (fun key ->
+          let owners = List.filter (fun n -> Chord.Protocol.owns n key) alive in
+          if List.length owners > 1 then incr shared)
+        keys
     end
-  done;
+  in
+  let run () =
+    for _ = 1 to 3_000 do
+      Engine.run_for engine 100.;
+      check ()
+    done
+  in
+  Chord.Protocol.kill nodes.(2);
+  run ();
+  let heir_orphans = !orphans in
+  ignore (join p ~site:0 ~via:nodes.(5));
+  run ();
   Alcotest.(check bool) "the heir went without a predecessor" true
-    (!orphaned > 0);
-  Alcotest.(check int) "and never handed the dead node's id to a live peer"
-    0 !bounced;
-  Alcotest.(check bool) "it owns the id once its predecessor is back" true
-    (Chord.Protocol.predecessor heir <> None
-    && Chord.Protocol.owns heir key)
+    (heir_orphans > 0);
+  Alcotest.(check bool) "so did the joiner" true (!orphans > heir_orphans);
+  Alcotest.(check int) "no key had two owners meanwhile" 0 !shared
 
 let test_protocol_lookup_after_failures () =
   let engine, rng, p = mk_proto ~seed:5 () in
@@ -641,8 +639,8 @@ let () =
           Alcotest.test_case "convergence" `Slow test_protocol_convergence;
           Alcotest.test_case "lookups correct" `Slow test_protocol_lookup_correct;
           Alcotest.test_case "heals after failures" `Slow test_protocol_heals_after_failures;
-          Alcotest.test_case "orphan keeps the dead arc" `Quick
-            test_protocol_orphan_keeps_dead_arc;
+          Alcotest.test_case "no claim without predecessor" `Quick
+            test_protocol_no_claim_without_predecessor;
           Alcotest.test_case "lookup after failures" `Slow test_protocol_lookup_after_failures;
           Alcotest.test_case "converges under loss" `Slow test_protocol_survives_loss;
           Alcotest.test_case "concurrent joins" `Slow test_protocol_concurrent_joins;

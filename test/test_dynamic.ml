@@ -264,6 +264,35 @@ let test_dead_member_leaves_no_driver_series () =
   Alcotest.(check int) "still none under the old label" 0
     (List.length (driver_series victim))
 
+(* A frame only a dead member failed to decode stays counted: the kill
+   removes the member's driver series, but not its decode errors. *)
+let test_dead_member_keeps_decode_errors () =
+  let metrics = Obs.Metrics.create () in
+  let d = Transport.Dynamic.create ~metrics ~seed:16 () in
+  for _ = 1 to 3 do
+    ignore (Transport.Dynamic.add_server d ());
+    Transport.Dynamic.run_for d 2_000.
+  done;
+  let decode_errors () =
+    List.fold_left
+      (fun acc (s : Obs.Metrics.sample) ->
+        match s.value with
+        | Obs.Metrics.Counter n when s.name = "wire.decode_errors" -> acc + n
+        | _ -> acc)
+      0
+      (Obs.Metrics.snapshot ~prefix:"wire.decode_errors" metrics)
+  in
+  let victim = Transport.Dynamic.nth_server d 1 in
+  let net = Transport.Dynamic.net d in
+  let src = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
+  Net.send net ~src ~dst:(I3.Server.addr victim) "not a frame";
+  Transport.Dynamic.run_for d 100.;
+  Alcotest.(check int) "the victim counted the corrupt frame" 1
+    (decode_errors ());
+  Transport.Dynamic.kill_server d victim;
+  Transport.Dynamic.run_for d 5_000.;
+  Alcotest.(check int) "still counted after the kill" 1 (decode_errors ())
+
 (* A member added at virtual time T starts its stabilize, fix-finger and
    sweep timers at T.  Replaying every period since 0 would burst
    thousands of fix-finger lookups into its first step, stamped with
@@ -340,6 +369,8 @@ let () =
             test_restart_keeps_member_observable;
           Alcotest.test_case "dead member leaves no driver series" `Quick
             test_dead_member_leaves_no_driver_series;
+          Alcotest.test_case "dead member keeps decode errors" `Quick
+            test_dead_member_keeps_decode_errors;
           Alcotest.test_case "late join starts timers now" `Quick
             test_late_join_starts_timers_now;
         ] );
