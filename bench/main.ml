@@ -201,14 +201,17 @@ let section_fig9 () =
   List.iter
     (fun kind ->
       let p = fig9_params kind in
-      let pts = Eval.Proximity_routing.run p in
+      let pts =
+        Eval.Proximity_routing.run
+          ~specs:(Eval.Proximity_routing.policies_for ~replicas:10)
+          p
+      in
       let rows =
         List.map
           (fun pt ->
             [
               string_of_int pt.Eval.Proximity_routing.n_servers;
-              Format.asprintf "%a" Chord.Routing.pp_policy
-                pt.Eval.Proximity_routing.policy;
+              Koorde.Substrate.label pt.Eval.Proximity_routing.spec;
               Printf.sprintf "%.2f" pt.Eval.Proximity_routing.p90;
               Printf.sprintf "%.2f" pt.Eval.Proximity_routing.p50;
               Printf.sprintf "%.1f" pt.Eval.Proximity_routing.mean_hops;

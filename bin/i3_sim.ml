@@ -151,6 +151,11 @@ let fig8_cmd =
 (* --- fig9 --- *)
 
 let run_fig9 kind nodes server_counts queries replicas seed csv substrates =
+  let specs =
+    match substrates with
+    | [] -> Eval.Proximity_routing.policies_for ~replicas
+    | l -> l
+  in
   let all_rows = ref [] in
   List.iter
     (fun kind ->
@@ -160,37 +165,21 @@ let run_fig9 kind nodes server_counts queries replicas seed csv substrates =
           topo_nodes = nodes;
           server_counts;
           queries;
-          replicas;
           seed;
         }
       in
       let rows =
-        match substrates with
-        | [] ->
-            List.map
-              (fun pt ->
-                [
-                  Topology.Model.kind_to_string kind;
-                  string_of_int pt.Eval.Proximity_routing.n_servers;
-                  Format.asprintf "%a" Chord.Routing.pp_policy
-                    pt.Eval.Proximity_routing.policy;
-                  Printf.sprintf "%.4f" pt.Eval.Proximity_routing.p90;
-                  Printf.sprintf "%.4f" pt.Eval.Proximity_routing.p50;
-                  Printf.sprintf "%.2f" pt.Eval.Proximity_routing.mean_hops;
-                ])
-              (Eval.Proximity_routing.run ~progress p)
-        | specs ->
-            List.map
-              (fun pt ->
-                [
-                  Topology.Model.kind_to_string kind;
-                  string_of_int pt.Eval.Proximity_routing.sn_servers;
-                  Koorde.Substrate.label pt.Eval.Proximity_routing.spec;
-                  Printf.sprintf "%.4f" pt.Eval.Proximity_routing.sp90;
-                  Printf.sprintf "%.4f" pt.Eval.Proximity_routing.sp50;
-                  Printf.sprintf "%.2f" pt.Eval.Proximity_routing.smean_hops;
-                ])
-              (Eval.Proximity_routing.run_substrates ~progress p ~specs)
+        List.map
+          (fun pt ->
+            [
+              Topology.Model.kind_to_string kind;
+              string_of_int pt.Eval.Proximity_routing.n_servers;
+              Koorde.Substrate.label pt.Eval.Proximity_routing.spec;
+              Printf.sprintf "%.4f" pt.Eval.Proximity_routing.p90;
+              Printf.sprintf "%.4f" pt.Eval.Proximity_routing.p50;
+              Printf.sprintf "%.2f" pt.Eval.Proximity_routing.mean_hops;
+            ])
+          (Eval.Proximity_routing.run ~progress ~specs p)
       in
       all_rows := !all_rows @ rows;
       Eval.Report.table

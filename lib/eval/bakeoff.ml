@@ -37,19 +37,11 @@ let run ?(progress = fun _ -> ()) p =
        (Topology.Model.kind_to_string p.kind)
        p.topo_nodes);
   let model = Topology.Model.build (Rng.split rng) p.kind ~n:p.topo_nodes in
-  let dist = Topology.Model.oracle model in
-  let oracle = Chord.Oracle.random (Rng.split rng) ~n:p.n_servers in
-  let sites =
-    Topology.Model.place_servers (Rng.split rng) model ~count:p.n_servers
-  in
-  let ring_latency i j =
-    if sites.(i) = sites.(j) then 0.
-    else Topology.Dijkstra.distance dist sites.(i) sites.(j)
-  in
   (* One query set and one state-sample node set shared by every
      substrate: the race is paired. *)
-  let queries =
-    Array.init p.queries (fun _ -> (Rng.int rng p.n_servers, Id.random rng))
+  let race =
+    Proximity_routing.draw_race rng model ~n_servers:p.n_servers
+      ~queries:p.queries
   in
   let sample_nodes =
     Array.init (min p.state_samples p.n_servers) (fun _ ->
@@ -61,20 +53,7 @@ let run ?(progress = fun _ -> ()) p =
         (Printf.sprintf "racing %s: %d queries over %d servers..."
            (Koorde.Substrate.label spec)
            p.queries p.n_servers);
-      let sub = Koorde.Substrate.create ~latency:ring_latency oracle spec in
-      let hops = ref [] in
-      let stretches = ref [] in
-      Array.iter
-        (fun (start, key) ->
-          let target = Chord.Oracle.successor_index oracle key in
-          let direct = ring_latency start target in
-          let path = Koorde.Substrate.route sub ~start ~key in
-          hops := float_of_int (List.length path - 1) :: !hops;
-          if direct > 0. then begin
-            let overlay = Chord.Routing.path_latency ring_latency path in
-            stretches := (overlay /. direct) :: !stretches
-          end)
-        queries;
+      let sub, legs = Proximity_routing.route_race race spec in
       let state =
         Array.map
           (fun n -> float_of_int (Koorde.Substrate.state_bytes sub n))
@@ -85,8 +64,10 @@ let run ?(progress = fun _ -> ()) p =
           (fun n -> float_of_int (Koorde.Substrate.candidate_count sub n))
           sample_nodes
       in
-      let hop_arr = Array.of_list !hops in
-      let stretch_arr = Array.of_list !stretches in
+      let hop_arr = Array.map fst legs in
+      let stretch_arr =
+        Array.of_list (List.filter_map snd (Array.to_list legs))
+      in
       {
         spec;
         mean_hops = Stats.mean hop_arr;

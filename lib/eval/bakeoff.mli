@@ -3,8 +3,9 @@
     The paper's Sec. VII argues i3 is substrate-agnostic; ROADMAP item 2
     asks what that substrate choice actually buys.  This harness races
     every {!Koorde.Substrate.spec} over the {e same} static membership,
-    transit-stub placement, and query set, and reports the three axes of
-    the routing-scalability tradeoff:
+    transit-stub placement, and query set — Fig. 9's paired race
+    ({!Proximity_routing.route_race}) at one server count — and reports
+    the three axes of the routing-scalability tradeoff:
 
     - hops (mean and p99) from a random server to the responsible server,
     - first-packet latency stretch (overlay path / direct IP path),

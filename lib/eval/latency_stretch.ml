@@ -37,15 +37,10 @@ let run ?(progress = fun _ -> ()) ?metrics ?substrate p =
        (Topology.Model.kind_to_string p.kind)
        p.topo_nodes);
   let model = Topology.Model.build (Rng.split rng) p.kind ~n:p.topo_nodes in
-  let oracle = Chord.Oracle.random (Rng.split rng) ~n:p.n_servers in
-  let sites =
-    Topology.Model.place_servers (Rng.split rng) model ~count:p.n_servers
+  let oracle, sites, ring_latency =
+    Workload.placed_ring rng model ~n_servers:p.n_servers
   in
   let dist = Topology.Model.oracle model in
-  let ring_latency i j =
-    if sites.(i) = sites.(j) then 0.
-    else Topology.Dijkstra.distance dist sites.(i) sites.(j)
-  in
   let router =
     Option.map
       (fun spec ->

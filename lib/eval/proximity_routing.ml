@@ -3,7 +3,6 @@ type params = {
   topo_nodes : int;
   server_counts : int list;
   queries : int;
-  replicas : int;
   seed : int;
 }
 
@@ -13,150 +12,82 @@ let default_params kind =
     topo_nodes = 5000;
     server_counts = [ 1 lsl 10; 1 lsl 11; 1 lsl 12; 1 lsl 13; 1 lsl 14; 1 lsl 15 ];
     queries = 1000;
-    replicas = 10;
     seed = 1;
   }
 
 type point = {
   n_servers : int;
-  policy : Chord.Routing.policy;
+  spec : Koorde.Substrate.spec;
   p90 : float;
   p50 : float;
   mean_hops : float;
 }
 
-let policies_for ~replicas ~n_servers:_ =
-  [
-    Chord.Routing.Default;
-    Chord.Routing.Closest_finger_replica { replicas };
-    Chord.Routing.Closest_finger_set { gamma = replicas + 1 };
-    (* the Sec. VII alternative substrate: Pastry-style prefix routing *)
-    Chord.Routing.Prefix_pns { digit_bits = 4; scan = 16 };
-  ]
+let policies_for ~replicas =
+  List.map
+    (fun policy -> Koorde.Substrate.Chord policy)
+    [
+      Chord.Routing.Default;
+      Chord.Routing.Closest_finger_replica { replicas };
+      Chord.Routing.Closest_finger_set { gamma = replicas + 1 };
+      (* the Sec. VII alternative substrate: Pastry-style prefix routing *)
+      Chord.Routing.Prefix_pns { digit_bits = 4; scan = 16 };
+    ]
 
-type spoint = {
-  sn_servers : int;
-  spec : Koorde.Substrate.spec;
-  sp90 : float;
-  sp50 : float;
-  smean_hops : float;
+type race = {
+  oracle : Chord.Oracle.t;
+  ring_latency : int -> int -> float;
+  queries : (int * Id.t) array;
 }
 
-(* Same experiment as [run], but raced over arbitrary substrates: used by
-   the fig9 --substrate flag.  Topology, membership, placement and the
-   query set are seeded identically per server count, so points are a
-   paired comparison. *)
-let run_substrates ?(progress = fun _ -> ()) p ~specs =
+let draw_race rng model ~n_servers ~queries =
+  let oracle, _, ring_latency = Workload.placed_ring rng model ~n_servers in
+  let queries =
+    Array.init queries (fun _ -> (Rng.int rng n_servers, Id.random rng))
+  in
+  { oracle; ring_latency; queries }
+
+let route_race race spec =
+  let sub = Koorde.Substrate.create ~latency:race.ring_latency race.oracle spec in
+  let leg (start, key) =
+    let path = Koorde.Substrate.route sub ~start ~key in
+    let target = Chord.Oracle.successor_index race.oracle key in
+    let direct = race.ring_latency start target in
+    ( float_of_int (List.length path - 1),
+      if direct > 0. then
+        Some (Chord.Routing.path_latency race.ring_latency path /. direct)
+      else None )
+  in
+  (sub, Array.map leg race.queries)
+
+let run ?(progress = fun _ -> ()) ~specs p =
   let rng = Rng.of_int p.seed in
   progress
     (Printf.sprintf "building %s topology (%d nodes)..."
        (Topology.Model.kind_to_string p.kind)
        p.topo_nodes);
   let model = Topology.Model.build (Rng.split rng) p.kind ~n:p.topo_nodes in
-  let dist = Topology.Model.oracle model in
-  let points = ref [] in
-  List.iter
+  List.concat_map
     (fun n_servers ->
-      let oracle = Chord.Oracle.random (Rng.split rng) ~n:n_servers in
-      let sites =
-        Topology.Model.place_servers (Rng.split rng) model ~count:n_servers
-      in
-      let ring_latency i j =
-        if sites.(i) = sites.(j) then 0.
-        else Topology.Dijkstra.distance dist sites.(i) sites.(j)
-      in
-      let queries =
-        Array.init p.queries (fun _ -> (Rng.int rng n_servers, Id.random rng))
-      in
-      List.iter
+      let race = draw_race rng model ~n_servers ~queries:p.queries in
+      List.map
         (fun spec ->
           progress
             (Printf.sprintf "N=%d substrate=%s: %d queries..." n_servers
                (Koorde.Substrate.label spec)
                p.queries);
-          let sub = Koorde.Substrate.create ~latency:ring_latency oracle spec in
-          let stretches = ref [] in
-          let hops = ref [] in
-          Array.iter
-            (fun (start, key) ->
-              let target = Chord.Oracle.successor_index oracle key in
-              let direct = ring_latency start target in
-              if direct > 0. then begin
-                let path = Koorde.Substrate.route sub ~start ~key in
-                let overlay = Chord.Routing.path_latency ring_latency path in
-                stretches := (overlay /. direct) :: !stretches;
-                hops := float_of_int (List.length path - 1) :: !hops
-              end)
-            queries;
-          let xs = Array.of_list !stretches in
-          points :=
-            {
-              sn_servers = n_servers;
-              spec;
-              sp90 = Stats.percentile 90. xs;
-              sp50 = Stats.percentile 50. xs;
-              smean_hops = Stats.mean (Array.of_list !hops);
-            }
-            :: !points)
-        specs)
-    p.server_counts;
-  List.rev !points
-
-let run ?(progress = fun _ -> ()) p =
-  let rng = Rng.of_int p.seed in
-  progress
-    (Printf.sprintf "building %s topology (%d nodes)..."
-       (Topology.Model.kind_to_string p.kind)
-       p.topo_nodes);
-  let model = Topology.Model.build (Rng.split rng) p.kind ~n:p.topo_nodes in
-  let dist = Topology.Model.oracle model in
-  let points = ref [] in
-  List.iter
-    (fun n_servers ->
-      let oracle = Chord.Oracle.random (Rng.split rng) ~n:n_servers in
-      let sites =
-        Topology.Model.place_servers (Rng.split rng) model ~count:n_servers
-      in
-      let ring_latency i j =
-        if sites.(i) = sites.(j) then 0.
-        else Topology.Dijkstra.distance dist sites.(i) sites.(j)
-      in
-      (* Shared query set across policies for a paired comparison. *)
-      let queries =
-        Array.init p.queries (fun _ ->
-            (Rng.int rng n_servers, Id.random rng))
-      in
-      List.iter
-        (fun policy ->
-          progress
-            (Format.asprintf "N=%d policy=%a: %d queries..." n_servers
-               Chord.Routing.pp_policy policy p.queries);
-          let router =
-            Chord.Routing.create oracle ~latency:ring_latency policy
+          let legs =
+            Array.to_list (snd (route_race race spec))
+            |> List.filter_map (fun (hops, stretch) ->
+                   Option.map (fun s -> (hops, s)) stretch)
           in
-          let stretches = ref [] in
-          let hops = ref [] in
-          Array.iter
-            (fun (start, key) ->
-              let target = Chord.Oracle.successor_index oracle key in
-              let direct = ring_latency start target in
-              if direct > 0. then begin
-                let path = Chord.Routing.route router ~start ~key in
-                let overlay = Chord.Routing.path_latency ring_latency path in
-                stretches := (overlay /. direct) :: !stretches;
-                hops := float_of_int (List.length path - 1) :: !hops
-              end)
-            queries;
-          let xs = Array.of_list !stretches in
-          points :=
-            {
-              n_servers;
-              policy;
-              p90 = Stats.percentile 90. xs;
-              p50 = Stats.percentile 50. xs;
-              mean_hops = Stats.mean (Array.of_list !hops);
-            }
-            :: !points)
-        (policies_for ~replicas:p.replicas ~n_servers))
-    p.server_counts;
-  List.rev !points
+          let xs = Array.of_list (List.map snd legs) in
+          {
+            n_servers;
+            spec;
+            p90 = Stats.percentile 90. xs;
+            p50 = Stats.percentile 50. xs;
+            mean_hops = Stats.mean (Array.of_list (List.map fst legs));
+          })
+        specs)
+    p.server_counts

@@ -7,6 +7,17 @@ let host_pair rng model =
   in
   (a, pick ())
 
+let placed_ring rng model ~n_servers =
+  let oracle = Chord.Oracle.random (Rng.split rng) ~n:n_servers in
+  let sites =
+    Topology.Model.place_servers (Rng.split rng) model ~count:n_servers
+  in
+  let ring_latency i j =
+    if sites.(i) = sites.(j) then 0.
+    else Topology.Model.latency model sites.(i) sites.(j)
+  in
+  (oracle, sites, ring_latency)
+
 let payload rng n = Bytes.to_string (Rng.bytes rng n)
 
 let ids rng n = Array.init n (fun _ -> Id.random rng)

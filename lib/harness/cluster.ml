@@ -212,29 +212,20 @@ let join_arg t i =
     |> List.filter (fun m -> m.index <> i)
     |> List.map (fun m -> m.name))
 
+(* The Chord ring over the given members' node ids (as
+   [Chord.Oracle]), with the members in its index order. *)
+let ring_of members =
+  let ring = Array.of_list members in
+  Array.sort (fun a b -> Id.compare (node_id a) (node_id b)) ring;
+  (Chord.Oracle.create (Array.map node_id ring), ring)
+
 (* Which member owns an identifier once the ring has converged: the
-   Chord successor rule — the member with the smallest node id >= the
-   identifier's routing key, wrapping to the smallest id overall.  The
-   same rule the daemons' protocol state converges to, computed here
-   from names alone. *)
-let owner_index t id =
-  let key = Id.routing_key id in
-  let best = ref None and smallest = ref None in
-  Array.iter
-    (fun m ->
-      let k = node_id m in
-      (match !smallest with
-      | Some (ks, _) when Id.compare k ks >= 0 -> ()
-      | _ -> smallest := Some (k, m.index));
-      if Id.compare k key >= 0 then
-        match !best with
-        | Some (kb, _) when Id.compare kb k <= 0 -> ()
-        | _ -> best := Some (k, m.index))
-    t.members;
-  match (!best, !smallest) with
-  | Some (_, i), _ -> i
-  | None, Some (_, i) -> i
-  | None, None -> 0
+   Chord successor rule the daemons' protocol state converges to,
+   computed here from names alone.  [owner_index t] builds the ring
+   once, so mapping it over many identifiers costs one lookup each. *)
+let owner_index t =
+  let oracle, ring = ring_of (Array.to_list t.members) in
+  fun id -> ring.(Chord.Oracle.responsible oracle id).index
 
 let spawn t i =
   let m = t.members.(i) in
@@ -402,16 +393,10 @@ let converged ?(only = fun _ -> true) t =
       | Some { succs = s :: _; _ } -> s.Chord.Protocol.addr = m.addr
       | None -> false)
   | _ ->
-      let sorted =
-        List.sort (fun a b -> Id.compare (node_id a) (node_id b)) live
-      in
+      let oracle, ring = ring_of live in
       let expected_succ m =
-        let rec next = function
-          | a :: b :: _ when a.index = m.index -> b
-          | _ :: rest -> next rest
-          | [] -> List.hd sorted (* wrap *)
-        in
-        next sorted
+        let i = Chord.Oracle.successor_index oracle (node_id m) in
+        ring.(Chord.Oracle.successor_of oracle i)
       in
       List.for_all
         (fun m ->

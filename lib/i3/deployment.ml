@@ -64,15 +64,10 @@ let attach ~engine ~net ~view ~site ~id ?config ~metrics ~tracer () =
   server
 
 let create ?(seed = 1) ?model ?(uniform_latency_ms = 5.)
-    ?(policy = Chord.Routing.Default) ?substrate ?server_config
+    ?(substrate = Koorde.Substrate.Chord Chord.Routing.Default) ?server_config
     ?(metrics = Obs.Metrics.default) ?(tracer = Obs.Trace.disabled)
     ?(spans = Obs.Trace.disabled) ~n_servers () =
   if n_servers <= 0 then invalid_arg "Deployment.create: need servers";
-  let substrate =
-    match substrate with
-    | Some s -> s
-    | None -> Koorde.Substrate.Chord policy
-  in
   let rng = Rng.of_int seed in
   let engine = Sim.Engine.create () in
   let latency =

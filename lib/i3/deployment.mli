@@ -14,7 +14,6 @@ val create :
   ?seed:int ->
   ?model:Topology.Model.t ->
   ?uniform_latency_ms:float ->
-  ?policy:Chord.Routing.policy ->
   ?substrate:Koorde.Substrate.spec ->
   ?server_config:Server.config ->
   ?metrics:Obs.Metrics.t ->
@@ -34,9 +33,7 @@ val create :
     round-trips as {!Obs.Trace.open_op} operations.
 
     [substrate] selects the lookup substrate the ring routes over
-    ({!Koorde.Substrate.spec}); when omitted it defaults to
-    [Chord policy], so the historical [?policy] parameter keeps
-    working.  When both are given, [substrate] wins. *)
+    ({!Koorde.Substrate.spec}, default Chord's [Default] policy). *)
 
 val engine : t -> Sim.Engine.t
 val net : t -> string Net.t

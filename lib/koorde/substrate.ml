@@ -1,33 +1,3 @@
-module type S = sig
-  type t
-
-  val oracle : t -> Chord.Oracle.t
-  val next_hop : t -> current:int -> key:Id.t -> int option
-  val route : t -> start:int -> key:Id.t -> int list
-  val candidate_count : t -> int -> int
-  val state_bytes : t -> int -> int
-end
-
-module Chord_routing : S with type t = Chord.Routing.t = struct
-  type t = Chord.Routing.t
-
-  let oracle = Chord.Routing.oracle
-  let next_hop = Chord.Routing.next_hop
-  let route = Chord.Routing.route
-  let candidate_count = Chord.Routing.candidate_count
-  let state_bytes = Chord.Routing.state_bytes
-end
-
-module Koorde_routing : S with type t = Routing.t = struct
-  type t = Routing.t
-
-  let oracle = Routing.oracle
-  let next_hop = Routing.next_hop
-  let route = Routing.route
-  let candidate_count = Routing.candidate_count
-  let state_bytes = Routing.state_bytes
-end
-
 type spec = Chord of Chord.Routing.policy | Koorde of { degree : int }
 
 let slug = function
@@ -72,22 +42,29 @@ let bakeoff_specs =
     Koorde { degree = 8 };
   ]
 
-type t = Packed : (module S with type t = 'a) * 'a * spec -> t
+type t = Chord of Chord.Routing.t | Koorde of Routing.t
 
-let create ?latency oracle spec =
+let create ?latency oracle (spec : spec) =
   match spec with
-  | Chord policy ->
-      Packed
-        ( (module Chord_routing),
-          Chord.Routing.create oracle ?latency policy,
-          spec )
-  | Koorde { degree } ->
-      Packed ((module Koorde_routing), Routing.create ~degree oracle, spec)
+  | Chord policy -> Chord (Chord.Routing.create oracle ?latency policy)
+  | Koorde { degree } -> Koorde (Routing.create ~degree oracle)
 
-let spec (Packed (_, _, s)) = s
-let name t = label (spec t)
-let oracle (Packed ((module M), r, _)) = M.oracle r
-let next_hop (Packed ((module M), r, _)) ~current ~key = M.next_hop r ~current ~key
-let route (Packed ((module M), r, _)) ~start ~key = M.route r ~start ~key
-let candidate_count (Packed ((module M), r, _)) node = M.candidate_count r node
-let state_bytes (Packed ((module M), r, _)) node = M.state_bytes r node
+let next_hop t ~current ~key =
+  match t with
+  | Chord r -> Chord.Routing.next_hop r ~current ~key
+  | Koorde r -> Routing.next_hop r ~current ~key
+
+let route t ~start ~key =
+  match t with
+  | Chord r -> Chord.Routing.route r ~start ~key
+  | Koorde r -> Routing.route r ~start ~key
+
+let candidate_count t node =
+  match t with
+  | Chord r -> Chord.Routing.candidate_count r node
+  | Koorde r -> Routing.candidate_count r node
+
+let state_bytes t node =
+  match t with
+  | Chord r -> Chord.Routing.state_bytes r node
+  | Koorde r -> Routing.state_bytes r node

@@ -1,37 +1,12 @@
 (** Pluggable lookup substrates.
 
     The paper's Sec. VII frames i3 as substrate-agnostic — "i3 can use any
-    DHT-style lookup" — and this module makes that literal: {!S} is the
-    lookup contract an overlay substrate must satisfy (one-step
-    [next_hop], transitive [route], plus the observability hooks the
-    bakeoff measures), {!Chord_routing} and {!Koorde_routing} are its two
-    implementations, and {!t} packs either behind a first-class module so
-    [I3.Deployment], the eval harnesses, and [bin/i3_sim] select a
-    substrate by {!spec} instead of hard-coding Chord. *)
-
-module type S = sig
-  type t
-
-  val oracle : t -> Chord.Oracle.t
-
-  val next_hop : t -> current:int -> key:Id.t -> int option
-  (** The ring index the current node forwards toward the key's successor,
-      or [None] if already responsible. *)
-
-  val route : t -> start:int -> key:Id.t -> int list
-  (** Full path from [start] to [Oracle.successor_index key], both
-      inclusive. *)
-
-  val candidate_count : t -> int -> int
-  (** Live next-hop candidates at a node. *)
-
-  val state_bytes : t -> int -> int
-  (** Modeled routing-table footprint of a node, in bytes
-      ({!Chord.Routing.entry_bytes} per slot). *)
-end
-
-module Chord_routing : S with type t = Chord.Routing.t
-module Koorde_routing : S with type t = Routing.t
+    DHT-style lookup" — and this module makes that literal: a {!spec}
+    names a substrate (a Chord routing policy or a Koorde degree), and
+    {!create} builds its router over a static membership, a
+    {!Chord.Routing.t} or a {!Routing.t}.  [I3.Deployment],
+    [Transport.Dynamic], the eval harnesses and [bin/i3_sim] select a
+    substrate by its spec instead of hard-coding Chord. *)
 
 type spec = Chord of Chord.Routing.policy | Koorde of { degree : int }
 
@@ -53,16 +28,24 @@ val bakeoff_specs : spec list
     prefix-PNS, koorde degree 2 and degree 8. *)
 
 type t
+(** A Chord or a Koorde router over one membership. *)
 
 val create : ?latency:(int -> int -> float) -> Chord.Oracle.t -> spec -> t
 (** Instantiate a substrate over a static membership oracle.  [latency] is
     required by the Chord proximity heuristics (same contract as
     {!Chord.Routing.create}). *)
 
-val spec : t -> spec
-val name : t -> string
-val oracle : t -> Chord.Oracle.t
 val next_hop : t -> current:int -> key:Id.t -> int option
+(** The ring index the current node forwards toward the key's successor,
+    or [None] if already responsible. *)
+
 val route : t -> start:int -> key:Id.t -> int list
+(** Full path from [start] to [Oracle.successor_index key], both
+    inclusive. *)
+
 val candidate_count : t -> int -> int
+(** Live next-hop candidates at a node. *)
+
 val state_bytes : t -> int -> int
+(** Modeled routing-table footprint of a node, in bytes
+    ({!Chord.Routing.entry_bytes} per slot). *)

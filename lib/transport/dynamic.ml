@@ -25,7 +25,8 @@ type t = {
   (* Membership epoch: bumped on join/kill/restart so the Koorde router
      below rebuilds its oracle lazily instead of on every packet. *)
   mutable generation : int;
-  mutable koorde_cache : (int * Koorde.Routing.t * I3.Packet.addr array) option;
+  mutable koorde_cache :
+    (int * Chord.Oracle.t * Koorde.Substrate.t * I3.Packet.addr array) option;
 }
 
 let fast_protocol_config =
@@ -102,9 +103,9 @@ let rec arm t m =
    node's) may briefly disagree with protocol-level ownership; packets
    then take an extra hop or are dropped and repaired by soft state,
    exactly as with stale Chord fingers. *)
-let koorde_router t ~degree =
+let koorde_router t spec =
   match t.koorde_cache with
-  | Some (g, r, addrs) when g = t.generation -> Some (r, addrs)
+  | Some (g, oracle, r, addrs) when g = t.generation -> Some (oracle, r, addrs)
   | _ -> (
       match Array.of_list (live_members t) with
       | [||] -> None
@@ -114,9 +115,9 @@ let koorde_router t ~degree =
           Array.sort (fun a b -> Id.compare a.id b.id) live;
           let oracle = Chord.Oracle.create (Array.map (fun m -> m.id) live) in
           let addrs = Array.map addr live in
-          let r = Koorde.Routing.create ~degree oracle in
-          t.koorde_cache <- Some (t.generation, r, addrs);
-          Some (r, addrs))
+          let r = Koorde.Substrate.create oracle spec in
+          t.koorde_cache <- Some (t.generation, oracle, r, addrs);
+          Some (oracle, r, addrs))
 
 (* Over Koorde, forwarding follows de Bruijn hops while ownership — and
    therefore trigger placement — stays with the engine's live Chord
@@ -124,17 +125,18 @@ let koorde_router t ~degree =
    the substrate. *)
 let install_substrate t m =
   match t.substrate with
-  | Some (Koorde.Substrate.Koorde { degree }) ->
+  | Some (Koorde.Substrate.Koorde _ as spec) ->
       let server = server_of m in
       let chord = I3.Server.view server in
       let next_hop id =
-        match koorde_router t ~degree with
-        | Some (r, addrs) -> (
-            match Chord.Oracle.index_of (Koorde.Routing.oracle r) m.id with
+        match koorde_router t spec with
+        | Some (oracle, r, addrs) -> (
+            match Chord.Oracle.index_of oracle m.id with
             | Some current ->
                 Option.map
                   (fun n -> addrs.(n))
-                  (Koorde.Routing.next_hop r ~current ~key:(Id.routing_key id))
+                  (Koorde.Substrate.next_hop r ~current
+                     ~key:(Id.routing_key id))
             (* Not in the live snapshot (e.g. mid-restart): fall back to
                the node's own protocol view. *)
             | None -> chord.next_hop id)

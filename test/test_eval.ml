@@ -63,12 +63,14 @@ let test_fig8_deterministic () =
 (* --- Fig. 9 harness --- *)
 
 let test_fig9_policies_for () =
-  match Eval.Proximity_routing.policies_for ~replicas:10 ~n_servers:1024 with
-  | [ Chord.Routing.Default;
-      Chord.Routing.Closest_finger_replica { replicas = 10 };
-      Chord.Routing.Closest_finger_set { gamma = 11 };
-      Chord.Routing.Prefix_pns { digit_bits = 4; scan = 16 };
-    ] ->
+  match Eval.Proximity_routing.policies_for ~replicas:10 with
+  | Koorde.Substrate.
+      [
+        Chord Chord.Routing.Default;
+        Chord (Chord.Routing.Closest_finger_replica { replicas = 10 });
+        Chord (Chord.Routing.Closest_finger_set { gamma = 11 });
+        Chord (Chord.Routing.Prefix_pns { digit_bits = 4; scan = 16 });
+      ] ->
       ()
   | _ -> Alcotest.fail "unexpected policy set"
 
@@ -82,10 +84,16 @@ let test_fig9_shape () =
       seed = 3;
     }
   in
-  let pts = Eval.Proximity_routing.run p in
+  let pts =
+    Eval.Proximity_routing.run
+      ~specs:(Eval.Proximity_routing.policies_for ~replicas:10)
+      p
+  in
   Alcotest.(check int) "four policies" 4 (List.length pts);
   let p90_of policy =
-    (List.find (fun x -> x.Eval.Proximity_routing.policy = policy) pts)
+    (List.find
+       (fun x -> x.Eval.Proximity_routing.spec = Koorde.Substrate.Chord policy)
+       pts)
       .Eval.Proximity_routing.p90
   in
   let d = p90_of Chord.Routing.Default in
@@ -95,6 +103,42 @@ let test_fig9_shape () =
     (Printf.sprintf "heuristics cut p90 stretch (d=%.1f r=%.1f f=%.1f)" d r f)
     true
     (r < d && f < d)
+
+(* Fig. 9 and the bakeoff draw the same ring, placement and queries from
+   the same seed, so at one server count their stretch columns agree
+   spec for spec: the two experiments are one paired race. *)
+let test_fig9_bakeoff_paired () =
+  let kind = Topology.Model.Transit_stub in
+  let fig9 =
+    Eval.Proximity_routing.run ~specs:Koorde.Substrate.bakeoff_specs
+      {
+        (Eval.Proximity_routing.default_params kind) with
+        Eval.Proximity_routing.topo_nodes = 400;
+        server_counts = [ 256 ];
+        queries = 150;
+        seed = 3;
+      }
+  in
+  let bake =
+    Eval.Bakeoff.run
+      {
+        (Eval.Bakeoff.default_params kind) with
+        Eval.Bakeoff.topo_nodes = 400;
+        n_servers = 256;
+        queries = 150;
+        seed = 3;
+      }
+  in
+  List.iter2
+    (fun f b ->
+      let name = Koorde.Substrate.label b.Eval.Bakeoff.spec in
+      Alcotest.(check string) "same spec" name
+        (Koorde.Substrate.label f.Eval.Proximity_routing.spec);
+      Alcotest.(check (float 0.)) (name ^ " p50") b.Eval.Bakeoff.p50_stretch
+        f.Eval.Proximity_routing.p50;
+      Alcotest.(check (float 0.)) (name ^ " p90") b.Eval.Bakeoff.p90_stretch
+        f.Eval.Proximity_routing.p90)
+    fig9 bake
 
 (* --- microbench harnesses --- *)
 
@@ -208,6 +252,8 @@ let () =
         [
           Alcotest.test_case "policy set" `Quick test_fig9_policies_for;
           Alcotest.test_case "heuristics cut stretch" `Slow test_fig9_shape;
+          Alcotest.test_case "fig9 and bakeoff race the same pairs" `Quick
+            test_fig9_bakeoff_paired;
         ] );
       ( "microbench",
         [
