@@ -484,22 +484,22 @@ let section_observability () =
   let loss = 0.01 in
   let metrics = Obs.Metrics.create () in
   let tracer = Obs.Trace.create ~capacity:(1 lsl 16) () in
-  let d = I3.Deployment.create ~seed:7 ~n_servers ~metrics ~tracer () in
-  Net.apply (I3.Deployment.net d) (Faults.Loss loss);
+  let d = Transport.Deployment.create ~seed:7 ~n_servers ~metrics ~tracer () in
+  Net.apply (Transport.Deployment.net d) (Faults.Loss loss);
   let pairs =
     List.init n_pairs (fun _ ->
-        let recv = I3.Deployment.new_host d () in
-        let send = I3.Deployment.new_host d () in
+        let recv = Transport.Deployment.new_host d () in
+        let send = Transport.Deployment.new_host d () in
         let id = I3.Host.new_private_id recv in
         I3.Host.insert_trigger recv id;
         (send, id))
   in
-  I3.Deployment.run_for d 200.;
+  Transport.Deployment.run_for d 200.;
   for _ = 1 to rounds do
     List.iter (fun (send, id) -> I3.Host.send send id "obs") pairs;
-    I3.Deployment.run_for d 25.
+    Transport.Deployment.run_for d 25.
   done;
-  I3.Deployment.run_for d 2000.;
+  Transport.Deployment.run_for d 2000.;
   let hops_h =
     Obs.Metrics.histogram metrics "bench.route_hops"
       ~buckets:(Obs.Metrics.linear_buckets ~start:0. ~width:1. ~count:17)

@@ -4,24 +4,24 @@
    dune exec examples/multicast_demo.exe *)
 
 let () =
-  let d = I3.Deployment.create ~seed:11 ~n_servers:64 () in
-  let rng = I3.Deployment.rng d in
+  let d = Transport.Deployment.create ~seed:11 ~n_servers:64 () in
+  let rng = Transport.Deployment.rng d in
 
   let member_count = 30 and degree = 3 in
-  let members = Array.init member_count (fun _ -> I3.Deployment.new_host d ()) in
+  let members = Array.init member_count (fun _ -> Transport.Deployment.new_host d ()) in
   let heard = Array.make member_count 0 in
   Array.iteri
     (fun i m -> I3.Host.on_receive m (fun ~stack:_ ~payload:_ -> heard.(i) <- heard.(i) + 1))
     members;
 
-  let coordinator = I3.Deployment.new_host d () in
-  let publisher = I3.Deployment.new_host d () in
+  let coordinator = Transport.Deployment.new_host d () in
+  let publisher = Transport.Deployment.new_host d () in
   let root = I3apps.Multicast.named_group "launch-event" in
   let plan =
     I3apps.Scalable_multicast.plan rng ~root ~members:member_count ~degree
   in
   I3apps.Scalable_multicast.deploy ~coordinator ~members plan;
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
 
   Printf.printf "tree: %d members, degree bound %d, %d internal trigger edges\n"
     member_count degree
@@ -37,7 +37,7 @@ let () =
   for i = 1 to 5 do
     I3apps.Scalable_multicast.send publisher plan (Printf.sprintf "frame-%d" i)
   done;
-  I3.Deployment.run_for d 5_000.;
+  Transport.Deployment.run_for d 5_000.;
 
   let total = Array.fold_left ( + ) 0 heard in
   Printf.printf "delivered %d/%d copies (5 frames x %d members)\n" total
@@ -46,7 +46,7 @@ let () =
   (* Contrast: flat multicast concentrates every copy on one server. *)
   let flat = I3apps.Multicast.create_group rng in
   Array.iter (fun m -> I3apps.Multicast.join m flat) members;
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Printf.printf "flat group: %d triggers on one server; tree: max %d per id\n"
     (I3apps.Multicast.member_count d flat)
     worst

@@ -5,29 +5,29 @@
    of all datagrams. Run with:  dune exec examples/reliable_demo.exe *)
 
 let () =
-  let d = I3.Deployment.create ~seed:77 ~n_servers:16 () in
-  let rng = I3.Deployment.rng d in
+  let d = Transport.Deployment.create ~seed:77 ~n_servers:16 () in
+  let rng = Transport.Deployment.rng d in
 
   let received = ref [] in
-  let recv_host = I3.Deployment.new_host d () in
+  let recv_host = Transport.Deployment.new_host d () in
   let receiver =
     I3apps.Reliable.receiver recv_host (Rng.split rng) ~on_data:(fun m ->
         received := m :: !received)
   in
-  I3.Deployment.run_for d 1_000.;
-  let send_host = I3.Deployment.new_host d () in
+  Transport.Deployment.run_for d 1_000.;
+  let send_host = Transport.Deployment.new_host d () in
   let sender =
     I3apps.Reliable.sender ~window:8 ~rto_ms:400. send_host (Rng.split rng)
       ~dest:(I3apps.Reliable.receiver_id receiver)
   in
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
 
-  Net.apply (I3.Deployment.net d) (Faults.Loss 0.25);
+  Net.apply (Transport.Deployment.net d) (Faults.Loss 0.25);
   print_endline "sending 30 messages across a network dropping 25% of datagrams...";
   for i = 1 to 30 do
     I3apps.Reliable.send sender (Printf.sprintf "message-%02d" i)
   done;
-  I3.Deployment.run_for d 60_000.;
+  Transport.Deployment.run_for d 60_000.;
 
   Printf.printf "delivered: %d/30, in order: %b, retransmissions: %d\n"
     (I3apps.Reliable.received_count receiver)
@@ -35,10 +35,10 @@ let () =
     (I3apps.Reliable.retransmissions sender);
 
   (* the receiver moves mid-flow; the channel keeps going *)
-  Net.apply (I3.Deployment.net d) (Faults.Loss 0.);
+  Net.apply (Transport.Deployment.net d) (Faults.Loss 0.);
   I3.Host.move recv_host ~new_site:0;
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   I3apps.Reliable.send sender "after-the-move";
-  I3.Deployment.run_for d 5_000.;
+  Transport.Deployment.run_for d 5_000.;
   Printf.printf "after receiver mobility: %d/31 delivered\n"
     (I3apps.Reliable.received_count receiver)

@@ -5,13 +5,13 @@
    transcoder. Run with:  dune exec examples/service_composition_demo.exe *)
 
 let () =
-  let d = I3.Deployment.create ~seed:33 ~n_servers:32 () in
-  let rng = I3.Deployment.rng d in
+  let d = Transport.Deployment.create ~seed:33 ~n_servers:32 () in
+  let rng = Transport.Deployment.rng d in
 
   (* --- 1. sender-driven: web server -> HTML/WML gateway -> phone --- *)
-  let gateway_host = I3.Deployment.new_host d () in
-  let phone = I3.Deployment.new_host d () in
-  let web_server = I3.Deployment.new_host d () in
+  let gateway_host = Transport.Deployment.new_host d () in
+  let phone = Transport.Deployment.new_host d () in
+  let web_server = Transport.Deployment.new_host d () in
   let html_to_wml page =
     "<wml>" ^ String.concat "" (String.split_on_char '<' page |> List.filteri (fun i _ -> i = 0))
     ^ "transcoded</wml>"
@@ -25,18 +25,18 @@ let () =
       Printf.printf "phone renders: %s\n" payload);
   let flow = Id.random rng in
   I3.Host.insert_trigger phone flow;
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   I3apps.Service_composition.send_via web_server ~services:[ gateway_id ] ~flow
     "<html>hello wap</html>";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Printf.printf "gateway processed %d page(s)\n\n"
     (I3apps.Service_composition.processed_count gw);
 
   (* --- 2. receiver-driven: heterogeneous multicast (paper Fig. 4b) --- *)
-  let mpeg_player = I3.Deployment.new_host d () in
-  let h263_player = I3.Deployment.new_host d () in
-  let transcoder_host = I3.Deployment.new_host d () in
-  let source = I3.Deployment.new_host d () in
+  let mpeg_player = Transport.Deployment.new_host d () in
+  let h263_player = Transport.Deployment.new_host d () in
+  let transcoder_host = Transport.Deployment.new_host d () in
+  let source = Transport.Deployment.new_host d () in
   I3.Host.on_receive mpeg_player (fun ~stack:_ ~payload ->
       Printf.printf "mpeg_play : %s\n" payload);
   I3.Host.on_receive h263_player (fun ~stack:_ ~payload ->
@@ -53,9 +53,9 @@ let () =
   ignore
     (I3apps.Heterogeneous_multicast.subscribe_via h263_player rng ~group
        ~service:svc);
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   for i = 1 to 3 do
     I3apps.Heterogeneous_multicast.publish source ~group
       (Printf.sprintf "MPEG-frame-%d" i);
-    I3.Deployment.run_for d 1_000.
+    Transport.Deployment.run_for d 1_000.
   done

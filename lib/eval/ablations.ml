@@ -6,24 +6,24 @@ type cache_result = {
 (* Mean number of servers a data packet traverses, counted via the
    servers' data_received counters. *)
 let measure_hops ~seed ~n_servers ~flows ~packets_per_flow ~host_config () =
-  let d = I3.Deployment.create ~seed ~n_servers () in
+  let d = Transport.Deployment.create ~seed ~n_servers () in
   let packets = ref 0 in
   for _ = 1 to flows do
-    let recv = I3.Deployment.new_host d () in
-    let send = I3.Deployment.new_host d ?config:host_config () in
+    let recv = Transport.Deployment.new_host d () in
+    let send = Transport.Deployment.new_host d ?config:host_config () in
     let id = I3.Host.new_private_id recv in
     I3.Host.insert_trigger recv id;
-    I3.Deployment.run_for d 500.;
+    Transport.Deployment.run_for d 500.;
     for k = 1 to packets_per_flow do
       I3.Host.send send id (string_of_int k);
       incr packets;
-      I3.Deployment.run_for d 200.
+      Transport.Deployment.run_for d 200.
     done
   done;
   let received =
     Array.fold_left
       (fun acc s -> acc + (I3.Server.stats s).I3.Server.data_received)
-      0 (I3.Deployment.servers d)
+      0 (Transport.Deployment.servers d)
   in
   float_of_int received /. float_of_int !packets
 
@@ -49,19 +49,21 @@ type replication_result = {
 
 let replication_trial ~seed ~n_servers ~replicate =
   let config = { I3.Server.default_config with I3.Server.replicate } in
-  let d = I3.Deployment.create ~seed ~n_servers ~server_config:config () in
-  let recv = I3.Deployment.new_host d () in
+  let d =
+    Transport.Deployment.create ~seed ~n_servers ~server_config:config ()
+  in
+  let recv = Transport.Deployment.new_host d () in
   let delivered = ref 0 in
   I3.Host.on_receive recv (fun ~stack:_ ~payload:_ -> incr delivered);
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 1_000.;
-  let owner = Chord.Oracle.responsible (I3.Deployment.oracle d) id in
-  I3.Deployment.fail_server d owner;
+  Transport.Deployment.run_for d 1_000.;
+  let owner = Chord.Oracle.responsible (Transport.Deployment.oracle d) id in
+  Transport.Deployment.fail_server d owner;
   (* one packet inside the failure window, before any refresh *)
-  let send = I3.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   I3.Host.send send id "probe";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   !delivered
 
 let replication ?(seed = 1) ?(n_servers = 32) ?(trials = 20) () =
@@ -87,35 +89,21 @@ let constrained_insert_ns ~seed ~check =
   let config =
     { I3.Server.default_config with I3.Server.check_constraints = check }
   in
-  let d = I3.Deployment.create ~seed ~n_servers:1 ~server_config:config () in
-  let server = I3.Deployment.server d 0 in
-  let host = I3.Deployment.new_host d () in
   let rng = Rng.of_int (seed + 5) in
-  let triggers =
-    Array.init 2048 (fun _ ->
-        let target = Id.random rng in
-        let id = Id_constraints.left_constrained ~base:(Id.random rng) ~target in
-        I3.Trigger.make ~id
-          ~stack:[ I3.Packet.Sid target ]
-          ~owner:(I3.Host.addr host))
+  let insert () =
+    let target = Id.random rng in
+    let id = Id_constraints.left_constrained ~base:(Id.random rng) ~target in
+    let trigger =
+      I3.Trigger.make ~id ~stack:[ I3.Packet.Sid target ] ~owner:1
+    in
+    I3.Codec.encode (I3.Message.Insert { trigger; token = None })
   in
-  let cursor = ref 0 in
-  let engine = I3.Deployment.engine d in
-  let iterate () =
-    I3.Server.handle_message server ~src:(I3.Host.addr host)
-      (I3.Message.Insert { trigger = triggers.(!cursor); token = None });
-    cursor := (!cursor + 1) mod Array.length triggers;
-    Engine.run_until engine (Engine.now engine)
-  in
-  for _ = 1 to 2_000 do
-    iterate ()
-  done;
-  let t0 = Unix.gettimeofday () in
-  let reps = 20_000 in
-  for _ = 1 to reps do
-    iterate ()
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int reps
+  fst
+    (Microbench.time_per_iter_ns
+       (Microbench.feed
+          (Microbench.lone_server ~config ())
+          (Array.init 2048 (fun _ -> insert ())))
+       ())
 
 let constraints ?(seed = 1) () =
   {
@@ -132,19 +120,21 @@ let ack_latency ~seed ~challenge =
   let config =
     { I3.Server.default_config with I3.Server.challenge_hosts = challenge }
   in
-  let d = I3.Deployment.create ~seed ~n_servers:1 ~server_config:config () in
+  let d =
+    Transport.Deployment.create ~seed ~n_servers:1 ~server_config:config ()
+  in
   (* put the host one 5 ms hop away from the server so control-path RTTs
      are visible in virtual time *)
-  let host = I3.Deployment.new_host d ~site:1 () in
+  let host = Transport.Deployment.new_host d ~site:1 () in
   let acked_at = ref nan in
-  Net.set_tap (I3.Deployment.net d) (fun ~src:_ ~dst bytes ->
+  Net.set_tap (Transport.Deployment.net d) (fun ~src:_ ~dst bytes ->
       match I3.Codec.decode bytes with
       | Ok (I3.Message.Insert_ack _) when dst = I3.Host.addr host ->
-          if Float.is_nan !acked_at then acked_at := I3.Deployment.now d
+          if Float.is_nan !acked_at then acked_at := Transport.Deployment.now d
       | _ -> ());
-  let t0 = I3.Deployment.now d in
+  let t0 = Transport.Deployment.now d in
   I3.Host.insert_trigger host (Id.random (Rng.of_int (seed + 9)));
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   !acked_at -. t0
 
 let challenges ?(seed = 1) () =

@@ -1,74 +1,69 @@
-type env = { run : unit -> unit; engine : Engine.t }
+type env = unit -> unit
 
-let iter env =
-  env.run ();
-  (* Drain only the events due now (deliveries, acks at zero latency) so the
-     event heap stays flat — the paper's server also completes each send
-     before taking the next packet. *)
-  Engine.run_until env.engine (Engine.now env.engine)
+let iter env = env ()
 
 let batch env n =
   for _ = 1 to n do
     iter env
   done
 
-(* A single-server deployment: every identifier is local, so packet
-   handling exercises decode + match + deliver with no overlay hop. *)
-let single_server_deployment ~seed = I3.Deployment.create ~seed ~n_servers:1 ()
+(* The one server every identifier is local to, as a daemon runs it: a
+   static engine behind a driver whose sends are discarded, so one
+   datagram costs decode, engine step and the encode of each effect. *)
+let lone_server ?config () =
+  let view =
+    {
+      I3.Server.owns = (fun _ -> true);
+      next_hop = (fun _ -> None);
+      successor_addr = (fun () -> None);
+      predecessor_addr = (fun () -> None);
+    }
+  in
+  let metrics = Obs.Metrics.create () in
+  Transport.Driver.create ~metrics ~send:ignore
+    (I3.Engine.create_static ~addr:0 ~id:Id.zero ~view ?config ~metrics ())
+
+let feed driver frames =
+  let cursor = ref 0 in
+  fun () ->
+    Transport.Driver.on_datagram driver ~now:0. ~src:1 frames.(!cursor);
+    cursor := (!cursor + 1) mod Array.length frames
+
+let owner = 1
 
 let forward_env ?(n_triggers = 4096) ~payload ~seed () =
-  let d = single_server_deployment ~seed in
+  let driver = lone_server () in
+  let table =
+    I3.Server.triggers (I3.Engine.server (Transport.Driver.engine driver))
+  in
   let rng = Rng.of_int (seed + 17) in
-  let server = I3.Deployment.server d 0 in
-  let host = I3.Deployment.new_host d () in
   (* Background triggers: the table the paper loads is hash-based, so
      match time is independent of this count — the benchmark can show
      that. *)
-  let now = I3.Deployment.now d in
   for _ = 1 to n_triggers do
-    I3.Trigger_table.insert (I3.Server.triggers server) ~now
-      ~expires:(now +. 1e12)
-      (I3.Trigger.to_host ~id:(Id.random rng) ~owner:(I3.Host.addr host))
+    I3.Trigger_table.insert table ~now:0. ~expires:1e12
+      (I3.Trigger.to_host ~id:(Id.random rng) ~owner)
   done;
   let target = Id.random rng in
-  I3.Trigger_table.insert (I3.Server.triggers server) ~now
-    ~expires:(now +. 1e12)
-    (I3.Trigger.to_host ~id:target ~owner:(I3.Host.addr host));
-  let wire =
-    I3.Packet.encode
-      (I3.Packet.make ~stack:[ I3.Packet.Sid target ]
-         ~payload:(Workload.payload rng payload) ())
-  in
-  let run () =
-    match I3.Packet.decode wire with
-    | Ok p ->
-        I3.Server.handle_packet server p;
-        (* The simulator hands payloads over by reference; a real server
-           re-serializes the packet onto the wire for the IP send, so the
-           benchmark charges one outbound encode per forward — that is
-           where Fig. 10's payload-size dependence lives. *)
-        ignore (I3.Packet.encode p)
-    | Error e -> failwith e
-  in
-  { run; engine = I3.Deployment.engine d }
+  I3.Trigger_table.insert table ~now:0. ~expires:1e12
+    (I3.Trigger.to_host ~id:target ~owner);
+  feed driver
+    [|
+      I3.Packet.encode
+        (I3.Packet.make ~stack:[ I3.Packet.Sid target ]
+           ~payload:(Workload.payload rng payload) ());
+    |]
 
 let insert_env ?(distinct = 4096) ~seed () =
-  let d = single_server_deployment ~seed in
   let rng = Rng.of_int (seed + 23) in
-  let server = I3.Deployment.server d 0 in
-  let host = I3.Deployment.new_host d () in
-  let owner = I3.Host.addr host in
-  let triggers =
-    Array.init distinct (fun _ -> I3.Trigger.to_host ~id:(Id.random rng) ~owner)
-  in
-  let cursor = ref 0 in
-  let run () =
-    let tr = triggers.(!cursor) in
-    cursor := (!cursor + 1) mod distinct;
-    I3.Server.handle_message server ~src:owner
-      (I3.Message.Insert { trigger = tr; token = None })
-  in
-  { run; engine = I3.Deployment.engine d }
+  feed (lone_server ())
+    (Array.init distinct (fun _ ->
+         I3.Codec.encode
+           (I3.Message.Insert
+              {
+                trigger = I3.Trigger.to_host ~id:(Id.random rng) ~owner;
+                token = None;
+              })))
 
 let route_env ~n_nodes ~seed () =
   if n_nodes < 2 then invalid_arg "Microbench.route_env: need >= 2 nodes";
@@ -87,17 +82,14 @@ let route_env ~n_nodes ~seed () =
   let cache = List.init n_nodes peer_of in
   let keys = Array.init 1024 (fun _ -> Id.random rng) in
   let cursor = ref 0 in
-  let engine = Engine.create () in
   let payload = Workload.payload rng 0 in
-  let run () =
+  fun () ->
     let key = keys.(!cursor) in
     cursor := (!cursor + 1) mod Array.length keys;
     let _next = Chord.Finger_table.closest_preceding ft ~extra:cache key in
     ignore
       (I3.Packet.encode
          (I3.Packet.make ~stack:[ I3.Packet.Sid key ] ~payload ()))
-  in
-  { run; engine }
 
 type throughput = {
   payload : int;

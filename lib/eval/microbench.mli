@@ -1,14 +1,15 @@
 (** Harnesses for the prototype measurements of Sec. V-D.
 
     The paper's testbed was a cluster of Pentium III/700 machines on
-    1 Gb/s Ethernet; we substitute direct calls into our server
-    implementation on the build machine (see DESIGN.md).  Each environment
-    isolates exactly the code path the paper timed:
+    1 Gb/s Ethernet; we substitute the server as a daemon runs it, minus
+    the sockets: encoded frames fed through a {!Transport.Driver} into a
+    static {!I3.Engine} on the build machine (see DESIGN.md).  Each
+    environment isolates the code path the paper timed:
 
-    - {b trigger insertion} (avg 12.5 us reported): hash-table lookup +
-      store + ack emission;
+    - {b trigger insertion} (avg 12.5 us reported): [Insert] decode,
+      trie store and the encoded [Insert_ack];
     - {b data packet forwarding} (Fig. 10): wire decode, trigger match and
-      delivery send, as a function of payload size;
+      the encoded [Deliver], as a function of payload size;
     - {b routing} (Fig. 11): next-hop selection over the prototype's
       {e linear-list} finger table (augmented, as in the paper, with a
       cache holding all known servers — hence the linear growth in n);
@@ -17,15 +18,23 @@
 
 type env
 
+val lone_server : ?config:I3.Server.config -> unit -> Transport.Driver.t
+(** One static engine that owns every identifier, behind a driver whose
+    sends are discarded (series in a private registry). *)
+
+val feed : Transport.Driver.t -> string array -> env
+(** Iterations feed the encoded frames to the driver in turn, cycling;
+    each costs its decode, engine step and effect encodes. *)
+
 val forward_env : ?n_triggers:int -> payload:int -> seed:int -> unit -> env
-(** One responsible server pre-loaded with [n_triggers] (default 4096)
-    random triggers plus the target trigger; iterations decode a wire
-    packet of the given payload size and run the Fig. 3 engine to
-    delivery. *)
+(** A {!lone_server} pre-loaded with [n_triggers] (default 4096)
+    random triggers plus the target trigger; iterations feed it one
+    encoded data packet of the given payload size, which it decodes,
+    matches and encodes as a [Deliver]. *)
 
 val insert_env : ?distinct:int -> seed:int -> unit -> env
-(** Iterations handle an [Insert] control message for one of [distinct]
-    (default 4096) pre-built triggers, cycling. *)
+(** Iterations feed a {!lone_server} an encoded [Insert] frame for one
+    of [distinct] (default 4096) pre-built triggers, cycling. *)
 
 val route_env : n_nodes:int -> seed:int -> unit -> env
 (** Iterations pick the next hop for a random key from a linear

@@ -1,9 +1,10 @@
-(* The sans-IO protocol engine: one i3 server fused with one live Chord
-   node behind a pure state-machine API.  All I/O is data — inputs are
-   [event]s stamped with the caller's clock, outputs are [effect]s the
-   caller interprets — so the exact same core runs under the simulated
-   scheduler, over real UDP sockets in [bin/i3d], or inside a
-   deterministic unit test that just pattern-matches the effect list.
+(* The sans-IO protocol engine: one i3 server fused with its ring (a
+   live Chord node, or a static view) behind a pure state-machine API.
+   All I/O is data — inputs are [event]s stamped with the caller's
+   clock, outputs are [effect]s the caller interprets — so the exact
+   same core runs under the simulated scheduler, over real UDP sockets
+   in [bin/i3d], or inside a deterministic unit test that just
+   pattern-matches the effect list.
 
    Internally the engine owns a private [Sim.Engine] wheel: every timer
    the server (soft-state sweeps) or the protocol (stabilize,
@@ -36,14 +37,16 @@ type effect =
     }
   | Set_timer of float
 
+(* A live ring is this node's Chord state; a static one has no Chord
+   node, so Chord frames that reach it are dropped and counted. *)
+type ring = Live of Chord.Protocol.node | Static of Obs.Metrics.counter
+
 type t = {
   wheel : Sim.Engine.t;
   mutable started : bool;  (* has any [step] set the wheel's clock yet? *)
   outbox : effect Queue.t;
-  addr : Packet.addr;
-  id : Id.t;
   server : Server.t;
-  node : Chord.Protocol.node;
+  ring : ring;
   metrics : Obs.Metrics.t;
   tracer : Obs.Trace.t;
   c_events : Obs.Metrics.counter;
@@ -73,6 +76,45 @@ let view_for node =
 
 let batch_buckets = [| 0.; 1.; 2.; 3.; 4.; 6.; 8.; 12.; 16.; 24.; 32.; 64. |]
 
+(* The one body both constructors share. *)
+let make ~wheel ~outbox ~addr ~id ~node ~view ~site ?config ~metrics ?tracer
+    () =
+  let server =
+    Server.create ~engine:wheel ~addr
+      ~emit:(fun ~dst msg ->
+        match msg with
+        | Message.Deliver { stack; payload; trace } ->
+            (* Host-bound payload gets its own effect so drivers can
+               count/route deliveries without decoding. *)
+            Queue.add (Deliver { dst; stack; payload; trace }) outbox
+        | msg -> Queue.add (Send (dst, msg)) outbox)
+      ~view ~site ~id ?config ~metrics ?tracer ()
+  in
+  let labels = [ ("instance", Server.instance_label server) ] in
+  let ring =
+    match node with
+    | Some node -> Live node
+    | None ->
+        Static (Obs.Metrics.counter metrics ~labels "engine.chord_dropped")
+  in
+  {
+    wheel;
+    started = false;
+    outbox;
+    server;
+    ring;
+    metrics;
+    tracer = Option.value ~default:Obs.Trace.disabled tracer;
+    c_events = Obs.Metrics.counter metrics ~labels "engine.events";
+    c_effects = Obs.Metrics.counter metrics ~labels "engine.effects";
+    h_batch =
+      Obs.Metrics.histogram metrics ~labels ~buckets:batch_buckets
+        "engine.effect_batch";
+    g_wheel_depth = Obs.Metrics.gauge metrics ~labels "engine.wheel_depth";
+    g_pending_rpcs = Obs.Metrics.gauge metrics ~labels "engine.pending_rpcs";
+    g_triggers = Obs.Metrics.gauge metrics ~labels "engine.triggers";
+  }
+
 let create ?(seed = 1) ~addr ?id ?(join = []) ?(site = 0) ?config
     ?(chord_config = Chord.Protocol.default_config)
     ?(metrics = Obs.Metrics.default) ?tracer ?spans () =
@@ -92,42 +134,19 @@ let create ?(seed = 1) ~addr ?id ?(join = []) ?(site = 0) ?config
     if join = [] then Chord.Protocol.bootstrap network ~id ~addr ()
     else Chord.Protocol.join network ~id ~addr ~contacts:join ()
   in
-  let server =
-    Server.create ~engine:wheel ~addr
-      ~emit:(fun ~dst msg ->
-        match msg with
-        | Message.Deliver { stack; payload; trace } ->
-            (* Host-bound payload gets its own effect so drivers can
-               count/route deliveries without decoding. *)
-            Queue.add (Deliver { dst; stack; payload; trace }) outbox
-        | msg -> Queue.add (Send (dst, msg)) outbox)
-      ~view:(view_for node) ~site ~id ?config ~metrics ?tracer ()
-  in
-  let labels = [ ("instance", Server.instance_label server) ] in
-  {
-    wheel;
-    started = false;
-    outbox;
-    addr;
-    id;
-    server;
-    node;
-    metrics;
-    tracer = Option.value ~default:Obs.Trace.disabled tracer;
-    c_events = Obs.Metrics.counter metrics ~labels "engine.events";
-    c_effects = Obs.Metrics.counter metrics ~labels "engine.effects";
-    h_batch =
-      Obs.Metrics.histogram metrics ~labels ~buckets:batch_buckets
-        "engine.effect_batch";
-    g_wheel_depth = Obs.Metrics.gauge metrics ~labels "engine.wheel_depth";
-    g_pending_rpcs = Obs.Metrics.gauge metrics ~labels "engine.pending_rpcs";
-    g_triggers = Obs.Metrics.gauge metrics ~labels "engine.triggers";
-  }
+  make ~wheel ~outbox ~addr ~id ~node:(Some node) ~view:(view_for node) ~site
+    ?config ~metrics ?tracer ()
 
-let addr t = t.addr
-let id t = t.id
+let create_static ~addr ~id ~view ?(site = 0) ?config
+    ?(metrics = Obs.Metrics.default) ?tracer () =
+  make ~wheel:(Sim.Engine.create ()) ~outbox:(Queue.create ()) ~addr ~id
+    ~node:None ~view ~site ?config ~metrics ?tracer ()
+
+let addr t = Server.addr t.server
+let id t = Server.id t.server
 let server t = t.server
-let chord t = t.node
+let chord t =
+  match t.ring with Live node -> node | Static _ -> invalid_arg "Engine.chord"
 let now t = Sim.Engine.now t.wheel
 let next_due t = Sim.Engine.next_due t.wheel
 
@@ -160,7 +179,9 @@ let encode_effect = function
 let refresh_introspection t =
   Obs.Metrics.set t.g_wheel_depth (float_of_int (Sim.Engine.pending t.wheel));
   Obs.Metrics.set t.g_pending_rpcs
-    (float_of_int (Chord.Protocol.pending_rpcs t.node));
+    (match t.ring with
+    | Live node -> float_of_int (Chord.Protocol.pending_rpcs node)
+    | Static _ -> 0.);
   Obs.Metrics.set t.g_triggers
     (float_of_int (Trigger_table.size (Server.triggers t.server)))
 
@@ -189,7 +210,7 @@ let handle_stats t ~src ~nonce ~prefix ~drain =
     if drain then take L.max_trace_drain (Obs.Trace.drain t.tracer) else []
   in
   Queue.add
-    (Send (src, Message.Stats_response { nonce; server = t.addr; samples; events }))
+    (Send (src, Message.Stats_response { nonce; server = addr t; samples; events }))
     t.outbox
 
 let rec dispatch t = function
@@ -199,12 +220,15 @@ let rec dispatch t = function
     ->
       handle_stats t ~src ~nonce ~prefix ~drain
   | Frame { src; frame = I3 msg } -> Server.handle_message t.server ~src msg
-  | Frame { src; frame = Chord msg } -> Chord.Protocol.handle t.node ~src msg
+  | Frame { src; frame = Chord msg } -> (
+      match t.ring with
+      | Live node -> Chord.Protocol.handle node ~src msg
+      | Static dropped -> Obs.Metrics.incr dropped)
   | Insert_trigger trigger ->
-      Server.handle_message t.server ~src:t.addr
+      Server.handle_message t.server ~src:(addr t)
         (Message.Insert { trigger; token = None })
   | Remove_trigger trigger ->
-      Server.handle_message t.server ~src:t.addr (Message.Remove { trigger })
+      Server.handle_message t.server ~src:(addr t) (Message.Remove { trigger })
   | Send_packet p -> Server.handle_packet t.server p
 
 (* [engine.events] counts protocol work, so a batch counts its leaves —

@@ -1,6 +1,6 @@
 (** The sans-IO i3 node: one forwarding server ({!Server}) fused with
-    one live Chord node ({!Chord.Protocol}) behind a pure
-    state-machine API.
+    its ring — one live Chord node ({!Chord.Protocol}, {!create}) or a
+    static view ({!create_static}) — behind a pure state-machine API.
 
     The engine performs no I/O and reads no clock.  Its whole surface
     is [step t ~now event -> effect list]: the caller stamps each input
@@ -9,11 +9,11 @@
     returned effects against whatever transport it owns.  One driver
     ships with the repo, [Transport.Driver], and it pumps any
     [Transport.S]: the UDP daemon [bin/i3d] and every simulated member
-    of [Transport.Dynamic] run it alike.  Stepping an engine directly
-    and through the driver gives identical effect traces for identical
-    inputs ([test/test_engine.ml] pins this on a three-engine ring),
-    which is the point: protocol behaviour is decided here, delivery is
-    decided by the driver.
+    of [Transport.Dynamic] and [Transport.Deployment] run it alike.
+    Stepping an engine directly and through the driver gives identical
+    effect traces for identical inputs ([test/test_engine.ml] pins this
+    on a three-engine ring), which is the point: protocol behaviour is
+    decided here, delivery is decided by the driver.
 
     Internally the engine owns a private {!Sim.Engine} wheel carrying
     every timer the composed protocols need (soft-state sweeps,
@@ -112,6 +112,21 @@ val create :
     [tracer]'s ring (which are consumed: each one crosses the wire
     exactly once). *)
 
+val create_static :
+  addr:Packet.addr ->
+  id:Id.t ->
+  view:Server.ring_view ->
+  ?site:int ->
+  ?config:Server.config ->
+  ?metrics:Obs.Metrics.t ->
+  ?tracer:Obs.Trace.t ->
+  unit ->
+  t
+(** A node on a static ring: its server routes and claims ownership by
+    [view] alone.  It draws no seed and runs no Chord node, timer or
+    frame; a Chord frame that reaches it is dropped and counted in
+    [engine.chord_dropped], and [engine.pending_rpcs] reads 0. *)
+
 val addr : t -> Packet.addr
 val id : t -> Id.t
 
@@ -119,7 +134,8 @@ val server : t -> Server.t
 (** The embedded forwarding server (trigger tables, stats). *)
 
 val chord : t -> Chord.Protocol.node
-(** The embedded Chord node (successor/predecessor, ring state). *)
+(** The embedded Chord node (successor/predecessor, ring state).
+    @raise Invalid_argument on a {!create_static} engine. *)
 
 val now : t -> float
 (** The engine's clock: the largest [now] any {!step} has seen. *)

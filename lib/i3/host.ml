@@ -63,12 +63,24 @@ and apply t = function
             end)
       end
 
+(* A receive handler that drops and counts what does not decode. *)
+let receiver net handle =
+  let errors =
+    Obs.Metrics.counter (Net.metrics net)
+      ~labels:[ ("instance", Net.label net); ("proto", "i3") ]
+      "wire.decode_errors"
+  in
+  fun ~src:_ bytes ->
+    match Codec.decode bytes with
+    | Ok msg -> handle msg
+    | Error _ -> Obs.Metrics.incr errors
+
 let create ~engine ~net ~rng ~site ~gateways ?(config = default_config)
     ?(tracer = Obs.Trace.disabled) ?spans () =
   let self = ref None in
   let addr =
     Net.register net ~site
-      (Telemetry.receiver net (fun ~src:_ msg ->
+      (receiver net (fun msg ->
            Option.iter (fun t -> step t (Endhost.Frame msg)) !self))
   in
   let machine =
@@ -132,7 +144,7 @@ let move t ~new_site =
   let old_addr = addr t in
   let new_addr =
     Net.register t.net ~site:new_site
-      (Telemetry.receiver t.net (fun ~src:_ msg -> step t (Endhost.Frame msg)))
+      (receiver t.net (fun msg -> step t (Endhost.Frame msg)))
   in
   Net.set_down t.net old_addr;
   t.site <- new_site;

@@ -33,7 +33,8 @@ val create :
   t
 (** Attach a host at a topology site. @raise Invalid_argument with no
     gateways.  A datagram that does not decode is dropped and counted
-    in the net's [wire.decode_errors] ({!Telemetry.receiver}).  With a
+    in the net's [wire.decode_errors] (labels: the net's [instance],
+    [proto="i3"]).  With a
     [tracer] every sent packet gets a trace id (subject to sampling)
     and every delivery records the terminal [Deliver] event; [spans]
     gets the control-plane operations {!Endhost.create} describes. *)

@@ -96,9 +96,8 @@ type ring_view = {
 (* All I/O is injected: the server never touches a network directly.
    [emit] carries every outbound message and inbound traffic arrives
    through [handle_message].  This is what keeps the Fig. 3 engine
-   sans-IO: the same code runs under [I3.Engine] effects, over a
-   simulated net the owner wires up, or under a direct
-   microbenchmark. *)
+   sans-IO: [I3.Engine] turns the sends into effects, and the same
+   engine runs in [bin/i3d] and in both simulated substrates. *)
 type t = {
   engine : Sim.Engine.t;
   emit : dst:Packet.addr -> Message.t -> unit;
@@ -439,8 +438,7 @@ let set_view t view = t.view <- view
 
 let kill t =
   t.alive <- false;
-  (* On a shared scheduler (as in [Deployment]) a dead server must not
-     leave its sweep behind. *)
+  (* A dead server must not leave its sweep behind on its wheel. *)
   Sim.Engine.cancel t.sweeper;
   (* A dead process exports nothing: deregister this instance's samples
      so snapshots and the health monitor don't read ghost values frozen

@@ -68,9 +68,10 @@ type ring_view = {
   predecessor_addr : unit -> Packet.addr option;
       (** ring predecessor (hot-spot push target, Sec. IV-F) *)
 }
-(** How a server sees the ring.  {!Deployment} derives it from the static
-    oracle; {!Engine} derives it from its live {!Chord.Protocol} node, so
-    the very same forwarding engine runs over either substrate. *)
+(** How a server sees the ring.  {!Engine.create} derives it from its
+    live {!Chord.Protocol} node; {!Engine.create_static} takes it from
+    its owner ([Transport.Deployment] builds it over the static oracle),
+    so the very same forwarding engine runs over either substrate. *)
 
 type t
 
@@ -88,8 +89,9 @@ val create :
   t
 (** A server whose I/O is injected: every outbound message goes through
     [emit] and inbound traffic arrives via {!handle_message} — the
-    sans-IO face {!Engine} composes with a Chord node, and
-    {!Deployment} wires straight to its simulated net.  [addr] is the
+    sans-IO face {!Engine} composes with its ring.  Only {!Engine}
+    creates servers; everything else runs one as an engine behind
+    [Transport.Driver].  [addr] is the
     server's externally visible address (it is embedded in
     [Insert_ack]/[Pong] frames, so it must be the address peers can
     actually reach — for UDP, the packed [ip:port]).  [engine] supplies
@@ -132,12 +134,9 @@ val kill : t -> unit
 val is_alive : t -> bool
 
 val handle_packet : t -> Packet.t -> unit
-(** Process a data packet as if received from the network (also the
-    microbenchmark entry point; normal traffic arrives via the endpoint
-    handler). *)
+(** Process a data packet as if received from the network ({!Engine}'s
+    [Send_packet]); its sends leave through [emit]. *)
 
 val handle_message : t -> src:Packet.addr -> Message.t -> unit
 (** Full message entry point (control + data) — the server's receive
-    path; exposed for direct-call microbenchmarks of e.g. trigger
-    insertion (paper Sec. V-D measures "handling an insert trigger request
-    locally"). *)
+    path, which {!Engine} feeds with decoded frames. *)

@@ -21,11 +21,11 @@ let chain_ids t = t.ids
 
 let exit_server_only_knows_addr deployment t =
   let points_to_addr id =
-    let server = I3.Deployment.responsible_server deployment id in
+    let server = Transport.Deployment.responsible_server deployment id in
     List.exists I3.Trigger.points_to_host
       (I3.Trigger_table.find_matches
          (I3.Server.triggers server)
-         ~now:(I3.Deployment.now deployment)
+         ~now:(Transport.Deployment.now deployment)
          id)
   in
   let rec check = function

@@ -22,7 +22,7 @@ val chain_ids : shield -> Id.t list
 (** Entry to exit, for inspection/tests. *)
 
 val exit_server_only_knows_addr :
-  I3.Deployment.t -> shield -> bool
+  Transport.Deployment.t -> shield -> bool
 (** Diagnostic used by tests: true iff among all chain identifiers, only
     the last one's responsible server stores a trigger pointing at an
     address. *)

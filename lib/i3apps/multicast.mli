@@ -21,5 +21,5 @@ val leave : I3.Host.t -> group -> unit
 val send : I3.Host.t -> group -> string -> unit
 (** Identical to a unicast send — the infrastructure fans out. *)
 
-val member_count : I3.Deployment.t -> group -> int
+val member_count : Transport.Deployment.t -> group -> int
 (** Triggers currently stored for the group id (test/monitoring helper). *)

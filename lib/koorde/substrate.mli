@@ -4,7 +4,7 @@
     DHT-style lookup" — and this module makes that literal: a {!spec}
     names a substrate (a Chord routing policy or a Koorde degree), and
     {!create} builds its router over a static membership, a
-    {!Chord.Routing.t} or a {!Routing.t}.  [I3.Deployment],
+    {!Chord.Routing.t} or a {!Routing.t}.  [Transport.Deployment],
     [Transport.Dynamic], the eval harnesses and [bin/i3_sim] select a
     substrate by its spec instead of hard-coding Chord. *)
 

@@ -1,15 +1,16 @@
 (** A fully decentralized i3 deployment in simulation.  Every member
-    runs as [bin/i3d] does: one {!I3.Engine} behind one {!Driver}, on
-    one [Sim] endpoint of a byte net that carries its i3 and Chord
+    runs as [bin/i3d] does: one live {!I3.Engine} behind one {!Driver},
+    on one [Sim] endpoint of a byte net that carries its i3 and Chord
     frames alike; each driver's next deadline is one pending scheduler
-    event.  Hosts ({!I3.Host}) speak the same bytes, so every hop
-    crosses the real wire format, and an undecodable frame counts in
-    [wire.decode_errors].  Members join and restart by address,
-    exactly as a daemon does with [--join]; nobody consults a global
-    oracle.  This is the architecture of the paper's prototype
-    (Sec. V-C: "the control protocol used to maintain the overlay
-    network is fully asynchronous and is implemented on top of UDP")
-    and the self-organization story of Secs. IV-C/D/H:
+    event ({!Deployment} builds its static members from the same core).
+    Hosts ({!I3.Host}) speak the same bytes, so every hop crosses the
+    real wire format, and an undecodable frame counts in
+    [wire.decode_errors].  Members join and restart by address, exactly
+    as a daemon does with [--join]; nobody consults a global oracle.
+    This is the architecture of the paper's prototype (Sec. V-C: "the
+    control protocol used to maintain the overlay network is fully
+    asynchronous and is implemented on top of UDP") and the
+    self-organization story of Secs. IV-C/D/H:
 
     - a new server joins through any existing one and, within a few
       stabilization rounds, owns an arc and starts accumulating triggers
@@ -24,7 +25,6 @@ type t
 
 val create :
   ?seed:int ->
-  ?uniform_latency_ms:float ->
   ?server_config:I3.Server.config ->
   ?protocol_config:Chord.Protocol.config ->
   ?metrics:Obs.Metrics.t ->
@@ -33,7 +33,8 @@ val create :
   ?substrate:Koorde.Substrate.spec ->
   unit ->
   t
-(** An empty deployment. The default protocol config is sped up
+(** An empty deployment.  Endpoints on one site talk at 0 ms, distinct
+    sites at 5 ms.  The default protocol config is sped up
     (2 s stabilization) so tests converge in little virtual time; pass
     [Chord.Protocol.default_config] for the paper's 30 s periods.
     Counters — including the control ring's — register in [metrics]

@@ -3,6 +3,7 @@ module Faulty = Faulty
 module Client = Client
 module Driver = Driver
 module Dynamic = Dynamic
+module Deployment = Deployment
 
 module type S = sig
   type t

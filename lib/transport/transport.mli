@@ -5,7 +5,8 @@
     [Chord.Codec], [I3.Packet]) turn protocol values into the bytes that
     cross it, and {!Driver} is the one interpreter of an [I3.Engine]'s
     effects over any of them: [bin/i3d] runs it over real UDP sockets,
-    and every {!Dynamic} member runs it over a {!Sim} endpoint. *)
+    and every {!Dynamic} and {!Deployment} member over a {!Sim}
+    endpoint. *)
 
 module Udp = Udp
 (** IPv4 UDP datagrams over [Unix] sockets. *)
@@ -25,6 +26,9 @@ module Dynamic = Dynamic
 (** A decentralized i3 deployment in simulation: members join by
     address, each one engine behind one {!Driver} on a {!Sim}
     endpoint. *)
+
+module Deployment = Deployment
+(** The paper's static-ring simulator: {!Dynamic}'s members, static. *)
 
 module type S = sig
   type t

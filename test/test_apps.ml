@@ -9,7 +9,7 @@ let qtest ?(count = 100) name gen prop =
 (* Private registry per deployment: parallel test binaries must not
    share Obs.Metrics.default. *)
 let deployment ?(seed = 101) ?(n_servers = 16) () =
-  I3.Deployment.create ~metrics:(Obs.Metrics.create ()) ~seed ~n_servers ()
+  Transport.Deployment.create ~metrics:(Obs.Metrics.create ()) ~seed ~n_servers ()
 
 let collect host =
   let log = ref [] in
@@ -20,15 +20,15 @@ let collect host =
 
 let test_multicast_fanout () =
   let d = deployment () in
-  let members = List.init 5 (fun _ -> I3.Deployment.new_host d ()) in
+  let members = List.init 5 (fun _ -> Transport.Deployment.new_host d ()) in
   let logs = List.map collect members in
-  let sender = I3.Deployment.new_host d () in
-  let g = I3apps.Multicast.create_group (I3.Deployment.rng d) in
+  let sender = Transport.Deployment.new_host d () in
+  let g = I3apps.Multicast.create_group (Transport.Deployment.rng d) in
   List.iter (fun m -> I3apps.Multicast.join m g) members;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "member count" 5 (I3apps.Multicast.member_count d g);
   I3apps.Multicast.send sender g "blast";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   List.iter
     (fun log -> Alcotest.(check (list string)) "each member got it" [ "blast" ] (log ()))
     logs
@@ -37,34 +37,34 @@ let test_multicast_unicast_switch () =
   (* The paper's on-the-fly unicast -> multicast switch: the sender keeps
      using the same identifier while a second party joins. *)
   let d = deployment ~seed:102 () in
-  let a = I3.Deployment.new_host d () in
-  let b = I3.Deployment.new_host d () in
+  let a = Transport.Deployment.new_host d () in
+  let b = Transport.Deployment.new_host d () in
   let got_a = collect a and got_b = collect b in
-  let sender = I3.Deployment.new_host d () in
+  let sender = Transport.Deployment.new_host d () in
   let g = I3apps.Multicast.named_group "phone-call-42" in
   I3apps.Multicast.join a g;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Multicast.send sender g "one-party";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Multicast.join b g;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Multicast.send sender g "two-party";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "a heard both" [ "one-party"; "two-party" ] (got_a ());
   Alcotest.(check (list string)) "b heard the second" [ "two-party" ] (got_b ())
 
 let test_multicast_leave () =
   let d = deployment ~seed:103 () in
-  let m = I3.Deployment.new_host d () in
+  let m = Transport.Deployment.new_host d () in
   let got = collect m in
-  let sender = I3.Deployment.new_host d () in
-  let g = I3apps.Multicast.create_group (I3.Deployment.rng d) in
+  let sender = Transport.Deployment.new_host d () in
+  let g = I3apps.Multicast.create_group (Transport.Deployment.rng d) in
   I3apps.Multicast.join m g;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Multicast.leave m g;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Multicast.send sender g "late";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "nothing after leave" [] (got ())
 
 (* --- Scalable multicast --- *)
@@ -90,15 +90,15 @@ let test_smc_plan_rejects_degree_one () =
 
 let test_smc_end_to_end () =
   let d = deployment ~seed:104 ~n_servers:32 () in
-  let members = Array.init 20 (fun _ -> I3.Deployment.new_host d ()) in
+  let members = Array.init 20 (fun _ -> Transport.Deployment.new_host d ()) in
   let logs = Array.map collect members in
-  let coordinator = I3.Deployment.new_host d () in
-  let sender = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let coordinator = Transport.Deployment.new_host d () in
+  let sender = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let root = Id.random rng in
   let p = I3apps.Scalable_multicast.plan rng ~root ~members:20 ~degree:3 in
   I3apps.Scalable_multicast.deploy ~coordinator ~members p;
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   (* the bound holds on the deployed trigger tables too *)
   Array.iter
     (fun s ->
@@ -110,9 +110,9 @@ let test_smc_end_to_end () =
       Hashtbl.iter
         (fun _ n -> Alcotest.(check bool) "fanout <= 3" true (n <= 3))
         per_id)
-    (I3.Deployment.servers d);
+    (Transport.Deployment.servers d);
   I3apps.Scalable_multicast.send sender p "tree";
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   Array.iter
     (fun log -> Alcotest.(check (list string)) "every member reached" [ "tree" ] (log ()))
     logs
@@ -131,17 +131,17 @@ let test_smc_small_group_direct () =
 
 let test_anycast_exactly_one () =
   let d = deployment ~seed:105 () in
-  let members = List.init 4 (fun _ -> I3.Deployment.new_host d ()) in
+  let members = List.init 4 (fun _ -> Transport.Deployment.new_host d ()) in
   let logs = List.map collect members in
-  let sender = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let sender = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let g = I3apps.Anycast.create_group rng in
   List.iter (fun m -> ignore (I3apps.Anycast.join m rng ~group:g ())) members;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   for _ = 1 to 10 do
     I3apps.Anycast.send sender rng ~group:g "pick-one"
   done;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   let total = List.fold_left (fun acc log -> acc + List.length (log ())) 0 logs in
   Alcotest.(check int) "each packet delivered exactly once" 10 total
 
@@ -155,17 +155,17 @@ let test_anycast_ids_share_prefix =
 
 let test_anycast_preference_selects () =
   let d = deployment ~seed:106 () in
-  let near = I3.Deployment.new_host d () in
-  let far = I3.Deployment.new_host d () in
+  let near = Transport.Deployment.new_host d () in
+  let far = Transport.Deployment.new_host d () in
   let got_near = collect near and got_far = collect far in
-  let sender = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let sender = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let g = I3apps.Anycast.create_group rng in
   ignore (I3apps.Anycast.join near rng ~group:g ~preference:"AAAA" ());
   ignore (I3apps.Anycast.join far rng ~group:g ~preference:"ZZZZ" ());
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Anycast.send sender rng ~group:g ~preference:"AAAA" "to-near";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "preferred member wins" [ "to-near" ] (got_near ());
   Alcotest.(check (list string)) "other silent" [] (got_far ())
 
@@ -173,19 +173,19 @@ let test_anycast_preference_selects () =
 
 let test_selection_weighted_load () =
   let d = deployment ~seed:107 ~n_servers:8 () in
-  let big = I3.Deployment.new_host d () in
-  let small = I3.Deployment.new_host d () in
+  let big = Transport.Deployment.new_host d () in
+  let small = Transport.Deployment.new_host d () in
   let got_big = collect big and got_small = collect small in
-  let client = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let client = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let g = I3apps.Anycast.create_group rng in
   ignore (I3apps.Server_selection.join_weighted big rng ~group:g ~capacity:9);
   ignore (I3apps.Server_selection.join_weighted small rng ~group:g ~capacity:1);
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   for _ = 1 to 200 do
     I3apps.Server_selection.request_any client rng ~group:g "req"
   done;
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   let nb = List.length (got_big ()) and ns = List.length (got_small ()) in
   Alcotest.(check int) "every request served once" 200 (nb + ns);
   Alcotest.(check bool)
@@ -195,36 +195,36 @@ let test_selection_weighted_load () =
 
 let test_selection_set_capacity () =
   let d = deployment ~seed:108 ~n_servers:8 () in
-  let m = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let m = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let g = I3apps.Anycast.create_group rng in
   let member = I3apps.Server_selection.join_weighted m rng ~group:g ~capacity:4 in
-  I3.Deployment.run_for d 500.;
-  Alcotest.(check int) "four triggers" 4 (I3.Deployment.total_triggers d);
+  Transport.Deployment.run_for d 500.;
+  Alcotest.(check int) "four triggers" 4 (Transport.Deployment.total_triggers d);
   I3apps.Server_selection.set_capacity member rng ~group:g 1;
-  I3.Deployment.run_for d 500.;
-  Alcotest.(check int) "shrunk to one" 1 (I3.Deployment.total_triggers d);
+  Transport.Deployment.run_for d 500.;
+  Alcotest.(check int) "shrunk to one" 1 (Transport.Deployment.total_triggers d);
   I3apps.Server_selection.set_capacity member rng ~group:g 6;
-  I3.Deployment.run_for d 500.;
-  Alcotest.(check int) "grown to six" 6 (I3.Deployment.total_triggers d);
+  Transport.Deployment.run_for d 500.;
+  Alcotest.(check int) "grown to six" 6 (Transport.Deployment.total_triggers d);
   I3apps.Server_selection.leave member;
-  I3.Deployment.run_for d 500.;
-  Alcotest.(check int) "gone" 0 (I3.Deployment.total_triggers d)
+  Transport.Deployment.run_for d 500.;
+  Alcotest.(check int) "gone" 0 (Transport.Deployment.total_triggers d)
 
 let test_selection_locality () =
   let d = deployment ~seed:109 ~n_servers:8 () in
-  let berkeley = I3.Deployment.new_host d () in
-  let london = I3.Deployment.new_host d () in
+  let berkeley = Transport.Deployment.new_host d () in
+  let london = Transport.Deployment.new_host d () in
   let got_b = collect berkeley and got_l = collect london in
-  let client = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let client = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let g = I3apps.Anycast.create_group rng in
   ignore (I3apps.Server_selection.join_near berkeley rng ~group:g ~zip:"94720");
   ignore (I3apps.Server_selection.join_near london rng ~group:g ~zip:"EC1A1");
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Server_selection.request_near client rng ~group:g ~zip:"94720" "west";
   I3apps.Server_selection.request_near client rng ~group:g ~zip:"EC1A1" "east";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "berkeley serves berkeley" [ "west" ] (got_b ());
   Alcotest.(check (list string)) "london serves london" [ "east" ] (got_l ())
 
@@ -232,11 +232,11 @@ let test_selection_locality () =
 
 let test_composition_single_service () =
   let d = deployment ~seed:110 () in
-  let transcoder = I3.Deployment.new_host d () in
-  let recv = I3.Deployment.new_host d () in
-  let sender = I3.Deployment.new_host d () in
+  let transcoder = Transport.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let sender = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let rng = I3.Deployment.rng d in
+  let rng = Transport.Deployment.rng d in
   let svc_id = Id.random rng in
   let svc =
     I3apps.Service_composition.attach transcoder ~service_id:svc_id
@@ -244,21 +244,21 @@ let test_composition_single_service () =
   in
   let flow = Id.random rng in
   I3.Host.insert_trigger recv flow;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Service_composition.send_via sender ~services:[ svc_id ] ~flow "html";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "transcoded" [ "HTML" ] (got ());
   Alcotest.(check int) "service processed one" 1
     (I3apps.Service_composition.processed_count svc)
 
 let test_composition_two_services_in_order () =
   let d = deployment ~seed:111 () in
-  let s1 = I3.Deployment.new_host d () in
-  let s2 = I3.Deployment.new_host d () in
-  let recv = I3.Deployment.new_host d () in
-  let sender = I3.Deployment.new_host d () in
+  let s1 = Transport.Deployment.new_host d () in
+  let s2 = Transport.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let sender = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let rng = I3.Deployment.rng d in
+  let rng = Transport.Deployment.rng d in
   let id1 = Id.random rng and id2 = Id.random rng and flow = Id.random rng in
   let _ =
     I3apps.Service_composition.attach s1 ~service_id:id1 ~transform:(fun s ->
@@ -269,14 +269,14 @@ let test_composition_two_services_in_order () =
         s ^ "+second")
   in
   I3.Host.insert_trigger recv flow;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Service_composition.send_via sender ~services:[ id1; id2 ] ~flow "x";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "order preserved" [ "x+first+second" ] (got ())
 
 let test_composition_stack_limit () =
   let d = deployment ~seed:112 () in
-  let sender = I3.Deployment.new_host d () in
+  let sender = Transport.Deployment.new_host d () in
   let r = Rng.create 1L in
   let ids = List.init 4 (fun _ -> Id.random r) in
   Alcotest.check_raises "too many services"
@@ -289,12 +289,12 @@ let test_composition_stack_limit () =
 
 let test_heterogeneous_multicast () =
   let d = deployment ~seed:113 ~n_servers:32 () in
-  let mpeg_recv = I3.Deployment.new_host d () in
-  let h263_recv = I3.Deployment.new_host d () in
-  let transcoder = I3.Deployment.new_host d () in
-  let sender = I3.Deployment.new_host d () in
+  let mpeg_recv = Transport.Deployment.new_host d () in
+  let h263_recv = Transport.Deployment.new_host d () in
+  let transcoder = Transport.Deployment.new_host d () in
+  let sender = Transport.Deployment.new_host d () in
   let got_mpeg = collect mpeg_recv and got_h263 = collect h263_recv in
-  let rng = I3.Deployment.rng d in
+  let rng = Transport.Deployment.rng d in
   let group = Id.random rng in
   let svc = Id.random rng in
   let _ =
@@ -306,9 +306,9 @@ let test_heterogeneous_multicast () =
     I3apps.Heterogeneous_multicast.subscribe_via h263_recv rng ~group
       ~service:svc
   in
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Heterogeneous_multicast.publish sender ~group "mpeg-frame";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "native gets raw" [ "mpeg-frame" ] (got_mpeg ());
   Alcotest.(check (list string)) "other gets transcoded"
     [ "h263(mpeg-frame)" ]
@@ -318,9 +318,9 @@ let test_heterogeneous_multicast () =
 
 let test_session_handshake_and_duplex () =
   let d = deployment ~seed:114 () in
-  let server_host = I3.Deployment.new_host d () in
-  let client_host = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let server_host = Transport.Deployment.new_host d () in
+  let client_host = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let smgr = I3apps.Session.manager server_host (Rng.split rng) in
   let cmgr = I3apps.Session.manager client_host (Rng.split rng) in
   let public = Id.name_hash "www.example.com" in
@@ -329,14 +329,14 @@ let test_session_handshake_and_duplex () =
       I3apps.Session.on_data s (fun m ->
           server_log := m :: !server_log;
           I3apps.Session.send s ("echo:" ^ m)));
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   let client_log = ref [] in
   let session = ref None in
   I3apps.Session.connect cmgr ~public ~on_ready:(fun s ->
       session := Some s;
       I3apps.Session.on_data s (fun m -> client_log := m :: !client_log);
       I3apps.Session.send s "hi");
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   (match !session with
   | Some s -> Alcotest.(check bool) "established" true (I3apps.Session.is_established s)
   | None -> Alcotest.fail "no session");
@@ -345,9 +345,9 @@ let test_session_handshake_and_duplex () =
 
 let test_session_survives_mobility () =
   let d = deployment ~seed:115 () in
-  let server_host = I3.Deployment.new_host d () in
-  let client_host = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let server_host = Transport.Deployment.new_host d () in
+  let client_host = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let smgr = I3apps.Session.manager server_host (Rng.split rng) in
   let cmgr = I3apps.Session.manager client_host (Rng.split rng) in
   let public = Id.name_hash "mobile.example.com" in
@@ -356,25 +356,25 @@ let test_session_survives_mobility () =
       I3apps.Session.on_data s (fun m -> server_log := m :: !server_log));
   let session = ref None in
   I3apps.Session.connect cmgr ~public ~on_ready:(fun s -> session := Some s);
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   let s = Option.get !session in
   I3apps.Session.send s "before-move";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   (* both endpoints move simultaneously — the paper's hardest case *)
   I3.Host.move server_host ~new_site:0;
   I3.Host.move client_host ~new_site:0;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Session.send s "after-move";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "flow unbroken"
     [ "before-move"; "after-move" ]
     (List.rev !server_log)
 
 let test_session_close_tears_down () =
   let d = deployment ~seed:116 () in
-  let a = I3.Deployment.new_host d () in
-  let b = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let a = Transport.Deployment.new_host d () in
+  let b = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let amgr = I3apps.Session.manager a (Rng.split rng) in
   let bmgr = I3apps.Session.manager b (Rng.split rng) in
   let public = Id.name_hash "close.example.com" in
@@ -382,7 +382,7 @@ let test_session_close_tears_down () =
   I3apps.Session.listen bmgr ~public ~on_accept:(fun s -> accepted := Some s);
   let mine = ref None in
   I3apps.Session.connect amgr ~public ~on_ready:(fun s -> mine := Some s);
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   let s = Option.get !mine in
   Alcotest.(check bool) "established before close" true
     (I3apps.Session.is_established s);
@@ -390,90 +390,90 @@ let test_session_close_tears_down () =
   I3apps.Session.close s (* idempotent *);
   Alcotest.(check bool) "closed" false (I3apps.Session.is_established s);
   (* the private trigger is gone: data to it dies at the server *)
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   let heard = ref 0 in
   (match !accepted with
   | Some peer ->
       I3apps.Session.on_data peer (fun _ -> incr heard);
       I3apps.Session.send peer "into-the-void"
   | None -> Alcotest.fail "no accepted session");
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "nothing heard after close" 0 !heard
 
 (* --- Mobility flows --- *)
 
 let test_mobility_flow_roaming () =
   let d = deployment ~seed:117 () in
-  let listener = I3.Deployment.new_host d () in
-  let sender = I3.Deployment.new_host d () in
+  let listener = Transport.Deployment.new_host d () in
+  let sender = Transport.Deployment.new_host d () in
   let heard = ref 0 in
   let flow =
-    I3apps.Mobility.establish ~rng:(I3.Deployment.rng d) ~listener ~sender
+    I3apps.Mobility.establish ~rng:(Transport.Deployment.rng d) ~listener ~sender
       ~on_data:(fun _ -> incr heard)
   in
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   (* roam through three sites while a packet is sent every second *)
-  I3apps.Mobility.roam ~engine:(I3.Deployment.engine d) flow ~sites:[ 0; 0; 0 ]
+  I3apps.Mobility.roam ~engine:(Transport.Deployment.engine d) flow ~sites:[ 0; 0; 0 ]
     ~dwell_ms:3_000.;
   for _ = 1 to 12 do
     I3apps.Mobility.send flow "tick";
-    I3.Deployment.run_for d 1_000.
+    Transport.Deployment.run_for d 1_000.
   done;
   Alcotest.(check int) "all ticks heard across moves" 12 (I3apps.Mobility.received flow);
   Alcotest.(check int) "callback fired" 12 !heard
 
 let test_mobility_simultaneous_moves () =
   let d = deployment ~seed:118 () in
-  let listener = I3.Deployment.new_host d () in
-  let sender = I3.Deployment.new_host d () in
+  let listener = Transport.Deployment.new_host d () in
+  let sender = Transport.Deployment.new_host d () in
   let flow =
-    I3apps.Mobility.establish ~rng:(I3.Deployment.rng d) ~listener ~sender
+    I3apps.Mobility.establish ~rng:(Transport.Deployment.rng d) ~listener ~sender
       ~on_data:(fun _ -> ())
   in
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Mobility.send flow "a";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Mobility.move_receiver flow ~new_site:0;
   I3apps.Mobility.move_sender flow ~new_site:0;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Mobility.send flow "b";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "both delivered" 2 (I3apps.Mobility.received flow)
 
 (* --- Proxy --- *)
 
 let test_proxy_request_reply () =
   let d = deployment ~seed:119 () in
-  let server_host = I3.Deployment.new_host d () in
-  let client_host = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let server_host = Transport.Deployment.new_host d () in
+  let client_host = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let sproxy = I3apps.Proxy.create server_host (Rng.split rng) in
   let cproxy = I3apps.Proxy.create client_host (Rng.split rng) in
   I3apps.Proxy.expose sproxy ~name:"time.example.com" ~handler:(fun req ->
       Some ("pong:" ^ req));
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   let reply = ref None in
   I3apps.Proxy.request cproxy ~name:"time.example.com" ~payload:"ping"
     ~on_reply:(fun r -> reply := Some r);
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (option string)) "reply" (Some "pong:ping") !reply
 
 let test_proxy_concurrent_requests_correlate () =
   let d = deployment ~seed:120 () in
-  let server_host = I3.Deployment.new_host d () in
-  let client_host = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let server_host = Transport.Deployment.new_host d () in
+  let client_host = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let sproxy = I3apps.Proxy.create server_host (Rng.split rng) in
   let cproxy = I3apps.Proxy.create client_host (Rng.split rng) in
   I3apps.Proxy.expose sproxy ~name:"svc" ~handler:(fun req -> Some ("r" ^ req));
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   let replies = Hashtbl.create 4 in
   List.iter
     (fun p ->
       I3apps.Proxy.request cproxy ~name:"svc" ~payload:p ~on_reply:(fun r ->
           Hashtbl.replace replies p r))
     [ "1"; "2"; "3" ];
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   List.iter
     (fun p ->
       Alcotest.(check (option string)) ("reply " ^ p) (Some ("r" ^ p))
@@ -482,18 +482,18 @@ let test_proxy_concurrent_requests_correlate () =
 
 let test_proxy_oneway () =
   let d = deployment ~seed:121 () in
-  let server_host = I3.Deployment.new_host d () in
-  let client_host = I3.Deployment.new_host d () in
-  let rng = I3.Deployment.rng d in
+  let server_host = Transport.Deployment.new_host d () in
+  let client_host = Transport.Deployment.new_host d () in
+  let rng = Transport.Deployment.rng d in
   let sproxy = I3apps.Proxy.create server_host (Rng.split rng) in
   let cproxy = I3apps.Proxy.create client_host (Rng.split rng) in
   let seen = ref [] in
   I3apps.Proxy.expose sproxy ~name:"log" ~handler:(fun req ->
       seen := req :: !seen;
       None);
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3apps.Proxy.send_oneway cproxy ~name:"log" "event-1";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "datagram arrived" [ "event-1" ] !seen
 
 let test_proxy_public_id_stable () =
@@ -506,13 +506,13 @@ let test_proxy_public_id_stable () =
 
 let test_anonymity_chain_delivers () =
   let d = deployment ~seed:130 ~n_servers:32 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let shield = I3apps.Anonymity.build recv (I3.Deployment.rng d) ~hops:3 in
-  I3.Deployment.run_for d 1_000.;
+  let shield = I3apps.Anonymity.build recv (Transport.Deployment.rng d) ~hops:3 in
+  Transport.Deployment.run_for d 1_000.;
   I3.Host.send send (I3apps.Anonymity.entry_id shield) "whisper";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "delivered through the chain" [ "whisper" ]
     (got ());
   Alcotest.(check int) "three chain ids" 3
@@ -520,30 +520,30 @@ let test_anonymity_chain_delivers () =
 
 let test_anonymity_entry_server_blind () =
   let d = deployment ~seed:131 ~n_servers:32 () in
-  let recv = I3.Deployment.new_host d () in
-  let shield = I3apps.Anonymity.build recv (I3.Deployment.rng d) ~hops:3 in
-  I3.Deployment.run_for d 1_000.;
+  let recv = Transport.Deployment.new_host d () in
+  let shield = I3apps.Anonymity.build recv (Transport.Deployment.rng d) ~hops:3 in
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check bool) "only the exit server maps an id to an address" true
     (I3apps.Anonymity.exit_server_only_knows_addr d shield);
   I3apps.Anonymity.tear_down shield;
-  I3.Deployment.run_for d 1_000.;
-  Alcotest.(check int) "chain removed" 0 (I3.Deployment.total_triggers d)
+  Transport.Deployment.run_for d 1_000.;
+  Alcotest.(check int) "chain removed" 0 (Transport.Deployment.total_triggers d)
 
 let test_anonymity_receiver_never_sees_sender_addr () =
   let d = deployment ~seed:132 ~n_servers:32 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
-  let shield = I3apps.Anonymity.build recv (I3.Deployment.rng d) ~hops:2 in
-  I3.Deployment.run_for d 1_000.;
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
+  let shield = I3apps.Anonymity.build recv (Transport.Deployment.rng d) ~hops:2 in
+  Transport.Deployment.run_for d 1_000.;
   (* watch every message addressed to the receiver *)
   let sources = ref [] in
-  Net.set_tap (I3.Deployment.net d) (fun ~src ~dst bytes ->
+  Net.set_tap (Transport.Deployment.net d) (fun ~src ~dst bytes ->
       match I3.Codec.decode bytes with
       | Ok (I3.Message.Deliver _) when dst = I3.Host.addr recv ->
           sources := src :: !sources
       | _ -> ());
   I3.Host.send send (I3apps.Anonymity.entry_id shield) "x";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check bool) "data arrived" true (!sources <> []);
   List.iter
     (fun src ->
@@ -556,21 +556,21 @@ let test_anonymity_receiver_never_sees_sender_addr () =
 
 let test_reliable_in_order_no_loss () =
   let d = deployment ~seed:140 ~n_servers:16 () in
-  let rng = I3.Deployment.rng d in
+  let rng = Transport.Deployment.rng d in
   let received = ref [] in
   let r =
-    I3apps.Reliable.receiver (I3.Deployment.new_host d ()) (Rng.split rng)
+    I3apps.Reliable.receiver (Transport.Deployment.new_host d ()) (Rng.split rng)
       ~on_data:(fun m -> received := m :: !received)
   in
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   let s =
-    I3apps.Reliable.sender (I3.Deployment.new_host d ()) (Rng.split rng)
+    I3apps.Reliable.sender (Transport.Deployment.new_host d ()) (Rng.split rng)
       ~dest:(I3apps.Reliable.receiver_id r)
   in
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   let messages = List.init 40 (Printf.sprintf "msg-%02d") in
   List.iter (I3apps.Reliable.send s) messages;
-  I3.Deployment.run_for d 20_000.;
+  Transport.Deployment.run_for d 20_000.;
   Alcotest.(check (list string)) "all in order" messages (List.rev !received);
   Alcotest.(check int) "nothing in flight" 0 (I3apps.Reliable.in_flight s);
   Alcotest.(check int) "no spurious retransmissions" 0
@@ -578,25 +578,25 @@ let test_reliable_in_order_no_loss () =
 
 let test_reliable_survives_heavy_loss () =
   let d = deployment ~seed:141 ~n_servers:16 () in
-  let rng = I3.Deployment.rng d in
+  let rng = Transport.Deployment.rng d in
   let received = ref [] in
   let r =
-    I3apps.Reliable.receiver (I3.Deployment.new_host d ()) (Rng.split rng)
+    I3apps.Reliable.receiver (Transport.Deployment.new_host d ()) (Rng.split rng)
       ~on_data:(fun m -> received := m :: !received)
   in
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   let s =
     I3apps.Reliable.sender ~rto_ms:500.
-      (I3.Deployment.new_host d ())
+      (Transport.Deployment.new_host d ())
       (Rng.split rng)
       ~dest:(I3apps.Reliable.receiver_id r)
   in
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   (* 20% of every datagram — data, acks, refreshes — vanishes *)
-  Net.apply (I3.Deployment.net d) (Faults.Loss 0.2);
+  Net.apply (Transport.Deployment.net d) (Faults.Loss 0.2);
   let messages = List.init 50 (Printf.sprintf "msg-%02d") in
   List.iter (I3apps.Reliable.send s) messages;
-  I3.Deployment.run_for d 120_000.;
+  Transport.Deployment.run_for d 120_000.;
   Alcotest.(check (list string)) "all delivered in order despite loss"
     messages (List.rev !received);
   Alcotest.(check bool) "loss forced retransmissions" true
@@ -604,23 +604,23 @@ let test_reliable_survives_heavy_loss () =
 
 let test_reliable_window_bounds_flight () =
   let d = deployment ~seed:142 ~n_servers:16 () in
-  let rng = I3.Deployment.rng d in
+  let rng = Transport.Deployment.rng d in
   let r =
-    I3apps.Reliable.receiver (I3.Deployment.new_host d ()) (Rng.split rng)
+    I3apps.Reliable.receiver (Transport.Deployment.new_host d ()) (Rng.split rng)
       ~on_data:(fun _ -> ())
   in
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   let s =
     I3apps.Reliable.sender ~window:4
-      (I3.Deployment.new_host d ())
+      (Transport.Deployment.new_host d ())
       (Rng.split rng)
       ~dest:(I3apps.Reliable.receiver_id r)
   in
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   List.iter (I3apps.Reliable.send s) (List.init 20 string_of_int);
   Alcotest.(check int) "window caps flight" 4 (I3apps.Reliable.in_flight s);
   Alcotest.(check int) "rest queued" 16 (I3apps.Reliable.queued s);
-  I3.Deployment.run_for d 30_000.;
+  Transport.Deployment.run_for d 30_000.;
   Alcotest.(check int) "drained" 0 (I3apps.Reliable.in_flight s);
   Alcotest.(check int) "all delivered" 20 (I3apps.Reliable.received_count r)
 

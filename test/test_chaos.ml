@@ -344,25 +344,25 @@ let test_gateway_rotation_after_ack_grace () =
      gateway (Sec. IV-C) — deterministically, unlike the dynamic ring
      where healing races the grace period. *)
   let dep =
-    I3.Deployment.create ~metrics:(Obs.Metrics.create ()) ~seed:51
+    Transport.Deployment.create ~metrics:(Obs.Metrics.create ()) ~seed:51
       ~n_servers:4 ()
   in
   let host =
-    I3.Deployment.new_host dep ~config:chaos_host_config ~n_gateways:3 ()
+    Transport.Deployment.new_host dep ~config:chaos_host_config ~n_gateways:3 ()
   in
   let id = I3.Host.new_private_id host in
   I3.Host.insert_trigger host id;
-  I3.Deployment.run_for dep 3_000.;
-  let owner = I3.Deployment.responsible_server dep id in
+  Transport.Deployment.run_for dep 3_000.;
+  let owner = Transport.Deployment.responsible_server dep id in
   let idx = ref (-1) in
-  for i = 0 to I3.Deployment.ring_size dep - 1 do
-    if I3.Server.addr (I3.Deployment.server dep i) = I3.Server.addr owner then
+  for i = 0 to Transport.Deployment.ring_size dep - 1 do
+    if I3.Server.addr (Transport.Deployment.server dep i) = I3.Server.addr owner then
       idx := i
   done;
-  I3.Deployment.kill_server dep !idx;
+  Transport.Deployment.kill_server dep !idx;
   let seen = ref [ I3.Host.gateway host ] in
   for _ = 1 to 30 do
-    I3.Deployment.run_for dep 1_000.;
+    Transport.Deployment.run_for dep 1_000.;
     let g = I3.Host.gateway host in
     if not (List.mem g !seen) then seen := g :: !seen
   done;

@@ -265,14 +265,12 @@ let test_dead_member_leaves_no_driver_series () =
     (List.length (driver_series victim))
 
 (* A frame only a dead member failed to decode stays counted: the kill
-   removes the member's driver series, but not its decode errors. *)
-let test_dead_member_keeps_decode_errors () =
+   removes the member's driver series, but not its decode errors.  Both
+   substrates build their members from one core, so both keep them;
+   [start] returns the net, the victim, its kill and the clock. *)
+let test_dead_member_keeps_decode_errors start () =
   let metrics = Obs.Metrics.create () in
-  let d = Transport.Dynamic.create ~metrics ~seed:16 () in
-  for _ = 1 to 3 do
-    ignore (Transport.Dynamic.add_server d ());
-    Transport.Dynamic.run_for d 2_000.
-  done;
+  let net, victim, kill, run_for = start metrics in
   let decode_errors () =
     List.fold_left
       (fun acc (s : Obs.Metrics.sample) ->
@@ -282,16 +280,33 @@ let test_dead_member_keeps_decode_errors () =
       0
       (Obs.Metrics.snapshot ~prefix:"wire.decode_errors" metrics)
   in
-  let victim = Transport.Dynamic.nth_server d 1 in
-  let net = Transport.Dynamic.net d in
   let src = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
   Net.send net ~src ~dst:(I3.Server.addr victim) "not a frame";
-  Transport.Dynamic.run_for d 100.;
+  run_for 100.;
   Alcotest.(check int) "the victim counted the corrupt frame" 1
     (decode_errors ());
-  Transport.Dynamic.kill_server d victim;
-  Transport.Dynamic.run_for d 5_000.;
+  kill ();
+  run_for 5_000.;
   Alcotest.(check int) "still counted after the kill" 1 (decode_errors ())
+
+let dynamic_victim metrics =
+  let d = Transport.Dynamic.create ~metrics ~seed:16 () in
+  for _ = 1 to 3 do
+    ignore (Transport.Dynamic.add_server d ());
+    Transport.Dynamic.run_for d 2_000.
+  done;
+  let victim = Transport.Dynamic.nth_server d 1 in
+  ( Transport.Dynamic.net d,
+    victim,
+    (fun () -> Transport.Dynamic.kill_server d victim),
+    Transport.Dynamic.run_for d )
+
+let deployment_victim metrics =
+  let d = Transport.Deployment.create ~metrics ~seed:16 ~n_servers:3 () in
+  ( Transport.Deployment.net d,
+    Transport.Deployment.server d 1,
+    (fun () -> Transport.Deployment.kill_server d 1),
+    Transport.Deployment.run_for d )
 
 (* A member added at virtual time T starts its stabilize, fix-finger and
    sweep timers at T.  Replaying every period since 0 would burst
@@ -370,7 +385,10 @@ let () =
           Alcotest.test_case "dead member leaves no driver series" `Quick
             test_dead_member_leaves_no_driver_series;
           Alcotest.test_case "dead member keeps decode errors" `Quick
-            test_dead_member_keeps_decode_errors;
+            (test_dead_member_keeps_decode_errors dynamic_victim);
+          Alcotest.test_case "dead deployment member keeps decode errors"
+            `Quick
+            (test_dead_member_keeps_decode_errors deployment_victim);
           Alcotest.test_case "late join starts timers now" `Quick
             test_late_join_starts_timers_now;
         ] );

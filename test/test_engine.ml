@@ -140,23 +140,45 @@ let test_insert_then_deliver () =
 
 (* --- totality: no decodable frame may crash the engine --- *)
 
+(* A static ring that owns the lower half of the id space and relays the
+   rest, with neighbours to replicate to and push caches at. *)
+let half_ring_view =
+  let pivot =
+    Id.of_raw_string ("\x80" ^ String.make (Id.byte_length - 1) '\x00')
+  in
+  let owns id = Id.compare id pivot < 0 in
+  {
+    I3.Server.owns;
+    next_hop = (fun id -> if owns id then None else Some 2);
+    successor_addr = (fun () -> Some 3);
+    predecessor_addr = (fun () -> Some 4);
+  }
+
 let test_step_total =
   let open QCheck2.Gen in
   let gen =
     let* seed = int_range 1 1_000_000 in
+    let* static = bool in
     let* ops = list_size (int_range 1 40) (int_range 0 99) in
-    return (seed, ops)
+    return (seed, static, ops)
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:120
        ~name:"step never raises on decoded frames" gen
-       (fun (seed, ops) ->
+       (fun (seed, static, ops) ->
          let rng = Rng.create (Int64.of_int seed) in
+         let metrics = Obs.Metrics.create () in
          let e =
-           I3.Engine.create ~seed ~addr:1 ~chord_config:fast_chord
-             ~metrics:(Obs.Metrics.create ())
-             ()
+           if static then
+             I3.Engine.create_static ~addr:1 ~id:(Id.random rng)
+               ~view:half_ring_view ~metrics ()
+           else
+             I3.Engine.create ~seed ~addr:1 ~chord_config:fast_chord ~metrics
+               ()
          in
+         (* Chord frames stepped into the engine: a static one must drop
+            and count each, and never grow Chord state. *)
+         let chord_frames = ref 0 in
          let now = ref 0. in
          (* lifetimes a remote peer could put on the wire: zero, negative,
             NaN, absurd — none may reach the trigger table as a crash *)
@@ -202,20 +224,54 @@ let test_step_total =
            | 6 -> I3.Message.Ping { nonce = Rng.int rng 1000 }
            | _ -> I3.Message.Insert_ack { trigger = trigger (); server = 9 }
          in
+         let peer () =
+           { Chord.Protocol.id = Id.random rng; addr = Rng.int rng 10 }
+         in
+         let chord_msg () =
+           match Rng.int rng 4 with
+           | 0 ->
+               Chord.Protocol.Lookup_step
+                 { key = Id.random rng; token = Rng.int rng 100; reply_to = 5 }
+           | 1 ->
+               Chord.Protocol.Get_state { token = Rng.int rng 100; reply_to = 5 }
+           | 2 ->
+               Chord.Protocol.State
+                 {
+                   token = Rng.int rng 100;
+                   self = peer ();
+                   pred = Some (peer ());
+                   succs = [ peer () ];
+                 }
+           | _ -> Chord.Protocol.Notify { who = peer (); chain = [ peer () ] }
+         in
          let frame () =
-           (* half direct, half pushed through the codec with byte flips:
-              only frames that still decode reach the engine, exactly the
-              filtering a [Transport.Driver] performs *)
-           let m = msg () in
-           if Rng.bool rng then Some (I3.Engine.I3 m)
+           (* one in four a Chord frame; half direct, half pushed through
+              the codec with byte flips: only frames that still decode
+              reach the engine, exactly the filtering a
+              [Transport.Driver] performs *)
+           let direct, encoded =
+             if Rng.int rng 4 = 0 then
+               let m = chord_msg () in
+               (I3.Engine.Chord m, Chord.Codec.encode m)
+             else
+               let m = msg () in
+               (I3.Engine.I3 m, I3.Codec.encode m)
+           in
+           let counted f =
+             (match f with
+             | I3.Engine.Chord _ -> incr chord_frames
+             | I3.Engine.I3 _ -> ());
+             Some f
+           in
+           if Rng.bool rng then counted direct
            else begin
-             let bytes = Bytes.of_string (I3.Codec.encode m) in
+             let bytes = Bytes.of_string encoded in
              for _ = 1 to Rng.int rng 4 do
                let i = Rng.int rng (Bytes.length bytes) in
                Bytes.set bytes i (Char.chr (Rng.int rng 256))
              done;
              match I3.Engine.decode (Bytes.to_string bytes) with
-             | Ok f -> Some f
+             | Ok f -> counted f
              | Error _ -> None
            end
          in
@@ -248,6 +304,34 @@ let test_step_total =
           with exn ->
             QCheck2.Test.fail_reportf "engine.step raised %s"
               (Printexc.to_string exn));
+         let read name =
+           List.fold_left
+             (fun acc (s : Obs.Metrics.sample) ->
+               match s.value with
+               | Obs.Metrics.Counter n when s.name = name -> acc + n
+               | Obs.Metrics.Gauge g when s.name = name ->
+                   acc + int_of_float g
+               | _ -> acc)
+             0
+             (Obs.Metrics.snapshot ~prefix:name metrics)
+         in
+         (if static then
+            let chord_series =
+              Obs.Metrics.snapshot ~prefix:"chord." metrics
+            in
+            if chord_series <> [] then
+              QCheck2.Test.fail_reportf "static engine grew %d chord series"
+                (List.length chord_series)
+            else if read "engine.pending_rpcs" <> 0 then
+              QCheck2.Test.fail_report "static engine has pending RPCs"
+            else if read "engine.chord_dropped" <> !chord_frames then
+              QCheck2.Test.fail_reportf "%d chord frames, %d dropped"
+                !chord_frames
+                (read "engine.chord_dropped")
+            else
+              match I3.Engine.chord e with
+              | _ -> QCheck2.Test.fail_report "static engine has a chord node"
+              | exception Invalid_argument _ -> ());
          true))
 
 (* --- dual-driver parity --- *)

@@ -11,7 +11,7 @@ let rng0 = Rng.create 987654321L
    parallel under `dune runtest` and must not share (or leak counters
    into) Obs.Metrics.default. *)
 let deployment ?model ?server_config ~seed ~n_servers () =
-  I3.Deployment.create ~metrics:(Obs.Metrics.create ()) ?model ?server_config
+  Transport.Deployment.create ~metrics:(Obs.Metrics.create ()) ?model ?server_config
     ~seed ~n_servers ()
 
 (* --- Packet --- *)
@@ -504,140 +504,140 @@ let collect host =
 
 let sum_stats d f =
   Array.fold_left (fun acc s -> acc + f (I3.Server.stats s)) 0
-    (I3.Deployment.servers d)
+    (Transport.Deployment.servers d)
 
 let test_e2e_rendezvous () =
   let d = deployment ~seed:11 ~n_servers:16 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send send id "hello";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "delivered" [ "hello" ] (got ())
 
 let test_e2e_no_trigger_no_delivery () =
   let d = deployment ~seed:12 ~n_servers:16 () in
-  let send = I3.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   I3.Host.send send (I3.Host.new_private_id send) "void";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "dropped at responsible server" 1
     (sum_stats d (fun s -> s.I3.Server.drops))
 
 let test_e2e_sender_cache () =
   let d = deployment ~seed:13 ~n_servers:32 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let (_ : unit -> string list) = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check bool) "no cache yet" true
     (I3.Host.cached_server_for send id = None);
   I3.Host.send send id "a";
-  I3.Deployment.run_for d 500.;
-  let responsible = I3.Deployment.responsible_server d id in
+  Transport.Deployment.run_for d 500.;
+  let responsible = Transport.Deployment.responsible_server d id in
   (match I3.Host.cached_server_for send id with
   | Some a -> Alcotest.(check int) "caches responsible" (I3.Server.addr responsible) a
   | None -> Alcotest.fail "expected a cache entry");
   let before = sum_stats d (fun s -> s.I3.Server.data_forwarded) in
   I3.Host.send send id "b";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "direct: zero overlay hops" before
     (sum_stats d (fun s -> s.I3.Server.data_forwarded))
 
 let test_e2e_cache_expires () =
   let cfg = { I3.Host.default_config with I3.Host.cache_ttl_ms = 1_000. } in
   let d = deployment ~seed:14 ~n_servers:8 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d ~config:cfg () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d ~config:cfg () in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send send id "a";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check bool) "cached" true (I3.Host.cached_server_for send id <> None);
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   Alcotest.(check bool) "expired" true (I3.Host.cached_server_for send id = None)
 
 let test_e2e_longest_prefix_anycast () =
   let d = deployment ~seed:15 ~n_servers:16 () in
-  let r1 = I3.Deployment.new_host d () in
-  let r2 = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let r1 = Transport.Deployment.new_host d () in
+  let r2 = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got1 = collect r1 and got2 = collect r2 in
   let group = Id.random (Rng.copy rng0) in
   let id1 = Id.with_suffix group ~low_bits:64 "\x00\x00\x00\x00\x00\x00\x00\x01" in
   let id2 = Id.with_suffix group ~low_bits:64 "\xf0\x00\x00\x00\x00\x00\x00\x02" in
   I3.Host.insert_trigger r1 id1;
   I3.Host.insert_trigger r2 id2;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send send
     (Id.with_suffix group ~low_bits:64 "\x00\x00\x00\x00\x00\x00\x00\x09")
     "to-r1";
   I3.Host.send send
     (Id.with_suffix group ~low_bits:64 "\xf0\x00\x00\x00\x00\x00\x00\x09")
     "to-r2";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "r1 got its packet" [ "to-r1" ] (got1 ());
   Alcotest.(check (list string)) "r2 got its packet" [ "to-r2" ] (got2 ())
 
 let test_e2e_stack_pop_fallthrough () =
   let d = deployment ~seed:16 ~n_servers:16 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
   let live = I3.Host.new_private_id recv in
   let dead = I3.Host.new_private_id send in
   I3.Host.insert_trigger recv live;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send_stack send [ I3.Packet.Sid dead; I3.Packet.Sid live ] "fallback";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "fallthrough" [ "fallback" ] (got ())
 
 let test_e2e_match_required_drops () =
   let d = deployment ~seed:17 ~n_servers:16 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
   let live = I3.Host.new_private_id recv in
   let dead = I3.Host.new_private_id send in
   I3.Host.insert_trigger recv live;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send_stack send ~match_required:true
     [ I3.Packet.Sid dead; I3.Packet.Sid live ]
     "strict";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "dropped, no fallthrough" [] (got ())
 
 let test_e2e_soft_state_expiry () =
   let cfg = { I3.Host.default_config with I3.Host.refresh_period_ms = 1e12 } in
   let d = deployment ~seed:18 ~n_servers:8 () in
-  let recv = I3.Deployment.new_host d ~config:cfg () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d ~config:cfg () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send send id "while-alive";
-  I3.Deployment.run_for d 500.;
-  I3.Deployment.run_for d 40_000.;
+  Transport.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 40_000.;
   I3.Host.send send id "after-expiry";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "only the first arrives" [ "while-alive" ] (got ())
 
 let test_e2e_refresh_keeps_alive () =
   let d = deployment ~seed:19 ~n_servers:8 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 200_000.;
+  Transport.Deployment.run_for d 200_000.;
   I3.Host.send send id "later";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "alive after 200s" [ "later" ] (got ())
 
 (* The default refresh lands well inside the trigger lifetime.  With a
@@ -647,115 +647,115 @@ let test_e2e_refresh_keeps_alive () =
    100 s of back-to-back probes: several refresh boundaries. *)
 let test_e2e_default_refresh_outlives_jitter () =
   let d = deployment ~seed:1 ~n_servers:32 () in
-  Net.apply (I3.Deployment.net d) (Faults.Jitter 20.);
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  Net.apply (Transport.Deployment.net d) (Faults.Jitter 20.);
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let received = ref 0 in
   I3.Host.on_receive recv (fun ~stack:_ ~payload:_ -> incr received);
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   let probes = 20_000 in
   for i = 1 to probes do
     I3.Host.send send id (string_of_int i);
-    I3.Deployment.run_for d 5.
+    Transport.Deployment.run_for d 5.
   done;
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check int) "every probe delivered" probes !received
 
 let test_e2e_remove_trigger () =
   let d = deployment ~seed:20 ~n_servers:8 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.remove_trigger recv id;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send send id "gone";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "no delivery after remove" [] (got ());
-  Alcotest.(check int) "no triggers stored" 0 (I3.Deployment.total_triggers d)
+  Alcotest.(check int) "no triggers stored" 0 (Transport.Deployment.total_triggers d)
 
 let test_e2e_mobility () =
   let d = deployment ~seed:21 ~n_servers:16 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send send id "before";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   let old_addr = I3.Host.addr recv in
   I3.Host.move recv ~new_site:0;
   Alcotest.(check bool) "new address" true (I3.Host.addr recv <> old_addr);
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send send id "after";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "sender oblivious" [ "before"; "after" ] (got ())
 
 let test_e2e_backup_trigger_failover () =
   let d = deployment ~seed:22 ~n_servers:32 () in
-  let recv = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
   let got = collect recv in
   let primary = I3.Host.new_private_id recv in
   let backup = I3.Host.insert_trigger_with_backup recv primary in
-  I3.Deployment.run_for d 1_000.;
-  let victim = Chord.Oracle.responsible (I3.Deployment.oracle d) primary in
-  let backup_owner = Chord.Oracle.responsible (I3.Deployment.oracle d) backup in
+  Transport.Deployment.run_for d 1_000.;
+  let victim = Chord.Oracle.responsible (Transport.Deployment.oracle d) primary in
+  let backup_owner = Chord.Oracle.responsible (Transport.Deployment.oracle d) backup in
   Alcotest.(check bool) "stored on different servers" true (victim <> backup_owner);
-  I3.Deployment.fail_server d victim;
-  let send = I3.Deployment.new_host d () in
+  Transport.Deployment.fail_server d victim;
+  let send = Transport.Deployment.new_host d () in
   I3.Host.send_with_backup send ~primary ~backup "survives";
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   Alcotest.(check (list string)) "delivered via backup" [ "survives" ] (got ())
 
 let test_e2e_failover_refresh_recovers_primary () =
   let d = deployment ~seed:23 ~n_servers:32 () in
   let host_cfg = { I3.Host.default_config with I3.Host.ack_grace_ms = 40_000. } in
-  let recv = I3.Deployment.new_host d ~config:host_cfg () in
+  let recv = Transport.Deployment.new_host d ~config:host_cfg () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 1_000.;
-  let victim = Chord.Oracle.responsible (I3.Deployment.oracle d) id in
-  I3.Deployment.fail_server d victim;
+  Transport.Deployment.run_for d 1_000.;
+  let victim = Chord.Oracle.responsible (Transport.Deployment.oracle d) id in
+  Transport.Deployment.fail_server d victim;
   (* refreshes keep hitting the cached dead server until the ack-grace
      lapses; then the host falls back to a gateway and the trigger lands
      on the new responsible server *)
-  I3.Deployment.run_for d 110_000.;
-  let now_responsible = I3.Deployment.responsible_server d id in
+  Transport.Deployment.run_for d 110_000.;
+  let now_responsible = Transport.Deployment.responsible_server d id in
   Alcotest.(check bool) "trigger re-homed" true
     (I3.Trigger_table.find_matches
        (I3.Server.triggers now_responsible)
-       ~now:(I3.Deployment.now d) id
+       ~now:(Transport.Deployment.now d) id
     <> []);
-  let send = I3.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   I3.Host.send send id "recovered";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "traffic resumes" [ "recovered" ] (got ())
 
 (* Every server of a deployment sweeps on the deployment's one scheduler;
    a failed server must take its periodic sweep with it. *)
 let test_e2e_failed_server_stops_sweeping () =
   let d = deployment ~seed:25 ~n_servers:8 () in
-  let engine = I3.Deployment.engine d in
-  let sweep = (I3.Server.config (I3.Deployment.server d 0)).I3.Server.sweep_period in
-  I3.Deployment.run_for d sweep;
+  let engine = Transport.Deployment.engine d in
+  let sweep = (I3.Server.config (Transport.Deployment.server d 0)).I3.Server.sweep_period in
+  Transport.Deployment.run_for d sweep;
   let before = Sim.Engine.pending engine in
-  I3.Deployment.fail_server d 0;
-  I3.Deployment.kill_server d 0;
-  I3.Deployment.run_for d (2. *. sweep);
+  Transport.Deployment.fail_server d 0;
+  Transport.Deployment.kill_server d 0;
+  Transport.Deployment.run_for d (2. *. sweep);
   Alcotest.(check int) "two sweeps fewer" (before - 2) (Sim.Engine.pending engine)
 
 let test_e2e_gateway_rotation () =
   let d = deployment ~seed:24 ~n_servers:8 () in
-  let dead = I3.Deployment.server d 0 and live = I3.Deployment.server d 1 in
+  let dead = Transport.Deployment.server d 0 and live = Transport.Deployment.server d 1 in
   I3.Server.kill dead;
   let host =
-    I3.Host.create ~engine:(I3.Deployment.engine d) ~net:(I3.Deployment.net d)
+    I3.Host.create ~engine:(Transport.Deployment.engine d) ~net:(Transport.Deployment.net d)
       ~rng:(Rng.create 5L) ~site:0
       ~gateways:[ I3.Server.addr dead; I3.Server.addr live ]
       ()
@@ -764,38 +764,38 @@ let test_e2e_gateway_rotation () =
   Alcotest.(check int) "starts on the dead gateway" (I3.Server.addr dead)
     (I3.Host.gateway host);
   I3.Host.insert_trigger host own;
-  I3.Deployment.run_for d 5_000.;
-  let responsible () = I3.Deployment.responsible_server d own in
+  Transport.Deployment.run_for d 5_000.;
+  let responsible () = Transport.Deployment.responsible_server d own in
   Alcotest.(check bool) "not stored yet" true
     (I3.Trigger_table.find_matches
        (I3.Server.triggers (responsible ()))
-       ~now:(I3.Deployment.now d) own
+       ~now:(Transport.Deployment.now d) own
     = []);
-  I3.Deployment.run_for d 200_000.;
+  Transport.Deployment.run_for d 200_000.;
   Alcotest.(check bool) "stored after rotation" true
     (I3.Trigger_table.find_matches
        (I3.Server.triggers (responsible ()))
-       ~now:(I3.Deployment.now d) own
+       ~now:(Transport.Deployment.now d) own
     <> [])
 
 let test_e2e_ttl_stops_loops () =
   let d = deployment ~seed:25 ~n_servers:16 () in
-  let h = I3.Deployment.new_host d () in
+  let h = Transport.Deployment.new_host d () in
   let r = Rng.create 3L in
   let a = Id.random r and b = Id.random r in
   (* constraints are off by default, so a loop is insertable *)
   I3.Host.insert_stack_trigger h a [ I3.Packet.Sid b ];
   I3.Host.insert_stack_trigger h b [ I3.Packet.Sid a ];
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send h a "spin";
-  I3.Deployment.run_for d 60_000.;
+  Transport.Deployment.run_for d 60_000.;
   Alcotest.(check int) "loop terminated by ttl" 1
     (sum_stats d (fun s -> s.I3.Server.drops))
 
 let test_e2e_stack_depth_cap () =
   let d = deployment ~seed:26 ~n_servers:16 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
   let r = Rng.create 4L in
   let g = Id.random r in
@@ -804,48 +804,48 @@ let test_e2e_stack_depth_cap () =
       I3.Packet.Sid (Id.random r); I3.Packet.Saddr (I3.Host.addr recv) ]
   in
   I3.Host.insert_stack_trigger recv g deep;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   (* 4 (trigger) + 1 (rest) = 5 > max depth: the rewrite is refused *)
   I3.Host.send_stack send [ I3.Packet.Sid g; I3.Packet.Sid (Id.random r) ] "deep";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "over-deep rewrite dropped" [] (got ())
 
 let test_e2e_constraints_enforced () =
   let cfg = { I3.Server.default_config with I3.Server.check_constraints = true } in
   let d = deployment ~seed:27 ~n_servers:16 ~server_config:cfg () in
-  let h = I3.Deployment.new_host d () in
+  let h = Transport.Deployment.new_host d () in
   let r = Rng.create 6L in
   let target = Id.random r in
   I3.Host.insert_stack_trigger h (Id.random r) [ I3.Packet.Sid target ];
   let ok = Id_constraints.left_constrained ~base:(Id.random r) ~target in
   I3.Host.insert_stack_trigger h ok [ I3.Packet.Sid target ];
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check int) "only the constrained one stored" 1
-    (I3.Deployment.total_triggers d);
+    (Transport.Deployment.total_triggers d);
   Alcotest.(check bool) "rejection counted" true
     (sum_stats d (fun s -> s.I3.Server.inserts_rejected) >= 1)
 
 let test_e2e_challenges () =
   let cfg = { I3.Server.default_config with I3.Server.challenge_hosts = true } in
   let d = deployment ~seed:28 ~n_servers:16 ~server_config:cfg () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   Alcotest.(check bool) "challenge was issued" true
     (sum_stats d (fun s -> s.I3.Server.challenges_sent) >= 1);
   I3.Host.send send id "challenged";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "legit host passes challenge" [ "challenged" ]
     (got ())
 
 let test_e2e_reflection_defense () =
   let cfg = { I3.Server.default_config with I3.Server.challenge_hosts = true } in
   let d = deployment ~seed:29 ~n_servers:16 ~server_config:cfg () in
-  let victim = I3.Deployment.new_host d () in
-  let attacker = I3.Deployment.new_host d () in
+  let victim = Transport.Deployment.new_host d () in
+  let attacker = Transport.Deployment.new_host d () in
   let r = Rng.create 8L in
   let stream = Id.random r in
   let forged =
@@ -853,25 +853,25 @@ let test_e2e_reflection_defense () =
       ~stack:[ I3.Packet.Saddr (I3.Host.addr victim) ]
       ~owner:(I3.Host.addr attacker)
   in
-  Net.send (I3.Deployment.net d)
+  Net.send (Transport.Deployment.net d)
     ~src:(I3.Host.addr attacker)
-    ~dst:(I3.Server.addr (I3.Deployment.server d 0))
+    ~dst:(I3.Server.addr (Transport.Deployment.server d 0))
     (I3.Codec.encode (I3.Message.Insert { trigger = forged; token = None }));
-  I3.Deployment.run_for d 5_000.;
-  Alcotest.(check int) "no trigger installed" 0 (I3.Deployment.total_triggers d)
+  Transport.Deployment.run_for d 5_000.;
+  Alcotest.(check int) "no trigger installed" 0 (Transport.Deployment.total_triggers d)
 
 let test_e2e_pushback () =
   let d = deployment ~seed:30 ~n_servers:16 () in
-  let h = I3.Deployment.new_host d () in
+  let h = Transport.Deployment.new_host d () in
   let r = Rng.create 9L in
   let x = Id.random r and nowhere = Id.random r in
   I3.Host.insert_stack_trigger h x [ I3.Packet.Sid nowhere ];
-  I3.Deployment.run_for d 500.;
-  Alcotest.(check int) "chain stored" 1 (I3.Deployment.total_triggers d);
+  Transport.Deployment.run_for d 500.;
+  Alcotest.(check int) "chain stored" 1 (Transport.Deployment.total_triggers d);
   I3.Host.send h x "into-the-void";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check int) "dead-end trigger pushed back" 0
-    (I3.Deployment.total_triggers d);
+    (Transport.Deployment.total_triggers d);
   Alcotest.(check int) "one pushback" 1
     (sum_stats d (fun s -> s.I3.Server.pushbacks_sent))
 
@@ -884,28 +884,28 @@ let test_e2e_hot_spot_cache () =
     }
   in
   let d = deployment ~seed:31 ~n_servers:16 ~server_config:cfg () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let (_ : unit -> string list) = collect recv in
   let hot = Id.random (Rng.create 10L) in
   I3.Host.insert_trigger recv hot;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   for _ = 1 to 30 do
     I3.Host.send send hot "spike"
   done;
-  I3.Deployment.run_for d 2_000.;
-  let oracle = I3.Deployment.oracle d in
+  Transport.Deployment.run_for d 2_000.;
+  let oracle = Transport.Deployment.oracle d in
   let owner = Chord.Oracle.responsible oracle hot in
   let pred = Chord.Oracle.predecessor_of oracle owner in
-  let pred_server = I3.Deployment.server d pred in
+  let pred_server = Transport.Deployment.server d pred in
   Alcotest.(check bool) "predecessor holds the pushed bucket" true
     (I3.Trigger_table.find_matches
        (I3.Server.cached_triggers pred_server)
-       ~now:(I3.Deployment.now d) hot
+       ~now:(Transport.Deployment.now d) hot
     <> []);
   let p = I3.Packet.make ~stack:[ I3.Packet.Sid hot ] ~payload:"via-cache" () in
   I3.Server.handle_packet pred_server p;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "cache hit recorded" 1
     (I3.Server.stats pred_server).I3.Server.cache_hits
 
@@ -913,11 +913,11 @@ let test_e2e_addr_head_is_plain_ip () =
   (* A stack whose head is already an address bypasses the overlay
      entirely: the host sends straight to the peer (Sec. II-E). *)
   let d = deployment ~seed:36 ~n_servers:8 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = collect recv in
   I3.Host.send_stack send [ I3.Packet.Saddr (I3.Host.addr recv) ] "direct-ip";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "delivered" [ "direct-ip" ] (got ());
   Alcotest.(check int) "no server touched" 0
     (sum_stats d (fun s -> s.I3.Server.data_received))
@@ -926,16 +926,16 @@ let test_e2e_trigger_rewrite_carries_rest_of_stack () =
   (* After a trigger fires, the receiver sees the rest of the packet's
      identifier stack (what service composition relies on). *)
   let d = deployment ~seed:37 ~n_servers:8 () in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let seen_stack = ref None in
   I3.Host.on_receive recv (fun ~stack ~payload:_ -> seen_stack := Some stack);
   let id = I3.Host.new_private_id recv in
   let tail = I3.Host.new_private_id send in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   I3.Host.send_stack send [ I3.Packet.Sid id; I3.Packet.Sid tail ] "x";
-  I3.Deployment.run_for d 500.;
+  Transport.Deployment.run_for d 500.;
   match !seen_stack with
   | Some [ I3.Packet.Sid t ] ->
       Alcotest.(check bool) "tail id preserved" true (Id.equal t tail)
@@ -947,24 +947,24 @@ let test_e2e_trigger_rewrite_carries_rest_of_stack () =
 let test_e2e_replication_no_gap () =
   let cfg = { I3.Server.default_config with I3.Server.replicate = true } in
   let d = deployment ~seed:32 ~n_servers:32 ~server_config:cfg () in
-  let recv = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   (* the successor holds a mirror *)
-  let owner = Chord.Oracle.responsible (I3.Deployment.oracle d) id in
-  let succ = Chord.Oracle.successor_of (I3.Deployment.oracle d) owner in
+  let owner = Chord.Oracle.responsible (Transport.Deployment.oracle d) id in
+  let succ = Chord.Oracle.successor_of (Transport.Deployment.oracle d) owner in
   Alcotest.(check bool) "successor holds replica" true
     (I3.Trigger_table.find_matches
-       (I3.Server.replica_triggers (I3.Deployment.server d succ))
-       ~now:(I3.Deployment.now d) id
+       (I3.Server.replica_triggers (Transport.Deployment.server d succ))
+       ~now:(Transport.Deployment.now d) id
     <> []);
   (* fail the owner and send immediately — before any refresh *)
-  I3.Deployment.fail_server d owner;
-  let send = I3.Deployment.new_host d () in
+  Transport.Deployment.fail_server d owner;
+  let send = Transport.Deployment.new_host d () in
   I3.Host.send send id "no-gap";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "served from the promoted replica"
     [ "no-gap" ] (got ())
 
@@ -972,91 +972,91 @@ let test_e2e_replication_gap_without () =
   (* Control experiment: identical scenario, replication off — the packet
      in the post-failure window is lost (paper Sec. IV-C's motivation). *)
   let d = deployment ~seed:32 ~n_servers:32 () in
-  let recv = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 1_000.;
-  let owner = Chord.Oracle.responsible (I3.Deployment.oracle d) id in
-  I3.Deployment.fail_server d owner;
-  let send = I3.Deployment.new_host d () in
+  Transport.Deployment.run_for d 1_000.;
+  let owner = Chord.Oracle.responsible (Transport.Deployment.oracle d) id in
+  Transport.Deployment.fail_server d owner;
+  let send = Transport.Deployment.new_host d () in
   I3.Host.send send id "lost";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "lost without replication" [] (got ())
 
 let test_e2e_replica_expires () =
   let cfg = { I3.Server.default_config with I3.Server.replicate = true } in
   let d = deployment ~seed:33 ~n_servers:16 ~server_config:cfg () in
   let host_cfg = { I3.Host.default_config with I3.Host.refresh_period_ms = 1e12 } in
-  let recv = I3.Deployment.new_host d ~config:host_cfg () in
+  let recv = Transport.Deployment.new_host d ~config:host_cfg () in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 1_000.;
-  let owner = Chord.Oracle.responsible (I3.Deployment.oracle d) id in
-  let succ = Chord.Oracle.successor_of (I3.Deployment.oracle d) owner in
-  I3.Deployment.run_for d 40_000.;
+  Transport.Deployment.run_for d 1_000.;
+  let owner = Chord.Oracle.responsible (Transport.Deployment.oracle d) id in
+  let succ = Chord.Oracle.successor_of (Transport.Deployment.oracle d) owner in
+  Transport.Deployment.run_for d 40_000.;
   (* no refresh: both the primary and the mirror lapse *)
   Alcotest.(check bool) "replica expired" true
     (I3.Trigger_table.find_matches
-       (I3.Server.replica_triggers (I3.Deployment.server d succ))
-       ~now:(I3.Deployment.now d) id
+       (I3.Server.replica_triggers (Transport.Deployment.server d succ))
+       ~now:(Transport.Deployment.now d) id
     = [])
 
 let test_e2e_add_server_trigger_migrates () =
   let d = deployment ~seed:34 ~n_servers:8 () in
-  let recv = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
   let got = collect recv in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 1_000.;
-  let old_owner = I3.Deployment.responsible_server d id in
+  Transport.Deployment.run_for d 1_000.;
+  let old_owner = Transport.Deployment.responsible_server d id in
   (* Join a server exactly inside the arc so it takes over this id:
      choose its id just below the trigger's routing key. *)
   let new_id = Id.routing_key id in
   Alcotest.(check bool) "new id is free" true
-    (Chord.Oracle.index_of (I3.Deployment.oracle d) new_id = None);
-  let newcomer = I3.Deployment.add_server d ~id:new_id () in
-  Alcotest.(check int) "ring grew" 9 (I3.Deployment.ring_size d);
+    (Chord.Oracle.index_of (Transport.Deployment.oracle d) new_id = None);
+  let newcomer = Transport.Deployment.add_server d ~id:new_id () in
+  Alcotest.(check int) "ring grew" 9 (Transport.Deployment.ring_size d);
   Alcotest.(check bool) "arc moved" true
-    (I3.Server.addr (I3.Deployment.responsible_server d id)
+    (I3.Server.addr (Transport.Deployment.responsible_server d id)
     = I3.Server.addr newcomer);
   Alcotest.(check bool) "newcomer starts empty" true
     (I3.Trigger_table.size (I3.Server.triggers newcomer) = 0);
   (* within a refresh period the trigger lands on the newcomer... *)
-  I3.Deployment.run_for d 35_000.;
+  Transport.Deployment.run_for d 35_000.;
   Alcotest.(check bool) "trigger migrated" true
     (I3.Trigger_table.find_matches (I3.Server.triggers newcomer)
-       ~now:(I3.Deployment.now d) id
+       ~now:(Transport.Deployment.now d) id
     <> []);
   (* ...and traffic flows, including from a sender that had cached the old
      owner: the stale server forwards and the newcomer re-educates it *)
-  let send = I3.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   I3.Host.send send id "before-join-cache";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   ignore old_owner;
   I3.Host.send send id "after-join";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "both delivered"
     [ "before-join-cache"; "after-join" ]
     (got ())
 
 let test_e2e_add_server_stale_cache_redirect () =
   let d = deployment ~seed:35 ~n_servers:8 () in
-  let recv = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
   let (_ : unit -> string list) = collect recv in
-  let send = I3.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   I3.Host.send send id "warm-cache";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   let old_addr = Option.get (I3.Host.cached_server_for send id) in
-  let newcomer = I3.Deployment.add_server d ~id:(Id.routing_key id) () in
-  I3.Deployment.run_for d 35_000.;
+  let newcomer = Transport.Deployment.add_server d ~id:(Id.routing_key id) () in
+  Transport.Deployment.run_for d 35_000.;
   (* sending through the stale entry still works (stale server relays) and
      the Cache_info reply rebinds the sender to the newcomer *)
   I3.Host.send send ~refresh:true id "relayed";
-  I3.Deployment.run_for d 1_000.;
+  Transport.Deployment.run_for d 1_000.;
   let new_addr = Option.get (I3.Host.cached_server_for send id) in
   Alcotest.(check bool) "cache rebound" true
     (new_addr = I3.Server.addr newcomer && new_addr <> old_addr)
@@ -1067,11 +1067,11 @@ let test_sample_nearby_id () =
   let rng = Rng.create 77L in
   let model = Topology.Model.build rng Topology.Model.Transit_stub ~n:400 in
   let d = deployment ~seed:38 ~model ~n_servers:64 () in
-  let host = I3.Deployment.new_host d () in
+  let host = Transport.Deployment.new_host d () in
   let dist id =
-    let server = I3.Deployment.responsible_server d id in
-    I3.Deployment.site_latency d (I3.Host.site host)
-      (Net.site (I3.Deployment.net d) (I3.Server.addr server))
+    let server = Transport.Deployment.responsible_server d id in
+    Transport.Deployment.site_latency d (I3.Host.site host)
+      (Net.site (Transport.Deployment.net d) (I3.Server.addr server))
   in
   (* average over several draws to wash out luck *)
   let mean f =
@@ -1081,7 +1081,7 @@ let test_sample_nearby_id () =
     done;
     !total /. 20.
   in
-  let sampled () = dist (I3.Deployment.sample_nearby_id d host ~samples:16) in
+  let sampled () = dist (Transport.Deployment.sample_nearby_id d host ~samples:16) in
   let random () = dist (I3.Host.new_private_id host) in
   let s = mean sampled and r = mean random in
   Alcotest.(check bool)

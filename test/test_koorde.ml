@@ -121,7 +121,7 @@ let prop_routes_terminate =
 
 let prop_next_hop_walk =
   (* Walking per-server next_hop decisions must reach the responsible
-     node too: this is the exact primitive I3.Deployment servers use. *)
+     node too: this is the exact primitive Transport.Deployment servers use. *)
   let oracle = ring 64 7 in
   let subs =
     List.map
@@ -250,27 +250,27 @@ let test_koorde_beats_chord_at_scale () =
 
 let test_deployment_over_koorde () =
   let d =
-    I3.Deployment.create
+    Transport.Deployment.create
       ~metrics:(Obs.Metrics.create ())
       ~seed:3
       ~substrate:(Koorde.Substrate.Koorde { degree = 8 })
       ~n_servers:16 ()
   in
-  let recv = I3.Deployment.new_host d () in
-  let send = I3.Deployment.new_host d () in
+  let recv = Transport.Deployment.new_host d () in
+  let send = Transport.Deployment.new_host d () in
   let got = ref [] in
   I3.Host.on_receive recv (fun ~stack:_ ~payload -> got := payload :: !got);
   let id = I3.Host.new_private_id recv in
   I3.Host.insert_trigger recv id;
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   I3.Host.send send id "over de bruijn";
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   Alcotest.(check (list string)) "delivered" [ "over de bruijn" ] !got;
   (* membership change rebuilds the substrate router *)
-  ignore (I3.Deployment.add_server d ());
-  I3.Deployment.run_for d 6_000.;
+  ignore (Transport.Deployment.add_server d ());
+  Transport.Deployment.run_for d 6_000.;
   I3.Host.send send id "after join";
-  I3.Deployment.run_for d 2_000.;
+  Transport.Deployment.run_for d 2_000.;
   Alcotest.(check (list string))
     "delivered after join" [ "after join"; "over de bruijn" ] !got
 
