@@ -15,49 +15,18 @@
               for default Chord and the two proximity heuristics;
      [scalability]  the Sec. VII back-of-the-envelope table.
 
-   Bechamel measures the microbenchmarks (Figs. 10/11 + insertion); the
-   simulations print their series directly.  Default parameters are scaled
-   down so the whole run finishes in a few minutes; set I3_SCALE=paper for
-   the paper's full scale (5000-node topologies, 2^14..2^15 servers, 1000
+   The microbenchmarks (Figs. 10/11 + insertion) are hand-timed loops
+   on a warm heap, as a daemon runs; the simulations print their series
+   directly.  Default parameters are scaled down so the whole run
+   finishes in a few minutes; set I3_SCALE=paper for the paper's full
+   scale (5000-node topologies, 2^14..2^15 servers, 1000
    measurements). *)
-
-(* The raw ns clock ([bechamel.monotonic_clock]'s top-level unit) must be
-   aliased before [open Toolkit] shadows the name with the MEASURE module
-   of the same name. *)
-module Mclock = Monotonic_clock
-
-open Bechamel
-open Toolkit
 
 let paper_scale =
   match Sys.getenv_opt "I3_SCALE" with Some "paper" -> true | _ -> false
 
 let payload_sizes = [ 0; 64; 128; 256; 512; 1024; 2048; 4096 ]
 let route_sizes = [ 2; 4; 8; 16; 32 ]
-
-(* --- Bechamel plumbing --- *)
-
-let run_bechamel tests =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let grouped = Test.make_grouped ~name:"i3" ~fmt:"%s %s" tests in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = List.map (fun i -> Analyze.all ols i raw) instances in
-  let merged = Analyze.merge ols instances results in
-  let clock = Hashtbl.find merged (Measure.label Instance.monotonic_clock) in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ ns ] -> rows := (name, ns) :: !rows
-      | Some _ | None -> ())
-    clock;
-  List.sort (fun (a, _) (b, _) -> compare a b) !rows
 
 let ns_pp ns =
   if ns >= 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
@@ -66,41 +35,30 @@ let ns_pp ns =
 
 (* --- microbenchmarks (Figs. 10, 11 and the insertion numbers) --- *)
 
-let micro_tests () =
-  let insert_env = Eval.Microbench.insert_env ~seed:1 () in
-  let insert =
-    Test.make ~name:"insert"
-      (Staged.stage (fun () -> Eval.Microbench.iter insert_env))
-  in
-  let forwards =
-    List.map
-      (fun payload ->
-        let env = Eval.Microbench.forward_env ~payload ~seed:1 () in
-        Test.make
-          ~name:(Printf.sprintf "forward/%04dB" payload)
-          (Staged.stage (fun () -> Eval.Microbench.iter env)))
-      payload_sizes
-  in
-  let routes =
-    List.map
-      (fun n ->
-        let env = Eval.Microbench.route_env ~n_nodes:n ~seed:1 () in
-        Test.make
-          ~name:(Printf.sprintf "route/%02dnodes" n)
-          (Staged.stage (fun () -> Eval.Microbench.iter env)))
-      route_sizes
-  in
-  (insert :: forwards) @ routes
-
 let section_micro () =
-  print_endline "=== microbenchmarks (Bechamel, time per op) ===";
+  print_endline "=== microbenchmarks (time per op, warm heap) ===";
   print_endline
     "paper expectations: insertion ~constant (Patricia trie); forwarding cost";
   print_endline
     "grows ~linearly with payload (Fig. 10); routing cost grows ~linearly";
   print_endline "with the number of known nodes (Fig. 11, linear finger list).";
-  let rows = run_bechamel (micro_tests ()) in
-  List.iter (fun (name, ns) -> Printf.printf "  %-22s %s\n" name (ns_pp ns)) rows;
+  let row name env =
+    let ns, _ = Eval.Microbench.time_per_iter_ns env () in
+    Printf.printf "  %-22s %s\n" name (ns_pp ns)
+  in
+  row "insert" (Eval.Microbench.insert_env ~seed:1 ());
+  List.iter
+    (fun payload ->
+      row
+        (Printf.sprintf "forward/%04dB" payload)
+        (Eval.Microbench.forward_env ~payload ~seed:1 ()))
+    payload_sizes;
+  List.iter
+    (fun n ->
+      row
+        (Printf.sprintf "route/%02dnodes" n)
+        (Eval.Microbench.route_env ~n_nodes:n ~seed:1 ()))
+    route_sizes;
   print_newline ();
   (* Paper-style mean/stddev for trigger insertion + derived capacity. *)
   let env = Eval.Microbench.insert_env ~seed:2 () in
@@ -339,9 +297,9 @@ let section_trigger_table () =
   let lat = Array.make probes 0 in
   for i = 0 to probes - 1 do
     let id = ids.(i * 7919 mod resident) in
-    let t0 = Mclock.now () in
+    let t0 = Monotonic_clock.now () in
     ignore (I3.Trigger_table.find_matches tbl ~now:1. id);
-    let t1 = Mclock.now () in
+    let t1 = Monotonic_clock.now () in
     lat.(i) <- Int64.to_int (Int64.sub t1 t0)
   done;
   Array.sort compare lat;
@@ -391,12 +349,12 @@ let section_control_plane () =
   (* Hosts on a 2 s refresh give the span ring plenty of
      trigger-refresh round-trips inside the horizon. *)
   let host_config =
-    { I3.Host.default_config with I3.Host.refresh_period_ms = 2_000. }
+    { Transport.Host.default_config with Transport.Host.refresh_period_ms = 2_000. }
   in
   let recv = Transport.Dynamic.new_host d ~config:host_config () in
   let send = Transport.Dynamic.new_host d ~config:host_config () in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
   let rules =
     Eval.Monitor.default_rules ~ring_label:(Transport.Dynamic.ring_label d) flow
@@ -490,13 +448,13 @@ let section_observability () =
     List.init n_pairs (fun _ ->
         let recv = Transport.Deployment.new_host d () in
         let send = Transport.Deployment.new_host d () in
-        let id = I3.Host.new_private_id recv in
-        I3.Host.insert_trigger recv id;
+        let id = Transport.Host.new_private_id recv in
+        Transport.Host.insert_trigger recv id;
         (send, id))
   in
   Transport.Deployment.run_for d 200.;
   for _ = 1 to rounds do
-    List.iter (fun (send, id) -> I3.Host.send send id "obs") pairs;
+    List.iter (fun (send, id) -> Transport.Host.send send id "obs") pairs;
     Transport.Deployment.run_for d 25.
   done;
   Transport.Deployment.run_for d 2000.;

@@ -427,15 +427,15 @@ let run_health seed servers period horizon fault fault_at heal_at dump_path =
   (* Sped-up soft state so recovery fits in a short demo horizon. *)
   let host_config =
     {
-      I3.Host.refresh_period_ms = 2_000.;
+      Transport.Host.refresh_period_ms = 2_000.;
       cache_ttl_ms = 4_000.;
       ack_grace_ms = 5_000.;
     }
   in
   let recv = Transport.Dynamic.new_host d ~site:0 ~config:host_config () in
   let send = Transport.Dynamic.new_host d ~site:1 ~config:host_config () in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 1_000.;
   let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
   let rules =

@@ -389,7 +389,7 @@ let run_chaos () =
   in
   let probe_id = probed_id () in
   let owner = Harness.Cluster.owner_index cluster probe_id in
-  let me = Transport.Client.local_addr client in
+  let me = Transport.Host.addr (Transport.Client.host client) in
   let triggers =
     I3.Trigger.to_host ~id:probe_id ~owner:me
     :: List.init (max 0 (!ntriggers - 1)) (fun _ ->

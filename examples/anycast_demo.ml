@@ -14,7 +14,7 @@ let () =
       (fun (name, capacity) ->
         let host = Transport.Deployment.new_host d () in
         let served = ref 0 in
-        I3.Host.on_receive host (fun ~stack:_ ~payload:_ -> incr served);
+        Transport.Host.on_receive host (fun ~stack:_ ~payload:_ -> incr served);
         let _m = I3apps.Server_selection.join_weighted host rng ~group ~capacity in
         (name, capacity, served))
       [ ("web-1 (big)", 6); ("web-2 (mid)", 3); ("web-3 (small)", 1) ]
@@ -40,7 +40,7 @@ let () =
       (fun zip ->
         let host = Transport.Deployment.new_host d () in
         let served = ref 0 in
-        I3.Host.on_receive host (fun ~stack:_ ~payload:_ -> incr served);
+        Transport.Host.on_receive host (fun ~stack:_ ~payload:_ -> incr served);
         ignore (I3apps.Server_selection.join_near host rng ~group:cdn ~zip);
         (zip, served))
       [ "94704"; "10001"; "60601" ]

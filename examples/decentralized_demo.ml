@@ -28,12 +28,12 @@ let () =
 
   let alice = Transport.Dynamic.new_host d () in
   let bob = Transport.Dynamic.new_host d () in
-  I3.Host.on_receive bob (fun ~stack:_ ~payload ->
+  Transport.Host.on_receive bob (fun ~stack:_ ~payload ->
       Printf.printf "bob received: %S\n" payload);
-  let id = I3.Host.new_private_id bob in
-  I3.Host.insert_trigger bob id;
+  let id = Transport.Host.new_private_id bob in
+  Transport.Host.insert_trigger bob id;
   Transport.Dynamic.run_for d 2_000.;
-  I3.Host.send alice id "over a self-organized ring";
+  Transport.Host.send alice id "over a self-organized ring";
   Transport.Dynamic.run_for d 2_000.;
 
   (* kill the server holding Bob's trigger; the ring notices via RPC
@@ -49,5 +49,5 @@ let () =
   Printf.printf "servers alive: %d; owners of bob's id now: %d\n"
     (List.length (Transport.Dynamic.servers d))
     (List.length (Transport.Dynamic.owners_of d id));
-  I3.Host.send alice id "still reachable after the failure";
+  Transport.Host.send alice id "still reachable after the failure";
   Transport.Dynamic.run_for d 3_000.

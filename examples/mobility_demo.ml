@@ -19,7 +19,7 @@ let () =
         incr received;
         if !received mod 5 = 0 then
           Printf.printf "t=%6.0f ms  laptop@site%-4d  received %2d chunks (%s)\n"
-            (Engine.now engine) (I3.Host.site laptop) !received chunk)
+            (Engine.now engine) (Transport.Host.site laptop) !received chunk)
   in
   Transport.Deployment.run_for d 1_000.;
 

@@ -11,7 +11,7 @@ let () =
   let members = Array.init member_count (fun _ -> Transport.Deployment.new_host d ()) in
   let heard = Array.make member_count 0 in
   Array.iteri
-    (fun i m -> I3.Host.on_receive m (fun ~stack:_ ~payload:_ -> heard.(i) <- heard.(i) + 1))
+    (fun i m -> Transport.Host.on_receive m (fun ~stack:_ ~payload:_ -> heard.(i) <- heard.(i) + 1))
     members;
 
   let coordinator = Transport.Deployment.new_host d () in

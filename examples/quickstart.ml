@@ -13,31 +13,31 @@ let () =
   let bob = Transport.Deployment.new_host d () in
 
   (* Bob picks a private identifier and registers interest. *)
-  let id = I3.Host.new_private_id bob in
-  I3.Host.on_receive bob (fun ~stack:_ ~payload ->
+  let id = Transport.Host.new_private_id bob in
+  Transport.Host.on_receive bob (fun ~stack:_ ~payload ->
       Printf.printf "bob received: %S\n" payload);
-  I3.Host.insert_trigger bob id;
+  Transport.Host.insert_trigger bob id;
   Transport.Deployment.run_for d 1_000.;
 
   (* Alice sends to the identifier — she never learns Bob's address. *)
-  I3.Host.send alice id "hello through the indirection layer";
+  Transport.Host.send alice id "hello through the indirection layer";
   Transport.Deployment.run_for d 1_000.;
 
   (* The responsible server's address is now cached at Alice, so further
      packets take a single overlay hop. *)
-  (match I3.Host.cached_server_for alice id with
+  (match Transport.Host.cached_server_for alice id with
   | Some server -> Printf.printf "alice cached i3 server @%d for the flow\n" server
   | None -> print_endline "no cache entry (unexpected)");
-  I3.Host.send alice id "second packet, sent directly";
+  Transport.Host.send alice id "second packet, sent directly";
   Transport.Deployment.run_for d 1_000.;
 
   (* Multicast needs no new machinery: a second trigger on the same id. *)
   let carol = Transport.Deployment.new_host d () in
-  I3.Host.on_receive carol (fun ~stack:_ ~payload ->
+  Transport.Host.on_receive carol (fun ~stack:_ ~payload ->
       Printf.printf "carol received: %S\n" payload);
-  I3.Host.insert_trigger carol id;
+  Transport.Host.insert_trigger carol id;
   Transport.Deployment.run_for d 1_000.;
-  I3.Host.send alice id "now it is multicast";
+  Transport.Host.send alice id "now it is multicast";
   Transport.Deployment.run_for d 1_000.;
 
   Printf.printf "triggers stored in the infrastructure: %d\n"

@@ -36,7 +36,7 @@ let () =
 
   (* the receiver moves mid-flow; the channel keeps going *)
   Net.apply (Transport.Deployment.net d) (Faults.Loss 0.);
-  I3.Host.move recv_host ~new_site:0;
+  Transport.Host.move recv_host ~new_site:0;
   Transport.Deployment.run_for d 1_000.;
   I3apps.Reliable.send sender "after-the-move";
   Transport.Deployment.run_for d 5_000.;

@@ -21,10 +21,10 @@ let () =
     I3apps.Service_composition.attach gateway_host ~service_id:gateway_id
       ~transform:html_to_wml
   in
-  I3.Host.on_receive phone (fun ~stack:_ ~payload ->
+  Transport.Host.on_receive phone (fun ~stack:_ ~payload ->
       Printf.printf "phone renders: %s\n" payload);
   let flow = Id.random rng in
-  I3.Host.insert_trigger phone flow;
+  Transport.Host.insert_trigger phone flow;
   Transport.Deployment.run_for d 1_000.;
   I3apps.Service_composition.send_via web_server ~services:[ gateway_id ] ~flow
     "<html>hello wap</html>";
@@ -37,9 +37,9 @@ let () =
   let h263_player = Transport.Deployment.new_host d () in
   let transcoder_host = Transport.Deployment.new_host d () in
   let source = Transport.Deployment.new_host d () in
-  I3.Host.on_receive mpeg_player (fun ~stack:_ ~payload ->
+  Transport.Host.on_receive mpeg_player (fun ~stack:_ ~payload ->
       Printf.printf "mpeg_play : %s\n" payload);
-  I3.Host.on_receive h263_player (fun ~stack:_ ~payload ->
+  Transport.Host.on_receive h263_player (fun ~stack:_ ~payload ->
       Printf.printf "tmndec    : %s\n" payload);
   let svc = Id.name_hash "mpeg-to-h263.transcoders.net" in
   let _ =

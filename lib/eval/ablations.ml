@@ -11,11 +11,11 @@ let measure_hops ~seed ~n_servers ~flows ~packets_per_flow ~host_config () =
   for _ = 1 to flows do
     let recv = Transport.Deployment.new_host d () in
     let send = Transport.Deployment.new_host d ?config:host_config () in
-    let id = I3.Host.new_private_id recv in
-    I3.Host.insert_trigger recv id;
+    let id = Transport.Host.new_private_id recv in
+    Transport.Host.insert_trigger recv id;
     Transport.Deployment.run_for d 500.;
     for k = 1 to packets_per_flow do
-      I3.Host.send send id (string_of_int k);
+      Transport.Host.send send id (string_of_int k);
       incr packets;
       Transport.Deployment.run_for d 200.
     done
@@ -30,7 +30,7 @@ let measure_hops ~seed ~n_servers ~flows ~packets_per_flow ~host_config () =
 let sender_cache ?(seed = 1) ?(n_servers = 64) ?(flows = 20)
     ?(packets_per_flow = 10) () =
   let no_cache =
-    { I3.Host.default_config with I3.Host.cache_ttl_ms = 0. }
+    { Transport.Host.default_config with Transport.Host.cache_ttl_ms = 0. }
   in
   {
     hops_with_cache =
@@ -54,15 +54,15 @@ let replication_trial ~seed ~n_servers ~replicate =
   in
   let recv = Transport.Deployment.new_host d () in
   let delivered = ref 0 in
-  I3.Host.on_receive recv (fun ~stack:_ ~payload:_ -> incr delivered);
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  Transport.Host.on_receive recv (fun ~stack:_ ~payload:_ -> incr delivered);
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 1_000.;
   let owner = Chord.Oracle.responsible (Transport.Deployment.oracle d) id in
   Transport.Deployment.fail_server d owner;
   (* one packet inside the failure window, before any refresh *)
   let send = Transport.Deployment.new_host d () in
-  I3.Host.send send id "probe";
+  Transport.Host.send send id "probe";
   Transport.Deployment.run_for d 1_000.;
   !delivered
 
@@ -129,11 +129,11 @@ let ack_latency ~seed ~challenge =
   let acked_at = ref nan in
   Net.set_tap (Transport.Deployment.net d) (fun ~src:_ ~dst bytes ->
       match I3.Codec.decode bytes with
-      | Ok (I3.Message.Insert_ack _) when dst = I3.Host.addr host ->
+      | Ok (I3.Message.Insert_ack _) when dst = Transport.Host.addr host ->
           if Float.is_nan !acked_at then acked_at := Transport.Deployment.now d
       | _ -> ());
   let t0 = Transport.Deployment.now d in
-  I3.Host.insert_trigger host (Id.random (Rng.of_int (seed + 9)));
+  Transport.Host.insert_trigger host (Id.random (Rng.of_int (seed + 9)));
   Transport.Deployment.run_for d 1_000.;
   !acked_at -. t0
 

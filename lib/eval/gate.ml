@@ -141,7 +141,7 @@ let render ?(out = stdout) results =
       (List.length results)
 
 (* Only metrics that are deterministic functions of the seeds and the
-   virtual clock are gated tightly.  Wall-clock numbers (Bechamel
+   virtual clock are gated tightly.  Wall-clock numbers (microbenchmark
    timings, generated_at) vary by machine; the trigger-table hot-path
    rates and match p99 are wall-clock too, but they guard the data
    plane's core structure, so they are gated with tolerances wide

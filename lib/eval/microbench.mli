@@ -42,7 +42,7 @@ val route_env : n_nodes:int -> seed:int -> unit -> env
     forwarded packet. *)
 
 val iter : env -> unit
-(** One benchmark iteration (what Bechamel staples). *)
+(** One benchmark iteration. *)
 
 val batch : env -> int -> unit
 (** [n] iterations — for hand-rolled timing loops. *)
@@ -57,5 +57,7 @@ val throughput : payload:int -> ?duration_s:float -> seed:int -> unit -> through
 (** Wall-clock saturation test of the forwarding path. *)
 
 val time_per_iter_ns : env -> ?iters:int -> unit -> float * float
-(** Hand-rolled (mean, stdev) nanoseconds per iteration — used for the
-    trigger-insertion table, which the paper reports as mean/stddev. *)
+(** Hand-rolled (mean, stdev) nanoseconds per iteration on a warm heap
+    (1,000 iterations of warm-up, then 20 timed chunks): the Fig. 10/11
+    rows and the trigger-insertion table, which the paper reports as
+    mean/stddev. *)

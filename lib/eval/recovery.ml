@@ -38,7 +38,7 @@ let triggers_conserved d hosts =
                     tr.I3.Trigger.id
                   <> [])
                 owners)
-        (I3.Host.active_triggers host))
+        (Transport.Host.active_triggers host))
     hosts
 
 (* --- probe flows --- *)
@@ -59,11 +59,11 @@ let start_flow d ~sender ~receiver ?(period = 250.) ?name id =
     Obs.Probe.create ~metrics:(Transport.Dynamic.metrics d) ~name
       ~now:(Engine.now engine)
   in
-  I3.Host.on_receive receiver (fun ~stack:_ ~payload ->
+  Transport.Host.on_receive receiver (fun ~stack:_ ~payload ->
       Obs.Probe.on_receive probe ~now:(Engine.now engine) payload);
   let timer =
     Engine.every engine ~phase:0.001 ~period (fun () ->
-        I3.Host.send sender id (Obs.Probe.next probe))
+        Transport.Host.send sender id (Obs.Probe.next probe))
   in
   { probe; engine; timer }
 

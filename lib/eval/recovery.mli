@@ -34,7 +34,7 @@ val converges_within :
     [check_every] ms (default 1000), giving up after [budget] ms of
     virtual time; returns the elapsed virtual time to convergence. *)
 
-val triggers_conserved : Transport.Dynamic.t -> I3.Host.t list -> bool
+val triggers_conserved : Transport.Dynamic.t -> Transport.Host.t list -> bool
 (** Every active trigger of every given host is stored (and matchable)
     at every live server claiming responsibility for it, and at least
     one server claims it.  Call after the repair bound
@@ -50,8 +50,8 @@ type flow
 
 val start_flow :
   Transport.Dynamic.t ->
-  sender:I3.Host.t ->
-  receiver:I3.Host.t ->
+  sender:Transport.Host.t ->
+  receiver:Transport.Host.t ->
   ?period:float ->
   ?name:string ->
   Id.t ->

@@ -2,7 +2,7 @@
    checks [Eval.Recovery] / [Eval.Monitor] run in virtual time.
 
    - {b delivery}: [Obs.Probe] flows (client -> id -> back to the
-     client), sent from [flow_tick] and recorded from [on_deliver], both
+     client), sent from [flow_tick] and recorded from [on_receive], both
      on [wall_ms ()];
    - {b trigger conservation}: every trigger the client keeps refreshed
      is matchable at its responsible daemon, checked behaviorally by
@@ -13,7 +13,7 @@
      counter, yielding monitor-measured TTD/TTR.
 
    Flows and conservation probes share one [Transport.Client]; this
-   module owns its [on_deliver] callback. *)
+   module owns its host's [on_receive] callback. *)
 
 let wall_ms () = Unix.gettimeofday () *. 1000.
 
@@ -41,7 +41,7 @@ let attach ?(metrics = Obs.Metrics.default) client =
          cannot collide when their drained events are assembled. *)
       next_trace = (Unix.getpid () land 0xffff) lsl 32 }
   in
-  Transport.Client.on_deliver client (fun ~stack:_ ~payload ->
+  Transport.Host.on_receive (Transport.Client.host client) (fun ~stack:_ ~payload ->
       match String.split_on_char ' ' payload with
       | [ "i3cons"; nonce ] ->
           Option.iter (fun n -> Hashtbl.replace t.cons n ())
@@ -67,8 +67,9 @@ let flow_tick t f ~now_ms =
   if now_ms >= f.next_send then begin
     f.next_send <- now_ms +. f.period_ms;
     t.next_trace <- t.next_trace + 1;
-    Transport.Client.send_data t.client ~trace:t.next_trace
-      ~stack:[ I3.Packet.Sid f.id ] ~payload:(Obs.Probe.next f.probe) ()
+    Transport.Host.send_packet (Transport.Client.host t.client)
+      (I3.Packet.make ~trace:t.next_trace ~stack:[ I3.Packet.Sid f.id ]
+         ~payload:(Obs.Probe.next f.probe) ())
   end
 
 let sent f = Obs.Probe.sent f.probe
@@ -101,13 +102,13 @@ let triggers_conserved ?(attempts = 5) ?(attempt_timeout_ms = 400.) t =
     if n = 0 then false
     else begin
       t.nonce <- t.nonce + 1;
-      Transport.Client.send_data t.client
-        ~stack:[ I3.Packet.Sid trigger.id ]
-        ~payload:(Printf.sprintf "i3cons %d" t.nonce) ();
+      Transport.Host.send_stack (Transport.Client.host t.client)
+        [ I3.Packet.Sid trigger.id ]
+        (Printf.sprintf "i3cons %d" t.nonce);
       answered t.nonce || conserved (n - 1) trigger
     end
   in
-  List.for_all (conserved attempts) (Transport.Client.triggers t.client)
+  List.for_all (conserved attempts) (Transport.Host.active_triggers (Transport.Client.host t.client))
 
 (* --- the live monitor --- *)
 

@@ -4,7 +4,7 @@
 
     Delivery is measured by the same {!Obs.Probe} core both substrates
     share, so "delivered" and "recovered" mean one thing on either.
-    One {!t} owns a {!Transport.Client}'s [on_deliver] callback and
+    One {!t} owns a {!Transport.Client}'s host's [on_receive] callback and
     dispatches payloads to its flows and to {e conservation probes}
     (behavioral proof that a trigger is stored and matchable at its
     responsible daemon).  A {!monitor} judges {!Obs.Health} rules over
@@ -14,7 +14,7 @@
 type t
 
 val attach : ?metrics:Obs.Metrics.t -> Transport.Client.t -> t
-(** Takes over the client's [on_deliver]. *)
+(** Takes over the client's host's [on_receive]. *)
 
 (** {1 Probe flows} *)
 

@@ -1,6 +1,6 @@
 (* The sans-IO end host: every host-side rule of the paper, once, as a
-   state value plus [step].  The simulator's [Host] and the wire's
-   [Transport.Client] only translate I/O, clocks and timers. *)
+   state value plus [step].  Its one driver, [Transport.Host], only
+   translates I/O, clocks and timers, on the simulator and the wire. *)
 
 type config = {
   refresh_period_ms : float;

@@ -2,9 +2,9 @@
     ack-awaited retries, the sender cache (Sec. IV-E), re-homing and
     gateway failover (Sec. IV-C), challenge answers (Sec. IV-J3), the
     first-packet detour — as one pure state machine.  Like {!Engine} it
-    does no I/O and reads no clock; {!Host} drives it on the simulator,
-    [Transport.Client] over UDP, so both take the same decisions for the
-    same stamped inputs.
+    does no I/O and reads no clock; its one driver, [Transport.Host],
+    runs it on a simulated endpoint and (as [Transport.Client]) over
+    UDP, so both take the same decisions for the same stamped inputs.
 
     A binding's round opens when it is inserted, moved, or due
     ([refresh_period_ms] after its last acked send).  An unacked send is
@@ -26,7 +26,7 @@ type config = {
 val default_refresh_period_ms : float
 (** [Trigger.default_lifetime_ms / 3]: two refreshes may be lost, or
     one may take a slower path than the last, before a live trigger
-    expires.  The default of both {!Host} and [Transport.Client]. *)
+    expires.  The default on the simulator and the wire alike. *)
 
 val attempt_timeout_ms : float
 (** Ack wait per attempt: 250. *)

@@ -1,5 +1,5 @@
 type shield = {
-  host : I3.Host.t;
+  host : Transport.Host.t;
   ids : Id.t list; (* entry first *)
 }
 
@@ -8,9 +8,9 @@ let build host rng ~hops =
   let ids = List.init hops (fun _ -> Id.random rng) in
   let rec link = function
     | [] -> ()
-    | [ last ] -> I3.Host.insert_trigger host last
+    | [ last ] -> Transport.Host.insert_trigger host last
     | a :: (b :: _ as rest) ->
-        I3.Host.insert_stack_trigger host a [ I3.Packet.Sid b ];
+        Transport.Host.insert_stack_trigger host a [ I3.Packet.Sid b ];
         link rest
   in
   link ids;
@@ -35,4 +35,4 @@ let exit_server_only_knows_addr deployment t =
   in
   check t.ids
 
-let tear_down t = List.iter (I3.Host.remove_trigger t.host) t.ids
+let tear_down t = List.iter (Transport.Host.remove_trigger t.host) t.ids

@@ -10,7 +10,7 @@
 
 type shield
 
-val build : I3.Host.t -> Rng.t -> hops:int -> shield
+val build : Transport.Host.t -> Rng.t -> hops:int -> shield
 (** Install a [hops]-long chain of id-to-id triggers terminating at the
     host (all soft state owned — and refreshed — by the host itself).
     @raise Invalid_argument if [hops < 1]. *)

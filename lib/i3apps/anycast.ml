@@ -24,8 +24,8 @@ let packet_id rng ~group ?preference () = encode rng ~group ~preference
 
 let join host rng ~group ?preference () =
   let id = member_id rng ~group ?preference () in
-  I3.Host.insert_trigger host id;
+  Transport.Host.insert_trigger host id;
   id
 
 let send host rng ~group ?preference payload =
-  I3.Host.send host (packet_id rng ~group ?preference ()) payload
+  Transport.Host.send host (packet_id rng ~group ?preference ()) payload

@@ -27,9 +27,9 @@ val packet_id : Rng.t -> group:group -> ?preference:string -> unit -> Id.t
 (** Identifier a sender uses to reach the member whose preference best
     matches. *)
 
-val join : I3.Host.t -> Rng.t -> group:group -> ?preference:string -> unit -> Id.t
+val join : Transport.Host.t -> Rng.t -> group:group -> ?preference:string -> unit -> Id.t
 (** Insert a member trigger; returns the concrete identifier (needed to
     leave). *)
 
 val send :
-  I3.Host.t -> Rng.t -> group:group -> ?preference:string -> string -> unit
+  Transport.Host.t -> Rng.t -> group:group -> ?preference:string -> string -> unit

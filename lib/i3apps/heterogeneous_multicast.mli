@@ -9,12 +9,12 @@
     paper's demo plays one MPEG stream to an MPEG player and an H.263
     player via an MPEG-to-H.263 transcoder (Sec. IV-I, Fig. 7). *)
 
-val subscribe_native : I3.Host.t -> group:Id.t -> unit
+val subscribe_native : Transport.Host.t -> group:Id.t -> unit
 (** Plain membership: [(g, addr)]. *)
 
 val subscribe_via :
-  I3.Host.t -> Rng.t -> group:Id.t -> service:Id.t -> Id.t
+  Transport.Host.t -> Rng.t -> group:Id.t -> service:Id.t -> Id.t
 (** Transcoded membership: creates a private id [p], inserts
     [(g, [service; p])] and [(p, addr)], returns [p]. *)
 
-val publish : I3.Host.t -> group:Id.t -> string -> unit
+val publish : Transport.Host.t -> group:Id.t -> string -> unit

@@ -2,7 +2,7 @@
 
     Mobility in i3 needs no home agents: a host that acquires a new
     address simply rewrites its triggers from [(id, old)] to [(id, new)].
-    {!I3.Host.move} already performs the address change + re-insertion;
+    {!Transport.Host.move} already performs the address change + re-insertion;
     this module adds flow-level helpers: keeping a named flow alive across
     moves, roaming itineraries on a schedule, and the observation windows
     tests use to show the sender never notices (including simultaneous
@@ -13,8 +13,8 @@ type flow
 
 val establish :
   rng:Rng.t ->
-  listener:I3.Host.t ->
-  sender:I3.Host.t ->
+  listener:Transport.Host.t ->
+  sender:Transport.Host.t ->
   on_data:(string -> unit) ->
   flow
 (** A one-way flow: the listener owns a private trigger, the sender

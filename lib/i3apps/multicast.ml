@@ -3,9 +3,9 @@ type group = Id.t
 let create_group rng = Id.random rng
 let named_group name = Id.name_hash name
 
-let join host group = I3.Host.insert_trigger host group
-let leave host group = I3.Host.remove_trigger host group
-let send host group payload = I3.Host.send host group payload
+let join host group = Transport.Host.insert_trigger host group
+let leave host group = Transport.Host.remove_trigger host group
+let send host group payload = Transport.Host.send host group payload
 
 let member_count deployment group =
   let server = Transport.Deployment.responsible_server deployment group in

@@ -13,12 +13,12 @@ val create_group : Rng.t -> group
 val named_group : string -> group
 (** Public group identifier derived from a name (e.g. a session URL). *)
 
-val join : I3.Host.t -> group -> unit
+val join : Transport.Host.t -> group -> unit
 (** Insert (and keep refreshed) the member's trigger for the group. *)
 
-val leave : I3.Host.t -> group -> unit
+val leave : Transport.Host.t -> group -> unit
 
-val send : I3.Host.t -> group -> string -> unit
+val send : Transport.Host.t -> group -> string -> unit
 (** Identical to a unicast send — the infrastructure fans out. *)
 
 val member_count : Transport.Deployment.t -> group -> int

@@ -7,7 +7,7 @@
    multiple outstanding requests over the same reply trigger demux. *)
 
 type t = {
-  host : I3.Host.t;
+  host : Transport.Host.t;
   rng : Rng.t;
   reply_id : Id.t;
   mutable next_token : int64;
@@ -47,7 +47,7 @@ let dispatch t ~stack:_ ~payload =
           (fun _ handler ->
             match handler body with
             | Some reply ->
-                I3.Host.send t.host reply_to ("R" ^ token ^ reply)
+                Transport.Host.send t.host reply_to ("R" ^ token ^ reply)
             | None -> ())
           t.services
     | 'O' ->
@@ -74,21 +74,21 @@ let create host rng =
       services = Hashtbl.create 4;
     }
   in
-  I3.Host.on_receive host (fun ~stack ~payload -> dispatch t ~stack ~payload);
-  I3.Host.insert_trigger host t.reply_id;
+  Transport.Host.on_receive host (fun ~stack ~payload -> dispatch t ~stack ~payload);
+  Transport.Host.insert_trigger host t.reply_id;
   t
 
 let expose t ~name ~handler =
   let id = public_id ~name in
   Hashtbl.replace t.services (Id.to_raw_string id) handler;
-  I3.Host.insert_trigger t.host id
+  Transport.Host.insert_trigger t.host id
 
 let request t ~name ~payload ~on_reply =
   t.next_token <- Int64.add t.next_token 1L;
   let token = t.next_token in
   Hashtbl.replace t.pending token on_reply;
-  I3.Host.send t.host (public_id ~name)
+  Transport.Host.send t.host (public_id ~name)
     ("Q" ^ Id.to_raw_string t.reply_id ^ u64_to_string token ^ payload)
 
 let send_oneway t ~name payload =
-  I3.Host.send t.host (public_id ~name) ("O" ^ payload)
+  Transport.Host.send t.host (public_id ~name) ("O" ^ payload)

@@ -9,7 +9,7 @@
 
 type t
 
-val create : I3.Host.t -> Rng.t -> t
+val create : Transport.Host.t -> Rng.t -> t
 (** One proxy per host; it owns the host's receive path. *)
 
 val expose : t -> name:string -> handler:(string -> string option) -> unit

@@ -18,7 +18,7 @@ let u64_of_string s off =
 (* --- receiver --- *)
 
 type receiver = {
-  r_host : I3.Host.t;
+  r_host : Transport.Host.t;
   r_id : Id.t;
   mutable next_expected : int64;
   pending : (int64, string) Hashtbl.t; (* out-of-order buffer *)
@@ -49,7 +49,7 @@ let receiver host rng ~on_data =
       | None -> continue := false
     done
   in
-  I3.Host.on_receive host (fun ~stack:_ ~payload ->
+  Transport.Host.on_receive host (fun ~stack:_ ~payload ->
       if String.length payload >= 1 + 8 + Id.byte_length && payload.[0] = 'D'
       then begin
         let seq = u64_of_string payload 1 in
@@ -66,9 +66,9 @@ let receiver host rng ~on_data =
         deliver_ready ();
         (* Cumulative ack — also for duplicates, so the sender's timer
            stops even when the original ack was lost. *)
-        I3.Host.send host ack_id ("A" ^ u64_to_string r.next_expected)
+        Transport.Host.send host ack_id ("A" ^ u64_to_string r.next_expected)
       end);
-  I3.Host.insert_trigger host r.r_id;
+  Transport.Host.insert_trigger host r.r_id;
   r
 
 let receiver_id r = r.r_id
@@ -77,7 +77,7 @@ let received_count r = r.delivered
 (* --- sender --- *)
 
 type sender = {
-  s_host : I3.Host.t;
+  s_host : Transport.Host.t;
   dest : Id.t;
   ack_id : Id.t;
   window : int;
@@ -92,7 +92,7 @@ type sender = {
 }
 
 let transmit s seq body =
-  I3.Host.send s.s_host s.dest
+  Transport.Host.send s.s_host s.dest
     ("D" ^ u64_to_string seq ^ Id.to_raw_string s.ack_id ^ body)
 
 let rec arm_timer s =
@@ -134,7 +134,7 @@ let sender ?(window = 16) ?(rto_ms = 2_000.) host rng ~dest =
       ack_id = Id.random rng;
       window;
       rto_ms;
-      engine = I3.Host.engine host;
+      engine = Transport.Host.engine host;
       outstanding = Hashtbl.create 32;
       backlog = [];
       next_seq = 0L;
@@ -143,7 +143,7 @@ let sender ?(window = 16) ?(rto_ms = 2_000.) host rng ~dest =
       timer_armed = false;
     }
   in
-  I3.Host.on_receive host (fun ~stack:_ ~payload ->
+  Transport.Host.on_receive host (fun ~stack:_ ~payload ->
       if String.length payload >= 9 && payload.[0] = 'A' then begin
         let cumulative = u64_of_string payload 1 in
         if Int64.compare cumulative s.acked_below > 0 then begin
@@ -154,7 +154,7 @@ let sender ?(window = 16) ?(rto_ms = 2_000.) host rng ~dest =
           fill_window s
         end
       end);
-  I3.Host.insert_trigger host s.ack_id;
+  Transport.Host.insert_trigger host s.ack_id;
   s
 
 let send s body =

@@ -12,7 +12,7 @@
 
 type receiver
 
-val receiver : I3.Host.t -> Rng.t -> on_data:(string -> unit) -> receiver
+val receiver : Transport.Host.t -> Rng.t -> on_data:(string -> unit) -> receiver
 (** Dedicate a host as the receiving end; takes over its receive path.
     [on_data] fires exactly once per message, in send order. *)
 
@@ -26,7 +26,7 @@ type sender
 val sender :
   ?window:int ->
   ?rto_ms:float ->
-  I3.Host.t ->
+  Transport.Host.t ->
   Rng.t ->
   dest:Id.t ->
   sender

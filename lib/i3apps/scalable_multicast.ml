@@ -52,10 +52,10 @@ let deploy ~coordinator ~members p =
     invalid_arg "Scalable_multicast.deploy: member count mismatch";
   List.iter
     (fun (parent, child) ->
-      I3.Host.insert_stack_trigger coordinator parent [ I3.Packet.Sid child ])
+      Transport.Host.insert_stack_trigger coordinator parent [ I3.Packet.Sid child ])
     p.internal_edges;
   Array.iteri
-    (fun i host -> I3.Host.insert_trigger host p.attachment.(i))
+    (fun i host -> Transport.Host.insert_trigger host p.attachment.(i))
     members
 
-let send host p payload = I3.Host.send host p.root payload
+let send host p payload = Transport.Host.send host p.root payload

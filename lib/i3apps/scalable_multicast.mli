@@ -26,10 +26,10 @@ val fanout_histogram : plan -> (Id.t * int) list
     attachments) — every count is <= [degree]. *)
 
 val deploy :
-  coordinator:I3.Host.t -> members:I3.Host.t array -> plan -> unit
+  coordinator:Transport.Host.t -> members:Transport.Host.t array -> plan -> unit
 (** Insert the tree: the coordinator owns the internal id-to-id triggers
     (it refreshes them like any soft state), each member inserts its own
     leaf trigger. *)
 
-val send : I3.Host.t -> plan -> string -> unit
+val send : Transport.Host.t -> plan -> string -> unit
 (** Publish to the root — identical to unicast, as always. *)

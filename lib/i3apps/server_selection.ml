@@ -1,5 +1,5 @@
 type member = {
-  host : I3.Host.t;
+  host : Transport.Host.t;
   mutable trigger_ids : Id.t list;
 }
 
@@ -25,7 +25,7 @@ let set_capacity member rng ~group capacity =
         match ids with
         | [] -> []
         | id :: rest ->
-            I3.Host.remove_trigger member.host id;
+            Transport.Host.remove_trigger member.host id;
             drop (k - 1) rest
     in
     member.trigger_ids <- drop (current - capacity) member.trigger_ids
@@ -50,5 +50,5 @@ let request_near host rng ~group ~zip payload =
   Anycast.send host rng ~group ~preference:(location_code ~zip) payload
 
 let leave member =
-  List.iter (I3.Host.remove_trigger member.host) member.trigger_ids;
+  List.iter (Transport.Host.remove_trigger member.host) member.trigger_ids;
   member.trigger_ids <- []

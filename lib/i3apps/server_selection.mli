@@ -10,14 +10,14 @@
     longest-prefix match then favors nearby servers. *)
 
 type member = {
-  host : I3.Host.t;
+  host : Transport.Host.t;
   mutable trigger_ids : Id.t list;  (** currently installed triggers *)
 }
 
 (** {1 Load balancing} *)
 
 val join_weighted :
-  I3.Host.t -> Rng.t -> group:Anycast.group -> capacity:int -> member
+  Transport.Host.t -> Rng.t -> group:Anycast.group -> capacity:int -> member
 (** Install [capacity] random-suffix triggers. *)
 
 val set_capacity : member -> Rng.t -> group:Anycast.group -> int -> unit
@@ -25,13 +25,13 @@ val set_capacity : member -> Rng.t -> group:Anycast.group -> int -> unit
     algorithm in one step): inserts or removes triggers to reach the new
     capacity. *)
 
-val request_any : I3.Host.t -> Rng.t -> group:Anycast.group -> string -> unit
+val request_any : Transport.Host.t -> Rng.t -> group:Anycast.group -> string -> unit
 
 (** {1 Locality} *)
 
-val join_near : I3.Host.t -> Rng.t -> group:Anycast.group -> zip:string -> member
+val join_near : Transport.Host.t -> Rng.t -> group:Anycast.group -> zip:string -> member
 
 val request_near :
-  I3.Host.t -> Rng.t -> group:Anycast.group -> zip:string -> string -> unit
+  Transport.Host.t -> Rng.t -> group:Anycast.group -> zip:string -> string -> unit
 
 val leave : member -> unit

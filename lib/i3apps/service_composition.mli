@@ -10,7 +10,7 @@
 type service
 
 val attach :
-  I3.Host.t -> service_id:Id.t -> transform:(string -> string) -> service
+  Transport.Host.t -> service_id:Id.t -> transform:(string -> string) -> service
 (** Dedicate a host as a processing service: it maintains the service
     trigger and forwards each transformed payload along the remaining
     identifier stack. The host's receive handler is taken over. *)
@@ -19,7 +19,7 @@ val service_id : service -> Id.t
 val processed_count : service -> int
 
 val send_via :
-  I3.Host.t -> services:Id.t list -> flow:Id.t -> string -> unit
+  Transport.Host.t -> services:Id.t list -> flow:Id.t -> string -> unit
 (** Sender-driven composition: dispatch with stack
     [services @ [flow]]. @raise Invalid_argument if the stack would exceed
     {!I3.Packet.max_stack_depth}. *)

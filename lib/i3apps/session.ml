@@ -4,7 +4,7 @@
    'D' | destination private id (32) | application data *)
 
 type manager = {
-  host : I3.Host.t;
+  host : Transport.Host.t;
   rng : Rng.t;
   sessions : (string, t) Hashtbl.t; (* local private id (raw) -> session *)
   listeners : (string, t -> unit) Hashtbl.t; (* public id (raw) -> accept *)
@@ -31,7 +31,7 @@ let new_session mgr =
       closed = false }
   in
   Hashtbl.replace mgr.sessions (id_raw local) s;
-  I3.Host.insert_trigger mgr.host local;
+  Transport.Host.insert_trigger mgr.host local;
   s
 
 let send s data =
@@ -39,13 +39,13 @@ let send s data =
   | None -> invalid_arg "Session.send: not established"
   | Some peer ->
       if not s.closed then
-        I3.Host.send s.mgr.host peer ("D" ^ id_raw peer ^ data)
+        Transport.Host.send s.mgr.host peer ("D" ^ id_raw peer ^ data)
 
 let close s =
   if not s.closed then begin
     s.closed <- true;
     Hashtbl.remove s.mgr.sessions (id_raw s.local);
-    I3.Host.remove_trigger s.mgr.host s.local
+    Transport.Host.remove_trigger s.mgr.host s.local
   end
 
 let take_id payload off = Id.of_raw_string (String.sub payload off Id.byte_length)
@@ -61,7 +61,7 @@ let dispatch mgr ~stack:_ ~payload =
         | Some accept ->
             let s = new_session mgr in
             s.peer <- Some initiator;
-            I3.Host.send mgr.host initiator
+            Transport.Host.send mgr.host initiator
               ("A" ^ id_raw initiator ^ id_raw s.local);
             accept s)
     | 'A' when String.length payload >= 1 + (2 * Id.byte_length) -> (
@@ -92,14 +92,14 @@ let manager host rng =
   let mgr =
     { host; rng; sessions = Hashtbl.create 8; listeners = Hashtbl.create 4 }
   in
-  I3.Host.on_receive host (fun ~stack ~payload -> dispatch mgr ~stack ~payload);
+  Transport.Host.on_receive host (fun ~stack ~payload -> dispatch mgr ~stack ~payload);
   mgr
 
 let listen mgr ~public ~on_accept =
   Hashtbl.replace mgr.listeners (id_raw public) on_accept;
-  I3.Host.insert_trigger mgr.host public
+  Transport.Host.insert_trigger mgr.host public
 
 let connect mgr ~public ~on_ready =
   let s = new_session mgr in
   s.ready_cb <- Some on_ready;
-  I3.Host.send mgr.host public ("S" ^ id_raw public ^ id_raw s.local)
+  Transport.Host.send mgr.host public ("S" ^ id_raw public ^ id_raw s.local)

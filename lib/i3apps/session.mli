@@ -6,7 +6,7 @@
     it through the public trigger; the responder answers with its own
     fresh private id; both then converse exclusively over the short-lived
     private triggers.  Because each endpoint's reachability is a trigger
-    it owns, either side can {!I3.Host.move} mid-flow and the session
+    it owns, either side can {!Transport.Host.move} mid-flow and the session
     survives — this is the substrate of the ROAM mobility work the paper
     cites (Sec. VII).
 
@@ -17,7 +17,7 @@ type manager
 type t
 (** One endpoint of an established session. *)
 
-val manager : I3.Host.t -> Rng.t -> manager
+val manager : Transport.Host.t -> Rng.t -> manager
 (** Take over the host's receive path. *)
 
 val listen :

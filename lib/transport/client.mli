@@ -1,23 +1,11 @@
-(** Host-side i3 client over UDP: the wire driver of {!I3.Endhost}, the
-    machine the simulator's {!I3.Host} runs too.  Ack-awaited, retried
-    inserts, the sender cache, re-homing, gateway rotation and the
-    periodic refresh that re-populates a restarted daemon's empty soft
-    state (Sec. IV-C) are its rules; this module carries its effects
-    over a socket, optionally through a {!Faulty} decorator so chaos
-    scenarios exercise this exact path, and counts its decisions
-    ([client.sends/retries/timeouts/gave_up/acks/refreshes]). *)
+(** Host-side i3 client over UDP: {!Host} on a socket, optionally
+    through a {!Faulty} decorator so chaos scenarios exercise this exact
+    path.  The application API is {!Host}'s, on {!host}; this module adds
+    what needs the socket and a blocking loop. *)
 
-type config = I3.Endhost.config = {
-  refresh_period_ms : float;
-  cache_ttl_ms : float;
-  ack_grace_ms : float;
-}
-
-val default_config : config
-(** Refresh every [I3.Endhost.default_refresh_period_ms]; 30 s grace;
-    cache TTL 0, the cache off, so every packet and insert goes through
-    the gateway and one datagram crosses the whole chain of daemons it
-    names. *)
+val default_config : Host.config
+(** {!Host.default_config} with the cache off (every packet and insert
+    crosses the gateway) and a 30 s grace. *)
 
 type pong = { server : int; triggers : int; uptime_ms : float }
 (** A daemon's status reply to {!ping}. *)
@@ -26,7 +14,7 @@ type t
 
 val create :
   ?metrics:Obs.Metrics.t ->
-  ?config:config ->
+  ?config:Host.config ->
   ?instance:string ->
   ?clock:(unit -> float) ->
   ?faulty:Faulty.t ->
@@ -36,18 +24,11 @@ val create :
   t
 (** Takes over the socket's receive handler.  [gateways] are the i3
     servers this host may talk to first; [faulty] interposes fault
-    injection on every send; [clock] returns ms (default wall clock).
+    injection on every send; [clock] returns ms (default wall clock);
+    the host's counters carry [instance] (default ["client"]).
     @raise Invalid_argument on an empty gateway list. *)
 
-val local_addr : t -> int
-
-val on_deliver : t -> (stack:I3.Packet.stack -> payload:string -> unit) -> unit
-(** Application callback for [Deliver] frames. *)
-
-val gateway : t -> int
-(** Current gateway daemon. *)
-
-(** {1 Triggers} *)
+val host : t -> Host.t
 
 val insert : t -> I3.Trigger.t -> [ `Acked | `Gave_up ]
 (** Register (or re-assert) a trigger and block until the machine's
@@ -56,32 +37,17 @@ val insert : t -> I3.Trigger.t -> [ `Acked | `Gave_up ]
     and rotating the gateway).  The binding stays registered either
     way, so refresh keeps trying. *)
 
-val remove : t -> I3.Trigger.t -> unit
-(** Forget the binding and send one best-effort [Remove]. *)
-
-val triggers : t -> I3.Trigger.t list
-
 val maintain : t -> unit
 (** Step the machine at the client's own clock and return: due
     refreshes and retries leave, never a blocking wait, so a dead server
     cannot stall the caller's loop.  Refreshes retry indefinitely and
     never bump [client.gave_up]. *)
 
-(** {1 Data and probes} *)
-
-val send_data :
-  t -> ?ttl:int -> ?trace:int -> stack:I3.Packet.stack -> payload:string ->
-  unit -> unit
-(** Fire-and-forget data packet, routed by the machine (cached server,
-    else the gateway).  Best effort, as in i3; reliability above it
-    belongs to the application, cf. [I3apps.Reliable]. *)
-
 val ping : t -> dst:int -> timeout_ms:float -> pong option
 (** One liveness/status probe: send a nonce'd [Ping], wait for the
     matching [Pong].  A [Pong] no ping awaits (late or unsolicited) is
-    dropped and counted in [client.pongs_ignored]. *)
-
-(** {1 The loop} *)
+    dropped and counted in [client.pongs_ignored]; Pongs never reach
+    the machine. *)
 
 val wait : t -> timeout:float -> bool
 (** One blocking receive step ([timeout] in seconds): flush the fault

@@ -154,7 +154,7 @@ let site_latency t a b = t.latency a b
 
 let sample_nearby_id t host ~samples =
   if samples < 1 then invalid_arg "Deployment.sample_nearby_id: samples < 1";
-  let host_site = I3.Host.site host in
+  let host_site = Host.site host in
   let best = ref None in
   for _ = 1 to samples do
     let id = Id.random t.w.rng in

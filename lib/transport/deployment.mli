@@ -1,13 +1,15 @@
 (** A complete i3 system on a static ring — a topology, a simulated IP
     network of wire bytes, a ring of i3 servers and a factory for
-    {!I3.Host}s — the integration surface the examples, application
+    {!Host}s — the integration surface the examples, application
     layer and experiments build on.
 
     Every server runs as [bin/i3d] and every {!Dynamic} member do: one
     {!I3.Engine} behind one {!Driver} on one [Sim] endpoint.  The
     engines are static ({!I3.Engine.create_static}): they run no Chord
     node and route by a view of one {!Chord.Oracle} ring that this
-    module keeps converged, as the paper's simulator does. *)
+    module keeps converged, as the paper's simulator does.  Every host
+    runs the one end-host driver, {!Host}, on a [Sim] endpoint of the
+    same net, as [Transport.Client] runs it on a socket. *)
 
 type t
 
@@ -82,17 +84,17 @@ val fail_server : t -> int -> unit
 val new_host :
   t ->
   ?site:int ->
-  ?config:I3.Host.config ->
+  ?config:Host.config ->
   ?n_gateways:int ->
   unit ->
-  I3.Host.t
+  Host.t
 (** Attach a host at [site] (default: random eligible site) knowing
     [n_gateways] (default 3) random live servers. *)
 
 val total_triggers : t -> int
 (** Sum of stored (non-cache) triggers across live servers. *)
 
-val sample_nearby_id : t -> I3.Host.t -> samples:int -> Id.t
+val sample_nearby_id : t -> Host.t -> samples:int -> Id.t
 (** The paper's off-line proximity heuristic (Sec. IV-E): draw [samples]
     random identifiers, estimate the RTT to the server each would live
     on, and return the one stored closest to the host.  Receivers use

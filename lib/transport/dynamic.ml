@@ -52,7 +52,7 @@ let now t = Engine.now t.w.engine
 let bump_generation t = t.generation <- t.generation + 1
 let addr = Member.addr
 let id m = I3.Engine.id (Member.node m)
-let live_members t = List.filter (fun (m : Member.t) -> m.alive) t.members
+let live_members t = List.filter Member.alive t.members
 
 (* --- Koorde forwarding --- *)
 
@@ -148,7 +148,7 @@ let kill_server t server =
    triggers on refresh (Sec. IV-C). *)
 let restart_server t server =
   let m = member_of t server in
-  if not m.alive then begin
+  if not (Member.alive m) then begin
     let node = spawn t ~id:(id m) (addr m) in
     bump_generation t;
     Member.restart m node

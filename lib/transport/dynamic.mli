@@ -3,8 +3,9 @@
     on one [Sim] endpoint of a byte net that carries its i3 and Chord
     frames alike; each driver's next deadline is one pending scheduler
     event ({!Deployment} builds its static members from the same core).
-    Hosts ({!I3.Host}) speak the same bytes, so every hop crosses the
-    real wire format, and an undecodable frame counts in
+    Hosts run the one end-host driver ({!Host}, as [Transport.Client]
+    does on a socket) and speak the same bytes, so every hop crosses
+    the real wire format, and an undecodable frame counts in
     [wire.decode_errors].  Members join and restart by address, exactly
     as a daemon does with [--join]; nobody consults a global oracle.
     This is the architecture of the paper's prototype (Sec. V-C: "the
@@ -115,10 +116,10 @@ val owners_of : t -> Id.t -> I3.Server.t list
 val new_host :
   t ->
   ?site:int ->
-  ?config:I3.Host.config ->
+  ?config:Host.config ->
   ?n_gateways:int ->
   unit ->
-  I3.Host.t
+  Host.t
 
 (** {1 Fault injection}
 

@@ -15,10 +15,8 @@ type world = {
 
 type t = {
   w : world;
-  endpoint : Sim_endpoint.t;
+  endpoint : Sim_endpoint.t;  (* its [live] flag is the member's *)
   mutable driver : Driver.t;  (* a fresh engine and driver on every restart *)
-  mutable alive : bool;
-  mutable wake : float option;  (* the one pending scheduler wake-up *)
 }
 
 (* Without a topology model, endpoints on one site talk at 0 ms and
@@ -64,25 +62,17 @@ let next_hop ring ~self id =
     (Chord.Oracle.index_of ring.oracle self)
 
 let addr m = Sim_endpoint.local_addr m.endpoint
+let alive m = m.endpoint.live
 let node m = Driver.engine m.driver
 let server m = I3.Engine.server (node m)
 let now m = Engine.now m.w.engine
 
-(* After each driver step, keep one scheduler event at the deadline the
-   step announced.  An earlier pending wake-up already covers it: its
-   [tick] steps when a timer is due and re-arms from there. *)
-let rec arm m =
-  match (Driver.next_due m.driver, m.wake) with
-  | None, _ -> ()
-  | Some due, Some pending when pending <= due -> ()
-  | Some due, _ ->
-      m.wake <- Some due;
-      Engine.schedule_at m.w.engine ~time:due (fun () ->
-          if m.alive && m.wake = Some due then begin
-            m.wake <- None;
-            Driver.tick m.driver ~now:(now m);
-            arm m
-          end)
+(* After each driver step, keep one scheduler wake-up at the deadline
+   the step announced. *)
+let arm m =
+  Sim_endpoint.arm m.endpoint
+    ~next_due:(fun () -> Driver.next_due m.driver)
+    ~tick:(fun ~now -> Driver.tick m.driver ~now)
 
 (* The driver carries the server's [instance] label, so a kill removes
    the driver's series with the server's. *)
@@ -95,8 +85,8 @@ let driver w endpoint node =
 
 (* The first tick starts the new engine's clock and timers now. *)
 let start m =
-  m.alive <- true;
-  m.wake <- None;
+  m.endpoint.live <- true;
+  m.endpoint.wake <- None;
   Driver.tick m.driver ~now:(now m);
   arm m
 
@@ -105,7 +95,7 @@ let start m =
 let create w ~site spawn =
   let endpoint = Sim_endpoint.attach w.net ~site in
   let driver = driver w endpoint (spawn (Sim_endpoint.local_addr endpoint)) in
-  let m = { w; endpoint; driver; alive = false; wake = None } in
+  let m = { w; endpoint; driver } in
   Sim_endpoint.set_handler endpoint (fun ~src bytes ->
       Driver.on_datagram m.driver ~now:(now m) ~src bytes;
       arm m);
@@ -122,7 +112,7 @@ let restart m node =
    its decode errors first join the net's own: a codec fault that only a
    dead member saw stays counted. *)
 let kill m =
-  if m.alive then begin
+  if alive m then begin
     let errors instance =
       Obs.Metrics.counter m.w.metrics
         ~labels:[ ("instance", instance); ("proto", "frame") ]
@@ -130,7 +120,7 @@ let kill m =
     in
     let dying = errors (I3.Server.instance_label (server m)) in
     Obs.Metrics.(incr ~by:(counter_value dying) (errors (Net.label m.w.net)));
-    m.alive <- false;
+    m.endpoint.live <- false;
     I3.Server.kill (server m);
     Net.set_down m.w.net (addr m)
   end
@@ -144,5 +134,5 @@ let new_host w ~site ?config ?(n_gateways = 3) live =
   let gateways =
     Array.to_list (Array.sub live 0 (min n_gateways (Array.length live)))
   in
-  I3.Host.create ~engine:w.engine ~net:w.net ~rng:(Rng.split w.rng) ~site
+  Host.create ~engine:w.engine ~net:w.net ~rng:(Rng.split w.rng) ~site
     ~gateways ?config ~tracer:w.tracer ~spans:w.spans ()

@@ -1,5 +1,6 @@
 module Udp = Udp
 module Faulty = Faulty
+module Host = Host
 module Client = Client
 module Driver = Driver
 module Dynamic = Dynamic

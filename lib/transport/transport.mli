@@ -15,9 +15,13 @@ module Faulty = Faulty
 (** Seeded send-boundary fault injection over any transport, driven by
     the simulator's {!Faults.event} vocabulary. *)
 
+module Host = Host
+(** The end-host API and the one driver of the [I3.Endhost] machine, on
+    a {!Sim} endpoint or over any send function. *)
+
 module Client = Client
-(** Host-side client: the UDP driver of the [I3.Endhost] machine, plus
-    liveness pings. *)
+(** {!Host} on a UDP socket, plus liveness pings and a blocking
+    loop. *)
 
 module Driver = Driver
 (** Effect interpreter: pumps an [I3.Engine] over any byte sender. *)

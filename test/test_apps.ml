@@ -13,7 +13,7 @@ let deployment ?(seed = 101) ?(n_servers = 16) () =
 
 let collect host =
   let log = ref [] in
-  I3.Host.on_receive host (fun ~stack:_ ~payload -> log := payload :: !log);
+  Transport.Host.on_receive host (fun ~stack:_ ~payload -> log := payload :: !log);
   fun () -> List.rev !log
 
 (* --- Multicast --- *)
@@ -243,7 +243,7 @@ let test_composition_single_service () =
       ~transform:String.uppercase_ascii
   in
   let flow = Id.random rng in
-  I3.Host.insert_trigger recv flow;
+  Transport.Host.insert_trigger recv flow;
   Transport.Deployment.run_for d 500.;
   I3apps.Service_composition.send_via sender ~services:[ svc_id ] ~flow "html";
   Transport.Deployment.run_for d 500.;
@@ -268,7 +268,7 @@ let test_composition_two_services_in_order () =
     I3apps.Service_composition.attach s2 ~service_id:id2 ~transform:(fun s ->
         s ^ "+second")
   in
-  I3.Host.insert_trigger recv flow;
+  Transport.Host.insert_trigger recv flow;
   Transport.Deployment.run_for d 500.;
   I3apps.Service_composition.send_via sender ~services:[ id1; id2 ] ~flow "x";
   Transport.Deployment.run_for d 1_000.;
@@ -361,8 +361,8 @@ let test_session_survives_mobility () =
   I3apps.Session.send s "before-move";
   Transport.Deployment.run_for d 500.;
   (* both endpoints move simultaneously — the paper's hardest case *)
-  I3.Host.move server_host ~new_site:0;
-  I3.Host.move client_host ~new_site:0;
+  Transport.Host.move server_host ~new_site:0;
+  Transport.Host.move client_host ~new_site:0;
   Transport.Deployment.run_for d 500.;
   I3apps.Session.send s "after-move";
   Transport.Deployment.run_for d 500.;
@@ -511,7 +511,7 @@ let test_anonymity_chain_delivers () =
   let got = collect recv in
   let shield = I3apps.Anonymity.build recv (Transport.Deployment.rng d) ~hops:3 in
   Transport.Deployment.run_for d 1_000.;
-  I3.Host.send send (I3apps.Anonymity.entry_id shield) "whisper";
+  Transport.Host.send send (I3apps.Anonymity.entry_id shield) "whisper";
   Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "delivered through the chain" [ "whisper" ]
     (got ());
@@ -539,17 +539,17 @@ let test_anonymity_receiver_never_sees_sender_addr () =
   let sources = ref [] in
   Net.set_tap (Transport.Deployment.net d) (fun ~src ~dst bytes ->
       match I3.Codec.decode bytes with
-      | Ok (I3.Message.Deliver _) when dst = I3.Host.addr recv ->
+      | Ok (I3.Message.Deliver _) when dst = Transport.Host.addr recv ->
           sources := src :: !sources
       | _ -> ());
-  I3.Host.send send (I3apps.Anonymity.entry_id shield) "x";
+  Transport.Host.send send (I3apps.Anonymity.entry_id shield) "x";
   Transport.Deployment.run_for d 1_000.;
   Alcotest.(check bool) "data arrived" true (!sources <> []);
   List.iter
     (fun src ->
       Alcotest.(check bool) "delivery came from a server, not the sender"
         true
-        (src <> I3.Host.addr send))
+        (src <> Transport.Host.addr send))
     !sources
 
 (* --- Reliable delivery --- *)

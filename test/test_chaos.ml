@@ -14,14 +14,14 @@
    2 s refresh, 4 s cache TTL, re-home after 5 s of unacked refreshes. *)
 let chaos_host_config =
   {
-    I3.Host.refresh_period_ms = 2_000.;
+    Transport.Host.refresh_period_ms = 2_000.;
     cache_ttl_ms = 4_000.;
     ack_grace_ms = 5_000.;
   }
 
 let repair_bound =
-  chaos_host_config.I3.Host.refresh_period_ms
-  +. chaos_host_config.I3.Host.ack_grace_ms
+  chaos_host_config.Transport.Host.refresh_period_ms
+  +. chaos_host_config.Transport.Host.ack_grace_ms
 
 (* Ten servers at ten distinct sites, so site-set partitions and gray
    links cut between servers (join order = site index).  Each deployment
@@ -46,7 +46,7 @@ let probe_rng seed = Rng.create (Int64.of_int ((seed * 7919) + 13))
 
 let collect host =
   let log = ref [] in
-  I3.Host.on_receive host (fun ~stack:_ ~payload -> log := payload :: !log);
+  Transport.Host.on_receive host (fun ~stack:_ ~payload -> log := payload :: !log);
   fun () -> List.rev !log
 
 (* A rendezvous pair with a kept-refreshed trigger, a running probe flow,
@@ -57,8 +57,8 @@ let collect host =
 let start_probes d =
   let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 3_000.;
   let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
   let monitor =
@@ -270,8 +270,8 @@ let test_burst_during_stabilization () =
   let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 3_000.;
   (* The ring converges while the burst still rages, and rendezvous
      works through it.  i3 data is best effort and a burst drops a lone
@@ -281,7 +281,7 @@ let test_burst_during_stabilization () =
     (Transport.Dynamic.now d < lift_at);
   let rec retry n =
     if n > 0 && not (List.mem "through-the-storm" (got ())) then begin
-      I3.Host.send send id "through-the-storm";
+      Transport.Host.send send id "through-the-storm";
       Transport.Dynamic.run_for d 250.;
       retry (n - 1)
     end
@@ -292,7 +292,7 @@ let test_burst_during_stabilization () =
   (* Once the burst lifts, not one packet may be lost. *)
   Transport.Dynamic.run_for d
     (Float.max 0. (lift_at -. Transport.Dynamic.now d));
-  I3.Host.send send id "after-the-storm";
+  Transport.Host.send send id "after-the-storm";
   Transport.Dynamic.run_for d 3_000.;
   Alcotest.(check (list string)) "rendezvous works" [ "after-the-storm" ]
     (List.filter (fun p -> p <> "through-the-storm") (got ()))
@@ -350,8 +350,8 @@ let test_gateway_rotation_after_ack_grace () =
   let host =
     Transport.Deployment.new_host dep ~config:chaos_host_config ~n_gateways:3 ()
   in
-  let id = I3.Host.new_private_id host in
-  I3.Host.insert_trigger host id;
+  let id = Transport.Host.new_private_id host in
+  Transport.Host.insert_trigger host id;
   Transport.Deployment.run_for dep 3_000.;
   let owner = Transport.Deployment.responsible_server dep id in
   let idx = ref (-1) in
@@ -360,10 +360,10 @@ let test_gateway_rotation_after_ack_grace () =
       idx := i
   done;
   Transport.Deployment.kill_server dep !idx;
-  let seen = ref [ I3.Host.gateway host ] in
+  let seen = ref [ Transport.Host.gateway host ] in
   for _ = 1 to 30 do
     Transport.Deployment.run_for dep 1_000.;
-    let g = I3.Host.gateway host in
+    let g = Transport.Host.gateway host in
     if not (List.mem g !seen) then seen := g :: !seen
   done;
   Alcotest.(check bool) "rotated through other gateways" true
@@ -380,17 +380,17 @@ let test_pure_sender_leaves_dead_gateway () =
   let d = build ~seed:34 () in
   let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
-  let dead = I3.Host.gateway send in
+  let dead = Transport.Host.gateway send in
   (* A flow identifier owned by some other server, so the kill leaves
      the rendezvous itself intact. *)
   let rec pick () =
-    let id = I3.Host.new_private_id recv in
+    let id = Transport.Host.new_private_id recv in
     match Transport.Dynamic.owners_of d id with
     | [ o ] when I3.Server.addr o <> dead -> id
     | _ -> pick ()
   in
   let id = pick () in
-  I3.Host.insert_trigger recv id;
+  Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 3_000.;
   let flow =
     Eval.Recovery.start_flow d ~sender:send ~receiver:recv ~period:100. id
@@ -404,12 +404,12 @@ let test_pure_sender_leaves_dead_gateway () =
   (* By now the cache entry has lapsed and packets detour through the
      dead gateway. *)
   Transport.Dynamic.run_for d
-    (chaos_host_config.I3.Host.cache_ttl_ms +. 1_000.);
+    (chaos_host_config.Transport.Host.cache_ttl_ms +. 1_000.);
   let dark_at = Transport.Dynamic.now d in
   Transport.Dynamic.run_for d (2. *. repair_bound);
   Eval.Recovery.stop_flow flow;
   Alcotest.(check bool) "sender rotated off the dead gateway" true
-    (I3.Host.gateway send <> dead);
+    (Transport.Host.gateway send <> dead);
   Alcotest.(check bool) "flow delivers again" true
     (Eval.Recovery.time_to_recovery flow ~after:dark_at <> None)
 
@@ -422,7 +422,7 @@ let test_send_with_backup_fallthrough () =
      falling through to the backup at Id.antipode (Sec. IV-C). *)
   let slow_host =
     {
-      I3.Host.refresh_period_ms = 600_000.;
+      Transport.Host.refresh_period_ms = 600_000.;
       cache_ttl_ms = 4_000.;
       ack_grace_ms = 1_200_000.;
     }
@@ -433,8 +433,8 @@ let test_send_with_backup_fallthrough () =
   let d = build ~server_config ~seed:33 () in
   let recv = Transport.Dynamic.new_host d ~config:slow_host () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  let backup = I3.Host.insert_trigger_with_backup recv id in
+  let id = Transport.Host.new_private_id recv in
+  let backup = Transport.Host.insert_trigger_with_backup recv id in
   Transport.Dynamic.run_for d 5_000.;
   let primary_owner =
     match Transport.Dynamic.owners_of d id with
@@ -450,10 +450,10 @@ let test_send_with_backup_fallthrough () =
   (* ring heals around the dead server; nobody re-inserts the primary *)
   Transport.Dynamic.run_for d 40_000.;
   let sender = Transport.Dynamic.new_host d ~config:slow_host () in
-  I3.Host.send sender id "plain";
+  Transport.Host.send sender id "plain";
   Transport.Dynamic.run_for d 5_000.;
   Alcotest.(check (list string)) "plain send is lost" [] (got ());
-  I3.Host.send_with_backup sender ~primary:id ~backup "fell-through";
+  Transport.Host.send_with_backup sender ~primary:id ~backup "fell-through";
   Transport.Dynamic.run_for d 5_000.;
   Alcotest.(check (list string)) "backup delivers" [ "fell-through" ] (got ())
 

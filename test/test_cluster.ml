@@ -91,7 +91,7 @@ let () =
   in
   let probe_id = pick_probe () in
   let owner = Harness.Cluster.owner_index cluster probe_id in
-  let me = Transport.Client.local_addr client in
+  let me = Transport.Host.addr (Transport.Client.host client) in
   let triggers =
     I3.Trigger.to_host ~id:probe_id ~owner:me
     :: List.init 2 (fun _ -> I3.Trigger.to_host ~id:(Id.random rng) ~owner:me)

@@ -17,7 +17,7 @@ let build ?(seed = 5) ?(n = 12) () =
 
 let collect host =
   let log = ref [] in
-  I3.Host.on_receive host (fun ~stack:_ ~payload -> log := payload :: !log);
+  Transport.Host.on_receive host (fun ~stack:_ ~payload -> log := payload :: !log);
   fun () -> List.rev !log
 
 let test_single_owner_invariant () =
@@ -34,10 +34,10 @@ let test_rendezvous () =
   let recv = Transport.Dynamic.new_host d () in
   let send = Transport.Dynamic.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 2_000.;
-  I3.Host.send send id "hello";
+  Transport.Host.send send id "hello";
   Transport.Dynamic.run_for d 2_000.;
   Alcotest.(check (list string)) "delivered" [ "hello" ] (got ())
 
@@ -46,13 +46,13 @@ let test_sender_cache_over_dynamic_ring () =
   let recv = Transport.Dynamic.new_host d () in
   let send = Transport.Dynamic.new_host d () in
   let (_ : unit -> string list) = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 2_000.;
-  I3.Host.send send id "warm";
+  Transport.Host.send send id "warm";
   Transport.Dynamic.run_for d 2_000.;
   (match
-     (I3.Host.cached_server_for send id, Transport.Dynamic.owners_of d id)
+     (Transport.Host.cached_server_for send id, Transport.Dynamic.owners_of d id)
    with
   | Some cached, [ owner ] ->
       Alcotest.(check int) "cached the live owner" (I3.Server.addr owner) cached
@@ -65,7 +65,7 @@ let test_sender_cache_over_dynamic_ring () =
       0 (Transport.Dynamic.servers d)
   in
   let before = forwarded () in
-  I3.Host.send send id "direct";
+  Transport.Host.send send id "direct";
   Transport.Dynamic.run_for d 2_000.;
   Alcotest.(check int) "direct hit, no overlay hops" before (forwarded ())
 
@@ -74,8 +74,8 @@ let test_failure_heals_and_recovers () =
   let recv = Transport.Dynamic.new_host d () in
   let send = Transport.Dynamic.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 2_000.;
   (match Transport.Dynamic.owners_of d id with
   | [ owner ] -> Transport.Dynamic.kill_server d owner
@@ -84,7 +84,7 @@ let test_failure_heals_and_recovers () =
   Transport.Dynamic.run_for d 100_000.;
   Alcotest.(check int) "single owner again" 1
     (List.length (Transport.Dynamic.owners_of d id));
-  I3.Host.send send id "recovered";
+  Transport.Host.send send id "recovered";
   Transport.Dynamic.run_for d 3_000.;
   Alcotest.(check (list string)) "traffic resumes" [ "recovered" ] (got ())
 
@@ -92,8 +92,8 @@ let test_incremental_join_takes_over_arc () =
   let d = build ~seed:9 ~n:8 () in
   let recv = Transport.Dynamic.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 2_000.;
   let owner_before =
     match Transport.Dynamic.owners_of d id with
@@ -115,7 +115,7 @@ let test_incremental_join_takes_over_arc () =
        ~now:(Transport.Dynamic.now d) id
     <> []);
   let send = Transport.Dynamic.new_host d () in
-  I3.Host.send send id "post-join";
+  Transport.Host.send send id "post-join";
   Transport.Dynamic.run_for d 3_000.;
   Alcotest.(check (list string)) "delivered" [ "post-join" ] (got ());
   ignore owner_before;
@@ -127,9 +127,9 @@ let test_multicast_over_dynamic_ring () =
   let logs = List.map collect members in
   let send = Transport.Dynamic.new_host d () in
   let g = Id.random (Rng.create 3L) in
-  List.iter (fun m -> I3.Host.insert_trigger m g) members;
+  List.iter (fun m -> Transport.Host.insert_trigger m g) members;
   Transport.Dynamic.run_for d 2_000.;
-  I3.Host.send send g "fanout";
+  Transport.Host.send send g "fanout";
   Transport.Dynamic.run_for d 2_000.;
   List.iter
     (fun log -> Alcotest.(check (list string)) "member got it" [ "fanout" ] (log ()))

@@ -499,7 +499,7 @@ let test_security_vet () =
 
 let collect host =
   let log = ref [] in
-  I3.Host.on_receive host (fun ~stack:_ ~payload -> log := payload :: !log);
+  Transport.Host.on_receive host (fun ~stack:_ ~payload -> log := payload :: !log);
   fun () -> List.rev !log
 
 let sum_stats d f =
@@ -511,17 +511,17 @@ let test_e2e_rendezvous () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 500.;
-  I3.Host.send send id "hello";
+  Transport.Host.send send id "hello";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "delivered" [ "hello" ] (got ())
 
 let test_e2e_no_trigger_no_delivery () =
   let d = deployment ~seed:12 ~n_servers:16 () in
   let send = Transport.Deployment.new_host d () in
-  I3.Host.send send (I3.Host.new_private_id send) "void";
+  Transport.Host.send send (Transport.Host.new_private_id send) "void";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "dropped at responsible server" 1
     (sum_stats d (fun s -> s.I3.Server.drops))
@@ -531,36 +531,36 @@ let test_e2e_sender_cache () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let (_ : unit -> string list) = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 500.;
   Alcotest.(check bool) "no cache yet" true
-    (I3.Host.cached_server_for send id = None);
-  I3.Host.send send id "a";
+    (Transport.Host.cached_server_for send id = None);
+  Transport.Host.send send id "a";
   Transport.Deployment.run_for d 500.;
   let responsible = Transport.Deployment.responsible_server d id in
-  (match I3.Host.cached_server_for send id with
+  (match Transport.Host.cached_server_for send id with
   | Some a -> Alcotest.(check int) "caches responsible" (I3.Server.addr responsible) a
   | None -> Alcotest.fail "expected a cache entry");
   let before = sum_stats d (fun s -> s.I3.Server.data_forwarded) in
-  I3.Host.send send id "b";
+  Transport.Host.send send id "b";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "direct: zero overlay hops" before
     (sum_stats d (fun s -> s.I3.Server.data_forwarded))
 
 let test_e2e_cache_expires () =
-  let cfg = { I3.Host.default_config with I3.Host.cache_ttl_ms = 1_000. } in
+  let cfg = { Transport.Host.default_config with Transport.Host.cache_ttl_ms = 1_000. } in
   let d = deployment ~seed:14 ~n_servers:8 () in
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d ~config:cfg () in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 500.;
-  I3.Host.send send id "a";
+  Transport.Host.send send id "a";
   Transport.Deployment.run_for d 500.;
-  Alcotest.(check bool) "cached" true (I3.Host.cached_server_for send id <> None);
+  Alcotest.(check bool) "cached" true (Transport.Host.cached_server_for send id <> None);
   Transport.Deployment.run_for d 2_000.;
-  Alcotest.(check bool) "expired" true (I3.Host.cached_server_for send id = None)
+  Alcotest.(check bool) "expired" true (Transport.Host.cached_server_for send id = None)
 
 let test_e2e_longest_prefix_anycast () =
   let d = deployment ~seed:15 ~n_servers:16 () in
@@ -571,13 +571,13 @@ let test_e2e_longest_prefix_anycast () =
   let group = Id.random (Rng.copy rng0) in
   let id1 = Id.with_suffix group ~low_bits:64 "\x00\x00\x00\x00\x00\x00\x00\x01" in
   let id2 = Id.with_suffix group ~low_bits:64 "\xf0\x00\x00\x00\x00\x00\x00\x02" in
-  I3.Host.insert_trigger r1 id1;
-  I3.Host.insert_trigger r2 id2;
+  Transport.Host.insert_trigger r1 id1;
+  Transport.Host.insert_trigger r2 id2;
   Transport.Deployment.run_for d 500.;
-  I3.Host.send send
+  Transport.Host.send send
     (Id.with_suffix group ~low_bits:64 "\x00\x00\x00\x00\x00\x00\x00\x09")
     "to-r1";
-  I3.Host.send send
+  Transport.Host.send send
     (Id.with_suffix group ~low_bits:64 "\xf0\x00\x00\x00\x00\x00\x00\x09")
     "to-r2";
   Transport.Deployment.run_for d 500.;
@@ -589,11 +589,11 @@ let test_e2e_stack_pop_fallthrough () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let live = I3.Host.new_private_id recv in
-  let dead = I3.Host.new_private_id send in
-  I3.Host.insert_trigger recv live;
+  let live = Transport.Host.new_private_id recv in
+  let dead = Transport.Host.new_private_id send in
+  Transport.Host.insert_trigger recv live;
   Transport.Deployment.run_for d 500.;
-  I3.Host.send_stack send [ I3.Packet.Sid dead; I3.Packet.Sid live ] "fallback";
+  Transport.Host.send_stack send [ I3.Packet.Sid dead; I3.Packet.Sid live ] "fallback";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "fallthrough" [ "fallback" ] (got ())
 
@@ -602,29 +602,29 @@ let test_e2e_match_required_drops () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let live = I3.Host.new_private_id recv in
-  let dead = I3.Host.new_private_id send in
-  I3.Host.insert_trigger recv live;
+  let live = Transport.Host.new_private_id recv in
+  let dead = Transport.Host.new_private_id send in
+  Transport.Host.insert_trigger recv live;
   Transport.Deployment.run_for d 500.;
-  I3.Host.send_stack send ~match_required:true
+  Transport.Host.send_stack send ~match_required:true
     [ I3.Packet.Sid dead; I3.Packet.Sid live ]
     "strict";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "dropped, no fallthrough" [] (got ())
 
 let test_e2e_soft_state_expiry () =
-  let cfg = { I3.Host.default_config with I3.Host.refresh_period_ms = 1e12 } in
+  let cfg = { Transport.Host.default_config with Transport.Host.refresh_period_ms = 1e12 } in
   let d = deployment ~seed:18 ~n_servers:8 () in
   let recv = Transport.Deployment.new_host d ~config:cfg () in
   let send = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 500.;
-  I3.Host.send send id "while-alive";
+  Transport.Host.send send id "while-alive";
   Transport.Deployment.run_for d 500.;
   Transport.Deployment.run_for d 40_000.;
-  I3.Host.send send id "after-expiry";
+  Transport.Host.send send id "after-expiry";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "only the first arrives" [ "while-alive" ] (got ())
 
@@ -633,10 +633,10 @@ let test_e2e_refresh_keeps_alive () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 200_000.;
-  I3.Host.send send id "later";
+  Transport.Host.send send id "later";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "alive after 200s" [ "later" ] (got ())
 
@@ -651,13 +651,13 @@ let test_e2e_default_refresh_outlives_jitter () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let received = ref 0 in
-  I3.Host.on_receive recv (fun ~stack:_ ~payload:_ -> incr received);
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  Transport.Host.on_receive recv (fun ~stack:_ ~payload:_ -> incr received);
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 1_000.;
   let probes = 20_000 in
   for i = 1 to probes do
-    I3.Host.send send id (string_of_int i);
+    Transport.Host.send send id (string_of_int i);
     Transport.Deployment.run_for d 5.
   done;
   Transport.Deployment.run_for d 1_000.;
@@ -668,12 +668,12 @@ let test_e2e_remove_trigger () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 500.;
-  I3.Host.remove_trigger recv id;
+  Transport.Host.remove_trigger recv id;
   Transport.Deployment.run_for d 500.;
-  I3.Host.send send id "gone";
+  Transport.Host.send send id "gone";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "no delivery after remove" [] (got ());
   Alcotest.(check int) "no triggers stored" 0 (Transport.Deployment.total_triggers d)
@@ -683,16 +683,16 @@ let test_e2e_mobility () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 500.;
-  I3.Host.send send id "before";
+  Transport.Host.send send id "before";
   Transport.Deployment.run_for d 500.;
-  let old_addr = I3.Host.addr recv in
-  I3.Host.move recv ~new_site:0;
-  Alcotest.(check bool) "new address" true (I3.Host.addr recv <> old_addr);
+  let old_addr = Transport.Host.addr recv in
+  Transport.Host.move recv ~new_site:0;
+  Alcotest.(check bool) "new address" true (Transport.Host.addr recv <> old_addr);
   Transport.Deployment.run_for d 500.;
-  I3.Host.send send id "after";
+  Transport.Host.send send id "after";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "sender oblivious" [ "before"; "after" ] (got ())
 
@@ -700,25 +700,25 @@ let test_e2e_backup_trigger_failover () =
   let d = deployment ~seed:22 ~n_servers:32 () in
   let recv = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let primary = I3.Host.new_private_id recv in
-  let backup = I3.Host.insert_trigger_with_backup recv primary in
+  let primary = Transport.Host.new_private_id recv in
+  let backup = Transport.Host.insert_trigger_with_backup recv primary in
   Transport.Deployment.run_for d 1_000.;
   let victim = Chord.Oracle.responsible (Transport.Deployment.oracle d) primary in
   let backup_owner = Chord.Oracle.responsible (Transport.Deployment.oracle d) backup in
   Alcotest.(check bool) "stored on different servers" true (victim <> backup_owner);
   Transport.Deployment.fail_server d victim;
   let send = Transport.Deployment.new_host d () in
-  I3.Host.send_with_backup send ~primary ~backup "survives";
+  Transport.Host.send_with_backup send ~primary ~backup "survives";
   Transport.Deployment.run_for d 2_000.;
   Alcotest.(check (list string)) "delivered via backup" [ "survives" ] (got ())
 
 let test_e2e_failover_refresh_recovers_primary () =
   let d = deployment ~seed:23 ~n_servers:32 () in
-  let host_cfg = { I3.Host.default_config with I3.Host.ack_grace_ms = 40_000. } in
+  let host_cfg = { Transport.Host.default_config with Transport.Host.ack_grace_ms = 40_000. } in
   let recv = Transport.Deployment.new_host d ~config:host_cfg () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 1_000.;
   let victim = Chord.Oracle.responsible (Transport.Deployment.oracle d) id in
   Transport.Deployment.fail_server d victim;
@@ -733,7 +733,7 @@ let test_e2e_failover_refresh_recovers_primary () =
        ~now:(Transport.Deployment.now d) id
     <> []);
   let send = Transport.Deployment.new_host d () in
-  I3.Host.send send id "recovered";
+  Transport.Host.send send id "recovered";
   Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "traffic resumes" [ "recovered" ] (got ())
 
@@ -755,15 +755,15 @@ let test_e2e_gateway_rotation () =
   let dead = Transport.Deployment.server d 0 and live = Transport.Deployment.server d 1 in
   I3.Server.kill dead;
   let host =
-    I3.Host.create ~engine:(Transport.Deployment.engine d) ~net:(Transport.Deployment.net d)
+    Transport.Host.create ~engine:(Transport.Deployment.engine d) ~net:(Transport.Deployment.net d)
       ~rng:(Rng.create 5L) ~site:0
       ~gateways:[ I3.Server.addr dead; I3.Server.addr live ]
       ()
   in
-  let own = I3.Host.new_private_id host in
+  let own = Transport.Host.new_private_id host in
   Alcotest.(check int) "starts on the dead gateway" (I3.Server.addr dead)
-    (I3.Host.gateway host);
-  I3.Host.insert_trigger host own;
+    (Transport.Host.gateway host);
+  Transport.Host.insert_trigger host own;
   Transport.Deployment.run_for d 5_000.;
   let responsible () = Transport.Deployment.responsible_server d own in
   Alcotest.(check bool) "not stored yet" true
@@ -784,10 +784,10 @@ let test_e2e_ttl_stops_loops () =
   let r = Rng.create 3L in
   let a = Id.random r and b = Id.random r in
   (* constraints are off by default, so a loop is insertable *)
-  I3.Host.insert_stack_trigger h a [ I3.Packet.Sid b ];
-  I3.Host.insert_stack_trigger h b [ I3.Packet.Sid a ];
+  Transport.Host.insert_stack_trigger h a [ I3.Packet.Sid b ];
+  Transport.Host.insert_stack_trigger h b [ I3.Packet.Sid a ];
   Transport.Deployment.run_for d 500.;
-  I3.Host.send h a "spin";
+  Transport.Host.send h a "spin";
   Transport.Deployment.run_for d 60_000.;
   Alcotest.(check int) "loop terminated by ttl" 1
     (sum_stats d (fun s -> s.I3.Server.drops))
@@ -801,12 +801,12 @@ let test_e2e_stack_depth_cap () =
   let g = Id.random r in
   let deep =
     [ I3.Packet.Sid (Id.random r); I3.Packet.Sid (Id.random r);
-      I3.Packet.Sid (Id.random r); I3.Packet.Saddr (I3.Host.addr recv) ]
+      I3.Packet.Sid (Id.random r); I3.Packet.Saddr (Transport.Host.addr recv) ]
   in
-  I3.Host.insert_stack_trigger recv g deep;
+  Transport.Host.insert_stack_trigger recv g deep;
   Transport.Deployment.run_for d 500.;
   (* 4 (trigger) + 1 (rest) = 5 > max depth: the rewrite is refused *)
-  I3.Host.send_stack send [ I3.Packet.Sid g; I3.Packet.Sid (Id.random r) ] "deep";
+  Transport.Host.send_stack send [ I3.Packet.Sid g; I3.Packet.Sid (Id.random r) ] "deep";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "over-deep rewrite dropped" [] (got ())
 
@@ -816,9 +816,9 @@ let test_e2e_constraints_enforced () =
   let h = Transport.Deployment.new_host d () in
   let r = Rng.create 6L in
   let target = Id.random r in
-  I3.Host.insert_stack_trigger h (Id.random r) [ I3.Packet.Sid target ];
+  Transport.Host.insert_stack_trigger h (Id.random r) [ I3.Packet.Sid target ];
   let ok = Id_constraints.left_constrained ~base:(Id.random r) ~target in
-  I3.Host.insert_stack_trigger h ok [ I3.Packet.Sid target ];
+  Transport.Host.insert_stack_trigger h ok [ I3.Packet.Sid target ];
   Transport.Deployment.run_for d 1_000.;
   Alcotest.(check int) "only the constrained one stored" 1
     (Transport.Deployment.total_triggers d);
@@ -831,12 +831,12 @@ let test_e2e_challenges () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 2_000.;
   Alcotest.(check bool) "challenge was issued" true
     (sum_stats d (fun s -> s.I3.Server.challenges_sent) >= 1);
-  I3.Host.send send id "challenged";
+  Transport.Host.send send id "challenged";
   Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "legit host passes challenge" [ "challenged" ]
     (got ())
@@ -850,11 +850,11 @@ let test_e2e_reflection_defense () =
   let stream = Id.random r in
   let forged =
     I3.Trigger.make ~id:stream
-      ~stack:[ I3.Packet.Saddr (I3.Host.addr victim) ]
-      ~owner:(I3.Host.addr attacker)
+      ~stack:[ I3.Packet.Saddr (Transport.Host.addr victim) ]
+      ~owner:(Transport.Host.addr attacker)
   in
   Net.send (Transport.Deployment.net d)
-    ~src:(I3.Host.addr attacker)
+    ~src:(Transport.Host.addr attacker)
     ~dst:(I3.Server.addr (Transport.Deployment.server d 0))
     (I3.Codec.encode (I3.Message.Insert { trigger = forged; token = None }));
   Transport.Deployment.run_for d 5_000.;
@@ -865,10 +865,10 @@ let test_e2e_pushback () =
   let h = Transport.Deployment.new_host d () in
   let r = Rng.create 9L in
   let x = Id.random r and nowhere = Id.random r in
-  I3.Host.insert_stack_trigger h x [ I3.Packet.Sid nowhere ];
+  Transport.Host.insert_stack_trigger h x [ I3.Packet.Sid nowhere ];
   Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "chain stored" 1 (Transport.Deployment.total_triggers d);
-  I3.Host.send h x "into-the-void";
+  Transport.Host.send h x "into-the-void";
   Transport.Deployment.run_for d 1_000.;
   Alcotest.(check int) "dead-end trigger pushed back" 0
     (Transport.Deployment.total_triggers d);
@@ -888,10 +888,10 @@ let test_e2e_hot_spot_cache () =
   let send = Transport.Deployment.new_host d () in
   let (_ : unit -> string list) = collect recv in
   let hot = Id.random (Rng.create 10L) in
-  I3.Host.insert_trigger recv hot;
+  Transport.Host.insert_trigger recv hot;
   Transport.Deployment.run_for d 500.;
   for _ = 1 to 30 do
-    I3.Host.send send hot "spike"
+    Transport.Host.send send hot "spike"
   done;
   Transport.Deployment.run_for d 2_000.;
   let oracle = Transport.Deployment.oracle d in
@@ -916,7 +916,7 @@ let test_e2e_addr_head_is_plain_ip () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let got = collect recv in
-  I3.Host.send_stack send [ I3.Packet.Saddr (I3.Host.addr recv) ] "direct-ip";
+  Transport.Host.send_stack send [ I3.Packet.Saddr (Transport.Host.addr recv) ] "direct-ip";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "delivered" [ "direct-ip" ] (got ());
   Alcotest.(check int) "no server touched" 0
@@ -929,12 +929,12 @@ let test_e2e_trigger_rewrite_carries_rest_of_stack () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let seen_stack = ref None in
-  I3.Host.on_receive recv (fun ~stack ~payload:_ -> seen_stack := Some stack);
-  let id = I3.Host.new_private_id recv in
-  let tail = I3.Host.new_private_id send in
-  I3.Host.insert_trigger recv id;
+  Transport.Host.on_receive recv (fun ~stack ~payload:_ -> seen_stack := Some stack);
+  let id = Transport.Host.new_private_id recv in
+  let tail = Transport.Host.new_private_id send in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 500.;
-  I3.Host.send_stack send [ I3.Packet.Sid id; I3.Packet.Sid tail ] "x";
+  Transport.Host.send_stack send [ I3.Packet.Sid id; I3.Packet.Sid tail ] "x";
   Transport.Deployment.run_for d 500.;
   match !seen_stack with
   | Some [ I3.Packet.Sid t ] ->
@@ -949,8 +949,8 @@ let test_e2e_replication_no_gap () =
   let d = deployment ~seed:32 ~n_servers:32 ~server_config:cfg () in
   let recv = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 1_000.;
   (* the successor holds a mirror *)
   let owner = Chord.Oracle.responsible (Transport.Deployment.oracle d) id in
@@ -963,7 +963,7 @@ let test_e2e_replication_no_gap () =
   (* fail the owner and send immediately — before any refresh *)
   Transport.Deployment.fail_server d owner;
   let send = Transport.Deployment.new_host d () in
-  I3.Host.send send id "no-gap";
+  Transport.Host.send send id "no-gap";
   Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "served from the promoted replica"
     [ "no-gap" ] (got ())
@@ -974,23 +974,23 @@ let test_e2e_replication_gap_without () =
   let d = deployment ~seed:32 ~n_servers:32 () in
   let recv = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 1_000.;
   let owner = Chord.Oracle.responsible (Transport.Deployment.oracle d) id in
   Transport.Deployment.fail_server d owner;
   let send = Transport.Deployment.new_host d () in
-  I3.Host.send send id "lost";
+  Transport.Host.send send id "lost";
   Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "lost without replication" [] (got ())
 
 let test_e2e_replica_expires () =
   let cfg = { I3.Server.default_config with I3.Server.replicate = true } in
   let d = deployment ~seed:33 ~n_servers:16 ~server_config:cfg () in
-  let host_cfg = { I3.Host.default_config with I3.Host.refresh_period_ms = 1e12 } in
+  let host_cfg = { Transport.Host.default_config with Transport.Host.refresh_period_ms = 1e12 } in
   let recv = Transport.Deployment.new_host d ~config:host_cfg () in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 1_000.;
   let owner = Chord.Oracle.responsible (Transport.Deployment.oracle d) id in
   let succ = Chord.Oracle.successor_of (Transport.Deployment.oracle d) owner in
@@ -1006,8 +1006,8 @@ let test_e2e_add_server_trigger_migrates () =
   let d = deployment ~seed:34 ~n_servers:8 () in
   let recv = Transport.Deployment.new_host d () in
   let got = collect recv in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 1_000.;
   let old_owner = Transport.Deployment.responsible_server d id in
   (* Join a server exactly inside the arc so it takes over this id:
@@ -1031,10 +1031,10 @@ let test_e2e_add_server_trigger_migrates () =
   (* ...and traffic flows, including from a sender that had cached the old
      owner: the stale server forwards and the newcomer re-educates it *)
   let send = Transport.Deployment.new_host d () in
-  I3.Host.send send id "before-join-cache";
+  Transport.Host.send send id "before-join-cache";
   Transport.Deployment.run_for d 1_000.;
   ignore old_owner;
-  I3.Host.send send id "after-join";
+  Transport.Host.send send id "after-join";
   Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "both delivered"
     [ "before-join-cache"; "after-join" ]
@@ -1045,19 +1045,19 @@ let test_e2e_add_server_stale_cache_redirect () =
   let recv = Transport.Deployment.new_host d () in
   let (_ : unit -> string list) = collect recv in
   let send = Transport.Deployment.new_host d () in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 1_000.;
-  I3.Host.send send id "warm-cache";
+  Transport.Host.send send id "warm-cache";
   Transport.Deployment.run_for d 1_000.;
-  let old_addr = Option.get (I3.Host.cached_server_for send id) in
+  let old_addr = Option.get (Transport.Host.cached_server_for send id) in
   let newcomer = Transport.Deployment.add_server d ~id:(Id.routing_key id) () in
   Transport.Deployment.run_for d 35_000.;
   (* sending through the stale entry still works (stale server relays) and
      the Cache_info reply rebinds the sender to the newcomer *)
-  I3.Host.send send ~refresh:true id "relayed";
+  Transport.Host.send send ~refresh:true id "relayed";
   Transport.Deployment.run_for d 1_000.;
-  let new_addr = Option.get (I3.Host.cached_server_for send id) in
+  let new_addr = Option.get (Transport.Host.cached_server_for send id) in
   Alcotest.(check bool) "cache rebound" true
     (new_addr = I3.Server.addr newcomer && new_addr <> old_addr)
 
@@ -1070,7 +1070,7 @@ let test_sample_nearby_id () =
   let host = Transport.Deployment.new_host d () in
   let dist id =
     let server = Transport.Deployment.responsible_server d id in
-    Transport.Deployment.site_latency d (I3.Host.site host)
+    Transport.Deployment.site_latency d (Transport.Host.site host)
       (Net.site (Transport.Deployment.net d) (I3.Server.addr server))
   in
   (* average over several draws to wash out luck *)
@@ -1082,7 +1082,7 @@ let test_sample_nearby_id () =
     !total /. 20.
   in
   let sampled () = dist (Transport.Deployment.sample_nearby_id d host ~samples:16) in
-  let random () = dist (I3.Host.new_private_id host) in
+  let random () = dist (Transport.Host.new_private_id host) in
   let s = mean sampled and r = mean random in
   Alcotest.(check bool)
     (Printf.sprintf "sampled closer on average (%.1f < %.1f ms)" s r)

@@ -259,17 +259,17 @@ let test_deployment_over_koorde () =
   let recv = Transport.Deployment.new_host d () in
   let send = Transport.Deployment.new_host d () in
   let got = ref [] in
-  I3.Host.on_receive recv (fun ~stack:_ ~payload -> got := payload :: !got);
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  Transport.Host.on_receive recv (fun ~stack:_ ~payload -> got := payload :: !got);
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 2_000.;
-  I3.Host.send send id "over de bruijn";
+  Transport.Host.send send id "over de bruijn";
   Transport.Deployment.run_for d 2_000.;
   Alcotest.(check (list string)) "delivered" [ "over de bruijn" ] !got;
   (* membership change rebuilds the substrate router *)
   ignore (Transport.Deployment.add_server d ());
   Transport.Deployment.run_for d 6_000.;
-  I3.Host.send send id "after join";
+  Transport.Host.send send id "after join";
   Transport.Deployment.run_for d 2_000.;
   Alcotest.(check (list string))
     "delivered after join" [ "after join"; "over de bruijn" ] !got
@@ -278,14 +278,14 @@ let test_deployment_over_koorde () =
 
 let chaos_host_config =
   {
-    I3.Host.refresh_period_ms = 2_000.;
+    Transport.Host.refresh_period_ms = 2_000.;
     cache_ttl_ms = 4_000.;
     ack_grace_ms = 5_000.;
   }
 
 let repair_bound =
-  chaos_host_config.I3.Host.refresh_period_ms
-  +. chaos_host_config.I3.Host.ack_grace_ms
+  chaos_host_config.Transport.Host.refresh_period_ms
+  +. chaos_host_config.Transport.Host.ack_grace_ms
 
 let scenario_koorde_churn ~seed () =
   let metrics = Obs.Metrics.create () in
@@ -301,8 +301,8 @@ let scenario_koorde_churn ~seed () =
   Transport.Dynamic.run_for d 60_000.;
   let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
-  let id = I3.Host.new_private_id recv in
-  I3.Host.insert_trigger recv id;
+  let id = Transport.Host.new_private_id recv in
+  Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 3_000.;
   let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
   Transport.Dynamic.run_for d 5_000.;

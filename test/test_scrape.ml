@@ -87,9 +87,9 @@ let () =
       ~gateways:[ List.hd (Harness.Cluster.addrs cluster) ]
       udp
   in
-  let me = Transport.Client.local_addr client in
+  let me = Transport.Host.addr (Transport.Client.host client) in
   let delivered = ref 0 in
-  Transport.Client.on_deliver client (fun ~stack:_ ~payload:_ ->
+  Transport.Host.on_receive (Transport.Client.host client) (fun ~stack:_ ~payload:_ ->
       incr delivered);
   let chain = I3.Trigger.make ~id:id_a ~stack:[ I3.Packet.Sid id_b ] ~owner:me in
   let host = I3.Trigger.to_host ~id:id_b ~owner:me in
@@ -116,11 +116,12 @@ let () =
     if now -. !last_send >= 150. then begin
       last_send := now;
       incr sent;
-      Transport.Client.send_data client
-        ~trace:(base_trace + !sent)
-        ~stack:[ I3.Packet.Sid id_a ]
-        ~payload:(Printf.sprintf "probe %d" !sent)
-        ()
+      Transport.Host.send_packet (Transport.Client.host client)
+        (I3.Packet.make
+           ~trace:(base_trace + !sent)
+           ~stack:[ I3.Packet.Sid id_a ]
+           ~payload:(Printf.sprintf "probe %d" !sent)
+           ())
     end;
     ignore (Transport.Client.wait client ~timeout:0.01);
     Transport.Client.poll client ~now:(wall_ms ());

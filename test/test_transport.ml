@@ -605,11 +605,57 @@ let test_send_many_refused () =
         (Unix.Unix_error (Unix.EBADF, "sendmmsg", ""))
         (fun () -> Transport.Udp.send tx ~dst "late")
 
-(* --- client: stray Pongs are dropped and counted --- *)
+(* --- end hosts: stray Pongs and corrupt datagrams are dropped and
+   counted --- *)
 
 let pong_frame ~server nonce =
   I3.Codec.encode
     (I3.Message.Pong { nonce; server; triggers = 0; uptime_ms = 0. })
+
+let counter metrics ~labels name =
+  match Obs.Metrics.find metrics ~labels name with
+  | Some (Obs.Metrics.Counter n) -> n
+  | _ -> 0
+
+(* The one host driver, on either transport: a Deliver frame truncated,
+   then the same frame with its kind byte flipped to one no decoder
+   knows, each counts once in [wire.decode_errors{instance, proto="i3"}]
+   and reaches no application; the intact frame then does.  [inject]
+   hands the host one datagram and returns once it is handled. *)
+let check_host_drops_corrupt host ~inject ~metrics ~instance =
+  let errors () =
+    counter metrics ~labels:[ ("instance", instance); ("proto", "i3") ]
+      "wire.decode_errors"
+  in
+  let delivered = ref 0 in
+  Transport.Host.on_receive host (fun ~stack:_ ~payload:_ -> incr delivered);
+  let frame =
+    I3.Codec.encode
+      (I3.Message.Deliver { stack = []; payload = "corrupt?"; trace = 0 })
+  in
+  let flipped = Bytes.of_string frame in
+  Bytes.set flipped Wire.Layout.off_kind '\xff';
+  let before = errors () in
+  inject (String.sub frame 0 (String.length frame - 3));
+  Alcotest.(check int) "truncated frame counted once" (before + 1) (errors ());
+  inject (Bytes.to_string flipped);
+  Alcotest.(check int) "flipped-kind frame counted once" (before + 2)
+    (errors ());
+  Alcotest.(check int) "neither reaches on_receive" 0 !delivered;
+  inject frame;
+  Alcotest.(check int) "the intact frame is delivered" 1 !delivered;
+  Alcotest.(check int) "and not counted" (before + 2) (errors ())
+
+let test_sim_host_drops_corrupt () =
+  let metrics = Obs.Metrics.create () in
+  let d = Transport.Deployment.create ~metrics ~n_servers:1 () in
+  let host = Transport.Deployment.new_host d () in
+  let net = Transport.Deployment.net d in
+  let src = I3.Server.addr (Transport.Deployment.server d 0) in
+  check_host_drops_corrupt host ~metrics ~instance:(Net.label net)
+    ~inject:(fun bytes ->
+      Net.send net ~src ~dst:(Transport.Host.addr host) bytes;
+      Transport.Deployment.run_for d 100.)
 
 let test_client_ignores_stray_pongs () =
   match (Transport.Udp.create (), Transport.Udp.create ()) with
@@ -622,17 +668,14 @@ let test_client_ignores_stray_pongs () =
           ~gateways:[ peer ] a
       in
       let ignored () =
-        match Obs.Metrics.find metrics ~labels:[ ("instance", "client") ]
-                "client.pongs_ignored"
-        with
-        | Some (Obs.Metrics.Counter n) -> n
-        | _ -> 0
+        counter metrics ~labels:[ ("instance", "client") ]
+          "client.pongs_ignored"
       in
       (* 1,000 Pongs nobody pinged for, in rounds small enough for the
          socket's receive buffer; each round is drained before the next. *)
       for round = 1 to 10 do
         for i = 1 to 100 do
-          Transport.Udp.send b ~dst:(Transport.Client.local_addr client)
+          Transport.Udp.send b ~dst:(Transport.Host.addr (Transport.Client.host client))
             (pong_frame ~server:0 ((round * 1000) + i))
         done;
         let deadline = Unix.gettimeofday () +. 2. in
@@ -668,6 +711,13 @@ let test_client_ignores_stray_pongs () =
             (Option.map (fun (p : Transport.Client.pong) -> p.server) reply);
           Alcotest.(check int) "the answer is not counted as stray" 1_000
             (ignored ()));
+      check_host_drops_corrupt (Transport.Client.host client) ~metrics
+        ~instance:"client" ~inject:(fun bytes ->
+          Transport.Udp.send b
+            ~dst:(Transport.Host.addr (Transport.Client.host client))
+            bytes;
+          if Transport.Client.wait client ~timeout:2. then
+            Transport.Client.poll client ~now:0.);
       Transport.Udp.close a;
       Transport.Udp.close b
 
@@ -786,6 +836,8 @@ let () =
         [
           Alcotest.test_case "stray Pongs dropped and counted" `Quick
             test_client_ignores_stray_pongs;
+          Alcotest.test_case "sim host drops corrupt datagrams" `Quick
+            test_sim_host_drops_corrupt;
         ] );
       ( "udp_bounds",
         [
