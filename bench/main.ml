@@ -6,8 +6,8 @@
                           capacity per server;
      [fig10]  per-packet forwarding overhead vs. payload size;
      [fig11]  per-packet routing overhead vs. number of i3 nodes
-              (linear-list finger table + all-servers cache, as in the
-              prototype);
+              (finger table + an all-servers cache scanned as a list, as
+              in the prototype);
      [fig12]  forwarding throughput, packets/s and user Mb/s vs. payload;
      [fig8]   90th-percentile latency stretch vs. trigger samples, PLRG and
               transit-stub;

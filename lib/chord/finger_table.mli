@@ -1,12 +1,13 @@
 (** Chord finger table.
 
-    The i-th finger of node [n] points at [successor(n + 2^i)].  Matching
-    the paper's prototype ("the finger table data structure in our
-    implementation is a list", Sec. V-D, Fig. 11), lookups scan the entries
-    linearly — which is also what the routing-overhead benchmark
-    exercises.  An auxiliary [extra] list lets callers mix in cached nodes,
-    reproducing the prototype's behaviour where the scan grows with the
-    number of known servers. *)
+    The i-th finger of node [n] points at [successor(n + 2^i)].  Lookups
+    bisect the table's distinct peers, kept in clockwise order from the
+    node, so their cost grows with the peers a node holds, not with its
+    256 slots.  An auxiliary [extra] list lets callers mix in cached nodes
+    and is scanned linearly: the paper's prototype kept its finger table as
+    a list (Sec. V-D), and a cache holding every server is what makes the
+    routing-overhead benchmark (Fig. 11) grow with the number of known
+    servers. *)
 
 type peer = { id : Id.t; addr : int }
 
@@ -22,15 +23,21 @@ val target : t -> int -> Id.t
 (** [target t i] is [self + 2{^i}], the id the i-th finger should track. *)
 
 val set : t -> int -> peer option -> unit
+(** Setting a slot to the peer it already holds keeps the sorted peers. *)
+
 val get : t -> int -> peer option
 
 val fill_from : t -> (Id.t -> peer) -> unit
 (** Populate every slot by querying a successor function (static setup). *)
 
 val closest_preceding : t -> ?extra:peer list -> Id.t -> peer option
-(** [closest_preceding t key] scans fingers (and [extra]) linearly for the
-    peer whose id is closest to — and strictly inside — the arc
-    (self, key); [None] if nobody qualifies. *)
+(** [closest_preceding t key] is the peer among the fingers and [extra]
+    whose id is closest to — and strictly inside — the arc (self, key);
+    [None] if nobody qualifies.  Among equal ids the lowest slot wins, then
+    [extra] in order: the answer of a linear scan of the slots, then of
+    [extra]. *)
 
-val known_peers : t -> peer list
-(** Deduplicated finger entries, ascending clockwise from self. *)
+val known_peers : t -> peer array
+(** The distinct finger entries, ascending clockwise from self (the lowest
+    slot's peer for each id).  The array is shared with the table until a
+    slot's peer changes; do not mutate it. *)

@@ -10,9 +10,10 @@
       trie store and the encoded [Insert_ack];
     - {b data packet forwarding} (Fig. 10): wire decode, trigger match and
       the encoded [Deliver], as a function of payload size;
-    - {b routing} (Fig. 11): next-hop selection over the prototype's
-      {e linear-list} finger table (augmented, as in the paper, with a
-      cache holding all known servers — hence the linear growth in n);
+    - {b routing} (Fig. 11): next-hop selection over the finger table
+      (a bisection of its distinct peers) augmented, as in the paper's
+      prototype, with a cache list holding all known servers and scanned
+      linearly — hence the linear growth in n;
     - {b throughput} (Fig. 12): saturation forwarding rate and user-level
       Mb/s vs. payload size. *)
 

@@ -201,7 +201,6 @@ let size t = Array.length t.members
 let members t = Array.to_list t.members
 let member t i = t.members.(i)
 let addrs t = Array.to_list (Array.map (fun m -> m.addr) t.members)
-let names t = Array.to_list (Array.map (fun m -> m.name) t.members)
 
 (* A member's Chord identity, exactly as the daemon derives it. *)
 let node_id m = Id.routing_key (Id.name_hash m.name)
@@ -273,8 +272,6 @@ let spawn t i =
 
 let ping t i ~timeout_ms =
   Transport.Client.ping t.probe ~dst:t.members.(i).addr ~timeout_ms
-
-let alive t i = t.members.(i).pid <> None
 
 (* Wait until every spawned member answers a Ping; readiness by
    behavior, not by parsing stdout. *)

@@ -87,11 +87,9 @@ val on_event : t -> (string -> unit) -> unit
 (** Supervision event log hook (spawn/kill/restart/unresponsive). *)
 
 val dir : t -> string
-val size : t -> int
 val members : t -> member list
 val member : t -> int -> member
 val addrs : t -> int list
-val names : t -> string list
 
 val node_id : member -> Id.t
 (** A member's Chord identity, exactly as the daemon derives it:
@@ -111,13 +109,6 @@ val start : ?ready_timeout_ms:float -> t -> bool
 val spawn : t -> int -> unit
 (** Low-level: fork one member (asserts it is not running). *)
 
-val kill : t -> int -> unit
-(** Scheduled fail-stop: SIGKILL, reap, disarm supervision until
-    {!restart} — the scenario owns the downtime. *)
-
-val restart : t -> int -> unit
-(** Re-arm supervision and respawn immediately if dead. *)
-
 val pause : t -> int -> unit
 (** SIGSTOP a member: unreachable (a partition from everyone's view)
     but all protocol state intact; supervision is disarmed. *)
@@ -126,7 +117,6 @@ val resume : t -> int -> unit
 (** SIGCONT a paused member and re-arm supervision; the healed "link"
     re-merges via the daemons' graveyard/contact probes. *)
 
-val alive : t -> int -> bool
 val ping : t -> int -> timeout_ms:float -> Transport.Client.pong option
 
 (** {1 Ring observation} *)

@@ -73,8 +73,6 @@ let monitor ?eval_period_ms ?history_capacity ~rules t =
   t.monitor <- Some h;
   h
 
-let health t = t.monitor
-
 (* Append one flight-recorder dump per breach episode: the monitor's
    evaluations, the tail of every wire-scraped series, and the hop
    events drained so far (kept, not consumed — assembly still sees

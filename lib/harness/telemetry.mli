@@ -68,8 +68,6 @@ val monitor :
     daemon's series.  Returns the monitor for verdict queries
     ([last], [counts], [first_breach_after], ...). *)
 
-val health : t -> Obs.Health.t option
-
 val flight_recorder : ?series_tail:int -> t -> path:string -> unit
 (** Arm the monitor's {!Obs.Health.on_violation} hook to append one
     flight-recorder JSON line to [path] per entry into [Violated]: the

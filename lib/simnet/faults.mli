@@ -4,7 +4,7 @@
     A {!schedule} is a list of [(virtual-time offset, event)] pairs; a
     {!driver} interprets each event against some substrate — a raw
     {!Net.t} (via [Net.driver]), a real socket's send boundary (via
-    [Transport.Faulty.driver]), or a full deployment (e.g.
+    [Transport.Faulty.apply]), or a full deployment (e.g.
     [Transport.Dynamic.inject]'s, which applies network faults to its
     one net — i3 and Chord frames share it, as they share a daemon's
     socket, so a partition severs both — and maps [Crash]/[Restart]

@@ -119,5 +119,3 @@ let set_handler t h = t.lower.set_handler h
 let local_addr t = t.lower.local_addr
 
 let apply t event = Faults.apply t.faults event
-
-let driver t : Faults.driver = apply t

@@ -75,6 +75,3 @@ val apply : t -> Faults.event -> unit
     packed addresses.  [Crash]/[Restart] are ignored — process lifecycle
     belongs to the supervisor above.
     @raise Invalid_argument on an invalid parameter. *)
-
-val driver : t -> Faults.driver
-(** [driver t] is [apply t], ready for {!Faults.install}. *)

@@ -127,12 +127,12 @@ let over ~send ~clock ~addr ~metrics ~instance ~rng ~gateways config =
   make ~sim:None ~send ~clock ~addr ~metrics ~instance
     ~tracer:Obs.Trace.disabled ~rng ~gateways config
 
-let create ~engine ~net ~rng ~site ~gateways ?(config = default_config)
+let create ~net ~rng ~site ~gateways ?(config = default_config)
     ?(tracer = Obs.Trace.disabled) ?spans () =
   let ep = Sim_endpoint.attach net ~site in
   let t =
     make ~sim:(Some ep) ~send:(fun dst -> Sim_endpoint.send ep ~dst)
-      ~clock:(fun () -> Engine.now engine) ~addr:ep.addr
+      ~clock:(fun () -> Engine.now (Net.engine net)) ~addr:ep.addr
       ~metrics:(Net.metrics net) ~instance:(Net.label net) ~tracer ?spans ~rng
       ~gateways config
   in

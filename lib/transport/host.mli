@@ -22,7 +22,6 @@ val default_config : config
 type t
 
 val create :
-  engine:Engine.t ->
   net:string Net.t ->
   rng:Rng.t ->
   site:int ->
@@ -32,7 +31,7 @@ val create :
   ?spans:Obs.Trace.t ->
   unit ->
   t
-(** A host on a fresh [Sim] endpoint at [site], on [engine]'s clock,
+(** A host on a fresh [Sim] endpoint at [site], on the net's scheduler,
     counting in the net's registry under its label.  A [tracer] gives
     each sent packet a trace id (if sampled) and records each delivery;
     [spans] gets the operations {!I3.Endhost.create} describes.

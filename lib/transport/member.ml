@@ -134,5 +134,5 @@ let new_host w ~site ?config ?(n_gateways = 3) live =
   let gateways =
     Array.to_list (Array.sub live 0 (min n_gateways (Array.length live)))
   in
-  Host.create ~engine:w.engine ~net:w.net ~rng:(Rng.split w.rng) ~site
+  Host.create ~net:w.net ~rng:(Rng.split w.rng) ~site
     ~gateways ?config ~tracer:w.tracer ~spans:w.spans ()

@@ -97,56 +97,99 @@ let test_ft_fill_and_known_peers () =
       peer (Chord.Oracle.id oracle idx) idx);
   let peers = Chord.Finger_table.known_peers ft in
   Alcotest.(check bool) "about log n distinct" true
-    (List.length peers >= 4 && List.length peers <= 32);
+    (Array.length peers >= 4 && Array.length peers <= 32);
   (* first known peer must be the ring successor *)
-  match peers with
-  | first :: _ ->
-      Alcotest.(check int) "successor first" 1 first.Chord.Finger_table.addr
-  | [] -> Alcotest.fail "no peers"
+  Alcotest.(check int) "successor first" 1 peers.(0).Chord.Finger_table.addr
 
+(* The linear scan the table's bisection must agree with, over the test's
+   own copy of the slots: slots in order, then [extra], a peer replacing
+   the best only when strictly closer. *)
+let linear_closest_preceding ~self slots extra key =
+  List.fold_left
+    (fun best p ->
+      if Chord.Ring.between_oo ~low:self ~high:key p.Chord.Finger_table.id
+      then
+        match best with
+        | Some b
+          when not
+                 (Chord.Ring.between_oo ~low:b.Chord.Finger_table.id ~high:key
+                    p.Chord.Finger_table.id) ->
+            best
+        | _ -> Some p
+      else best)
+    None
+    (List.filter_map Fun.id (Array.to_list slots) @ extra)
+
+(* Random tables in the live shape (a few peers, each over a run of
+   slots, some sharing an id under another address), changed by [set],
+   [set None], re-[set] and [fill_from] between queries, each query with
+   an [extra] list that overlaps the table.  Keys include the peers' own
+   ids and their neighbours, where ties and open ends decide. *)
 let test_ft_matches_bruteforce =
-  qtest ~count:100 "closest_preceding = brute force" QCheck2.Gen.(int_range 1 10_000)
+  qtest "closest_preceding = brute force" QCheck2.Gen.(int_range 1 100_000)
     (fun seed ->
       let rng = Rng.create (Int64.of_int seed) in
       let self = Id.random rng in
       let ft = Chord.Finger_table.create ~self in
-      let peers =
-        List.init 20 (fun j ->
-            let p = peer (Id.random rng) j in
-            Chord.Finger_table.set ft (Rng.int rng 256) (Some p);
-            p)
+      let slots = Array.make 256 None in
+      let set s p =
+        Chord.Finger_table.set ft s p;
+        slots.(s) <- p
       in
-      ignore peers;
-      let key = Id.random rng in
-      (* brute force over the actual table contents (later sets may have
-         overwritten earlier slots) *)
-      let stored = ref [] in
-      for s = 0 to 255 do
-        match Chord.Finger_table.get ft s with
-        | Some p -> stored := p :: !stored
-        | None -> ()
+      let ids = Array.init (1 + Rng.int rng 8) (fun _ -> Id.random rng) in
+      if Rng.int rng 4 = 0 then ids.(0) <- self;
+      let next_addr = ref 0 in
+      let pick_peer () =
+        incr next_addr;
+        (* Few addresses per id, so an equal id often carries another
+           address. *)
+        peer ids.(Rng.int rng (Array.length ids)) (!next_addr mod 3)
+      in
+      let pick_key () =
+        match Rng.int rng 4 with
+        | 0 -> Id.random rng
+        | 1 -> self
+        | 2 -> ids.(Rng.int rng (Array.length ids))
+        | _ -> Id.succ ids.(Rng.int rng (Array.length ids))
+      in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        (match Rng.int rng 6 with
+        | 0 | 1 ->
+            (* A run of slots to one peer, as fix-fingers leaves them. *)
+            let p = Some (pick_peer ()) and first = Rng.int rng 256 in
+            for s = first to min 255 (first + Rng.int rng 64) do
+              set s p
+            done
+        | 2 -> set (Rng.int rng 256) None
+        | 3 ->
+            let s = Rng.int rng 256 in
+            set s slots.(s)
+        | 4 ->
+            if Rng.int rng 8 = 0 then begin
+              let fill = Array.init 256 (fun _ -> pick_peer ()) in
+              let next = ref 0 in
+              Chord.Finger_table.fill_from ft (fun _ ->
+                  incr next;
+                  fill.(!next - 1));
+              Array.blit (Array.map Option.some fill) 0 slots 0 256
+            end
+        | _ -> ());
+        for _ = 1 to 4 do
+          let extra = List.init (Rng.int rng 4) (fun _ -> pick_peer ()) in
+          let key = pick_key () in
+          let got = Chord.Finger_table.closest_preceding ft ~extra key in
+          let expected = linear_closest_preceding ~self slots extra key in
+          match (got, expected) with
+          | None, None -> ()
+          | Some g, Some e
+            when Id.equal g.Chord.Finger_table.id e.Chord.Finger_table.id
+                 && g.addr = e.addr ->
+              ()
+          | _ -> ok := false
+        done
       done;
-      let expected =
-        List.fold_left
-          (fun best p ->
-            if Chord.Ring.between_oo ~low:self ~high:key p.Chord.Finger_table.id
-            then
-              match best with
-              | None -> Some p
-              | Some b ->
-                  if
-                    Chord.Ring.between_oo ~low:b.Chord.Finger_table.id
-                      ~high:key p.Chord.Finger_table.id
-                  then Some p
-                  else best
-            else best)
-          None !stored
-      in
-      let got = Chord.Finger_table.closest_preceding ft key in
-      match (got, expected) with
-      | None, None -> true
-      | Some g, Some e -> Id.equal g.Chord.Finger_table.id e.Chord.Finger_table.id
-      | _ -> false)
+      !ok)
 
 (* --- Oracle --- *)
 

@@ -755,7 +755,7 @@ let test_e2e_gateway_rotation () =
   let dead = Transport.Deployment.server d 0 and live = Transport.Deployment.server d 1 in
   I3.Server.kill dead;
   let host =
-    Transport.Host.create ~engine:(Transport.Deployment.engine d) ~net:(Transport.Deployment.net d)
+    Transport.Host.create ~net:(Transport.Deployment.net d)
       ~rng:(Rng.create 5L) ~site:0
       ~gateways:[ I3.Server.addr dead; I3.Server.addr live ]
       ()
