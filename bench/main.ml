@@ -272,7 +272,7 @@ let trigger_table_rates () =
   (insert_rate, match_rate)
 
 (* Per-probe match latency with a large resident set: the tentpole claim
-   is flat p99 at 10^6 triggers (ROADMAP item 3), so each [find_matches]
+   is flat p99 at 10^6 triggers, so each [find_matches]
    is timed individually with the ns monotonic clock and the tail is
    reported — a throughput mean would hide exactly the latency spikes a
    wholesale-scan structure produces.  Smoke mode shrinks the resident
@@ -355,18 +355,30 @@ let section_control_plane () =
   let send = Transport.Dynamic.new_host d ~config:host_config () in
   let id = Transport.Host.new_private_id recv in
   Transport.Host.insert_trigger recv id;
-  let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
+  let r =
+    Harness.Recovery.create (Harness.Fleet.sim d ~sender:send ~receiver:recv)
+  in
+  let flow = Harness.Recovery.start_flow r ~name:"flow1" id in
   let rules =
-    Eval.Monitor.default_rules ~ring_label:(Transport.Dynamic.ring_label d) flow
+    Harness.Recovery.sim_rules flow
     @ [
-        Eval.Monitor.lookup_p99_rule ~ok:5_000. ~degraded:20_000.
-          ~ring_label:(Transport.Dynamic.ring_label d) ();
+        (* Cumulative, so sticky: a whole-run SLO, not a recovery signal. *)
+        {
+          Obs.Health.rule = "lookup-p99";
+          signal =
+            Obs.Health.Latest
+              {
+                metric = "chord.lookup_ms.p99";
+                labels = [ ("instance", Chord.Protocol.ring_label) ];
+              };
+          bound = Obs.Health.At_most { ok = 5_000.; degraded = 20_000. };
+        };
       ]
   in
-  let monitor = Eval.Monitor.create ~rules d in
+  let monitor = Harness.Recovery.monitor r ~rules in
   Transport.Dynamic.run_for d horizon;
-  Eval.Recovery.stop_flow flow;
-  Eval.Monitor.stop monitor;
+  Harness.Recovery.stop_flow flow;
+  Harness.Recovery.stop_monitor monitor;
   if Obs.Trace.recorded spans > capacity then
     failwith "control plane: operation ring overflowed";
   let finished =
@@ -391,7 +403,7 @@ let section_control_plane () =
   let n_lookup, lookup_json = pct "chord.lookup" in
   let n_refresh, refresh_json = pct "i3.trigger_refresh" in
   let n_rpc, rpc_json = pct "chord.rpc" in
-  let health = Eval.Monitor.health monitor in
+  let health = Harness.Recovery.health monitor in
   let ok, degraded, violated = Obs.Health.counts health in
   Printf.printf "  spans: %d finished (%d lookups, %d rpcs, %d refreshes)\n"
     finished n_lookup n_rpc n_refresh;

@@ -418,12 +418,6 @@ let run_health seed servers period horizon fault fault_at heal_at dump_path =
   for i = 0 to servers - 1 do
     ignore (Transport.Dynamic.add_server d ~site:i ())
   done;
-  (match
-     Eval.Recovery.converges_within ~budget:120_000. (Rng.of_int (seed + 1)) d
-   with
-  | Some ms ->
-      progress (Printf.sprintf "ring converged %.0f ms after last join" ms)
-  | None -> progress "warning: ring did not converge within 120 s");
   (* Sped-up soft state so recovery fits in a short demo horizon. *)
   let host_config =
     {
@@ -434,30 +428,43 @@ let run_health seed servers period horizon fault fault_at heal_at dump_path =
   in
   let recv = Transport.Dynamic.new_host d ~site:0 ~config:host_config () in
   let send = Transport.Dynamic.new_host d ~site:1 ~config:host_config () in
+  let fleet =
+    Harness.Fleet.sim ~rng:(Rng.of_int (seed + 1)) d ~sender:send
+      ~receiver:recv
+  in
+  let r = Harness.Recovery.create fleet in
+  (match Harness.Recovery.converges_within r ~budget:120_000. with
+  | Some ms ->
+      progress (Printf.sprintf "ring converged %.0f ms after last join" ms)
+  | None -> progress "warning: ring did not converge within 120 s");
   let id = Transport.Host.new_private_id recv in
   Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 1_000.;
-  let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
-  let rules =
-    Eval.Monitor.default_rules ~ring_label:(Transport.Dynamic.ring_label d) flow
+  let flow = Harness.Recovery.start_flow r ~name:"flow1" id in
+  let monitor =
+    Harness.Recovery.monitor ~period r ~rules:(Harness.Recovery.sim_rules flow)
   in
-  let monitor = Eval.Monitor.create ~period ~rules d in
   let fault_abs = Transport.Dynamic.now d +. fault_at in
   (match fault with
   | `None -> ()
   | `Blackhole ->
       progress "fault: total blackhole (loss=1.0) on both planes";
-      Transport.Dynamic.inject d
+      Harness.Fleet.inject fleet
         [ (fault_at, Faults.Loss 1.0); (heal_at, Faults.Loss 0.0) ]
   | `Partition ->
       progress "fault: partition site 0 away; heal later";
-      Transport.Dynamic.inject d
+      Harness.Fleet.inject fleet
         [ (fault_at, Faults.Partition [ 0 ]); (heal_at, Faults.Heal) ]
   | `Kill ->
       progress "fault: crash server 0, restart later";
-      Transport.Dynamic.inject d
+      Harness.Fleet.inject fleet
         [ (fault_at, Faults.Crash 0); (heal_at, Faults.Restart 0) ]);
-  let header = Eval.Monitor.live_header monitor in
+  let header =
+    "t (ms)" :: "overall"
+    :: List.map
+         (fun (r : Obs.Health.rule) -> r.rule)
+         (Obs.Health.rules (Harness.Recovery.health monitor))
+  in
   let widths = List.map (fun h -> max 14 (String.length h)) header in
   print_row widths header;
   print_row widths (List.map (fun w -> String.make w '-') widths);
@@ -465,27 +472,28 @@ let run_health seed servers period horizon fault fault_at heal_at dump_path =
   let rec live () =
     if Transport.Dynamic.now d < stop_at then begin
       Transport.Dynamic.run_for d period;
-      print_row widths (Eval.Monitor.live_row monitor);
+      print_row widths (Harness.Recovery.live_row monitor);
       live ()
     end
   in
   live ();
-  Eval.Recovery.stop_flow flow;
-  Eval.Monitor.stop monitor;
+  Harness.Recovery.stop_flow flow;
+  Harness.Recovery.stop_monitor monitor;
   print_newline ();
   if fault <> `None then begin
-    (match Eval.Monitor.time_to_detect monitor ~fault_at:fault_abs with
+    let health = Harness.Recovery.health monitor in
+    (match Obs.Health.time_to_detect health ~fault_at:fault_abs with
     | Some t -> Printf.printf "monitor time-to-detect:  %.0f ms after the fault\n" t
     | None -> print_endline "monitor never detected the fault");
-    (match Eval.Monitor.time_to_recover monitor ~fault_at:fault_abs with
+    (match Obs.Health.time_to_recover health ~fault_at:fault_abs with
     | Some t -> Printf.printf "monitor time-to-recover: %.0f ms after the fault\n" t
     | None -> print_endline "monitor never saw recovery");
-    match Eval.Recovery.time_to_recovery flow ~after:fault_abs with
+    match Harness.Recovery.time_to_recovery flow ~after:fault_abs with
     | Some t ->
         Printf.printf "ground-truth first delivery after fault: %.0f ms\n" t
     | None -> print_endline "ground truth: flow never recovered"
   end;
-  let dumps = Eval.Monitor.dumps monitor in
+  let dumps = Harness.Recovery.dumps monitor in
   Printf.printf "flight-recorder dumps captured: %d\n" (List.length dumps);
   Option.iter
     (fun path ->

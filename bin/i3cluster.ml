@@ -1,24 +1,24 @@
 (* i3cluster: launch, supervise and chaos-test a cluster of real
    [bin/i3d] daemons over loopback UDP — the one-command version of the
-   live chaos matrix (ROADMAP item 5).
+   live chaos matrix.
 
    The run is a complete scenario, not just a launcher: N supervised
    daemons form a static ring; a host-side [Transport.Client] (with a
    seeded [Transport.Faulty] decorator injecting the default fault
    intensity at its send boundary) registers triggers and keeps them
-   refreshed; a probe flow measures delivery; an [Obs.Health] monitor
-   judges SLO rules on the wall clock; and a kill/restart schedule is
-   executed against the daemon owning the probed identifier.  A
-   [Harness.Telemetry] collector polls every daemon with Stats_request
-   frames throughout, so a second monitor judges per-daemon rules
-   against *wire-scraped* series (not exit dumps) and drained trace
-   rings are assembled into cross-process hop trees.  On exit the run
-   asserts the same invariants the simulator's chaos matrix pins —
-   triggers conserved via client refresh, delivery restored after
-   failover, zero wire decode errors (post-mortem AND live-scraped),
-   zero client give-ups — writes the scraped series and assembled
-   traces as artifacts next to the logs, and exits non-zero when any
-   invariant fails, so CI can run it as a smoke job.
+   refreshed; and [Harness.Recovery], over a [Harness.Fleet.live], runs
+   the kill-owner scenario test_chaos runs in simulation (or the given
+   schedule) with a probe flow and an [Obs.Health] monitor on the wall
+   clock.  A [Harness.Telemetry] collector polls every daemon with
+   Stats_request frames throughout, so a second monitor judges
+   per-daemon rules against *wire-scraped* series (not exit dumps) and
+   drained trace rings are assembled into cross-process hop trees.  On exit the run
+   asserts the same invariants the simulator's chaos matrix pins — ring
+   re-converged, triggers conserved via client refresh, delivery
+   restored after failover, zero wire decode errors (post-mortem AND
+   live-scraped), zero client give-ups — writes the scraped series and
+   assembled traces as artifacts next to the logs, and exits non-zero
+   when any invariant fails, so CI can run it as a smoke job.
 
    Usage:
      i3cluster --n 5 --duration-ms 12000 --seed 7
@@ -28,7 +28,9 @@
 
    Schedule DSL (semicolon-separated "OFFSET_MS:EVENT[:ARG]"):
      crash[:i] restart[:i] loss:P dup:P jitter:MS spike:MS heal
-   Omitted crash/restart victims default to the probed id's owner. *)
+   Omitted crash/restart victims default to the probed id's owner.  A
+   malformed time, number or event, a link-fault value Faults.apply
+   refuses, or a victim outside the cluster is a usage error (exit 2). *)
 
 let usage =
   "i3cluster --n N [--i3d PATH] [--seed S] [--duration-ms MS] [--triggers K]\n\
@@ -123,27 +125,39 @@ let addr_of_name name =
           Transport.Udp.pack ~ip ~port
       | _ -> die "bad target %S (want ipv4:port)" name)
 
+(* Malformed times, numbers and events, link-fault values that
+   [Faults.apply] refuses, and victims outside the cluster all end in
+   the usage error before any daemon is spawned. *)
 let parse_schedule ~owner spec : Faults.schedule =
-  let event_of = function
-    | [ "crash" ] -> Faults.Crash owner
-    | [ "crash"; i ] -> Faults.Crash (int_of_string i)
-    | [ "restart" ] -> Faults.Restart owner
-    | [ "restart"; i ] -> Faults.Restart (int_of_string i)
-    | [ "loss"; p ] -> Faults.Loss (float_of_string p)
-    | [ "dup"; p ] -> Faults.Duplicate (float_of_string p)
-    | [ "jitter"; ms ] -> Faults.Jitter (float_of_string ms)
-    | [ "spike"; ms ] -> Faults.Latency_spike (float_of_string ms)
-    | [ "heal" ] -> Faults.Heal
-    | parts -> die "bad schedule event %S" (String.concat ":" parts)
+  let parse_item item =
+    let bad why = die "bad schedule event %S: %s" item why in
+    let num of_string s =
+      match of_string s with Some v -> v | None -> bad ("not a number: " ^ s)
+    in
+    let float = num float_of_string_opt and int = num int_of_string_opt in
+    let victim i = if i < 0 || i >= !n then bad "no such daemon" else i in
+    let at, event =
+      match String.split_on_char ':' item with
+      | [ at; "crash" ] -> (at, Faults.Crash owner)
+      | [ at; "crash"; i ] -> (at, Faults.Crash (victim (int i)))
+      | [ at; "restart" ] -> (at, Faults.Restart owner)
+      | [ at; "restart"; i ] -> (at, Faults.Restart (victim (int i)))
+      | [ at; "loss"; p ] -> (at, Faults.Loss (float p))
+      | [ at; "dup"; p ] -> (at, Faults.Duplicate (float p))
+      | [ at; "jitter"; ms ] -> (at, Faults.Jitter (float ms))
+      | [ at; "spike"; ms ] -> (at, Faults.Latency_spike (float ms))
+      | [ at; "heal" ] -> (at, Faults.Heal)
+      | _ -> bad "unknown event"
+    in
+    let at = float at in
+    if not (Float.is_finite at && at >= 0.) then bad "time must be >= 0";
+    (try Faults.apply (Faults.create (Rng.of_int 0)) event
+     with Invalid_argument msg -> bad msg);
+    (at, event)
   in
   List.filter_map
     (fun item ->
-      match String.trim item with
-      | "" -> None
-      | item -> (
-          match String.split_on_char ':' item with
-          | at :: rest -> Some (float_of_string at, event_of rest)
-          | [] -> None))
+      match String.trim item with "" -> None | item -> Some (parse_item item))
     (String.split_on_char ';' spec)
 
 (* --- the live telemetry table ("i3cluster top") --- *)
@@ -290,6 +304,7 @@ let run_top () =
 
 let run_chaos () =
   if !n < 1 then die "%s" usage;
+  ignore (parse_schedule ~owner:0 !schedule_spec);
   let i3d = if !i3d = "" then default_i3d () else !i3d in
   if not (Sys.file_exists i3d) then die "i3d binary not found at %s" i3d;
   let rng = Rng.of_int !seed in
@@ -379,16 +394,17 @@ let run_chaos () =
       ~gateways:[ List.hd (Harness.Cluster.addrs cluster) ]
       udp
   in
-  let live = Harness.Live.attach ~metrics client in
+  let fleet = Harness.Fleet.live ?faulty ~metrics cluster client in
+  let r = Harness.Recovery.create fleet in
 
   (* Triggers: the probed one first, owned by a daemon that is NOT the
      gateway, so the kill hits an inter-server path. *)
   let rec probed_id () =
     let id = Id.random rng in
-    if Harness.Cluster.owner_index cluster id <> 0 then id else probed_id ()
+    if Harness.Fleet.owner_index fleet id <> 0 then id else probed_id ()
   in
   let probe_id = probed_id () in
-  let owner = Harness.Cluster.owner_index cluster probe_id in
+  let owner = Harness.Fleet.owner_index fleet probe_id in
   let me = Transport.Host.addr (Transport.Client.host client) in
   let triggers =
     I3.Trigger.to_host ~id:probe_id ~owner:me
@@ -403,49 +419,48 @@ let run_chaos () =
     die "initial trigger registration failed"
   end;
 
-  let flow = Harness.Live.start_flow live ~name:"probe" probe_id in
+  let flow =
+    Harness.Recovery.start_flow ~period:100. r ~name:"probe" probe_id
+  in
   let mon =
-    Harness.Live.monitor ~rules:(Harness.Live.default_rules flow) live
+    Harness.Recovery.monitor ~period:250. r
+      ~rules:(Harness.Recovery.live_rules flow)
+  in
+  let (_ : unit -> unit) =
+    Harness.Fleet.every fleet ~period:20. (fun () ->
+        Harness.Telemetry.tick tel ~now_ms:(Harness.Fleet.now fleet))
   in
 
-  (* The schedule: explicit DSL, or the default seeded kill/restart of
-     the probed id's owner at 25% / 40% of the run. *)
-  let schedule =
-    if !schedule_spec <> "" then parse_schedule ~owner !schedule_spec
+  (* The scenario: the explicit schedule from the start of the run, or
+     the kill-owner scenario test_chaos and test_cluster run, after a
+     quarter of the run, with the owner down for 15% of it. *)
+  let warmup, scenario =
+    if !schedule_spec <> "" then
+      ( 0.,
+        {
+          Harness.Recovery.name = "schedule";
+          schedule = (fun _ _ -> parse_schedule ~owner !schedule_spec);
+          fault_ms = !duration_ms;
+        } )
     else
-      [
-        (!duration_ms *. 0.25, Faults.Crash owner);
-        (!duration_ms *. 0.4, Faults.Restart owner);
-      ]
+      ( !duration_ms *. 0.25,
+        Harness.Recovery.kill_owner ~down_ms:(!duration_ms *. 0.15)
+          ~fault_ms:(!duration_ms *. 0.75) )
   in
-  let fault_at = ref None in
-  let started = Unix.gettimeofday () *. 1000. in
-  List.iter
-    (fun (at, e) ->
-      match e with
-      | Faults.Crash _ when !fault_at = None -> fault_at := Some (started +. at)
-      | _ -> ())
-    schedule;
   Printf.eprintf "i3cluster: owner of probed id is daemon %d; schedule: %s\n%!"
     owner
     (String.concat ", "
        (List.map
           (fun (at, e) ->
-            Format.asprintf "%.0fms %a" at Faults.pp_event e)
-          schedule));
+            Format.asprintf "%.0fms %a" (warmup +. at) Faults.pp_event e)
+          (scenario.schedule fleet probe_id)));
+  Harness.Fleet.run_for fleet warmup;
+  let m =
+    Harness.Recovery.run r scenario ~budget:15_000.
+      ~repair_ms:1_500. flow mon
+  in
 
-  Harness.Cluster.run_schedule ?faulty
-    ~tick:(fun ~now_ms ->
-      ignore (Transport.Client.wait client ~timeout:0.005);
-      Transport.Client.poll client ~now:now_ms;
-      Harness.Live.flow_tick live flow ~now_ms;
-      Harness.Live.monitor_tick mon ~now_ms;
-      Harness.Telemetry.tick tel ~now_ms)
-    cluster schedule ~duration_ms:!duration_ms;
-  Harness.Live.stop_flow flow;
-
-  (* Invariants, then the post-mortem over the daemons' dumps. *)
-  let conserved = Harness.Live.triggers_conserved live in
+  (* The post-mortem over the daemons' dumps. *)
   Harness.Cluster.stop cluster;
   (* Telemetry artifacts: what the collector saw over the wire. *)
   let dir = Harness.Cluster.dir cluster in
@@ -488,47 +503,34 @@ let run_chaos () =
   in
   let daemon_decode_errors = Harness.Cluster.decode_errors cluster in
   let gave_up = counter "client.gave_up" in
-  let ratio = Harness.Live.delivery_ratio flow in
-  let ttr =
-    Option.bind !fault_at (fun at -> Harness.Live.time_to_recovery flow ~after:at)
-  in
-  let detect =
-    Option.bind !fault_at (fun at -> Harness.Live.time_to_detect mon ~fault_at:at)
-  in
-  let mon_ttr =
-    Option.bind !fault_at (fun at ->
-        Harness.Live.time_to_recover mon ~fault_at:at)
-  in
-  let recovered = !fault_at = None || ttr <> None in
+  let recovered = m.time_to_recovery_ms <> None in
   let ok =
-    conserved && recovered && gave_up = 0 && daemon_decode_errors = 0
-    && client_decode_errors = 0 && w_vio = 0
+    m.converged && m.conserved && recovered && gave_up = 0
+    && Harness.Fleet.decode_errors fleet = 0 && w_vio = 0
   in
-  let fmt_opt = function None -> "-" | Some v -> Printf.sprintf "%.0f" v in
   if !json_out then
+    let ms = Option.fold ~none:Json.Null ~some:(fun v -> Json.Float v) in
     let j =
       Json.Obj
         [
           ("ok", Json.Bool ok);
           ("daemons", Json.Int !n);
-          ("conserved", Json.Bool conserved);
+          ("converged", Json.Bool m.converged);
+          ("conserved", Json.Bool m.conserved);
           ("recovered", Json.Bool recovered);
-          ("delivery_ratio", Json.Float ratio);
-          ( "time_to_recovery_ms",
-            match ttr with Some v -> Json.Float v | None -> Json.Null );
-          ( "monitor_detect_ms",
-            match detect with Some v -> Json.Float v | None -> Json.Null );
-          ( "monitor_ttr_ms",
-            match mon_ttr with Some v -> Json.Float v | None -> Json.Null );
-          ("sent", Json.Int (Harness.Live.sent flow));
-          ("received", Json.Int (Harness.Live.received flow));
+          ("delivery_ratio", Json.Float m.delivery_ratio);
+          ("time_to_recovery_ms", ms m.time_to_recovery_ms);
+          ("monitor_detect_ms", ms m.detect_ms);
+          ("monitor_ttr_ms", ms m.monitor_ttr_ms);
+          ("sent", Json.Int m.sent);
+          ("received", Json.Int m.delivered);
           ("retries", Json.Int (counter "client.retries"));
           ("timeouts", Json.Int (counter "client.timeouts"));
           ("gave_up", Json.Int gave_up);
           ("refreshes", Json.Int (counter "client.refreshes"));
           ("decode_errors_daemons", Json.Int daemon_decode_errors);
           ("decode_errors_client", Json.Int client_decode_errors);
-          ("longest_outage_ms", Json.Float (Harness.Live.longest_outage flow));
+          ("longest_outage_ms", Json.Float m.longest_outage_ms);
           ("scrape_polls", Json.Int scrape_polls);
           ("scrape_responses", Json.Int scrape_responses);
           ("scrape_timeouts", Json.Int scrape_timeouts);
@@ -542,17 +544,16 @@ let run_chaos () =
     in
     print_endline (Json.to_string j)
   else begin
-    Printf.printf "scenario : %d daemons, kill/restart daemon %d, %s faults\n"
-      !n owner
+    let ms = Option.fold ~none:"-" ~some:(Printf.sprintf "%.0f") in
+    Printf.printf
+      "scenario : %d daemons, %s (daemon %d owns the probe), %s faults\n" !n
+      scenario.name owner
       (if !no_faults then "no injected"
        else Printf.sprintf "loss=%.2f jitter=%.0fms" !loss !jitter);
     Printf.printf "delivery : %d/%d (ratio %.3f), longest outage %.0f ms\n"
-      (Harness.Live.received flow)
-      (Harness.Live.sent flow)
-      ratio
-      (Harness.Live.longest_outage flow);
+      m.delivered m.sent m.delivery_ratio m.longest_outage_ms;
     Printf.printf "recovery : ttr=%s ms, monitor detect=%s ms, monitor ttr=%s ms\n"
-      (fmt_opt ttr) (fmt_opt detect) (fmt_opt mon_ttr);
+      (ms m.time_to_recovery_ms) (ms m.detect_ms) (ms m.monitor_ttr_ms);
     Printf.printf "client   : retries=%d timeouts=%d gave_up=%d refreshes=%d\n"
       (counter "client.retries") (counter "client.timeouts") gave_up
       (counter "client.refreshes");
@@ -564,8 +565,8 @@ let run_chaos () =
       scrape_responses scrape_polls scrape_timeouts w_ok w_deg w_vio;
     Printf.printf "traces   : %d assembled, widest spans %d daemons\n"
       (List.length trees) max_trace_sites;
-    Printf.printf "invariants: conserved=%b recovered=%b -> %s\n" conserved
-      recovered
+    Printf.printf "invariants: converged=%b conserved=%b recovered=%b -> %s\n"
+      m.converged m.conserved recovered
       (if ok then "OK" else "FAILED");
     Printf.printf "artifacts : %s\n" (Harness.Cluster.dir cluster)
   end;

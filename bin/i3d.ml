@@ -146,9 +146,8 @@ let () =
       ~join:join_addrs ~chord_config ~metrics:registry ~tracer ~site:!port ()
   in
   let udp = Transport.Udp.create ~host:!host ~port:!port () in
-  (* Send-side fault injection (ROADMAP item 5's last gap): with --loss
-     the daemon's OWN sends — Chord RPCs, replica pushes, forwarded data
-     — pass through the same seeded Faulty decorator the harness client
+  (* Send-side fault injection: with --loss the daemon's OWN sends —
+     Chord RPCs, replica pushes, forwarded data — pass through the same seeded Faulty decorator the harness client
      uses, so the whole mesh faces weather, not just the client edge.
      Receive stays clean: dropping a datagram on either side of the wire
      is the same network. *)

@@ -1,7 +1,7 @@
 (** The substrate bakeoff: Chord variants vs. Koorde, head to head.
 
-    The paper's Sec. VII argues i3 is substrate-agnostic; ROADMAP item 2
-    asks what that substrate choice actually buys.  This harness races
+    The paper's Sec. VII argues i3 is substrate-agnostic; this harness
+    asks what that substrate choice actually buys.  It races
     every {!Koorde.Substrate.spec} over the {e same} static membership,
     transit-stub placement, and query set — Fig. 9's paired race
     ({!Proximity_routing.route_race}) at one server count — and reports

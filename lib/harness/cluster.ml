@@ -6,12 +6,10 @@
    [--join] contacts and Chord stabilization does the rest — supervises
    them
    (reap-on-exit, restart with exponential backoff, liveness probes
-   over the Ping/Pong status frames) and interprets the same
-   declarative [Faults.schedule] the chaos matrix runs in simulation —
-   [Crash i] becomes a real SIGKILL, [Restart i] re-arms supervision,
-   and the network-weather events are forwarded to the client's
-   [Transport.Faulty] decorator, so one scenario vocabulary drives sim
-   and wire alike (ROADMAP item 5).
+   over the Ping/Pong status frames).  Its [kill] (a real SIGKILL) and
+   [restart] (re-arm supervision, respawn) are how [Fleet.live] runs a
+   [Faults.schedule]'s [Crash i] and [Restart i], so one scenario
+   vocabulary drives sim and wire alike.
 
    Ring visibility comes over the wire, not from shared memory: the
    harness owns a second probe socket speaking [Chord.Codec] and asks
@@ -197,7 +195,6 @@ let create ?(metrics = Obs.Metrics.default) ?(config = default_config)
 let on_event t f = t.on_event <- f
 let event t fmt = Printf.ksprintf (fun s -> t.on_event s) fmt
 let dir t = t.dir
-let size t = Array.length t.members
 let members t = Array.to_list t.members
 let member t i = t.members.(i)
 let addrs t = Array.to_list (Array.map (fun m -> m.addr) t.members)
@@ -573,41 +570,3 @@ let sum_counter t name =
     0 (metrics_dumps t)
 
 let decode_errors t = sum_counter t "wire.decode_errors"
-
-(* --- chaos schedules against live processes --- *)
-
-(* Interpret a [Faults.schedule] on the wall clock: process events
-   against the cluster, network-weather events against the (optional)
-   client-side fault decorator.  [tick] runs every loop iteration —
-   point it at the client's poll/maintain and the monitor's scrape. *)
-let run_schedule ?faulty ?(tick = fun ~now_ms:_ -> ()) ?(tick_ms = 20.) t
-    schedule ~duration_ms =
-  let started = wall_ms () in
-  let pending = ref (Faults.sorted schedule) in
-  let apply_event e =
-    match (e : Faults.event) with
-    | Faults.Crash i -> kill t (i mod size t)
-    | Faults.Restart i -> restart t (i mod size t)
-    | _ -> (
-        match faulty with
-        | Some f -> Transport.Faulty.apply f e
-        | None -> ())
-  in
-  let rec loop () =
-    let now = wall_ms () in
-    let elapsed = now -. started in
-    (match !pending with
-    | (at, e) :: rest when at <= elapsed ->
-        event t "t=%.0fms: %s" elapsed
-          (Format.asprintf "%a" Faults.pp_event e);
-        apply_event e;
-        pending := rest
-    | _ -> ());
-    supervise t;
-    tick ~now_ms:now;
-    if elapsed < duration_ms then begin
-      ignore (Unix.select [] [] [] (tick_ms /. 1000.));
-      loop ()
-    end
-  in
-  loop ()

@@ -8,10 +8,8 @@
     happen over the wire, via [Get_state] probes from a dedicated
     chord-codec socket).  It reaps and respawns members (exponential
     backoff, reset after a stable period), probes liveness via the
-    Ping/Pong status frames, and interprets the same declarative
-    {!Faults.schedule} the simulator runs: [Crash i] is a real SIGKILL,
-    [Restart i] re-arms supervision and respawns; network-weather
-    events go to the client-side {!Transport.Faulty} decorator.
+    Ping/Pong status frames.  {!kill} and {!restart} are how
+    {!Fleet.live} runs a schedule's [Crash i] and [Restart i].
     {!pause}/{!resume} (SIGSTOP/SIGCONT) model a partition at process
     granularity — unreachable, state intact.  Each daemon flushes its
     metrics registry to a JSON dump on graceful stop;
@@ -109,6 +107,12 @@ val start : ?ready_timeout_ms:float -> t -> bool
 val spawn : t -> int -> unit
 (** Low-level: fork one member (asserts it is not running). *)
 
+val kill : t -> int -> unit
+(** SIGKILL and reap a member, disarming its supervision. *)
+
+val restart : t -> int -> unit
+(** Re-arm a member's supervision and respawn it if it is down. *)
+
 val pause : t -> int -> unit
 (** SIGSTOP a member: unreachable (a partition from everyone's view)
     but all protocol state intact; supervision is disarmed. *)
@@ -157,19 +161,3 @@ val decode_errors : t -> int
 (** [wire.decode_errors] summed across every member's metrics dump (JSON
     lines written by the daemons' graceful shutdown; a missing or
     unparseable file counts 0) — the invariant chaos pins at zero. *)
-
-(** {1 Chaos schedules} *)
-
-val run_schedule :
-  ?faulty:Transport.Faulty.t ->
-  ?tick:(now_ms:float -> unit) ->
-  ?tick_ms:float ->
-  t ->
-  Faults.schedule ->
-  duration_ms:float ->
-  unit
-(** Interpret a fault schedule on the wall clock ([schedule] offsets are
-    ms from now): [Crash]/[Restart] against the cluster (victim index
-    modulo cluster size), everything else against [faulty].  [tick] runs
-    every loop iteration (~[tick_ms]) — drive the client's poll/maintain
-    and the monitor from it.  Returns after [duration_ms]. *)

@@ -1,13 +1,12 @@
 (** One probe flow's bookkeeping: the single definition of "delivered"
-    and "recovered" behind both recovery checks, [Eval.Recovery] in
-    virtual time and [Harness.Live] on wall clocks (paper Secs. IV-C,
-    V-C: soft state repairs every transient fault).
+    and "recovered" behind [Harness.Recovery]'s flows, in virtual time
+    on the simulator and on wall clocks against real daemons (paper
+    Secs. IV-C, V-C: soft state repairs every transient fault).
 
     A flow sends numbered probes through one identifier and counts the
     ones that come back.  The module is pure and clock-free: it does no
     I/O, and every call that needs the time takes [~now] from its
-    driver, so the two checks differ only in the clock they pass and in
-    how they carry {!next}'s payload to the network. *)
+    driver. *)
 
 type t
 

@@ -37,8 +37,6 @@ let every t ?phase ~period action =
   schedule t ~delay:(Option.value ~default:period phase) tick;
   timer
 
-let scraper t ?phase ~period f = every t ?phase ~period (fun () -> f ~time:t.clock)
-
 let cancel timer = timer.cancelled <- true
 
 let pending t = Heap.size t.heap

@@ -24,12 +24,6 @@ val every : t -> ?phase:float -> period:float -> (unit -> unit) -> timer
     every [period] ms until cancelled. @raise Invalid_argument if
     [period <= 0]. *)
 
-val scraper : t -> ?phase:float -> period:float -> (time:float -> unit) -> timer
-(** Periodic sampling hook for registry scrapers: {!every} with the
-    current virtual time handed to the callback, so observability code
-    (which must not depend on this library) samples on the simulated
-    clock rather than wall time. *)
-
 val cancel : timer -> unit
 (** Stop a periodic timer; idempotent. *)
 

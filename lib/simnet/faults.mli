@@ -5,10 +5,10 @@
     {!driver} interprets each event against some substrate — a raw
     {!Net.t} (via [Net.driver]), a real socket's send boundary (via
     [Transport.Faulty.apply]), or a full deployment (e.g.
-    [Transport.Dynamic.inject]'s, which applies network faults to its
-    one net — i3 and Chord frames share it, as they share a daemon's
-    socket, so a partition severs both — and maps [Crash]/[Restart]
-    onto server kill/recover).
+    [Harness.Fleet.inject]'s, which applies network faults to a
+    simulated deployment's one net — i3 and Chord frames share it, as
+    they share a daemon's socket, so a partition severs both — and maps
+    [Crash]/[Restart] onto server kill/recover).
 
     Both network boundaries delegate link faults to the same seeded
     interpreter ({!t}: {!apply} installs an event, {!fate} decides one

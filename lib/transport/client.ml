@@ -69,6 +69,7 @@ let wait t ~timeout =
   (match t.faulty with Some f -> ignore (Faulty.flush f) | None -> ());
   Udp.wait t.udp ~timeout
 
+(* Due refreshes and retries leave; never a blocking wait. *)
 let maintain t = Host.step t.host ~now:(Host.now t.host) I3.Endhost.Tick
 
 let poll t ~now =
@@ -111,11 +112,3 @@ let ping t ~dst ~timeout_ms =
   let reply = await () in
   Hashtbl.remove t.pongs nonce;
   reply
-
-(* The idle loop of an end-host that only listens. *)
-let run t ~duration_ms =
-  let deadline = Host.now t.host +. duration_ms in
-  while Host.now t.host < deadline do
-    ignore (wait t ~timeout:0.02);
-    poll t ~now:(Host.now t.host)
-  done

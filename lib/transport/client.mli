@@ -37,12 +37,6 @@ val insert : t -> I3.Trigger.t -> [ `Acked | `Gave_up ]
     and rotating the gateway).  The binding stays registered either
     way, so refresh keeps trying. *)
 
-val maintain : t -> unit
-(** Step the machine at the client's own clock and return: due
-    refreshes and retries leave, never a blocking wait, so a dead server
-    cannot stall the caller's loop.  Refreshes retry indefinitely and
-    never bump [client.gave_up]. *)
-
 val ping : t -> dst:int -> timeout_ms:float -> pong option
 (** One liveness/status probe: send a nonce'd [Ping], wait for the
     matching [Pong].  A [Pong] no ping awaits (late or unsolicited) is
@@ -58,6 +52,3 @@ val poll : t -> now:float -> unit
     client's clock): flush the fault layer, dispatch everything queued
     on the socket, then step the machine once.  Never blocks — an
     application loop is [wait ~timeout] followed by [poll ~now]. *)
-
-val run : t -> duration_ms:float -> unit
-(** {!wait} and {!poll} until the deadline. *)

@@ -46,7 +46,6 @@ let engine t = t.w.engine
 let tracer t = t.w.tracer
 let metrics t = t.w.metrics
 let spans t = t.w.spans
-let ring_label _ = Chord.Protocol.ring_label
 let run_for t d = Engine.run_for t.w.engine d
 let now t = Engine.now t.w.engine
 let bump_generation t = t.generation <- t.generation + 1
@@ -163,19 +162,12 @@ let new_host t ?(site = 0) ?config ?n_gateways () =
   Member.new_host t.w ~site ?config ?n_gateways
     (List.map addr (live_members t))
 
-(* --- fault injection --- *)
-
 let all_servers t = List.rev_map Member.server t.members
 
 let nth_server t i =
   match List.nth_opt (all_servers t) i with
   | Some s -> s
   | None -> invalid_arg "Dynamic.nth_server: no such server index"
-
-let inject t schedule =
-  let crash i = kill_server t (nth_server t i)
-  and restart i = restart_server t (nth_server t i) in
-  Faults.install t.w.engine (Net.driver ~crash ~restart t.w.net) schedule
 
 let net t = t.w.net
 let net_stats t = Net.stats t.w.net

@@ -68,12 +68,6 @@ val spans : t -> Obs.Trace.t
 (** The operations collector passed at creation ({!Obs.Trace.disabled}
     otherwise). *)
 
-val ring_label : t -> string
-(** The [instance] label every member's [chord.*] series carry
-    ({!Chord.Protocol.ring_label}); the members share the deployment's registry,
-    so these are ring-wide counters — what a health monitor filters
-    [chord.*] series by. *)
-
 val run_for : t -> float -> unit
 val now : t -> float
 
@@ -104,7 +98,7 @@ val servers : t -> I3.Server.t list
 
 val all_servers : t -> I3.Server.t list
 (** Every server ever started, alive or dead, in join order — the victim
-    index space of {!inject}'s [Crash]/[Restart] events. *)
+    index space of a fault schedule's [Crash]/[Restart] events. *)
 
 val nth_server : t -> int -> I3.Server.t
 (** The i-th server in join order. @raise Invalid_argument out of range. *)
@@ -121,19 +115,9 @@ val new_host :
   unit ->
   Host.t
 
-(** {1 Fault injection}
-
-    A real-world fault hits every protocol sharing the failed resource
-    at once.  Here i3 and Chord frames share each member's one endpoint,
-    so each network-level event (partition, gray link, burst loss,
-    jitter, …) hits both; [Faults.Crash]/[Faults.Restart] victim
-    indices map onto {!kill_server}/{!restart_server} in join order. *)
-
-val inject : t -> Faults.schedule -> unit
-(** [inject t s] is [Faults.install (engine t) driver s], with
-    [Net.driver ~crash ~restart] on the one net as [driver]. *)
-
 val net : t -> string Net.t
+(** The one net: i3 and Chord frames share each member's endpoint, so a
+    link fault on it hits both protocols at once, as on a real host. *)
 
 val net_stats : t -> Net.stats
 (** Drop/delivery accounting of the net, by fault cause. *)

@@ -1,6 +1,7 @@
 (* Chaos scenario matrix: declarative fault schedules (Faults) injected
    into full decentralized deployments (Transport.Dynamic), with recovery
-   checked through machine-checked invariants (Eval.Recovery) — the
+   checked through machine-checked invariants (Harness.Recovery over a
+   Harness.Fleet.sim, the code test_cluster runs on real daemons) — the
    paper's robustness story (Secs. IV-C, V-C) exercised end to end:
    partitions heal, killed gateways rotate away, burst loss only delays
    convergence, gray links are routed around, and soft state repairs
@@ -53,23 +54,44 @@ let collect host =
    and a health monitor watching that flow and the control ring — the
    measurement substrate of every scenario.  The monitor reads only the
    registry, never the simulator's ground truth, so its detect/recover
-   times can be compared against Eval.Recovery's oracle. *)
-let start_probes d =
+   times can be compared against the recovery checks. *)
+let start_probes ~seed d =
   let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let id = Transport.Host.new_private_id recv in
   Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 3_000.;
-  let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
+  let fleet =
+    Harness.Fleet.sim ~rng:(probe_rng (seed + 1)) d ~sender:send ~receiver:recv
+  in
+  let r = Harness.Recovery.create fleet in
+  let flow = Harness.Recovery.start_flow r ~name:"probe" id in
   let monitor =
-    Eval.Monitor.create
-      ~rules:
-        (Eval.Monitor.default_rules ~ring_label:(Transport.Dynamic.ring_label d)
-           flow)
-      d
+    Harness.Recovery.monitor r ~rules:(Harness.Recovery.sim_rules flow)
   in
   Transport.Dynamic.run_for d 5_000.;
-  (recv, send, id, flow, monitor)
+  (fleet, r, recv, flow, monitor)
+
+(* The table-inspection oracle beside the behavioral check: every active
+   trigger of every given host is stored (and matchable) at every live
+   server claiming it, and at least one server claims it. *)
+let table_conserved d hosts =
+  let now = Transport.Dynamic.now d in
+  List.for_all
+    (fun host ->
+      List.for_all
+        (fun (tr : I3.Trigger.t) ->
+          match Transport.Dynamic.owners_of d tr.I3.Trigger.id with
+          | [] -> false
+          | owners ->
+              List.for_all
+                (fun s ->
+                  I3.Trigger_table.find_matches (I3.Server.triggers s) ~now
+                    tr.I3.Trigger.id
+                  <> [])
+                owners)
+        (Transport.Host.active_triggers host))
+    hosts
 
 (* Trace conservation: every traced packet's life must end in exactly one
    Deliver or one Drop with a cause — a fault may delay or kill a packet,
@@ -96,45 +118,40 @@ let assert_traces_conserved ~what d =
    by a member's driver or a host and decoded by the receiver.  By
    scenario end the members' drivers have taken plenty of frames, and
    not one datagram failed to decode at any driver or host. *)
-let assert_wire_clean ~what d =
-  let sum name =
+let assert_wire_clean ~what fleet d =
+  let frames =
     List.fold_left
       (fun acc (s : Obs.Metrics.sample) ->
         match s.value with
-        | Obs.Metrics.Counter n when s.name = name -> acc + n
+        | Obs.Metrics.Counter n when s.name = "driver.frames" -> acc + n
         | _ -> acc)
       0
-      (Obs.Metrics.snapshot ~prefix:name (Transport.Dynamic.metrics d))
+      (Obs.Metrics.snapshot ~prefix:"driver.frames"
+         (Transport.Dynamic.metrics d))
   in
-  Alcotest.(check bool)
-    (what ^ ": driver frames decoded") true
-    (sum "driver.frames" > 0);
+  Alcotest.(check bool) (what ^ ": driver frames decoded") true (frames > 0);
   Alcotest.(check int) (what ^ ": wire.decode_errors = 0") 0
-    (sum "wire.decode_errors")
+    (Harness.Fleet.decode_errors fleet)
 
-let check_recovered ~what ~seed d recv flow monitor ~fault_at =
-  let rng = probe_rng (seed + 1) in
-  let conv = Eval.Recovery.converges_within ~budget:120_000. rng d in
-  Alcotest.(check bool) (what ^ ": ring re-converged") true (conv <> None);
-  (* The paper's repair bound: after one refresh round plus the ack grace
-     period, every trigger the host keeps alive is stored again at the
-     (now unique) responsible server. *)
-  Transport.Dynamic.run_for d repair_bound;
+(* What every scenario must show once [Harness.Recovery] has run its
+   checks.  The paper's repair bound: after one refresh round plus the
+   ack grace period, every trigger the host keeps alive is stored again
+   at the (now unique) responsible server. *)
+let assert_recovered ~what fleet d recv (m : Harness.Recovery.metrics) =
+  Alcotest.(check bool) (what ^ ": ring re-converged") true m.converged;
+  Alcotest.(check bool) (what ^ ": triggers conserved") true m.conserved;
   Alcotest.(check bool)
-    (what ^ ": triggers conserved") true
-    (Eval.Recovery.triggers_conserved d [ recv ]);
-  Transport.Dynamic.run_for d 3_000.;
+    (what ^ ": triggers stored at their owners") true
+    (table_conserved d [ recv ]);
   (* Monitor vs oracle — the bounded observability gap.  Detection may
      lag the fault only by propagation plus a rule window plus a scrape
      period; and by the moment the oracle has just proven recovery (ring
      re-converged, triggers conserved, drain elapsed), the monitor's own
      history must already contain an Ok verdict after its first breach,
      i.e. monitor-recovery never trails the ground-truth proof point. *)
-  let detect = Eval.Monitor.time_to_detect monitor ~fault_at in
-  let mon_ttr = Eval.Monitor.time_to_recover monitor ~fault_at in
   Alcotest.(check bool)
-    (what ^ ": monitor detected the fault") true (detect <> None);
-  (match detect with
+    (what ^ ": monitor detected the fault") true (m.detect_ms <> None);
+  (match m.detect_ms with
   | Some t ->
       Alcotest.(check bool)
         (what ^ ": detection lag bounded") true
@@ -142,43 +159,45 @@ let check_recovered ~what ~seed d recv flow monitor ~fault_at =
   | None -> ());
   Alcotest.(check bool)
     (what ^ ": monitor verdict recovered by the oracle's proof point") true
-    (mon_ttr <> None);
-  (match (detect, mon_ttr) with
+    (m.monitor_ttr_ms <> None);
+  (match (m.detect_ms, m.monitor_ttr_ms) with
   | Some t, Some r ->
       Alcotest.(check bool)
         (what ^ ": recovery verdict follows detection") true (r >= t)
   | _ -> ());
-  Eval.Monitor.stop monitor;
-  Eval.Recovery.stop_flow flow;
   Alcotest.(check bool)
     (what ^ ": flow recovered after fault") true
-    (Eval.Recovery.time_to_recovery flow ~after:fault_at <> None);
+    (m.time_to_recovery_ms <> None);
   assert_traces_conserved ~what d;
-  assert_wire_clean ~what d;
-  Eval.Recovery.metrics
-    ~scenario:(Printf.sprintf "%s (seed %d)" what seed)
-    ~fault_at ?detect_ms:detect ?monitor_ttr_ms:mon_ttr
-    ~converged:(conv <> None) flow
+  assert_wire_clean ~what fleet d;
+  m
+
+let check_recovered ~what ~seed d (fleet, r, recv, flow, monitor) ~fault_at =
+  assert_recovered ~what fleet d recv
+    (Harness.Recovery.recover r
+       ~scenario:(Printf.sprintf "%s (seed %d)" what seed)
+       ~fault_at ~budget:120_000. ~repair_ms:repair_bound flow monitor)
 
 (* --- scenario: partition the ring in half, then heal --- *)
 
 let scenario_partition ~seed () =
   let d = build ~seed () in
+  let probes = start_probes ~seed d in
+  let fleet, _, _, _, _ = probes in
   Alcotest.(check bool) "initial convergence" true
-    (Eval.Recovery.ring_converged (probe_rng seed) d);
-  let recv, _send, _id, flow, monitor = start_probes d in
+    (Harness.Fleet.converged fleet);
   let fault_at = Transport.Dynamic.now d in
-  Transport.Dynamic.inject d
+  Harness.Fleet.inject fleet
     [ (0., Faults.Partition [ 0; 1; 2; 3; 4 ]); (20_000., Faults.Heal) ];
   Transport.Dynamic.run_for d 15_000.;
   (* Mid-partition each half has converged to its own sub-ring, so probed
      identifiers have a claimant on both sides: the single-owner
      invariant is violated until the heal. *)
   Alcotest.(check bool) "split into two sub-rings" false
-    (Eval.Recovery.ring_converged (probe_rng seed) d);
+    (Harness.Fleet.converged fleet);
   Transport.Dynamic.run_for d 10_000.;
   let m =
-    check_recovered ~what:"partition+heal" ~seed d recv flow monitor ~fault_at
+    check_recovered ~what:"partition+heal" ~seed d probes ~fault_at
   in
   Alcotest.(check bool) "partition drops counted as such" true
     ((Transport.Dynamic.net_stats d).Net.dropped_partition > 0);
@@ -186,55 +205,60 @@ let scenario_partition ~seed () =
 
 (* --- scenario: kill the trigger's responsible server mid-refresh --- *)
 
+(* The named scenario test_cluster runs on real daemons, through the
+   same code.  The receiver's refreshes go unacked until the ring heals
+   around the dead server and a refresh lands at the new owner — the
+   killed server's triggers must be deliverable again within the
+   paper's [refresh_period + ack_grace] repair bound of the heal.  The
+   victim comes back, empty, 10 s after the kill. *)
 let scenario_kill_owner ~seed () =
   let d = build ~seed () in
-  let recv, _send, id, flow, monitor = start_probes d in
-  let victim =
-    match Transport.Dynamic.owners_of d id with
-    | [ o ] -> o
-    | l -> Alcotest.fail (Printf.sprintf "%d owners before kill" (List.length l))
+  let fleet, r, recv, flow, monitor = start_probes ~seed d in
+  let scenario =
+    Harness.Recovery.kill_owner ~down_ms:10_000. ~fault_ms:20_000.
   in
-  let fault_at = Transport.Dynamic.now d in
-  Transport.Dynamic.kill_server d victim;
-  (* The receiver's refreshes go unacked until the ring heals around the
-     dead server and a refresh lands at the new owner — the killed
-     server's triggers must be deliverable again within the paper's
-     [refresh_period + ack_grace] repair bound of the heal. *)
-  Transport.Dynamic.run_for d 20_000.;
-  check_recovered ~what:"kill owner" ~seed d recv flow monitor ~fault_at
+  let what = scenario.name in
+  assert_recovered ~what fleet d recv
+    (Harness.Recovery.run r
+       { scenario with name = Printf.sprintf "%s (seed %d)" what seed }
+       ~budget:120_000. ~repair_ms:repair_bound flow monitor)
 
 (* --- scenario: rolling crash/restart storm over the schedule DSL --- *)
 
 let scenario_churn ~seed () =
   let d = build ~seed () in
-  let recv, _send, _id, flow, monitor = start_probes d in
+  let probes = start_probes ~seed d in
+  let fleet, _, _, _, _ = probes in
   let fault_at = Transport.Dynamic.now d in
   let storm =
     Faults.churn
       (Rng.create (Int64.of_int (seed + 100)))
       ~victims:[ 2; 5; 7 ] ~start:2_000. ~spacing:6_000. ~downtime:8_000.
   in
-  Transport.Dynamic.inject d storm;
+  Harness.Fleet.inject fleet storm;
   (* last crash at 2s + 2*6s = 14s, last restart 8s later; let it land *)
   Transport.Dynamic.run_for d 30_000.;
-  check_recovered ~what:"rolling churn" ~seed d recv flow monitor ~fault_at
+  check_recovered ~what:"rolling churn" ~seed d probes ~fault_at
 
 (* --- scenario: total blackhole, the flight recorder must fire --- *)
 
 let scenario_blackhole ~seed () =
   let d = build ~seed () in
-  let recv, _send, _id, flow, monitor = start_probes d in
+  let probes = start_probes ~seed d in
+  let fleet, _, _, _, monitor = probes in
   let fault_at = Transport.Dynamic.now d in
-  Transport.Dynamic.inject d
+  Harness.Fleet.inject fleet
     [ (0., Faults.Loss 1.0); (12_000., Faults.Loss 0.0) ];
   Transport.Dynamic.run_for d 20_000.;
   (* Nothing gets through, so the windowed delivery ratio falls straight
      to zero: the rule must reach Violated (not merely Degraded), and the
      Ok->Violated edge must capture a flight record carrying real
      control-plane history, not empty shells. *)
-  let _ok, _deg, violated = Obs.Health.counts (Eval.Monitor.health monitor) in
+  let _ok, _deg, violated =
+    Obs.Health.counts (Harness.Recovery.health monitor)
+  in
   Alcotest.(check bool) "monitor reached Violated" true (violated > 0);
-  (match Eval.Monitor.dumps monitor with
+  (match Harness.Recovery.dumps monitor with
   | [] -> Alcotest.fail "no flight-recorder dump captured"
   | (dump_at, dump) :: _ ->
       Alcotest.(check bool) "dump captured after the fault" true
@@ -245,7 +269,7 @@ let scenario_blackhole ~seed () =
           | Some (Json.List (_ :: _)) -> ()
           | _ -> Alcotest.fail (Printf.sprintf "dump section %s is empty" key))
         [ "evaluations"; "metrics"; "series"; "spans"; "traces" ]);
-  check_recovered ~what:"blackhole" ~seed d recv flow monitor ~fault_at
+  check_recovered ~what:"blackhole" ~seed d probes ~fault_at
 
 (* --- scenario: burst loss while the ring is still stabilizing --- *)
 
@@ -254,7 +278,8 @@ let test_burst_during_stabilization () =
   let d = Transport.Dynamic.create ~metrics:(Obs.Metrics.create ()) ~seed () in
   (* Gilbert–Elliott bursts from the very first join, lifted at 30 s. *)
   let lift_at = 30_000. in
-  Transport.Dynamic.inject d
+  Faults.install (Transport.Dynamic.engine d)
+    (Net.driver (Transport.Dynamic.net d))
     [
       (0., Faults.Burst_loss { p_enter = 0.05; p_exit = 0.25; loss_bad = 0.9 });
       (lift_at, Faults.Burst_end);
@@ -263,12 +288,16 @@ let test_burst_during_stabilization () =
     ignore (Transport.Dynamic.add_server d ~site ());
     Transport.Dynamic.run_for d 2_000.
   done;
-  let conv = Eval.Recovery.converges_within ~budget:180_000. (probe_rng seed) d in
+  let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
+  let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
+  let r =
+    Harness.Recovery.create
+      (Harness.Fleet.sim ~rng:(probe_rng seed) d ~sender:send ~receiver:recv)
+  in
+  let conv = Harness.Recovery.converges_within r ~budget:180_000. in
   Alcotest.(check bool) "converges once the burst lifts" true (conv <> None);
   Alcotest.(check bool) "burst drops counted as such" true
     ((Transport.Dynamic.net_stats d).Net.dropped_burst > 0);
-  let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
-  let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
   let got = collect recv in
   let id = Transport.Host.new_private_id recv in
   Transport.Host.insert_trigger recv id;
@@ -302,7 +331,8 @@ let test_burst_during_stabilization () =
 let test_gray_link_between_successors () =
   let seed = 42 in
   let d = build ~seed () in
-  let recv, _send, _id, flow, monitor = start_probes d in
+  let probes = start_probes ~seed d in
+  let fleet, _, _, _, _ = probes in
   (* Ring-adjacent pair: sort live servers by identifier; join order is
      the site index. *)
   let by_id =
@@ -324,7 +354,7 @@ let test_gray_link_between_successors () =
   in
   let fa = site_of a and fb = site_of b in
   let fault_at = Transport.Dynamic.now d in
-  Transport.Dynamic.inject d
+  Harness.Fleet.inject fleet
     [
       (0., Faults.Gray { from_site = fa; to_site = fb });
       (25_000., Faults.Gray_heal { from_site = fa; to_site = fb });
@@ -333,7 +363,7 @@ let test_gray_link_between_successors () =
   Alcotest.(check bool) "gray drops counted as such" true
     ((Transport.Dynamic.net_stats d).Net.dropped_gray > 0);
   Transport.Dynamic.run_for d 5_000.;
-  ignore (check_recovered ~what:"gray link" ~seed d recv flow monitor ~fault_at)
+  ignore (check_recovered ~what:"gray link" ~seed d probes ~fault_at)
 
 (* --- satellite: gateway rotation after ack_grace expiry --- *)
 
@@ -392,12 +422,14 @@ let test_pure_sender_leaves_dead_gateway () =
   let id = pick () in
   Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 3_000.;
-  let flow =
-    Eval.Recovery.start_flow d ~sender:send ~receiver:recv ~period:100. id
+  let r =
+    Harness.Recovery.create
+      (Harness.Fleet.sim d ~sender:send ~receiver:recv)
   in
+  let flow = Harness.Recovery.start_flow ~period:100. r ~name:"probe" id in
   Transport.Dynamic.run_for d 5_000.;
   Alcotest.(check bool) "flow delivers before the kill" true
-    (Eval.Recovery.received flow > 0);
+    (Harness.Recovery.received flow > 0);
   List.iter
     (fun s -> if I3.Server.addr s = dead then Transport.Dynamic.kill_server d s)
     (Transport.Dynamic.servers d);
@@ -407,11 +439,11 @@ let test_pure_sender_leaves_dead_gateway () =
     (chaos_host_config.Transport.Host.cache_ttl_ms +. 1_000.);
   let dark_at = Transport.Dynamic.now d in
   Transport.Dynamic.run_for d (2. *. repair_bound);
-  Eval.Recovery.stop_flow flow;
+  Harness.Recovery.stop_flow flow;
   Alcotest.(check bool) "sender rotated off the dead gateway" true
     (Transport.Host.gateway send <> dead);
   Alcotest.(check bool) "flow delivers again" true
-    (Eval.Recovery.time_to_recovery flow ~after:dark_at <> None)
+    (Harness.Recovery.time_to_recovery flow ~after:dark_at <> None)
 
 (* --- satellite: backup trigger fall-through after a server death --- *)
 
@@ -460,16 +492,14 @@ let test_send_with_backup_fallthrough () =
 (* --- determinism: one seed, one trajectory --- *)
 
 let test_reproducible () =
-  let m1 = scenario_partition ~seed:21 () in
+  let (m1 : Harness.Recovery.metrics) = scenario_partition ~seed:21 () in
   let m2 = scenario_partition ~seed:21 () in
-  Alcotest.(check int) "same sent" m1.Eval.Recovery.sent m2.Eval.Recovery.sent;
-  Alcotest.(check int) "same delivered" m1.Eval.Recovery.delivered
-    m2.Eval.Recovery.delivered;
+  Alcotest.(check int) "same sent" m1.sent m2.sent;
+  Alcotest.(check int) "same delivered" m1.delivered m2.delivered;
   Alcotest.(check (option (float 0.0001)))
-    "same time-to-recovery" m1.Eval.Recovery.time_to_recovery_ms
-    m2.Eval.Recovery.time_to_recovery_ms
+    "same time-to-recovery" m1.time_to_recovery_ms m2.time_to_recovery_ms
 
-(* --- bench: recovery-time numbers through Eval.Report --- *)
+(* --- bench: recovery-time numbers through Harness.Recovery.report --- *)
 
 let test_bench_report () =
   let metrics =
@@ -479,10 +509,93 @@ let test_bench_report () =
       scenario_churn ~seed:26 ();
     ]
   in
-  Eval.Recovery.report metrics;
+  Harness.Recovery.report metrics;
   List.iter
-    (fun m -> Alcotest.(check bool) "scenario converged" true m.Eval.Recovery.converged)
+    (fun (m : Harness.Recovery.metrics) ->
+      Alcotest.(check bool) "scenario converged" true m.converged)
     metrics
+
+(* --- the conservation check can fail --- *)
+
+let test_lost_trigger_not_conserved () =
+  (* A trigger really is lost: its host stops refreshing (hour-scale
+     refresh and grace, hour-long trigger lifetime), and its owner dies
+     for good.  A second trigger, on a live owner, keeps a probe flow
+     delivering to the same receiver throughout, so a check that took
+     any Deliver for an answer would pass. *)
+  let frozen_host =
+    {
+      Transport.Host.refresh_period_ms = 600_000.;
+      cache_ttl_ms = 4_000.;
+      ack_grace_ms = 1_200_000.;
+    }
+  in
+  let server_config =
+    { I3.Server.default_config with trigger_lifetime = 3_600_000. }
+  in
+  let seed = 36 in
+  let d = build ~server_config ~seed () in
+  let recv = Transport.Dynamic.new_host d ~config:frozen_host () in
+  let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
+  let fleet =
+    Harness.Fleet.sim ~rng:(probe_rng seed) d ~sender:send ~receiver:recv
+  in
+  let r = Harness.Recovery.create fleet in
+  (* Each trigger on its own owner, neither owner a host's gateway. *)
+  let rec pick avoid =
+    let id = Transport.Host.new_private_id recv in
+    match Transport.Dynamic.owners_of d id with
+    | [ o ] when not (List.mem (I3.Server.addr o) avoid) ->
+        (id, I3.Server.addr o)
+    | _ -> pick avoid
+  in
+  let gateways = [ Transport.Host.gateway recv; Transport.Host.gateway send ] in
+  let lost, lost_owner = pick gateways in
+  let kept, _ = pick (lost_owner :: gateways) in
+  Transport.Host.insert_trigger recv lost;
+  Transport.Host.insert_trigger recv kept;
+  Transport.Dynamic.run_for d 3_000.;
+  let flow = Harness.Recovery.start_flow ~period:100. r ~name:"kept" kept in
+  Transport.Dynamic.run_for d 2_000.;
+  Alcotest.(check bool) "both triggers conserved before the kill" true
+    (Harness.Recovery.triggers_conserved r);
+  Harness.Fleet.inject fleet
+    [ (0., Faults.Crash (Harness.Fleet.owner_index fleet lost)) ];
+  Transport.Dynamic.run_for d 20_000.;
+  Alcotest.(check bool) "ring re-converged" true
+    (Harness.Recovery.converges_within r ~budget:120_000. <> None);
+  Transport.Dynamic.run_for d repair_bound;
+  let before = Harness.Recovery.received flow in
+  Alcotest.(check bool) "lost trigger is not conserved" false
+    (Harness.Recovery.triggers_conserved r);
+  Alcotest.(check bool) "probes to the kept trigger arrived meanwhile" true
+    (Harness.Recovery.received flow > before);
+  Alcotest.(check bool) "the table oracle agrees" false
+    (table_conserved d [ recv ])
+
+(* --- one schedule rule: victims are checked when injected --- *)
+
+let test_inject_refuses_missing_victim () =
+  let d =
+    Transport.Dynamic.create ~metrics:(Obs.Metrics.create ()) ~seed:37 ()
+  in
+  for site = 0 to 2 do
+    ignore (Transport.Dynamic.add_server d ~site ())
+  done;
+  Transport.Dynamic.run_for d 10_000.;
+  let host () = Transport.Dynamic.new_host d () in
+  let fleet = Harness.Fleet.sim d ~sender:(host ()) ~receiver:(host ()) in
+  Alcotest.check_raises "crash of server 12 of 3"
+    (Invalid_argument "Fleet.inject: no member 12 in a fleet of 3") (fun () ->
+      Harness.Fleet.inject fleet
+        [ (1_000., Faults.Crash 0); (5_000., Faults.Crash 12) ]);
+  Alcotest.check_raises "restart of server -1"
+    (Invalid_argument "Fleet.inject: no member -1 in a fleet of 3") (fun () ->
+      Harness.Fleet.inject fleet [ (5_000., Faults.Restart (-1)) ]);
+  (* Nothing of a refused schedule was installed: server 0 lives. *)
+  Transport.Dynamic.run_for d 10_000.;
+  Alcotest.(check int) "every server still up" 3
+    (List.length (Transport.Dynamic.servers d))
 
 let matrix_case name scenario seed =
   Alcotest.test_case (Printf.sprintf "%s (seed %d)" name seed) `Slow (fun () ->
@@ -516,6 +629,16 @@ let () =
             test_send_with_backup_fallthrough;
           Alcotest.test_case "pure sender leaves a dead gateway" `Slow
             test_pure_sender_leaves_dead_gateway;
+        ] );
+      ( "conservation",
+        [
+          Alcotest.test_case "a lost trigger is not conserved" `Slow
+            test_lost_trigger_not_conserved;
+        ] );
+      ( "schedule",
+        [
+          Alcotest.test_case "inject refuses a missing victim" `Quick
+            test_inject_refuses_missing_victim;
         ] );
       ( "determinism",
         [ Alcotest.test_case "same seed, same metrics" `Slow test_reproducible ] );

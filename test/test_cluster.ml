@@ -1,10 +1,11 @@
-(* Live five-daemon chaos acceptance: the simulator's recovery
-   invariants ([Eval.Recovery] / [Eval.Monitor]) asserted against real
-   [bin/i3d] processes under a seeded kill/restart schedule, with the
+(* Live five-daemon chaos acceptance: the kill-owner scenario
+   test_chaos runs in simulation, through the same [Harness.Recovery]
+   code on a [Harness.Fleet.live] of real [bin/i3d] processes, with the
    client's sends subjected to default-intensity fault injection
    ([Transport.Faulty], loss 0.1 + 2 ms jitter).
 
-   Invariants pinned (ISSUE acceptance):
+   Invariants pinned:
+   - ring convergence after the restart, by Get_state probes;
    - trigger conservation: every registered trigger is matchable at its
      responsible daemon after the kill/restart cycle (client refresh
      re-populated the restarted daemon's empty soft state);
@@ -34,8 +35,6 @@ let i3d_path =
     (Filename.dirname Sys.executable_name)
     (Filename.concat Filename.parent_dir_name
        (Filename.concat "bin" "i3d.exe"))
-
-let wall_ms () = Unix.gettimeofday () *. 1000.
 
 let () =
   (* Gate: loopback UDP must be available at all. *)
@@ -81,16 +80,23 @@ let () =
       ~gateways:[ List.hd (Harness.Cluster.addrs cluster) ]
       udp
   in
-  let live = Harness.Live.attach ~metrics client in
+  let fleet = Harness.Fleet.live ~faulty ~metrics cluster client in
+  let r = Harness.Recovery.create fleet in
+  (* One schedule rule on both substrates: a victim outside the fleet is
+     refused when the schedule is handed over, as in test_chaos. *)
+  (match Harness.Fleet.inject fleet [ (1_000., Faults.Crash 5) ] with
+  | exception Invalid_argument msg ->
+      if msg <> "Fleet.inject: no member 5 in a fleet of 5" then
+        fail "inject refused daemon 5 with %S" msg
+  | () -> fail "inject accepted a crash of daemon 5 in a fleet of 5");
 
   (* Three triggers; the probed one is owned by a non-gateway daemon so
      the kill hits the inter-server path. *)
   let rec pick_probe () =
     let id = Id.random rng in
-    if Harness.Cluster.owner_index cluster id <> 0 then id else pick_probe ()
+    if Harness.Fleet.owner_index fleet id <> 0 then id else pick_probe ()
   in
   let probe_id = pick_probe () in
-  let owner = Harness.Cluster.owner_index cluster probe_id in
   let me = Transport.Host.addr (Transport.Client.host client) in
   let triggers =
     I3.Trigger.to_host ~id:probe_id ~owner:me
@@ -102,76 +108,65 @@ let () =
       | `Acked -> ()
       | `Gave_up -> fail "initial insert %d gave up" i)
     triggers;
-  Printf.printf "cluster: 5 daemons up, probe id owned by daemon %d\n%!" owner;
+  Printf.printf "cluster: 5 daemons up, probe id owned by daemon %d\n%!"
+    (Harness.Fleet.owner_index fleet probe_id);
 
-  let flow = Harness.Live.start_flow live ~name:"probe" probe_id in
-  let mon =
-    Harness.Live.monitor ~rules:(Harness.Live.default_rules flow) live
+  let counter name =
+    match Obs.Metrics.find metrics ~labels:[ ("instance", "client") ] name with
+    | Some (Obs.Metrics.Counter c) -> c
+    | _ -> 0
   in
 
-  (* Seeded kill/restart of the probe's owner: 1.7 s of real downtime,
+  (* The kill-owner scenario test_chaos runs in simulation, aimed right
+     after a refresh round is acked: the probe's trigger is then gone
+     for most of a 1.5 s refresh period, long enough for the 2 s
+     delivery window to see (killed at a random point of the period,
+     the outage can be as short as 0.6 s).  The owner stays down 1.7 s,
      well inside the client's two-round retry budget. *)
-  let crash_at = 2_500. and restart_at = 4_200. and duration_ms = 10_000. in
-  let t0 = wall_ms () in
-  Harness.Cluster.run_schedule ~faulty
-    ~tick:(fun ~now_ms ->
-      ignore (Transport.Client.wait client ~timeout:0.005);
-      Transport.Client.poll client ~now:now_ms;
-      Harness.Live.flow_tick live flow ~now_ms;
-      Harness.Live.monitor_tick mon ~now_ms)
-    cluster
-    [ (crash_at, Faults.Crash owner); (restart_at, Faults.Restart owner) ]
-    ~duration_ms;
-  Harness.Live.stop_flow flow;
-  let fault_at = t0 +. crash_at in
-
-  (* Invariant 1: trigger conservation across the kill/restart cycle. *)
-  let conserved = Harness.Live.triggers_conserved live in
+  let flow =
+    Harness.Recovery.start_flow ~period:100. r ~name:"probe" probe_id
+  in
+  let mon =
+    Harness.Recovery.monitor ~period:250. r
+      ~rules:(Harness.Recovery.live_rules flow)
+  in
+  let acked = counter "client.acks" in
+  let deadline = Harness.Fleet.now fleet +. 3_000. in
+  while counter "client.acks" = acked && Harness.Fleet.now fleet < deadline do
+    Harness.Fleet.run_for fleet 10.
+  done;
+  let m =
+    Harness.Recovery.run r
+      (Harness.Recovery.kill_owner ~down_ms:1_700. ~fault_ms:7_500.)
+      ~budget:15_000. ~repair_ms:1_500. flow mon
+  in
 
   (* Post-mortem: graceful stop flushes every daemon's metrics dump. *)
   Harness.Cluster.stop cluster;
 
-  let counter ?(labels = [ ("instance", "client") ]) name =
-    match Obs.Metrics.find metrics ~labels name with
-    | Some (Obs.Metrics.Counter c) -> c
-    | _ -> 0
-  in
   let gave_up = counter "client.gave_up" in
-  let retries = counter "client.retries" in
-  let timeouts = counter "client.timeouts" in
   let refreshes = counter "client.refreshes" in
-  let client_decode_errors =
-    counter ~labels:[ ("instance", "client"); ("proto", "i3") ]
-      "wire.decode_errors"
-  in
-  let daemon_decode_errors = Harness.Cluster.decode_errors cluster in
-  let ttr = Harness.Live.time_to_recovery flow ~after:fault_at in
-  let detect = Harness.Live.time_to_detect mon ~fault_at in
-  let mon_ttr = Harness.Live.time_to_recover mon ~fault_at in
-
+  let decode_errors = Harness.Fleet.decode_errors fleet in
+  let ms = Option.fold ~none:"-" ~some:(Printf.sprintf "%.0fms") in
   Printf.printf
     "flow: %d/%d delivered (ratio %.3f), longest outage %.0f ms\n\
-     recovery: ttr=%s detect=%s monitor_ttr=%s\n\
+     recovery: converged=%b ttr=%s detect=%s monitor_ttr=%s\n\
      client: retries=%d timeouts=%d gave_up=%d refreshes=%d\n\
-     wire: decode_errors daemons=%d client=%d\n%!"
-    (Harness.Live.received flow)
-    (Harness.Live.sent flow)
-    (Harness.Live.delivery_ratio flow)
-    (Harness.Live.longest_outage flow)
-    (match ttr with Some v -> Printf.sprintf "%.0fms" v | None -> "-")
-    (match detect with Some v -> Printf.sprintf "%.0fms" v | None -> "-")
-    (match mon_ttr with Some v -> Printf.sprintf "%.0fms" v | None -> "-")
-    retries timeouts gave_up refreshes daemon_decode_errors
-    client_decode_errors;
+     wire: decode_errors=%d\n%!"
+    m.delivered m.sent m.delivery_ratio m.longest_outage_ms m.converged
+    (ms m.time_to_recovery_ms) (ms m.detect_ms) (ms m.monitor_ttr_ms)
+    (counter "client.retries") (counter "client.timeouts") gave_up refreshes
+    decode_errors;
 
-  if not conserved then fail "trigger conservation violated after failover";
-  if ttr = None then fail "delivery never recovered after the kill";
-  if detect = None then fail "monitor never detected the outage";
+  if not m.converged then fail "ring did not re-converge after the restart";
+  if not m.conserved then fail "trigger conservation violated after failover";
+  if m.time_to_recovery_ms = None then
+    fail "delivery never recovered after the kill";
+  if m.detect_ms = None then fail "monitor never detected the outage";
   if gave_up <> 0 then fail "client.gave_up = %d (budget exhausted)" gave_up;
-  if daemon_decode_errors <> 0 then
-    fail "daemons counted %d wire decode errors" daemon_decode_errors;
-  if client_decode_errors <> 0 then
-    fail "client counted %d wire decode errors" client_decode_errors;
+  if decode_errors <> 0 then
+    fail "%d wire decode errors across the client and the daemons"
+      decode_errors;
   (* Refreshes must actually have happened for conservation to mean
      anything: the restarted daemon began empty. *)
   if refreshes = 0 then fail "no soft-state refreshes observed";

@@ -304,7 +304,10 @@ let scenario_koorde_churn ~seed () =
   let id = Transport.Host.new_private_id recv in
   Transport.Host.insert_trigger recv id;
   Transport.Dynamic.run_for d 3_000.;
-  let flow = Eval.Recovery.start_flow d ~sender:send ~receiver:recv id in
+  let rng = Rng.create (Int64.of_int ((seed * 7919) + 13)) in
+  let fleet = Harness.Fleet.sim ~rng d ~sender:send ~receiver:recv in
+  let r = Harness.Recovery.create fleet in
+  let flow = Harness.Recovery.start_flow r ~name:"probe" id in
   Transport.Dynamic.run_for d 5_000.;
   let fault_at = Transport.Dynamic.now d in
   let storm =
@@ -312,16 +315,15 @@ let scenario_koorde_churn ~seed () =
       (Rng.create (Int64.of_int (seed + 100)))
       ~victims:[ 2; 5; 7 ] ~start:2_000. ~spacing:6_000. ~downtime:8_000.
   in
-  Transport.Dynamic.inject d storm;
+  Harness.Fleet.inject fleet storm;
   Transport.Dynamic.run_for d 30_000.;
-  let rng = Rng.create (Int64.of_int ((seed * 7919) + 13)) in
-  let conv = Eval.Recovery.converges_within ~budget:120_000. rng d in
+  let conv = Harness.Recovery.converges_within r ~budget:120_000. in
   Alcotest.(check bool) "koorde ring re-converged" true (conv <> None);
   Transport.Dynamic.run_for d repair_bound;
   Alcotest.(check bool) "koorde triggers conserved" true
-    (Eval.Recovery.triggers_conserved d [ recv ]);
-  Eval.Recovery.stop_flow flow;
-  match Eval.Recovery.time_to_recovery flow ~after:fault_at with
+    (Harness.Recovery.triggers_conserved r);
+  Harness.Recovery.stop_flow flow;
+  match Harness.Recovery.time_to_recovery flow ~after:fault_at with
   | Some _ -> ()
   | None -> Alcotest.fail "probe flow never recovered after churn"
 
