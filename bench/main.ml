@@ -38,7 +38,7 @@ let ns_pp ns =
 let section_micro () =
   print_endline "=== microbenchmarks (time per op, warm heap) ===";
   print_endline
-    "paper expectations: insertion ~constant (Patricia trie); forwarding cost";
+    "paper expectations: insertion ~constant (prefix hash table); forwarding cost";
   print_endline
     "grows ~linearly with payload (Fig. 10); routing cost grows ~linearly";
   print_endline "with the number of known nodes (Fig. 11, linear finger list).";
@@ -279,7 +279,7 @@ let trigger_table_rates () =
    set but keeps the same JSON keys; the [mode] field at the top of
    BENCH_i3.json says which scale produced the numbers. *)
 let section_trigger_table () =
-  print_endline "=== trigger table: Patricia trie hot path ===";
+  print_endline "=== trigger table: prefix hash table hot path ===";
   let insert_rate, match_rate = trigger_table_rates () in
   let resident = if smoke then 50_000 else 1_000_000 in
   let probes = if smoke then 20_000 else 100_000 in
@@ -292,7 +292,7 @@ let section_trigger_table () =
         (I3.Trigger.to_host ~id ~owner:(i land 0xffff)))
     ids;
   (* Warm the path once, then probe resident ids in a large-stride walk
-     so consecutive probes do not share a trie path. *)
+     so consecutive probes do not share a cached bucket. *)
   ignore (I3.Trigger_table.find_matches tbl ~now:1. ids.(0));
   let lat = Array.make probes 0 in
   for i = 0 to probes - 1 do

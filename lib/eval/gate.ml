@@ -146,8 +146,8 @@ let render ?(out = stdout) results =
    rates and match p99 are wall-clock too, but they guard the data
    plane's core structure, so they are gated with tolerances wide
    enough to absorb machine noise while still catching an
-   order-of-magnitude collapse (e.g. the trie degenerating back to a
-   linear scan). *)
+   order-of-magnitude collapse (e.g. the prefix hash table degenerating
+   into a linear scan). *)
 let default_checks =
   [
     check "delivery.ratio" ~direction:Higher_better ~rel_tol:0.05;

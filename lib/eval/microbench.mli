@@ -7,7 +7,7 @@
     environment isolates the code path the paper timed:
 
     - {b trigger insertion} (avg 12.5 us reported): [Insert] decode,
-      trie store and the encoded [Insert_ack];
+      table store and the encoded [Insert_ack];
     - {b data packet forwarding} (Fig. 10): wire decode, trigger match and
       the encoded [Deliver], as a function of payload size;
     - {b routing} (Fig. 11): next-hop selection over the finger table

@@ -40,7 +40,6 @@ type member = {
   mutable supervised : bool;
       (* false between a scheduled Crash and its Restart: the scenario
          owns the downtime, the supervisor must not heal it early *)
-  mutable restarts : int;
   mutable backoff_ms : float;
   mutable respawn_at : float option;  (* wall ms; pending delayed respawn *)
   mutable last_spawn : float;
@@ -159,7 +158,6 @@ let create ?(metrics = Obs.Metrics.default) ?(config = default_config)
             Filename.concat dir (Printf.sprintf "i3d-%d-metrics.json" index);
           pid = None;
           supervised = true;
-          restarts = 0;
           backoff_ms = config.restart_backoff_base_ms;
           respawn_at = None;
           last_spawn = 0.;
@@ -312,7 +310,6 @@ let restart t i =
   m.supervised <- true;
   if m.pid = None then begin
     Obs.Metrics.incr t.c_restarts;
-    m.restarts <- m.restarts + 1;
     spawn t i;
     event t "restart %s" m.name
   end
@@ -424,7 +421,6 @@ let supervise ?(probe_hung = false) t =
       (match m.respawn_at with
       | Some at when m.pid = None && m.supervised && now >= at ->
           Obs.Metrics.incr t.c_restarts;
-          m.restarts <- m.restarts + 1;
           spawn t m.index
       | _ -> ());
       match m.pid with

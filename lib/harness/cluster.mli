@@ -24,7 +24,6 @@ type member = {
   metrics_path : string;
   mutable pid : int option;
   mutable supervised : bool;
-  mutable restarts : int;
   mutable backoff_ms : float;
   mutable respawn_at : float option;
   mutable last_spawn : float;

@@ -7,10 +7,10 @@
     SLO rules against those {e wire-scraped} series — the live
     counterpart of parsing shutdown metrics dumps post-mortem.
 
-    Call {!tick} from the chaos loop (e.g. [Cluster.run_schedule]'s
-    [tick] hook).  The socket is private to the telemetry plane so
-    status frames never pollute the chaos client's decode-error
-    counters. *)
+    Call {!tick} from the chaos loop, e.g. on a {!Fleet.every} timer as
+    [bin/i3cluster.ml] does.  The socket is private to the telemetry
+    plane so status frames never pollute the chaos client's
+    decode-error counters. *)
 
 type t
 

@@ -1,297 +1,156 @@
-(* Compressed binary (Patricia) trie over the 256-bit identifier space.
+(* The paper's prefix-keyed hash table (Sec. IV-A, DESIGN.md §3).
 
-   Layout.  Internal nodes carry a critical bit index; every key stored
-   under a branch agrees on all bits before it, and the branch's two
-   subtrees split on that bit (0 left, 1 right).  Leaves hold the entry
-   list for one full identifier (a multicast group is one leaf with many
-   entries).  In-trie order is therefore numeric id order, which is what
-   the old sorted-bucket representation exposed through [bucket_of].
+   Layout.  Every identifier that can match a packet shares the packet's
+   first k = 128 bits, so the table hashes on that prefix alone.  A
+   bucket holds one group per full identifier, sorted by id, and a group
+   lists its bindings newest first (a multicast group is one group with
+   many entries).  A match scans the packet's bucket; in practice that is
+   one group, and more only for anycast and server-selection groups.
 
-   Matching (Sec. II-B).  Descending from the root by the packet id's
-   bits reaches a leaf L whose key has the maximal common prefix d with
-   the packet (the classic crit-bit property).  If d < k = 128 nothing
-   matches.  Otherwise the winner subtree is found by re-descending
-   while [branch.bit < d]: every key in it shares exactly d bits with
-   the packet (a key agreeing on bit d as well would contradict L's
-   maximality), and its leftmost leaf is the smallest winning id — the
-   deterministic tie-break.  If the whole winner subtree is dead, the
-   off-path siblings recorded on the way down are the fallbacks: the
-   sibling hanging off a path branch with bit b < d contains exactly the
-   keys sharing b bits with the packet, so trying them in decreasing-b
-   order (stopping below k) continues the longest-prefix search without
-   ever touching an unrelated subtree.
+   Matching (Sec. II-B).  The live group with the longest common prefix
+   wins, and among equals the smaller id, which comes first in the
+   bucket.  Scans prune the dead entries they meet and drop a group, or a
+   bucket, left empty.
 
-   Expiry is lazy.  Entries carry a generation counter; every
-   insert/refresh pushes an [(expires, gen)] deadline onto a binary
-   min-heap.  [expire] pops due items and drops only entries whose
-   generation still matches — a refreshed entry's stale deadlines pop
-   harmlessly.  Branches and leaves cache a stale-high [max_expires]
-   bound (only ever raised), so a match descent prunes wholly-dead
-   subtrees in one comparison instead of walking them. *)
+   Expiry is lazy.  Each stored entry is its own item in one min-heap,
+   ordered by [due], which is never later than the entry's [expires].  A
+   refresh moves only [expires]; [expire] pops due items, re-queues an
+   entry whose deadline has moved, and drops one that is really past
+   due.  Removed and pruned entries mark themselves unstored, and their
+   items pop as no-ops.  Once those stale items outnumber the table the
+   heap is rebuilt from the stored entries, so it holds at most
+   2·size + 64 items after every [expire] and removal. *)
 
 type entry = {
   trigger : Trigger.t;
   mutable expires : float;
-  mutable gen : int; (* bumped on refresh; -1 once the entry is dropped *)
+  mutable due : float; (* this entry's heap key; <= [expires] *)
+  mutable stored : bool; (* false once removed or pruned *)
 }
 
-type leaf = {
-  key : string; (* 32-byte big-endian identifier *)
-  mutable entries : entry list; (* same full id; newest first *)
-  mutable lmax : float; (* stale-high bound over [entries] *)
-}
+type group = { gid : Id.t; mutable entries : entry list (* newest first *) }
+type bucket = { mutable groups : group list (* sorted by [gid] *) }
 
-type node = Leaf of leaf | Branch of branch
+(* Ids keyed by their k-bit prefix: two ids are equal keys iff they share
+   the first 128 bits.  The hash mixes both 64-bit words of the prefix
+   with a multiplier and keeps the well-mixed high half. *)
+module Prefix = Hashtbl.Make (struct
+  type t = Id.t
 
-and branch = {
-  bit : int; (* critical bit, 0 = most significant *)
-  mutable zero : node;
-  mutable one : node;
-  mutable bmax : float; (* stale-high bound over the subtree *)
-}
+  let word id i = String.get_int64_le (Id.to_raw_string id) i
 
-(* Heap item: one scheduled deadline for one entry generation. *)
-type item = { at : float; igen : int; entry : entry; ileaf : leaf }
+  let equal a b =
+    Int64.equal (word a 0) (word b 0) && Int64.equal (word a 8) (word b 8)
+
+  let hash id =
+    let k = 0x9E3779B97F4A7C15L in
+    let x = Int64.(mul (logxor (word id 0) (mul (word id 8) k)) k) in
+    Int64.to_int (Int64.shift_right_logical x 32)
+end)
 
 type t = {
-  mutable root : node option;
+  buckets : bucket Prefix.t;
   mutable count : int;
-  mutable heap : item array; (* binary min-heap ordered by [at] *)
-  mutable heap_len : int;
+  mutable heap : entry Heap.t;
 }
 
-let create () = { root = None; count = 0; heap = [||]; heap_len = 0 }
+let by_due a b = Float.compare a.due b.due
+
+let create () =
+  { buckets = Prefix.create 64; count = 0; heap = Heap.create ~cmp:by_due }
 
 let clear t =
-  t.root <- None;
+  Prefix.reset t.buckets;
   t.count <- 0;
-  t.heap <- [||];
-  t.heap_len <- 0
+  t.heap <- Heap.create ~cmp:by_due
 
-(* -- bit twiddling over raw 32-byte keys ------------------------------- *)
+let size t = t.count
+let heap_length t = Heap.size t.heap
 
-let key_bit key i = Char.code key.[i lsr 3] land (0x80 lsr (i land 7)) <> 0
+let iter_entries t f =
+  Prefix.iter
+    (fun _ b -> List.iter (fun g -> List.iter f g.entries) b.groups)
+    t.buckets
 
-(* Length of the common bit prefix of two equal-length raw keys. *)
-let lcp a b =
-  let n = String.length a in
-  let rec bytes i =
-    if i = n then n * 8
-    else
-      let x = Char.code a.[i] lxor Char.code b.[i] in
-      if x = 0 then bytes (i + 1)
-      else
-        let rec top j = if x land (0x80 lsr j) <> 0 then j else top (j + 1) in
-        (i * 8) + top 0
-  in
-  bytes 0
+let iter t f = iter_entries t (fun e -> f e.trigger ~expires:e.expires)
 
-let raw_key trigger = Id.to_raw_string trigger.Trigger.id
-
-(* -- expiry heap ------------------------------------------------------- *)
-
-let heap_push t item =
-  if t.heap_len = Array.length t.heap then begin
-    let grown = Array.make (max 16 (2 * t.heap_len)) item in
-    Array.blit t.heap 0 grown 0 t.heap_len;
-    t.heap <- grown
+(* A [List.filter] predicate that unstores the entries it drops. *)
+let keep_unless t dead e =
+  let drop = dead e in
+  if drop then begin
+    e.stored <- false;
+    t.count <- t.count - 1
   end;
-  let a = t.heap in
-  let i = ref t.heap_len in
-  t.heap_len <- t.heap_len + 1;
-  a.(!i) <- item;
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let p = (!i - 1) / 2 in
-    if a.(p).at > a.(!i).at then begin
-      let tmp = a.(p) in
-      a.(p) <- a.(!i);
-      a.(!i) <- tmp;
-      i := p
-    end
-    else continue := false
-  done
+  not drop
 
-let heap_peek t = if t.heap_len = 0 then None else Some t.heap.(0)
+(* Drop the bucket's emptied groups, and the bucket once none is left. *)
+let tidy t id b =
+  b.groups <- List.filter (fun g -> g.entries <> []) b.groups;
+  if b.groups = [] then Prefix.remove t.buckets id
 
-(* Remove the minimum; caller guarantees the heap is non-empty. *)
-let heap_drop_min t =
-  let a = t.heap in
-  t.heap_len <- t.heap_len - 1;
-  let n = t.heap_len in
-  a.(0) <- a.(n);
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let s = ref !i in
-    if l < n && a.(l).at < a.(!s).at then s := l;
-    if r < n && a.(r).at < a.(!s).at then s := r;
-    if !s <> !i then begin
-      let tmp = a.(!s) in
-      a.(!s) <- a.(!i);
-      a.(!i) <- tmp;
-      i := !s
-    end
-    else continue := false
-  done
+(* Rebuild the heap from the stored entries once stale items outnumber
+   them. *)
+let compact t =
+  if Heap.size t.heap > (2 * t.count) + 64 then begin
+    let stored = ref [] in
+    iter_entries t (fun e -> stored := e :: !stored);
+    t.heap <- Heap.of_array ~cmp:by_due (Array.of_list !stored)
+  end
 
-(* -- structural helpers ------------------------------------------------ *)
-
-let rec leaf_toward key = function
-  | Leaf l -> l
-  | Branch b -> leaf_toward key (if key_bit key b.bit then b.one else b.zero)
-
-(* Detach the (empty) leaf holding [key], collapsing its parent branch
-   into the sibling.  A no-op if the key's descent lands elsewhere or the
-   leaf has entries again — safe to call speculatively from the heap. *)
-let unlink_empty t key =
-  match t.root with
-  | None -> ()
-  | Some (Leaf l) ->
-      if l.entries = [] && String.equal l.key key then t.root <- None
-  | Some (Branch root) ->
-      let rec go replace b =
-        let child, sibling, set_child =
-          if key_bit key b.bit then (b.one, b.zero, fun n -> b.one <- n)
-          else (b.zero, b.one, fun n -> b.zero <- n)
-        in
-        match child with
-        | Leaf l ->
-            if l.entries = [] && String.equal l.key key then replace sibling
-        | Branch cb -> go set_child cb
-      in
-      go (fun n -> t.root <- Some n) root
-
-(* Drop time-dead entries from a leaf (marking their generations dead so
-   stale heap items pop as no-ops) and return the live list in stored
-   order — the single-partition pass the old [live_entries] did twice. *)
-let leaf_live t ~now l =
-  let live, dead = List.partition (fun e -> e.expires > now) l.entries in
-  if dead <> [] then begin
-    List.iter (fun e -> e.gen <- -1) dead;
-    l.entries <- live;
-    t.count <- t.count - List.length dead
-  end;
-  live
-
-(* Leftmost leaf with at least one live entry, pruning via the cached
-   expiry bounds; returns its live entries (recency order preserved). *)
-let rec leftmost_live t ~now = function
-  | Leaf l -> (
-      if l.lmax <= now then None
-      else match leaf_live t ~now l with [] -> None | live -> Some live)
-  | Branch b ->
-      if b.bmax <= now then None
-      else begin
-        match leftmost_live t ~now b.zero with
-        | Some _ as r -> r
-        | None -> leftmost_live t ~now b.one
-      end
-
-(* -- insert ------------------------------------------------------------ *)
+let find_group id groups = List.find_opt (fun g -> Id.equal g.gid id) groups
 
 let insert t ~now ~expires trigger =
   (* Total by design (replica/cache re-inserts race the clock): an entry
      already past its deadline — or carrying a NaN from a hostile wire
-     lifetime — is silently dropped, never stored.  [not (> )] rather
-     than [<=] so NaN fails the guard too. *)
-  if not (expires > now) then ()
-  else begin
-    let key = raw_key trigger in
-    match t.root with
+     lifetime — is silently dropped, never stored.  [>] rather than
+     [not (<=)] so NaN fails the guard too. *)
+  if expires > now then begin
+    let id = trigger.Trigger.id in
+    let b =
+      match Prefix.find t.buckets id with
+      | b -> b
+      | exception Not_found ->
+          let b = { groups = [] } in
+          Prefix.add t.buckets id b;
+          b
+    in
+    let g =
+      match find_group id b.groups with
+      | Some g -> g
+      | None ->
+          let g = { gid = id; entries = [] } in
+          b.groups <-
+            List.merge (fun x y -> Id.compare x.gid y.gid) [ g ] b.groups;
+          g
+    in
+    match
+      List.find_opt (fun e -> Trigger.same_binding e.trigger trigger) g.entries
+    with
+    | Some e -> if expires > e.expires then e.expires <- expires
     | None ->
-        let e = { trigger; expires; gen = 0 } in
-        let l = { key; entries = [ e ]; lmax = expires } in
-        t.root <- Some (Leaf l);
+        let e = { trigger; expires; due = expires; stored = true } in
+        g.entries <- e :: g.entries;
         t.count <- t.count + 1;
-        heap_push t { at = expires; igen = 0; entry = e; ileaf = l }
-    | Some root ->
-        let l0 = leaf_toward key root in
-        (* [String.equal] is a memcmp — much cheaper than the bitwise
-           scan — and an equal key is the steady state (refreshes). *)
-        if String.equal key l0.key then begin
-          (* Same identifier: refresh the binding or join the group.
-             The expiry bounds only need raising when a deadline
-             actually moves — a no-op refresh (the soft-state steady
-             state) costs one descent and a list probe, nothing more. *)
-          let raise_path () =
-            let rec go = function
-              | Leaf l -> l.lmax <- Float.max l.lmax expires
-              | Branch b ->
-                  b.bmax <- Float.max b.bmax expires;
-                  go (if key_bit key b.bit then b.one else b.zero)
-            in
-            go root
-          in
-          match
-            List.find_opt
-              (fun e -> Trigger.same_binding e.trigger trigger)
-              l0.entries
-          with
-          | Some e ->
-              if expires > e.expires then begin
-                e.expires <- expires;
-                e.gen <- e.gen + 1;
-                heap_push t { at = expires; igen = e.gen; entry = e; ileaf = l0 };
-                raise_path ()
-              end
-          | None ->
-              let e = { trigger; expires; gen = 0 } in
-              l0.entries <- e :: l0.entries;
-              t.count <- t.count + 1;
-              heap_push t { at = expires; igen = 0; entry = e; ileaf = l0 };
-              raise_path ()
-        end
-        else begin
-          (* New identifier: splice a branch at the critical bit [d],
-             raising the expiry bounds along the way down. *)
-          let d = lcp key l0.key in
-          let e = { trigger; expires; gen = 0 } in
-          let nl = { key; entries = [ e ]; lmax = expires } in
-          let node_max = function Leaf l -> l.lmax | Branch b -> b.bmax in
-          let rec place replace node =
-            match node with
-            | Branch b when b.bit < d ->
-                b.bmax <- Float.max b.bmax expires;
-                if key_bit key b.bit then place (fun n -> b.one <- n) b.one
-                else place (fun n -> b.zero <- n) b.zero
-            | old ->
-                let bmax = Float.max expires (node_max old) in
-                let nb =
-                  if key_bit key d then
-                    { bit = d; zero = old; one = Leaf nl; bmax }
-                  else { bit = d; zero = Leaf nl; one = old; bmax }
-                in
-                replace (Branch nb)
-          in
-          place (fun n -> t.root <- Some n) root;
-          t.count <- t.count + 1;
-          heap_push t { at = expires; igen = 0; entry = e; ileaf = nl }
-        end
+        Heap.add t.heap e
   end
 
-(* -- removal ----------------------------------------------------------- *)
+(* Remove the entries of group [id] satisfying [pred]; the number removed. *)
+let drop_where t id pred =
+  match Prefix.find t.buckets id with
+  | exception Not_found -> 0
+  | b -> (
+      match find_group id b.groups with
+      | None -> 0
+      | Some g ->
+          let before = t.count in
+          g.entries <- List.filter (keep_unless t pred) g.entries;
+          if g.entries = [] then tidy t id b;
+          before - t.count)
 
 let remove_where t id pred =
-  match t.root with
-  | None -> 0
-  | Some root ->
-      let key = Id.to_raw_string id in
-      let l = leaf_toward key root in
-      if not (String.equal l.key key) then 0
-      else begin
-        let gone, keep = List.partition pred l.entries in
-        if gone = [] then 0
-        else begin
-          List.iter (fun e -> e.gen <- -1) gone;
-          l.entries <- keep;
-          let n = List.length gone in
-          t.count <- t.count - n;
-          if keep = [] then unlink_empty t key;
-          n
-        end
-      end
+  let n = drop_where t id pred in
+  compact t;
+  n
 
 let remove t trigger =
   remove_where t trigger.Trigger.id (fun e ->
@@ -304,142 +163,78 @@ let remove_matching t ~id ~target =
       | Some tid -> Id.equal tid target
       | None -> false)
 
-(* -- matching ---------------------------------------------------------- *)
+let rec all_live now = function
+  | [] -> true
+  | e :: rest -> e.expires > now && all_live now rest
+
+(* Drop [g]'s dead entries; true if a live one remains. *)
+let prune t ~now g =
+  if not (all_live now g.entries) then
+    g.entries <-
+      List.filter (keep_unless t (fun e -> e.expires <= now)) g.entries;
+  g.entries <> []
+
+(* Prune every group of [id]'s bucket [b]; the groups left. *)
+let live_groups t ~now id b =
+  let emptied =
+    List.fold_left (fun n g -> if prune t ~now g then n else n + 1) 0 b.groups
+  in
+  if emptied > 0 then tidy t id b;
+  b.groups
+
+let triggers g = List.map (fun e -> e.trigger) g.entries
 
 let find_matches t ~now pid =
-  match t.root with
-  | None -> []
-  | Some root ->
-      let key = Id.to_raw_string pid in
-      let l0 = leaf_toward key root in
-      let d = if String.equal key l0.key then Id.bits else lcp key l0.key in
-      if d < Id.prefix_bits then []
+  match Prefix.find t.buckets pid with
+  | exception Not_found -> []
+  | { groups = [ g ] } as b ->
+      (* The common case: one identifier under this prefix. *)
+      if prune t ~now g then triggers g
       else begin
-        (* Winner subtree: stop at the first branch with bit >= d (an
-           exact match means the winner is the descent leaf itself). *)
-        let winner =
-          if d = Id.bits then Leaf l0
-          else
-            let rec go = function
-              | Branch b when b.bit < d ->
-                  go (if key_bit key b.bit then b.one else b.zero)
-              | n -> n
-            in
-            go root
-        in
-        match leftmost_live t ~now winner with
-        | Some live -> List.map (fun e -> e.trigger) live
-        | None ->
-            (* Winner subtree wholly dead: fall back to the off-path
-               siblings above it.  The sibling at a path branch with bit
-               b < d holds exactly the keys sharing b bits with the
-               packet, so trying them deepest-first continues the
-               longest-prefix search in decreasing-prefix order,
-               stopping below the k-bit threshold.  Rare (needs a whole
-               subtree expired-but-uncollected), so the sibling list is
-               only built here, off the fast path. *)
-            let rec descend sibs = function
-              | Leaf _ -> sibs
-              | Branch b ->
-                  if key_bit key b.bit then
-                    descend ((b.bit, b.zero) :: sibs) b.one
-                  else descend ((b.bit, b.one) :: sibs) b.zero
-            in
-            let sibs = descend [] root in
-            let rec first_live = function
-              | [] -> []
-              | (b, n) :: rest ->
-                  if b >= d || b < Id.prefix_bits then first_live rest
-                  else (
-                    match leftmost_live t ~now n with
-                    | Some live -> List.map (fun e -> e.trigger) live
-                    | None -> first_live rest)
-            in
-            first_live sibs
+        tidy t pid b;
+        []
       end
-
-(* -- bucket views ------------------------------------------------------ *)
-
-(* The subtree holding every id that shares the k-bit prefix of [pid]:
-   descend through branches splitting above bit k, then confirm with any
-   resident key (all keys below the stop point share its k-bit prefix). *)
-let prefix_subtree t pid =
-  match t.root with
-  | None -> None
-  | Some root ->
-      let key = Id.to_raw_string pid in
-      let rec go = function
-        | Branch b when b.bit < Id.prefix_bits ->
-            go (if key_bit key b.bit then b.one else b.zero)
-        | n -> n
-      in
-      let n = go root in
-      let rec any_leaf = function Leaf l -> l | Branch b -> any_leaf b.zero in
-      if lcp key (any_leaf n).key >= Id.prefix_bits then Some n else None
-
-let rec fold_leaves f acc = function
-  | Leaf l -> f acc l
-  | Branch b -> fold_leaves f (fold_leaves f acc b.zero) b.one
-
-let bucket_of t ~now pid =
-  match prefix_subtree t pid with
-  | None -> []
-  | Some n ->
-      fold_leaves
-        (fun acc l ->
-          List.fold_left (fun acc e -> e.trigger :: acc) acc (leaf_live t ~now l))
-        [] n
-      |> List.rev
+  | b -> (
+      match live_groups t ~now pid b with
+      | [] -> []
+      | g :: rest ->
+          let best, _ =
+            List.fold_left
+              (fun (best, len) g ->
+                let l = Id.common_prefix_len g.gid pid in
+                if l > len then (g, l) else (best, len))
+              (g, Id.common_prefix_len g.gid pid)
+              rest
+          in
+          triggers best)
 
 let bucket_entries t ~now pid =
-  match prefix_subtree t pid with
-  | None -> []
-  | Some n ->
-      fold_leaves
-        (fun acc l ->
-          List.fold_left
-            (fun acc e -> (e.trigger, e.expires -. now) :: acc)
-            acc (leaf_live t ~now l))
-        [] n
-      |> List.rev
+  match Prefix.find t.buckets pid with
+  | exception Not_found -> []
+  | b ->
+      List.concat_map
+        (fun g -> List.map (fun e -> (e.trigger, e.expires -. now)) g.entries)
+        (live_groups t ~now pid b)
 
-(* -- expiry ------------------------------------------------------------ *)
+let bucket_of t ~now pid = List.map fst (bucket_entries t ~now pid)
 
 let expire t ~now =
   let dropped = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match heap_peek t with
-    | None -> continue := false
-    | Some item when item.at > now -> continue := false
-    | Some item ->
-        heap_drop_min t;
-        let e = item.entry in
-        if e.gen = item.igen then begin
-          (* Current deadline: the entry really is past due (its expiry
-             only moves with a generation bump, so [at] is exact). *)
-          e.gen <- -1;
-          let l = item.ileaf in
-          l.entries <- List.filter (fun x -> x != e) l.entries;
-          t.count <- t.count - 1;
-          incr dropped;
-          if l.entries = [] then unlink_empty t l.key
-        end
-        else if item.ileaf.entries = [] then
-          (* Stale deadline (refreshed or already dropped elsewhere):
-             still a chance to collect a leaf emptied by a match-time
-             prune. *)
-          unlink_empty t item.ileaf.key
-  done;
+  let rec loop () =
+    match Heap.peek t.heap with
+    | Some e when e.due <= now ->
+        ignore (Heap.pop t.heap);
+        if e.stored then
+          if e.expires <= now then
+            dropped := !dropped + drop_where t e.trigger.Trigger.id (( == ) e)
+          else begin
+            (* Refreshed since it was queued: wait for the new deadline. *)
+            e.due <- e.expires;
+            Heap.add t.heap e
+          end;
+        loop ()
+    | _ -> ()
+  in
+  loop ();
+  compact t;
   !dropped
-
-let size t = t.count
-
-let iter t f =
-  match t.root with
-  | None -> ()
-  | Some root ->
-      fold_leaves
-        (fun () l ->
-          List.iter (fun e -> f e.trigger ~expires:e.expires) l.entries)
-        () root

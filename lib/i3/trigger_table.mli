@@ -4,19 +4,18 @@
     (1) they share at least k = 128 leading bits and (2) no stored trigger
     has a longer prefix match with [p].  Because all identifiers sharing a
     k-bit prefix live on the same server (Sec. IV-A), the longest-prefix
-    search is local: the table is a compressed binary (Patricia) trie over
-    the full 256-bit identifiers, so insert, remove and longest-prefix
-    match are O(key length) with no per-bucket list walks — sized for 10^6
-    resident triggers.  All triggers with the *winning identifier* match
-    (one trie leaf holds the whole group) — that is what makes multicast
-    "many triggers with the same id" (Sec. II-D2) work with no special
-    casing.
+    search is local: the table is a hash table keyed by that k-bit prefix,
+    so a match hashes once and scans only the ids sharing the packet's
+    prefix (in practice one, more only for anycast and server-selection
+    groups).  All triggers with the *winning identifier* match (one group
+    holds them all) — that is what makes multicast "many triggers with the
+    same id" (Sec. II-D2) work with no special casing.
 
     Entries are soft state with absolute expiry timestamps (virtual-time
     ms); refreshing re-inserts the same binding with a later deadline.
-    Expiry is lazy: deadlines sit in a min-heap with per-entry generation
-    counters, so [expire] touches only due entries instead of sweeping the
-    whole table. *)
+    Expiry is lazy: each stored entry has one item in a min-heap, so
+    [expire] touches only due entries instead of sweeping the whole table,
+    and a refresh only moves the entry's deadline. *)
 
 type t
 
@@ -62,3 +61,8 @@ val size : t -> int
 (** Number of stored bindings, including not-yet-collected expired ones. *)
 
 val iter : t -> (Trigger.t -> expires:float -> unit) -> unit
+(** Visit every stored binding, in no particular order. *)
+
+val heap_length : t -> int
+(** Items in the expiry heap: one per stored binding, plus removed ones
+    not yet collected; at most [2 * size t + 64] after {!expire}. *)

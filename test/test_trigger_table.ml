@@ -1,20 +1,21 @@
-(* Differential tests for the Patricia-trie trigger table: the trie is
-   raced against the pre-trie list+hashtable implementation (embedded
-   below as [Reference]) on random insert/refresh/remove/expire/match
-   traces, plus direct regressions for the hot-path fixes (total
-   insert, single-scan pruning, lazy heap expiry). *)
+(* Differential tests for the prefix-keyed trigger table: it is raced
+   against a plain list+hashtable implementation swept wholesale
+   (embedded below as [Reference]) on random insert/refresh/remove/
+   expire/match traces, plus direct regressions for the hot-path fixes
+   (total insert, single-scan pruning, lazy heap expiry) and the bound
+   on the expiry heap. *)
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let rng0 = Rng.create 271828182845L
 
-(* The trigger table as shipped before the trie rewrite: a hashtable of
-   128-bit-prefix buckets holding id-sorted groups of entries, swept
-   wholesale.  [insert] is wrapped to be total like the trie's
-   (already-expired and NaN deadlines are silently dropped); everything
-   else is kept verbatim so the trie is judged against the behaviour
-   the rest of the system was built on. *)
+(* The trigger table as first shipped: a hashtable of 128-bit-prefix
+   buckets holding id-sorted groups of entries, swept wholesale.
+   [insert] is wrapped to be total like the table's (already-expired and
+   NaN deadlines are silently dropped); everything else is kept verbatim
+   so the table is judged against the behaviour the rest of the system
+   was built on. *)
 module Reference = struct
   type entry = { trigger : I3.Trigger.t; mutable expires : float }
   type group = { gid : Id.t; mutable entries : entry list }
@@ -190,12 +191,12 @@ module Reference = struct
           !b
 end
 
-(* The two implementations prune expired-but-unswept entries at
-   different granularities (the old one sweeps a whole bucket on any
-   lookup; the trie only the leaves a lookup visits), so queries about
-   *live* state must always agree, while queries that can see unswept
-   garbage ([remove]'s return, [size]) are compared right after a full
-   [expire], when both hold exactly the live set. *)
+(* The two implementations collect expired-but-unswept entries
+   differently (the reference sweeps everything in [expire]; the table
+   pops due heap items, and either one prunes the buckets its lookups
+   scan), so queries about *live* state must always agree, while queries
+   that can see unswept garbage ([remove]'s return, [size]) are compared
+   right after a full [expire], when both hold exactly the live set. *)
 let test_differential =
   let open QCheck2.Gen in
   let script_gen =
@@ -371,6 +372,80 @@ let test_heap_stress () =
   ignore (I3.Trigger_table.expire t ~now:2_000.);
   Alcotest.(check int) "drains to empty" 0 (I3.Trigger_table.size t)
 
+(* One binding refreshed over and over keeps one heap item: a refresh
+   moves the entry's deadline, and the heap item catches up when it
+   pops. *)
+let test_refresh_one_item () =
+  let r = Rng.copy rng0 in
+  let t = I3.Trigger_table.create () in
+  let tr = I3.Trigger.to_host ~id:(Id.random r) ~owner:3 in
+  for i = 1 to 100_000 do
+    let now = float_of_int i in
+    I3.Trigger_table.insert t ~now ~expires:(now +. 30_000.) tr
+  done;
+  Alcotest.(check int) "one binding" 1 (I3.Trigger_table.size t);
+  Alcotest.(check int) "one heap item" 1 (I3.Trigger_table.heap_length t);
+  Alcotest.(check int) "nothing due" 0
+    (I3.Trigger_table.expire t ~now:100_000.);
+  Alcotest.(check int) "re-queued, still one item" 1
+    (I3.Trigger_table.heap_length t);
+  Alcotest.(check int) "dropped at its last deadline" 1
+    (I3.Trigger_table.expire t ~now:130_000.);
+  Alcotest.(check int) "heap empty" 0 (I3.Trigger_table.heap_length t)
+
+(* Refresh-heavy random traces over a few bindings: the heap always
+   holds an item per stored binding, and every [expire] leaves it within
+   2 * size + 64, however many refreshes, removals and match-time prunes
+   came before. *)
+let test_heap_bound =
+  let open QCheck2.Gen in
+  let script_gen =
+    let* seed = int_range 1 1_000_000 in
+    let* ops = list_size (int_range 1 400) (int_range 0 99) in
+    return (seed, ops)
+  in
+  qtest ~count:150 "expire bounds the heap by the table" script_gen
+    (fun (seed, ops) ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let prefix = Id.random rng in
+      let pool =
+        Array.init 8 (fun i ->
+            if i < 5 then Id.random_with_prefix rng prefix else Id.random rng)
+      in
+      let t = I3.Trigger_table.create () in
+      let clock = ref 0. in
+      let ok = ref true in
+      let pick_trigger () =
+        I3.Trigger.to_host
+          ~id:pool.(Rng.int rng (Array.length pool))
+          ~owner:(Rng.int rng 3)
+      in
+      List.iter
+        (fun op ->
+          let len = I3.Trigger_table.heap_length t
+          and size = I3.Trigger_table.size t in
+          if len < size then ok := false;
+          if op < 55 then
+            I3.Trigger_table.insert t ~now:!clock
+              ~expires:(!clock +. float_of_int (100 + Rng.int rng 900))
+              (pick_trigger ())
+          else if op < 65 then
+            ignore (I3.Trigger_table.remove t (pick_trigger ()))
+          else if op < 75 then
+            ignore
+              (I3.Trigger_table.find_matches t ~now:!clock
+                 pool.(Rng.int rng (Array.length pool)))
+          else if op < 90 then clock := !clock +. float_of_int (Rng.int rng 40)
+          else begin
+            ignore (I3.Trigger_table.expire t ~now:!clock);
+            if
+              I3.Trigger_table.heap_length t
+              > (2 * I3.Trigger_table.size t) + 64
+            then ok := false
+          end)
+        ops;
+      !ok)
+
 let () =
   Alcotest.run "trigger_table"
     [
@@ -382,5 +457,11 @@ let () =
           Alcotest.test_case "lazy expiry under refresh churn" `Quick
             test_heap_stress;
           test_differential;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "one item per refreshed binding" `Quick
+            test_refresh_one_item;
+          test_heap_bound;
         ] );
     ]
