@@ -118,8 +118,6 @@ let () =
      starts at 0). *)
   let elapsed_ms () = (Unix.gettimeofday () -. started) *. 1000. in
   let registry = Obs.Metrics.default in
-  let labels = [ ("instance", self_name) ] in
-  let g_triggers = Obs.Metrics.gauge registry ~labels "i3d.triggers" in
   let join_addrs =
     if !join = "" then []
     else
@@ -217,9 +215,6 @@ let () =
      counters are never double-summed. *)
   let flushed_once = ref false in
   let flush_generation ~now =
-    Obs.Metrics.set g_triggers
-      (float_of_int
-         (I3.Trigger_table.size (I3.Server.triggers (I3.Engine.server engine))));
     let samples = Obs.Metrics.snapshot registry in
     let marker =
       Json.Obj
@@ -273,9 +268,6 @@ let () =
       (List.length samples)
   end
   else begin
-    Obs.Metrics.set g_triggers
-      (float_of_int
-         (I3.Trigger_table.size (I3.Server.triggers (I3.Engine.server engine))));
     let samples = Obs.Metrics.snapshot registry in
     List.iter
       (fun s -> prerr_endline (Json.to_string (Obs.Sink.sample_to_json s)))

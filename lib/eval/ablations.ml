@@ -4,9 +4,10 @@ type cache_result = {
 }
 
 (* Mean number of servers a data packet traverses, counted via the
-   servers' data_received counters. *)
-let measure_hops ~seed ~n_servers ~flows ~packets_per_flow ~host_config () =
-  let d = Transport.Deployment.create ~seed ~n_servers () in
+   servers' i3.data_received counters. *)
+let measure_hops ~seed ~flows ~packets_per_flow ~host_config () =
+  let metrics = Obs.Metrics.create () in
+  let d = Transport.Deployment.create ~seed ~n_servers:64 ~metrics () in
   let packets = ref 0 in
   for _ = 1 to flows do
     let recv = Transport.Deployment.new_host d () in
@@ -20,24 +21,18 @@ let measure_hops ~seed ~n_servers ~flows ~packets_per_flow ~host_config () =
       Transport.Deployment.run_for d 200.
     done
   done;
-  let received =
-    Array.fold_left
-      (fun acc s -> acc + (I3.Server.stats s).I3.Server.data_received)
-      0 (Transport.Deployment.servers d)
-  in
+  let received = Obs.Metrics.sum_counters metrics "i3.data_received" in
   float_of_int received /. float_of_int !packets
 
-let sender_cache ?(seed = 1) ?(n_servers = 64) ?(flows = 20)
-    ?(packets_per_flow = 10) () =
+let sender_cache ?(seed = 1) ?(flows = 20) ?(packets_per_flow = 10) () =
   let no_cache =
     { Transport.Host.default_config with Transport.Host.cache_ttl_ms = 0. }
   in
   {
     hops_with_cache =
-      measure_hops ~seed ~n_servers ~flows ~packets_per_flow
-        ~host_config:None ();
+      measure_hops ~seed ~flows ~packets_per_flow ~host_config:None ();
     hops_without_cache =
-      measure_hops ~seed ~n_servers ~flows ~packets_per_flow
+      measure_hops ~seed ~flows ~packets_per_flow
         ~host_config:(Some no_cache) ();
   }
 
@@ -47,10 +42,10 @@ type replication_result = {
   attempts : int;
 }
 
-let replication_trial ~seed ~n_servers ~replicate =
+let replication_trial ~seed ~replicate =
   let config = { I3.Server.default_config with I3.Server.replicate } in
   let d =
-    Transport.Deployment.create ~seed ~n_servers ~server_config:config ()
+    Transport.Deployment.create ~seed ~n_servers:32 ~server_config:config ()
   in
   let recv = Transport.Deployment.new_host d () in
   let delivered = ref 0 in
@@ -66,11 +61,11 @@ let replication_trial ~seed ~n_servers ~replicate =
   Transport.Deployment.run_for d 1_000.;
   !delivered
 
-let replication ?(seed = 1) ?(n_servers = 32) ?(trials = 20) () =
+let replication ?(seed = 1) ?(trials = 20) () =
   let count replicate =
     let total = ref 0 in
     for k = 0 to trials - 1 do
-      total := !total + replication_trial ~seed:(seed + k) ~n_servers ~replicate
+      total := !total + replication_trial ~seed:(seed + k) ~replicate
     done;
     !total
   in

@@ -20,7 +20,9 @@ type cache_result = {
   hops_without_cache : float;
 }
 
-val sender_cache : ?seed:int -> ?n_servers:int -> ?flows:int -> ?packets_per_flow:int -> unit -> cache_result
+val sender_cache :
+  ?seed:int -> ?flows:int -> ?packets_per_flow:int -> unit -> cache_result
+(** Over 64 servers. *)
 
 type replication_result = {
   delivered_with : int;
@@ -28,7 +30,8 @@ type replication_result = {
   attempts : int;  (** packets sent during the post-failure window *)
 }
 
-val replication : ?seed:int -> ?n_servers:int -> ?trials:int -> unit -> replication_result
+val replication : ?seed:int -> ?trials:int -> unit -> replication_result
+(** Over 32 servers, one failure per trial. *)
 
 type constraint_result = {
   ns_with_check : float;

@@ -31,7 +31,9 @@ let feed driver frames =
 
 let owner = 1
 
-let forward_env ?(n_triggers = 4096) ~payload ~seed () =
+let forward_env_triggers = 4096
+
+let forward_env ~payload ~seed () =
   let driver = lone_server () in
   let table =
     I3.Server.triggers (I3.Engine.server (Transport.Driver.engine driver))
@@ -40,7 +42,7 @@ let forward_env ?(n_triggers = 4096) ~payload ~seed () =
   (* Background triggers: the table the paper loads is hash-based, so
      match time is independent of this count — the benchmark can show
      that. *)
-  for _ = 1 to n_triggers do
+  for _ = 1 to forward_env_triggers do
     I3.Trigger_table.insert table ~now:0. ~expires:1e12
       (I3.Trigger.to_host ~id:(Id.random rng) ~owner)
   done;

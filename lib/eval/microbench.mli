@@ -27,11 +27,11 @@ val feed : Transport.Driver.t -> string array -> env
 (** Iterations feed the encoded frames to the driver in turn, cycling;
     each costs its decode, engine step and effect encodes. *)
 
-val forward_env : ?n_triggers:int -> payload:int -> seed:int -> unit -> env
-(** A {!lone_server} pre-loaded with [n_triggers] (default 4096)
-    random triggers plus the target trigger; iterations feed it one
-    encoded data packet of the given payload size, which it decodes,
-    matches and encodes as a [Deliver]. *)
+val forward_env : payload:int -> seed:int -> unit -> env
+(** A {!lone_server} pre-loaded with 4096 random triggers plus the
+    target trigger; iterations feed it one encoded data packet of the
+    given payload size, which it decodes, matches and encodes as a
+    [Deliver]. *)
 
 val insert_env : ?distinct:int -> seed:int -> unit -> env
 (** Iterations feed a {!lone_server} an encoded [Insert] frame for one

@@ -5,7 +5,7 @@
    *dynamically* — every member is spawned with the other members as
    [--join] contacts and Chord stabilization does the rest — supervises
    them
-   (reap-on-exit, restart with exponential backoff, liveness probes
+   (reap-on-exit, restart with exponential backoff, readiness probes
    over the Ping/Pong status frames).  Its [kill] (a real SIGKILL) and
    [restart] (re-arm supervision, respawn) are how [Fleet.live] runs a
    [Faults.schedule]'s [Crash i] and [Restart i], so one scenario
@@ -21,11 +21,11 @@
    severed link's view from the outside.
 
    Everything observable lands in the metrics registry
-   ([cluster.spawns], [cluster.crashes], [cluster.restarts],
-   [cluster.ping_timeouts], [cluster.ping_restarts]); each daemon writes
-   its own registry to a per-member JSON dump on graceful stop, which
-   {!metrics_dumps} reads back — that is how the acceptance test pins
-   [wire.decode_errors = 0] against processes that no longer exist. *)
+   ([cluster.spawns], [cluster.crashes], [cluster.restarts]); each
+   daemon writes its own registry to a per-member JSON dump on graceful
+   stop, which {!metrics_dumps} reads back — that is how the acceptance
+   test pins [wire.decode_errors = 0] against processes that no longer
+   exist. *)
 
 let wall_ms () = Unix.gettimeofday () *. 1000.
 
@@ -43,18 +43,16 @@ type member = {
   mutable backoff_ms : float;
   mutable respawn_at : float option;  (* wall ms; pending delayed respawn *)
   mutable last_spawn : float;
-  mutable ping_misses : int;
 }
 
+(* Respawn delays start at the base and double per unexpected exit up to
+   the cap; a child alive [stable_after_ms] resets its delay to base. *)
+let restart_backoff_base_ms = 100.
+let restart_backoff_max_ms = 3_000.
+let stable_after_ms = 5_000.
+
 type config = {
-  restart_backoff_base_ms : float;
-  restart_backoff_max_ms : float;
-  stable_after_ms : float;
-      (* a child alive this long resets its backoff to base *)
   ping_timeout_ms : float;
-  ping_misses_limit : int;
-      (* consecutive missed pongs before a live process is declared hung
-         and recycled *)
   stabilize_ms : float;  (* daemons' Chord stabilization period *)
   rpc_timeout_ms : float;  (* daemons' Chord RPC timeout *)
   metrics_flush_ms : float;
@@ -70,11 +68,7 @@ type config = {
 
 let default_config =
   {
-    restart_backoff_base_ms = 100.;
-    restart_backoff_max_ms = 3_000.;
-    stable_after_ms = 5_000.;
     ping_timeout_ms = 300.;
-    ping_misses_limit = 3;
     (* Fast protocol timers: tests wait for real convergence, so the
        paper's 30 s periods would dominate wall time. *)
     stabilize_ms = 300.;
@@ -102,8 +96,6 @@ type t = {
   c_spawns : Obs.Metrics.counter;
   c_crashes : Obs.Metrics.counter;
   c_restarts : Obs.Metrics.counter;
-  c_ping_timeouts : Obs.Metrics.counter;
-  c_ping_restarts : Obs.Metrics.counter;
 }
 
 let free_port () =
@@ -158,10 +150,9 @@ let create ?(metrics = Obs.Metrics.default) ?(config = default_config)
             Filename.concat dir (Printf.sprintf "i3d-%d-metrics.json" index);
           pid = None;
           supervised = true;
-          backoff_ms = config.restart_backoff_base_ms;
+          backoff_ms = restart_backoff_base_ms;
           respawn_at = None;
           last_spawn = 0.;
-          ping_misses = 0;
         })
   in
   let probe_udp = Transport.Udp.create ~host () in
@@ -186,8 +177,6 @@ let create ?(metrics = Obs.Metrics.default) ?(config = default_config)
     c_spawns = c "cluster.spawns";
     c_crashes = c "cluster.crashes";
     c_restarts = c "cluster.restarts";
-    c_ping_timeouts = c "cluster.ping_timeouts";
-    c_ping_restarts = c "cluster.ping_restarts";
   }
 
 let on_event t f = t.on_event <- f
@@ -261,17 +250,18 @@ let spawn t i =
   m.pid <- Some pid;
   m.last_spawn <- wall_ms ();
   m.respawn_at <- None;
-  m.ping_misses <- 0;
   Obs.Metrics.incr t.c_spawns;
   event t "spawn %s (pid %d)" m.name pid
 
 let ping t i ~timeout_ms =
   Transport.Client.ping t.probe ~dst:t.members.(i).addr ~timeout_ms
 
+let ready_timeout_ms = 10_000.
+
 (* Wait until every spawned member answers a Ping; readiness by
    behavior, not by parsing stdout. *)
-let await_ready t ~timeout_ms =
-  let deadline = wall_ms () +. timeout_ms in
+let await_ready t =
+  let deadline = wall_ms () +. ready_timeout_ms in
   let rec member_ready i =
     if wall_ms () >= deadline then false
     else if ping t i ~timeout_ms:t.cfg.ping_timeout_ms <> None then true
@@ -281,9 +271,9 @@ let await_ready t ~timeout_ms =
     (fun m -> m.pid = None || member_ready m.index)
     t.members
 
-let start ?(ready_timeout_ms = 10_000.) t =
+let start t =
   Array.iteri (fun i _ -> spawn t i) t.members;
-  await_ready t ~timeout_ms:ready_timeout_ms
+  await_ready t
 
 let signal_member t i sg =
   match t.members.(i).pid with
@@ -410,10 +400,8 @@ let await_converged ?only t ~timeout_ms =
   go ()
 
 (* One supervision tick: reap exited children; respawn supervised ones
-   after their backoff; recycle live-but-mute processes whose pings keep
-   timing out (a hang looks like a crash to clients — treat it as
-   one). *)
-let supervise ?(probe_hung = false) t =
+   after their backoff. *)
+let supervise t =
   let now = wall_ms () in
   Array.iter
     (fun m ->
@@ -429,32 +417,11 @@ let supervise ?(probe_hung = false) t =
           match Unix.waitpid [ Unix.WNOHANG ] pid with
           | 0, _ ->
               (* Child alive.  Long-stable children earn their backoff
-                 reset; optionally check responsiveness. *)
+                 reset. *)
               if
-                m.backoff_ms > t.cfg.restart_backoff_base_ms
-                && now -. m.last_spawn >= t.cfg.stable_after_ms
-              then m.backoff_ms <- t.cfg.restart_backoff_base_ms;
-              if probe_hung then begin
-                match ping t m.index ~timeout_ms:t.cfg.ping_timeout_ms with
-                | Some _ -> m.ping_misses <- 0
-                | None ->
-                    Obs.Metrics.incr t.c_ping_timeouts;
-                    m.ping_misses <- m.ping_misses + 1;
-                    if m.ping_misses >= t.cfg.ping_misses_limit then begin
-                      event t "%s unresponsive (%d missed pongs): recycling"
-                        m.name m.ping_misses;
-                      Obs.Metrics.incr t.c_ping_restarts;
-                      (try Unix.kill pid Sys.sigkill
-                       with Unix.Unix_error _ -> ());
-                      (try ignore (Unix.waitpid [] pid)
-                       with Unix.Unix_error _ -> ());
-                      m.pid <- None;
-                      m.respawn_at <- Some (now +. m.backoff_ms);
-                      m.backoff_ms <-
-                        Float.min (m.backoff_ms *. 2.)
-                          t.cfg.restart_backoff_max_ms
-                    end
-              end
+                m.backoff_ms > restart_backoff_base_ms
+                && now -. m.last_spawn >= stable_after_ms
+              then m.backoff_ms <- restart_backoff_base_ms
           | _, _ ->
               (* Child exited on its own. *)
               Obs.Metrics.incr t.c_crashes;
@@ -463,7 +430,7 @@ let supervise ?(probe_hung = false) t =
               if m.supervised then begin
                 m.respawn_at <- Some (now +. m.backoff_ms);
                 m.backoff_ms <-
-                  Float.min (m.backoff_ms *. 2.) t.cfg.restart_backoff_max_ms
+                  Float.min (m.backoff_ms *. 2.) restart_backoff_max_ms
               end
           | exception Unix.Unix_error (Unix.ECHILD, _, _) -> m.pid <- None))
     t.members

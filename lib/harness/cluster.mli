@@ -7,7 +7,7 @@
     Chord stabilization does the rest ({!await_converged} watches it
     happen over the wire, via [Get_state] probes from a dedicated
     chord-codec socket).  It reaps and respawns members (exponential
-    backoff, reset after a stable period), probes liveness via the
+    backoff, reset after a stable period) and probes readiness via the
     Ping/Pong status frames.  {!kill} and {!restart} are how
     {!Fleet.live} runs a schedule's [Crash i] and [Restart i].
     {!pause}/{!resume} (SIGSTOP/SIGCONT) model a partition at process
@@ -27,18 +27,20 @@ type member = {
   mutable backoff_ms : float;
   mutable respawn_at : float option;
   mutable last_spawn : float;
-  mutable ping_misses : int;
 }
 
+val restart_backoff_base_ms : float
+(** First respawn delay after an unexpected exit: 100 ms.  Each further
+    exit doubles it. *)
+
+val restart_backoff_max_ms : float
+(** The respawn delay's cap: 3000 ms. *)
+
+val stable_after_ms : float
+(** Uptime that resets a member's respawn delay to the base: 5000 ms. *)
+
 type config = {
-  restart_backoff_base_ms : float;  (** first respawn delay (default 100) *)
-  restart_backoff_max_ms : float;  (** backoff cap (default 3000) *)
-  stable_after_ms : float;
-      (** uptime that earns a backoff reset (default 5000) *)
   ping_timeout_ms : float;  (** per-probe pong wait (default 300) *)
-  ping_misses_limit : int;
-      (** consecutive missed pongs before a live process is recycled as
-          hung (default 3) *)
   stabilize_ms : float;
       (** the daemons' Chord stabilization period (default 300 — fast,
           so convergence costs little wall time; paper: 30 000) *)
@@ -81,7 +83,7 @@ val create :
     metrics dumps.  @raise Invalid_argument when [n < 1]. *)
 
 val on_event : t -> (string -> unit) -> unit
-(** Supervision event log hook (spawn/kill/restart/unresponsive). *)
+(** Supervision event log hook (spawn/kill/restart/exit). *)
 
 val dir : t -> string
 val members : t -> member list
@@ -99,9 +101,9 @@ val owner_index : t -> Id.t -> int
 
 (** {1 Lifecycle} *)
 
-val start : ?ready_timeout_ms:float -> t -> bool
+val start : t -> bool
 (** Spawn every member and wait until each answers a Ping (readiness by
-    behavior, not stdout parsing); [false] on timeout. *)
+    behavior, not stdout parsing); [false] if one has not within 10 s. *)
 
 val spawn : t -> int -> unit
 (** Low-level: fork one member (asserts it is not running). *)
@@ -145,10 +147,10 @@ val converged : ?only:(int -> bool) -> t -> bool
 val await_converged : ?only:(int -> bool) -> t -> timeout_ms:float -> bool
 (** Poll {!converged} until true or the deadline. *)
 
-val supervise : ?probe_hung:bool -> t -> unit
-(** One supervision tick: reap exited children, respawn supervised ones
-    whose backoff elapsed; with [probe_hung], also ping live members and
-    recycle any that miss [ping_misses_limit] consecutive pongs. *)
+val supervise : t -> unit
+(** One supervision tick: reap exited children (each counts in
+    [cluster.crashes]) and respawn supervised ones whose backoff elapsed
+    (each counts in [cluster.restarts]). *)
 
 val stop : ?grace_ms:float -> t -> unit
 (** Graceful stop: SIGTERM everyone (triggering their metrics flush),

@@ -151,7 +151,6 @@ let flight_dump fleet health ~at evals =
   Obs.Sink.flight_record ~at ~reason:"health verdict entered Violated"
     ~metrics:(Obs.Metrics.snapshot (Obs.Health.registry health))
     ~series:(Obs.Series.all (Obs.Health.store health))
-    ~series_tail:32
     ~spans:(tail (Fleet.spans fleet))
     ~events:(tail (Fleet.tracer fleet))
     ~evaluations:evals ()
@@ -161,7 +160,7 @@ let max_dumps = 4
 let monitor ?(period = 500.) t ~rules =
   let fleet = t.fleet in
   let health =
-    Obs.Health.create ~series_capacity:1024 ~history_capacity:4096 ~rules
+    Obs.Health.create ~history_capacity:4096 ~rules
       (Fleet.metrics fleet)
   in
   let stop =

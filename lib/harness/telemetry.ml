@@ -19,10 +19,10 @@
 
 type t = {
   udp : Transport.Udp.t;
+  interval_ms : float;  (* scrape and rule-evaluation period *)
   scrape : Obs.Scrape.t;
   mutable now_ms : float;  (* stamp for datagrams handled inside tick *)
   mutable monitor : Obs.Health.t option;
-  mutable eval_period_ms : float;
   mutable last_eval : float;
 }
 
@@ -33,29 +33,24 @@ let handle_datagram t bytes =
         (Obs.Scrape.on_response t.scrape ~now:t.now_ms ~nonce ~samples ~events)
   | Ok _ | Error _ -> () (* stray or undecodable: that scrape times out *)
 
-let create ?(interval_ms = 500.) ?(timeout_ms = 1000.) ?prefix ?drain
-    ?series_capacity ?max_events ?(host = "127.0.0.1") targets =
+let create ~interval_ms ?(host = "127.0.0.1") targets =
   let udp = Transport.Udp.create ~host () in
-  let scrape =
-    Obs.Scrape.create ~interval_ms ~timeout_ms ?prefix ?drain ?series_capacity
-      ?max_events targets
-  in
+  let scrape = Obs.Scrape.create ~interval_ms targets in
   let t =
     {
       udp;
+      interval_ms;
       scrape;
       now_ms = 0.;
       monitor = None;
-      eval_period_ms = interval_ms;
       last_eval = neg_infinity;
     }
   in
   Transport.Udp.set_handler udp (fun ~src:_ bytes -> handle_datagram t bytes);
   t
 
-let of_cluster ?interval_ms ?timeout_ms ?prefix ?drain ?series_capacity
-    ?max_events cluster =
-  create ?interval_ms ?timeout_ms ?prefix ?drain ?series_capacity ?max_events
+let of_cluster ~interval_ms cluster =
+  create ~interval_ms
     (List.map
        (fun (m : Cluster.member) ->
          { Obs.Scrape.addr = m.addr; instance = m.name })
@@ -64,12 +59,8 @@ let of_cluster ?interval_ms ?timeout_ms ?prefix ?drain ?series_capacity
 let scrape t = t.scrape
 let store t = Obs.Scrape.store t.scrape
 
-let monitor ?eval_period_ms ?history_capacity ~rules t =
-  let h =
-    Obs.Health.create ?history_capacity ~store:(store t) ~rules
-      (Obs.Metrics.create ())
-  in
-  (match eval_period_ms with Some p -> t.eval_period_ms <- p | None -> ());
+let monitor ~rules t =
+  let h = Obs.Health.create ~store:(store t) ~rules (Obs.Metrics.create ()) in
   t.monitor <- Some h;
   h
 
@@ -77,7 +68,7 @@ let monitor ?eval_period_ms ?history_capacity ~rules t =
    evaluations, the tail of every wire-scraped series, and the hop
    events drained so far (kept, not consumed — assembly still sees
    them). *)
-let flight_recorder ?(series_tail = 32) t ~path =
+let flight_recorder t ~path =
   match t.monitor with
   | None -> invalid_arg "Telemetry.flight_recorder: no monitor installed"
   | Some h ->
@@ -85,7 +76,6 @@ let flight_recorder ?(series_tail = 32) t ~path =
           let record =
             Obs.Sink.flight_record ~at:t.now_ms ~reason:"slo-violated"
               ~series:(Obs.Series.all (store t))
-              ~series_tail
               ~events:(Obs.Scrape.events t.scrape)
               ~evaluations:evals ()
           in
@@ -101,14 +91,14 @@ let tick t ~now_ms =
       let bytes =
         I3.Codec.encode
           (I3.Message.Stats_request
-             { nonce = r.nonce; prefix = r.prefix; drain = r.drain })
+             { nonce = r.nonce; prefix = ""; drain = true })
       in
       (* A dead member's request is lost on the wire and its nonce
          expires; an unsendable address is skipped and counted. *)
       Transport.Udp.send t.udp ~dst:r.dst bytes)
     (Obs.Scrape.tick t.scrape ~now:now_ms);
   match t.monitor with
-  | Some h when now_ms -. t.last_eval >= t.eval_period_ms ->
+  | Some h when now_ms -. t.last_eval >= t.interval_ms ->
       t.last_eval <- now_ms;
       ignore (Obs.Health.evaluate h ~time:now_ms)
   | _ -> ()

@@ -15,38 +15,24 @@
 type t
 
 val create :
-  ?interval_ms:float ->
-  ?timeout_ms:float ->
-  ?prefix:string ->
-  ?drain:bool ->
-  ?series_capacity:int ->
-  ?max_events:int ->
-  ?host:string ->
-  Obs.Scrape.target list ->
-  t
-(** A collector polling [targets] every [interval_ms] (default 500 ms
-    — see {!Obs.Scrape.create} for the remaining knobs).  Binds an
-    ephemeral UDP socket on [host] (default 127.0.0.1).
+  interval_ms:float -> ?host:string -> Obs.Scrape.target list -> t
+(** A collector polling [targets] every [interval_ms] for their whole
+    registry and their drained trace rings ({!Obs.Scrape.create}, with
+    its 1 s reply timeout).  Binds an ephemeral UDP socket on [host]
+    (default 127.0.0.1).
     @raise Unix.Unix_error where sockets are unavailable (sandboxes) —
     callers should degrade like the other live harnesses. *)
 
-val of_cluster :
-  ?interval_ms:float ->
-  ?timeout_ms:float ->
-  ?prefix:string ->
-  ?drain:bool ->
-  ?series_capacity:int ->
-  ?max_events:int ->
-  Cluster.t ->
-  t
+val of_cluster : interval_ms:float -> Cluster.t -> t
 (** {!create} targeting every member of a live cluster, tagged by its
     [host:port] name. *)
 
 val tick : t -> now_ms:float -> unit
 (** One collection step: drain arrived responses into the store, send
-    the polls now due, and — when a {!monitor} is installed and its
-    evaluation period has elapsed — evaluate the rules.  Wall-clock ms;
-    use the same clock as the chaos schedule so TTD/TTR line up. *)
+    the polls now due, and — when a {!monitor} is installed and a scrape
+    interval has passed since its last evaluation — evaluate the rules.
+    Wall-clock ms; use the same clock as the chaos schedule so TTD/TTR
+    line up. *)
 
 val scrape : t -> Obs.Scrape.t
 (** The underlying scheduler (poll/response/timeout counts,
@@ -56,23 +42,18 @@ val store : t -> Obs.Series.store
 (** The wire-scraped series: every accepted sample, tagged
     [("target", <host:port>)]. *)
 
-val monitor :
-  ?eval_period_ms:float ->
-  ?history_capacity:int ->
-  rules:Obs.Health.rule list ->
-  t ->
-  Obs.Health.t
+val monitor : rules:Obs.Health.rule list -> t -> Obs.Health.t
 (** Install an {!Obs.Health} monitor judging [rules] directly against
-    {!store} on each [eval_period_ms] (default: the scrape interval).
+    {!store} once per scrape interval.
     Rule labels must include the [("target", ...)] tag to select one
     daemon's series.  Returns the monitor for verdict queries
     ([last], [counts], [first_breach_after], ...). *)
 
-val flight_recorder : ?series_tail:int -> t -> path:string -> unit
+val flight_recorder : t -> path:string -> unit
 (** Arm the monitor's {!Obs.Health.on_violation} hook to append one
     flight-recorder JSON line to [path] per entry into [Violated]: the
-    failing evaluations, the tail of every scraped series, and the hop
-    events drained so far.
+    failing evaluations, the last 32 points of every scraped series, and
+    the hop events drained so far.
     @raise Invalid_argument when no monitor is installed. *)
 
 val assemble : t -> Obs.Trace.tree list

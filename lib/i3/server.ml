@@ -4,10 +4,11 @@ type config = {
   challenge_hosts : bool;
   hot_spot_threshold : int option;
   hot_spot_window : float;
-  cache_push_lifetime : float;
-  sweep_period : float;
   replicate : bool;
 }
+
+let cache_push_lifetime = 10_000.
+let sweep_period = 5_000.
 
 let default_config =
   {
@@ -16,24 +17,8 @@ let default_config =
     challenge_hosts = false;
     hot_spot_threshold = None;
     hot_spot_window = 1_000.;
-    cache_push_lifetime = 10_000.;
-    sweep_period = 5_000.;
     replicate = false;
   }
-
-type stats = {
-  data_received : int;
-  data_forwarded : int;
-  deliveries : int;
-  matched_packets : int;
-  drops : int;
-  inserts_accepted : int;
-  inserts_rejected : int;
-  challenges_sent : int;
-  pushbacks_sent : int;
-  cache_hits : int;
-  cache_pushes : int;
-}
 
 (* Registry-backed counters, keyed [i3.<event>] with this server's
    [instance] label; drops and inserts fan out over a [cause]/[result]
@@ -123,29 +108,10 @@ type t = {
 let addr t = t.addr
 let id t = t.id
 let instance_label t = t.instance
-let config t = t.cfg
 let triggers t = t.table
 let cached_triggers t = t.cache
 let replica_triggers t = t.replicas
 let is_alive t = t.alive
-
-let stats t =
-  let v = Obs.Metrics.counter_value in
-  {
-    data_received = v t.c.c_received;
-    data_forwarded = v t.c.c_forwarded;
-    deliveries = v t.c.c_deliveries;
-    matched_packets = v t.c.c_matched;
-    drops =
-      v t.c.c_drop_ttl + v t.c.c_drop_empty + v t.c.c_drop_no_match
-      + v t.c.c_drop_dead_end + v t.c.c_drop_overflow;
-    inserts_accepted = v t.c.c_ins_accepted;
-    inserts_rejected = v t.c.c_ins_rejected;
-    challenges_sent = v t.c.c_challenges;
-    pushbacks_sent = v t.c.c_pushbacks;
-    cache_hits = v t.c.c_cache_hits;
-    cache_pushes = v t.c.c_cache_pushes;
-  }
 
 let now t = Sim.Engine.now t.engine
 
@@ -185,7 +151,7 @@ let push_bucket t i3_id =
   if entries <> [] then begin
     let capped =
       List.map
-        (fun (tr, remaining) -> (tr, Float.min remaining t.cfg.cache_push_lifetime))
+        (fun (tr, remaining) -> (tr, Float.min remaining cache_push_lifetime))
         entries
     in
     match t.view.predecessor_addr () with
@@ -406,7 +372,7 @@ let create ~engine ~addr ~emit ~view ?(site = 0) ~id
   and cache = Trigger_table.create ()
   and replicas = Trigger_table.create () in
   let sweeper =
-    Sim.Engine.every engine ~period:config.sweep_period (fun () ->
+    Sim.Engine.every engine ~period:sweep_period (fun () ->
         let now = Sim.Engine.now engine in
         ignore (Trigger_table.expire table ~now);
         ignore (Trigger_table.expire cache ~now);

@@ -25,9 +25,6 @@ type config = {
       (** matches of a single identifier within one window that trip a
           cache push; [None] disables hot-spot relief *)
   hot_spot_window : float;  (** ms *)
-  cache_push_lifetime : float;
-      (** cap on how long pushed copies live at the neighbor *)
-  sweep_period : float;  (** ms between expiry sweeps *)
   replicate : bool;
       (** overlay-managed replication (Sec. IV-C, second solution): mirror
           each accepted trigger onto the ring successor, so a server
@@ -37,25 +34,13 @@ type config = {
 
 val default_config : config
 (** 30 s lifetime, constraints and challenges off (they are opt-in, as apps
-    must construct compliant triggers), hot-spot off, 5 s sweeps. *)
+    must construct compliant triggers), hot-spot off. *)
 
-type stats = {
-  data_received : int;
-  data_forwarded : int;  (** overlay hops taken by packets *)
-  deliveries : int;  (** IP sends to end-hosts *)
-  matched_packets : int;
-  drops : int;  (** sum over drop causes; per-cause counts in the registry *)
-  inserts_accepted : int;
-  inserts_rejected : int;
-  challenges_sent : int;
-  pushbacks_sent : int;
-  cache_hits : int;  (** packets served from pushed triggers *)
-  cache_pushes : int;
-}
-(** Point-in-time snapshot assembled from the {!Obs.Metrics} registry
-    ([i3.*] counters carrying this server's [instance] label); kept as a
-    thin view so existing callers read unchanged.  New code should prefer
-    [Obs.Metrics.snapshot]. *)
+val cache_push_lifetime : float
+(** Cap on how long pushed copies live at the neighbor: 10 s. *)
+
+val sweep_period : float
+(** ms between expiry sweeps: 5 s. *)
 
 type ring_view = {
   owns : Id.t -> bool;
@@ -96,9 +81,15 @@ val create :
     [Insert_ack]/[Pong] frames, so it must be the address peers can
     actually reach — for UDP, the packed [ip:port]).  [engine] supplies
     the virtual clock for soft-state expiry; the owner advances it.
-    Counters register in [metrics] (default {!Obs.Metrics.default});
-    [tracer] (default {!Obs.Trace.disabled}) receives per-packet relay /
-    cache-hit / trigger-match / drop events for traced packets. *)
+    Counters register in [metrics] (default {!Obs.Metrics.default})
+    under this server's [instance] label: [i3.data_received],
+    [i3.data_forwarded] (overlay hops), [i3.deliveries] (IP sends to end
+    hosts), [i3.matched_packets], [i3.drops{cause}], [i3.inserts{result}],
+    [i3.challenges_sent], [i3.pushbacks_sent], [i3.cache_hits] (packets
+    served from pushed triggers) and [i3.cache_pushes]; read them with
+    [Obs.Metrics.sum_counters].  [tracer] (default {!Obs.Trace.disabled})
+    receives per-packet relay / cache-hit / trigger-match / drop events
+    for traced packets. *)
 
 val view : t -> ring_view
 
@@ -112,8 +103,6 @@ val id : t -> Id.t
 val instance_label : t -> string
 (** The [instance] label value this server's metrics carry (["srvN"]). *)
 
-val config : t -> config
-val stats : t -> stats
 val triggers : t -> Trigger_table.t
 val cached_triggers : t -> Trigger_table.t
 

@@ -26,7 +26,6 @@ type signal =
 type bound =
   | At_least of { ok : float; degraded : float }
   | At_most of { ok : float; degraded : float }
-  | Stable_within of { eps : float; window_ms : float }
 
 type rule = { rule : string; signal : signal; bound : bound }
 
@@ -49,7 +48,7 @@ type t = {
 }
 
 let validate r =
-  (match r.bound with
+  match r.bound with
   | At_least { ok; degraded } when ok < degraded ->
       invalid_arg
         (Printf.sprintf "Obs.Health: rule %S: At_least needs ok >= degraded"
@@ -58,17 +57,9 @@ let validate r =
       invalid_arg
         (Printf.sprintf "Obs.Health: rule %S: At_most needs ok <= degraded"
            r.rule)
-  | _ -> ());
-  match (r.bound, r.signal) with
-  | Stable_within _, (Rate _ | Ratio _) ->
-      invalid_arg
-        (Printf.sprintf
-           "Obs.Health: rule %S: Stable_within applies to Latest signals only"
-           r.rule)
   | _ -> ()
 
-let create ?(series_capacity = 512) ?store ?(history_capacity = 8192) ~rules
-    registry =
+let create ?store ?(history_capacity = 8192) ~rules registry =
   List.iter validate rules;
   if history_capacity <= 0 then
     invalid_arg "Obs.Health.create: history_capacity must be > 0";
@@ -77,7 +68,7 @@ let create ?(series_capacity = 512) ?store ?(history_capacity = 8192) ~rules
     store =
       (match store with
       | Some s -> s
-      | None -> Series.store ~capacity:series_capacity ());
+      | None -> Series.store ~capacity:1024 ());
     registry;
     history = Array.make history_capacity (0., Ok);
     h_write = 0;
@@ -90,11 +81,6 @@ let rules t = t.rules
 let store t = t.store
 let registry t = t.registry
 let on_violation t f = t.hook <- Some f
-
-let signal_series t = function
-  | Latest { metric; labels } | Rate { metric; labels; _ } ->
-      Series.get t.store ~labels metric
-  | Ratio _ -> None
 
 let signal_value t ~time = function
   | Latest { metric; labels } -> (
@@ -120,30 +106,17 @@ let signal_value t ~time = function
       | _ -> None)
 
 let judge t ~time r =
-  match r.bound with
-  | At_least { ok; degraded } -> (
-      match signal_value t ~time r.signal with
-      | None -> (None, Ok)
-      | Some v ->
-          ( Some v,
+  match signal_value t ~time r.signal with
+  | None -> (None, Ok)
+  | Some v ->
+      let verdict =
+        match r.bound with
+        | At_least { ok; degraded } ->
             if v >= ok then Ok else if v >= degraded then Degraded else Violated
-          ))
-  | At_most { ok; degraded } -> (
-      match signal_value t ~time r.signal with
-      | None -> (None, Ok)
-      | Some v ->
-          ( Some v,
+        | At_most { ok; degraded } ->
             if v <= ok then Ok else if v <= degraded then Degraded else Violated
-          ))
-  | Stable_within { eps; window_ms } -> (
-      match signal_series t r.signal with
-      | None -> (None, Ok)
-      | Some s -> (
-          match Series.min_max_over s ~now:time ~window_ms with
-          | None -> (None, Ok)
-          | Some (lo, hi) ->
-              let spread = hi -. lo in
-              (Some spread, if spread <= eps then Ok else Violated)))
+      in
+      (Some v, verdict)
 
 let overall evals =
   List.fold_left (fun acc e -> worst acc e.verdict) Ok evals

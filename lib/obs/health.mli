@@ -12,8 +12,7 @@
       packets received / packets sent).
     - {e bound} — how to judge it: [At_least]/[At_most] with separate
       [ok] and [degraded] thresholds (between them is [Degraded], beyond
-      is [Violated]), or [Stable_within] (max-min over a window ≤ eps,
-      [Latest] signals only).
+      is [Violated]).
 
     A rule whose signal has no data yet (warm-up, no traffic in window)
     evaluates to [Ok] with [value = None] — absence of evidence never
@@ -47,9 +46,6 @@ type signal =
 type bound =
   | At_least of { ok : float; degraded : float }  (** requires ok ≥ degraded *)
   | At_most of { ok : float; degraded : float }  (** requires ok ≤ degraded *)
-  | Stable_within of { eps : float; window_ms : float }
-      (** [Latest] signals only: max-min over the window ≤ eps is [Ok],
-          beyond is [Violated] (no degraded band) *)
 
 type rule = { rule : string;  (** display name *) signal : signal; bound : bound }
 
@@ -63,7 +59,6 @@ type evaluation = {
 type t
 
 val create :
-  ?series_capacity:int ->
   ?store:Series.store ->
   ?history_capacity:int ->
   rules:rule list ->
@@ -71,9 +66,9 @@ val create :
   t
 (** [store] lets the monitor judge rules against an externally owned
     store (e.g. one fed by a wire scraper, see {!Scrape}) instead of a
-    private one; [series_capacity] is then ignored.
-    @raise Invalid_argument on malformed rules (inverted thresholds,
-    [Stable_within] over a non-[Latest] signal). *)
+    private one of 1024 points per series.  [history_capacity] (default
+    8192) bounds {!history}.
+    @raise Invalid_argument on malformed rules (inverted thresholds). *)
 
 val rules : t -> rule list
 val store : t -> Series.store

@@ -214,6 +214,17 @@ let snapshot ?prefix reg =
 let find reg ?(labels = []) name =
   Option.map read (Hashtbl.find_opt reg.tbl (key name labels))
 
+let sum_counters reg ?(labels = []) name =
+  Hashtbl.fold
+    (fun k m acc ->
+      match m with
+      | M_counter c
+        when k.k_name = name
+             && List.for_all (fun l -> List.mem l k.k_labels) labels ->
+          acc + c.c_value
+      | _ -> acc)
+    reg.tbl 0
+
 let remove reg ?(labels = []) name = Hashtbl.remove reg.tbl (key name labels)
 
 let remove_where reg pred =

@@ -102,6 +102,10 @@ val find :
   t -> ?labels:(string * string) list -> string -> value option
 (** Point lookup of one metric's current value. *)
 
+val sum_counters : t -> ?labels:(string * string) list -> string -> int
+(** Sum of every counter named [name] whose labels include all of
+    [labels] — e.g. one server's [i3.drops] over every [cause]. *)
+
 val reset : t -> unit
 (** Zero every registered metric (handles stay valid).  For tests. *)
 

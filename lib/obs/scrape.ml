@@ -11,7 +11,7 @@
 
 type target = { addr : int; instance : string }
 
-type request = { dst : int; nonce : int; prefix : string; drain : bool }
+type request = { dst : int; nonce : int }
 
 type inflight = { i_target : target; sent_at : float }
 
@@ -19,23 +19,21 @@ type t = {
   targets : target list;
   interval_ms : float;
   timeout_ms : float;
-  prefix : string;
-  drain : bool;
   store : Series.store;
   inflight : (int, inflight) Hashtbl.t;
   mutable next_nonce : int;
   mutable next_poll : float;  (* neg_infinity = poll on first tick *)
   mutable events : Trace.event list;  (* drained trace events, reversed *)
   mutable n_events : int;
-  max_events : int;
   mutable polls : int;
   mutable responses : int;
   mutable timeouts : int;
   mutable last_seen : (string * float) list;  (* instance -> last response *)
 }
 
-let create ?(interval_ms = 500.) ?(timeout_ms = 1000.) ?(prefix = "")
-    ?(drain = true) ?(series_capacity = 512) ?(max_events = 65536) targets =
+let max_events = 65536
+
+let create ~interval_ms ?(timeout_ms = 1000.) targets =
   if interval_ms <= 0. then
     invalid_arg "Obs.Scrape.create: interval_ms must be > 0";
   if timeout_ms <= 0. then
@@ -44,15 +42,12 @@ let create ?(interval_ms = 500.) ?(timeout_ms = 1000.) ?(prefix = "")
     targets;
     interval_ms;
     timeout_ms;
-    prefix;
-    drain;
-    store = Series.store ~capacity:series_capacity ();
+    store = Series.store ();
     inflight = Hashtbl.create 16;
     next_nonce = 1;
     next_poll = neg_infinity;
     events = [];
     n_events = 0;
-    max_events;
     polls = 0;
     responses = 0;
     timeouts = 0;
@@ -99,7 +94,7 @@ let tick t ~now =
         t.next_nonce <- t.next_nonce + 1;
         t.polls <- t.polls + 1;
         Hashtbl.replace t.inflight nonce { i_target = tgt; sent_at = now };
-        { dst = tgt.addr; nonce; prefix = t.prefix; drain = t.drain })
+        { dst = tgt.addr; nonce })
       t.targets
   end
   else []
@@ -120,7 +115,7 @@ let on_response t ~now ~nonce ~samples ~events =
         (List.map (retag i_target.instance) samples);
       List.iter
         (fun e ->
-          if t.n_events < t.max_events then begin
+          if t.n_events < max_events then begin
             t.events <- e :: t.events;
             t.n_events <- t.n_events + 1
           end)

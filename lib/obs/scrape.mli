@@ -27,27 +27,18 @@ type target = {
   instance : string;  (** label value tagging this target's series *)
 }
 
-type request = { dst : int; nonce : int; prefix : string; drain : bool }
-(** One poll to encode as a [Stats_request] and transmit to [dst]. *)
+type request = { dst : int; nonce : int }
+(** One poll to encode as a [Stats_request] for the whole registry that
+    also drains the target's trace ring, and transmit to [dst]. *)
 
 type t
 
-val create :
-  ?interval_ms:float ->
-  ?timeout_ms:float ->
-  ?prefix:string ->
-  ?drain:bool ->
-  ?series_capacity:int ->
-  ?max_events:int ->
-  target list ->
-  t
-(** A scheduler polling every target each [interval_ms] (default 500),
-    expiring unanswered requests after [timeout_ms] (default 1000).
-    [prefix] filters the remote registry slice ("" = everything);
-    [drain] (default true) also drains each target's trace ring.
-    At most [max_events] drained events are retained (default 65536;
-    older ones are kept, excess arrivals dropped) until collected with
-    {!take_events}. *)
+val create : interval_ms:float -> ?timeout_ms:float -> target list -> t
+(** A scheduler polling every target each [interval_ms], expiring
+    unanswered requests after [timeout_ms] (default 1000).  The store
+    keeps the last 512 samples of each series.  At most 65536 drained
+    events are retained (older ones are kept, excess arrivals dropped)
+    until collected with {!take_events}. *)
 
 val tick : t -> now:float -> request list
 (** Expire overdue in-flight requests, then return the polls now due —

@@ -54,15 +54,6 @@ let rate_per_sec s ~now ~window_ms =
       if dt <= 0. then None else Some ((last.value -. first.value) /. dt *. 1000.)
   | _ -> None
 
-let min_max_over s ~now ~window_ms =
-  match window s ~now ~window_ms with
-  | [] -> None
-  | ps ->
-      Some
-        (List.fold_left
-           (fun (lo, hi) p -> (Float.min lo p.value, Float.max hi p.value))
-           (infinity, neg_infinity) ps)
-
 (* Stores *)
 
 type skey = { sk_name : string; sk_labels : (string * string) list }

@@ -7,8 +7,8 @@
     point per sample to that sample's ring-buffer series; histograms are
     expanded into [.count]/[.p50]/[.p90]/[.p99] sub-series.
 
-    Windowed queries ({!delta_over}, {!rate_per_sec}, {!min_max_over})
-    are the raw material for {!Health} SLO rules. *)
+    Windowed queries ({!delta_over}, {!rate_per_sec}) are the raw
+    material for {!Health} SLO rules. *)
 
 type point = { at : float;  (** virtual ms *) value : float }
 
@@ -40,9 +40,6 @@ val delta_over : t -> now:float -> window_ms:float -> float option
 val rate_per_sec : t -> now:float -> window_ms:float -> float option
 (** {!delta_over} divided by the elapsed seconds between the window's
     first and last points. *)
-
-val min_max_over : t -> now:float -> window_ms:float -> (float * float) option
-(** [None] when the window is empty. *)
 
 (** {1 Stores} *)
 

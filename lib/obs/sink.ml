@@ -138,8 +138,8 @@ let evaluation_to_json (e : Health.evaluation) =
       ("verdict", String (Health.verdict_to_string e.Health.verdict));
     ]
 
-let flight_record ~at ~reason ?(metrics = []) ?(series = []) ?(series_tail = 32)
-    ?(spans = []) ?(events = []) ?(evaluations = []) () =
+let flight_record ~at ~reason ?(metrics = []) ?(series = []) ?(spans = [])
+    ?(events = []) ?(evaluations = []) () =
   let open Json in
   Obj
     [
@@ -147,7 +147,7 @@ let flight_record ~at ~reason ?(metrics = []) ?(series = []) ?(series_tail = 32)
       ("reason", String reason);
       ("evaluations", List (List.map evaluation_to_json evaluations));
       ("metrics", List (List.map sample_to_json metrics));
-      ("series", List (List.map (series_to_json ~tail:series_tail) series));
+      ("series", List (List.map (series_to_json ~tail:32) series));
       ("spans", List (List.map event_to_json spans));
       ("traces", List (List.map event_to_json events));
     ]

@@ -36,7 +36,6 @@ val flight_record :
   reason:string ->
   ?metrics:Metrics.sample list ->
   ?series:Series.t list ->
-  ?series_tail:int ->
   ?spans:Trace.event list ->
   ?events:Trace.event list ->
   ?evaluations:Health.evaluation list ->
@@ -44,7 +43,7 @@ val flight_record :
   Json.t
 (** Assemble a flight-recorder dump: what the monitor saw ([evaluations]),
     the registry at the moment of violation ([metrics]), the recent past
-    ([series] tails, control-plane operation events as [spans], packet
+    (the last 32 points of each of [series], control-plane operation events as [spans], packet
     trace [events]), all events in the {!tree_to_json} event shape
     (an [Op] event adds its [parent]). *)
 

@@ -8,17 +8,6 @@ type 'msg endpoint = {
   mutable up : bool;
 }
 
-type stats = {
-  sent : int;
-  delivered : int;
-  duplicated : int;
-  dropped_loss : int;
-  dropped_burst : int;
-  dropped_down : int;
-  dropped_partition : int;
-  dropped_gray : int;
-}
-
 type outcome = [ `Enqueue | `Drop of string ]
 
 (* Counters live in an {!Obs.Metrics} registry, keyed [net.<event>] with an
@@ -179,18 +168,5 @@ let send t ~src ~dst msg =
         schedule extra;
         Obs.Metrics.incr t.c.c_duplicated;
         schedule copy
-
-let stats t =
-  let v = Obs.Metrics.counter_value in
-  {
-    sent = v t.c.c_sent;
-    delivered = v t.c.c_delivered;
-    duplicated = v t.c.c_duplicated;
-    dropped_loss = v t.c.c_loss;
-    dropped_burst = v t.c.c_burst;
-    dropped_down = v t.c.c_down;
-    dropped_partition = v t.c.c_partition;
-    dropped_gray = v t.c.c_gray;
-  }
 
 let endpoint_count t = t.count

@@ -109,23 +109,13 @@ val driver :
 
 (** {1 Accounting}
 
-    All counters live in the {!Obs.Metrics} registry passed at creation
-    (names [net.sent], [net.delivered], [net.duplicated], [net.dropped]
-    with a [cause] label, each carrying this network's [instance] label);
-    {!snapshot} via [Obs.Metrics.snapshot] is the uniform read API.  The
-    [stats] record below is a thin per-instance view kept so existing
-    callers and tests read unchanged. *)
+    All counters live in the {!Obs.Metrics} registry passed at creation,
+    each carrying this network's [instance] label ({!label}): [net.sent],
+    [net.delivered], [net.duplicated] (extra copies from a
+    [Faults.Duplicate] rate) and [net.dropped] with a [cause] label:
+    ["loss"] (uniform i.i.d. loss), ["burst"] (Gilbert–Elliott chain in
+    the Bad state), ["down"] (sender or receiver endpoint down),
+    ["partition"] (crossing an active partition cut) or ["gray"]
+    (one-way gray link).  Read them with [Obs.Metrics.find]. *)
 
-type stats = {
-  sent : int;
-  delivered : int;
-  duplicated : int;  (** extra copies from a [Faults.Duplicate] rate *)
-  dropped_loss : int;  (** uniform i.i.d. loss *)
-  dropped_burst : int;  (** Gilbert–Elliott chain in the Bad state *)
-  dropped_down : int;  (** sender or receiver endpoint down *)
-  dropped_partition : int;  (** crossing an active partition cut *)
-  dropped_gray : int;  (** one-way gray link *)
-}
-
-val stats : 'msg t -> stats
 val endpoint_count : 'msg t -> int

@@ -1,6 +1,10 @@
-let generate rng ~n ?(links_per_node = 2) ?(delay_lo = 5.) ?(delay_hi = 100.)
-    () =
-  if links_per_node < 1 then invalid_arg "Plrg.generate: links_per_node < 1";
+(* Attachment edges each arriving node creates, and the link-delay range
+   (ms). *)
+let links_per_node = 2
+let delay_lo = 5.
+let delay_hi = 100.
+
+let generate rng ~n () =
   if n <= links_per_node then invalid_arg "Plrg.generate: n too small";
   let g = Graph.create ~n in
   let delay () = Rng.float_in rng delay_lo delay_hi in

@@ -5,17 +5,9 @@
     where the delay of each link is uniformly distributed" (Sec. V).  We
     use preferential attachment (Barabási-Albert), which produces the
     power-law degree distribution INET targets, and draw each link's
-    latency uniformly from [delay_lo, delay_hi] (default 5-100 ms). *)
+    latency uniformly from 5-100 ms. *)
 
-val generate :
-  Rng.t ->
-  n:int ->
-  ?links_per_node:int ->
-  ?delay_lo:float ->
-  ?delay_hi:float ->
-  unit ->
-  Graph.t
-(** [generate rng ~n ()] builds a connected power-law graph on [n] nodes.
-    [links_per_node] (default 2) is the number of attachment edges each
-    arriving node creates. @raise Invalid_argument if
-    [n <= links_per_node]. *)
+val generate : Rng.t -> n:int -> unit -> Graph.t
+(** [generate rng ~n ()] builds a connected power-law graph on [n] nodes,
+    each arriving node creating 2 attachment edges.
+    @raise Invalid_argument if [n <= 2]. *)

@@ -4,9 +4,15 @@ type t = {
   stub : int array;
 }
 
-let generate rng ~n ?(transit_domains = 4) ?(transit_nodes = 4)
-    ?(stubs_per_transit = 3) ?(intra_transit_ms = 100.)
-    ?(transit_stub_ms = 10.) ?(intra_stub_ms = 1.) () =
+(* The paper's GT-ITM parameters (Sec. V). *)
+let transit_domains = 4
+let transit_nodes = 4
+let stubs_per_transit = 3
+let intra_transit_ms = 100.
+let transit_stub_ms = 10.
+let intra_stub_ms = 1.
+
+let generate rng ~n () =
   let core = transit_domains * transit_nodes in
   let total_stub_domains = core * stubs_per_transit in
   if n < core + total_stub_domains then
@@ -18,35 +24,30 @@ let generate rng ~n ?(transit_domains = 4) ?(transit_nodes = 4)
   for d = 0 to transit_domains - 1 do
     let base = d * transit_nodes in
     for i = 0 to transit_nodes - 1 do
-      let u = base + i and v = base + ((i + 1) mod transit_nodes) in
-      if u <> v then Graph.add_edge g u v intra_transit_ms
+      Graph.add_edge g (base + i)
+        (base + ((i + 1) mod transit_nodes))
+        intra_transit_ms
     done;
-    if transit_nodes > 3 then begin
-      let a = base + Rng.int rng transit_nodes
-      and b = base + Rng.int rng transit_nodes in
-      if a <> b && not (Graph.has_edge g a b) then
-        Graph.add_edge g a b intra_transit_ms
-    end
+    let a = base + Rng.int rng transit_nodes
+    and b = base + Rng.int rng transit_nodes in
+    if a <> b && not (Graph.has_edge g a b) then
+      Graph.add_edge g a b intra_transit_ms
   done;
   (* Inter-domain: ring of domains through random gateway routers, plus one
      random extra link per domain. *)
   let gateway d = (d * transit_nodes) + Rng.int rng transit_nodes in
   for d = 0 to transit_domains - 1 do
-    let d' = (d + 1) mod transit_domains in
+    let u = gateway d and v = gateway ((d + 1) mod transit_domains) in
+    if not (Graph.has_edge g u v) then Graph.add_edge g u v intra_transit_ms
+  done;
+  for d = 0 to transit_domains - 1 do
+    let d' = Rng.int rng transit_domains in
     if d <> d' then begin
       let u = gateway d and v = gateway d' in
-      if not (Graph.has_edge g u v) then Graph.add_edge g u v intra_transit_ms
+      if u <> v && not (Graph.has_edge g u v) then
+        Graph.add_edge g u v intra_transit_ms
     end
   done;
-  if transit_domains > 2 then
-    for d = 0 to transit_domains - 1 do
-      let d' = Rng.int rng transit_domains in
-      if d <> d' then begin
-        let u = gateway d and v = gateway d' in
-        if u <> v && not (Graph.has_edge g u v) then
-          Graph.add_edge g u v intra_transit_ms
-      end
-    done;
   (* Stub domains: split the remaining nodes as evenly as possible. *)
   let remaining = n - core in
   let base_size = remaining / total_stub_domains in

@@ -6,10 +6,9 @@
     transit-stub links and 1 ms for intra-stub domain links", with i3
     servers assigned only to stub nodes (Sec. V).
 
-    The generator builds [transit_domains] transit domains of
-    [transit_nodes] routers each; every transit router hosts
-    [stubs_per_transit] stub domains whose sizes are chosen so the total
-    node count reaches [n]. *)
+    The generator builds 4 transit domains of 4 routers each; every
+    transit router hosts 3 stub domains whose sizes are chosen so the
+    total node count reaches [n]. *)
 
 type t = {
   graph : Graph.t;
@@ -17,18 +16,7 @@ type t = {
   stub : int array;  (** node ids of stub nodes *)
 }
 
-val generate :
-  Rng.t ->
-  n:int ->
-  ?transit_domains:int ->
-  ?transit_nodes:int ->
-  ?stubs_per_transit:int ->
-  ?intra_transit_ms:float ->
-  ?transit_stub_ms:float ->
-  ?intra_stub_ms:float ->
-  unit ->
-  t
-(** Build a connected transit-stub topology with [n] total nodes.
-    Defaults: 4 transit domains x 4 routers, 3 stub domains per router,
-    latencies 100/10/1 ms. @raise Invalid_argument if [n] is too small to
-    host the requested transit core. *)
+val generate : Rng.t -> n:int -> unit -> t
+(** Build a connected transit-stub topology with [n] total nodes and the
+    paper's latencies, 100/10/1 ms. @raise Invalid_argument if [n] is too
+    small to host the transit core and one node per stub domain (64). *)

@@ -5,7 +5,6 @@
 type t = {
   w : Member.world;
   mutable members : Member.t list;  (* newest first *)
-  protocol_config : Chord.Protocol.config;
   substrate : Koorde.Substrate.spec option;
   (* Membership epoch: bumped on join/kill/restart so the Koorde router
      below rebuilds its oracle lazily instead of on every packet. *)
@@ -22,10 +21,8 @@ let fast_protocol_config =
     rpc_timeout = 500.;
   }
 
-let create ?(seed = 1) ?server_config
-    ?(protocol_config = fast_protocol_config)
-    ?(metrics = Obs.Metrics.default) ?(tracer = Obs.Trace.disabled)
-    ?(spans = Obs.Trace.disabled) ?substrate () =
+let create ?(seed = 1) ?server_config ?(metrics = Obs.Metrics.default)
+    ?(tracer = Obs.Trace.disabled) ?(spans = Obs.Trace.disabled) ?substrate () =
   let w =
     Member.world ~seed ~latency:Member.flat_latency ?server_config ~metrics
       ~tracer ~spans ()
@@ -36,7 +33,6 @@ let create ?(seed = 1) ?server_config
   {
     w;
     members = [];
-    protocol_config;
     substrate;
     generation = 0;
     koorde_cache = None;
@@ -120,7 +116,7 @@ let spawn t ~id addr =
   in
   let node =
     I3.Engine.create ~seed:(Rng.bits62 t.w.rng) ~addr ~id ~join ~site
-      ?config:t.w.server_config ~chord_config:t.protocol_config
+      ?config:t.w.server_config ~chord_config:fast_protocol_config
       ~metrics:t.w.metrics ~tracer:t.w.tracer ~spans:t.w.spans ()
   in
   install_substrate t node;
@@ -170,4 +166,3 @@ let nth_server t i =
   | None -> invalid_arg "Dynamic.nth_server: no such server index"
 
 let net t = t.w.net
-let net_stats t = Net.stats t.w.net

@@ -27,7 +27,6 @@ type t
 val create :
   ?seed:int ->
   ?server_config:I3.Server.config ->
-  ?protocol_config:Chord.Protocol.config ->
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
   ?spans:Obs.Trace.t ->
@@ -35,9 +34,9 @@ val create :
   unit ->
   t
 (** An empty deployment.  Endpoints on one site talk at 0 ms, distinct
-    sites at 5 ms.  The default protocol config is sped up
-    (2 s stabilization) so tests converge in little virtual time; pass
-    [Chord.Protocol.default_config] for the paper's 30 s periods.
+    sites at 5 ms.  Members run Chord sped up from the paper's 30 s
+    periods (2 s stabilization, 1 s finger fixing over 64 fingers, 500 ms
+    RPC timeout) so runs converge in little virtual time.
     Counters — including the control ring's — register in [metrics]
     (default {!Obs.Metrics.default}); a live [tracer] turns on
     per-packet tracing on the data plane, every server and every host; a
@@ -119,5 +118,3 @@ val net : t -> string Net.t
 (** The one net: i3 and Chord frames share each member's endpoint, so a
     link fault on it hits both protocols at once, as on a real host. *)
 
-val net_stats : t -> Net.stats
-(** Drop/delivery accounting of the net, by fault cause. *)

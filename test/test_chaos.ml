@@ -43,6 +43,13 @@ let build ?server_config ~seed () =
   Transport.Dynamic.run_for d 60_000.;
   d
 
+(* The one net's [net.dropped] count for one fault cause. *)
+let net_dropped d cause =
+  Obs.Metrics.sum_counters (Transport.Dynamic.metrics d)
+    ~labels:
+      [ ("instance", Net.label (Transport.Dynamic.net d)); ("cause", cause) ]
+    "net.dropped"
+
 let probe_rng seed = Rng.create (Int64.of_int ((seed * 7919) + 13))
 
 let collect host =
@@ -200,7 +207,7 @@ let scenario_partition ~seed () =
     check_recovered ~what:"partition+heal" ~seed d probes ~fault_at
   in
   Alcotest.(check bool) "partition drops counted as such" true
-    ((Transport.Dynamic.net_stats d).Net.dropped_partition > 0);
+    (net_dropped d "partition" > 0);
   m
 
 (* --- scenario: kill the trigger's responsible server mid-refresh --- *)
@@ -297,7 +304,7 @@ let test_burst_during_stabilization () =
   let conv = Harness.Recovery.converges_within r ~budget:180_000. in
   Alcotest.(check bool) "converges once the burst lifts" true (conv <> None);
   Alcotest.(check bool) "burst drops counted as such" true
-    ((Transport.Dynamic.net_stats d).Net.dropped_burst > 0);
+    (net_dropped d "burst" > 0);
   let got = collect recv in
   let id = Transport.Host.new_private_id recv in
   Transport.Host.insert_trigger recv id;
@@ -361,7 +368,7 @@ let test_gray_link_between_successors () =
     ];
   Transport.Dynamic.run_for d 25_000.;
   Alcotest.(check bool) "gray drops counted as such" true
-    ((Transport.Dynamic.net_stats d).Net.dropped_gray > 0);
+    (net_dropped d "gray" > 0);
   Transport.Dynamic.run_for d 5_000.;
   ignore (check_recovered ~what:"gray link" ~seed d probes ~fault_at)
 

@@ -61,7 +61,11 @@ let test_sender_cache_over_dynamic_ring () =
       Alcotest.fail (Printf.sprintf "%d owners" (List.length owners)));
   let forwarded () =
     List.fold_left
-      (fun acc s -> acc + (I3.Server.stats s).I3.Server.data_forwarded)
+      (fun acc s ->
+        acc
+        + Obs.Metrics.sum_counters (Transport.Dynamic.metrics d)
+            ~labels:[ ("instance", I3.Server.instance_label s) ]
+            "i3.data_forwarded")
       0 (Transport.Dynamic.servers d)
   in
   let before = forwarded () in

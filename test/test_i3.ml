@@ -502,9 +502,17 @@ let collect host =
   Transport.Host.on_receive host (fun ~stack:_ ~payload -> log := payload :: !log);
   fun () -> List.rev !log
 
-let sum_stats d f =
-  Array.fold_left (fun acc s -> acc + f (I3.Server.stats s)) 0
-    (Transport.Deployment.servers d)
+(* One [i3.*] counter summed over every server of the deployment and
+   over its other labels (every drop cause, say). *)
+let sum_counter ?(labels = []) d name =
+  let metrics = Net.metrics (Transport.Deployment.net d) in
+  Array.fold_left
+    (fun acc s ->
+      acc
+      + Obs.Metrics.sum_counters metrics
+          ~labels:(("instance", I3.Server.instance_label s) :: labels)
+          name)
+    0 (Transport.Deployment.servers d)
 
 let test_e2e_rendezvous () =
   let d = deployment ~seed:11 ~n_servers:16 () in
@@ -524,7 +532,7 @@ let test_e2e_no_trigger_no_delivery () =
   Transport.Host.send send (Transport.Host.new_private_id send) "void";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "dropped at responsible server" 1
-    (sum_stats d (fun s -> s.I3.Server.drops))
+    (sum_counter d "i3.drops")
 
 let test_e2e_sender_cache () =
   let d = deployment ~seed:13 ~n_servers:32 () in
@@ -542,11 +550,11 @@ let test_e2e_sender_cache () =
   (match Transport.Host.cached_server_for send id with
   | Some a -> Alcotest.(check int) "caches responsible" (I3.Server.addr responsible) a
   | None -> Alcotest.fail "expected a cache entry");
-  let before = sum_stats d (fun s -> s.I3.Server.data_forwarded) in
+  let before = sum_counter d "i3.data_forwarded" in
   Transport.Host.send send id "b";
   Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "direct: zero overlay hops" before
-    (sum_stats d (fun s -> s.I3.Server.data_forwarded))
+    (sum_counter d "i3.data_forwarded")
 
 let test_e2e_cache_expires () =
   let cfg = { Transport.Host.default_config with Transport.Host.cache_ttl_ms = 1_000. } in
@@ -742,7 +750,7 @@ let test_e2e_failover_refresh_recovers_primary () =
 let test_e2e_failed_server_stops_sweeping () =
   let d = deployment ~seed:25 ~n_servers:8 () in
   let engine = Transport.Deployment.engine d in
-  let sweep = (I3.Server.config (Transport.Deployment.server d 0)).I3.Server.sweep_period in
+  let sweep = I3.Server.sweep_period in
   Transport.Deployment.run_for d sweep;
   let before = Sim.Engine.pending engine in
   Transport.Deployment.fail_server d 0;
@@ -790,7 +798,7 @@ let test_e2e_ttl_stops_loops () =
   Transport.Host.send h a "spin";
   Transport.Deployment.run_for d 60_000.;
   Alcotest.(check int) "loop terminated by ttl" 1
-    (sum_stats d (fun s -> s.I3.Server.drops))
+    (sum_counter d "i3.drops")
 
 let test_e2e_stack_depth_cap () =
   let d = deployment ~seed:26 ~n_servers:16 () in
@@ -823,7 +831,7 @@ let test_e2e_constraints_enforced () =
   Alcotest.(check int) "only the constrained one stored" 1
     (Transport.Deployment.total_triggers d);
   Alcotest.(check bool) "rejection counted" true
-    (sum_stats d (fun s -> s.I3.Server.inserts_rejected) >= 1)
+    (sum_counter d ~labels:[ ("result", "rejected") ] "i3.inserts" >= 1)
 
 let test_e2e_challenges () =
   let cfg = { I3.Server.default_config with I3.Server.challenge_hosts = true } in
@@ -835,7 +843,7 @@ let test_e2e_challenges () =
   Transport.Host.insert_trigger recv id;
   Transport.Deployment.run_for d 2_000.;
   Alcotest.(check bool) "challenge was issued" true
-    (sum_stats d (fun s -> s.I3.Server.challenges_sent) >= 1);
+    (sum_counter d "i3.challenges_sent" >= 1);
   Transport.Host.send send id "challenged";
   Transport.Deployment.run_for d 1_000.;
   Alcotest.(check (list string)) "legit host passes challenge" [ "challenged" ]
@@ -873,7 +881,7 @@ let test_e2e_pushback () =
   Alcotest.(check int) "dead-end trigger pushed back" 0
     (Transport.Deployment.total_triggers d);
   Alcotest.(check int) "one pushback" 1
-    (sum_stats d (fun s -> s.I3.Server.pushbacks_sent))
+    (sum_counter d "i3.pushbacks_sent")
 
 let test_e2e_hot_spot_cache () =
   let cfg =
@@ -907,7 +915,10 @@ let test_e2e_hot_spot_cache () =
   I3.Server.handle_packet pred_server p;
   Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "cache hit recorded" 1
-    (I3.Server.stats pred_server).I3.Server.cache_hits
+    (Obs.Metrics.sum_counters
+       (Net.metrics (Transport.Deployment.net d))
+       ~labels:[ ("instance", I3.Server.instance_label pred_server) ]
+       "i3.cache_hits")
 
 let test_e2e_addr_head_is_plain_ip () =
   (* A stack whose head is already an address bypasses the overlay
@@ -920,7 +931,7 @@ let test_e2e_addr_head_is_plain_ip () =
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "delivered" [ "direct-ip" ] (got ());
   Alcotest.(check int) "no server touched" 0
-    (sum_stats d (fun s -> s.I3.Server.data_received))
+    (sum_counter d "i3.data_received")
 
 let test_e2e_trigger_rewrite_carries_rest_of_stack () =
   (* After a trigger fires, the receiver sees the rest of the packet's

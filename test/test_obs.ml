@@ -103,6 +103,14 @@ let test_snapshot_and_find () =
   | _ -> Alcotest.fail "find z.c{i=a} = Counter 7");
   Alcotest.(check bool) "find miss" true
     (Obs.Metrics.find reg "nope" = None);
+  let d = Obs.Metrics.counter reg ~labels:[ ("i", "b"); ("k", "x") ] "z.c" in
+  Obs.Metrics.incr ~by:2 d;
+  Alcotest.(check (list int)) "sum_counters over label supersets" [ 9; 2; 0 ]
+    [
+      Obs.Metrics.sum_counters reg "z.c";
+      Obs.Metrics.sum_counters reg ~labels:[ ("i", "b") ] "z.c";
+      Obs.Metrics.sum_counters reg "a.g";
+    ];
   Obs.Metrics.reset reg;
   Alcotest.(check int) "reset zeroes" 0 (Obs.Metrics.counter_value c)
 
@@ -359,11 +367,6 @@ let test_series_windows () =
     (Option.get (Obs.Series.delta_over s ~now:500. ~window_ms:200.));
   feq "rate over [300,500]" 45.
     (Option.get (Obs.Series.rate_per_sec s ~now:500. ~window_ms:200.));
-  (match Obs.Series.min_max_over s ~now:500. ~window_ms:200. with
-  | Some (lo, hi) ->
-      feq "min in window" 6. lo;
-      feq "max in window" 15. hi
-  | None -> Alcotest.fail "window should not be empty");
   Alcotest.(check bool) "delta needs two points" true
     (Obs.Series.delta_over s ~now:500. ~window_ms:50. = None)
 
@@ -590,60 +593,29 @@ let test_probe_ignores_non_numeric_seq () =
     (Invalid_argument "Obs.Probe.create: duplicate flow f") (fun () ->
       ignore (Obs.Probe.create ~metrics:reg ~name:"f" ~now:0.))
 
-let test_health_stable_rule_and_validation () =
+let test_health_rule_validation () =
   let reg = Obs.Metrics.create () in
-  let stable =
-    {
-      Obs.Health.rule = "ring-stable";
-      signal = Obs.Health.Latest { metric = "t.g"; labels = [] };
-      bound = Obs.Health.Stable_within { eps = 0.5; window_ms = 1_000. };
-    }
+  let rejected bound =
+    try
+      ignore
+        (Obs.Health.create
+           ~rules:
+             [
+               {
+                 Obs.Health.rule = "bad";
+                 signal = Obs.Health.Latest { metric = "x"; labels = [] };
+                 bound;
+               };
+             ]
+           reg);
+      false
+    with Invalid_argument _ -> true
   in
-  let h = Obs.Health.create ~rules:[ stable ] reg in
-  let g = Obs.Metrics.gauge reg "t.g" in
-  Obs.Metrics.set g 3.;
-  ignore (Obs.Health.scrape h ~time:0.);
-  Obs.Metrics.set g 3.2;
-  ignore (Obs.Health.scrape h ~time:500.);
-  Alcotest.(check string) "within eps" "ok"
-    (Obs.Health.verdict_to_string (Obs.Health.overall (Obs.Health.last h)));
-  Obs.Metrics.set g 9.;
-  ignore (Obs.Health.scrape h ~time:900.);
-  Alcotest.(check string) "jump breaks stability" "violated"
-    (Obs.Health.verdict_to_string (Obs.Health.overall (Obs.Health.last h)));
   (* malformed rules are rejected at create *)
   Alcotest.(check bool) "inverted At_least rejected" true
-    (try
-       ignore
-         (Obs.Health.create
-            ~rules:
-              [
-                {
-                  Obs.Health.rule = "bad";
-                  signal = Obs.Health.Latest { metric = "x"; labels = [] };
-                  bound = Obs.Health.At_least { ok = 0.1; degraded = 0.9 };
-                };
-              ]
-            reg);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "Stable_within over Rate rejected" true
-    (try
-       ignore
-         (Obs.Health.create
-            ~rules:
-              [
-                {
-                  Obs.Health.rule = "bad";
-                  signal =
-                    Obs.Health.Rate
-                      { metric = "x"; labels = []; window_ms = 100. };
-                  bound = Obs.Health.Stable_within { eps = 1.; window_ms = 100. };
-                };
-              ]
-            reg);
-       false
-     with Invalid_argument _ -> true)
+    (rejected (Obs.Health.At_least { ok = 0.1; degraded = 0.9 }));
+  Alcotest.(check bool) "inverted At_most rejected" true
+    (rejected (Obs.Health.At_most { ok = 0.9; degraded = 0.1 }))
 
 let test_health_missing_data_is_ok () =
   let reg = Obs.Metrics.create () in
@@ -913,7 +885,7 @@ let test_health_ingest_and_shared_store () =
 
 let test_scrape_state_machine () =
   let scr =
-    Obs.Scrape.create ~interval_ms:100. ~timeout_ms:50. ~prefix:"" ~drain:true
+    Obs.Scrape.create ~interval_ms:100. ~timeout_ms:50.
       [
         { Obs.Scrape.addr = 1; instance = "a" };
         { Obs.Scrape.addr = 2; instance = "b" };
@@ -1020,8 +992,8 @@ let () =
         [
           Alcotest.test_case "verdict transitions and episodes" `Quick
             test_health_verdict_transitions;
-          Alcotest.test_case "stable rule and validation" `Quick
-            test_health_stable_rule_and_validation;
+          Alcotest.test_case "rule validation" `Quick
+            test_health_rule_validation;
           Alcotest.test_case "missing data is ok" `Quick
             test_health_missing_data_is_ok;
         ] );

@@ -99,6 +99,19 @@ let test_engine_step () =
 
 (* --- Net --- *)
 
+(* One of the net's counters, read from its registry by its instance
+   label: [net.sent], [net.delivered], [net.duplicated]. *)
+let count net name =
+  Obs.Metrics.sum_counters (Net.metrics net)
+    ~labels:[ ("instance", Net.label net) ]
+    name
+
+(* The net's [net.dropped] count for one cause. *)
+let dropped net cause =
+  Obs.Metrics.sum_counters (Net.metrics net)
+    ~labels:[ ("instance", Net.label net); ("cause", cause) ]
+    "net.dropped"
+
 let mk_net ?(latency = fun _ _ -> 10.) () =
   let e = Engine.create () in
   let net = Net.create e ~rng:(Rng.create 1L) ~latency () in
@@ -139,8 +152,7 @@ let test_net_down_endpoint () =
   Net.send net ~src:a ~dst:b "y";
   Engine.run e;
   Alcotest.(check int) "delivered after revive" 1 !got;
-  let st = Net.stats net in
-  Alcotest.(check int) "dropped_down" 1 st.Net.dropped_down
+  Alcotest.(check int) "dropped_down" 1 (dropped net "down")
 
 let test_net_down_sender () =
   let e, net = mk_net () in
@@ -175,8 +187,7 @@ let test_net_loss () =
   done;
   Engine.run e;
   Alcotest.(check bool) "roughly half lost" true (!got > 350 && !got < 650);
-  let st = Net.stats net in
-  Alcotest.(check int) "conservation" 1000 (st.Net.delivered + st.Net.dropped_loss)
+  Alcotest.(check int) "conservation" 1000 (count net "net.delivered" + dropped net "loss")
 
 let test_net_loss_bad_rate () =
   let _, net = mk_net () in
@@ -199,7 +210,7 @@ let test_net_blackhole () =
   done;
   Engine.run e;
   Alcotest.(check int) "nothing delivered" 0 !got;
-  Alcotest.(check int) "all counted as loss" 50 (Net.stats net).Net.dropped_loss;
+  Alcotest.(check int) "all counted as loss" 50 (dropped net "loss");
   Net.apply net (Faults.Loss 0.);
   Net.send net ~src:a ~dst:b "y";
   Engine.run e;
@@ -232,9 +243,8 @@ let test_net_tap_and_stats () =
   Net.send net ~src:b ~dst:a "y";
   Engine.run e;
   Alcotest.(check int) "tap saw both" 2 !tapped;
-  let st = Net.stats net in
-  Alcotest.(check int) "sent" 2 st.Net.sent;
-  Alcotest.(check int) "delivered" 2 st.Net.delivered;
+  Alcotest.(check int) "sent" 2 (count net "net.sent");
+  Alcotest.(check int) "delivered" 2 (count net "net.delivered");
   Alcotest.(check int) "endpoints" 2 (Net.endpoint_count net)
 
 let test_net_unknown_addr () =
@@ -277,7 +287,7 @@ let test_net_partition_and_heal () =
   Engine.run e;
   Alcotest.(check int) "only the inside message arrives" 1 !got;
   Alcotest.(check int) "drop counted as partition" 1
-    (Net.stats net).Net.dropped_partition;
+    (dropped net "partition");
   Net.apply net Faults.Heal;
   Net.send net ~src:a ~dst:c "after heal";
   Engine.run e;
@@ -310,7 +320,7 @@ let test_net_gray_link_one_way () =
   Engine.run e;
   Alcotest.(check int) "a->b dropped" 0 !at_b;
   Alcotest.(check int) "b->a still works" 1 !at_a;
-  Alcotest.(check int) "counted as gray" 1 (Net.stats net).Net.dropped_gray;
+  Alcotest.(check int) "counted as gray" 1 (dropped net "gray");
   Net.apply net (Faults.Gray_heal { from_site = 0; to_site = 1 });
   Net.send net ~src:a ~dst:b "a->b again";
   Engine.run e;
@@ -328,7 +338,7 @@ let test_net_burst_loss_extremes () =
   done;
   Engine.run e;
   Alcotest.(check int) "all dropped in Bad state" 0 !got;
-  Alcotest.(check int) "counted as burst" 20 (Net.stats net).Net.dropped_burst;
+  Alcotest.(check int) "counted as burst" 20 (dropped net "burst");
   Net.apply net Faults.Burst_end;
   Net.send net ~src:a ~dst:b "y";
   Engine.run e;
@@ -343,9 +353,9 @@ let test_net_burst_loss_bursty () =
   let b = Net.register net ~site:1 (fun ~src:_ _ -> ()) in
   Net.apply net (Faults.Burst_loss { p_enter = 0.05; p_exit = 0.25; loss_bad = 1. });
   for _ = 1 to 2000 do
-    let before = (Net.stats net).Net.dropped_burst in
+    let before = dropped net "burst" in
     Net.send net ~src:a ~dst:b "x";
-    log := ((Net.stats net).Net.dropped_burst = before) :: !log
+    log := (dropped net "burst" = before) :: !log
   done;
   Engine.run e;
   let outcomes = Array.of_list (List.rev !log) in
@@ -371,9 +381,8 @@ let test_net_duplication () =
   done;
   Engine.run e;
   Alcotest.(check int) "every message delivered twice" 20 !got;
-  let st = Net.stats net in
-  Alcotest.(check int) "duplicates counted" 10 st.Net.duplicated;
-  Alcotest.(check int) "delivered counts copies" 20 st.Net.delivered
+  Alcotest.(check int) "duplicates counted" 10 (count net "net.duplicated");
+  Alcotest.(check int) "delivered counts copies" 20 (count net "net.delivered")
 
 let test_net_jitter_and_spike () =
   let e, net = mk_net ~latency:(fun _ _ -> 10.) () in
@@ -461,9 +470,8 @@ let test_faults_schedule_drives_net () =
   (* delivered *)
   Engine.run e;
   Alcotest.(check int) "schedule toggled faults on time" 3 !got;
-  let st = Net.stats net in
-  Alcotest.(check int) "one partition drop" 1 st.Net.dropped_partition;
-  Alcotest.(check int) "one loss drop" 1 st.Net.dropped_loss
+  Alcotest.(check int) "one partition drop" 1 (dropped net "partition");
+  Alcotest.(check int) "one loss drop" 1 (dropped net "loss")
 
 let test_faults_crash_restart_callbacks () =
   let e, net = mk_net () in

@@ -131,7 +131,7 @@ let test_plrg_connected_and_sized () =
   Alcotest.(check bool) "enough edges" true (G.edge_count g >= 499)
 
 let test_plrg_delays_in_range () =
-  let g = Topology.Plrg.generate (Rng.create 7L) ~n:300 ~delay_lo:5. ~delay_hi:100. () in
+  let g = Topology.Plrg.generate (Rng.create 7L) ~n:300 () in
   let ok = ref true in
   for u = 0 to 299 do
     G.iter_neighbors g u (fun _ w -> if w < 2.5 || w > 100. then ok := false)
