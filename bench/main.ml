@@ -1,224 +1,9 @@
-(* Benchmark harness regenerating every table and figure of the paper's
-   evaluation (Sec. V). One run prints:
-
-     [trigger-insertion]  mean/stddev of a local insert (paper: 12.5 us
-                          avg, 7.12 us stddev) and the derived max trigger
-                          capacity per server;
-     [fig10]  per-packet forwarding overhead vs. payload size;
-     [fig11]  per-packet routing overhead vs. number of i3 nodes
-              (finger table + an all-servers cache scanned as a list, as
-              in the prototype);
-     [fig12]  forwarding throughput, packets/s and user Mb/s vs. payload;
-     [fig8]   90th-percentile latency stretch vs. trigger samples, PLRG and
-              transit-stub;
-     [fig9]   90th-percentile first-packet stretch vs. number of servers
-              for default Chord and the two proximity heuristics;
-     [scalability]  the Sec. VII back-of-the-envelope table.
-
-   The microbenchmarks (Figs. 10/11 + insertion) are hand-timed loops
-   on a warm heap, as a daemon runs; the simulations print their series
-   directly.  Default parameters are scaled down so the whole run
-   finishes in a few minutes; set I3_SCALE=paper for the paper's full
-   scale (5000-node topologies, 2^14..2^15 servers, 1000
-   measurements). *)
-
-let paper_scale =
-  match Sys.getenv_opt "I3_SCALE" with Some "paper" -> true | _ -> false
-
-let payload_sizes = [ 0; 64; 128; 256; 512; 1024; 2048; 4096 ]
-let route_sizes = [ 2; 4; 8; 16; 32 ]
-
-let ns_pp ns =
-  if ns >= 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-  else if ns >= 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-  else Printf.sprintf "%8.1f ns" ns
-
-(* --- microbenchmarks (Figs. 10, 11 and the insertion numbers) --- *)
-
-let section_micro () =
-  print_endline "=== microbenchmarks (time per op, warm heap) ===";
-  print_endline
-    "paper expectations: insertion ~constant (prefix hash table); forwarding cost";
-  print_endline
-    "grows ~linearly with payload (Fig. 10); routing cost grows ~linearly";
-  print_endline "with the number of known nodes (Fig. 11, linear finger list).";
-  let row name env =
-    let ns, _ = Eval.Microbench.time_per_iter_ns env () in
-    Printf.printf "  %-22s %s\n" name (ns_pp ns)
-  in
-  row "insert" (Eval.Microbench.insert_env ~seed:1 ());
-  List.iter
-    (fun payload ->
-      row
-        (Printf.sprintf "forward/%04dB" payload)
-        (Eval.Microbench.forward_env ~payload ~seed:1 ()))
-    payload_sizes;
-  List.iter
-    (fun n ->
-      row
-        (Printf.sprintf "route/%02dnodes" n)
-        (Eval.Microbench.route_env ~n_nodes:n ~seed:1 ()))
-    route_sizes;
-  print_newline ();
-  (* Paper-style mean/stddev for trigger insertion + derived capacity. *)
-  let env = Eval.Microbench.insert_env ~seed:2 () in
-  let mean_ns, stdev_ns = Eval.Microbench.time_per_iter_ns env () in
-  Printf.printf
-    "[trigger-insertion] mean=%.2f us stdev=%.2f us (paper: 12.5 / 7.12 us)\n"
-    (mean_ns /. 1e3) (stdev_ns /. 1e3);
-  Printf.printf
-    "  -> max triggers one server sustains at a 30 s refresh period: %.3g\n\n"
-    (Eval.Report.insertion_capacity ~insert_ns:mean_ns ~refresh_s:30.)
-
-(* --- Fig. 12: throughput --- *)
-
-let section_fig12 () =
-  print_endline "=== fig12: forwarding throughput vs. payload ===";
-  print_endline
-    "paper shape: packets/s falls with payload; user Mb/s rises with payload.";
-  let rows =
-    List.map
-      (fun payload ->
-        let t = Eval.Microbench.throughput ~payload ~seed:3 () in
-        [
-          string_of_int payload;
-          Printf.sprintf "%.0f" t.Eval.Microbench.packets_per_sec;
-          Printf.sprintf "%.2f" t.Eval.Microbench.user_mbps;
-        ])
-      payload_sizes
-  in
-  Eval.Report.table ~title:"throughput"
-    ~header:[ "payload (B)"; "packets/s"; "user Mb/s" ]
-    rows
-
-(* --- Fig. 8 --- *)
-
-let fig8_params kind =
-  if paper_scale then Eval.Latency_stretch.default_params kind
-  else
-    {
-      (Eval.Latency_stretch.default_params kind) with
-      Eval.Latency_stretch.topo_nodes = 1000;
-      n_servers = 1 lsl 11;
-      measurements = 300;
-      sample_counts = [ 1; 2; 4; 8; 16; 32 ];
-    }
-
-let section_fig8 () =
-  print_endline
-    "=== fig8: 90th-percentile latency stretch vs. trigger samples ===";
-  print_endline
-    "paper shape: stretch falls with samples and saturates by 16-32 samples.";
-  List.iter
-    (fun kind ->
-      let p = fig8_params kind in
-      let pts = Eval.Latency_stretch.run p in
-      let rows =
-        List.map
-          (fun pt ->
-            [
-              string_of_int pt.Eval.Latency_stretch.samples;
-              Printf.sprintf "%.2f" pt.Eval.Latency_stretch.p90;
-              Printf.sprintf "%.2f" pt.Eval.Latency_stretch.p50;
-              Printf.sprintf "%.2f" pt.Eval.Latency_stretch.mean;
-            ])
-          pts
-      in
-      Eval.Report.table
-        ~title:
-          (Printf.sprintf "fig8 %s (%d nodes, %d servers, %d pairs)"
-             (Topology.Model.kind_to_string kind)
-             p.Eval.Latency_stretch.topo_nodes p.Eval.Latency_stretch.n_servers
-             p.Eval.Latency_stretch.measurements)
-        ~header:[ "samples"; "p90 stretch"; "p50 stretch"; "mean" ]
-        rows)
-    [ Topology.Model.Plrg; Topology.Model.Transit_stub ]
-
-(* --- Fig. 9 --- *)
-
-let fig9_params kind =
-  if paper_scale then Eval.Proximity_routing.default_params kind
-  else
-    {
-      (Eval.Proximity_routing.default_params kind) with
-      Eval.Proximity_routing.topo_nodes = 1000;
-      server_counts = [ 1 lsl 8; 1 lsl 10; 1 lsl 12 ];
-      queries = 300;
-    }
-
-let section_fig9 () =
-  print_endline
-    "=== fig9: 90th-percentile first-packet stretch vs. number of servers ===";
-  print_endline
-    "paper shape: closest-finger-replica and closest-finger-set cut the";
-  print_endline
-    "90th-percentile stretch 2-3x versus default Chord; the extra";
-  print_endline
-    "prefix-pns series is the Sec. VII Pastry-style substrate, expected";
-  print_endline "to do better still on first-packet latency.";
-  List.iter
-    (fun kind ->
-      let p = fig9_params kind in
-      let pts =
-        Eval.Proximity_routing.run
-          ~specs:(Eval.Proximity_routing.policies_for ~replicas:10)
-          p
-      in
-      let rows =
-        List.map
-          (fun pt ->
-            [
-              string_of_int pt.Eval.Proximity_routing.n_servers;
-              Koorde.Substrate.label pt.Eval.Proximity_routing.spec;
-              Printf.sprintf "%.2f" pt.Eval.Proximity_routing.p90;
-              Printf.sprintf "%.2f" pt.Eval.Proximity_routing.p50;
-              Printf.sprintf "%.1f" pt.Eval.Proximity_routing.mean_hops;
-            ])
-          pts
-      in
-      Eval.Report.table
-        ~title:
-          (Printf.sprintf "fig9 %s (%d nodes, %d queries)"
-             (Topology.Model.kind_to_string kind)
-             p.Eval.Proximity_routing.topo_nodes
-             p.Eval.Proximity_routing.queries)
-        ~header:[ "N servers"; "policy"; "p90 stretch"; "p50"; "mean hops" ]
-        rows)
-    [ Topology.Model.Plrg; Topology.Model.Transit_stub ]
-
-(* --- ablations of the paper's design mechanisms --- *)
-
-let section_ablations () =
-  print_endline "=== ablations (mechanism on vs. off) ===";
-  let c = Eval.Ablations.sender_cache () in
-  Printf.printf
-    "  sender cache (Sec. IV-E):    %.2f servers/packet with cache, %.2f without\n"
-    c.Eval.Ablations.hops_with_cache c.Eval.Ablations.hops_without_cache;
-  let r = Eval.Ablations.replication () in
-  Printf.printf
-    "  replication (Sec. IV-C):     %d/%d packets survive the failure window with mirroring, %d/%d without\n"
-    r.Eval.Ablations.delivered_with r.Eval.Ablations.attempts
-    r.Eval.Ablations.delivered_without r.Eval.Ablations.attempts;
-  let k = Eval.Ablations.constraints () in
-  Printf.printf
-    "  constraints (Sec. IV-J1):    insert admission %.2f us checked vs %.2f us unchecked\n"
-    (k.Eval.Ablations.ns_with_check /. 1e3)
-    (k.Eval.Ablations.ns_without_check /. 1e3);
-  let ch = Eval.Ablations.challenges () in
-  Printf.printf
-    "  challenges (Sec. IV-J3):     insert->ack %.1f ms challenged vs %.1f ms direct (one extra RTT)\n\n"
-    ch.Eval.Ablations.ack_ms_with ch.Eval.Ablations.ack_ms_without
-
-(* --- Sec. VII scalability --- *)
-
-let section_scalability () =
-  print_endline "=== scalability back-of-the-envelope (Sec. VII) ===";
-  let rows =
-    Eval.Report.scalability_rows ~hosts:1e9 ~triggers_per_host:10. ~servers:1e5
-      ~refresh_s:30.
-  in
-  List.iter (fun (k, v) -> Printf.printf "  %-26s %s\n" k v) rows;
-  print_endline "  (paper: 10^5 triggers and ~3300 refreshes/s per server)\n"
+(* Benchmark harness writing BENCH_i3.json: seven sections (observability,
+   trigger_table, control_plane, codec, engine, scrape, substrate) whose
+   deterministic metrics bench_gate compares against bench/baseline.json.
+   I3_BENCH_SMOKE=1 runs every section at CI scale; I3_BENCH_OUT names
+   the output file.  The paper's figures and tables are printed by
+   bin/i3_sim (fig8, fig9, micro, ablations, bakeoff, scale), not here. *)
 
 (* --- observability: traced end-to-end run -> BENCH_i3.json --- *)
 
@@ -271,9 +56,9 @@ let trigger_table_rates () =
   in
   (insert_rate, match_rate)
 
-(* Per-probe match latency with a large resident set: the tentpole claim
-   is flat p99 at 10^6 triggers, so each [find_matches]
-   is timed individually with the ns monotonic clock and the tail is
+(* Per-probe match latency with a large resident set: p99 at 10^6
+   triggers is the number to watch, so each [find_matches] is timed
+   individually with the ns monotonic clock and the tail is
    reported — a throughput mean would hide exactly the latency spikes a
    wholesale-scan structure produces.  Smoke mode shrinks the resident
    set but keeps the same JSON keys; the [mode] field at the top of
@@ -338,8 +123,9 @@ let section_control_plane () =
   let metrics = Obs.Metrics.create () in
   (* Room for every operation event of the run: [durations_ms] skips an
      operation whose opening event was evicted, and the gated
-     percentiles are over all of them. *)
-  let capacity = 1 lsl 16 in
+     percentiles are over all of them.  The full-scale run records about
+     270k events. *)
+  let capacity = 1 lsl 19 in
   let spans = Obs.Trace.create ~capacity () in
   let d = Transport.Dynamic.create ~seed:9 ~metrics ~spans () in
   for i = 0 to n_servers - 1 do
@@ -875,8 +661,7 @@ let section_substrate () =
   print_endline "=== substrate bakeoff: chord variants vs koorde ===";
   let base = Eval.Bakeoff.default_params Topology.Model.Transit_stub in
   let p =
-    if paper_scale then base
-    else if smoke then
+    if smoke then
       {
         base with
         Eval.Bakeoff.topo_nodes = 600;
@@ -888,58 +673,24 @@ let section_substrate () =
       { base with Eval.Bakeoff.topo_nodes = 1200; n_servers = 10_000; queries = 300 }
   in
   let pts = Eval.Bakeoff.run ~progress:(Printf.printf "  %s\n%!") p in
-  Eval.Report.table
-    ~title:
-      (Printf.sprintf "bakeoff transit-stub (%d servers, %d queries)"
-         p.Eval.Bakeoff.n_servers p.Eval.Bakeoff.queries)
-    ~header:Eval.Bakeoff.header (Eval.Bakeoff.rows pts);
   [ ("substrate", Eval.Bakeoff.to_json p pts) ]
 
-let write_bench_json fields =
-  let json =
-    Json.Obj
-      ([
-         ("schema", Json.String "i3-bench/2");
-         ( "mode",
-           Json.String
-             (if smoke then "smoke"
-              else if paper_scale then "paper"
-              else "reduced") );
-         ("generated_at_unix", Json.Float (Unix.gettimeofday ()));
-       ]
-      @ fields)
-  in
-  Json.to_file ~path:bench_out json;
-  Printf.printf "  wrote %s\n\n" bench_out
-
 let () =
-  Printf.printf "i3 reproduction benchmarks (%s%s scale)\n\n"
-    (if smoke then "smoke, " else "")
-    (if paper_scale then "paper" else "reduced");
-  if smoke then begin
-    let obs = section_observability () in
-    let tt = section_trigger_table () in
-    let ctl = section_control_plane () in
-    let codec = section_codec () in
-    let eng = section_engine () in
-    let scrape = section_scrape () in
-    let sub = section_substrate () in
-    write_bench_json (obs @ tt @ ctl @ codec @ eng @ scrape @ sub)
-  end
-  else begin
-    section_micro ();
-    section_fig12 ();
-    section_ablations ();
-    section_scalability ();
-    let obs = section_observability () in
-    let tt = section_trigger_table () in
-    let ctl = section_control_plane () in
-    let codec = section_codec () in
-    let eng = section_engine () in
-    let scrape = section_scrape () in
-    let sub = section_substrate () in
-    write_bench_json (obs @ tt @ ctl @ codec @ eng @ scrape @ sub);
-    section_fig8 ();
-    section_fig9 ()
-  end;
-  print_endline "done."
+  let mode = if smoke then "smoke" else "reduced" in
+  Printf.printf "i3 reproduction benchmarks (%s scale)\n\n" mode;
+  let obs = section_observability () in
+  let tt = section_trigger_table () in
+  let ctl = section_control_plane () in
+  let codec = section_codec () in
+  let eng = section_engine () in
+  let scrape = section_scrape () in
+  let sub = section_substrate () in
+  Json.to_file ~path:bench_out
+    (Json.Obj
+       ([
+          ("schema", Json.String "i3-bench/2");
+          ("mode", Json.String mode);
+          ("generated_at_unix", Json.Float (Unix.gettimeofday ()));
+        ]
+       @ obs @ tt @ ctl @ codec @ eng @ scrape @ sub));
+  Printf.printf "  wrote %s\n" bench_out

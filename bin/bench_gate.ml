@@ -21,7 +21,7 @@ let () =
       ("--current", Arg.Set_string current, "fresh bench JSON (default BENCH_i3.json)");
       ( "--allow-mode-mismatch",
         Arg.Set allow_mode,
-        "compare across smoke/reduced/paper modes anyway" );
+        "compare across smoke/reduced modes anyway" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
     usage;
@@ -48,7 +48,7 @@ let () =
           (if !allow_mode then "warn" else "FAIL")
           bm cm
           (if !allow_mode then " (overridden)"
-           else " — rerun with matching I3_BENCH_SMOKE / I3_SCALE");
+           else " — rerun with matching I3_BENCH_SMOKE");
         !allow_mode
   in
   let results =

@@ -1,13 +1,18 @@
-(* i3_sim: command-line driver for full-scale experiment runs.
+(* i3_sim: the one driver for the paper's figures and tables.
 
    Subcommands:
-     fig8     latency stretch vs. trigger samples (paper Fig. 8)
-     fig9     proximity routing stretch vs. system size (paper Fig. 9)
-     bakeoff  substrate race: chord variants vs koorde, hops/stretch/state
-     micro    trigger insertion / forwarding / routing / throughput (Sec. V-D)
-     scale    the Sec. VII scalability arithmetic
+     fig8       latency stretch vs. trigger samples (paper Fig. 8)
+     fig9       proximity routing stretch vs. system size (paper Fig. 9)
+     bakeoff    substrate race: chord variants vs koorde, hops/stretch/state
+     micro      trigger insertion / forwarding / routing / throughput
+                (Sec. V-D, Figs. 10-12)
+     ablations  each design mechanism on vs. off (Secs. IV-C, IV-E, IV-J)
+     scale      the Sec. VII scalability arithmetic
+     health     the health monitor over a chaos scenario
 
-   Every run is deterministic under --seed and can dump CSV for plotting. *)
+   Flag defaults are the paper's scale, read from each experiment's
+   [default_params].  Every simulation is deterministic under --seed and
+   can dump CSV for plotting. *)
 
 open Cmdliner
 
@@ -49,10 +54,8 @@ let kind_arg =
     & info [ "t"; "topology" ] ~docv:"KIND"
         ~doc:"Topology kind: plrg or transit-stub. Default: both in sequence.")
 
-let nodes_arg =
-  Arg.(
-    value & opt int 5000
-    & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Topology size (paper: 5000).")
+let nodes_arg default =
+  Arg.(value & opt int default & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Topology size.")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -67,10 +70,20 @@ let json_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "json" ] ~docv:"PATH"
-        ~doc:"Also write the series as a JSON array of objects.")
+    & info [ "json" ] ~docv:"PATH" ~doc:"Also write the results as JSON.")
 
 let progress msg = Printf.eprintf "# %s\n%!" msg
+
+(* Run [sink path] when a path was given, and say so. *)
+let write sink =
+  Option.iter (fun path ->
+      sink path;
+      progress (Printf.sprintf "wrote %s" path))
+
+let table title rows =
+  print_endline title;
+  Obs.Sink.aligned_table rows;
+  print_newline ()
 
 let kinds = function
   | Some k -> [ k ]
@@ -78,77 +91,74 @@ let kinds = function
 
 (* --- fig8 --- *)
 
+let fig8_default = Eval.Latency_stretch.default_params Topology.Model.Plrg
+
 let run_fig8 kind nodes servers measurements samples seed csv json substrate =
   let header = "topology" :: Eval.Latency_stretch.header in
-  let all_rows = ref [] in
   Option.iter
     (fun s ->
       progress
         (Printf.sprintf "first-packet path routed over %s"
            (Koorde.Substrate.label s)))
     substrate;
-  List.iter
-    (fun kind ->
-      let p =
-        {
-          Eval.Latency_stretch.kind;
-          topo_nodes = nodes;
-          n_servers = servers;
-          measurements;
-          sample_counts = samples;
-          seed;
-        }
-      in
-      let pts = Eval.Latency_stretch.run ~progress ?substrate p in
-      let rows =
-        List.map
-          (fun row -> Topology.Model.kind_to_string kind :: row)
-          (Eval.Latency_stretch.rows pts)
-      in
-      all_rows := !all_rows @ rows;
-      Eval.Report.table
-        ~title:(Printf.sprintf "fig8 %s" (Topology.Model.kind_to_string kind))
-        ~header rows)
-    kind;
-  Option.iter
-    (fun path ->
-      Eval.Report.csv ~path ~header !all_rows;
-      progress (Printf.sprintf "wrote %s" path))
-    csv;
-  Option.iter
-    (fun path ->
-      Eval.Report.json ~path ~header !all_rows;
-      progress (Printf.sprintf "wrote %s" path))
-    json
+  let rows =
+    List.concat_map
+      (fun kind ->
+        let p =
+          {
+            Eval.Latency_stretch.kind;
+            topo_nodes = nodes;
+            n_servers = servers;
+            measurements;
+            sample_counts = samples;
+            seed;
+          }
+        in
+        let pts = Eval.Latency_stretch.run ~progress ?substrate p in
+        let rows =
+          List.map
+            (fun row -> Topology.Model.kind_to_string kind :: row)
+            (Eval.Latency_stretch.rows pts)
+        in
+        table
+          (Printf.sprintf "fig8 %s" (Topology.Model.kind_to_string kind))
+          (header :: rows);
+        rows)
+      kind
+  in
+  write (fun path -> Eval.Report.csv ~path ~header rows) csv;
+  write (fun path -> Eval.Report.json ~path ~header rows) json
 
 let fig8_cmd =
   let servers =
     Arg.(
-      value & opt int (1 lsl 14)
-      & info [ "servers" ] ~docv:"N" ~doc:"Number of i3 servers (paper: 2^14).")
+      value
+      & opt int fig8_default.n_servers
+      & info [ "servers" ] ~docv:"N" ~doc:"Number of i3 servers.")
   in
   let measurements =
     Arg.(
-      value & opt int 1000
+      value
+      & opt int fig8_default.measurements
       & info [ "measurements" ] ~docv:"N"
-          ~doc:"Sender/receiver pairs per point (paper: 1000).")
+          ~doc:"Sender/receiver pairs per point.")
   in
   let samples =
     Arg.(
       value
-      & opt (list int) [ 1; 2; 4; 8; 16; 32; 64 ]
+      & opt (list int) fig8_default.sample_counts
       & info [ "samples" ] ~docv:"LIST" ~doc:"Sample counts to evaluate.")
   in
   let doc = "Latency stretch vs. number of trigger samples (Fig. 8)." in
   Cmd.v (Cmd.info "fig8" ~doc)
     Term.(
-      const (fun kind nodes servers measurements samples seed csv json substrate ->
-          run_fig8 (kinds kind) nodes servers measurements samples seed csv json
-            substrate)
-      $ kind_arg $ nodes_arg $ servers $ measurements $ samples $ seed_arg
-      $ csv_arg $ json_arg $ substrate_arg)
+      const (fun kind -> run_fig8 (kinds kind))
+      $ kind_arg $ nodes_arg fig8_default.topo_nodes $ servers $ measurements
+      $ samples $ seed_arg $ csv_arg $ json_arg $ substrate_arg)
 
 (* --- fig9 --- *)
+
+let fig9_default = Eval.Proximity_routing.default_params Topology.Model.Plrg
 
 let run_fig9 kind nodes server_counts queries replicas seed csv substrates =
   let specs =
@@ -156,57 +166,51 @@ let run_fig9 kind nodes server_counts queries replicas seed csv substrates =
     | [] -> Eval.Proximity_routing.policies_for ~replicas
     | l -> l
   in
-  let all_rows = ref [] in
-  List.iter
-    (fun kind ->
-      let p =
-        {
-          Eval.Proximity_routing.kind;
-          topo_nodes = nodes;
-          server_counts;
-          queries;
-          seed;
-        }
-      in
-      let rows =
-        List.map
-          (fun pt ->
-            [
-              Topology.Model.kind_to_string kind;
-              string_of_int pt.Eval.Proximity_routing.n_servers;
-              Koorde.Substrate.label pt.Eval.Proximity_routing.spec;
-              Printf.sprintf "%.4f" pt.Eval.Proximity_routing.p90;
-              Printf.sprintf "%.4f" pt.Eval.Proximity_routing.p50;
-              Printf.sprintf "%.2f" pt.Eval.Proximity_routing.mean_hops;
-            ])
-          (Eval.Proximity_routing.run ~progress ~specs p)
-      in
-      all_rows := !all_rows @ rows;
-      Eval.Report.table
-        ~title:(Printf.sprintf "fig9 %s" (Topology.Model.kind_to_string kind))
-        ~header:[ "topology"; "N"; "policy"; "p90"; "p50"; "hops" ]
+  let header = [ "topology"; "N"; "policy"; "p90"; "p50"; "hops" ] in
+  let rows =
+    List.concat_map
+      (fun kind ->
+        let p =
+          {
+            Eval.Proximity_routing.kind;
+            topo_nodes = nodes;
+            server_counts;
+            queries;
+            seed;
+          }
+        in
+        let rows =
+          List.map
+            (fun pt ->
+              [
+                Topology.Model.kind_to_string kind;
+                string_of_int pt.Eval.Proximity_routing.n_servers;
+                Koorde.Substrate.label pt.Eval.Proximity_routing.spec;
+                Printf.sprintf "%.4f" pt.Eval.Proximity_routing.p90;
+                Printf.sprintf "%.4f" pt.Eval.Proximity_routing.p50;
+                Printf.sprintf "%.2f" pt.Eval.Proximity_routing.mean_hops;
+              ])
+            (Eval.Proximity_routing.run ~progress ~specs p)
+        in
+        table
+          (Printf.sprintf "fig9 %s" (Topology.Model.kind_to_string kind))
+          (header :: rows);
         rows)
-    kind;
-  Option.iter
-    (fun path ->
-      Eval.Report.csv ~path
-        ~header:[ "topology"; "N"; "policy"; "p90"; "p50"; "hops" ]
-        !all_rows;
-      progress (Printf.sprintf "wrote %s" path))
-    csv
+      kind
+  in
+  write (fun path -> Eval.Report.csv ~path ~header rows) csv
 
 let fig9_cmd =
   let server_counts =
     Arg.(
       value
-      & opt (list int)
-          [ 1 lsl 10; 1 lsl 11; 1 lsl 12; 1 lsl 13; 1 lsl 14; 1 lsl 15 ]
-      & info [ "servers" ] ~docv:"LIST"
-          ~doc:"Server counts to evaluate (paper: 2^10..2^15).")
+      & opt (list int) fig9_default.server_counts
+      & info [ "servers" ] ~docv:"LIST" ~doc:"Server counts to evaluate.")
   in
   let queries =
     Arg.(
-      value & opt int 1000
+      value
+      & opt int fig9_default.queries
       & info [ "queries" ] ~docv:"N" ~doc:"Routing queries per point.")
   in
   let replicas =
@@ -227,35 +231,17 @@ let fig9_cmd =
   let doc = "Proximity-routing latency stretch vs. system size (Fig. 9)." in
   Cmd.v (Cmd.info "fig9" ~doc)
     Term.(
-      const (fun kind nodes server_counts queries replicas seed csv substrates ->
-          run_fig9 (kinds kind) nodes server_counts queries replicas seed csv
-            substrates)
-      $ kind_arg $ nodes_arg $ server_counts $ queries $ replicas $ seed_arg
-      $ csv_arg $ substrates)
+      const (fun kind -> run_fig9 (kinds kind))
+      $ kind_arg $ nodes_arg fig9_default.topo_nodes $ server_counts $ queries
+      $ replicas $ seed_arg $ csv_arg $ substrates)
 
 (* --- bakeoff --- *)
 
-(* Read-modify-write ONLY the [substrate] key of the bench JSON, so a
-   bakeoff run refreshes the gated section without clobbering the other
-   sections a bench run produced. *)
-let merge_substrate_section ~path section =
-  let base =
-    if Sys.file_exists path then
-      try Json.of_file ~path
-      with Json.Parse_error _ | Sys_error _ -> Json.Obj []
-    else
-      Json.Obj
-        [ ("schema", Json.String "i3-bench/2"); ("mode", Json.String "tool") ]
-  in
-  let fields = match base with Json.Obj fields -> fields | _ -> [] in
-  let fields = List.remove_assoc "substrate" fields in
-  Json.to_file ~path (Json.Obj (fields @ [ ("substrate", section) ]))
+let bakeoff_default = Eval.Bakeoff.default_params Topology.Model.Transit_stub
 
 let run_bakeoff kind nodes servers queries state_samples seed substrates csv
-    bench_out =
-  let specs =
-    match substrates with [] -> Koorde.Substrate.bakeoff_specs | l -> l
-  in
+    json =
+  let specs = match substrates with [] -> bakeoff_default.specs | l -> l in
   let p =
     {
       Eval.Bakeoff.kind;
@@ -270,34 +256,26 @@ let run_bakeoff kind nodes servers queries state_samples seed substrates csv
   let pts = Eval.Bakeoff.run ~progress p in
   let header = Eval.Bakeoff.header in
   let rows = Eval.Bakeoff.rows pts in
-  Eval.Report.table
-    ~title:
-      (Printf.sprintf "substrate bakeoff %s (%d servers, %d queries)"
-         (Topology.Model.kind_to_string kind)
-         servers queries)
-    ~header rows;
-  Option.iter
-    (fun path ->
-      Eval.Report.csv ~path ~header rows;
-      progress (Printf.sprintf "wrote %s" path))
-    csv;
-  Option.iter
-    (fun path ->
-      merge_substrate_section ~path (Eval.Bakeoff.to_json p pts);
-      progress (Printf.sprintf "merged substrate section into %s" path))
-    bench_out
+  table
+    (Printf.sprintf "substrate bakeoff %s (%d servers, %d queries)"
+       (Topology.Model.kind_to_string kind)
+       servers queries)
+    (header :: rows);
+  write (fun path -> Eval.Report.csv ~path ~header rows) csv;
+  write (fun path -> Json.to_file ~path (Eval.Bakeoff.to_json p pts)) json
 
 let bakeoff_cmd =
   let kind =
     Arg.(
       value
-      & opt kind_conv Topology.Model.Transit_stub
+      & opt kind_conv bakeoff_default.kind
       & info [ "t"; "topology" ] ~docv:"KIND"
           ~doc:"Topology kind: plrg or transit-stub.")
   in
   let servers =
     Arg.(
-      value & opt int 10_000
+      value
+      & opt int bakeoff_default.n_servers
       & info [ "servers" ] ~docv:"N"
           ~doc:
             "Ring size. Koorde degree 8 out-hops classic Chord from about \
@@ -306,12 +284,14 @@ let bakeoff_cmd =
   in
   let queries =
     Arg.(
-      value & opt int 1000
+      value
+      & opt int bakeoff_default.queries
       & info [ "queries" ] ~docv:"N" ~doc:"Routing queries per substrate.")
   in
   let state_samples =
     Arg.(
-      value & opt int 256
+      value
+      & opt int bakeoff_default.state_samples
       & info [ "state-samples" ] ~docv:"N"
           ~doc:"Nodes sampled for the state-bytes average.")
   in
@@ -325,35 +305,21 @@ let bakeoff_cmd =
              chord:default, closest-finger-replica, prefix-pns, koorde(2), \
              koorde(8).")
   in
-  let bench_out =
-    Arg.(
-      value
-      & opt (some string) (Some "BENCH_i3.json")
-      & info [ "bench-out" ] ~docv:"PATH"
-          ~doc:
-            "Merge the gated [substrate] section into this bench JSON \
-             (created if missing; other sections preserved). Pass an empty \
-             value via --bench-out= to skip.")
-  in
-  let bench_out_opt =
-    Term.(
-      const (function Some "" -> None | v -> v) $ bench_out)
-  in
   let doc =
     "Race lookup substrates (Chord policies vs Koorde degrees) over one \
      membership and topology: hops, first-packet stretch, routing-state \
-     bytes per node."
+     bytes per node.  --json writes the substrate section's shape."
   in
   Cmd.v (Cmd.info "bakeoff" ~doc)
     Term.(
-      const (fun kind nodes servers queries state_samples seed substrates csv
-                 bench_out ->
-          run_bakeoff kind nodes servers queries state_samples seed substrates
-            csv bench_out)
-      $ kind $ nodes_arg $ servers $ queries $ state_samples $ seed_arg
-      $ substrates $ csv_arg $ bench_out_opt)
+      const run_bakeoff $ kind $ nodes_arg bakeoff_default.topo_nodes $ servers
+      $ queries $ state_samples $ seed_arg $ substrates $ csv_arg $ json_arg)
 
 (* --- micro --- *)
+
+(* From 2 KB on each payload copy is allocated on OCaml's major heap:
+   the step in Fig. 10 that EXPERIMENTS.md discusses. *)
+let payloads = [ 0; 64; 128; 256; 512; 1024; 2048; 4096 ]
 
 let run_micro seed csv =
   let env = Eval.Microbench.insert_env ~seed () in
@@ -362,7 +328,6 @@ let run_micro seed csv =
     (mean_ns /. 1e3) (stdev_ns /. 1e3);
   Printf.printf "max sustainable triggers @30s refresh: %.3g\n\n"
     (Eval.Report.insertion_capacity ~insert_ns:mean_ns ~refresh_s:30.);
-  let payloads = [ 0; 64; 128; 256; 512; 1024 ] in
   let fwd_rows =
     List.map
       (fun payload ->
@@ -377,9 +342,8 @@ let run_micro seed csv =
         ])
       payloads
   in
-  Eval.Report.table ~title:"forwarding (fig10) and throughput (fig12)"
-    ~header:[ "payload (B)"; "us/pkt"; "packets/s"; "user Mb/s" ]
-    fwd_rows;
+  table "forwarding (fig10) and throughput (fig12)"
+    ([ "payload (B)"; "us/pkt"; "packets/s"; "user Mb/s" ] :: fwd_rows);
   let route_rows =
     List.map
       (fun n ->
@@ -388,9 +352,8 @@ let run_micro seed csv =
         [ string_of_int n; Printf.sprintf "%.2f" (m /. 1e3) ])
       [ 2; 4; 8; 16; 32 ]
   in
-  Eval.Report.table ~title:"routing overhead (fig11)"
-    ~header:[ "i3 nodes"; "us/pkt" ] route_rows;
-  Option.iter
+  table "routing overhead (fig11)" ([ "i3 nodes"; "us/pkt" ] :: route_rows);
+  write
     (fun path ->
       Eval.Report.csv ~path
         ~header:[ "payload"; "us_per_pkt"; "pps"; "mbps" ]
@@ -399,16 +362,41 @@ let run_micro seed csv =
 
 let micro_cmd =
   let doc = "Prototype-style microbenchmarks (Sec. V-D)." in
-  Cmd.v (Cmd.info "micro" ~doc)
-    Term.(const (fun seed csv -> run_micro seed csv) $ seed_arg $ csv_arg)
+  Cmd.v (Cmd.info "micro" ~doc) Term.(const run_micro $ seed_arg $ csv_arg)
+
+(* --- ablations --- *)
+
+let run_ablations () =
+  let c = Eval.Ablations.sender_cache () in
+  Printf.printf
+    "sender cache (Sec. IV-E):    %.2f servers/packet with cache, %.2f without\n"
+    c.Eval.Ablations.hops_with_cache c.Eval.Ablations.hops_without_cache;
+  let r = Eval.Ablations.replication () in
+  Printf.printf
+    "replication (Sec. IV-C):     %d/%d packets survive the failure window \
+     with mirroring, %d/%d without\n"
+    r.Eval.Ablations.delivered_with r.Eval.Ablations.attempts
+    r.Eval.Ablations.delivered_without r.Eval.Ablations.attempts;
+  let k = Eval.Ablations.constraints () in
+  Printf.printf
+    "constraints (Sec. IV-J1):    insert admission %.2f us checked vs %.2f \
+     us unchecked\n"
+    (k.Eval.Ablations.ns_with_check /. 1e3)
+    (k.Eval.Ablations.ns_without_check /. 1e3);
+  let ch = Eval.Ablations.challenges () in
+  Printf.printf
+    "challenges (Sec. IV-J3):     insert->ack %.1f ms challenged vs %.1f ms \
+     direct (one extra RTT)\n"
+    ch.Eval.Ablations.ack_ms_with ch.Eval.Ablations.ack_ms_without
+
+let ablations_cmd =
+  let doc =
+    "The paper's design mechanisms on vs. off: sender cache, replication, \
+     trigger constraints and challenges."
+  in
+  Cmd.v (Cmd.info "ablations" ~doc) Term.(const run_ablations $ const ())
 
 (* --- health --- *)
-
-let print_row widths cells =
-  List.iteri
-    (fun i c -> Printf.printf "%s%-*s" (if i = 0 then "" else "  ") (List.nth widths i) c)
-    cells;
-  print_newline ()
 
 let run_health seed servers period horizon fault fault_at heal_at dump_path =
   let metrics = Obs.Metrics.create () in
@@ -465,21 +453,18 @@ let run_health seed servers period horizon fault fault_at heal_at dump_path =
          (fun (r : Obs.Health.rule) -> r.rule)
          (Obs.Health.rules (Harness.Recovery.health monitor))
   in
-  let widths = List.map (fun h -> max 14 (String.length h)) header in
-  print_row widths header;
-  print_row widths (List.map (fun w -> String.make w '-') widths);
   let stop_at = Transport.Dynamic.now d +. horizon in
-  let rec live () =
+  let rec live rows =
     if Transport.Dynamic.now d < stop_at then begin
       Transport.Dynamic.run_for d period;
-      print_row widths (Harness.Recovery.live_row monitor);
-      live ()
+      live (Harness.Recovery.live_row monitor :: rows)
     end
+    else List.rev rows
   in
-  live ();
+  let rows = live [] in
   Harness.Recovery.stop_flow flow;
   Harness.Recovery.stop_monitor monitor;
-  print_newline ();
+  table "health per scrape" (header :: rows);
   if fault <> `None then begin
     let health = Harness.Recovery.health monitor in
     (match Obs.Health.time_to_detect health ~fault_at:fault_abs with
@@ -586,4 +571,7 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "i3_sim" ~doc)
-          [ fig8_cmd; fig9_cmd; bakeoff_cmd; micro_cmd; scale_cmd; health_cmd ]))
+          [
+            fig8_cmd; fig9_cmd; bakeoff_cmd; micro_cmd; ablations_cmd; scale_cmd;
+            health_cmd;
+          ]))

@@ -54,5 +54,5 @@ val header : string list
 (** Column names shared by {!rows} and the CLI sinks. *)
 
 val rows : point list -> string list list
-(** Structured rows; callers choose the sink ({!Report.table},
+(** Structured rows; callers choose the sink ({!Obs.Sink.aligned_table},
     {!Report.csv}, {!Report.json}). *)

@@ -1,29 +1,3 @@
-let table ~title ~header rows =
-  let all = header :: rows in
-  let cols = List.length header in
-  let width c =
-    List.fold_left
-      (fun acc row ->
-        max acc (String.length (try List.nth row c with _ -> "")))
-      0 all
-  in
-  let widths = List.init cols width in
-  let print_row row =
-    let cells =
-      List.mapi
-        (fun c w ->
-          let s = try List.nth row c with _ -> "" in
-          s ^ String.make (w - String.length s) ' ')
-        widths
-    in
-    print_endline ("  " ^ String.concat "  " cells)
-  in
-  print_endline title;
-  print_row header;
-  print_row (List.map (fun w -> String.make w '-') widths);
-  List.iter print_row rows;
-  print_newline ()
-
 let csv ~path ~header rows =
   let oc = open_out path in
   let emit row = output_string oc (Obs.Sink.csv_row row ^ "\n") in

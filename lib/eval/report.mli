@@ -1,16 +1,13 @@
-(** Plain-text tables and CSV output for the experiment harnesses. *)
-
-val table : title:string -> header:string list -> string list list -> unit
-(** Print an aligned table to stdout. *)
+(** CSV and JSON output for the experiment harnesses, and the paper's
+    capacity arithmetic.  Tables on stdout go through
+    {!Obs.Sink.aligned_table}. *)
 
 val csv : path:string -> header:string list -> string list list -> unit
 (** Write rows as CSV. *)
 
 val json : path:string -> header:string list -> string list list -> unit
 (** Write rows as a JSON array of objects keyed by [header]; cells that
-    parse as numbers are emitted as JSON numbers.  With {!table} and
-    {!csv} this completes the three sinks every experiment row list can
-    choose from. *)
+    parse as numbers are emitted as JSON numbers. *)
 
 val scalability_rows :
   hosts:float -> triggers_per_host:float -> servers:float -> refresh_s:float ->

@@ -15,7 +15,8 @@
     [Transport.Faulty] runs.  What stays here is what only a simulated
     network has: endpoints and their up/down state, topology latency,
     the observer and tap, and the [net.*] counters.  Every drop is
-    counted by cause in {!stats}.  The i3 simulators carry the wire's
+    counted by cause in the [net.dropped{cause}] counters, read with
+    [Obs.Metrics.sum_counters].  The i3 simulators carry the wire's
     own bytes ([string Net.t]): senders encode, receivers decode. *)
 
 type addr = int

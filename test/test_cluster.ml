@@ -170,4 +170,7 @@ let () =
   (* Refreshes must actually have happened for conservation to mean
      anything: the restarted daemon began empty. *)
   if refreshes = 0 then fail "no soft-state refreshes observed";
+  (* Passed: remove the run's directory of logs and dumps (a failing
+     run exits above and keeps it). *)
+  ignore (Sys.command ("rm -rf " ^ Filename.quote (Harness.Cluster.dir cluster)));
   print_endline "PASS cluster: conservation, recovery, monitor, wire hygiene"

@@ -85,4 +85,7 @@ let () =
   let decode_errors = Harness.Cluster.decode_errors cluster in
   if decode_errors <> 0 then
     fail "daemons counted %d wire decode errors" decode_errors;
+  (* Passed: remove the run's directory of logs and dumps (a failing
+     run exits above and keeps it). *)
+  ignore (Sys.command ("rm -rf " ^ Filename.quote (Harness.Cluster.dir cluster)));
   print_endline "PASS ring_merge: partition -> singleton -> re-merge, wire clean"

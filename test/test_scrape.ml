@@ -174,6 +174,10 @@ let () =
           if not (List.mem site ports) then
             fail "site %d is not a daemon port" site)
         tree.Obs.Trace.a_sites;
+      (* Passed: remove the run's directory of logs and dumps (a failing
+         run exits above and keeps it). *)
+      ignore
+        (Sys.command ("rm -rf " ^ Filename.quote (Harness.Cluster.dir cluster)));
       Printf.printf
         "scrape: OK — trace %d crossed %d daemons (%s), %d hop events\n%!" id
         (List.length tree.Obs.Trace.a_sites)

@@ -91,5 +91,8 @@ let () =
   in
   if m.backoff_ms <> armed then
     fail "armed backoff %g ms after %d exits, expected %g" m.backoff_ms n armed;
+  (* Passed: remove the run's directory of logs and dumps (a failing
+     run exits above and keeps it). *)
+  ignore (Sys.command ("rm -rf " ^ Filename.quote (Harness.Cluster.dir cluster)));
   Printf.printf "supervise OK: %d spawns, gaps %s ms\n%!" n
     (String.concat " " (List.map (Printf.sprintf "%.0f") gaps))
