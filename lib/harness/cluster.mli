@@ -36,9 +36,6 @@ val restart_backoff_base_ms : float
 val restart_backoff_max_ms : float
 (** The respawn delay's cap: 3000 ms. *)
 
-val stable_after_ms : float
-(** Uptime that resets a member's respawn delay to the base: 5000 ms. *)
-
 type config = {
   ping_timeout_ms : float;  (** per-probe pong wait (default 300) *)
   stabilize_ms : float;

@@ -1,8 +1,6 @@
 module L = Wire.Layout
 module Io = Wire.Io
 
-let ( let* ) = Io.( let* )
-
 (* --- building blocks --- *)
 
 (* Trigger: id32 + owner u64 + stack (u8 count, 1..4, then entries).
@@ -10,23 +8,14 @@ let ( let* ) = Io.( let* )
    [Trigger.make], whose own validation raises. *)
 
 let put_trigger buf (t : Trigger.t) =
-  Buffer.add_string buf (Id.to_raw_string t.id);
-  Io.put_u64 buf (Int64.of_int t.owner);
+  Io.put_id buf t.id;
+  Io.put_u64 buf t.owner;
   Packet.put_stack buf t.stack
 
 let read_trigger r =
-  let* raw = Io.take r Id.byte_length "trigger id" in
-  let* owner = Io.u64 r "trigger owner" in
-  let* stack = Packet.read_stack r in
-  Ok
-    (Trigger.make ~id:(Id.of_raw_string raw) ~stack
-       ~owner:(Int64.to_int owner))
-
-let put_addr buf a = Io.put_u64 buf (Int64.of_int a)
-
-let read_addr r what =
-  let* a = Io.u64 r what in
-  Ok (Int64.to_int a)
+  let id = Io.id r "trigger id" in
+  let owner = Io.u64 r "trigger owner" in
+  Trigger.make ~id ~owner ~stack:(Packet.read_stack r)
 
 (* --- telemetry snapshot building blocks ---
 
@@ -49,7 +38,7 @@ let put_sample buf (s : Obs.Metrics.sample) =
   match s.value with
   | Obs.Metrics.Counter c ->
       Io.put_u8 buf 0;
-      Io.put_u64 buf (Int64.of_int c)
+      Io.put_u64 buf c
   | Obs.Metrics.Gauge g ->
       Io.put_u8 buf 1;
       Io.put_f64 buf g
@@ -62,35 +51,29 @@ let put_sample buf (s : Obs.Metrics.sample) =
       Io.put_f64 buf p99;
       Io.put_f64 buf max
 
-let read_sample r : (Obs.Metrics.sample, string) result =
-  let* name = Io.str16 r "sample name" in
-  let* nlabels = Io.u8 r "label count" in
-  let* labels =
-    Io.list_of r ~count:nlabels ~max:L.max_stats_labels "labels" (fun r ->
-        let* k = Io.str16 r "label key" in
-        let* v = Io.str16 r "label value" in
-        Ok (k, v))
+let read_sample r : Obs.Metrics.sample =
+  let name = Io.str16 r "sample name" in
+  let labels =
+    Io.list_of r ~count:(Io.u8 r "label count") ~max:L.max_stats_labels
+      "labels" (fun r ->
+        let k = Io.str16 r "label key" in
+        (k, Io.str16 r "label value"))
   in
-  let* tag = Io.u8 r "sample kind" in
-  let* value =
-    match tag with
-    | 0 ->
-        let* c = Io.u64 r "counter value" in
-        Ok (Obs.Metrics.Counter (Int64.to_int c))
-    | 1 ->
-        let* g = Io.f64 r "gauge value" in
-        Ok (Obs.Metrics.Gauge g)
+  let value =
+    match Io.u8 r "sample kind" with
+    | 0 -> Obs.Metrics.Counter (Io.u64 r "counter value")
+    | 1 -> Obs.Metrics.Gauge (Io.f64 r "gauge value")
     | 2 ->
-        let* count = Io.u32 r "histogram count" in
-        let* sum = Io.f64 r "histogram sum" in
-        let* p50 = Io.f64 r "histogram p50" in
-        let* p90 = Io.f64 r "histogram p90" in
-        let* p99 = Io.f64 r "histogram p99" in
-        let* max = Io.f64 r "histogram max" in
-        Ok (Obs.Metrics.Histogram { count; sum; p50; p90; p99; max })
-    | _ -> Error "bad sample kind tag"
+        let count = Io.u32 r "histogram count" in
+        let sum = Io.f64 r "histogram sum" in
+        let p50 = Io.f64 r "histogram p50" in
+        let p90 = Io.f64 r "histogram p90" in
+        let p99 = Io.f64 r "histogram p99" in
+        let max = Io.f64 r "histogram max" in
+        Obs.Metrics.Histogram { count; sum; p50; p90; p99; max }
+    | _ -> Io.fail "bad sample kind tag"
   in
-  Ok { Obs.Metrics.name; labels; value }
+  { Obs.Metrics.name; labels; value }
 
 let trace_kind_tag : Obs.Trace.kind -> int = function
   | Send -> 0
@@ -105,46 +88,38 @@ let trace_kind_tag : Obs.Trace.kind -> int = function
   | Done _ -> 9
 
 let put_trace_event buf (e : Obs.Trace.event) =
-  Io.put_u64 buf (Int64.of_int e.trace);
+  Io.put_u64 buf e.trace;
   Io.put_f64 buf e.time;
   Io.put_u32 buf e.site;
   Io.put_u8 buf (trace_kind_tag e.kind);
   match e.kind with
   | Drop text | Note text | Done text -> Io.put_str16 buf text
   | Op { op; parent } ->
-      Io.put_u64 buf (Int64.of_int parent);
+      Io.put_u64 buf parent;
       Io.put_str16 buf op
   | Send | Enqueue | Relay | Cache_hit | Trigger_match | Deliver -> ()
 
-let read_trace_event r : (Obs.Trace.event, string) result =
-  let* trace = Io.u64 r "trace id" in
-  let* time = Io.f64 r "event time" in
-  let* site = Io.u32 r "event site" in
-  let* tag = Io.u8 r "event kind" in
-  let* kind =
-    match tag with
-    | 0 -> Ok Obs.Trace.Send
-    | 1 -> Ok Obs.Trace.Enqueue
-    | 2 -> Ok Obs.Trace.Relay
-    | 3 -> Ok Obs.Trace.Cache_hit
-    | 4 -> Ok Obs.Trace.Trigger_match
-    | 5 -> Ok Obs.Trace.Deliver
-    | 6 ->
-        let* cause = Io.str16 r "drop cause" in
-        Ok (Obs.Trace.Drop cause)
+let read_trace_event r : Obs.Trace.event =
+  let trace = Io.u64 r "trace id" in
+  let time = Io.f64 r "event time" in
+  let site = Io.u32 r "event site" in
+  let kind =
+    match Io.u8 r "event kind" with
+    | 0 -> Obs.Trace.Send
+    | 1 -> Obs.Trace.Enqueue
+    | 2 -> Obs.Trace.Relay
+    | 3 -> Obs.Trace.Cache_hit
+    | 4 -> Obs.Trace.Trigger_match
+    | 5 -> Obs.Trace.Deliver
+    | 6 -> Obs.Trace.Drop (Io.str16 r "drop cause")
     | 7 ->
-        let* parent = Io.u64 r "op parent" in
-        let* op = Io.str16 r "op name" in
-        Ok (Obs.Trace.Op { op; parent = Int64.to_int parent })
-    | 8 ->
-        let* text = Io.str16 r "op note" in
-        Ok (Obs.Trace.Note text)
-    | 9 ->
-        let* status = Io.str16 r "op status" in
-        Ok (Obs.Trace.Done status)
-    | _ -> Error "bad trace event kind tag"
+        let parent = Io.u64 r "op parent" in
+        Obs.Trace.Op { op = Io.str16 r "op name"; parent }
+    | 8 -> Obs.Trace.Note (Io.str16 r "op note")
+    | 9 -> Obs.Trace.Done (Io.str16 r "op status")
+    | _ -> Io.fail "bad trace event kind tag"
   in
-  Ok { Obs.Trace.trace = Int64.to_int trace; time; site; kind }
+  { Obs.Trace.trace; time; site; kind }
 
 (* --- messages --- *)
 
@@ -174,10 +149,7 @@ let encode (m : Message.t) =
       Packet.encode p
   | _ ->
       let buf = Buffer.create 96 in
-      Buffer.add_char buf L.magic0;
-      Buffer.add_char buf L.magic1;
-      Buffer.add_char buf L.version;
-      Io.put_u8 buf (kind_of m);
+      Io.put_preamble buf (kind_of m);
       (match m with
       | Data _ -> assert false
       | Insert { trigger; token } ->
@@ -193,10 +165,10 @@ let encode (m : Message.t) =
           Io.put_str16 buf token
       | Insert_ack { trigger; server } ->
           put_trigger buf trigger;
-          put_addr buf server
+          Io.put_u64 buf server
       | Cache_info { prefix; server } ->
-          Buffer.add_string buf (Id.to_raw_string prefix);
-          put_addr buf server
+          Io.put_id buf prefix;
+          Io.put_u64 buf server
       | Cache_push { triggers } ->
           if List.length triggers > L.max_trigger_batch then
             invalid_arg "I3.Codec: cache-push batch too large";
@@ -207,8 +179,8 @@ let encode (m : Message.t) =
               Io.put_f64 buf lifetime)
             triggers
       | Pushback { id; dead } ->
-          Buffer.add_string buf (Id.to_raw_string id);
-          Buffer.add_string buf (Id.to_raw_string dead)
+          Io.put_id buf id;
+          Io.put_id buf dead
       | Replica { trigger; lifetime } ->
           put_trigger buf trigger;
           Io.put_f64 buf lifetime
@@ -216,16 +188,16 @@ let encode (m : Message.t) =
           (* Unlike a data packet's stack, the residual stack handed to
              the application may legitimately be empty. *)
           Packet.put_stack buf stack;
-          Io.put_u64 buf (Int64.of_int trace);
+          Io.put_u64 buf trace;
           Io.put_str32 buf payload
-      | Ping { nonce } -> Io.put_u64 buf (Int64.of_int nonce)
+      | Ping { nonce } -> Io.put_u64 buf nonce
       | Pong { nonce; server; triggers; uptime_ms } ->
-          Io.put_u64 buf (Int64.of_int nonce);
-          put_addr buf server;
+          Io.put_u64 buf nonce;
+          Io.put_u64 buf server;
           Io.put_u32 buf triggers;
           Io.put_f64 buf uptime_ms
       | Stats_request { nonce; prefix; drain } ->
-          Io.put_u64 buf (Int64.of_int nonce);
+          Io.put_u64 buf nonce;
           Io.put_str16 buf prefix;
           Io.put_u8 buf (if drain then 1 else 0)
       | Stats_response { nonce; server; samples; events } ->
@@ -233,8 +205,8 @@ let encode (m : Message.t) =
             invalid_arg "I3.Codec: stats snapshot too large";
           if List.length events > L.max_trace_drain then
             invalid_arg "I3.Codec: trace drain too large";
-          Io.put_u64 buf (Int64.of_int nonce);
-          put_addr buf server;
+          Io.put_u64 buf nonce;
+          Io.put_u64 buf server;
           (* The snapshot travels as a versioned, length-prefixed blob so
              a collector can reject a layout it does not understand (and
              skip the whole blob) instead of misparsing it. *)
@@ -247,119 +219,84 @@ let encode (m : Message.t) =
           Io.put_str32 buf (Buffer.contents blob));
       Buffer.contents buf
 
-let read_body kind r : (Message.t, string) result =
+let read_body kind r : Message.t =
   if kind = L.kind_insert then
-    let* trigger = read_trigger r in
-    let* present = Io.u8 r "token presence" in
-    let* token =
-      match present with
-      | 0 -> Ok None
-      | 1 ->
-          let* tok = Io.str16 r "token" in
-          Ok (Some tok)
-      | _ -> Error "bad token presence tag"
+    let trigger = read_trigger r in
+    let token =
+      match Io.u8 r "token presence" with
+      | 0 -> None
+      | 1 -> Some (Io.str16 r "token")
+      | _ -> Io.fail "bad token presence tag"
     in
-    Ok (Message.Insert { trigger; token })
-  else if kind = L.kind_remove then
-    let* trigger = read_trigger r in
-    Ok (Message.Remove { trigger })
+    Insert { trigger; token }
+  else if kind = L.kind_remove then Remove { trigger = read_trigger r }
   else if kind = L.kind_challenge then
-    let* trigger = read_trigger r in
-    let* token = Io.str16 r "token" in
-    Ok (Message.Challenge { trigger; token })
+    let trigger = read_trigger r in
+    Challenge { trigger; token = Io.str16 r "token" }
   else if kind = L.kind_insert_ack then
-    let* trigger = read_trigger r in
-    let* server = read_addr r "server addr" in
-    Ok (Message.Insert_ack { trigger; server })
+    let trigger = read_trigger r in
+    Insert_ack { trigger; server = Io.u64 r "server addr" }
   else if kind = L.kind_cache_info then
-    let* raw = Io.take r Id.byte_length "prefix id" in
-    let* server = read_addr r "server addr" in
-    Ok (Message.Cache_info { prefix = Id.of_raw_string raw; server })
+    let prefix = Io.id r "prefix id" in
+    Cache_info { prefix; server = Io.u64 r "server addr" }
   else if kind = L.kind_cache_push then
-    let* count = Io.u16 r "trigger batch count" in
-    let* triggers =
+    let count = Io.u16 r "trigger batch count" in
+    let triggers =
       Io.list_of r ~count ~max:L.max_trigger_batch "trigger batch" (fun r ->
-          let* t = read_trigger r in
-          let* lifetime = Io.f64 r "trigger lifetime" in
-          Ok (t, lifetime))
+          let t = read_trigger r in
+          (t, Io.f64 r "trigger lifetime"))
     in
-    Ok (Message.Cache_push { triggers })
+    Cache_push { triggers }
   else if kind = L.kind_pushback then
-    let* raw_id = Io.take r Id.byte_length "pushback id" in
-    let* raw_dead = Io.take r Id.byte_length "dead id" in
-    Ok
-      (Message.Pushback
-         { id = Id.of_raw_string raw_id; dead = Id.of_raw_string raw_dead })
+    let id = Io.id r "pushback id" in
+    Pushback { id; dead = Io.id r "dead id" }
   else if kind = L.kind_replica then
-    let* trigger = read_trigger r in
-    let* lifetime = Io.f64 r "replica lifetime" in
-    Ok (Message.Replica { trigger; lifetime })
+    let trigger = read_trigger r in
+    Replica { trigger; lifetime = Io.f64 r "replica lifetime" }
   else if kind = L.kind_deliver then
-    let* stack = Packet.read_stack ~min_depth:0 r in
-    let* trace = Io.u64 r "trace id" in
-    let* payload = Io.str32 r "payload" in
-    Ok (Message.Deliver { stack; payload; trace = Int64.to_int trace })
-  else if kind = L.kind_ping then
-    let* nonce = Io.u64 r "ping nonce" in
-    Ok (Message.Ping { nonce = Int64.to_int nonce })
+    let stack = Packet.read_stack ~min_depth:0 r in
+    let trace = Io.u64 r "trace id" in
+    Deliver { stack; trace; payload = Io.str32 r "payload" }
+  else if kind = L.kind_ping then Ping { nonce = Io.u64 r "ping nonce" }
   else if kind = L.kind_pong then
-    let* nonce = Io.u64 r "pong nonce" in
-    let* server = read_addr r "pong server" in
-    let* triggers = Io.u32 r "pong triggers" in
-    let* uptime_ms = Io.f64 r "pong uptime" in
-    Ok (Message.Pong { nonce = Int64.to_int nonce; server; triggers; uptime_ms })
+    let nonce = Io.u64 r "pong nonce" in
+    let server = Io.u64 r "pong server" in
+    let triggers = Io.u32 r "pong triggers" in
+    Pong { nonce; server; triggers; uptime_ms = Io.f64 r "pong uptime" }
   else if kind = L.kind_stats_request then
-    let* nonce = Io.u64 r "stats nonce" in
-    let* prefix = Io.str16 r "stats prefix" in
-    let* drain = Io.u8 r "drain flag" in
-    let* drain =
-      match drain with
-      | 0 -> Ok false
-      | 1 -> Ok true
-      | _ -> Error "bad drain flag"
+    let nonce = Io.u64 r "stats nonce" in
+    let prefix = Io.str16 r "stats prefix" in
+    let drain =
+      match Io.u8 r "drain flag" with
+      | 0 -> false
+      | 1 -> true
+      | _ -> Io.fail "bad drain flag"
     in
-    Ok (Message.Stats_request { nonce = Int64.to_int nonce; prefix; drain })
-  else if kind = L.kind_stats_response then
-    let* nonce = Io.u64 r "stats nonce" in
-    let* server = read_addr r "stats server" in
-    let* version = Io.u8 r "snapshot version" in
-    let* () =
-      if version = L.stats_snapshot_version then Ok ()
-      else Error "unsupported stats snapshot version"
-    in
+    Stats_request { nonce; prefix; drain }
+  else if kind = L.kind_stats_response then (
+    let nonce = Io.u64 r "stats nonce" in
+    let server = Io.u64 r "stats server" in
+    if Io.u8 r "snapshot version" <> L.stats_snapshot_version then
+      Io.fail "unsupported stats snapshot version";
     (* Zero-copy: bound a sub-cursor to the blob's range of the frame
        instead of materializing the blob as its own string. *)
-    let* blob_len = Io.u32 r "snapshot blob" in
-    let* br = Io.sub_reader r blob_len "snapshot blob" in
-    let* nsamples = Io.u16 br "sample count" in
-    let* samples =
-      Io.list_of br ~count:nsamples ~max:L.max_stats_samples "samples"
-        read_sample
+    let samples, events =
+      Io.sub r (Io.u32 r "snapshot blob") "snapshot blob" (fun br ->
+          let samples =
+            Io.list_of br ~count:(Io.u16 br "sample count")
+              ~max:L.max_stats_samples "samples" read_sample
+          in
+          ( samples,
+            Io.list_of br ~count:(Io.u16 br "trace event count")
+              ~max:L.max_trace_drain "trace events" read_trace_event ))
     in
-    let* nevents = Io.u16 br "trace event count" in
-    let* events =
-      Io.list_of br ~count:nevents ~max:L.max_trace_drain "trace events"
-        read_trace_event
-    in
-    let* () = Io.expect_end br in
-    Ok
-      (Message.Stats_response
-         { nonce = Int64.to_int nonce; server; samples; events })
-  else Error "unknown i3 message kind"
+    Stats_response { nonce; server; samples; events })
+  else Io.fail "unknown i3 message kind"
 
 let decode s =
-  let r = Io.reader s in
-  let* () = Io.need r L.preamble_bytes "preamble" in
-  if Char.code s.[L.off_kind] < L.first_kind then
+  if String.length s > L.off_kind && Char.code s.[L.off_kind] < L.first_kind
+  then
     (* Data-packet flags where a kind byte would be: the whole frame is
-       a packet.  [Packet.decode] re-checks magic/version itself. *)
-    let* p = Packet.decode s in
-    Ok (Message.Data p)
-  else
-    let* () = Io.expect_char r L.magic0 "magic" in
-    let* () = Io.expect_char r L.magic1 "magic" in
-    let* () = Io.expect_char r L.version "version" in
-    let* kind = Io.u8 r "kind" in
-    let* m = read_body kind r in
-    let* () = Io.expect_end r in
-    Ok m
+       a packet, and [Packet.decode] checks its preamble itself. *)
+    Result.map (fun p -> Message.Data p) (Packet.decode s)
+  else Io.parse s (fun r -> read_body (Io.preamble r) r)

@@ -106,8 +106,6 @@ open struct
   module Io = Wire.Io
 end
 
-let ( let* ) = Io.( let* )
-
 let entry_wire_length = function
   | Sid _ -> L.sid_entry_bytes
   | Saddr _ -> L.saddr_entry_bytes
@@ -121,134 +119,99 @@ let wire_length t =
   + stack_wire_length t.stack
   + payload_length t
 
-let put_entry buf = function
+let set_addr b off a = Bytes.set_int64_be b off (Int64.of_int a)
+let set_id b off id = Bytes.blit_string (Id.to_raw_string id) 0 b off Id.byte_length
+
+(* The one stack-entry encoder: writes [e] at [pos], returns the offset
+   just past it. *)
+let set_entry b pos e =
+  match e with
   | Sid id ->
-      Buffer.add_char buf L.tag_sid;
-      Buffer.add_string buf (Id.to_raw_string id)
+      Bytes.set b pos L.tag_sid;
+      set_id b (pos + 1) id;
+      pos + L.sid_entry_bytes
   | Saddr a ->
-      Buffer.add_char buf L.tag_saddr;
-      Io.put_u64 buf (Int64.of_int a)
+      Bytes.set b pos L.tag_saddr;
+      set_addr b (pos + 1) a;
+      pos + L.saddr_entry_bytes
+
+let set_entries b pos s = List.fold_left (set_entry b) pos s
 
 let read_entry r =
-  let* tag = Io.u8 r "entry tag" in
-  if tag = Char.code L.tag_sid then
-    let* raw = Io.take r Id.byte_length "entry id" in
-    Ok (Sid (Id.of_raw_string raw))
-  else if tag = Char.code L.tag_saddr then
-    let* a = Io.u64 r "entry addr" in
-    Ok (Saddr (Int64.to_int a))
-  else Error "unknown entry tag"
+  let tag = Io.u8 r "entry tag" in
+  if tag = Char.code L.tag_sid then Sid (Io.id r "entry id")
+  else if tag = Char.code L.tag_saddr then Saddr (Io.u64 r "entry addr")
+  else Io.fail "unknown entry tag"
 
 let put_stack buf s =
-  Io.put_u8 buf (List.length s);
-  List.iter (put_entry buf) s
+  let b = Bytes.create (1 + stack_wire_length s) in
+  Bytes.set_uint8 b 0 (List.length s);
+  ignore (set_entries b 1 s);
+  Buffer.add_bytes buf b
 
 let read_stack ?(min_depth = 1) r =
-  let* count = Io.u8 r "stack count" in
-  if count < min_depth || count > max_stack_depth then Error "bad stack depth"
-  else Io.list_of r ~count ~max:max_stack_depth "stack" read_entry
+  let count = Io.u8 r "stack count" in
+  if count < min_depth || count > max_stack_depth then
+    Io.fail "bad stack depth";
+  Io.list_of r ~count ~max:max_stack_depth "stack" read_entry
 
 let encode t =
-  let buf = Buffer.create (wire_length t) in
-  Buffer.add_char buf L.magic0;
-  Buffer.add_char buf L.magic1;
-  Buffer.add_char buf L.version;
-  let flags =
-    (if t.refresh then L.flag_refresh else 0)
+  let b = Bytes.create (wire_length t) in
+  Bytes.fill b 0 header_bytes '\x00';
+  Io.set_preamble b
+    ((if t.refresh then L.flag_refresh else 0)
     lor (if t.match_required then L.flag_match_required else 0)
     lor (match t.sender with Some _ -> L.flag_sender | None -> 0)
-    lor match t.prev_trigger with Some _ -> L.flag_prev_trigger | None -> 0
+    lor match t.prev_trigger with Some _ -> L.flag_prev_trigger | None -> 0);
+  Bytes.set_uint8 b L.off_stack_count (List.length t.stack);
+  Bytes.set_uint8 b L.off_ttl (t.ttl land 0xff);
+  Bytes.set_int32_be b L.off_payload_len (Int32.of_int (payload_length t));
+  set_addr b L.off_sender (Option.value ~default:0 t.sender);
+  let pos =
+    match t.prev_trigger with
+    | Some (a, id) ->
+        set_addr b L.off_prev_addr a;
+        set_id b header_bytes id;
+        header_bytes + Id.byte_length
+    | None -> header_bytes
   in
-  Io.put_u8 buf flags;
-  Io.put_u8 buf (List.length t.stack);
-  Io.put_u8 buf (t.ttl land 0xff);
-  Io.put_u16 buf 0;
-  Io.put_u32 buf (payload_length t);
-  Io.put_u64 buf (Int64.of_int (Option.value ~default:0 t.sender));
-  Io.put_u64 buf
-    (Int64.of_int (match t.prev_trigger with Some (a, _) -> a | None -> 0));
-  Io.put_u64 buf (Int64.of_int t.trace);
-  Buffer.add_string buf (String.make L.reserved_bytes '\x00');
-  (match t.prev_trigger with
-  | Some (_, id) -> Buffer.add_string buf (Id.to_raw_string id)
-  | None -> ());
-  List.iter (put_entry buf) t.stack;
+  set_addr b L.off_trace t.trace;
+  let pos = set_entries b pos t.stack in
   (match t.payload.repr with
-  | P_owned s -> Buffer.add_string buf s
-  | P_slice v -> Io.add_view buf v);
-  Buffer.contents buf
+  | P_owned s -> Bytes.blit_string s 0 b pos (String.length s)
+  | P_slice v -> Io.blit_view v b pos);
+  Bytes.unsafe_to_string b
 
-(* Shared by [decode] and [decoded_length]: parse the fixed header and
-   return (flags, stack count, ttl, payload_len, sender, prev_addr,
-   trace), leaving the reader at the start of the body. *)
-let read_header r =
-  let* () = Io.need r header_bytes "header" in
-  let* () = Io.expect_char r L.magic0 "magic" in
-  let* () =
-    let* c = Io.u8 r "magic" in
-    if c = Char.code L.magic1 then Ok () else Error "bad magic"
-  in
-  let* () =
-    let* v = Io.u8 r "version" in
-    if v = Char.code L.version then Ok () else Error "unknown version"
-  in
-  let* flags = Io.u8 r "flags" in
-  let* () =
-    if flags >= L.first_kind then Error "not a data packet" else Ok ()
-  in
-  let* count = Io.u8 r "stack count" in
-  let* () =
-    if count >= 1 && count <= max_stack_depth then Ok ()
-    else Error "bad stack depth"
-  in
-  let* ttl = Io.u8 r "ttl" in
-  let* _reserved = Io.u16 r "reserved" in
-  let* payload_len = Io.u32 r "payload length" in
-  let* sender = Io.u64 r "sender" in
-  let* prev_addr = Io.u64 r "prev addr" in
-  let* trace = Io.u64 r "trace id" in
-  let* _reserved = Io.take r L.reserved_bytes "reserved" in
-  Ok (flags, count, ttl, payload_len, sender, prev_addr, trace)
+(* The header is read at its fixed offsets in [s] after one length
+   check; the cursor, at offset 0 of [s], then walks the body. *)
+let addr_at s off = Int64.to_int (String.get_int64_be s off)
 
-let decode s =
-  let r = Io.reader s in
-  let* flags, count, ttl, payload_len, sender, prev_addr, trace =
-    read_header r
+let read_packet s r =
+  Io.need r header_bytes "header";
+  let flags = Io.preamble r in
+  if flags >= L.first_kind then Io.fail "not a data packet";
+  let count = String.get_uint8 s L.off_stack_count in
+  if count < 1 || count > max_stack_depth then Io.fail "bad stack depth";
+  Io.skip r (header_bytes - L.preamble_bytes) "header";
+  let prev_trigger =
+    if flags land L.flag_prev_trigger = 0 then None
+    else Some (addr_at s L.off_prev_addr, Io.id r "prev trigger id")
   in
-  let* prev_trigger =
-    if flags land L.flag_prev_trigger <> 0 then
-      let* raw = Io.take r Id.byte_length "prev trigger id" in
-      Ok (Some (Int64.to_int prev_addr, Id.of_raw_string raw))
-    else Ok None
+  let stack = Io.list_of r ~count ~max:max_stack_depth "stack" read_entry in
+  let payload_len =
+    Int32.to_int (String.get_int32_be s L.off_payload_len) land 0xffff_ffff
   in
-  let* stack = Io.list_of r ~count ~max:max_stack_depth "stack" read_entry in
-  let* payload = Io.take_view r payload_len "payload" in
-  let* () = Io.expect_end r in
-  Ok
-    {
-      stack;
-      payload = { repr = P_slice payload };
-      refresh = flags land L.flag_refresh <> 0;
-      match_required = flags land L.flag_match_required <> 0;
-      sender =
-        (if flags land L.flag_sender <> 0 then Some (Int64.to_int sender)
-         else None);
-      prev_trigger;
-      ttl;
-      trace = Int64.to_int trace;
-    }
+  {
+    stack;
+    payload = { repr = P_slice (Io.take_view r payload_len "payload") };
+    refresh = flags land L.flag_refresh <> 0;
+    match_required = flags land L.flag_match_required <> 0;
+    sender =
+      (if flags land L.flag_sender = 0 then None
+       else Some (addr_at s L.off_sender));
+    prev_trigger;
+    ttl = String.get_uint8 s L.off_ttl;
+    trace = addr_at s L.off_trace;
+  }
 
-let decoded_length s =
-  let r = Io.reader s in
-  let* flags, count, _ttl, payload_len, _sender, _prev_addr, _trace =
-    read_header r
-  in
-  let* () =
-    if flags land L.flag_prev_trigger <> 0 then
-      let* _ = Io.take r Id.byte_length "prev trigger id" in
-      Ok ()
-    else Ok ()
-  in
-  let* _stack = Io.list_of r ~count ~max:max_stack_depth "stack" read_entry in
-  let* () = Io.need r payload_len "payload" in
-  Ok (Io.pos r + payload_len)
+let decode s = Io.parse s (read_packet s)

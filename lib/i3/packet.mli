@@ -89,12 +89,6 @@ val decode : string -> (t, string) result
 (** Parse a wire packet; [Error] describes the first malformed field.
     Rejects trailing bytes: a valid frame is consumed exactly. *)
 
-val decoded_length : string -> (int, string) result
-(** Frame length implied by an encoded packet's header and entry tags —
-    for any [p], [decoded_length (encode p) = Ok (String.length (encode
-    p))].  Fails on the same malformed inputs [decode] does (trailing
-    bytes aside, which it ignores). *)
-
 val wire_length : t -> int
 (** Length [encode] would produce, without allocating. *)
 
@@ -106,6 +100,7 @@ val wire_length : t -> int
 val put_stack : Buffer.t -> stack -> unit
 (** u8 count + entries. *)
 
-val read_stack : ?min_depth:int -> Wire.Io.reader -> (stack, string) result
+val read_stack : ?min_depth:int -> Wire.Io.reader -> stack
 (** Inverse of {!put_stack}; depth must be in [min_depth]
-    (default 1) [.. max_stack_depth]. *)
+    (default 1) [.. max_stack_depth], else it raises
+    [Wire.Io.Malformed]. *)

@@ -7,6 +7,7 @@ type config = {
   replicate : bool;
 }
 
+(* Cap on how long pushed copies live at the neighbor. *)
 let cache_push_lifetime = 10_000.
 let sweep_period = 5_000.
 

@@ -36,9 +36,6 @@ val default_config : config
 (** 30 s lifetime, constraints and challenges off (they are opt-in, as apps
     must construct compliant triggers), hot-spot off. *)
 
-val cache_push_lifetime : float
-(** Cap on how long pushed copies live at the neighbor: 10 s. *)
-
 val sweep_period : float
 (** ms between expiry sweeps: 5 s. *)
 

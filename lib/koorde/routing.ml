@@ -26,7 +26,6 @@ let create ?(degree = 8) oracle =
 
 let oracle t = t.oracle
 let degree t = t.degree
-let digit_bits t = t.digit_bits
 
 (* The node whose clockwise arc [id m, id (succ m)) contains the imaginary
    identifier [i]: Koorde's "node imitating imaginary node i". *)

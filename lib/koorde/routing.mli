@@ -39,9 +39,6 @@ val create : ?degree:int -> Chord.Oracle.t -> t
 val oracle : t -> Chord.Oracle.t
 val degree : t -> int
 
-val digit_bits : t -> int
-(** b = log2 degree: key bits corrected per de Bruijn hop. *)
-
 val next_hop : t -> current:int -> key:Id.t -> int option
 (** One routing step, same shape as {!Chord.Routing.next_hop}: the ring
     index the current node forwards toward the key's successor, or [None]

@@ -26,10 +26,6 @@ val points : t -> point list
 
 val latest : t -> point option
 
-val push : t -> at:float -> float -> unit
-(** Append a point, evicting the oldest when full.  Exposed for tests and
-    hand-maintained series; scraped series are fed by {!scrape}. *)
-
 val window : t -> now:float -> window_ms:float -> point list
 (** Points with [at >= now - window_ms], oldest first. *)
 

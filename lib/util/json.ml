@@ -7,6 +7,9 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* JSON string-escape the contents (no surrounding quotes): backslash,
+   quote and control characters; everything else is passed through, so
+   UTF-8 survives byte-for-byte. *)
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

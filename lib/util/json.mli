@@ -16,11 +16,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** JSON string-escape the contents (no surrounding quotes): backslash,
-    quote and control characters; everything else is passed through, so
-    UTF-8 survives byte-for-byte. *)
-
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace). *)
 

@@ -15,8 +15,6 @@ val percentile : float -> float array -> float
     @raise Invalid_argument on empty input or [p] out of range. *)
 
 val median : float array -> float
-val minimum : float array -> float
-val maximum : float array -> float
 
 type summary = {
   n : int;

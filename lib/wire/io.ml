@@ -1,11 +1,15 @@
 (* Bounds-checked binary reader/writer shared by every codec.
 
-   Writers append to a [Buffer.t]; readers are [result]-typed cursors
-   over an immutable string and must never raise and never read past the
-   end of the input, whatever bytes arrive — the mutation fuzzer in
-   [test/test_wire.ml] holds them to that. *)
+   Writers append to a [Buffer.t].  Readers are cursors over an
+   immutable string that raise [Malformed] on the first bad field and
+   never read past the end of the input, whatever bytes arrive — the
+   mutation fuzzer in [test/test_wire.ml] holds them to that.  [parse]
+   is the one place that catches [Malformed], so a decoder is
+   straight-line reads. *)
 
-let ( let* ) = Result.bind
+exception Malformed of string
+
+let fail what = raise (Malformed what)
 
 (* --- writing --- *)
 
@@ -21,13 +25,9 @@ let put_u32 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
   Buffer.add_char buf (Char.chr (v land 0xff))
 
-let put_u64 buf v =
-  for i = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-  done
-
-let put_f64 buf v = put_u64 buf (Int64.bits_of_float v)
+let put_u64 buf v = Buffer.add_int64_be buf (Int64.of_int v)
+let put_f64 buf v = Buffer.add_int64_be buf (Int64.bits_of_float v)
+let put_id buf id = Buffer.add_string buf (Id.to_raw_string id)
 
 let put_str16 buf s =
   if String.length s > 0xffff then invalid_arg "Wire.Io.put_str16: too long";
@@ -45,6 +45,21 @@ let put_str32 buf s =
   put_u32 buf (String.length s);
   Buffer.add_string buf s
 
+(* The 4-byte preamble every frame opens with — magic "i3", version,
+   then a control kind or a data packet's flags — as one big-endian
+   word, so the Buffer and the Bytes writers below and [preamble] share
+   one definition. *)
+let preamble_word kind =
+  (Char.code Layout.magic0 lsl 24)
+  lor (Char.code Layout.magic1 lsl 16)
+  lor (Char.code Layout.version lsl 8)
+  lor kind
+
+let put_preamble buf kind = put_u32 buf (preamble_word kind)
+
+let set_preamble b kind =
+  Bytes.set_int32_be b Layout.off_magic (Int32.of_int (preamble_word kind))
+
 (* --- reading --- *)
 
 (* [limit] (≤ length of [src]) bounds the cursor instead of the string
@@ -52,13 +67,15 @@ let put_str32 buf s =
    zero-copy path — while keeping every bounds check identical. *)
 type reader = { src : string; mutable pos : int; limit : int }
 
-let reader src = { src; pos = 0; limit = String.length src }
-let pos r = r.pos
-let remaining r = r.limit - r.pos
+let parse s f =
+  let r = { src = s; pos = 0; limit = String.length s } in
+  match f r with
+  | v -> if r.pos = r.limit then Ok v else Error "trailing bytes"
+  | exception Malformed e -> Error e
 
 (* A borrowed slice of a reader's backing buffer: what [take_view]
    returns instead of copying.  Materialize with [view_to_string] or
-   write straight out of it with [add_view]. *)
+   copy straight out of it with [blit_view]. *)
 type view = { base : string; off : int; len : int }
 
 let view_length v = v.len
@@ -66,100 +83,81 @@ let view_to_string v =
   if v.off = 0 && v.len = String.length v.base then v.base
   else String.sub v.base v.off v.len
 
-let add_view buf v = Buffer.add_substring buf v.base v.off v.len
+let blit_view v b off = Bytes.blit_string v.base v.off b off v.len
 
-let need r n what =
-  if remaining r >= n then Ok () else Error ("truncated " ^ what)
+let need r n what = if r.limit - r.pos < n then fail ("truncated " ^ what)
 
+let skip r n what =
+  need r n what;
+  r.pos <- r.pos + n
+
+(* Every fixed-width read checks [limit] through [need] first:
+   [String.get_*] alone would only stop at the end of [src]. *)
 let u8 r what =
-  let* () = need r 1 what in
-  let v = Char.code r.src.[r.pos] in
+  need r 1 what;
+  let v = String.get_uint8 r.src r.pos in
   r.pos <- r.pos + 1;
-  Ok v
+  v
 
 let u16 r what =
-  let* () = need r 2 what in
-  let v = (Char.code r.src.[r.pos] lsl 8) lor Char.code r.src.[r.pos + 1] in
+  need r 2 what;
+  let v = String.get_uint16_be r.src r.pos in
   r.pos <- r.pos + 2;
-  Ok v
+  v
 
 let u32 r what =
-  let* () = need r 4 what in
-  let p = r.pos in
-  let v =
-    (Char.code r.src.[p] lsl 24)
-    lor (Char.code r.src.[p + 1] lsl 16)
-    lor (Char.code r.src.[p + 2] lsl 8)
-    lor Char.code r.src.[p + 3]
-  in
-  r.pos <- p + 4;
-  Ok v
+  need r 4 what;
+  let v = Int32.to_int (String.get_int32_be r.src r.pos) land 0xffff_ffff in
+  r.pos <- r.pos + 4;
+  v
 
 let u64 r what =
-  let* () = need r 8 what in
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc :=
-      Int64.logor (Int64.shift_left !acc 8)
-        (Int64.of_int (Char.code r.src.[r.pos + i]))
-  done;
+  need r 8 what;
+  let v = Int64.to_int (String.get_int64_be r.src r.pos) in
   r.pos <- r.pos + 8;
-  Ok !acc
+  v
 
 let f64 r what =
-  let* bits = u64 r what in
-  Ok (Int64.float_of_bits bits)
+  need r 8 what;
+  let v = Int64.float_of_bits (String.get_int64_be r.src r.pos) in
+  r.pos <- r.pos + 8;
+  v
 
-let take r n what =
-  if n < 0 then Error ("negative length for " ^ what)
-  else
-    let* () = need r n what in
-    let s = String.sub r.src r.pos n in
-    r.pos <- r.pos + n;
-    Ok s
+let preamble r =
+  let w = u32 r "preamble" in
+  if w lsr 16 <> preamble_word 0 lsr 16 then fail "bad magic";
+  if (w lsr 8) land 0xff <> Char.code Layout.version then fail "bad version";
+  w land 0xff
 
 (* Zero-copy [take]: consume [n] bytes but hand back a borrowed slice of
    the backing buffer instead of a fresh string. *)
 let take_view r n what =
-  if n < 0 then Error ("negative length for " ^ what)
-  else
-    let* () = need r n what in
-    let v = { base = r.src; off = r.pos; len = n } in
-    r.pos <- r.pos + n;
-    Ok v
+  if n < 0 then fail ("negative length for " ^ what);
+  need r n what;
+  let v = { base = r.src; off = r.pos; len = n } in
+  r.pos <- r.pos + n;
+  v
 
-(* Zero-copy sub-reader: consume [n] bytes and return a fresh cursor
-   bounded to exactly that range of the same backing buffer, for
-   decoding an embedded length-prefixed blob without materializing it. *)
-let sub_reader r n what =
-  let* v = take_view r n what in
-  Ok { src = v.base; pos = v.off; limit = v.off + v.len }
+let take r n what = view_to_string (take_view r n what)
 
-let str16 r what =
-  let* n = u16 r what in
-  take r n what
+(* Zero-copy sub-reader: run [f] over the next [n] bytes through a
+   cursor bounded to exactly that range of the same backing buffer, for
+   decoding an embedded length-prefixed blob without materializing it;
+   [f] must consume all of it. *)
+let sub r n what f =
+  let v = take_view r n what in
+  let sr = { src = v.base; pos = v.off; limit = v.off + v.len } in
+  let x = f sr in
+  if sr.pos <> sr.limit then fail "trailing bytes";
+  x
 
-let str32 r what =
-  let* n = u32 r what in
-  take r n what
-
-let expect_char r c what =
-  let* v = u8 r what in
-  if v = Char.code c then Ok () else Error ("bad " ^ what)
-
-let expect_end r =
-  if remaining r = 0 then Ok () else Error "trailing bytes"
+let id r what = Id.of_raw_string (take r Id.byte_length what)
+let str16 r what = take r (u16 r what) what
+let str32 r what = take r (u32 r what) what
 
 (* [list_of r ~count ~max what f] reads [count] consecutive [f]-decoded
    elements, refusing counts beyond [max] so a corrupted length field
    fails fast instead of looping over garbage. *)
 let list_of r ~count ~max what f =
-  if count < 0 || count > max then Error ("bad count for " ^ what)
-  else
-    let rec go k acc =
-      if k = 0 then Ok (List.rev acc)
-      else
-        let* x = f r in
-        go (k - 1) (x :: acc)
-    in
-    go count []
+  if count < 0 || count > max then fail ("bad count for " ^ what);
+  List.init count (fun _ -> f r)

@@ -1,8 +1,10 @@
 (* The single source of truth for every on-the-wire constant.  {!Packet}
-   (the 48-byte data header), the {!I3.Codec} / {!Chord.Codec} message
-   codecs, the UDP daemon and the observability docs all read offsets and
-   tags from here — nothing else is allowed to hard-code a byte
-   position. *)
+   reads and writes the 48-byte data header at the offsets below;
+   {!Wire.Io} writes and checks the 4-byte preamble every frame opens
+   with; the {!I3.Codec} / {!Chord.Codec} control messages carry no
+   48-byte header, only that preamble and a kind-specific body.  The UDP
+   daemon and the observability docs read tags from here too — nothing
+   else is allowed to hard-code a byte position. *)
 
 let magic0 = '\x69' (* 'i' *)
 let magic1 = '\x33' (* '3' *)
@@ -24,17 +26,12 @@ let version = '\x01'
 
 let header_bytes = 48
 let off_magic = 0
-let off_version = 2
-let off_flags = 3
 let off_stack_count = 4
 let off_ttl = 5
 let off_payload_len = 8
 let off_sender = 12
 let off_prev_addr = 20
 let off_trace = 28
-let trace_bytes = 8
-let off_reserved = 36
-let reserved_bytes = header_bytes - off_reserved
 
 (* Packet header flag bits (all < [first_kind], see below). *)
 let flag_refresh = 1

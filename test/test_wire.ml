@@ -1,9 +1,10 @@
 (* Wire-format coverage: generator-driven roundtrips for every message
-   kind (i3 + Chord), the [decoded_length] = |encode| property, negative
-   decodes for truncation / depth / tag corruption, a deterministic
-   seeded mutation fuzzer over the whole corpus (decoders must return
-   [Error] — never raise, never over-read), and the byte-level
-   [Transport.Sim] smoke test. *)
+   kind (i3 + Chord), negative decodes for truncation / depth / tag
+   corruption, a deterministic seeded mutation fuzzer over the whole
+   corpus (decoders must return [Error] — never raise, never
+   over-read), the [Wire.Io] cursor behind [Wire.Io.parse], the data
+   path's allocation per packet, and the byte-level [Transport.Sim]
+   smoke test. *)
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -213,14 +214,9 @@ let test_data_frame_is_packet =
   qtest "Data frame = Packet.encode" gen_packet (fun p ->
       I3.Codec.encode (I3.Message.Data p) = I3.Packet.encode p)
 
-(* --- decoded_length (satellite 1) --- *)
+(* --- negative decodes --- *)
 
-let test_decoded_length =
-  qtest ~count:500 "decoded_length = |encode|" gen_packet (fun p ->
-      I3.Packet.decoded_length (I3.Packet.encode p)
-      = Ok (String.length (I3.Packet.encode p)))
-
-let test_decoded_length_negative () =
+let test_decode_rejects_prefixes () =
   let r = Rng.copy rng0 in
   let p =
     I3.Packet.make
@@ -229,10 +225,10 @@ let test_decoded_length_negative () =
   in
   let wire = I3.Packet.encode p in
   (* Truncations anywhere in the header or body must fail, not clamp. *)
-  for cut = 0 to I3.Packet.header_bytes + 2 do
-    match I3.Packet.decoded_length (String.sub wire 0 cut) with
+  for cut = 0 to String.length wire - 1 do
+    match I3.Packet.decode (String.sub wire 0 cut) with
     | Error _ -> ()
-    | Ok _ -> Alcotest.failf "decoded_length accepted a %d-byte prefix" cut
+    | Ok _ -> Alcotest.failf "decode accepted a %d-byte prefix" cut
   done
 
 let test_decode_rejects_deep_stack () =
@@ -354,42 +350,71 @@ let test_mutation_fuzz () =
     (match I3.Codec.decode mutant with Ok _ | Error _ -> ());
     (match Chord.Codec.decode mutant with Ok _ | Error _ -> ());
     (match I3.Packet.decode mutant with Ok _ | Error _ -> ());
-    (match I3.Packet.decoded_length mutant with
-    | Ok n ->
-        (* A length claim must never exceed what was actually present. *)
-        if n > String.length mutant then
-          Alcotest.failf "decoded_length over-read: %d > %d" n
-            (String.length mutant)
-    | Error _ -> ());
     incr checked
   done;
   Alcotest.(check int) "iterations" fuzz_iters !checked
 
-(* --- Wire.Io primitives --- *)
+(* --- Wire.Io primitives, through Wire.Io.parse --- *)
+
+let check_parse what expected got =
+  Alcotest.(check (result int string)) what expected got
 
 let test_io_bounds () =
   let open Wire.Io in
-  let r = reader "ab" in
-  (match u32 r "x" with
-  | Error e -> Alcotest.(check string) "u32 short" "truncated x" e
-  | Ok _ -> Alcotest.fail "u32 over-read");
-  (* the failed read must not consume anything *)
-  (match u16 r "y" with
-  | Ok v -> Alcotest.(check int) "u16" 0x6162 v
-  | Error e -> Alcotest.fail e);
-  (match expect_end r with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  match take (reader "abc") (-1) "neg" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative take accepted"
+  check_parse "u32 short" (Error "truncated x") (parse "ab" (fun r -> u32 r "x"));
+  check_parse "u16" (Ok 0x6162) (parse "ab" (fun r -> u16 r "y"));
+  check_parse "trailing" (Error "trailing bytes")
+    (parse "abc" (fun r -> u16 r "y"));
+  check_parse "raised message" (Error "boom") (parse "" (fun _ -> fail "boom"));
+  check_parse "negative take" (Error "negative length for neg")
+    (parse "abc" (fun r -> String.length (take r (-1) "neg")));
+  (* A sub-reader stops at its own bound, not the frame's end, and must
+     consume all of it. *)
+  check_parse "sub bound" (Error "truncated w")
+    (parse "\x00\x02abcdef" (fun r ->
+         sub r (u16 r "n") "blob" (fun b -> u32 b "w")));
+  check_parse "sub leftover" (Error "trailing bytes")
+    (parse "\x00\x02ab" (fun r -> sub r (u16 r "n") "blob" (fun b -> u8 b "c")))
 
 let test_io_list_cap () =
   let open Wire.Io in
-  let r = reader (String.make 64 'x') in
-  match list_of r ~count:40 ~max:32 "peers" (fun r -> u8 r "b") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "list_of accepted count > max"
+  check_parse "count > max" (Error "bad count for peers")
+    (parse (String.make 64 'x') (fun r ->
+         List.length (list_of r ~count:40 ~max:32 "peers" (fun r -> u8 r "b"))))
+
+(* --- allocation on the data path ---
+
+   Minor-heap words per call, averaged over 10^4 calls: a 16 B data
+   packet's decode, and decode + TTL-1 + encode (what a relaying server
+   does to it).  The bounds leave headroom over the 48 and 77 words
+   these take, and fail if a [result] or closure per field comes back
+   (that costs hundreds of words). *)
+
+let minor_words_per_call f =
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f (Sys.opaque_identity ())))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_data_path_allocation () =
+  let frame =
+    I3.Packet.encode
+      (I3.Packet.make
+         ~stack:[ I3.Packet.Sid (Id.name_hash "alloc") ]
+         ~payload:(String.make 16 'x') ())
+  in
+  let decode () = I3.Packet.decode frame in
+  let relay () =
+    match I3.Packet.decode frame with
+    | Ok p -> I3.Packet.encode { p with ttl = p.ttl - 1 }
+    | Error e -> failwith e
+  in
+  let d = minor_words_per_call decode and r = minor_words_per_call relay in
+  if d > 64. then Alcotest.failf "decode: %.1f minor words per call > 64" d;
+  if r > 128. then
+    Alcotest.failf "decode + TTL-1 + encode: %.1f minor words per call > 128" r
 
 (* --- Sim byte transport --- *)
 
@@ -601,13 +626,10 @@ let () =
           test_chord_roundtrip;
           test_data_frame_is_packet;
         ] );
-      ( "decoded_length",
-        [
-          test_decoded_length;
-          Alcotest.test_case "negatives" `Quick test_decoded_length_negative;
-        ] );
       ( "negative decode",
         [
+          Alcotest.test_case "truncated prefixes rejected" `Quick
+            test_decode_rejects_prefixes;
           Alcotest.test_case "deep stack rejected" `Quick
             test_decode_rejects_deep_stack;
           Alcotest.test_case "trailing bytes rejected" `Quick
@@ -634,6 +656,11 @@ let () =
           Alcotest.test_case "list cap" `Quick test_io_list_cap;
           Alcotest.test_case "put_str32 payload cap" `Quick
             test_put_str32_guard;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "16 B data packet decode and relay" `Quick
+            test_data_path_allocation;
         ] );
       ( "transport",
         [ Alcotest.test_case "sim bytes" `Quick test_sim_transport ] );
