@@ -28,7 +28,8 @@ let substrate_conv =
                  chord-finger-set, chord-pns, koorde, koorde2..koorde256)"
                 s))
   in
-  Arg.conv (parse, fun ppf s -> Fmt.string ppf (Koorde.Substrate.label s))
+  Arg.conv
+    (parse, fun ppf s -> Format.pp_print_string ppf (Koorde.Substrate.label s))
 
 let substrate_arg =
   Arg.(
@@ -45,7 +46,10 @@ let kind_conv =
     try Ok (Topology.Model.kind_of_string s)
     with Invalid_argument m -> Error (`Msg m)
   in
-  Arg.conv (parse, fun ppf k -> Fmt.string ppf (Topology.Model.kind_to_string k))
+  let print ppf k =
+    Format.pp_print_string ppf (Topology.Model.kind_to_string k)
+  in
+  Arg.conv (parse, print)
 
 let kind_arg =
   Arg.(
@@ -323,7 +327,7 @@ let payloads = [ 0; 64; 128; 256; 512; 1024; 2048; 4096 ]
 
 let run_micro seed csv =
   let env = Eval.Microbench.insert_env ~seed () in
-  let mean_ns, stdev_ns = Eval.Microbench.time_per_iter_ns env () in
+  let mean_ns, stdev_ns = Eval.Microbench.time_per_iter_ns env in
   Printf.printf "trigger insertion: mean %.2f us, stdev %.2f us\n"
     (mean_ns /. 1e3) (stdev_ns /. 1e3);
   Printf.printf "max sustainable triggers @30s refresh: %.3g\n\n"
@@ -332,7 +336,7 @@ let run_micro seed csv =
     List.map
       (fun payload ->
         let fenv = Eval.Microbench.forward_env ~payload ~seed () in
-        let m, _ = Eval.Microbench.time_per_iter_ns fenv () in
+        let m, _ = Eval.Microbench.time_per_iter_ns fenv in
         let t = Eval.Microbench.throughput ~payload ~seed () in
         [
           string_of_int payload;
@@ -348,7 +352,7 @@ let run_micro seed csv =
     List.map
       (fun n ->
         let renv = Eval.Microbench.route_env ~n_nodes:n ~seed () in
-        let m, _ = Eval.Microbench.time_per_iter_ns renv () in
+        let m, _ = Eval.Microbench.time_per_iter_ns renv in
         [ string_of_int n; Printf.sprintf "%.2f" (m /. 1e3) ])
       [ 2; 4; 8; 16; 32 ]
   in

@@ -5,7 +5,10 @@ type cache_result = {
 
 (* Mean number of servers a data packet traverses, counted via the
    servers' i3.data_received counters. *)
-let measure_hops ~seed ~flows ~packets_per_flow ~host_config () =
+let flows = 20
+let packets_per_flow = 10
+
+let measure_hops ~seed ~host_config =
   let metrics = Obs.Metrics.create () in
   let d = Transport.Deployment.create ~seed ~n_servers:64 ~metrics () in
   let packets = ref 0 in
@@ -24,16 +27,13 @@ let measure_hops ~seed ~flows ~packets_per_flow ~host_config () =
   let received = Obs.Metrics.sum_counters metrics "i3.data_received" in
   float_of_int received /. float_of_int !packets
 
-let sender_cache ?(seed = 1) ?(flows = 20) ?(packets_per_flow = 10) () =
+let sender_cache ?(seed = 1) () =
   let no_cache =
     { Transport.Host.default_config with Transport.Host.cache_ttl_ms = 0. }
   in
   {
-    hops_with_cache =
-      measure_hops ~seed ~flows ~packets_per_flow ~host_config:None ();
-    hops_without_cache =
-      measure_hops ~seed ~flows ~packets_per_flow
-        ~host_config:(Some no_cache) ();
+    hops_with_cache = measure_hops ~seed ~host_config:None;
+    hops_without_cache = measure_hops ~seed ~host_config:(Some no_cache);
   }
 
 type replication_result = {
@@ -61,7 +61,9 @@ let replication_trial ~seed ~replicate =
   Transport.Deployment.run_for d 1_000.;
   !delivered
 
-let replication ?(seed = 1) ?(trials = 20) () =
+let trials = 20
+
+let replication ?(seed = 1) () =
   let count replicate =
     let total = ref 0 in
     for k = 0 to trials - 1 do
@@ -97,8 +99,7 @@ let constrained_insert_ns ~seed ~check =
     (Microbench.time_per_iter_ns
        (Microbench.feed
           (Microbench.lone_server ~config ())
-          (Array.init 2048 (fun _ -> insert ())))
-       ())
+          (Array.init 2048 (fun _ -> insert ()))))
 
 let constraints ?(seed = 1) () =
   {

@@ -20,9 +20,8 @@ type cache_result = {
   hops_without_cache : float;
 }
 
-val sender_cache :
-  ?seed:int -> ?flows:int -> ?packets_per_flow:int -> unit -> cache_result
-(** Over 64 servers. *)
+val sender_cache : ?seed:int -> unit -> cache_result
+(** 20 flows of 10 packets each over 64 servers. *)
 
 type replication_result = {
   delivered_with : int;
@@ -30,8 +29,8 @@ type replication_result = {
   attempts : int;  (** packets sent during the post-failure window *)
 }
 
-val replication : ?seed:int -> ?trials:int -> unit -> replication_result
-(** Over 32 servers, one failure per trial. *)
+val replication : ?seed:int -> unit -> replication_result
+(** 20 trials over 32 servers, one failure per trial. *)
 
 type constraint_result = {
   ns_with_check : float;

@@ -119,7 +119,7 @@ let mode_mismatch ~baseline ~current =
 
 let passed results = List.for_all (fun r -> r.ok) results
 
-let render ?(out = stdout) results =
+let render results =
   let fmt_opt = function
     | Some v -> Printf.sprintf "%.6g" v
     | None -> "-"
@@ -129,15 +129,15 @@ let render ?(out = stdout) results =
   in
   List.iter
     (fun r ->
-      Printf.fprintf out "  %s %-*s baseline=%-12s current=%-12s %s\n"
+      Printf.printf "  %s %-*s baseline=%-12s current=%-12s %s\n"
         (if r.ok then "ok  " else "FAIL")
         width r.check.key (fmt_opt r.baseline) (fmt_opt r.current) r.note)
     results;
   let fails = List.length (List.filter (fun r -> not r.ok) results) in
   if fails = 0 then
-    Printf.fprintf out "  gate: %d checks passed\n" (List.length results)
+    Printf.printf "  gate: %d checks passed\n" (List.length results)
   else
-    Printf.fprintf out "  gate: %d of %d checks FAILED\n" fails
+    Printf.printf "  gate: %d of %d checks FAILED\n" fails
       (List.length results)
 
 (* Only metrics that are deterministic functions of the seeds and the

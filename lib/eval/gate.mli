@@ -57,9 +57,9 @@ val mode_mismatch : baseline:Json.t -> current:Json.t -> (string * string) optio
 
 val passed : result list -> bool
 
-val render : ?out:out_channel -> result list -> unit
-(** One line per check: ok/FAIL, key, both values, note; then a summary
-    line. *)
+val render : result list -> unit
+(** One stdout line per check: ok/FAIL, key, both values, note; then a
+    summary line. *)
 
 val default_checks : check list
 (** Deterministic metrics only: delivery ratio, routing-hop percentiles,

@@ -56,10 +56,10 @@ let forward_env ~payload ~seed () =
            ~payload:(Workload.payload rng payload) ());
     |]
 
-let insert_env ?(distinct = 4096) ~seed () =
+let insert_env ~seed () =
   let rng = Rng.of_int (seed + 23) in
   feed (lone_server ())
-    (Array.init distinct (fun _ ->
+    (Array.init 4096 (fun _ ->
          I3.Codec.encode
            (I3.Message.Insert
               {
@@ -99,12 +99,12 @@ type throughput = {
   user_mbps : float;
 }
 
-let throughput ~payload ?(duration_s = 0.5) ~seed () =
+let throughput ~payload ~seed () =
   let env = forward_env ~payload ~seed () in
   (* Warm up allocators and caches. *)
   batch env 1000;
   let start = Unix.gettimeofday () in
-  let deadline = start +. duration_s in
+  let deadline = start +. 0.5 in
   let count = ref 0 in
   while Unix.gettimeofday () < deadline do
     batch env 200;
@@ -118,10 +118,10 @@ let throughput ~payload ?(duration_s = 0.5) ~seed () =
     user_mbps = pps *. float_of_int payload *. 8. /. 1e6;
   }
 
-let time_per_iter_ns env ?(iters = 20_000) () =
+let time_per_iter_ns env =
   batch env 1000;
   let samples = Array.make 20 0. in
-  let chunk = iters / 20 in
+  let chunk = 1_000 in
   for s = 0 to 19 do
     let t0 = Unix.gettimeofday () in
     batch env chunk;

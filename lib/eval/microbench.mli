@@ -33,9 +33,9 @@ val forward_env : payload:int -> seed:int -> unit -> env
     given payload size, which it decodes, matches and encodes as a
     [Deliver]. *)
 
-val insert_env : ?distinct:int -> seed:int -> unit -> env
+val insert_env : seed:int -> unit -> env
 (** Iterations feed a {!lone_server} an encoded [Insert] frame for one
-    of [distinct] (default 4096) pre-built triggers, cycling. *)
+    of 4096 pre-built triggers, cycling. *)
 
 val route_env : n_nodes:int -> seed:int -> unit -> env
 (** Iterations pick the next hop for a random key from a linear
@@ -54,11 +54,11 @@ type throughput = {
   user_mbps : float;  (** payload bits only, as in the paper *)
 }
 
-val throughput : payload:int -> ?duration_s:float -> seed:int -> unit -> throughput
-(** Wall-clock saturation test of the forwarding path. *)
+val throughput : payload:int -> seed:int -> unit -> throughput
+(** Wall-clock saturation test of the forwarding path, 0.5 s long. *)
 
-val time_per_iter_ns : env -> ?iters:int -> unit -> float * float
+val time_per_iter_ns : env -> float * float
 (** Hand-rolled (mean, stdev) nanoseconds per iteration on a warm heap
-    (1,000 iterations of warm-up, then 20 timed chunks): the Fig. 10/11
-    rows and the trigger-insertion table, which the paper reports as
-    mean/stddev. *)
+    (1,000 iterations of warm-up, then 20 timed chunks of 1,000): the
+    Fig. 10/11 rows and the trigger-insertion table, which the paper
+    reports as mean/stddev. *)

@@ -359,12 +359,8 @@ let ring_state t i ~timeout_ms =
 (* The live members, each member's expected successor among them (the
    next node id clockwise), and whether every probed successor pointer
    agrees — the converged-Chord invariant, observed over the wire. *)
-let converged ?(only = fun _ -> true) t =
-  let live =
-    List.filter
-      (fun m -> m.pid <> None && only m.index)
-      (Array.to_list t.members)
-  in
+let converged t =
+  let live = List.filter (fun m -> m.pid <> None) (Array.to_list t.members) in
   match live with
   | [] -> false
   | [ m ] -> (
@@ -387,10 +383,10 @@ let converged ?(only = fun _ -> true) t =
           | Some { succs = []; _ } | None -> false)
         live
 
-let await_converged ?only t ~timeout_ms =
+let await_converged t ~timeout_ms =
   let deadline = wall_ms () +. timeout_ms in
   let rec go () =
-    if converged ?only t then true
+    if converged t then true
     else if wall_ms () >= deadline then false
     else begin
       ignore (Unix.select [] [] [] 0.05);

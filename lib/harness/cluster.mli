@@ -135,13 +135,12 @@ val ring_state : t -> int -> timeout_ms:float -> ring_state option
     dedicated chord-codec probe socket (token-matched, so stragglers
     from timed-out probes are ignored). *)
 
-val converged : ?only:(int -> bool) -> t -> bool
-(** Probe every live member (optionally restricted to indices
-    satisfying [only]) and check the converged-Chord invariant: each
-    successor pointer names the next live member clockwise by node
+val converged : t -> bool
+(** Probe every live member and check the converged-Chord invariant:
+    each successor pointer names the next live member clockwise by node
     id. *)
 
-val await_converged : ?only:(int -> bool) -> t -> timeout_ms:float -> bool
+val await_converged : t -> timeout_ms:float -> bool
 (** Poll {!converged} until true or the deadline. *)
 
 val supervise : t -> unit

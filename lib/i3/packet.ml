@@ -79,19 +79,18 @@ let equal a b =
   && a.ttl = b.ttl
   && a.trace = b.trace
 
-let make ?(refresh = false) ?(match_required = false) ?sender
-    ?(ttl = default_ttl) ?(trace = 0) ~stack ~payload () =
+let make ?sender ?(trace = 0) ~stack ~payload () =
   if stack = [] then invalid_arg "Packet.make: empty identifier stack";
   if List.length stack > max_stack_depth then
     invalid_arg "Packet.make: identifier stack too deep";
   {
     stack;
     payload = payload_of_string payload;
-    refresh;
-    match_required;
+    refresh = false;
+    match_required = false;
     sender;
     prev_trigger = None;
-    ttl;
+    ttl = default_ttl;
     trace;
   }
 

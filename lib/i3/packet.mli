@@ -55,17 +55,15 @@ type t = {
 }
 
 val make :
-  ?refresh:bool ->
-  ?match_required:bool ->
   ?sender:addr ->
-  ?ttl:int ->
   ?trace:int ->
   stack:stack ->
   payload:string ->
   unit ->
   t
-(** Build a packet; [ttl] defaults to 32.  @raise Invalid_argument on
-    an empty or over-deep stack. *)
+(** Build a packet with both flags clear and a [ttl] of 32 (set others
+    with a record update).  @raise Invalid_argument on an empty or
+    over-deep stack. *)
 
 val payload_string : t -> string
 (** The payload bytes as a string, copying out of the receive buffer on

@@ -83,11 +83,11 @@ type ring_view = {
    [emit] carries every outbound message and inbound traffic arrives
    through [handle_message].  This is what keeps the Fig. 3 engine
    sans-IO: [I3.Engine] turns the sends into effects, and the same
-   engine runs in [bin/i3d] and in both simulated substrates. *)
+   engine runs in [bin/i3d] and in both simulated deployments. *)
 type t = {
   engine : Sim.Engine.t;
   emit : dst:Packet.addr -> Message.t -> unit;
-  mutable view : ring_view;
+  view : ring_view;
   id : Id.t;
   addr : Packet.addr;
   site : int;
@@ -401,7 +401,6 @@ let create ~engine ~addr ~emit ~view ?(site = 0) ~id
   }
 
 let view t = t.view
-let set_view t view = t.view <- view
 
 let kill t =
   t.alive <- false;

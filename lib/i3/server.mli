@@ -50,10 +50,11 @@ type ring_view = {
   predecessor_addr : unit -> Packet.addr option;
       (** ring predecessor (hot-spot push target, Sec. IV-F) *)
 }
-(** How a server sees the ring.  {!Engine.create} derives it from its
-    live {!Chord.Protocol} node; {!Engine.create_static} takes it from
-    its owner ([Transport.Deployment] builds it over the static oracle),
-    so the very same forwarding engine runs over either substrate. *)
+(** How a server sees the ring, fixed at creation.  {!Engine.create}
+    derives it from its live {!Chord.Protocol} node; {!Engine.create_static}
+    takes it from its owner ([Transport.Deployment] builds it over the
+    static oracle ring it keeps converged), so the very same forwarding
+    engine runs over a live and a static ring. *)
 
 type t
 
@@ -89,10 +90,6 @@ val create :
     for traced packets. *)
 
 val view : t -> ring_view
-
-val set_view : t -> ring_view -> unit
-(** Install a new ring view — [Transport.Dynamic] swaps in de Bruijn
-    forwarding this way when it runs over the Koorde substrate. *)
 
 val addr : t -> Packet.addr
 val id : t -> Id.t

@@ -4,9 +4,11 @@
     DHT-style lookup" — and this module makes that literal: a {!spec}
     names a substrate (a Chord routing policy or a Koorde degree), and
     {!create} builds its router over a static membership, a
-    {!Chord.Routing.t} or a {!Routing.t}.  [Transport.Deployment],
-    [Transport.Dynamic], the eval harnesses and [bin/i3_sim] select a
-    substrate by its spec instead of hard-coding Chord. *)
+    {!Chord.Routing.t} or a {!Routing.t}.  The experiments ([lib/eval]:
+    Fig. 8 with [--substrate], Fig. 9 and the bakeoff, all driven by
+    [bin/i3_sim]) select a substrate by its spec and race them over one
+    oracle; the simulated deployments and [bin/i3d] route by Chord
+    alone. *)
 
 type spec = Chord of Chord.Routing.policy | Koorde of { degree : int }
 

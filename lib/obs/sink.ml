@@ -3,7 +3,7 @@ let labels_to_string labels =
 
 let pad width s = s ^ String.make (max 0 (width - String.length s)) ' '
 
-let aligned_table ?(out = stdout) rows =
+let aligned_table rows =
   let widths =
     List.fold_left
       (fun acc row ->
@@ -17,8 +17,7 @@ let aligned_table ?(out = stdout) rows =
   List.iter
     (fun row ->
       let cells = List.mapi (fun i cell -> pad (List.nth widths i) cell) row in
-      output_string out (String.trim (String.concat "  " cells));
-      output_char out '\n')
+      print_endline (String.trim (String.concat "  " cells)))
     rows
 
 (* RFC 4180: quote any cell containing a comma, quote, CR or LF; double
@@ -83,26 +82,25 @@ let tree_to_json (t : Trace.tree) =
       ("events", List (List.map event_to_json t.Trace.a_events));
     ]
 
-let trace_summaries_csv ?(out = stdout) summaries =
-  output_string out
-    "trace,sends,hops,relays,delivers,drops,drop_causes,first_ms,last_ms\n";
-  List.iter
-    (fun (s : Trace.summary) ->
-      output_string out
-        (csv_row
-           [
-             string_of_int s.Trace.s_trace;
-             string_of_int s.Trace.sends;
-             string_of_int s.Trace.hops;
-             string_of_int s.Trace.relays;
-             string_of_int s.Trace.delivers;
-             string_of_int s.Trace.drops;
-             String.concat "," s.Trace.drop_causes;
-             Printf.sprintf "%.3f" s.Trace.first_time;
-             Printf.sprintf "%.3f" s.Trace.last_time;
-           ]);
-      output_char out '\n')
-    summaries
+let trace_summaries_csv summaries =
+  String.concat ""
+    ("trace,sends,hops,relays,delivers,drops,drop_causes,first_ms,last_ms\n"
+    :: List.map
+         (fun (s : Trace.summary) ->
+           csv_row
+             [
+               string_of_int s.Trace.s_trace;
+               string_of_int s.Trace.sends;
+               string_of_int s.Trace.hops;
+               string_of_int s.Trace.relays;
+               string_of_int s.Trace.delivers;
+               string_of_int s.Trace.drops;
+               String.concat "," s.Trace.drop_causes;
+               Printf.sprintf "%.3f" s.Trace.first_time;
+               Printf.sprintf "%.3f" s.Trace.last_time;
+             ]
+           ^ "\n")
+         summaries)
 
 (* Series and health *)
 

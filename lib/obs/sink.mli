@@ -6,9 +6,9 @@
 
 (** {1 Metrics} *)
 
-val aligned_table : ?out:out_channel -> string list list -> unit
+val aligned_table : string list list -> unit
 (** Column-aligned rendering of arbitrary rows (first row is usually a
-    header), for dashboards like [i3cluster top]. *)
+    header) on stdout, for dashboards like [i3cluster top]. *)
 
 val sample_to_json : Metrics.sample -> Json.t
 
@@ -18,8 +18,8 @@ val tree_to_json : Trace.tree -> Json.t
 (** An assembled cross-process hop tree ({!Trace.assemble}):
     [{trace; sites; terminal; events}]. *)
 
-val trace_summaries_csv : ?out:out_channel -> Trace.summary list -> unit
-(** Header
+val trace_summaries_csv : Trace.summary list -> string
+(** CSV text, one line per summary under the header
     [trace,sends,hops,relays,delivers,drops,drop_causes,first_ms,last_ms];
     drop causes are comma-joined inside one RFC-4180-quoted cell. *)
 

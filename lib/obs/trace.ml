@@ -20,39 +20,21 @@ type t = {
   ring : event array;  (* zero capacity <=> disabled *)
   mutable write : int;  (* next slot, monotonically increasing *)
   mutable next_id : int;
-  sample_every : int;
-  mutable skip : int;  (* countdown until the next sampled start *)
 }
 
 let dummy = { trace = none; time = 0.; site = -1; kind = Send }
 
-let disabled =
-  { ring = [||]; write = 0; next_id = 1; sample_every = 0; skip = 0 }
+let disabled = { ring = [||]; write = 0; next_id = 1 }
 
-let create ?(capacity = 65536) ?(sample_every = 1) () =
+let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Obs.Trace.create: capacity must be > 0";
-  if sample_every < 0 then
-    invalid_arg "Obs.Trace.create: sample_every must be >= 0";
-  if sample_every = 0 then disabled
-  else
-    {
-      ring = Array.make capacity dummy;
-      write = 0;
-      next_id = 1;
-      sample_every;
-      skip = 0;
-    }
+  { ring = Array.make capacity dummy; write = 0; next_id = 1 }
 
 let enabled t = Array.length t.ring > 0
 
 let start t =
   if not (enabled t) then none
-  else if t.skip > 0 then begin
-    t.skip <- t.skip - 1;
-    none
-  end
   else begin
-    t.skip <- t.sample_every - 1;
     let id = t.next_id in
     t.next_id <- t.next_id + 1;
     id
@@ -135,15 +117,11 @@ let summaries t =
   Hashtbl.fold (fun _ s acc -> s :: acc) tbl []
   |> List.sort (fun a b -> compare a.s_trace b.s_trace)
 
-let orphans ?started_before t =
+let orphans t =
   summaries t
   |> List.filter (fun s ->
          s.delivers = 0 && s.drops = 0
-         && s.sends > 0 (* evicted history is incomplete, not orphaned *)
-         &&
-         match started_before with
-         | Some hi -> s.s_trace < hi
-         | None -> true)
+         && s.sends > 0 (* evicted history is incomplete, not orphaned *))
 
 (* --- control-plane operations --- *)
 
@@ -188,10 +166,9 @@ let durations_ms ?op t =
 let drain t =
   let evs = events t in
   if enabled t then begin
-    (* Unlike [reset], draining must NOT reset [next_id] (ids stay unique
+    (* Unlike [reset], draining must NOT reset [next_id]: ids stay unique
        across drains so a collector scraping periodically never sees two
-       distinct packets share an id) nor [skip] (sampling cadence is
-       unaffected by observation). *)
+       distinct packets share an id. *)
     Array.fill t.ring 0 (Array.length t.ring) dummy;
     t.write <- 0
   end;
@@ -279,6 +256,5 @@ let reset t =
   if enabled t then begin
     Array.fill t.ring 0 (Array.length t.ring) dummy;
     t.write <- 0;
-    t.next_id <- 1;
-    t.skip <- 0
+    t.next_id <- 1
   end

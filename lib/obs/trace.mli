@@ -6,8 +6,7 @@
     authoritative definition); every layer that touches the packet
     appends an event
     ({!record}).  Storage is a fixed ring buffer, so a collector is cheap
-    enough to leave on; the {!sampling} knob thins allocation further when
-    even that is too much.
+    enough to leave on.
 
     Control-plane work — a Chord lookup and its per-hop RPCs, a
     stabilize round, an end host's trigger refresh — is recorded in the
@@ -54,25 +53,22 @@ type t
 val disabled : t
 (** Records nothing, allocates nothing; {!start} returns {!none}. *)
 
-val create : ?capacity:int -> ?sample_every:int -> unit -> t
-(** Ring buffer of [capacity] events (default 65536).  [sample_every = n]
-    traces every n-th {!start} (default 1 = all; 0 behaves like
-    {!disabled}). *)
+val create : ?capacity:int -> unit -> t
+(** Ring buffer of [capacity] events (default 65536); every {!start}
+    is traced. *)
 
 val enabled : t -> bool
 
 val start : t -> id
 (** Allocate a trace id for a packet about to be sent, or {!none} when the
-    collector is disabled or sampling skips this packet.  Ids are positive
-    and unique per collector. *)
+    collector is disabled.  Ids are positive and unique per collector. *)
 
 val record : t -> id -> time:float -> site:int -> kind -> unit
 (** Append an event; no-op when [id = none] or the collector is
     disabled. *)
 
 val started : t -> int
-(** Ids allocated so far, packet traces and operations alike (sampling
-    skips excluded). *)
+(** Ids allocated so far, packet traces and operations alike. *)
 
 val recorded : t -> int
 (** Events recorded so far (including any since overwritten). *)
@@ -96,17 +92,18 @@ type summary = {
 val summaries : t -> summary list
 (** One summary per trace id present in the ring, ascending id. *)
 
-val orphans : ?started_before:id -> t -> summary list
-(** Traces with no terminal event ([Deliver] or [Drop]).  Traces whose id
-    is >= [started_before] are excluded (they may legitimately still be in
-    flight), as are traces whose first event was already evicted from the
-    ring (their history is incomplete, not necessarily orphaned). *)
+val orphans : t -> summary list
+(** Traces with no terminal event ([Deliver] or [Drop]), excluding those
+    whose first event was already evicted from the ring (their history is
+    incomplete, not necessarily orphaned).  A trace may still be in
+    flight: filter on [s_trace] to keep only ids started before a
+    cutoff. *)
 
 val drain : t -> event list
 (** Events still in the ring, oldest first, emptying the ring as a side
-    effect.  Unlike {!reset} this preserves the id allocator and the
-    sampling countdown, so a collector polling {!drain} periodically sees
-    each event exactly once and never sees two packets share an id. *)
+    effect.  Unlike {!reset} this preserves the id allocator, so a
+    collector polling {!drain} periodically sees each event exactly once
+    and never sees two packets share an id. *)
 
 (** {1 Control-plane operations}
 
@@ -123,8 +120,8 @@ val null_op : op
     Useful as the initial value of a mutable handle field. *)
 
 val open_op : t -> ?parent:id -> time:float -> string -> op
-(** Allocate an id (sampled like {!start}) and record its {!Op} event.
-    A disabled collector, or a sampling skip, returns an inert handle. *)
+(** Allocate an id (as {!start} does) and record its {!Op} event.  A
+    disabled collector returns an inert handle. *)
 
 val op_id : op -> id
 (** The handle's id ({!none} iff inert). *)

@@ -55,14 +55,9 @@ let make_counters metrics label =
     c_gray = drop "gray";
   }
 
-let create ?(metrics = Obs.Metrics.default) ?label engine ~rng ~latency () =
-  let label =
-    match label with
-    | Some l -> l
-    | None ->
-        incr instances;
-        "net" ^ string_of_int !instances
-  in
+let create ?(metrics = Obs.Metrics.default) engine ~rng ~latency () =
+  incr instances;
+  let label = "net" ^ string_of_int !instances in
   {
     engine;
     latency;

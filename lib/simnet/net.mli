@@ -29,7 +29,6 @@ type 'msg t
 
 val create :
   ?metrics:Obs.Metrics.t ->
-  ?label:string ->
   Engine.t ->
   rng:Rng.t ->
   latency:(int -> int -> float) ->
@@ -37,8 +36,8 @@ val create :
   'msg t
 (** [latency] maps a pair of sites to one-way latency in ms.  Accounting
     registers under [net.*] in [metrics] (default {!Obs.Metrics.default})
-    with an [instance] label — [label] if given, else a fresh ["netN"] —
-    so independent networks never share counters. *)
+    with a fresh [instance] label ["netN"], so independent networks
+    never share counters. *)
 
 val engine : 'msg t -> Engine.t
 

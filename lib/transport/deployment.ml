@@ -1,24 +1,37 @@
 (* The paper's static-ring simulator: [Dynamic]'s members ([Member]),
    each a static [I3.Engine] viewing one oracle ring. *)
 
+(* A converged ring: its oracle, classic Chord routing over it, and the
+   address at each ring index. *)
+type ring = {
+  oracle : Chord.Oracle.t;
+  routing : Chord.Routing.t;
+  addrs : int array;
+}
+
 type t = {
   w : Member.world;
   model : Topology.Model.t option;
   latency : int -> int -> float;
-  substrate : Koorde.Substrate.spec;
   (* The converged ring every server's view reads, so one [reconverge]
      updates every view at once. *)
-  mutable ring : Member.ring;
+  mutable ring : ring;
   mutable members : Member.t array; (* current ring order *)
   mutable all_servers : I3.Server.t array; (* creation order, incl. dead ones *)
 }
 
 let is_alive m = I3.Server.is_alive (Member.server m)
 
-let make_ring ~latency ~substrate oracle ~(ring_sites : int array) addrs =
-  let latency i j = latency ring_sites.(i) ring_sites.(j) in
-  let routing = Koorde.Substrate.create ~latency oracle substrate in
-  { Member.oracle; routing; addrs }
+let make_ring oracle addrs =
+  { oracle; routing = Chord.Routing.create oracle Chord.Routing.Default; addrs }
+
+(* The next hop from the server [self] toward [id]'s owner over [ring];
+   [None] when [self] owns it or is not on the ring. *)
+let next_hop ring ~self id =
+  Option.bind (Chord.Oracle.index_of ring.oracle self) (fun current ->
+      Option.map
+        (fun n -> ring.addrs.(n))
+        (Chord.Routing.next_hop ring.routing ~current ~key:(Id.routing_key id)))
 
 (* The view of server [self], at whatever index the oracle holds it. *)
 let view_for t self =
@@ -31,7 +44,7 @@ let view_for t self =
   {
     I3.Server.owns =
       (fun id -> Chord.Oracle.responsible t.ring.oracle id = index ());
-    next_hop = (fun id -> Option.join (Member.next_hop t.ring ~self id));
+    next_hop = (fun id -> next_hop t.ring ~self id);
     successor_addr = (fun () -> neighbour Chord.Oracle.successor_of);
     predecessor_addr = (fun () -> neighbour Chord.Oracle.predecessor_of);
   }
@@ -42,10 +55,8 @@ let attach t ~site ~id =
       I3.Engine.create_static ~addr ~id ~view:(view_for t id) ~site
         ?config:t.w.server_config ~metrics:t.w.metrics ~tracer:t.w.tracer ())
 
-let create ?(seed = 1) ?model
-    ?(substrate = Koorde.Substrate.Chord Chord.Routing.Default) ?server_config
-    ?(metrics = Obs.Metrics.default) ?(tracer = Obs.Trace.disabled)
-    ?(spans = Obs.Trace.disabled) ~n_servers () =
+let create ?(seed = 1) ?model ?server_config ?(metrics = Obs.Metrics.default)
+    ?(tracer = Obs.Trace.disabled) ?(spans = Obs.Trace.disabled) ~n_servers () =
   if n_servers <= 0 then invalid_arg "Deployment.create: need servers";
   let latency =
     match model with
@@ -67,8 +78,7 @@ let create ?(seed = 1) ?model
       w;
       model;
       latency;
-      substrate;
-      ring = make_ring ~latency ~substrate oracle ~ring_sites:sites [||];
+      ring = make_ring oracle [||];
       members = [||];
       all_servers = [||];
     }
@@ -101,13 +111,9 @@ let kill_server t i = Member.kill t.members.(i)
 let reconverge t members =
   let id m = I3.Engine.id (Member.node m) in
   Array.sort (fun a b -> Id.compare (id a) (id b)) members;
-  let ring_sites =
-    Array.map (fun m -> Net.site t.w.net (Member.addr m)) members
-  in
   t.ring <-
-    make_ring ~latency:t.latency ~substrate:t.substrate
+    make_ring
       (Chord.Oracle.create (Array.map id members))
-      ~ring_sites
       (Array.map Member.addr members);
   t.members <- members
 

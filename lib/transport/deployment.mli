@@ -7,7 +7,8 @@
     {!I3.Engine} behind one {!Driver} on one [Sim] endpoint.  The
     engines are static ({!I3.Engine.create_static}): they run no Chord
     node and route by a view of one {!Chord.Oracle} ring that this
-    module keeps converged, as the paper's simulator does.  Every host
+    module keeps converged, as the paper's simulator does, forwarding
+    by classic Chord ({!Chord.Routing.Default}).  Every host
     runs the one end-host driver, {!Host}, on a [Sim] endpoint of the
     same net, as [Transport.Client] runs it on a socket. *)
 
@@ -16,7 +17,6 @@ type t
 val create :
   ?seed:int ->
   ?model:Topology.Model.t ->
-  ?substrate:Koorde.Substrate.spec ->
   ?server_config:I3.Server.config ->
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
@@ -33,10 +33,7 @@ val create :
     its [instance] label.  Passing a live [tracer] turns on per-packet
     hop tracing across the network, every server and every host created
     by {!new_host}; a live [spans] collector records each host's trigger
-    insert/refresh round-trips as {!Obs.Trace.open_op} operations.
-
-    [substrate] selects the lookup substrate the ring routes over
-    ({!Koorde.Substrate.spec}, default Chord's [Default] policy). *)
+    insert/refresh round-trips as {!Obs.Trace.open_op} operations. *)
 
 val engine : t -> Engine.t
 

@@ -30,7 +30,6 @@ val create :
   ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
   ?spans:Obs.Trace.t ->
-  ?substrate:Koorde.Substrate.spec ->
   unit ->
   t
 (** An empty deployment.  Endpoints on one site talk at 0 ms, distinct
@@ -44,16 +43,9 @@ val create :
     (Chord lookups/RPCs/stabilization and host trigger round-trips) as
     {!Obs.Trace.open_op} events, apart from [tracer] so operations
     never evict packet hops.  Each member's {!Driver} series ([driver.*],
-    [wire.decode_errors]) carry its server's [instance] label.
-
-    [substrate] selects the data-plane forwarding substrate.  With
-    [Koorde {degree}], servers forward along de Bruijn hops computed over
-    a lazily rebuilt snapshot of the live membership (refreshed on every
-    join/kill/restart); ownership — and therefore trigger placement and
-    the conservation invariants — stays with the live Chord protocol's
-    successor rule, which the Koorde ring agrees with whenever the
-    membership view is converged.  [Chord _] or omitting the parameter
-    keeps the protocol's own finger-based forwarding. *)
+    [wire.decode_errors]) carry its server's [instance] label.  Every
+    server forwards by its own Chord node's fingers and owns the arc its
+    node's successor rule gives it. *)
 
 val engine : t -> Engine.t
 (** The simulator's scheduler (simnet's [Engine]). *)

@@ -175,12 +175,10 @@ let send_packet t (p : I3.Packet.t) =
   Obs.Metrics.incr t.c_data;
   step t ~now (I3.Endhost.Send_packet p)
 
-let send_stack t ?(match_required = false) stack payload =
-  send_packet t (I3.Packet.make ~match_required ~stack ~payload ())
+let send_stack t stack payload =
+  send_packet t (I3.Packet.make ~stack ~payload ())
 
-let send t ?(refresh = false) id payload =
-  send_packet t
-    (I3.Packet.make ~refresh ~stack:[ I3.Packet.Sid id ] ~payload ())
+let send t id payload = send_stack t [ I3.Packet.Sid id ] payload
 
 let send_with_backup t ~primary ~backup payload =
   send_stack t [ I3.Packet.Sid primary; I3.Packet.Sid backup ] payload

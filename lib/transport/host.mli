@@ -93,14 +93,13 @@ val active_triggers : t -> I3.Trigger.t list
 val send_packet : t -> I3.Packet.t -> unit
 (** Send as prepared; a packet's own trace id is kept. *)
 
-val send : t -> ?refresh:bool -> Id.t -> string -> unit
+val send : t -> Id.t -> string -> unit
 (** Send [(id, data)]. The first packet toward an uncached prefix travels
     via a gateway with the refreshing flag set; once the responsible
     server's [Cache_info] arrives, packets go to it directly over a single
     overlay hop (Sec. IV-E). *)
 
-val send_stack :
-  t -> ?match_required:bool -> I3.Packet.stack -> string -> unit
+val send_stack : t -> I3.Packet.stack -> string -> unit
 (** Send with an explicit identifier stack (source-route style,
     Sec. II-E). *)
 

@@ -42,25 +42,6 @@ let world ~seed ~latency ?server_config ~metrics ~tracer ~spans () =
               | `Drop cause -> Obs.Trace.Drop ("net:" ^ cause)));
   { engine; net; rng; server_config; metrics; tracer; spans }
 
-(* A converged ring: its oracle, the substrate's router over it, and
-   the address at each ring index. *)
-type ring = {
-  oracle : Chord.Oracle.t;
-  routing : Koorde.Substrate.t;
-  addrs : int array;
-}
-
-(* The next hop from the server [self] toward [id]'s owner over [ring];
-   [None] when [self] is not on it. *)
-let next_hop ring ~self id =
-  Option.map
-    (fun current ->
-      Option.map
-        (fun n -> ring.addrs.(n))
-        (Koorde.Substrate.next_hop ring.routing ~current
-           ~key:(Id.routing_key id)))
-    (Chord.Oracle.index_of ring.oracle self)
-
 let addr m = Sim_endpoint.local_addr m.endpoint
 let alive m = m.endpoint.live
 let node m = Driver.engine m.driver

@@ -216,9 +216,13 @@ let test_step_total =
            | 3 -> I3.Message.Remove { trigger = trigger () }
            | 4 ->
                I3.Message.Data
-                 (I3.Packet.make
-                    ~stack:[ I3.Packet.Sid (Id.random rng) ]
-                    ~payload:"p" ~ttl:(Rng.int rng 2) ())
+                 {
+                   (I3.Packet.make
+                      ~stack:[ I3.Packet.Sid (Id.random rng) ]
+                      ~payload:"p" ())
+                   with
+                   I3.Packet.ttl = Rng.int rng 2;
+                 }
            | 5 ->
                I3.Message.Pushback { id = Id.random rng; dead = Id.random rng }
            | 6 -> I3.Message.Ping { nonce = Rng.int rng 1000 }

@@ -147,7 +147,7 @@ let test_microbench_forward_runs () =
   Eval.Microbench.batch env 100 (* must not raise or leak events *)
 
 let test_microbench_insert_runs () =
-  let env = Eval.Microbench.insert_env ~distinct:64 ~seed:5 () in
+  let env = Eval.Microbench.insert_env ~seed:5 () in
   Eval.Microbench.batch env 500
 
 let test_microbench_route_runs () =
@@ -155,7 +155,7 @@ let test_microbench_route_runs () =
   Eval.Microbench.batch env 500
 
 let test_microbench_throughput () =
-  let t = Eval.Microbench.throughput ~payload:256 ~duration_s:0.05 ~seed:5 () in
+  let t = Eval.Microbench.throughput ~payload:256 ~seed:5 () in
   Alcotest.(check bool) "positive pps" true (t.Eval.Microbench.packets_per_sec > 0.);
   Alcotest.(check bool) "mbps consistent" true
     (Float.abs
@@ -164,15 +164,15 @@ let test_microbench_throughput () =
     < 1e-6)
 
 let test_microbench_timing () =
-  let env = Eval.Microbench.insert_env ~distinct:64 ~seed:5 () in
-  let mean, stdev = Eval.Microbench.time_per_iter_ns env ~iters:2_000 () in
+  let env = Eval.Microbench.insert_env ~seed:5 () in
+  let mean, stdev = Eval.Microbench.time_per_iter_ns env in
   Alcotest.(check bool) "positive mean" true (mean > 0.);
   Alcotest.(check bool) "stdev finite" true (Float.is_finite stdev)
 
 (* --- ablations --- *)
 
 let test_ablation_sender_cache () =
-  let c = Eval.Ablations.sender_cache ~seed:2 ~flows:8 ~packets_per_flow:5 () in
+  let c = Eval.Ablations.sender_cache ~seed:2 () in
   Alcotest.(check bool)
     (Printf.sprintf "cache reduces hops (%.2f < %.2f)"
        c.Eval.Ablations.hops_with_cache c.Eval.Ablations.hops_without_cache)
@@ -183,7 +183,7 @@ let test_ablation_sender_cache () =
     (c.Eval.Ablations.hops_with_cache < 2.)
 
 let test_ablation_replication () =
-  let r = Eval.Ablations.replication ~seed:3 ~trials:6 () in
+  let r = Eval.Ablations.replication ~seed:3 () in
   Alcotest.(check int) "mirroring closes the window" r.Eval.Ablations.attempts
     r.Eval.Ablations.delivered_with;
   Alcotest.(check bool) "without mirroring packets are lost" true

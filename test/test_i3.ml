@@ -32,7 +32,14 @@ let gen_packet =
     let* match_required = bool in
     let sender = if Rng.bool r then Some (Rng.int r 1_000_000) else None in
     let* ttl = int_range 0 255 in
-    return (I3.Packet.make ~refresh ~match_required ?sender ~ttl ~stack ~payload ()))
+    return
+      {
+        (I3.Packet.make ?sender ~stack ~payload ())
+        with
+        I3.Packet.refresh;
+        match_required;
+        ttl;
+      })
 
 let packet_equal (a : I3.Packet.t) (b : I3.Packet.t) =
   I3.Packet.stack_equal a.stack b.stack
@@ -614,9 +621,14 @@ let test_e2e_match_required_drops () =
   let dead = Transport.Host.new_private_id send in
   Transport.Host.insert_trigger recv live;
   Transport.Deployment.run_for d 500.;
-  Transport.Host.send_stack send ~match_required:true
-    [ I3.Packet.Sid dead; I3.Packet.Sid live ]
-    "strict";
+  Transport.Host.send_packet send
+    {
+      (I3.Packet.make
+         ~stack:[ I3.Packet.Sid dead; I3.Packet.Sid live ]
+         ~payload:"strict" ())
+      with
+      I3.Packet.match_required = true;
+    };
   Transport.Deployment.run_for d 500.;
   Alcotest.(check (list string)) "dropped, no fallthrough" [] (got ())
 
@@ -1066,7 +1078,12 @@ let test_e2e_add_server_stale_cache_redirect () =
   Transport.Deployment.run_for d 35_000.;
   (* sending through the stale entry still works (stale server relays) and
      the Cache_info reply rebinds the sender to the newcomer *)
-  Transport.Host.send send ~refresh:true id "relayed";
+  Transport.Host.send_packet send
+    {
+      (I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload:"relayed" ())
+      with
+      I3.Packet.refresh = true;
+    };
   Transport.Deployment.run_for d 1_000.;
   let new_addr = Option.get (Transport.Host.cached_server_for send id) in
   Alcotest.(check bool) "cache rebound" true
@@ -1098,6 +1115,54 @@ let test_sample_nearby_id () =
   Alcotest.(check bool)
     (Printf.sprintf "sampled closer on average (%.1f < %.1f ms)" s r)
     true (s < r)
+
+(* Membership changes re-converge every view: after each random
+   add_server/fail_server step on a static deployment, walking any live
+   server's next hops toward a random id ends at its responsible server
+   within ring_size hops, and exactly one live server owns the id. *)
+let test_membership_reconverges_routing =
+  let open QCheck2.Gen in
+  let gen =
+    let* seed = int_range 1 1_000_000 in
+    let* n = int_range 8 24 in
+    let* steps = list_size (int_range 1 8) (pair bool (int_range 0 1_000)) in
+    return (seed, n, steps)
+  in
+  qtest ~count:100 "membership changes re-converge routing" gen
+    (fun (seed, n_servers, steps) ->
+      let d = deployment ~seed ~n_servers () in
+      let rng = Rng.of_int seed in
+      let routes_agree () =
+        let size = Transport.Deployment.ring_size d in
+        let live = List.init size (Transport.Deployment.server d) in
+        let by_addr a = List.find_opt (fun s -> I3.Server.addr s = a) live in
+        List.for_all
+          (fun id ->
+            let owner = Transport.Deployment.responsible_server d id in
+            let rec walk s hops =
+              match (I3.Server.view s).I3.Server.next_hop id with
+              | None -> s == owner
+              | Some a -> (
+                  (* a hop to a dead or unknown server is a routing fault *)
+                  match by_addr a with
+                  | Some next -> hops < size && walk next (hops + 1)
+                  | None -> false)
+            in
+            List.for_all (fun s -> walk s 0) live
+            && List.length
+                 (List.filter (fun s -> (I3.Server.view s).I3.Server.owns id) live)
+               = 1)
+          (List.init 8 (fun _ -> Id.random rng))
+      in
+      routes_agree ()
+      && List.for_all
+           (fun (join, pick) ->
+             let size = Transport.Deployment.ring_size d in
+             if join || size = 1 then
+               ignore (Transport.Deployment.add_server d ())
+             else Transport.Deployment.fail_server d (pick mod size);
+             routes_agree ())
+           steps)
 
 let () =
   Alcotest.run "i3"
@@ -1180,6 +1245,7 @@ let () =
           Alcotest.test_case "replicas expire" `Quick test_e2e_replica_expires;
           Alcotest.test_case "add_server migrates triggers" `Quick
             test_e2e_add_server_trigger_migrates;
+          test_membership_reconverges_routing;
           Alcotest.test_case "add_server redirects stale caches" `Quick
             test_e2e_add_server_stale_cache_redirect;
           Alcotest.test_case "nearby-id sampling" `Quick test_sample_nearby_id;

@@ -1,7 +1,6 @@
 (* lib/koorde: de Bruijn identifier arithmetic, substrate routing
-   correctness (every substrate terminates at the responsible node), the
-   Koorde hop/state bounds, and a chaos scenario running the Dynamic
-   deployment over the Koorde substrate. *)
+   correctness (every substrate terminates at the responsible node) and
+   the Koorde hop/state bounds. *)
 
 let id_eq = Alcotest.testable Id.pp Id.equal
 
@@ -246,93 +245,6 @@ let test_koorde_beats_chord_at_scale () =
   if ks >= cs then
     Alcotest.failf "koorde-8 mean state %d B not below chord %d B" ks cs
 
-(* --- deployment integration: static ring over the Koorde substrate --- *)
-
-let test_deployment_over_koorde () =
-  let d =
-    Transport.Deployment.create
-      ~metrics:(Obs.Metrics.create ())
-      ~seed:3
-      ~substrate:(Koorde.Substrate.Koorde { degree = 8 })
-      ~n_servers:16 ()
-  in
-  let recv = Transport.Deployment.new_host d () in
-  let send = Transport.Deployment.new_host d () in
-  let got = ref [] in
-  Transport.Host.on_receive recv (fun ~stack:_ ~payload -> got := payload :: !got);
-  let id = Transport.Host.new_private_id recv in
-  Transport.Host.insert_trigger recv id;
-  Transport.Deployment.run_for d 2_000.;
-  Transport.Host.send send id "over de bruijn";
-  Transport.Deployment.run_for d 2_000.;
-  Alcotest.(check (list string)) "delivered" [ "over de bruijn" ] !got;
-  (* membership change rebuilds the substrate router *)
-  ignore (Transport.Deployment.add_server d ());
-  Transport.Deployment.run_for d 6_000.;
-  Transport.Host.send send id "after join";
-  Transport.Deployment.run_for d 2_000.;
-  Alcotest.(check (list string))
-    "delivered after join" [ "after join"; "over de bruijn" ] !got
-
-(* --- chaos: Dynamic deployment on the Koorde substrate under churn --- *)
-
-let chaos_host_config =
-  {
-    Transport.Host.refresh_period_ms = 2_000.;
-    cache_ttl_ms = 4_000.;
-    ack_grace_ms = 5_000.;
-  }
-
-let repair_bound =
-  chaos_host_config.Transport.Host.refresh_period_ms
-  +. chaos_host_config.Transport.Host.ack_grace_ms
-
-let scenario_koorde_churn ~seed () =
-  let metrics = Obs.Metrics.create () in
-  let d =
-    Transport.Dynamic.create ~seed ~metrics
-      ~substrate:(Koorde.Substrate.Koorde { degree = 8 })
-      ()
-  in
-  for site = 0 to 9 do
-    ignore (Transport.Dynamic.add_server d ~site ());
-    Transport.Dynamic.run_for d 2_000.
-  done;
-  Transport.Dynamic.run_for d 60_000.;
-  let recv = Transport.Dynamic.new_host d ~config:chaos_host_config () in
-  let send = Transport.Dynamic.new_host d ~config:chaos_host_config () in
-  let id = Transport.Host.new_private_id recv in
-  Transport.Host.insert_trigger recv id;
-  Transport.Dynamic.run_for d 3_000.;
-  let rng = Rng.create (Int64.of_int ((seed * 7919) + 13)) in
-  let fleet = Harness.Fleet.sim ~rng d ~sender:send ~receiver:recv in
-  let r = Harness.Recovery.create fleet in
-  let flow = Harness.Recovery.start_flow r ~name:"probe" id in
-  Transport.Dynamic.run_for d 5_000.;
-  let fault_at = Transport.Dynamic.now d in
-  let storm =
-    Faults.churn
-      (Rng.create (Int64.of_int (seed + 100)))
-      ~victims:[ 2; 5; 7 ] ~start:2_000. ~spacing:6_000. ~downtime:8_000.
-  in
-  Harness.Fleet.inject fleet storm;
-  Transport.Dynamic.run_for d 30_000.;
-  let conv = Harness.Recovery.converges_within r ~budget:120_000. in
-  Alcotest.(check bool) "koorde ring re-converged" true (conv <> None);
-  Transport.Dynamic.run_for d repair_bound;
-  Alcotest.(check bool) "koorde triggers conserved" true
-    (Harness.Recovery.triggers_conserved r);
-  Harness.Recovery.stop_flow flow;
-  match Harness.Recovery.time_to_recovery flow ~after:fault_at with
-  | Some _ -> ()
-  | None -> Alcotest.fail "probe flow never recovered after churn"
-
-let koorde_churn_case seed =
-  Alcotest.test_case
-    (Printf.sprintf "koorde churn (seed %d)" seed)
-    `Slow
-    (fun () -> scenario_koorde_churn ~seed ())
-
 let () =
   Alcotest.run "koorde"
     [
@@ -354,10 +266,4 @@ let () =
           Alcotest.test_case "koorde beats chord at n=10^4" `Slow
             test_koorde_beats_chord_at_scale;
         ] );
-      ( "deployment",
-        [
-          Alcotest.test_case "static ring over koorde" `Quick
-            test_deployment_over_koorde;
-        ] );
-      ("chaos", List.map koorde_churn_case [ 31; 32 ]);
     ]

@@ -143,14 +143,11 @@ let test_trace_disabled_and_sampling () =
   Obs.Trace.record Obs.Trace.disabled 1 ~time:0. ~site:0 Obs.Trace.Send;
   Alcotest.(check int) "disabled records nothing" 0
     (Obs.Trace.recorded Obs.Trace.disabled);
-  let t = Obs.Trace.create ~sample_every:2 () in
+  let t = Obs.Trace.create () in
   let ids = List.init 10 (fun _ -> Obs.Trace.start t) in
-  let traced = List.filter (fun id -> id <> Obs.Trace.none) ids in
-  Alcotest.(check int) "1 in 2 sampled" 5 (List.length traced);
-  Alcotest.(check int) "started counts sampled only" 5 (Obs.Trace.started t);
-  let off = Obs.Trace.create ~sample_every:0 () in
-  Alcotest.(check int) "sample_every 0 = off" Obs.Trace.none
-    (Obs.Trace.start off)
+  Alcotest.(check (list int)) "every start sampled, ids ascending"
+    (List.init 10 succ) ids;
+  Alcotest.(check int) "started counts them" 10 (Obs.Trace.started t)
 
 let test_trace_orphans () =
   let t = Obs.Trace.create ~capacity:64 () in
@@ -164,7 +161,9 @@ let test_trace_orphans () =
   let orphan_ids cutoff =
     List.map
       (fun s -> s.Obs.Trace.s_trace)
-      (Obs.Trace.orphans ~started_before:cutoff t)
+      (List.filter
+         (fun s -> s.Obs.Trace.s_trace < cutoff)
+         (Obs.Trace.orphans t))
   in
   Alcotest.(check (list int)) "terminated trace is not an orphan" [ lost ]
     (orphan_ids inflight);
@@ -194,7 +193,7 @@ let test_trace_ring_eviction () =
   Alcotest.(check (list int)) "evicted history excluded from orphans" [ b ]
     (List.map
        (fun s -> s.Obs.Trace.s_trace)
-       (Obs.Trace.orphans ~started_before:(b + 1) t));
+       (Obs.Trace.orphans t));
   Obs.Trace.reset t;
   Alcotest.(check int) "reset empties the ring" 0
     (List.length (Obs.Trace.events t))
@@ -654,7 +653,9 @@ let test_trace_orphans_wraparound () =
   let orphan_ids cutoff =
     List.map
       (fun s -> s.Obs.Trace.s_trace)
-      (Obs.Trace.orphans ~started_before:cutoff t)
+      (List.filter
+         (fun s -> s.Obs.Trace.s_trace < cutoff)
+         (Obs.Trace.orphans t))
   in
   (* ancient's first event was evicted: incomplete history, not an orphan;
      inflight's id is >= the cutoff: possibly still in flight, excluded. *)
@@ -720,15 +721,14 @@ let test_trace_summaries_csv_quoting () =
   Obs.Trace.record t tr ~time:1. ~site:0 Obs.Trace.Send;
   Obs.Trace.record t tr ~time:2. ~site:0 (Obs.Trace.Drop "bad, \"cause\"");
   Obs.Trace.record t tr ~time:3. ~site:0 (Obs.Trace.Drop "plain");
-  let path = Filename.temp_file "test_obs" ".csv" in
-  let oc = open_out path in
-  Obs.Sink.trace_summaries_csv ~out:oc (Obs.Trace.summaries t);
-  close_out oc;
-  let ic = open_in path in
-  let header = input_line ic in
-  let row = input_line ic in
-  close_in ic;
-  Sys.remove path;
+  let header, row =
+    match
+      String.split_on_char '\n'
+        (Obs.Sink.trace_summaries_csv (Obs.Trace.summaries t))
+    with
+    | [ header; row; "" ] -> (header, row)
+    | lines -> Alcotest.failf "expected 2 lines, got %d" (List.length lines - 1)
+  in
   Alcotest.(check string) "header"
     "trace,sends,hops,relays,delivers,drops,drop_causes,first_ms,last_ms"
     header;
@@ -773,13 +773,6 @@ let test_trace_drain () =
      packets share a trace id *)
   let b = Obs.Trace.start t in
   Alcotest.(check bool) "ids keep increasing across drains" true (b > a);
-  (* nor may it disturb the sampling countdown *)
-  let s = Obs.Trace.create ~sample_every:2 () in
-  Alcotest.(check bool) "first start sampled" true
-    (Obs.Trace.start s <> Obs.Trace.none);
-  ignore (Obs.Trace.drain s);
-  Alcotest.(check int) "skip countdown preserved" Obs.Trace.none
-    (Obs.Trace.start s);
   Alcotest.(check int) "disabled drain is empty" 0
     (List.length (Obs.Trace.drain Obs.Trace.disabled))
 

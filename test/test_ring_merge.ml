@@ -58,10 +58,24 @@ let () =
   (* Phase 2: partition.  SIGSTOP daemon 1; daemon 0 must declare it
      dead (missed stabilize RPCs) and close the ring around itself. *)
   Harness.Cluster.pause cluster 1;
+  (* Daemon 0 runs alone once it knows no successor or names itself,
+     asked over the wire until a 15 s deadline. *)
   let survivor_alone () =
-    Harness.Cluster.await_converged
-      ~only:(fun i -> i = 0)
-      cluster ~timeout_ms:15_000.
+    let self = (Harness.Cluster.member cluster 0).Harness.Cluster.addr in
+    let deadline = Unix.gettimeofday () +. 15. in
+    let rec go () =
+      match
+        Harness.Cluster.ring_state cluster 0
+          ~timeout_ms:Harness.Cluster.default_config.ping_timeout_ms
+      with
+      | Some { Harness.Cluster.succs = []; _ } -> true
+      | Some { succs = s :: _; _ } when s.Chord.Protocol.addr = self -> true
+      | _ when Unix.gettimeofday () >= deadline -> false
+      | _ ->
+          Unix.sleepf 0.05;
+          go ()
+    in
+    go ()
   in
   if not (survivor_alone ()) then begin
     Harness.Cluster.stop cluster;

@@ -204,7 +204,7 @@ let test_differential =
     let* ops = list_size (int_range 1 80) (int_range 0 99) in
     return (seed, ops)
   in
-  qtest ~count:150 "trie agrees with the pre-trie implementation" script_gen
+  qtest ~count:150 "agrees with the reference implementation" script_gen
     (fun (seed, ops) ->
       let rng = Rng.create (Int64.of_int seed) in
       let prefix = Id.random rng in
@@ -215,13 +215,13 @@ let test_differential =
             else if i < 7 then Id.random_with_prefix rng prefix
             else Id.random rng)
       in
-      let trie = I3.Trigger_table.create () in
+      let table = I3.Trigger_table.create () in
       let refr = Reference.create () in
       let clock = ref 0. in
       let ok = ref true in
       let check b = if not b then ok := false in
       let sweep_both () =
-        ignore (I3.Trigger_table.expire trie ~now:!clock);
+        ignore (I3.Trigger_table.expire table ~now:!clock);
         ignore (Reference.expire refr ~now:!clock)
       in
       let pick_id () = pool.(Rng.int rng (Array.length pool)) in
@@ -243,7 +243,7 @@ let test_differential =
               | 2 -> Float.nan (* hostile lifetime: dropped *)
               | _ -> !clock +. float_of_int (5 + Rng.int rng 80)
             in
-            I3.Trigger_table.insert trie ~now:!clock ~expires tr;
+            I3.Trigger_table.insert table ~now:!clock ~expires tr;
             Reference.insert refr ~now:!clock ~expires tr
           end
           else if op < 52 then begin
@@ -253,12 +253,12 @@ let test_differential =
               sweep_both ();
               check
                 (Bool.equal
-                   (I3.Trigger_table.remove trie tr)
+                   (I3.Trigger_table.remove table tr)
                    (Reference.remove refr tr))
             end
             else begin
               let live = Reference.mem_live refr ~now:!clock tr in
-              let a = I3.Trigger_table.remove trie tr in
+              let a = I3.Trigger_table.remove table tr in
               let b = Reference.remove refr tr in
               if live then check (a && b)
             end
@@ -267,13 +267,13 @@ let test_differential =
             sweep_both ();
             let id = pick_id () and target = pick_id () in
             check
-              (I3.Trigger_table.remove_matching trie ~id ~target
+              (I3.Trigger_table.remove_matching table ~id ~target
               = Reference.remove_matching refr ~id ~target)
           end
           else if op < 72 then begin
             clock := !clock +. float_of_int (Rng.int rng 50);
             sweep_both ();
-            check (I3.Trigger_table.size trie = Reference.size refr)
+            check (I3.Trigger_table.size table = Reference.size refr)
           end
           else if op < 88 then begin
             let pid =
@@ -282,26 +282,26 @@ let test_differential =
             in
             check
               (List.equal I3.Trigger.equal
-                 (I3.Trigger_table.find_matches trie ~now:!clock pid)
+                 (I3.Trigger_table.find_matches table ~now:!clock pid)
                  (Reference.find_matches refr ~now:!clock pid))
           end
           else begin
             let pid = pick_id () in
             check
               (List.equal I3.Trigger.equal
-                 (I3.Trigger_table.bucket_of trie ~now:!clock pid)
+                 (I3.Trigger_table.bucket_of table ~now:!clock pid)
                  (Reference.bucket_of refr ~now:!clock pid));
             check
               (List.equal
                  (fun (t1, r1) (t2, r2) ->
                    I3.Trigger.equal t1 t2 && Float.equal r1 r2)
-                 (I3.Trigger_table.bucket_entries trie ~now:!clock pid)
+                 (I3.Trigger_table.bucket_entries table ~now:!clock pid)
                  (Reference.bucket_entries refr ~now:!clock pid))
           end)
         ops;
       clock := !clock +. 1_000.;
       sweep_both ();
-      check (I3.Trigger_table.size trie = Reference.size refr);
+      check (I3.Trigger_table.size table = Reference.size refr);
       !ok)
 
 let test_insert_total () =
@@ -449,7 +449,7 @@ let test_heap_bound =
 let () =
   Alcotest.run "trigger_table"
     [
-      ( "trie",
+      ( "table",
         [
           Alcotest.test_case "insert is total" `Quick test_insert_total;
           Alcotest.test_case "half-expired multicast group" `Quick

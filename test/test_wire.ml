@@ -45,10 +45,12 @@ let gen_packet =
     int_range 0 0xffffff >>= fun trace ->
     return
       {
-        (I3.Packet.make ?sender ~refresh ~match_required ~ttl ~trace ~stack
-           ~payload ())
+        (I3.Packet.make ?sender ~trace ~stack ~payload ())
         with
-        I3.Packet.prev_trigger = prev;
+        I3.Packet.refresh;
+        match_required;
+        prev_trigger = prev;
+        ttl;
       })
 
 let gen_trigger =
@@ -286,9 +288,12 @@ let hostile rng =
   [
     I3.Codec.encode
       (I3.Message.Data
-         (I3.Packet.make
-            ~stack:[ I3.Packet.Sid (Id.random rng) ]
-            ~payload:"z" ~ttl:0 ()));
+         {
+           (I3.Packet.make ~stack:[ I3.Packet.Sid (Id.random rng) ] ~payload:"z"
+              ())
+           with
+           I3.Packet.ttl = 0;
+         });
     I3.Codec.encode (I3.Message.Replica { trigger = tr (); lifetime = 0. });
     I3.Codec.encode
       (I3.Message.Replica { trigger = tr (); lifetime = -30_000. });
@@ -423,7 +428,7 @@ let test_sim_transport () =
   let metrics = Obs.Metrics.create () in
   let rng = Rng.copy rng0 in
   let net =
-    Net.create ~metrics ~label:"bytes" engine ~rng ~latency:(fun _ _ -> 1.) ()
+    Net.create ~metrics engine ~rng ~latency:(fun _ _ -> 1.) ()
   in
   let a = Transport.Sim.attach net ~site:0 in
   let b = Transport.Sim.attach net ~site:0 in
