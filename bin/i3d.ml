@@ -245,9 +245,10 @@ let () =
       Float.min timeout (Float.max 0. ((!next_flush -. now) /. 1000.))
     in
     (* One select per turn.  After a datagram, drain the rest of the
-       queue (one recvfrom each, until EAGAIN); after a timeout or a
-       signal, go straight to the timers.  Then step the engine once
-       with the whole burst, and once more only if a timer is due. *)
+       queue (one recvmmsg per 16, until a batch comes back short);
+       after a timeout or a signal, go straight to the timers.  Then
+       step the engine once with the whole burst, and once more only if
+       a timer is due. *)
     if Transport.Udp.wait udp ~timeout then Transport.Udp.poll udp ~now;
     step_batch ();
     Option.iter (fun f -> Transport.Faulty.poll f ~now:(elapsed_ms ())) faulty;

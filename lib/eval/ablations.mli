@@ -10,7 +10,8 @@
       between a server failure and the owners' next refresh;
     - {b trigger constraints} (Sec. IV-J): time to admit an id-to-id
       trigger with checking on vs. off ("slows down trigger insertion
-      slightly");
+      slightly"), on the wall clock, so [i3_sim] prints it under
+      [micro] and keeps [ablations] deterministic;
     - {b challenges} (Sec. IV-J3): virtual-time latency from a host's
       first insert to its acknowledgment ("an extra round trip of delay to
       some trigger insertions"). *)

@@ -139,6 +139,26 @@ let kind_of : Message.t -> int = function
   | Stats_request _ -> L.kind_stats_request
   | Stats_response _ -> L.kind_stats_response
 
+(* A Deliver, the frame a multicast fan-out encodes once per member, is
+   written at computed offsets into one [Bytes] of its exact length, as
+   [Packet.encode] writes a data packet: preamble, the residual stack
+   (which, unlike a data packet's, may be empty), the trace id, then
+   the payload behind its u32 length.  The bytes are those the [Buffer]
+   writers would produce. *)
+let encode_deliver ~stack ~payload ~trace =
+  let len = String.length payload in
+  if len > L.max_data_payload then
+    invalid_arg "I3.Codec: deliver payload too long";
+  let off_trace = L.preamble_bytes + Packet.stack_field_length stack in
+  let off_payload = off_trace + 8 + 4 in
+  let b = Bytes.create (off_payload + len) in
+  Io.set_preamble b L.kind_deliver;
+  ignore (Packet.set_stack b L.preamble_bytes stack);
+  Bytes.set_int64_be b off_trace (Int64.of_int trace);
+  Bytes.set_int32_be b (off_trace + 8) (Int32.of_int len);
+  Bytes.blit_string payload 0 b off_payload len;
+  Bytes.unsafe_to_string b
+
 let encode (m : Message.t) =
   match m with
   | Data p ->
@@ -147,11 +167,12 @@ let encode (m : Message.t) =
          lets [decode] tell packets and control messages apart with zero
          framing overhead. *)
       Packet.encode p
+  | Deliver { stack; payload; trace } -> encode_deliver ~stack ~payload ~trace
   | _ ->
       let buf = Buffer.create 96 in
       Io.put_preamble buf (kind_of m);
       (match m with
-      | Data _ -> assert false
+      | Data _ | Deliver _ -> assert false
       | Insert { trigger; token } ->
           put_trigger buf trigger;
           (match token with
@@ -184,12 +205,6 @@ let encode (m : Message.t) =
       | Replica { trigger; lifetime } ->
           put_trigger buf trigger;
           Io.put_f64 buf lifetime
-      | Deliver { stack; payload; trace } ->
-          (* Unlike a data packet's stack, the residual stack handed to
-             the application may legitimately be empty. *)
-          Packet.put_stack buf stack;
-          Io.put_u64 buf trace;
-          Io.put_str32 buf payload
       | Ping { nonce } -> Io.put_u64 buf nonce
       | Pong { nonce; server; triggers; uptime_ms } ->
           Io.put_u64 buf nonce;

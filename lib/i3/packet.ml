@@ -142,10 +142,15 @@ let read_entry r =
   else if tag = Char.code L.tag_saddr then Saddr (Io.u64 r "entry addr")
   else Io.fail "unknown entry tag"
 
+let stack_field_length s = 1 + stack_wire_length s
+
+let set_stack b pos s =
+  Bytes.set_uint8 b pos (List.length s);
+  set_entries b (pos + 1) s
+
 let put_stack buf s =
-  let b = Bytes.create (1 + stack_wire_length s) in
-  Bytes.set_uint8 b 0 (List.length s);
-  ignore (set_entries b 1 s);
+  let b = Bytes.create (stack_field_length s) in
+  ignore (set_stack b 0 s);
   Buffer.add_bytes buf b
 
 let read_stack ?(min_depth = 1) r =

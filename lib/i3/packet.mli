@@ -98,6 +98,13 @@ val wire_length : t -> int
 val put_stack : Buffer.t -> stack -> unit
 (** u8 count + entries. *)
 
+val stack_field_length : stack -> int
+(** Bytes {!put_stack} writes. *)
+
+val set_stack : Bytes.t -> int -> stack -> int
+(** [set_stack b pos s] writes {!put_stack}'s bytes at [pos] of a frame
+    being built and returns the offset just past them. *)
+
 val read_stack : ?min_depth:int -> Wire.Io.reader -> stack
 (** Inverse of {!put_stack}; depth must be in [min_depth]
     (default 1) [.. max_stack_depth], else it raises

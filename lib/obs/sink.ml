@@ -82,26 +82,6 @@ let tree_to_json (t : Trace.tree) =
       ("events", List (List.map event_to_json t.Trace.a_events));
     ]
 
-let trace_summaries_csv summaries =
-  String.concat ""
-    ("trace,sends,hops,relays,delivers,drops,drop_causes,first_ms,last_ms\n"
-    :: List.map
-         (fun (s : Trace.summary) ->
-           csv_row
-             [
-               string_of_int s.Trace.s_trace;
-               string_of_int s.Trace.sends;
-               string_of_int s.Trace.hops;
-               string_of_int s.Trace.relays;
-               string_of_int s.Trace.delivers;
-               string_of_int s.Trace.drops;
-               String.concat "," s.Trace.drop_causes;
-               Printf.sprintf "%.3f" s.Trace.first_time;
-               Printf.sprintf "%.3f" s.Trace.last_time;
-             ]
-           ^ "\n")
-         summaries)
-
 (* Series and health *)
 
 let series_to_json ?tail (s : Series.t) =

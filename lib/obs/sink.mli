@@ -18,11 +18,6 @@ val tree_to_json : Trace.tree -> Json.t
 (** An assembled cross-process hop tree ({!Trace.assemble}):
     [{trace; sites; terminal; events}]. *)
 
-val trace_summaries_csv : Trace.summary list -> string
-(** CSV text, one line per summary under the header
-    [trace,sends,hops,relays,delivers,drops,drop_causes,first_ms,last_ms];
-    drop causes are comma-joined inside one RFC-4180-quoted cell. *)
-
 (** {1 Series and health} *)
 
 val series_to_json : ?tail:int -> Series.t -> Json.t

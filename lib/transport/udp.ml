@@ -32,46 +32,50 @@ let addr_of_sockaddr = function
       | None -> None (* IPv6 peer: unrepresentable, drop *))
   | Unix.ADDR_UNIX _ -> None
 
-(* [addr_of_sockaddr] goes through strings ([inet_ntop],
-   [int_of_string]) and costs more than the syscall it wraps, so each
-   socket memoizes it in a direct-mapped table.  It is a pure function,
-   so a slot never goes stale: a collision just recomputes and
-   overwrites, and memory is fixed whatever the peers send.
-   [memo_slots] is a power of two.  Sends need no memo: the C stub
-   builds each [sockaddr_in] straight from the packed address. *)
-let memo_slots = 64
+(* The receive buffer is sized from [Wire.Layout]: a maximal legal
+   frame (maximal-depth stack of wide entries + maximal payload) is
+   exactly one maximal datagram, so a slot of [max_datagram] bytes can
+   never truncate a frame a codec may legally produce. *)
+let max_datagram = Wire.Layout.max_datagram
+
+(* Datagrams per [recvmmsg]: the slab holds [slots] slots of
+   [max_datagram] bytes, about 1 MiB of address space per socket, of
+   which only the pages datagrams land on become resident. *)
+let slots = 16
+
+(* The slab lives outside the OCaml heap (see udp_stubs.c), so the GC
+   neither scans nor moves it and [create] allocates nothing large on
+   the heap. *)
+type slab
+
+external slab_create : int -> int -> slab = "i3_udp_slab_create"
+
+(* [recvmmsg t.sock slab lens srcs max] receives up to [max] datagrams,
+   datagram [i] into slot [i], and writes its length to [lens.(i)] and
+   its packed source to [srcs.(i)] ([no_addr] when not IPv4).  It
+   returns how many arrived, or 0 when none is queued or a signal came;
+   any other failure raises [Unix.Unix_error]. *)
+external recvmmsg :
+  Unix.file_descr -> slab -> int array -> int array -> int -> int
+  = "i3_udp_recvmmsg"
+
+(* [slab_sub slab i len]: slot [i]'s first [len] bytes as a fresh
+   string. *)
+external slab_sub : slab -> int -> int -> string = "i3_udp_slab_sub"
+
 let no_addr = -1 (* packed addresses are non-negative *)
-let no_sockaddr = Unix.ADDR_UNIX ""
-let rx_slot sa = Hashtbl.hash sa land (memo_slots - 1)
 
 type t = {
   sock : Unix.file_descr;
   local : int;
-  buf : Bytes.t;
+  slab : slab;
+  lens : int array;
+  srcs : int array;
+  batch : string array;  (* the batch being dispatched *)
+  mutable dispatching : bool;
   mutable handler : src:int -> string -> unit;
-  rx_key : Unix.sockaddr array;  (* [no_sockaddr] when empty *)
-  rx_val : int array;
   refused : Obs.Metrics.counter;
 }
-
-(* The packed source of [peer], or [no_addr] when it has none (IPv6);
-   unrepresentable peers are not memoized, so they cannot evict. *)
-let addr_from t peer =
-  let i = rx_slot peer in
-  if t.rx_key.(i) = peer then t.rx_val.(i)
-  else
-    match addr_of_sockaddr peer with
-    | Some a ->
-        t.rx_key.(i) <- peer;
-        t.rx_val.(i) <- a;
-        a
-    | None -> no_addr
-
-(* The receive buffer is sized from [Wire.Layout]: a maximal legal
-   frame (maximal-depth stack of wide entries + maximal payload) is
-   exactly one maximal datagram, so a buffer of [max_datagram] bytes
-   can never truncate a frame a codec may legally produce. *)
-let max_datagram = Wire.Layout.max_datagram
 
 let create ?(host = "127.0.0.1") ?(port = 0) () =
   (* No SO_REUSEADDR: on Linux it would let this socket bind a UDP port
@@ -89,8 +93,8 @@ let create ?(host = "127.0.0.1") ?(port = 0) () =
   (try Unix.setsockopt_int sock Unix.SO_SNDBUF (8 * max_datagram)
    with Unix.Unix_error _ -> ());
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  (* Non-blocking, so a drain is one [recvfrom] per datagram plus one
-     that reports EAGAIN, with no [select] in between. *)
+  (* Non-blocking, so a drain is one [recvmmsg] per [slots] datagrams,
+     with no [select] in between, and never waits. *)
   Unix.set_nonblock sock;
   let local =
     match addr_of_sockaddr (Unix.getsockname sock) with
@@ -103,10 +107,12 @@ let create ?(host = "127.0.0.1") ?(port = 0) () =
   {
     sock;
     local;
-    buf = Bytes.create max_datagram;
+    slab = slab_create slots max_datagram;
+    lens = Array.make slots 0;
+    srcs = Array.make slots no_addr;
+    batch = Array.make slots "";
+    dispatching = false;
     handler = (fun ~src:_ _ -> ());
-    rx_key = Array.make memo_slots no_sockaddr;
-    rx_val = Array.make memo_slots no_addr;
     refused =
       Obs.Metrics.counter Obs.Metrics.default
         ~labels:[ ("instance", instance) ]
@@ -165,39 +171,52 @@ let send t ~dst bytes = send_many t [ (dst, bytes) ]
 let set_handler t h = t.handler <- h
 let local_addr t = t.local
 
-type received = Dispatched | Skipped | Empty
-
-(* One non-blocking [recvfrom].  EAGAIN means the queue is empty, and
-   EINTR ends a drain the same way: the caller's loop decides what a
-   signal means. *)
-let receive t =
-  match Unix.recvfrom t.sock t.buf 0 max_datagram [] with
-  | len, peer ->
-      let src = addr_from t peer in
-      if src = no_addr then Skipped
-      else begin
-        t.handler ~src (Bytes.sub_string t.buf 0 len);
-        Dispatched
-      end
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-    ->
-      Empty
+(* One [recvmmsg] of up to [max] datagrams; returns how many arrived.
+   Every datagram is copied out of the slab into a string of its exact
+   length before the first handler runs, and the handlers then see them
+   in arrival order.  A handler that receives again (a nested [poll])
+   overwrites only the slab, and gets arrays of its own, so the batch
+   still being dispatched stays intact. *)
+let receive t max =
+  let outer = t.dispatching in
+  let srcs, batch =
+    if outer then (Array.make slots no_addr, Array.make slots "")
+    else (t.srcs, t.batch)
+  in
+  let n = recvmmsg t.sock t.slab t.lens srcs max in
+  for i = 0 to n - 1 do
+    batch.(i) <- slab_sub t.slab i t.lens.(i)
+  done;
+  t.dispatching <- true;
+  (match
+     for i = 0 to n - 1 do
+       let bytes = batch.(i) in
+       batch.(i) <- "";
+       if srcs.(i) <> no_addr then t.handler ~src:srcs.(i) bytes
+     done
+   with
+  | () -> t.dispatching <- outer
+  | exception e ->
+      t.dispatching <- outer;
+      raise e);
+  n
 
 (* Wait up to [timeout] seconds for one datagram and dispatch it;
-   returns whether one was handled.  A daemon's receive loop is
-   [wait ~timeout] (block until traffic or deadline) followed by
-   [poll ~now] (drain whatever else is already queued). *)
+   returns whether one arrived.  It receives one datagram, not a batch,
+   so a lone packet is handed on as soon as it lands.  A daemon's
+   receive loop is [wait ~timeout] (block until traffic or deadline)
+   followed by [poll ~now] (drain whatever else is already queued). *)
 let wait t ~timeout =
   match Unix.select [ t.sock ] [] [] timeout with
   | [], _, _ -> false
-  | _ -> receive t = Dispatched
+  | _ -> receive t 1 = 1
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
 (* The [Transport.S] maintenance step: dispatch every datagram already
-   queued on the socket, without blocking. *)
+   queued on the socket, without blocking.  A full batch may have left
+   more behind; a short one means the queue was empty. *)
 let poll t ~now:_ =
-  let rec drain () = if receive t <> Empty then drain () in
+  let rec drain () = if receive t slots = slots then drain () in
   drain ()
 
 let close t = Unix.close t.sock

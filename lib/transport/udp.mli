@@ -11,9 +11,14 @@
     allocates nor releases it, so the GC cannot move the OCaml strings
     and the kernel reads them in place, with no copy.
 
-    Receives memoize {!addr_of_sockaddr} in a fixed 64-slot
-    direct-mapped table, so the hot path does no string work and
-    per-socket memory does not depend on how many peers there are. *)
+    Receives go through the same stub over [recvmmsg(2)]: one syscall
+    takes up to 16 datagrams into a per-socket slab of 16 slots of
+    {!max_datagram} bytes each.  The slab is [malloc]'d outside the
+    OCaml heap and freed when the socket is collected: about 1 MiB of
+    address space per socket, of which only the pages datagrams have
+    landed on are resident.  The stub packs each source address in C,
+    so no [Unix.sockaddr] is built and no address memo is kept; each
+    datagram is copied out once, into a string of its exact length. *)
 
 type t
 
@@ -54,19 +59,24 @@ val local_addr : t -> int
 
 val wait : t -> timeout:float -> bool
 (** One [select] of up to [timeout] seconds, then one non-blocking
-    receive handed to the handler; returns whether a datagram was
-    dispatched.  A signal (EINTR) returns [false], so the caller's loop
-    decides what it means.  A receive loop is [wait] (sleep until
-    traffic or the next deadline) then {!poll} (drain the rest of the
-    queue). *)
+    receive of a single datagram, handed to the handler; returns whether
+    a datagram arrived.  Taking one datagram, not a slab's worth, hands
+    a lone packet on at once.  A signal (EINTR) returns [false], so the
+    caller's loop decides what it means.  A receive loop is [wait]
+    (sleep until traffic or the next deadline) then {!poll} (drain the
+    rest of the queue). *)
 
 val poll : t -> now:float -> unit
 (** The {!Transport.S} maintenance step: dispatch every datagram
-    already queued on the socket without blocking, one [recvfrom] each,
-    in arrival order, until EAGAIN.  EINTR ends the drain early.  A
-    datagram from a peer with no packed address (IPv6) is skipped and
-    the drain goes on.  [now] is unused — the socket has no internal
-    timers — but keeps the uniform driver convention. *)
+    already queued on the socket without blocking, in arrival order.
+    Each [recvmmsg] takes up to a slab's 16 datagrams and copies all of
+    them out before the first handler call, so a handler that polls
+    again cannot overwrite a datagram not yet dispatched; the drain
+    stops at the first short batch (EAGAIN or EINTR reads as an empty
+    one).  A handler that raises ends the drain, and the rest of its
+    batch is lost.  A datagram from a peer with no packed IPv4 address
+    is skipped.  [now] is unused — the socket has no internal timers —
+    but keeps the uniform driver convention. *)
 
 val close : t -> unit
 
@@ -78,6 +88,7 @@ val port_of : int -> int
 val ip_of_string : string -> int option
 val string_of_ip : int -> string
 val addr_of_sockaddr : Unix.sockaddr -> int option
+(** [None] for an IPv6 or Unix-domain address. *)
 
 val max_datagram : int
 (** [Wire.Layout.max_datagram]. *)

@@ -715,35 +715,6 @@ let test_csv_rfc4180 () =
   Alcotest.(check string) "row escapes per cell" "x,\"a,b\",\"q\"\"\""
     (Obs.Sink.csv_row [ "x"; "a,b"; "q\"" ])
 
-let test_trace_summaries_csv_quoting () =
-  let t = Obs.Trace.create () in
-  let tr = Obs.Trace.start t in
-  Obs.Trace.record t tr ~time:1. ~site:0 Obs.Trace.Send;
-  Obs.Trace.record t tr ~time:2. ~site:0 (Obs.Trace.Drop "bad, \"cause\"");
-  Obs.Trace.record t tr ~time:3. ~site:0 (Obs.Trace.Drop "plain");
-  let header, row =
-    match
-      String.split_on_char '\n'
-        (Obs.Sink.trace_summaries_csv (Obs.Trace.summaries t))
-    with
-    | [ header; row; "" ] -> (header, row)
-    | lines -> Alcotest.failf "expected 2 lines, got %d" (List.length lines - 1)
-  in
-  Alcotest.(check string) "header"
-    "trace,sends,hops,relays,delivers,drops,drop_causes,first_ms,last_ms"
-    header;
-  (* the two causes join with a comma INSIDE one quoted cell, and the
-     embedded quote doubles, so the row still has exactly 9 columns for
-     a compliant reader *)
-  let quoted = "\"bad, \"\"cause\"\",plain\"" in
-  let contains hay needle =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "drop causes cell is RFC-4180 quoted" true
-    (contains row quoted)
-
 let test_sink_render () =
   let reg = Obs.Metrics.create () in
   let c = Obs.Metrics.counter reg ~labels:[ ("k", "v") ] "t.c" in
@@ -1016,7 +987,5 @@ let () =
           Alcotest.test_case "files" `Quick test_json_files;
           Alcotest.test_case "sink" `Quick test_sink_render;
           Alcotest.test_case "csv rfc4180" `Quick test_csv_rfc4180;
-          Alcotest.test_case "trace summaries csv quoting" `Quick
-            test_trace_summaries_csv_quoting;
         ] );
     ]

@@ -55,10 +55,12 @@ let test_udp_poll_drains () =
       Transport.Udp.close a;
       Transport.Udp.close b
 
-(* --- address memo: more peers than memo slots --- *)
+(* --- many peers: every source and destination address is right ---
 
-(* Comfortably more than the 64 memo slots, so slots collide and get
-   overwritten between rounds. *)
+   Named for the 64-slot sockaddr memo the receive path once kept; the
+   stub now packs each source in C, and these still pin that every
+   datagram carries its own sender's address. *)
+
 let many_peers = 100
 
 let open_sockets n =
@@ -78,7 +80,7 @@ let test_udp_memo_many_sources () =
   | None -> ()
   | Some (rx :: senders) ->
       (* Each sender names itself in the payload; the receiver checks
-         the [src] its memo resolved against that name. *)
+         the [src] it was handed against that name. *)
       let got = ref 0 and wrong = ref 0 in
       Transport.Udp.set_handler rx (fun ~src bytes ->
           incr got;
@@ -721,6 +723,78 @@ let test_client_ignores_stray_pongs () =
       Transport.Udp.close a;
       Transport.Udp.close b
 
+(* --- receive: one recvmmsg per slab of datagrams ---
+
+   [poll] takes up to 16 datagrams per syscall into the socket's slab
+   and copies each out before any handler runs. *)
+
+(* Send [payloads] from [tx] to [rx], give loopback a moment to queue
+   them all, then drain with exactly one [poll]. *)
+let queue_then_poll tx rx payloads =
+  Transport.Udp.send_many tx
+    (List.map (fun p -> (Transport.Udp.local_addr rx, p)) payloads);
+  Unix.sleepf 0.05;
+  Transport.Udp.poll rx ~now:0.
+
+let test_recv_max_between_small () =
+  match open_sockets 2 with
+  | Some [ tx; rx ] ->
+      let got = collect rx in
+      let big =
+        String.init Transport.Udp.max_datagram (fun i -> Char.chr (i land 0xff))
+      in
+      let payloads = [ "before"; big; "after" ] in
+      queue_then_poll tx rx payloads;
+      Alcotest.(check (list int)) "lengths, in order"
+        (List.map String.length payloads)
+        (List.map (fun (_, b) -> String.length b) (got ()));
+      Alcotest.(check bool) "every byte intact" true
+        (List.for_all2 String.equal payloads (List.map snd (got ())));
+      List.iter Transport.Udp.close [ tx; rx ]
+  | Some _ | None -> ()
+
+let test_recv_beyond_slab () =
+  match open_sockets 2 with
+  | Some [ tx; rx ] ->
+      let got = collect rx in
+      (* Three slabs of 16 datagrams, plus a remainder. *)
+      let payloads = List.init ((3 * 16) + 5) string_of_int in
+      queue_then_poll tx rx payloads;
+      Alcotest.(check (list string)) "all of them from one poll, in order"
+        payloads
+        (List.map snd (got ()));
+      List.iter Transport.Udp.close [ tx; rx ]
+  | Some _ | None -> ()
+
+(* The first handler call sends two more datagrams and polls again from
+   inside the handler: that nested receive reuses the slab.  The first
+   datagram's string, and the two still waiting in the outer batch, must
+   keep their own bytes. *)
+let test_recv_nested_poll () =
+  match open_sockets 2 with
+  | Some [ tx; rx ] ->
+      let seen = ref [] and first = ref None in
+      let dst = Transport.Udp.local_addr rx in
+      Transport.Udp.set_handler rx (fun ~src:_ bytes ->
+          seen := bytes :: !seen;
+          if !first = None then begin
+            first := Some bytes;
+            Transport.Udp.send_many tx
+              [ (dst, String.make 200 'd'); (dst, String.make 200 'e') ];
+            Unix.sleepf 0.05;
+            Transport.Udp.poll rx ~now:0.
+          end);
+      let a = String.make 200 'a' and b = String.make 200 'b' in
+      let c = String.make 200 'c' in
+      queue_then_poll tx rx [ a; b; c ];
+      Alcotest.(check (option string)) "the first datagram kept its bytes"
+        (Some a) !first;
+      Alcotest.(check (list string)) "nested datagrams first, then the rest"
+        [ a; String.make 200 'd'; String.make 200 'e'; b; c ]
+        (List.rev !seen);
+      List.iter Transport.Udp.close [ tx; rx ]
+  | Some _ | None -> ()
+
 (* --- Udp bounds: maximal legal frame over a real socket --- *)
 
 let max_frame_message () =
@@ -813,6 +887,15 @@ let () =
             test_send_many_oversize;
           Alcotest.test_case "refused destinations skipped and counted"
             `Quick test_send_many_refused;
+        ] );
+      ( "udp_receive",
+        [
+          Alcotest.test_case "maximal datagram between small ones, one poll"
+            `Quick test_recv_max_between_small;
+          Alcotest.test_case "beyond three slabs, one poll, in order" `Quick
+            test_recv_beyond_slab;
+          Alcotest.test_case "nested poll keeps the batch's bytes" `Quick
+            test_recv_nested_poll;
         ] );
       ( "faulty",
         [

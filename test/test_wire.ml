@@ -421,6 +421,22 @@ let test_data_path_allocation () =
   if r > 128. then
     Alcotest.failf "decode + TTL-1 + encode: %.1f minor words per call > 128" r
 
+(* A Deliver is written into one [Bytes] of the frame's exact length:
+   an empty-stack 64 B Deliver (an 81 B frame, 12 heap words with its
+   header) allocates the frame and at most [boxes] words besides, for
+   the boxed integers its fixed-width fields pass through (6 today).  A
+   [Buffer] and its copy-out cost 41 words here. *)
+let test_deliver_encode_allocation () =
+  let m =
+    I3.Message.Deliver { stack = []; payload = String.make 64 'x'; trace = 7 }
+  in
+  let frame_words = 1 + ((String.length (I3.Codec.encode m) + 8) / 8) in
+  let boxes = 8 in
+  let w = minor_words_per_call (fun () -> I3.Codec.encode m) in
+  if w > float_of_int (frame_words + boxes) then
+    Alcotest.failf "64 B Deliver encode: %.1f minor words per call > %d + %d"
+      w frame_words boxes
+
 (* --- Sim byte transport --- *)
 
 let test_sim_transport () =
@@ -666,6 +682,8 @@ let () =
         [
           Alcotest.test_case "16 B data packet decode and relay" `Quick
             test_data_path_allocation;
+          Alcotest.test_case "64 B Deliver encode" `Quick
+            test_deliver_encode_allocation;
         ] );
       ( "transport",
         [ Alcotest.test_case "sim bytes" `Quick test_sim_transport ] );
