@@ -440,6 +440,13 @@ let section_codec () =
    and whether the ring forms are pinned by Eval.Gate.  Steps/sec is
    wall-clock and reported unguarded. *)
 
+(* An engine's only inputs are frames and ticks: a trigger insert or a
+   data packet reaches it as the frame a host at [src] would send. *)
+let host_frame ~src msg = I3.Engine.Frame { src; frame = I3.Engine.I3 msg }
+
+let insert_from ~src trigger =
+  host_frame ~src (I3.Message.Insert { trigger; token = None })
+
 let section_engine () =
   print_endline "=== engine: sans-IO step ===";
   (* Throughput: a single-node engine forwarding matched data packets,
@@ -451,9 +458,12 @@ let section_engine () =
   let id = Id.name_hash "bench-engine" in
   ignore
     (I3.Engine.step e ~now:0.
-       (I3.Engine.Insert_trigger (I3.Trigger.to_host ~id ~owner:host)));
-  let pkt =
-    I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload:(String.make 64 'x') ()
+       (insert_from ~src:host (I3.Trigger.to_host ~id ~owner:host)));
+  let data =
+    host_frame ~src:host
+      (I3.Message.Data
+         (I3.Packet.make ~stack:[ I3.Packet.Sid id ]
+            ~payload:(String.make 64 'x') ()))
   in
   let iters = if smoke then 20_000 else 200_000 in
   let now = ref 0. in
@@ -461,7 +471,7 @@ let section_engine () =
     rate_per_sec
       (fun () ->
         now := !now +. 0.01;
-        ignore (I3.Engine.step e ~now:!now (I3.Engine.Send_packet pkt)))
+        ignore (I3.Engine.step e ~now:!now data))
       iters
   in
 
@@ -526,11 +536,12 @@ let section_engine () =
   let lid = Id.name_hash "bench-loopback" in
   interpret !vnow 1
     (step a ~now:!vnow
-       (I3.Engine.Insert_trigger (I3.Trigger.to_host ~id:lid ~owner:0xd00d)));
+       (insert_from ~src:0xd00d (I3.Trigger.to_host ~id:lid ~owner:0xd00d)));
   interpret !vnow 1
     (step a ~now:!vnow
-       (I3.Engine.Send_packet
-          (I3.Packet.make ~stack:[ I3.Packet.Sid lid ] ~payload:"b" ())));
+       (host_frame ~src:0xd00d
+          (I3.Message.Data
+             (I3.Packet.make ~stack:[ I3.Packet.Sid lid ] ~payload:"b" ()))));
   let succ_addr e =
     Option.map
       (fun p -> p.Chord.Protocol.addr)
@@ -582,14 +593,17 @@ let section_scrape () =
   for i = 0 to 15 do
     ignore
       (I3.Engine.step e ~now:(float_of_int i)
-         (I3.Engine.Insert_trigger (I3.Trigger.to_host ~id:(sid i) ~owner:0xf00d)))
+         (insert_from ~src:0xf00d
+            (I3.Trigger.to_host ~id:(sid i) ~owner:0xf00d)))
   done;
   for i = 0 to 255 do
     let pkt =
       I3.Packet.make ~stack:[ I3.Packet.Sid (sid i) ]
         ~payload:(String.make 32 'y') ~trace:(100 + i) ()
     in
-    ignore (I3.Engine.step e ~now:(20. +. float_of_int i) (I3.Engine.Send_packet pkt))
+    ignore
+      (I3.Engine.step e ~now:(20. +. float_of_int i)
+         (host_frame ~src:0xf00d (I3.Message.Data pkt)))
   done;
   let ask ~nonce ~drain =
     let frame =

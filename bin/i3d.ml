@@ -251,7 +251,7 @@ let () =
        a timer is due. *)
     if Transport.Udp.wait udp ~timeout then Transport.Udp.poll udp ~now;
     step_batch ();
-    Option.iter (fun f -> Transport.Faulty.poll f ~now:(elapsed_ms ())) faulty;
+    Option.iter (fun f -> ignore (Transport.Faulty.flush f)) faulty;
     Transport.Driver.tick driver ~now:(elapsed_ms ());
     match flush_period with
     | Some period when elapsed_ms () >= !next_flush ->

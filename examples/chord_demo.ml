@@ -9,16 +9,12 @@ let () =
   (* The protocol is sans-IO: give every node an endpoint on a simulated
      net, send from it, and feed what arrives to [handle]. *)
   let net = Net.create engine ~rng ~latency:(fun _ _ -> 20.) () in
-  let nw =
-    Chord.Protocol.create engine ~rng
-      ~emit:(fun ~src ~dst msg -> Net.send net ~src ~dst msg)
-      ()
-  in
   let start_node contacts =
     let addr = Net.register net ~site:0 (fun ~src:_ _ -> ()) in
     let node =
-      if contacts = [] then Chord.Protocol.bootstrap nw ~addr ()
-      else Chord.Protocol.join nw ~addr ~contacts ()
+      Chord.Protocol.create engine ~rng
+        ~emit:(fun ~dst msg -> Net.send net ~src:addr ~dst msg)
+        ~addr ~contacts ()
     in
     Net.set_handler net addr (fun ~src msg -> Chord.Protocol.handle node ~src msg);
     node
@@ -26,6 +22,27 @@ let () =
 
   print_endline "bootstrapping a 24-node ring (joins every 2 s)...";
   let nodes = ref [| start_node [] |] in
+  (* Each node knows only its own state; the ring's converged view is
+     the static oracle over the ids of the nodes still alive. *)
+  let alive () = List.filter Chord.Protocol.is_alive (Array.to_list !nodes) in
+  let oracle () =
+    Chord.Oracle.create
+      (Array.of_list (List.map Chord.Protocol.node_id (alive ())))
+  in
+  let ring_consistent () =
+    let ring = oracle () in
+    List.for_all
+      (fun n ->
+        match Chord.Oracle.index_of ring (Chord.Protocol.node_id n) with
+        | None -> false
+        | Some i -> (
+            match Chord.Protocol.successor n with
+            | Some p ->
+                Id.equal p.Chord.Protocol.id
+                  (Chord.Oracle.id ring (Chord.Oracle.successor_of ring i))
+            | None -> Chord.Oracle.size ring = 1))
+      (alive ())
+  in
   for _ = 2 to 24 do
     let via = Rng.choose rng !nodes in
     nodes :=
@@ -35,20 +52,18 @@ let () =
   Engine.run_for engine 900_000.;
   Printf.printf "t=%.0fs  ring consistent: %b\n"
     (Engine.now engine /. 1000.)
-    (Chord.Protocol.ring_consistent nw);
+    (ring_consistent ());
 
   let correct = ref 0 in
   let total = 50 in
   for _ = 1 to total do
     let key = Id.random rng in
     let origin = Rng.choose rng !nodes in
-    let expected = Chord.Protocol.expected_successor nw key in
-    Chord.Protocol.lookup origin key (fun res ->
-        match (res, expected) with
-        | Some p, Some e
-          when Id.equal p.Chord.Protocol.id (Chord.Protocol.node_id e) ->
-            incr correct
-        | _ -> ())
+    let ring = oracle () in
+    let expected = Chord.Oracle.id ring (Chord.Oracle.responsible ring key) in
+    Chord.Protocol.lookup origin key (function
+      | Some p when Id.equal p.Chord.Protocol.id expected -> incr correct
+      | _ -> ())
   done;
   Engine.run_for engine 30_000.;
   Printf.printf "lookups answered correctly: %d/%d\n" !correct total;
@@ -58,5 +73,5 @@ let () =
   Engine.run_for engine 600_000.;
   Printf.printf "t=%.0fs  ring consistent after failures: %b (%d nodes alive)\n"
     (Engine.now engine /. 1000.)
-    (Chord.Protocol.ring_consistent nw)
-    (List.length (Chord.Protocol.alive_nodes nw))
+    (ring_consistent ())
+    (List.length (alive ()))

@@ -4,7 +4,6 @@ type config = {
   stabilize_period : float;
   fix_fingers_period : float;
   fingers_per_round : int;
-  successor_list_length : int;
   rpc_timeout : float;
   max_lookup_hops : int;
 }
@@ -14,10 +13,12 @@ let default_config =
     stabilize_period = 30_000.;
     fix_fingers_period = 10_000.;
     fingers_per_round = 32;
-    successor_list_length = 8;
     rpc_timeout = 1_000.;
     max_lookup_hops = 64;
   }
+
+(* Successors each node keeps to survive failures. *)
+let successor_list_length = 8
 
 type step_result = Done of peer | Next of peer
 
@@ -45,7 +46,19 @@ type pending =
   | Pprobe of { buried : peer; span : Obs.Trace.op }
 
 type node = {
-  network : network;
+  engine : Engine.t;
+  emit : dst:int -> msg -> unit;
+  cfg : config;
+  rng : Rng.t;
+  mutable tokens : int;
+  spans : Obs.Trace.t;
+  c_lookups : Obs.Metrics.counter;
+  c_failures : Obs.Metrics.counter;
+  c_timeouts : Obs.Metrics.counter;
+  c_probes : Obs.Metrics.counter;
+  c_ring_changes : Obs.Metrics.counter;
+  h_hops : Obs.Metrics.histogram;
+  h_lookup_ms : Obs.Metrics.histogram;
   id : Id.t;
   addr : int;
   fingers : Finger_table.t;
@@ -70,49 +83,7 @@ type node = {
   mutable timers : Engine.timer list;
 }
 
-and network = {
-  engine : Engine.t;
-  emit : src:int -> dst:int -> msg -> unit;
-  cfg : config;
-  rng : Rng.t;
-  mutable nodes : node list;
-  mutable tokens : int;
-  spans : Obs.Trace.t;
-  c_lookups : Obs.Metrics.counter;
-  c_failures : Obs.Metrics.counter;
-  c_timeouts : Obs.Metrics.counter;
-  c_probes : Obs.Metrics.counter;
-  c_ring_changes : Obs.Metrics.counter;
-  h_hops : Obs.Metrics.histogram;
-  h_lookup_ms : Obs.Metrics.histogram;
-}
-
 let ring_label = "ring"
-
-let create ?(metrics = Obs.Metrics.default) ?(spans = Obs.Trace.disabled)
-    engine ~rng ?(config = default_config) ~emit () =
-  let labels = [ ("instance", ring_label) ] in
-  let counter name = Obs.Metrics.counter metrics ~labels name in
-  {
-    engine;
-    emit;
-    cfg = config;
-    rng;
-    nodes = [];
-    tokens = 0;
-    spans;
-    c_lookups = counter "chord.lookups";
-    c_failures = counter "chord.lookup_failures";
-    c_timeouts = counter "chord.rpc_timeouts";
-    c_probes = counter "chord.probes_sent";
-    c_ring_changes = counter "chord.ring_changes";
-    h_hops =
-      Obs.Metrics.histogram metrics ~labels "chord.lookup_hops"
-        ~buckets:(Obs.Metrics.linear_buckets ~start:0. ~width:1. ~count:33);
-    h_lookup_ms =
-      Obs.Metrics.histogram metrics ~labels "chord.lookup_ms"
-        ~buckets:(Obs.Metrics.exponential_buckets ~start:1. ~factor:2. ~count:14);
-  }
 
 let pending_rpcs n = Hashtbl.length n.pending
 
@@ -125,13 +96,13 @@ let self_peer n = { id = n.id; addr = n.addr }
 let successor n = match n.succs with [] -> None | p :: _ -> Some p
 let predecessor n = n.pred
 
-let fresh_token nw =
-  nw.tokens <- nw.tokens + 1;
-  nw.tokens
+let fresh_token n =
+  n.tokens <- n.tokens + 1;
+  n.tokens
 
 (* A killed node is silent: timeouts still queued on the scheduler must
    not make it talk again. *)
-let send n dst msg = if n.alive then n.network.emit ~src:n.addr ~dst msg
+let send n dst msg = if n.alive then n.emit ~dst msg
 
 let notify n dst = send n dst (Notify { who = self_peer n; chain = n.succs })
 
@@ -195,16 +166,15 @@ let finish_lookup n token result =
   match Hashtbl.find_opt n.pending token with
   | Some (Plookup l) ->
       Hashtbl.remove n.pending token;
-      let nw = n.network in
-      let now = Engine.now nw.engine in
+      let now = Engine.now n.engine in
       (match result with
       | Some _ ->
-          Obs.Metrics.observe nw.h_hops (float_of_int l.hops);
-          Obs.Metrics.observe nw.h_lookup_ms (now -. l.started);
-          Obs.Trace.close_op nw.spans ~time:now l.span
+          Obs.Metrics.observe n.h_hops (float_of_int l.hops);
+          Obs.Metrics.observe n.h_lookup_ms (now -. l.started);
+          Obs.Trace.close_op n.spans ~time:now l.span
       | None ->
-          Obs.Metrics.incr nw.c_failures;
-          Obs.Trace.close_op nw.spans ~status:"error:exhausted" ~time:now
+          Obs.Metrics.incr n.c_failures;
+          Obs.Trace.close_op n.spans ~status:"error:exhausted" ~time:now
             l.span);
       l.callback result
   | _ -> ()
@@ -212,12 +182,12 @@ let finish_lookup n token result =
 let rec lookup_ask n token =
   match Hashtbl.find_opt n.pending token with
   | Some (Plookup l) ->
-      if l.hops > n.network.cfg.max_lookup_hops then
+      if l.hops > n.cfg.max_lookup_hops then
         finish_lookup n token None
       else begin
         let asked = l.asking in
-        let now = Engine.now n.network.engine in
-        let spans = n.network.spans in
+        let now = Engine.now n.engine in
+        let spans = n.spans in
         let rpc =
           Obs.Trace.open_op spans ~parent:(Obs.Trace.op_id l.span) ~time:now
             "chord.rpc"
@@ -226,7 +196,7 @@ let rec lookup_ask n token =
           (Printf.sprintf "ask addr=%d hop=%d" asked.addr l.hops);
         l.rpc <- rpc;
         send n asked.addr (Lookup_step { key = l.key; token; reply_to = n.addr });
-        Engine.schedule n.network.engine ~delay:n.network.cfg.rpc_timeout
+        Engine.schedule n.engine ~delay:n.cfg.rpc_timeout
           (fun () -> lookup_timeout n token asked)
       end
   | _ -> ()
@@ -236,10 +206,10 @@ and lookup_timeout n token asked =
   | Some (Plookup l) when l.asking.addr = asked.addr ->
       (* Peer did not answer: raise suspicion and retry — possibly the same
          peer, since the silence may just be loss. *)
-      Obs.Metrics.incr n.network.c_timeouts;
-      let now = Engine.now n.network.engine in
-      Obs.Trace.note n.network.spans l.rpc ~time:now "timeout; retrying";
-      Obs.Trace.close_op n.network.spans ~status:"timeout" ~time:now l.rpc;
+      Obs.Metrics.incr n.c_timeouts;
+      let now = Engine.now n.engine in
+      Obs.Trace.note n.spans l.rpc ~time:now "timeout; retrying";
+      Obs.Trace.close_op n.spans ~status:"timeout" ~time:now l.rpc;
       suspect n asked.addr;
       l.hops <- l.hops + 1;
       (match local_candidate n l.key with
@@ -250,38 +220,37 @@ and lookup_timeout n token asked =
   | _ -> ()
 
 let lookup n key callback =
-  let nw = n.network in
   if not n.alive then
-    Engine.schedule nw.engine ~delay:0. (fun () -> callback None)
+    Engine.schedule n.engine ~delay:0. (fun () -> callback None)
   else begin
-    Obs.Metrics.incr nw.c_lookups;
-    let now = Engine.now nw.engine in
+    Obs.Metrics.incr n.c_lookups;
+    let now = Engine.now n.engine in
     let finish_immediate span =
-      Obs.Metrics.observe nw.h_hops 0.;
-      Obs.Metrics.observe nw.h_lookup_ms 0.;
-      Obs.Trace.close_op nw.spans ~time:now span
+      Obs.Metrics.observe n.h_hops 0.;
+      Obs.Metrics.observe n.h_lookup_ms 0.;
+      Obs.Trace.close_op n.spans ~time:now span
     in
     match successor n with
     | None ->
         (* Alone on the ring: every key is ours. *)
-        let span = Obs.Trace.open_op nw.spans ~time:now "chord.lookup" in
+        let span = Obs.Trace.open_op n.spans ~time:now "chord.lookup" in
         finish_immediate span;
-        Engine.schedule nw.engine ~delay:0. (fun () ->
+        Engine.schedule n.engine ~delay:0. (fun () ->
             callback (Some (self_peer n)))
     | Some succ ->
         if Ring.between_oc ~low:n.id ~high:succ.id key then begin
-          let span = Obs.Trace.open_op nw.spans ~time:now "chord.lookup" in
+          let span = Obs.Trace.open_op n.spans ~time:now "chord.lookup" in
           finish_immediate span;
-          Engine.schedule nw.engine ~delay:0. (fun () -> callback (Some succ))
+          Engine.schedule n.engine ~delay:0. (fun () -> callback (Some succ))
         end
         else begin
-          let token = fresh_token nw in
+          let token = fresh_token n in
           let asking =
             match Finger_table.closest_preceding n.fingers ~extra:n.succs key with
             | Some p -> p
             | None -> succ
           in
-          let span = Obs.Trace.open_op nw.spans ~time:now "chord.lookup" in
+          let span = Obs.Trace.open_op n.spans ~time:now "chord.lookup" in
           Hashtbl.replace n.pending token
             (Plookup
                {
@@ -317,8 +286,8 @@ let handle_lookup_reply n ~token ~result =
   (match result with Done p | Next p -> remember n p);
   match Hashtbl.find_opt n.pending token with
   | Some (Plookup l) -> (
-      Obs.Trace.close_op n.network.spans
-        ~time:(Engine.now n.network.engine)
+      Obs.Trace.close_op n.spans
+        ~time:(Engine.now n.engine)
         l.rpc;
       match result with
       | Done p -> finish_lookup n token (Some p)
@@ -333,13 +302,13 @@ let handle_lookup_reply n ~token ~result =
           end)
   | _ -> ()
 
-let truncate_succs cfg l =
+let truncate_succs l =
   let rec take k = function
     | [] -> []
     | _ when k = 0 -> []
     | x :: rest -> x :: take (k - 1) rest
   in
-  take cfg.successor_list_length l
+  take successor_list_length l
 
 let handle_state n ~token ~(self : peer) ~(pred : peer option)
     ~(succs : peer list) =
@@ -348,8 +317,8 @@ let handle_state n ~token ~(self : peer) ~(pred : peer option)
   List.iter (remember n) succs;
   match Hashtbl.find_opt n.pending token with
   | Some (Pprobe { buried; span }) ->
-      Obs.Trace.close_op n.network.spans
-        ~time:(Engine.now n.network.engine)
+      Obs.Trace.close_op n.spans
+        ~time:(Engine.now n.engine)
         span;
       (* A probed peer answered: it recovered, a partition healed, or it
          is a bootstrap contact we only knew by address.  [self] is the
@@ -368,9 +337,9 @@ let handle_state n ~token ~(self : peer) ~(pred : peer option)
       if self.addr <> n.addr then begin
         let chain = List.filter (fun (p : peer) -> p.addr <> n.addr) succs in
         (match successor n with
-        | None -> n.succs <- truncate_succs n.network.cfg (self :: chain)
+        | None -> n.succs <- truncate_succs (self :: chain)
         | Some succ when Ring.between_oo ~low:n.id ~high:succ.id self.id ->
-            n.succs <- truncate_succs n.network.cfg (self :: n.succs)
+            n.succs <- truncate_succs (self :: n.succs)
         | Some _ -> ());
         notify n self.addr
       end
@@ -387,11 +356,11 @@ let handle_state n ~token ~(self : peer) ~(pred : peer option)
         | _ -> asking
       in
       let chain = List.filter (fun (p : peer) -> p.addr <> n.addr) succs in
-      n.succs <- truncate_succs n.network.cfg (new_succ :: chain);
-      let now = Engine.now n.network.engine in
-      Obs.Trace.note n.network.spans span ~time:now
+      n.succs <- truncate_succs (new_succ :: chain);
+      let now = Engine.now n.engine in
+      Obs.Trace.note n.spans span ~time:now
         (Printf.sprintf "notify addr=%d" new_succ.addr);
-      Obs.Trace.close_op n.network.spans ~time:now span;
+      Obs.Trace.close_op n.spans ~time:now span;
       notify n new_succ.addr
   | _ -> ()
 
@@ -400,21 +369,21 @@ let handle_state n ~token ~(self : peer) ~(pred : peer option)
    sits between us and our current one); if it is dead the probe times out
    quietly.  Used for graveyard rediscovery and to vet gossiped peers. *)
 let probe_peer n (p : peer) =
-  Obs.Metrics.incr n.network.c_probes;
-  let token = fresh_token n.network in
+  Obs.Metrics.incr n.c_probes;
+  let token = fresh_token n in
   let span =
-    Obs.Trace.open_op n.network.spans
-      ~time:(Engine.now n.network.engine)
+    Obs.Trace.open_op n.spans
+      ~time:(Engine.now n.engine)
       "chord.probe"
   in
   Hashtbl.replace n.pending token (Pprobe { buried = p; span });
   send n p.addr (Get_state { token; reply_to = n.addr });
-  Engine.schedule n.network.engine ~delay:n.network.cfg.rpc_timeout (fun () ->
+  Engine.schedule n.engine ~delay:n.cfg.rpc_timeout (fun () ->
       match Hashtbl.find_opt n.pending token with
       | Some (Pprobe { span; _ }) ->
           Hashtbl.remove n.pending token;
-          Obs.Trace.close_op n.network.spans ~status:"timeout"
-            ~time:(Engine.now n.network.engine)
+          Obs.Trace.close_op n.spans ~status:"timeout"
+            ~time:(Engine.now n.engine)
             span
       | _ -> ())
 
@@ -441,7 +410,7 @@ let handle_notify n ~(who : peer) ~(chain : peer list) =
         if Ring.between_oo ~low:p.id ~high:n.id who.id then n.pred <- Some who);
     (match n.pred with
     | Some p when p.addr = who.addr ->
-        n.pred_heard <- Engine.now n.network.engine
+        n.pred_heard <- Engine.now n.engine
     | _ -> ());
     (* Anti-entropy: the notifier piggybacks its successor chain; any
        member strictly closer than our successor is a candidate merge
@@ -455,7 +424,7 @@ let handle_notify n ~(who : peer) ~(chain : peer list) =
     | None -> n.succs <- [ who ]
     | Some succ ->
         if Ring.between_oo ~low:n.id ~high:succ.id who.id then
-          n.succs <- truncate_succs n.network.cfg (who :: n.succs));
+          n.succs <- truncate_succs (who :: n.succs));
     List.iter
       (fun (p : peer) ->
         if p.addr <> n.addr then
@@ -477,7 +446,7 @@ let handle n ~src msg =
     | Get_state { token; reply_to } ->
         (match n.pred with
         | Some p when p.addr = src ->
-            n.pred_heard <- Engine.now n.network.engine
+            n.pred_heard <- Engine.now n.engine
         | _ -> ());
         send n reply_to
           (State { token; self = self_peer n; pred = n.pred; succs = n.succs })
@@ -495,7 +464,7 @@ let handle n ~src msg =
 let probe_graveyard n =
   if Hashtbl.length n.graveyard > 0 then begin
     let arr = Array.of_seq (Hashtbl.to_seq_values n.graveyard) in
-    probe_peer n (Rng.choose n.network.rng arr)
+    probe_peer n (Rng.choose n.rng arr)
   end
 
 (* Last-resort anti-stranding repair, run while the node's ring state
@@ -511,9 +480,9 @@ let probe_graveyard n =
    node itself and the probe is a no-op. *)
 let rejoin_probe n =
   if Hashtbl.length n.contacts > 0 then begin
-    Obs.Metrics.incr n.network.c_lookups;
+    Obs.Metrics.incr n.c_lookups;
     let arr = Array.of_seq (Hashtbl.to_seq_values n.contacts) in
-    let c = Rng.choose n.network.rng arr in
+    let c = Rng.choose n.rng arr in
     let callback = function
       | Some (p : peer) when p.addr <> n.addr ->
           Hashtbl.remove n.graveyard p.addr;
@@ -521,14 +490,14 @@ let rejoin_probe n =
           | None -> n.succs <- [ p ]
           | Some succ ->
               if Ring.between_oo ~low:n.id ~high:succ.id p.id then
-                n.succs <- truncate_succs n.network.cfg (p :: n.succs));
+                n.succs <- truncate_succs (p :: n.succs));
           notify n p.addr
       | _ -> ()
     in
-    let now = Engine.now n.network.engine in
-    let span = Obs.Trace.open_op n.network.spans ~time:now "chord.lookup" in
-    Obs.Trace.note n.network.spans span ~time:now "rejoin probe";
-    let token = fresh_token n.network in
+    let now = Engine.now n.engine in
+    let span = Obs.Trace.open_op n.spans ~time:now "chord.lookup" in
+    Obs.Trace.note n.spans span ~time:now "rejoin probe";
+    let token = fresh_token n in
     Hashtbl.replace n.pending token
       (Plookup
          {
@@ -553,19 +522,19 @@ let stabilize n =
        match successor n with Some (p : peer) -> p.addr | None -> -1
      in
      if cur <> n.last_succ then begin
-       Obs.Metrics.incr n.network.c_ring_changes;
+       Obs.Metrics.incr n.c_ring_changes;
        n.last_succ <- cur
      end);
     probe_graveyard n;
     if
       n.pred = None
-      || List.length n.succs < n.network.cfg.successor_list_length
+      || List.length n.succs < successor_list_length
     then rejoin_probe n;
     (* Expire a silent predecessor so a replacement can be accepted. *)
-    let now = Engine.now n.network.engine in
+    let now = Engine.now n.engine in
     (match n.pred with
     | Some _
-      when now -. n.pred_heard > 3. *. n.network.cfg.stabilize_period +. 1. ->
+      when now -. n.pred_heard > 3. *. n.cfg.stabilize_period +. 1. ->
         n.pred <- None
     | _ -> ());
     match successor n with
@@ -578,22 +547,22 @@ let stabilize n =
             notify n p.addr
         | None -> ())
     | Some succ ->
-        let token = fresh_token n.network in
+        let token = fresh_token n in
         let span =
-          Obs.Trace.open_op n.network.spans ~time:now "chord.stabilize"
+          Obs.Trace.open_op n.spans ~time:now "chord.stabilize"
         in
-        Obs.Trace.note n.network.spans span ~time:now
+        Obs.Trace.note n.spans span ~time:now
           (Printf.sprintf "get_state addr=%d" succ.addr);
         Hashtbl.replace n.pending token (Pstabilize { asking = succ; span });
         send n succ.addr (Get_state { token; reply_to = n.addr });
-        Engine.schedule n.network.engine ~delay:n.network.cfg.rpc_timeout
+        Engine.schedule n.engine ~delay:n.cfg.rpc_timeout
           (fun () ->
             match Hashtbl.find_opt n.pending token with
             | Some (Pstabilize { asking; span }) ->
                 Hashtbl.remove n.pending token;
-                Obs.Metrics.incr n.network.c_timeouts;
-                Obs.Trace.close_op n.network.spans ~status:"timeout"
-                  ~time:(Engine.now n.network.engine)
+                Obs.Metrics.incr n.c_timeouts;
+                Obs.Trace.close_op n.spans ~status:"timeout"
+                  ~time:(Engine.now n.engine)
                   span;
                 suspect n asking.addr
             | _ -> ())
@@ -601,7 +570,7 @@ let stabilize n =
 
 let fix_fingers n =
   if n.alive then
-    for _ = 1 to n.network.cfg.fingers_per_round do
+    for _ = 1 to n.cfg.fingers_per_round do
       let i = n.next_fix in
       n.next_fix <- (n.next_fix + 1) mod Finger_table.slots n.fingers;
       let target = Finger_table.target n.fingers i in
@@ -612,25 +581,51 @@ let fix_fingers n =
     done
 
 let start_timers n =
-  let nw = n.network in
-  let jitter = Rng.float nw.rng nw.cfg.stabilize_period in
+  let jitter = Rng.float n.rng n.cfg.stabilize_period in
   n.timers <-
     [
-      Engine.every nw.engine ~phase:jitter ~period:nw.cfg.stabilize_period
+      Engine.every n.engine ~phase:jitter ~period:n.cfg.stabilize_period
         (fun () -> stabilize n);
-      Engine.every nw.engine
-        ~phase:(Rng.float nw.rng nw.cfg.fix_fingers_period)
-        ~period:nw.cfg.fix_fingers_period
+      Engine.every n.engine
+        ~phase:(Rng.float n.rng n.cfg.fix_fingers_period)
+        ~period:n.cfg.fix_fingers_period
         (fun () -> fix_fingers n);
     ]
 
-let bootstrap nw ?id ~addr () =
+(* A node at [addr].  With no [contacts] it is the first node of a
+   fresh ring (its own successor).  With contacts it joins by address:
+   it probes them at once, then keeps retrying every other RPC timeout
+   while still alone — contacts may not be up yet (cluster cold start)
+   or may have been lost to a partition. *)
+let create ?(metrics = Obs.Metrics.default) ?(spans = Obs.Trace.disabled)
+    engine ~rng ?(config = default_config) ~emit ?id ~addr ~contacts () =
   let id =
-    match id with Some i -> i | None -> Id.routing_key (Id.random nw.rng)
+    match id with Some i -> i | None -> Id.routing_key (Id.random rng)
   in
+  (* Registration is idempotent per name and labels, so every node on a
+     registry adds to the same ring-wide series. *)
+  let labels = [ ("instance", ring_label) ] in
+  let counter name = Obs.Metrics.counter metrics ~labels name in
   let n =
     {
-      network = nw;
+      engine;
+      emit;
+      cfg = config;
+      rng;
+      tokens = 0;
+      spans;
+      c_lookups = counter "chord.lookups";
+      c_failures = counter "chord.lookup_failures";
+      c_timeouts = counter "chord.rpc_timeouts";
+      c_probes = counter "chord.probes_sent";
+      c_ring_changes = counter "chord.ring_changes";
+      h_hops =
+        Obs.Metrics.histogram metrics ~labels "chord.lookup_hops"
+          ~buckets:(Obs.Metrics.linear_buckets ~start:0. ~width:1. ~count:33);
+      h_lookup_ms =
+        Obs.Metrics.histogram metrics ~labels "chord.lookup_ms"
+          ~buckets:
+            (Obs.Metrics.exponential_buckets ~start:1. ~factor:2. ~count:14);
       id;
       addr;
       fingers = Finger_table.create ~self:id;
@@ -638,7 +633,7 @@ let bootstrap nw ?id ~addr () =
       succs = [];
       alive = true;
       next_fix = 0;
-      pred_heard = Engine.now nw.engine;
+      pred_heard = Engine.now engine;
       last_succ = -1;
       pending = Hashtbl.create 16;
       suspicion = Hashtbl.create 8;
@@ -648,52 +643,17 @@ let bootstrap nw ?id ~addr () =
     }
   in
   start_timers n;
-  nw.nodes <- n :: nw.nodes;
-  n
-
-(* Join by address: probe the bootstrap contacts at once, then keep
-   retrying every other RPC timeout while still alone — contacts may not
-   be up yet (cluster cold start) or may have been lost to a
-   partition. *)
-let join nw ?id ~addr ~contacts () =
-  let n = bootstrap nw ?id ~addr () in
-  let probe_contacts () = List.iter (probe_addr n) contacts in
-  Engine.schedule nw.engine ~delay:0. probe_contacts;
-  n.timers <-
-    Engine.every nw.engine ~period:(2. *. nw.cfg.rpc_timeout) (fun () ->
-        if n.alive && successor n = None then probe_contacts ())
-    :: n.timers;
+  if contacts <> [] then begin
+    let probe_contacts () = List.iter (probe_addr n) contacts in
+    Engine.schedule engine ~delay:0. probe_contacts;
+    n.timers <-
+      Engine.every engine ~period:(2. *. config.rpc_timeout) (fun () ->
+          if n.alive && successor n = None then probe_contacts ())
+      :: n.timers
+  end;
   n
 
 let kill n =
   n.alive <- false;
   List.iter Engine.cancel n.timers;
   n.timers <- []
-
-let alive_nodes nw =
-  List.filter (fun n -> n.alive) nw.nodes
-  |> List.sort (fun a b -> Id.compare a.id b.id)
-
-let ring_consistent nw =
-  match alive_nodes nw with
-  | [] -> true
-  | [ n ] -> ( match successor n with None -> true | Some p -> p.addr = n.addr)
-  | nodes ->
-      let arr = Array.of_list nodes in
-      let m = Array.length arr in
-      let ok = ref true in
-      for i = 0 to m - 1 do
-        let expected = arr.((i + 1) mod m) in
-        match successor arr.(i) with
-        | Some p when p.addr = expected.addr -> ()
-        | _ -> ok := false
-      done;
-      !ok
-
-let expected_successor nw key =
-  match alive_nodes nw with
-  | [] -> None
-  | nodes -> (
-      match List.find_opt (fun n -> Id.compare n.id key >= 0) nodes with
-      | Some n -> Some n
-      | None -> Some (List.hd nodes))

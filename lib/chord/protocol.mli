@@ -8,9 +8,13 @@
     on top of UDP" with 30-second stabilization periods — reproduced here in
     virtual time).
 
-    The static {!Oracle} is the converged view; tests check that a ring
-    built with this protocol converges to exactly the oracle's successor
-    relation and heals after failures.
+    Each {!node} is one record: its ring state, its timers on the
+    caller's wheel, its I/O closure and its share of the ring-wide
+    [chord.*] series.  A node knows only its own state, so no query
+    here answers for the whole ring: the static {!Oracle}, built over
+    the ids of the nodes a caller holds, is the converged view, and
+    tests check that a ring built with this protocol converges to
+    exactly the oracle's successor relation and heals after failures.
 
     Peers evicted by failure detection are buried, not forgotten: each
     stabilize round pings one buried peer, and an answer (server
@@ -42,16 +46,15 @@ type config = {
   stabilize_period : float;  (** ms of virtual time; paper: 30 000 *)
   fix_fingers_period : float;
   fingers_per_round : int;  (** fingers refreshed per fix-fingers tick *)
-  successor_list_length : int;
   rpc_timeout : float;  (** ms before an unanswered step marks a peer dead *)
   max_lookup_hops : int;
 }
 
 val default_config : config
 (** 30 s stabilize (as in the paper), 10 s fix-fingers with 32 fingers per
-    round, successor list of 8, 1 s RPC timeout, 64-hop budget. *)
+    round, 1 s RPC timeout, 64-hop budget.  Every node keeps a successor
+    list of 8, a constant. *)
 
-type network
 type node
 
 val create :
@@ -60,15 +63,30 @@ val create :
   Engine.t ->
   rng:Rng.t ->
   ?config:config ->
-  emit:(src:int -> dst:int -> msg -> unit) ->
+  emit:(dst:int -> msg -> unit) ->
+  ?id:Id.t ->
+  addr:int ->
+  contacts:int list ->
   unit ->
-  network
-(** A ring whose I/O is injected: every outbound RPC is handed to
-    [emit] and inbound traffic must be fed to {!handle}.  [I3.Engine]
-    composes it with an i3 server so the same protocol runs over real
-    UDP sockets and over the simulator; a test can just as well wire
-    [emit] and {!handle} to a simulated [Net] itself.  Nodes carry an
-    explicit transport address, which is embedded in wire messages.
+  node
+(** A node at transport address [addr] whose I/O is injected: every
+    outbound RPC it sends is handed to [emit] and inbound traffic must
+    be fed to {!handle}.  Its timers run on the given wheel, and every
+    random draw (a missing [id], timer phases, probe choices) comes
+    from [rng].  [I3.Engine] composes one with an i3 server so the same
+    protocol runs over real UDP sockets and over the simulator; a test
+    can just as well wire [emit] and {!handle} to a simulated [Net]
+    itself, passing one [rng] to every node it creates.  The id
+    defaults to a fresh random id with the last k bits zeroed.
+
+    With no [contacts] the node is the first of a fresh ring (its own
+    successor).  With contacts known only by transport address
+    ([i3d --join host:port]) it joins: it sends each a [Get_state] at
+    once and again every other RPC timeout while it is still alone.  A
+    reply's [self] identity is adopted and the contact integrated as a
+    recovered peer would be; a dead address costs one datagram and
+    times out quietly.  Stabilization makes the node part of the ring
+    within a few periods.
 
     Protocol counters ([chord.lookups], [chord.lookup_failures],
     [chord.rpc_timeouts], [chord.probes_sent], [chord.ring_changes] —
@@ -76,8 +94,8 @@ val create :
     convergence signal — and the [chord.lookup_hops] /
     [chord.lookup_ms] histograms) register in [metrics] (default
     {!Obs.Metrics.default}) under the [instance] label {!ring_label}.
-    Rings sharing a registry share these series, so the members of one
-    deployment add up to ring-wide counters.
+    Registration is idempotent per name and labels, so the nodes of one
+    deployment share these series and add up to ring-wide counters.
 
     Control-plane operations are recorded in [spans] (default
     {!Obs.Trace.disabled}) as {!Obs.Trace.open_op} events: a
@@ -92,20 +110,6 @@ val pending_rpcs : node -> int
 (** RPCs this node has in flight right now (lookup steps, stabilize
     queries, probes awaiting a reply or timeout) — an introspection
     gauge for the telemetry plane. *)
-
-val bootstrap : network -> ?id:Id.t -> addr:int -> unit -> node
-(** First node of a fresh ring (its own successor) at transport address
-    [addr].  The id defaults to a fresh random id with the last k bits
-    zeroed. *)
-
-val join : network -> ?id:Id.t -> addr:int -> contacts:int list -> unit -> node
-(** Start a node that joins through contacts known only by transport
-    address ([i3d --join host:port]): it sends each a [Get_state] at
-    once and again every other RPC timeout while it is still alone.  A
-    reply's [self] identity is adopted and the contact integrated as a
-    recovered peer would be; a dead address costs one datagram and
-    times out quietly.  Stabilization makes the node part of the ring
-    within a few periods. *)
 
 val node_id : node -> Id.t
 val node_addr : node -> int
@@ -140,13 +144,3 @@ val handle : node -> src:int -> msg -> unit
 val kill : node -> unit
 (** Fail-stop the node: it stops responding and sending; others detect
     it via RPC timeouts. *)
-
-val alive_nodes : network -> node list
-(** Alive nodes in ascending id order. *)
-
-val ring_consistent : network -> bool
-(** True iff every alive node's successor pointer is exactly the next alive
-    node clockwise — the converged Chord invariant. *)
-
-val expected_successor : network -> Id.t -> node option
-(** Ground truth from global knowledge (for tests). *)

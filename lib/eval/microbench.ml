@@ -23,11 +23,14 @@ let lone_server ?config () =
   Transport.Driver.create ~metrics ~send:ignore
     (I3.Engine.create_static ~addr:0 ~id:Id.zero ~view ?config ~metrics ())
 
+(* Each frame's one-datagram list is built here, outside the timed
+   call, so an iteration times the receive path and nothing else. *)
 let feed driver frames =
+  let datagrams = Array.map (fun bytes -> [ (1, bytes) ]) frames in
   let cursor = ref 0 in
   fun () ->
-    Transport.Driver.on_datagram driver ~now:0. ~src:1 frames.(!cursor);
-    cursor := (!cursor + 1) mod Array.length frames
+    Transport.Driver.on_datagrams driver ~now:0. datagrams.(!cursor);
+    cursor := (!cursor + 1) mod Array.length datagrams
 
 let owner = 1
 

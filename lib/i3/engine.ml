@@ -1,10 +1,11 @@
 (* The sans-IO protocol engine: one i3 server fused with its ring (a
    live Chord node, or a static view) behind a pure state-machine API.
    All I/O is data — inputs are [event]s stamped with the caller's
-   clock, outputs are [effect]s the caller interprets — so the exact
-   same core runs under the simulated scheduler, over real UDP sockets
-   in [bin/i3d], or inside a deterministic unit test that just
-   pattern-matches the effect list.
+   clock (frames as a peer or host sent them, or a bare tick: nothing
+   else reaches a node), outputs are [effect]s the caller interprets —
+   so the exact same core runs under the simulated scheduler, over real
+   UDP sockets in [bin/i3d], or inside a deterministic unit test that
+   just pattern-matches the effect list.
 
    Internally the engine owns a private [Sim.Engine] wheel: every timer
    the server (soft-state sweeps) or the protocol (stabilize,
@@ -22,9 +23,6 @@ type event =
   | Frame of { src : Packet.addr; frame : frame }
   | Batch of event list
   | Tick
-  | Insert_trigger of Trigger.t
-  | Remove_trigger of Trigger.t
-  | Send_packet of Packet.t
 
 type effect =
   | Send of Packet.addr * Message.t
@@ -121,18 +119,17 @@ let create ?(seed = 1) ~addr ?id ?(join = []) ?(site = 0) ?config
   let wheel = Sim.Engine.create () in
   let rng = Rng.of_int seed in
   let outbox = Queue.create () in
-  let network =
-    Chord.Protocol.create ~metrics ?spans wheel ~rng:(Rng.split rng)
-      ~config:chord_config
-      ~emit:(fun ~src:_ ~dst msg -> Queue.add (Chord_send (dst, msg)) outbox)
-      ()
-  in
+  (* The node's stream splits off before the id draw: daemons and
+     simulations draw in this order, seed for seed. *)
+  let chord_rng = Rng.split rng in
   let id =
     match id with Some i -> i | None -> Id.routing_key (Id.random rng)
   in
   let node =
-    if join = [] then Chord.Protocol.bootstrap network ~id ~addr ()
-    else Chord.Protocol.join network ~id ~addr ~contacts:join ()
+    Chord.Protocol.create ~metrics ?spans wheel ~rng:chord_rng
+      ~config:chord_config
+      ~emit:(fun ~dst msg -> Queue.add (Chord_send (dst, msg)) outbox)
+      ~id ~addr ~contacts:join ()
   in
   make ~wheel ~outbox ~addr ~id ~node:(Some node) ~view:(view_for node) ~site
     ?config ~metrics ?tracer ()
@@ -224,12 +221,6 @@ let rec dispatch t = function
       match t.ring with
       | Live node -> Chord.Protocol.handle node ~src msg
       | Static dropped -> Obs.Metrics.incr dropped)
-  | Insert_trigger trigger ->
-      Server.handle_message t.server ~src:(addr t)
-        (Message.Insert { trigger; token = None })
-  | Remove_trigger trigger ->
-      Server.handle_message t.server ~src:(addr t) (Message.Remove { trigger })
-  | Send_packet p -> Server.handle_packet t.server p
 
 (* [engine.events] counts protocol work, so a batch counts its leaves —
    one backlog drained through one [step] must read the same as the

@@ -6,10 +6,15 @@
     is [step t ~now event -> effect list]: the caller stamps each input
     with its own notion of time (virtual milliseconds in tests,
     milliseconds since process start in a daemon) and interprets the
-    returned effects against whatever transport it owns.  One driver
-    ships with the repo, [Transport.Driver], and it pumps any
-    [Transport.S]: the UDP daemon [bin/i3d] and every simulated member
-    of [Transport.Dynamic] and [Transport.Deployment] run it alike.
+    returned effects against whatever transport it owns.  An input is
+    what a node can receive and nothing more: a decoded frame, a burst
+    of them, or a tick of the clock (paper Sec. V-C: the control
+    protocol is fully asynchronous on top of UDP).  A trigger insert or
+    a data packet enters as the [Message.Insert] or [Message.Data]
+    frame a host would send, so a test exercises the path a daemon
+    runs.  One driver ships with the repo, [Transport.Driver]: the UDP
+    daemon [bin/i3d] and every simulated member of [Transport.Dynamic]
+    and [Transport.Deployment] run it alike.
     Stepping an engine directly and through the driver gives identical
     effect traces for identical inputs ([test/test_engine.ml] pins this
     on a three-engine ring), which is the point: protocol behaviour is
@@ -41,13 +46,6 @@ type event =
           stepping the events one at a time at the same [now] (and
           counted as that many [engine.events]).  Nesting is allowed. *)
   | Tick  (** No input — just advance timers to [now]. *)
-  | Insert_trigger of Trigger.t
-      (** Local command: insert (or refresh) a trigger as if the
-          owning host had sent it to this server; routed onward if the
-          node does not own the identifier. *)
-  | Remove_trigger of Trigger.t  (** Local command: remove a trigger. *)
-  | Send_packet of Packet.t
-      (** Local command: source a data packet here (paper Fig. 3). *)
 
 type effect =
   | Send of Packet.addr * Message.t  (** Encode and transmit. *)
@@ -87,8 +85,8 @@ val create :
     daemons pass [Id.routing_key (Id.name_hash "host:port")] so ids are
     stable across restarts.  With [join] contacts the node probes them
     by address immediately and keeps retrying every other RPC timeout
-    while it is still alone ({!Chord.Protocol.join}); without, it
-    bootstraps a fresh ring.
+    while it is still alone; without, it bootstraps a fresh ring (both
+    {!Chord.Protocol.create}).
 
     [site] (default 0) stamps every {!Obs.Trace} event this node records
     — daemons pass their port so hop events drained from different

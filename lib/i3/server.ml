@@ -329,9 +329,7 @@ let handle_pushback t ~id ~dead =
   in
   ignore removed
 
-let handle_packet t p = if t.alive then process_packet t p
-
-let handle t ~src (msg : Message.t) =
+let handle_message t ~src (msg : Message.t) =
   if t.alive then
     match msg with
     | Message.Data p ->
@@ -361,8 +359,6 @@ let handle t ~src (msg : Message.t) =
            stats requests (it owns the registry-wide view, timer wheel
            and Chord introspection); a bare sim server has no scraper. *)
         ()
-
-let handle_message = handle
 
 let create ~engine ~addr ~emit ~view ?(site = 0) ~id
     ?(config = default_config) ?(metrics = Obs.Metrics.default)

@@ -116,10 +116,6 @@ val kill : t -> unit
 
 val is_alive : t -> bool
 
-val handle_packet : t -> Packet.t -> unit
-(** Process a data packet as if received from the network ({!Engine}'s
-    [Send_packet]); its sends leave through [emit]. *)
-
 val handle_message : t -> src:Packet.addr -> Message.t -> unit
-(** Full message entry point (control + data) — the server's receive
-    path, which {!Engine} feeds with decoded frames. *)
+(** The server's one entry point (control + data), which {!Engine}
+    feeds with decoded frames; its sends leave through [emit]. *)

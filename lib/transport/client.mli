@@ -48,7 +48,7 @@ val wait : t -> timeout:float -> bool
     layer's delay queue, then wait for at most one datagram. *)
 
 val poll : t -> now:float -> unit
-(** The uniform {!Transport.S} maintenance step ([now] in ms on the
-    client's clock): flush the fault layer, dispatch everything queued
-    on the socket, then step the machine once.  Never blocks — an
-    application loop is [wait ~timeout] followed by [poll ~now]. *)
+(** One maintenance step ([now] in ms on the client's clock): flush
+    the fault layer, dispatch everything queued on the socket, then step
+    the machine once.  Never blocks — an application loop is [wait
+    ~timeout] followed by [poll ~now]. *)

@@ -16,8 +16,6 @@
    boundary and owns one, so [driver.step_ms] (labeled by event kind)
    is the honest cost of one engine step as a daemon experiences it. *)
 
-module L = Wire.Layout
-
 type t = {
   engine : I3.Engine.t;
   send : (int * string) list -> unit;
@@ -28,8 +26,6 @@ type t = {
   c_frames : Obs.Metrics.counter;
   c_sends : Obs.Metrics.counter;
   c_decode_errors : Obs.Metrics.counter;
-  rx_kind : (int, Obs.Metrics.counter) Hashtbl.t;
-  tx_kind : (int, Obs.Metrics.counter) Hashtbl.t;
   h_step : (string, Obs.Metrics.histogram) Hashtbl.t;
 }
 
@@ -51,36 +47,12 @@ let create ?(metrics = Obs.Metrics.default) ?(instance = "driver") ~send
       Obs.Metrics.counter metrics
         ~labels:(labels @ [ ("proto", "frame") ])
         "wire.decode_errors";
-    rx_kind = Hashtbl.create 8;
-    tx_kind = Hashtbl.create 8;
     h_step = Hashtbl.create 8;
   }
 
 let engine t = t.engine
 let on_effects t f = t.on_effects <- f
 let next_due t = t.next_due
-
-(* Per-wire-kind traffic counters, registered on first sight of each
-   kind so an idle daemon's registry stays small.  Frames too short to
-   carry a kind byte are only an rx concern and count under "runt". *)
-let count_kind t cache dir bytes =
-  let k =
-    if String.length bytes > L.off_kind then Char.code bytes.[L.off_kind]
-    else -1
-  in
-  let c =
-    match Hashtbl.find_opt cache k with
-    | Some c -> c
-    | None ->
-        let name = if k < 0 then "runt" else L.kind_name k in
-        let c =
-          Obs.Metrics.counter t.metrics ~labels:t.labels
-            (Printf.sprintf "driver.%s.%s" dir name)
-        in
-        Hashtbl.replace cache k c;
-        c
-  in
-  Obs.Metrics.incr c
 
 (* One step's datagrams leave in effect order through one [send] call,
    so a transport can put the whole step on the wire in one syscall (a
@@ -90,9 +62,8 @@ let interpret t effects =
     List.filter_map
       (fun eff ->
         match I3.Engine.encode_effect eff with
-        | Some (_, bytes) as datagram ->
+        | Some _ as datagram ->
             Obs.Metrics.incr t.c_sends;
-            count_kind t t.tx_kind "tx" bytes;
             datagram
         | None ->
             (match eff with
@@ -113,9 +84,6 @@ let event_kind : I3.Engine.event -> string = function
   | I3.Engine.Tick -> "tick"
   | I3.Engine.Frame _ -> "frame"
   | I3.Engine.Batch _ -> "batch"
-  | I3.Engine.Insert_trigger _ -> "insert_trigger"
-  | I3.Engine.Remove_trigger _ -> "remove_trigger"
-  | I3.Engine.Send_packet _ -> "send_packet"
 
 let step_hist t kind =
   match Hashtbl.find_opt t.h_step kind with
@@ -140,23 +108,15 @@ let step t ~now event =
   t.next_due <- None;
   interpret t effects
 
-let on_datagram t ~now ~src bytes =
-  Obs.Metrics.incr t.c_frames;
-  count_kind t t.rx_kind "rx" bytes;
-  match I3.Engine.decode bytes with
-  | Error _ -> Obs.Metrics.incr t.c_decode_errors
-  | Ok frame -> step t ~now (I3.Engine.Frame { src; frame })
-
-(* Drain a whole receive backlog through one engine step: per-datagram
-   accounting stays identical to [on_datagram] (frame counts, rx kinds,
-   decode errors), but the decodable frames travel as one [Batch] so
-   the engine pays its timer advance and outbox drain once. *)
+(* The one way in for datagrams: a whole receive backlog goes through
+   one engine step, each datagram counted and decoded on its own, and
+   the decodable frames travel as one [Batch] so the engine pays its
+   timer advance and outbox drain once.  A lone frame steps bare. *)
 let on_datagrams t ~now datagrams =
   let frames =
     List.filter_map
       (fun (src, bytes) ->
         Obs.Metrics.incr t.c_frames;
-        count_kind t t.rx_kind "rx" bytes;
         match I3.Engine.decode bytes with
         | Error _ ->
             Obs.Metrics.incr t.c_decode_errors;

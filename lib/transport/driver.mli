@@ -6,15 +6,16 @@
     in one [sendmmsg]; a [Sim] endpoint or a [Faulty]-wrapped sender
     iterates it), and [Set_timer] re-arms the loop deadline exposed by
     {!timeout}.
-    Inbound bytes enter through {!on_datagram}, which classifies and
-    decodes them ([I3.Engine.decode]) and steps the engine.
 
-    A daemon loop over UDP is:
+    The engine is reached two ways only, the ways a daemon reaches it:
+    inbound bytes through {!on_datagrams}, which classifies and decodes
+    them ([I3.Engine.decode]) and steps the engine, and the clock
+    through {!tick}.  A daemon loop over UDP is:
     {[
       while running do
         let now = elapsed_ms () in
         if Udp.wait udp ~timeout:(Driver.timeout d ~now ~cap:0.25) then
-          Udp.poll udp ~now;        (* handler calls on_datagram *)
+          Udp.poll udp ~now;        (* handler calls on_datagrams *)
         Driver.tick d ~now:(elapsed_ms ())  (* steps only when due *)
       done
     ]} *)
@@ -36,34 +37,22 @@ val create :
     in [metrics]; undecodable inbound datagrams count there and are
     otherwise dropped, as a daemon must.
 
-    Traffic is also counted per wire kind: every inbound datagram
-    increments [driver.rx.<kind>] and every outbound one
-    [driver.tx.<kind>], where [<kind>] is [Wire.Layout.kind_name] of
-    the frame's kind byte ("data", "ping", "lookup_step", ...; inbound
-    frames too short to carry one count as "runt").  Counters appear in
-    the registry on first sight of each kind.
-
     Step latency is measured here, not in the engine (the engine is
-    sans-IO and owns no clock): each {!step} observes its wall-clock
-    duration into a [driver.step_ms] histogram labeled by event kind
-    ([event="tick" | "frame" | "batch" | "insert_trigger" |
-    "remove_trigger" | "send_packet"]). *)
+    sans-IO and owns no clock): each engine step observes its
+    wall-clock duration into a [driver.step_ms] histogram labeled by
+    event kind ([event="tick" | "frame" | "batch"]). *)
 
 val engine : t -> I3.Engine.t
 
-val on_datagram : t -> now:float -> src:int -> string -> unit
-(** Decode one inbound datagram and step the engine with it — install
-    [fun ~src bytes -> on_datagram d ~now:(clock ()) ~src bytes] as
-    the transport's receive handler. *)
-
 val on_datagrams : t -> now:float -> (int * string) list -> unit
-(** Drain a receive backlog of [(src, bytes)] datagrams through one
-    engine step: each datagram is counted and decoded exactly as
-    {!on_datagram} would ([driver.frames], [driver.rx.<kind>],
-    [wire.decode_errors]), then the decodable frames are dispatched as
-    a single [I3.Engine.Batch] (bare [Frame] for a single frame; no
+(** The one receive path: drain a backlog of [(src, bytes)] datagrams
+    through one engine step.  Each datagram is counted
+    ([driver.frames]) and decoded on its own, an undecodable one counts
+    in [wire.decode_errors], and the decodable frames are dispatched as
+    a single [I3.Engine.Batch] (a bare [Frame] for a single frame; no
     step at all if none decode), amortizing the engine's timer advance
-    and outbox drain over the burst. *)
+    and outbox drain over the burst.  A transport that hands over one
+    datagram at a time passes a one-element list. *)
 
 val tick : t -> now:float -> unit
 (** Step the engine with [Tick] when {!next_due} has come ([due <=
@@ -72,9 +61,6 @@ val tick : t -> now:float -> unit
     step, no [driver.step_ms] sample — so a loop may call it every
     turn.  A fresh driver is due at once: its first [tick] starts the
     engine's wheel. *)
-
-val step : t -> now:float -> I3.Engine.event -> unit
-(** Step with an arbitrary event (local commands). *)
 
 val on_effects : t -> (I3.Engine.effect list -> unit) -> unit
 (** Observe every effect batch after it is spent (tracing, tests;

@@ -17,16 +17,11 @@
    as the send *decisions* allow (the network underneath adds its own
    nondeterminism; on loopback, effectively none). *)
 
-type lower = {
-  send : dst:int -> string -> unit;
-  set_handler : (src:int -> string -> unit) -> unit;
-  local_addr : int;
-}
+type lower = { send : dst:int -> string -> unit; local_addr : int }
 
 let of_udp_lower u =
   {
     send = (fun ~dst bytes -> Udp.send u ~dst bytes);
-    set_handler = (fun h -> Udp.set_handler u h);
     local_addr = Udp.local_addr u;
   }
 
@@ -108,14 +103,6 @@ let flush t =
   in
   go 0
 
-(* The [Transport.S] maintenance step.  The decorator's own [clock]
-   closure stays authoritative for due times (it was fixed at [create]
-   so replays stay seeded); [now] is the caller's loop time and is only
-   there for the uniform convention. *)
-let poll t ~now:_ = ignore (flush t)
-
 let pending t = Heap.size t.pending
-let set_handler t h = t.lower.set_handler h
-let local_addr t = t.lower.local_addr
 
 let apply t event = Faults.apply t.faults event

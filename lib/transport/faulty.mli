@@ -13,13 +13,10 @@
     Delayed datagrams leave on {!flush}; call it from the owning poll
     loop. *)
 
-type lower = {
-  send : dst:int -> string -> unit;
-  set_handler : (src:int -> string -> unit) -> unit;
-  local_addr : int;
-}
-(** The wrapped transport, as three closures — any {!Transport.S}
-    instance fits. *)
+type lower = { send : dst:int -> string -> unit; local_addr : int }
+(** The wrapped transport's send side: its send function and the
+    address its datagrams leave from.  Receive never passes through the
+    decorator, so the lower transport keeps its own handler. *)
 
 type t
 
@@ -43,28 +40,19 @@ val of_udp :
   Udp.t ->
   t
 
-(** {1 The transport face} — same shape as {!Transport.S}. *)
+(** {1 Sending} *)
 
 val send : t -> dst:int -> string -> unit
 (** Subject one datagram to {!Faults.fate}: it is dropped, or it and a
     possible duplicate each leave now or park until their extra delay
-    has passed. *)
-
-val set_handler : t -> (src:int -> string -> unit) -> unit
-(** Delegates to the wrapped transport — faults apply on send only. *)
-
-val local_addr : t -> int
+    has passed.  Faults apply on send only. *)
 
 (** {1 Delay queue} *)
 
 val flush : t -> int
-(** Release every parked datagram whose due time has passed; returns how
-    many left.  Call from the poll loop. *)
-
-val poll : t -> now:float -> unit
-(** {!flush}, under the uniform {!Transport.S} maintenance convention.
-    Due times come from the [clock] fixed at {!create} (so seeded
-    replays stay faithful); [now] is ignored. *)
+(** Release every parked datagram whose due time has passed by the
+    [clock] fixed at {!create} (so seeded replays stay faithful);
+    returns how many left.  Call from the poll loop. *)
 
 val pending : t -> int
 

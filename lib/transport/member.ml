@@ -78,7 +78,7 @@ let create w ~site spawn =
   let driver = driver w endpoint (spawn (Sim_endpoint.local_addr endpoint)) in
   let m = { w; endpoint; driver } in
   Sim_endpoint.set_handler endpoint (fun ~src bytes ->
-      Driver.on_datagram m.driver ~now:(now m) ~src bytes;
+      Driver.on_datagrams m.driver ~now:(now m) [ (src, bytes) ];
       arm m);
   start m;
   m

@@ -24,7 +24,6 @@ let attach net ~site =
 let send t ~dst bytes = Net.send t.net ~src:t.addr ~dst bytes
 let set_handler t h = t.handler <- h
 let local_addr t = t.addr
-let poll _ ~now:_ = ()
 
 (* A fresh address at [site]; the old one stops receiving. *)
 let move t ~site =

@@ -65,9 +65,14 @@ external slab_sub : slab -> int -> int -> string = "i3_udp_slab_sub"
 
 let no_addr = -1 (* packed addresses are non-negative *)
 
+(* Datagrams per [sendmmsg]: the stub's batch cap (I3_UDP_BATCH). *)
+let send_batch = 64
+
 type t = {
   sock : Unix.file_descr;
   local : int;
+  bufs : string array;  (* the batch being sent; "" when idle *)
+  dsts : int array;
   slab : slab;
   lens : int array;
   srcs : int array;
@@ -107,6 +112,8 @@ let create ?(host = "127.0.0.1") ?(port = 0) () =
   {
     sock;
     local;
+    bufs = Array.make send_batch "";
+    dsts = Array.make send_batch 0;
     slab = slab_create slots max_datagram;
     lens = Array.make slots 0;
     srcs = Array.make slots no_addr;
@@ -133,40 +140,64 @@ let wait_writable t =
   | (_ : _ * _ * _) -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-(* Sizes are checked before anything leaves, so an oversized datagram
-   sends nothing.  A full send buffer (0 sent) waits until the socket is
-   writable and resumes at the first unsent datagram, as a blocking
-   socket would.  A datagram the kernel refuses for its destination (a
-   peer-supplied port 0 or broadcast address) is counted and skipped, so
-   no peer can stop the rest of the batch.  A closed socket (EBADF) or a
-   kernel without sendmmsg (ENOSYS) still raises: neither is about one
-   destination, and skipping would drop every datagram silently. *)
-let send_many t datagrams =
-  let n = List.length datagrams in
-  let bufs = Array.make n "" and dsts = Array.make n 0 in
-  List.iteri
-    (fun i (dst, bytes) ->
-      if String.length bytes > max_datagram then
-        invalid_arg "Transport.Udp.send: datagram too large";
-      bufs.(i) <- bytes;
-      dsts.(i) <- dst)
-    datagrams;
-  let rec from i =
-    if i < n then
-      match sendmmsg t.sock bufs dsts i (n - i) with
-      | 0 ->
-          wait_writable t;
-          from i
-      | sent -> from (i + sent)
-      | exception (Unix.Unix_error ((Unix.EBADF | Unix.ENOSYS), _, _) as e) ->
-          raise e
-      | exception Unix.Unix_error _ ->
-          Obs.Metrics.incr t.refused;
-          from (i + 1)
-  in
-  from 0
+(* Send [t.bufs.(i)] .. [t.bufs.(n - 1)].  A full send buffer (0 sent)
+   waits until the socket is writable and resumes at the first unsent
+   datagram, as a blocking socket would.  A datagram the kernel refuses
+   for its destination (a peer-supplied port 0 or broadcast address) is
+   counted and skipped, so no peer can stop the rest of the batch.  A
+   closed socket (EBADF) or a kernel without sendmmsg (ENOSYS) still
+   raises: neither is about one destination, and skipping would drop
+   every datagram silently.  A top-level function, not a closure, so a
+   send allocates nothing. *)
+let rec send_from t i n =
+  if i < n then
+    match sendmmsg t.sock t.bufs t.dsts i (n - i) with
+    | 0 ->
+        wait_writable t;
+        send_from t i n
+    | sent -> send_from t (i + sent) n
+    | exception (Unix.Unix_error ((Unix.EBADF | Unix.ENOSYS), _, _) as e) ->
+        raise e
+    | exception Unix.Unix_error _ ->
+        Obs.Metrics.incr t.refused;
+        send_from t (i + 1) n
 
-let send t ~dst bytes = send_many t [ (dst, bytes) ]
+(* Send the first [n] slots, then clear them, so no sent payload stays
+   reachable from the socket. *)
+let transmit t n =
+  match send_from t 0 n with
+  | () -> Array.fill t.bufs 0 n ""
+  | exception e ->
+      Array.fill t.bufs 0 n "";
+      raise e
+
+let check_size bytes =
+  if String.length bytes > max_datagram then
+    invalid_arg "Transport.Udp.send: datagram too large"
+
+(* Sizes are checked before anything leaves, so an oversized datagram
+   sends nothing; then the list goes out in chunks of [send_batch]. *)
+let send_many t datagrams =
+  List.iter (fun (_, bytes) -> check_size bytes) datagrams;
+  let rec fill n = function
+    | [] -> if n > 0 then transmit t n
+    | (dst, bytes) :: rest ->
+        t.bufs.(n) <- bytes;
+        t.dsts.(n) <- dst;
+        if n + 1 = send_batch then begin
+          transmit t send_batch;
+          fill 0 rest
+        end
+        else fill (n + 1) rest
+  in
+  fill 0 datagrams
+
+(* One datagram fills slot 0: no list, tuple or array per send. *)
+let send t ~dst bytes =
+  check_size bytes;
+  t.bufs.(0) <- bytes;
+  t.dsts.(0) <- dst;
+  transmit t 1
 
 let set_handler t h = t.handler <- h
 let local_addr t = t.local
@@ -212,9 +243,9 @@ let wait t ~timeout =
   | _ -> receive t 1 = 1
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
-(* The [Transport.S] maintenance step: dispatch every datagram already
-   queued on the socket, without blocking.  A full batch may have left
-   more behind; a short one means the queue was empty. *)
+(* Dispatch every datagram already queued on the socket, without
+   blocking.  A full batch may have left more behind; a short one means
+   the queue was empty. *)
 let poll t ~now:_ =
   let rec drain () = if receive t slots = slots then drain () in
   drain ()

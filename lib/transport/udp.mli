@@ -34,7 +34,9 @@ val create : ?host:string -> ?port:int -> unit -> t
 val send_many : t -> (int * string) list -> unit
 (** Send [(dst, bytes)] datagrams in list order, best-effort, in as few
     syscalls as the stub's batch cap (64) allows.  Every size is checked
-    first, so an oversized datagram sends nothing.
+    first, so an oversized datagram sends nothing.  Each batch of 64 is
+    staged in the socket's preallocated send slots, which are cleared
+    after the call so no sent payload stays reachable.
 
     The socket is non-blocking, but [send_many] keeps blocking
     semantics: when the send buffer is full (EAGAIN) or a signal
@@ -50,7 +52,9 @@ val send_many : t -> (int * string) list -> unit
     the first send where the kernel lacks [sendmmsg]. *)
 
 val send : t -> dst:int -> string -> unit
-(** [send_many] of one datagram. *)
+(** [send_many] of one datagram, with the same checks and errors.  It
+    goes out from the socket's own send slot, so it allocates nothing:
+    the load generator's per-packet path. *)
 
 val set_handler : t -> (src:int -> string -> unit) -> unit
 (** Replace the receive callback. *)
@@ -67,16 +71,16 @@ val wait : t -> timeout:float -> bool
     rest of the queue). *)
 
 val poll : t -> now:float -> unit
-(** The {!Transport.S} maintenance step: dispatch every datagram
-    already queued on the socket without blocking, in arrival order.
-    Each [recvmmsg] takes up to a slab's 16 datagrams and copies all of
-    them out before the first handler call, so a handler that polls
-    again cannot overwrite a datagram not yet dispatched; the drain
-    stops at the first short batch (EAGAIN or EINTR reads as an empty
-    one).  A handler that raises ends the drain, and the rest of its
+(** Dispatch every datagram already queued on the socket without
+    blocking, in arrival order.  Each [recvmmsg] takes up to a slab's 16
+    datagrams and copies all of them out before the first handler call,
+    so a handler that polls again cannot overwrite a datagram not yet
+    dispatched; the drain stops at the first short batch (EAGAIN or
+    EINTR reads as an empty one).  A handler that raises ends the drain, and the rest of its
     batch is lost.  A datagram from a peer with no packed IPv4 address
     is skipped.  [now] is unused — the socket has no internal timers —
-    but keeps the uniform driver convention. *)
+    and stays because existing callers, the e2e benchmark's load
+    generator among them, pass it. *)
 
 val close : t -> unit
 

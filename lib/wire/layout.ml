@@ -83,32 +83,6 @@ let kind_get_state = 0x22
 let kind_state = 0x23
 let kind_notify = 0x24
 
-(* Human name of a frame's kind byte (the byte at [off_kind]); a byte
-   below [first_kind] is a data packet's flags, so the frame is data.
-   Used for per-kind traffic counters and rendered telemetry — never for
-   dispatch, which compares the numeric tags directly. *)
-let kind_name k =
-  if k < first_kind then "data"
-  else if k = kind_insert then "insert"
-  else if k = kind_remove then "remove"
-  else if k = kind_challenge then "challenge"
-  else if k = kind_insert_ack then "insert_ack"
-  else if k = kind_cache_info then "cache_info"
-  else if k = kind_cache_push then "cache_push"
-  else if k = kind_pushback then "pushback"
-  else if k = kind_replica then "replica"
-  else if k = kind_deliver then "deliver"
-  else if k = kind_ping then "ping"
-  else if k = kind_pong then "pong"
-  else if k = kind_stats_request then "stats_request"
-  else if k = kind_stats_response then "stats_response"
-  else if k = kind_lookup_step then "lookup_step"
-  else if k = kind_lookup_reply then "lookup_reply"
-  else if k = kind_get_state then "get_state"
-  else if k = kind_state then "state"
-  else if k = kind_notify then "notify"
-  else "unknown"
-
 (* Sanity bounds shared by decoders: a peer list (successor chains,
    Notify gossip) or a cache-push trigger batch may never claim more
    entries than these, whatever the length field says — a corrupted

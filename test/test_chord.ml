@@ -400,8 +400,17 @@ let test_routing_candidate_counts () =
 
 (* The protocol is sans-IO: these tests wire its nodes to a simulated
    net themselves — one endpoint per node, [emit] sends from it and its
-   handler feeds [handle]. *)
-type proto = { nw : Chord.Protocol.network; net : Chord.Protocol.msg Net.t }
+   handler feeds [handle].  Every node draws from the test's one [rng]
+   and counts into its one registry, and the test keeps every node it
+   creates: a node knows only its own state, so ring-wide checks run
+   over the nodes held here. *)
+type proto = {
+  engine : Engine.t;
+  rng : Rng.t;
+  metrics : Obs.Metrics.t;
+  net : Chord.Protocol.msg Net.t;
+  mutable nodes : Chord.Protocol.node list;
+}
 
 let mk_proto ?(latency = fun _ _ -> 10.) ?(seed = 1) () =
   let engine = Engine.create () in
@@ -410,29 +419,60 @@ let mk_proto ?(latency = fun _ _ -> 10.) ?(seed = 1) () =
      Obs.Metrics.default *)
   let metrics = Obs.Metrics.create () in
   let net = Net.create ~metrics engine ~rng ~latency () in
-  let nw =
-    Chord.Protocol.create engine ~rng ~metrics
-      ~emit:(fun ~src ~dst msg -> Net.send net ~src ~dst msg)
-      ()
-  in
-  (engine, rng, { nw; net })
+  (engine, rng, { engine; rng; metrics; net; nodes = [] })
 
-let attach p ~site start =
+let attach p ~site ~contacts =
   let addr = Net.register p.net ~site (fun ~src:_ _ -> ()) in
-  let node = start addr in
+  let node =
+    Chord.Protocol.create p.engine ~rng:p.rng ~metrics:p.metrics
+      ~emit:(fun ~dst msg -> Net.send p.net ~src:addr ~dst msg)
+      ~addr ~contacts ()
+  in
   Net.set_handler p.net addr (fun ~src msg -> Chord.Protocol.handle node ~src msg);
+  p.nodes <- node :: p.nodes;
   node
 
-let bootstrap p ~site =
-  attach p ~site (fun addr -> Chord.Protocol.bootstrap p.nw ~addr ())
+let bootstrap p ~site = attach p ~site ~contacts:[]
 
 (* Join by address through [via], then [backups] (tried at the same
    time, in case [via] dies before it answers). *)
 let join ?(backups = []) p ~site ~via =
-  attach p ~site (fun addr ->
-      Chord.Protocol.join p.nw ~addr
-        ~contacts:(List.map Chord.Protocol.node_addr (via :: backups))
-        ())
+  attach p ~site
+    ~contacts:(List.map Chord.Protocol.node_addr (via :: backups))
+
+(* The alive nodes, in ascending id order. *)
+let alive_nodes p =
+  List.filter Chord.Protocol.is_alive p.nodes
+  |> List.sort (fun a b ->
+         Id.compare (Chord.Protocol.node_id a) (Chord.Protocol.node_id b))
+
+(* The converged ring over the alive nodes' ids. *)
+let oracle p =
+  Chord.Oracle.create
+    (Array.of_list (List.map Chord.Protocol.node_id (alive_nodes p)))
+
+(* The converged Chord invariant: every alive node's successor is the
+   oracle's successor of its id (a lone node may have none). *)
+let ring_consistent p =
+  alive_nodes p = []
+  ||
+  let ring = oracle p in
+  List.for_all
+    (fun n ->
+      match Chord.Oracle.index_of ring (Chord.Protocol.node_id n) with
+      | None -> false
+      | Some i -> (
+          match Chord.Protocol.successor n with
+          | Some s ->
+              Id.equal s.Chord.Protocol.id
+                (Chord.Oracle.id ring (Chord.Oracle.successor_of ring i))
+          | None -> Chord.Oracle.size ring = 1))
+    (alive_nodes p)
+
+(* The id a correct lookup of [key] answers with. *)
+let expected_successor p key =
+  let ring = oracle p in
+  Chord.Oracle.id ring (Chord.Oracle.responsible ring key)
 
 let grow_ring engine rng p n =
   let b = bootstrap p ~site:0 in
@@ -450,7 +490,7 @@ let test_protocol_singleton () =
   let engine, _, p = mk_proto () in
   let b = bootstrap p ~site:0 in
   Engine.run_for engine 100_000.;
-  Alcotest.(check bool) "alone is consistent" true (Chord.Protocol.ring_consistent p.nw);
+  Alcotest.(check bool) "alone is consistent" true (ring_consistent p);
   let got = ref None in
   Chord.Protocol.lookup b (Id.of_int 42) (fun r -> got := r);
   Engine.run_for engine 10_000.;
@@ -465,7 +505,7 @@ let test_protocol_two_nodes () =
   let a = bootstrap p ~site:0 in
   let b = join p ~site:1 ~via:a in
   Engine.run_for engine 200_000.;
-  Alcotest.(check bool) "two-node ring" true (Chord.Protocol.ring_consistent p.nw);
+  Alcotest.(check bool) "two-node ring" true (ring_consistent p);
   (match Chord.Protocol.successor a with
   | Some p -> Alcotest.(check bool) "a -> b" true (Id.equal p.Chord.Protocol.id (Chord.Protocol.node_id b))
   | None -> Alcotest.fail "a has no successor");
@@ -476,7 +516,7 @@ let test_protocol_two_nodes () =
 let test_protocol_convergence () =
   let engine, rng, p = mk_proto ~seed:2 () in
   let _ = grow_ring engine rng p 24 in
-  Alcotest.(check bool) "ring consistent" true (Chord.Protocol.ring_consistent p.nw)
+  Alcotest.(check bool) "ring consistent" true (ring_consistent p)
 
 let test_protocol_lookup_correct () =
   let engine, rng, p = mk_proto ~seed:3 () in
@@ -486,13 +526,10 @@ let test_protocol_lookup_correct () =
   for _ = 1 to total do
     let key = Id.random rng in
     let origin = Rng.choose rng nodes in
-    let expected = Chord.Protocol.expected_successor p.nw key in
-    Chord.Protocol.lookup origin key (fun res ->
-        match (res, expected) with
-        | Some p, Some e
-          when Id.equal p.Chord.Protocol.id (Chord.Protocol.node_id e) ->
-            incr ok
-        | _ -> ())
+    let expected = expected_successor p key in
+    Chord.Protocol.lookup origin key (function
+      | Some p when Id.equal p.Chord.Protocol.id expected -> incr ok
+      | _ -> ())
   done;
   Engine.run_for engine 60_000.;
   Alcotest.(check int) "all lookups correct" total !ok
@@ -502,8 +539,8 @@ let test_protocol_heals_after_failures () =
   let nodes = grow_ring engine rng p 20 in
   Array.iteri (fun idx n -> if idx mod 4 = 0 then Chord.Protocol.kill n) nodes;
   Engine.run_for engine 600_000.;
-  Alcotest.(check bool) "ring healed" true (Chord.Protocol.ring_consistent p.nw);
-  Alcotest.(check int) "alive count" 15 (List.length (Chord.Protocol.alive_nodes p.nw))
+  Alcotest.(check bool) "ring healed" true (ring_consistent p);
+  Alcotest.(check int) "alive count" 15 (List.length (alive_nodes p))
 
 (* A node without a predecessor -- an heir whose predecessor died, or a
    joiner not yet notified -- claims no key: it cannot tell where its
@@ -515,7 +552,7 @@ let test_protocol_no_claim_without_predecessor () =
   let keys = List.init 64 (fun _ -> Id.random rng) in
   let orphans = ref 0 and shared = ref 0 in
   let check () =
-    let alive = Chord.Protocol.alive_nodes p.nw in
+    let alive = alive_nodes p in
     let orphaned =
       List.filter (fun n -> Chord.Protocol.predecessor n = None) alive
     in
@@ -550,18 +587,15 @@ let test_protocol_lookup_after_failures () =
   Chord.Protocol.kill nodes.(3);
   Chord.Protocol.kill nodes.(9);
   Engine.run_for engine 600_000.;
-  let alive = Chord.Protocol.alive_nodes p.nw in
+  let alive = alive_nodes p in
   let origin = List.hd alive in
   let ok = ref 0 in
   for s = 1 to 50 do
     let key = Id.random (Rng.create (Int64.of_int s)) in
-    let expected = Chord.Protocol.expected_successor p.nw key in
-    Chord.Protocol.lookup origin key (fun res ->
-        match (res, expected) with
-        | Some p, Some e
-          when Id.equal p.Chord.Protocol.id (Chord.Protocol.node_id e) ->
-            incr ok
-        | _ -> ())
+    let expected = expected_successor p key in
+    Chord.Protocol.lookup origin key (function
+      | Some p when Id.equal p.Chord.Protocol.id expected -> incr ok
+      | _ -> ())
   done;
   Engine.run_for engine 60_000.;
   Alcotest.(check bool) (Printf.sprintf "%d/50 correct" !ok) true (!ok >= 48)
@@ -581,7 +615,7 @@ let test_protocol_survives_loss () =
   done;
   Engine.run_for engine 1_500_000.;
   Alcotest.(check bool) "consistent under loss" true
-    (Chord.Protocol.ring_consistent p.nw)
+    (ring_consistent p)
 
 let test_protocol_churn () =
   (* Interleaved joins and failures over ~40 virtual minutes. *)
@@ -608,20 +642,17 @@ let test_protocol_churn () =
   done;
   Engine.run_for engine 1_800_000.;
   Alcotest.(check bool) "ring consistent after churn" true
-    (Chord.Protocol.ring_consistent p.nw);
+    (ring_consistent p);
   (* and lookups agree with ground truth *)
-  let alive = Chord.Protocol.alive_nodes p.nw in
+  let alive = alive_nodes p in
   let origin = List.hd alive in
   let ok = ref 0 in
   for s = 1 to 30 do
     let key = Id.random (Rng.create (Int64.of_int (1000 + s))) in
-    let expected = Chord.Protocol.expected_successor p.nw key in
-    Chord.Protocol.lookup origin key (fun res ->
-        match (res, expected) with
-        | Some p, Some e
-          when Id.equal p.Chord.Protocol.id (Chord.Protocol.node_id e) ->
-            incr ok
-        | _ -> ())
+    let expected = expected_successor p key in
+    Chord.Protocol.lookup origin key (function
+      | Some p when Id.equal p.Chord.Protocol.id expected -> incr ok
+      | _ -> ())
   done;
   Engine.run_for engine 60_000.;
   Alcotest.(check bool) (Printf.sprintf "%d/30 lookups" !ok) true (!ok >= 29)
@@ -633,7 +664,7 @@ let test_protocol_concurrent_joins () =
   let _nodes = List.init 10 (fun i -> join p ~site:i ~via:b) in
   Engine.run_for engine 900_000.;
   Alcotest.(check bool) "concurrent joins converge" true
-    (Chord.Protocol.ring_consistent p.nw)
+    (ring_consistent p)
 
 let () =
   Alcotest.run "chord"

@@ -5,8 +5,8 @@
    - decode dispatch: the kind byte sorts datagrams between the i3 and
      Chord codecs (data packets carry no preamble at all and still land
      on the i3 side);
-   - the paper's Fig. 3 path as pure effects: Insert_trigger then
-     Send_packet yields a [Deliver] at the trigger's owner;
+   - the paper's Fig. 3 path as pure effects: a host's Insert frame then
+     its Data frame yield a [Deliver] at the trigger's owner;
    - dual-driver parity: interpreting one engine by hand and its twin
      through [Transport.Driver] produces identical wire bytes — the
      driver adds delivery, never behaviour;
@@ -28,6 +28,27 @@ let fast_chord =
 let effect_bytes effs =
   List.filter_map I3.Engine.encode_effect effs
 
+(* An engine's only inputs are frames and ticks: a trigger insert or a
+   data packet arrives as the frame a host sends it. *)
+let sender = 0x5e4d
+
+let from_host ?(src = sender) msg =
+  I3.Engine.Frame { src; frame = I3.Engine.I3 msg }
+
+let insert ?src trigger =
+  from_host ?src (I3.Message.Insert { trigger; token = None })
+
+let data ?src packet = from_host ?src (I3.Message.Data packet)
+
+(* Feed a driver an event the way a daemon's loop does: a frame as the
+   datagram that carries it, a tick on the clock (which steps the
+   engine only when a timer is due). *)
+let drive driver ~now = function
+  | I3.Engine.Tick -> Transport.Driver.tick driver ~now
+  | I3.Engine.Frame { src; frame = I3.Engine.I3 m } ->
+      Transport.Driver.on_datagrams driver ~now [ (src, I3.Codec.encode m) ]
+  | _ -> invalid_arg "drive: a host's frame or a tick"
+
 (* --- determinism --- *)
 
 let script engine =
@@ -36,9 +57,9 @@ let script engine =
   let trigger = I3.Trigger.to_host ~id ~owner:0xbeef in
   let trace = ref [] in
   let feed now ev = trace := !trace @ I3.Engine.step engine ~now ev in
-  feed 0. (I3.Engine.Insert_trigger trigger);
+  feed 0. (insert trigger);
   feed 10.
-    (I3.Engine.Send_packet
+    (data
        (I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload:"abc" ~trace:3 ()));
   feed 200. I3.Engine.Tick;
   feed 1_000. I3.Engine.Tick;
@@ -109,8 +130,7 @@ let test_insert_then_deliver () =
   let host = 0xcafe in
   let id = Id.name_hash "figure-3" in
   let effs =
-    I3.Engine.step e ~now:0.
-      (I3.Engine.Insert_trigger (I3.Trigger.to_host ~id ~owner:host))
+    I3.Engine.step e ~now:0. (insert (I3.Trigger.to_host ~id ~owner:host))
   in
   (* A single-node ring owns everything: the insert acks locally. *)
   let acked =
@@ -122,7 +142,7 @@ let test_insert_then_deliver () =
   Alcotest.(check bool) "insert acked" true acked;
   let effs =
     I3.Engine.step e ~now:1.
-      (I3.Engine.Send_packet
+      (data
          (I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload:"hello" ~trace:7
             ()))
   in
@@ -365,11 +385,9 @@ let test_driver_parity () =
   let id = Id.name_hash "parity" in
   let events =
     [
-      (0., I3.Engine.Insert_trigger (I3.Trigger.to_host ~id ~owner:0xaa));
+      (0., insert (I3.Trigger.to_host ~id ~owner:0xaa));
       (40., I3.Engine.Tick);
-      ( 80.,
-        I3.Engine.Send_packet
-          (I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload:"x" ()) );
+      (80., data (I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload:"x" ()));
       (200., I3.Engine.Tick);
       (400., I3.Engine.Tick);
     ]
@@ -378,7 +396,7 @@ let test_driver_parity () =
     (fun (now, ev) ->
       let effs = I3.Engine.step by_hand ~now ev in
       hand_sent := List.rev_append (effect_bytes effs) !hand_sent;
-      Transport.Driver.step driver ~now ev)
+      drive driver ~now ev)
     events;
   let hand = List.rev !hand_sent and drv = List.rev !drv_sent in
   Alcotest.(check int) "same send count" (List.length hand) (List.length drv);
@@ -412,16 +430,18 @@ let test_step_sends_once () =
   let owners = List.init 16 (fun i -> 0x1000 + i) in
   List.iter
     (fun owner ->
-      Transport.Driver.step driver ~now:0.
-        (I3.Engine.Insert_trigger (I3.Trigger.to_host ~id ~owner)))
+      drive driver ~now:0. (insert ~src:owner (I3.Trigger.to_host ~id ~owner)))
     owners;
   let effects = ref [] in
   Transport.Driver.on_effects driver (fun effs -> effects := effs);
   calls := [];
-  Transport.Driver.on_datagram driver ~now:1. ~src:0x2000
-    (I3.Codec.encode
-       (I3.Message.Data
-          (I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload:"fan" ())));
+  Transport.Driver.on_datagrams driver ~now:1.
+    [
+      ( 0x2000,
+        I3.Codec.encode
+          (I3.Message.Data
+             (I3.Packet.make ~stack:[ I3.Packet.Sid id ] ~payload:"fan" ())) );
+    ];
   match !calls with
   | [ sent ] ->
       Alcotest.(check (list (pair int string)))
@@ -591,7 +611,7 @@ let test_loopback_ring_forms () =
   let host = 0xd00d in
   interpret !now addr_a
     (I3.Engine.step a ~now:!now
-       (I3.Engine.Insert_trigger (I3.Trigger.to_host ~id ~owner:host)));
+       (insert ~src:host (I3.Trigger.to_host ~id ~owner:host)));
   (* The trigger must live at B, not A. *)
   let at_b =
     I3.Trigger_table.find_matches
@@ -619,8 +639,7 @@ let ring_script seed =
          (fun k id ->
            ( 300. +. (10. *. float_of_int k),
              Rng.int rng ring_n,
-             I3.Engine.Insert_trigger (I3.Trigger.to_host ~id ~owner:host_addr)
-           ))
+             insert ~src:host_addr (I3.Trigger.to_host ~id ~owner:host_addr) ))
          ids)
   in
   let sends =
@@ -628,7 +647,7 @@ let ring_script seed =
         let id = Rng.choose rng ids in
         ( 600. +. (25. *. float_of_int k),
           Rng.int rng ring_n,
-          I3.Engine.Send_packet
+          data ~src:host_addr
             (I3.Packet.make ~stack:[ I3.Packet.Sid id ]
                ~payload:(Printf.sprintf "p%d" k) ()) ))
   in
@@ -643,7 +662,9 @@ let render = function
 
 (* Run the script on one scheduler with a [link_ms] network and return
    each engine's effect trace plus the number of Deliver effects.  Both
-   variants arm timers the same way: one pending wake-up per engine. *)
+   variants arm timers the same way: one pending wake-up per engine at
+   its next deadline, which ticks the engine only if a timer is still
+   due (a frame at the same instant may have fired it) and re-arms. *)
 let run_ring ~through_driver seed =
   let sched = Engine.create () in
   let now () = Engine.now sched in
@@ -651,23 +672,25 @@ let run_ring ~through_driver seed =
   let wake = Array.make ring_n None in
   let delivers = ref 0 in
   let step = Array.make ring_n (fun (_ : I3.Engine.event) -> ()) in
+  let tick = Array.make ring_n (fun () -> ()) in
+  let next_due = Array.make ring_n (fun () -> None) in
+  let rec arm i =
+    match (next_due.(i) (), wake.(i)) with
+    | None, _ -> ()
+    | Some due, Some pending when pending <= due -> ()
+    | Some due, _ ->
+        wake.(i) <- Some due;
+        Engine.schedule_at sched ~time:due (fun () ->
+            if wake.(i) = Some due then begin
+              wake.(i) <- None;
+              tick.(i) ();
+              arm i
+            end)
+  in
   let record i effs =
     traces.(i) <- List.rev_append (List.map render effs) traces.(i);
-    List.iter
-      (function
-        | I3.Engine.Deliver _ -> incr delivers
-        | I3.Engine.Set_timer due -> (
-            match wake.(i) with
-            | Some pending when pending <= due -> ()
-            | _ ->
-                wake.(i) <- Some due;
-                Engine.schedule_at sched ~time:due (fun () ->
-                    if wake.(i) = Some due then begin
-                      wake.(i) <- None;
-                      step.(i) I3.Engine.Tick
-                    end))
-        | _ -> ())
-      effs
+    List.iter (function I3.Engine.Deliver _ -> incr delivers | _ -> ()) effs;
+    arm i
   in
   let net =
     Net.create ~metrics:(Obs.Metrics.create ()) sched ~rng:(Rng.of_int 0)
@@ -689,6 +712,7 @@ let run_ring ~through_driver seed =
         ~metrics:(Obs.Metrics.create ())
         ()
     in
+    next_due.(i) <- (fun () -> I3.Engine.next_due e);
     (if through_driver then begin
        let ep = endpoints.(i) in
        let driver =
@@ -700,10 +724,16 @@ let run_ring ~through_driver seed =
        in
        Transport.Driver.on_effects driver (record i);
        Transport.Sim.set_handler ep (fun ~src bytes ->
-           Transport.Driver.on_datagram driver ~now:(now ()) ~src bytes);
-       step.(i) <- (fun ev -> Transport.Driver.step driver ~now:(now ()) ev)
+           Transport.Driver.on_datagrams driver ~now:(now ()) [ (src, bytes) ]);
+       step.(i) <- (fun ev -> drive driver ~now:(now ()) ev);
+       tick.(i) <- (fun () -> Transport.Driver.tick driver ~now:(now ()))
      end
-     else
+     else begin
+       tick.(i) <-
+         (fun () ->
+           match I3.Engine.next_due e with
+           | Some due when due <= now () -> step.(i) I3.Engine.Tick
+           | Some _ | None -> ());
        step.(i) <-
          (fun ev ->
            let effs = I3.Engine.step e ~now:(now ()) ev in
@@ -717,7 +747,8 @@ let run_ring ~through_driver seed =
                        | Error err -> Alcotest.fail ("loopback decode: " ^ err))
                | _ -> ())
              effs;
-           record i effs));
+           record i effs)
+     end);
     step.(i) I3.Engine.Tick
   in
   for i = 0 to ring_n - 1 do

@@ -923,8 +923,12 @@ let test_e2e_hot_spot_cache () =
        (I3.Server.cached_triggers pred_server)
        ~now:(Transport.Deployment.now d) hot
     <> []);
+  (* The sender's host puts the packet on the wire to the predecessor
+     itself, which answers from its pushed cache. *)
   let p = I3.Packet.make ~stack:[ I3.Packet.Sid hot ] ~payload:"via-cache" () in
-  I3.Server.handle_packet pred_server p;
+  Net.send (Transport.Deployment.net d) ~src:(Transport.Host.addr send)
+    ~dst:(I3.Server.addr pred_server)
+    (I3.Codec.encode (I3.Message.Data p));
   Transport.Deployment.run_for d 500.;
   Alcotest.(check int) "cache hit recorded" 1
     (Obs.Metrics.sum_counters

@@ -161,7 +161,6 @@ let fake_faulty ?(metrics = Obs.Metrics.create ()) ?(seed = 7) ?(local = 1) ()
   let lower =
     {
       Transport.Faulty.send = (fun ~dst bytes -> sent := (dst, bytes) :: !sent);
-      set_handler = (fun _ -> ());
       local_addr = local;
     }
   in
@@ -266,21 +265,6 @@ let test_faulty_deterministic () =
       Alcotest.(check int) "dst" d1 d2;
       Alcotest.(check string) "bytes" b1 b2)
     a b
-
-let test_faulty_poll_releases () =
-  (* [poll] is the uniform maintenance entry point: for Faulty it
-     flushes parked datagrams that have come due on its *own* clock
-     (the [~now] argument is deliberately ignored — the decorator's
-     clock closure stays authoritative). *)
-  let f, sent, now = fake_faulty () in
-  Transport.Faulty.apply f (Faults.Latency_spike 50.);
-  Transport.Faulty.send f ~dst:2 "a";
-  Transport.Faulty.send f ~dst:2 "b";
-  Transport.Faulty.poll f ~now:10_000.;
-  Alcotest.(check int) "own clock rules, not ~now" 0 (delivered sent);
-  now := 60.;
-  Transport.Faulty.poll f ~now:0.;
-  Alcotest.(check int) "due datagrams released" 2 (delivered sent)
 
 let test_faulty_burst () =
   (* Always-bad Gilbert-Elliott channel with loss_bad = 1 drops
@@ -607,6 +591,26 @@ let test_send_many_refused () =
         (Unix.Unix_error (Unix.EBADF, "sendmmsg", ""))
         (fun () -> Transport.Udp.send tx ~dst "late")
 
+(* One datagram fills the socket's first send slot: [Udp.send] builds no
+   list, tuple, array or closure, so a 16 B send allocates nothing on
+   the minor heap (the bound leaves a word of headroom).  It is the load
+   generator's per-packet path. *)
+let test_send_allocation () =
+  match open_sockets 2 with
+  | Some [ tx; rx ] ->
+      let dst = Transport.Udp.local_addr rx in
+      let payload = String.make 16 'x' in
+      let n = 10_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        Transport.Udp.send tx ~dst payload
+      done;
+      let w = (Gc.minor_words () -. before) /. float_of_int n in
+      if w > 1. then
+        Alcotest.failf "Udp.send: %.2f minor words per 16 B datagram > 1" w;
+      List.iter Transport.Udp.close [ tx; rx ]
+  | Some _ | None -> ()
+
 (* --- end hosts: stray Pongs and corrupt datagrams are dropped and
    counted --- *)
 
@@ -887,6 +891,8 @@ let () =
             test_send_many_oversize;
           Alcotest.test_case "refused destinations skipped and counted"
             `Quick test_send_many_refused;
+          Alcotest.test_case "a lone send allocates nothing" `Quick
+            test_send_allocation;
         ] );
       ( "udp_receive",
         [
@@ -906,8 +912,6 @@ let () =
           Alcotest.test_case "partition cut + heal" `Quick
             test_faulty_partition_heal;
           Alcotest.test_case "gray link one-way" `Quick test_faulty_gray;
-          Alcotest.test_case "poll releases due datagrams" `Quick
-            test_faulty_poll_releases;
           Alcotest.test_case "burst loss channel" `Quick test_faulty_burst;
           Alcotest.test_case "seeded replay is deterministic" `Quick
             test_faulty_deterministic;
