@@ -256,7 +256,7 @@ let run_top () =
       let cluster =
         Harness.Cluster.create ~config:(cluster_config ())
           ?dir:(if !out_dir = "" then None else Some !out_dir)
-          ~rng:(Rng.of_int !seed) ~i3d ~n:!n ()
+          ~i3d ~n:!n ()
       in
       if !verbose then
         Harness.Cluster.on_event cluster (fun s ->
@@ -314,7 +314,7 @@ let run_chaos () =
   let cluster =
     Harness.Cluster.create ~metrics ~config:(cluster_config ())
       ?dir:(if !out_dir = "" then None else Some !out_dir)
-      ~rng:(Rng.split rng) ~i3d ~n:!n ()
+      ~i3d ~n:!n ()
   in
   if !verbose then
     Harness.Cluster.on_event cluster (fun s -> Printf.eprintf "[cluster] %s\n%!" s);

@@ -30,18 +30,14 @@ let () =
       (Array.of_list (List.map Chord.Protocol.node_id (alive ())))
   in
   let ring_consistent () =
-    let ring = oracle () in
-    List.for_all
-      (fun n ->
-        match Chord.Oracle.index_of ring (Chord.Protocol.node_id n) with
-        | None -> false
-        | Some i -> (
-            match Chord.Protocol.successor n with
-            | Some p ->
-                Id.equal p.Chord.Protocol.id
-                  (Chord.Oracle.id ring (Chord.Oracle.successor_of ring i))
-            | None -> Chord.Oracle.size ring = 1))
-      (alive ())
+    Chord.Oracle.converged
+      (List.map
+         (fun n ->
+           ( Chord.Protocol.node_id n,
+             Option.map
+               (fun p -> p.Chord.Protocol.id)
+               (Chord.Protocol.successor n) ))
+         (alive ()))
   in
   for _ = 2 to 24 do
     let via = Rng.choose rng !nodes in

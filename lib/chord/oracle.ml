@@ -43,3 +43,15 @@ let nth_successor t i k = (i + k) mod size t
 
 let finger t i e = successor_index t (Id.add_pow2 (id t i) e)
 let finger_at t i offset = successor_index t (Id.add (id t i) offset)
+
+let converged nodes =
+  nodes <> []
+  &&
+  let ring = create (Array.of_list (List.map fst nodes)) in
+  List.for_all
+    (fun (self, succ) ->
+      match succ with
+      | None -> size ring = 1
+      | Some s ->
+          Id.equal s (id ring (successor_of ring (successor_index ring self))))
+    nodes

@@ -50,3 +50,10 @@ val finger : t -> int -> int -> int
 val finger_at : t -> int -> Id.t -> int
 (** Ring index of [successor (id t i + offset)] for an arbitrary offset —
     used by the closest-finger-set heuristic's fractional-base targets. *)
+
+val converged : (Id.t * Id.t option) list -> bool
+(** The converged-Chord invariant over one snapshot of [(node id,
+    its successor's id)] pairs: every successor names the next node
+    clockwise among the snapshot's ids.  A lone node's successor is
+    either none or itself; with more nodes, none fails.  An empty
+    snapshot is no ring: [false]. *)

@@ -3,29 +3,27 @@
    The harness is the live-process analogue of the simulator's
    [Transport.Dynamic]: it forks N daemons that form one ring
    *dynamically* — every member is spawned with the other members as
-   [--join] contacts and Chord stabilization does the rest — supervises
-   them
-   (reap-on-exit, restart with exponential backoff, readiness probes
-   over the Ping/Pong status frames).  Its [kill] (a real SIGKILL) and
-   [restart] (re-arm supervision, respawn) are how [Fleet.live] runs a
-   [Faults.schedule]'s [Crash i] and [Restart i], so one scenario
-   vocabulary drives sim and wire alike.
+   [--join] contacts and Chord stabilization does the rest — and
+   supervises them (reap-on-exit, restart with exponential backoff).
+   Its [kill] (a real SIGKILL) and [restart] (re-arm supervision,
+   respawn) are how [Fleet.live] runs a [Faults.schedule]'s [Crash i]
+   and [Restart i], so one scenario vocabulary drives sim and wire
+   alike.  [pause]/[resume] (SIGSTOP/SIGCONT) are the process-level
+   partition: a stopped daemon is unreachable but loses no state.
 
-   Ring visibility comes over the wire, not from shared memory: the
-   harness owns a second probe socket speaking [Chord.Codec] and asks
-   any member for its [State] (successor list, predecessor), which is
-   how [await_converged] decides the live members agree on one ring —
-   and how the partition/re-merge test watches two halves heal.
-   [pause]/[resume] (SIGSTOP/SIGCONT) are the process-level partition:
-   a stopped daemon is unreachable but loses no state, exactly a
-   severed link's view from the outside.
+   The harness asks its daemons through one status socket, one request
+   datagram and one reply each: a Ping for readiness and a Chord
+   [Get_state] for a member's ring view, which is how [await_converged]
+   decides the live members agree on one ring.  One counter numbers
+   every probe, so a late reply to a timed-out probe is dropped.
 
    Everything observable lands in the metrics registry
-   ([cluster.spawns], [cluster.crashes], [cluster.restarts]); each
-   daemon writes its own registry to a per-member JSON dump on graceful
-   stop, which {!metrics_dumps} reads back — that is how the acceptance
-   test pins [wire.decode_errors = 0] against processes that no longer
-   exist. *)
+   ([cluster.spawns], [cluster.crashes], [cluster.restarts], and
+   [wire.decode_errors] for a status datagram that does not decode);
+   each daemon writes its own registry to a per-member JSON dump on
+   graceful stop, which [decode_errors] reads back — that is how the
+   acceptance test pins [wire.decode_errors = 0] against processes
+   that no longer exist. *)
 
 let wall_ms () = Unix.gettimeofday () *. 1000.
 
@@ -80,23 +78,26 @@ let default_config =
     daemon_fault_seed = 1;
   }
 
+(* Pong's fields, as [ping] answers them. *)
+type pong = { server : int; triggers : int; uptime_ms : float }
+
 type t = {
   i3d : string;
-  host : string;
   dir : string;
   cfg : config;
   members : member array;
-  probe : Transport.Client.t;  (* supervisor's own socket: pings *)
-  chord_probe : Transport.Udp.t;
-      (* a second socket speaking Chord.Codec: Get_state ring probes
-         must not land on the client socket, where a State frame would
-         read as an i3 decode error *)
-  mutable probe_token : int;
+  status : Transport.Udp.t;  (* every Ping and Get_state, and their replies *)
+  mutable nonce : int;  (* the probe in flight: Ping nonce = Get_state token *)
+  mutable reply : I3.Engine.frame option;  (* its answer, once taken *)
   mutable on_event : string -> unit;
   c_spawns : Obs.Metrics.counter;
   c_crashes : Obs.Metrics.counter;
   c_restarts : Obs.Metrics.counter;
+  c_decode_errors : Obs.Metrics.counter;
 }
+
+(* Every daemon binds loopback, as the status socket does. *)
+let host = "127.0.0.1"
 
 let free_port () =
   let s = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
@@ -122,8 +123,20 @@ let fresh_dir () =
   in
   go 0
 
-let create ?(metrics = Obs.Metrics.default) ?(config = default_config)
-    ?(host = "127.0.0.1") ?dir ?(rng = Rng.of_int 1) ~i3d ~n () =
+(* Take the answer to the probe in flight; anything else that decodes
+   (a straggler from a timed-out probe) is dropped. *)
+let on_status t ~src:_ bytes =
+  match I3.Engine.decode bytes with
+  | Ok
+      (( I3 (I3.Message.Pong { nonce; _ })
+       | Chord (Chord.Protocol.State { token = nonce; _ }) ) as frame)
+    when nonce = t.nonce ->
+      t.reply <- Some frame
+  | Ok _ -> ()
+  | Error _ -> Obs.Metrics.incr t.c_decode_errors
+
+let create ?(metrics = Obs.Metrics.default) ?(config = default_config) ?dir
+    ~i3d ~n () =
   if n < 1 then invalid_arg "Cluster.create: need n >= 1";
   let dir =
     match dir with
@@ -155,29 +168,26 @@ let create ?(metrics = Obs.Metrics.default) ?(config = default_config)
           last_spawn = 0.;
         })
   in
-  let probe_udp = Transport.Udp.create ~host () in
-  let probe =
-    Transport.Client.create ~metrics ~instance:"supervisor" ~rng:(Rng.split rng)
-      ~gateways:(Array.to_list (Array.map (fun m -> m.addr) members))
-      probe_udp
-  in
-  let chord_probe = Transport.Udp.create ~host () in
   let labels = [ ("instance", "cluster") ] in
   let c name = Obs.Metrics.counter metrics ~labels name in
-  {
-    i3d;
-    host;
-    dir;
-    cfg = config;
-    members;
-    probe;
-    chord_probe;
-    probe_token = 0;
-    on_event = (fun _ -> ());
-    c_spawns = c "cluster.spawns";
-    c_crashes = c "cluster.crashes";
-    c_restarts = c "cluster.restarts";
-  }
+  let t =
+    {
+      i3d;
+      dir;
+      cfg = config;
+      members;
+      status = Transport.Udp.create ();
+      nonce = 0;
+      reply = None;
+      on_event = (fun _ -> ());
+      c_spawns = c "cluster.spawns";
+      c_crashes = c "cluster.crashes";
+      c_restarts = c "cluster.restarts";
+      c_decode_errors = c "wire.decode_errors";
+    }
+  in
+  Transport.Udp.set_handler t.status (on_status t);
+  t
 
 let on_event t f = t.on_event <- f
 let event t fmt = Printf.ksprintf (fun s -> t.on_event s) fmt
@@ -195,19 +205,15 @@ let join_arg t i =
     |> List.filter (fun m -> m.index <> i)
     |> List.map (fun m -> m.name))
 
-(* The Chord ring over the given members' node ids (as
-   [Chord.Oracle]), with the members in its index order. *)
-let ring_of members =
-  let ring = Array.of_list members in
-  Array.sort (fun a b -> Id.compare (node_id a) (node_id b)) ring;
-  (Chord.Oracle.create (Array.map node_id ring), ring)
-
 (* Which member owns an identifier once the ring has converged: the
    Chord successor rule the daemons' protocol state converges to,
    computed here from names alone.  [owner_index t] builds the ring
-   once, so mapping it over many identifiers costs one lookup each. *)
+   once (the members in its index order), so mapping it over many
+   identifiers costs one lookup each. *)
 let owner_index t =
-  let oracle, ring = ring_of (Array.to_list t.members) in
+  let ring = Array.copy t.members in
+  Array.sort (fun a b -> Id.compare (node_id a) (node_id b)) ring;
+  let oracle = Chord.Oracle.create (Array.map node_id ring) in
   fun id -> ring.(Chord.Oracle.responsible oracle id).index
 
 let spawn t i =
@@ -222,7 +228,7 @@ let spawn t i =
       ([
          t.i3d;
          "--host";
-         t.host;
+         host;
          "--port";
          string_of_int m.port;
          "--stabilize-ms";
@@ -253,8 +259,37 @@ let spawn t i =
   Obs.Metrics.incr t.c_spawns;
   event t "spawn %s (pid %d)" m.name pid
 
+(* The status socket's one blocking wait: send member [i] the request
+   numbered by the next nonce, then take datagrams in slices of at most
+   20 ms until its answer arrives or [timeout_ms] runs out. *)
+let ask t i ~timeout_ms request =
+  t.nonce <- t.nonce + 1;
+  t.reply <- None;
+  Transport.Udp.send t.status ~dst:t.members.(i).addr (request t.nonce);
+  let deadline = wall_ms () +. timeout_ms in
+  let rec await () =
+    match t.reply with
+    | Some _ as reply -> reply
+    | None ->
+        let left = deadline -. wall_ms () in
+        if left <= 0. then None
+        else begin
+          ignore
+            (Transport.Udp.wait t.status
+               ~timeout:(Float.min (left /. 1000.) 0.02));
+          await ()
+        end
+  in
+  await ()
+
 let ping t i ~timeout_ms =
-  Transport.Client.ping t.probe ~dst:t.members.(i).addr ~timeout_ms
+  match
+    ask t i ~timeout_ms (fun nonce ->
+        I3.Codec.encode (I3.Message.Ping { nonce }))
+  with
+  | Some (I3 (I3.Message.Pong { server; triggers; uptime_ms; _ })) ->
+      Some { server; triggers; uptime_ms }
+  | Some _ | None -> None
 
 let ready_timeout_ms = 10_000.
 
@@ -328,60 +363,32 @@ type ring_state = {
   succs : Chord.Protocol.peer list;
 }
 
-(* One Get_state round-trip against member [i] on the dedicated chord
-   probe socket.  Replies are matched by token, so a straggler from an
-   earlier timed-out probe cannot satisfy this one. *)
 let ring_state t i ~timeout_ms =
-  t.probe_token <- t.probe_token + 1;
-  let token = t.probe_token in
-  let result = ref None in
-  Transport.Udp.set_handler t.chord_probe (fun ~src:_ bytes ->
-      match Chord.Codec.decode bytes with
-      | Ok (Chord.Protocol.State { token = tk; self; pred; succs })
-        when tk = token ->
-          result := Some { self; pred; succs }
-      | Ok _ | Error _ -> ());
-  Transport.Udp.send t.chord_probe ~dst:t.members.(i).addr
-    (Chord.Codec.encode
-       (Chord.Protocol.Get_state
-          { token; reply_to = Transport.Udp.local_addr t.chord_probe }));
-  let deadline = wall_ms () +. timeout_ms in
-  let rec go () =
-    if !result <> None then !result
-    else if wall_ms () >= deadline then None
-    else begin
-      ignore (Transport.Udp.wait t.chord_probe ~timeout:0.02);
-      go ()
-    end
-  in
-  go ()
+  match
+    ask t i ~timeout_ms (fun token ->
+        Chord.Codec.encode
+          (Chord.Protocol.Get_state
+             { token; reply_to = Transport.Udp.local_addr t.status }))
+  with
+  | Some (Chord (Chord.Protocol.State { self; pred; succs; _ })) ->
+      Some { self; pred; succs }
+  | Some _ | None -> None
 
-(* The live members, each member's expected successor among them (the
-   next node id clockwise), and whether every probed successor pointer
-   agrees — the converged-Chord invariant, observed over the wire. *)
+(* Every live member's successor pointer, asked over the wire, against
+   the converged-Chord invariant.  A member that does not answer fails
+   it at once, before the rest are asked. *)
 let converged t =
-  let live = List.filter (fun m -> m.pid <> None) (Array.to_list t.members) in
-  match live with
-  | [] -> false
-  | [ m ] -> (
-      (* A singleton ring: the node knows no successor. *)
-      match ring_state t m.index ~timeout_ms:t.cfg.ping_timeout_ms with
-      | Some { succs = []; _ } -> true
-      | Some { succs = s :: _; _ } -> s.Chord.Protocol.addr = m.addr
-      | None -> false)
-  | _ ->
-      let oracle, ring = ring_of live in
-      let expected_succ m =
-        let i = Chord.Oracle.successor_index oracle (node_id m) in
-        ring.(Chord.Oracle.successor_of oracle i)
-      in
-      List.for_all
-        (fun m ->
-          match ring_state t m.index ~timeout_ms:t.cfg.ping_timeout_ms with
-          | Some { succs = s :: _; _ } ->
-              s.Chord.Protocol.addr = (expected_succ m).addr
-          | Some { succs = []; _ } | None -> false)
-        live
+  let rec pointers acc = function
+    | [] -> Chord.Oracle.converged acc
+    | m :: rest -> (
+        match ring_state t m.index ~timeout_ms:t.cfg.ping_timeout_ms with
+        | None -> false
+        | Some { succs; _ } ->
+            let id (s : Chord.Protocol.peer) = s.id in
+            let succ = Option.map id (List.nth_opt succs 0) in
+            pointers ((node_id m, succ) :: acc) rest)
+  in
+  pointers [] (List.filter (fun m -> m.pid <> None) (Array.to_list t.members))
 
 let await_converged t ~timeout_ms =
   let deadline = wall_ms () +. timeout_ms in

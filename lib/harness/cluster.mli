@@ -5,10 +5,11 @@
     The supervisor forks N daemons that form one ring {e dynamically}:
     each member is spawned with the others as [--join] contacts and
     Chord stabilization does the rest ({!await_converged} watches it
-    happen over the wire, via [Get_state] probes from a dedicated
-    chord-codec socket).  It reaps and respawns members (exponential
-    backoff, reset after a stable period) and probes readiness via the
-    Ping/Pong status frames.  {!kill} and {!restart} are how
+    happen over the wire).  It reaps and respawns members (exponential
+    backoff, reset after a stable period).  It asks its daemons
+    everything through one status socket: a Ping for readiness
+    ({!ping}) and a Chord [Get_state] for ring views ({!ring_state}),
+    one request and one reply each.  {!kill} and {!restart} are how
     {!Fleet.live} runs a schedule's [Crash i] and [Restart i].
     {!pause}/{!resume} (SIGSTOP/SIGCONT) model a partition at process
     granularity — unreachable, state intact.  Each daemon flushes its
@@ -67,17 +68,18 @@ type t
 val create :
   ?metrics:Obs.Metrics.t ->
   ?config:config ->
-  ?host:string ->
   ?dir:string ->
-  ?rng:Rng.t ->
   i3d:string ->
   n:int ->
   unit ->
   t
-(** Pick [n] free loopback ports and prepare (not yet spawn) the
-    members.  [i3d] is the daemon binary's path; [dir] (default: a fresh
-    directory under the system temp dir) receives per-member logs and
-    metrics dumps.  @raise Invalid_argument when [n < 1]. *)
+(** Pick [n] free loopback ports, bind the status socket on loopback
+    and prepare (not yet spawn) the members.  [i3d] is the daemon
+    binary's path; [dir] (default: a fresh directory under the system
+    temp dir) receives per-member logs and metrics dumps.  A
+    status-socket datagram that does not decode counts in
+    [wire.decode_errors{instance="cluster"}] in [metrics].
+    @raise Invalid_argument when [n < 1]. *)
 
 val on_event : t -> (string -> unit) -> unit
 (** Supervision event log hook (spawn/kill/restart/exit). *)
@@ -119,7 +121,14 @@ val resume : t -> int -> unit
 (** SIGCONT a paused member and re-arm supervision; the healed "link"
     re-merges via the daemons' graveyard/contact probes. *)
 
-val ping : t -> int -> timeout_ms:float -> Transport.Client.pong option
+type pong = { server : int; triggers : int; uptime_ms : float }
+(** A daemon's status reply to {!ping}. *)
+
+val ping : t -> int -> timeout_ms:float -> pong option
+(** One Ping to member [i] and a blocking wait, in slices of at most
+    20 ms, for the Pong that echoes its nonce.  One counter numbers
+    every Ping and [Get_state], and only the reply to the probe in
+    flight is taken: a late answer to an earlier probe is dropped. *)
 
 (** {1 Ring observation} *)
 
@@ -131,14 +140,14 @@ type ring_state = {
 (** One member's view of the ring, as answered over the wire. *)
 
 val ring_state : t -> int -> timeout_ms:float -> ring_state option
-(** One [Get_state] round-trip against member [i] from the harness's
-    dedicated chord-codec probe socket (token-matched, so stragglers
-    from timed-out probes are ignored). *)
+(** One [Get_state] round-trip against member [i] over the status
+    socket, matched by token as {!ping} is by nonce. *)
 
 val converged : t -> bool
-(** Probe every live member and check the converged-Chord invariant:
-    each successor pointer names the next live member clockwise by node
-    id. *)
+(** Probe every live member and check {!Chord.Oracle.converged}: each
+    successor pointer names the next live member clockwise by node id.
+    [false] as soon as a member does not answer, or when none is
+    live. *)
 
 val await_converged : t -> timeout_ms:float -> bool
 (** Poll {!converged} until true or the deadline. *)

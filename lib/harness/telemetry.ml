@@ -2,12 +2,13 @@
 
    [Obs.Scrape] decides when to poll which daemon and where the answers
    land; this module owns what that module may not (obs sits below the
-   transport and protocol layers): a dedicated UDP socket, the
-   [I3.Codec] framing, and the wall clock handed in by the caller.  The
-   socket is separate from the chaos client's for the same reason the
-   cluster's chord probe is — a [Stats_response] landing on the client
-   socket would read as an i3 decode error in the very counter the
-   telemetry is supposed to pin at zero.
+   transport and protocol layers): a dedicated UDP socket on loopback,
+   the [I3.Codec] framing, and the wall clock handed in by the caller.
+   The socket is not the cluster's status socket: that one waits,
+   blocking, for one reply at a time, while scrapes are asynchronous —
+   requests leave on a timer and their answers are drained on the next
+   tick — and [i3cluster top --targets] scrapes daemons no cluster
+   owns.
 
    On top of the scraper this module wires the two consumers the chaos
    harness wants: an [Obs.Health] monitor whose rules are judged
@@ -33,8 +34,8 @@ let handle_datagram t bytes =
         (Obs.Scrape.on_response t.scrape ~now:t.now_ms ~nonce ~samples ~events)
   | Ok _ | Error _ -> () (* stray or undecodable: that scrape times out *)
 
-let create ~interval_ms ?(host = "127.0.0.1") targets =
-  let udp = Transport.Udp.create ~host () in
+let create ~interval_ms targets =
+  let udp = Transport.Udp.create () in
   let scrape = Obs.Scrape.create ~interval_ms targets in
   let t =
     {

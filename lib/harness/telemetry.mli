@@ -9,17 +9,16 @@
 
     Call {!tick} from the chaos loop, e.g. on a {!Fleet.every} timer as
     [bin/i3cluster.ml] does.  The socket is private to the telemetry
-    plane so status frames never pollute the chaos client's
-    decode-error counters. *)
+    plane: scrapes are asynchronous, unlike {!Cluster.ping}'s blocking
+    wait, and need no cluster. *)
 
 type t
 
-val create :
-  interval_ms:float -> ?host:string -> Obs.Scrape.target list -> t
+val create : interval_ms:float -> Obs.Scrape.target list -> t
 (** A collector polling [targets] every [interval_ms] for their whole
     registry and their drained trace rings ({!Obs.Scrape.create}, with
-    its 1 s reply timeout).  Binds an ephemeral UDP socket on [host]
-    (default 127.0.0.1).
+    its 1 s reply timeout).  Binds an ephemeral UDP socket on
+    127.0.0.1.
     @raise Unix.Unix_error where sockets are unavailable (sandboxes) —
     callers should degrade like the other live harnesses. *)
 

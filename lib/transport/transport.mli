@@ -22,8 +22,7 @@ module Host = Host
     a {!Sim} endpoint or over any send function. *)
 
 module Client = Client
-(** {!Host} on a UDP socket, plus liveness pings and a blocking
-    loop. *)
+(** {!Host} on a UDP socket, plus a blocking insert and loop. *)
 
 module Driver = Driver
 (** Effect interpreter: pumps an [I3.Engine] over any byte sender. *)

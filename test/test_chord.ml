@@ -256,6 +256,23 @@ let test_oracle_index_of () =
   Alcotest.(check (option int)) "found" (Some 1) (Chord.Oracle.index_of o (i 20));
   Alcotest.(check (option int)) "absent" None (Chord.Oracle.index_of o (i 15))
 
+(* The converged-ring rule over (id, successor id) snapshots, in both
+   directions: the protocol tests only ever see it hold. *)
+let test_oracle_converged () =
+  let check what want nodes =
+    Alcotest.(check bool) what want (Chord.Oracle.converged nodes)
+  in
+  check "ring" true [ (i 30, Some (i 10)); (i 10, Some (i 20)); (i 20, Some (i 30)) ];
+  check "one pointer skips a node" false
+    [ (i 10, Some (i 30)); (i 20, Some (i 30)); (i 30, Some (i 10)) ];
+  check "pointers run backwards" false
+    [ (i 10, Some (i 30)); (i 20, Some (i 10)); (i 30, Some (i 20)) ];
+  check "a node without a successor" false [ (i 10, None); (i 20, Some (i 10)) ];
+  check "lone node, no successor" true [ (i 10, None) ];
+  check "lone node, itself" true [ (i 10, Some (i 10)) ];
+  check "lone node, a stale peer" false [ (i 10, Some (i 20)) ];
+  check "no nodes" false []
+
 (* --- Routing --- *)
 
 let mk_world ?(n = 256) seed =
@@ -451,23 +468,17 @@ let oracle p =
   Chord.Oracle.create
     (Array.of_list (List.map Chord.Protocol.node_id (alive_nodes p)))
 
-(* The converged Chord invariant: every alive node's successor is the
-   oracle's successor of its id (a lone node may have none). *)
+(* The converged Chord invariant over the alive nodes' successor
+   pointers. *)
 let ring_consistent p =
-  alive_nodes p = []
-  ||
-  let ring = oracle p in
-  List.for_all
-    (fun n ->
-      match Chord.Oracle.index_of ring (Chord.Protocol.node_id n) with
-      | None -> false
-      | Some i -> (
-          match Chord.Protocol.successor n with
-          | Some s ->
-              Id.equal s.Chord.Protocol.id
-                (Chord.Oracle.id ring (Chord.Oracle.successor_of ring i))
-          | None -> Chord.Oracle.size ring = 1))
-    (alive_nodes p)
+  Chord.Oracle.converged
+    (List.map
+       (fun n ->
+         ( Chord.Protocol.node_id n,
+           Option.map
+             (fun s -> s.Chord.Protocol.id)
+             (Chord.Protocol.successor n) ))
+       (alive_nodes p))
 
 (* The id a correct lookup of [key] answers with. *)
 let expected_successor p key =
@@ -693,6 +704,7 @@ let () =
           test_oracle_prefix_locality;
           Alcotest.test_case "ring neighbors" `Quick test_oracle_neighbors;
           Alcotest.test_case "index_of" `Quick test_oracle_index_of;
+          Alcotest.test_case "converged" `Quick test_oracle_converged;
         ] );
       ( "routing",
         [

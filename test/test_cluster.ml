@@ -47,7 +47,7 @@ let () =
   let rng = Rng.of_int 2026 in
   let metrics = Obs.Metrics.create () in
   let cluster =
-    Harness.Cluster.create ~metrics ~rng:(Rng.split rng) ~i3d:i3d_path ~n:5 ()
+    Harness.Cluster.create ~metrics ~i3d:i3d_path ~n:5 ()
   in
   Harness.Cluster.on_event cluster (fun s ->
       Printf.printf "[cluster] %s\n%!" s);

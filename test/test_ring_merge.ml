@@ -4,7 +4,8 @@
    the survivor must evict it and run as a singleton; SIGCONT heals the
    "link" and the daemons' graveyard/contact probes must re-merge the
    two one-node rings into one — with zero wire decode errors across
-   the whole episode.
+   the whole episode.  On the way it checks that the harness's status
+   socket drops late replies to probes that timed out.
 
    Skips (exit 0 with a SKIP line) where sockets or fork/exec are
    unavailable, exactly like test_cluster. *)
@@ -34,9 +35,8 @@ let () =
   if not (Sys.file_exists i3d_path) then skip ("no daemon at " ^ i3d_path);
 
   let cluster =
-    Harness.Cluster.create
-      ~metrics:(Obs.Metrics.create ())
-      ~rng:(Rng.of_int 77) ~i3d:i3d_path ~n:2 ()
+    Harness.Cluster.create ~metrics:(Obs.Metrics.create ()) ~i3d:i3d_path
+      ~n:2 ()
   in
   Harness.Cluster.on_event cluster (fun s ->
       Printf.printf "[ring_merge] %s\n%!" s);
@@ -55,9 +55,39 @@ let () =
   end;
   Printf.printf "ring_merge: two-node ring converged\n%!";
 
-  (* Phase 2: partition.  SIGSTOP daemon 1; daemon 0 must declare it
-     dead (missed stabilize RPCs) and close the ring around itself. *)
-  Harness.Cluster.pause cluster 1;
+  (* The status socket takes only the reply to the probe in flight.  A
+     probe to a paused daemon times out; resumed, the daemon answers it
+     late and the reply queues on the status socket; paused again, a
+     fresh probe of the same kind must not take that reply for its own.
+     A probe's wait reads everything queued, so ping and Get_state each
+     get an episode of their own. *)
+  let timeout_ms = Harness.Cluster.default_config.ping_timeout_ms in
+  let answered_while_paused answered =
+    Harness.Cluster.pause cluster 1;
+    (* SIGSTOP is asynchronous: let it land before probing. *)
+    Unix.sleepf 0.05;
+    answered ()
+  in
+  let late_reply_dropped what answered =
+    if answered_while_paused answered then begin
+      Harness.Cluster.stop cluster;
+      fail "a %s to the paused daemon was answered" what
+    end;
+    Harness.Cluster.resume cluster 1;
+    Unix.sleepf 0.2;
+    if answered_while_paused answered then begin
+      Harness.Cluster.stop cluster;
+      fail "a fresh %s took the late reply to a timed-out one" what
+    end
+  in
+  late_reply_dropped "ping" (fun () ->
+      Harness.Cluster.ping cluster 1 ~timeout_ms <> None);
+  late_reply_dropped "Get_state" (fun () ->
+      Harness.Cluster.ring_state cluster 1 ~timeout_ms <> None);
+  Printf.printf "ring_merge: late replies to timed-out probes dropped\n%!";
+
+  (* Phase 2: partition.  Daemon 1 stays stopped; daemon 0 must declare
+     it dead (missed stabilize RPCs) and close the ring around itself. *)
   (* Daemon 0 runs alone once it knows no successor or names itself,
      asked over the wire until a 15 s deadline. *)
   let survivor_alone () =

@@ -51,7 +51,7 @@ let () =
   let rng = Rng.of_int 808 in
   let metrics = Obs.Metrics.create () in
   let cluster =
-    Harness.Cluster.create ~metrics ~rng:(Rng.split rng) ~i3d:i3d_path ~n:3 ()
+    Harness.Cluster.create ~metrics ~i3d:i3d_path ~n:3 ()
   in
   (match Harness.Cluster.start cluster with
   | true -> ()
